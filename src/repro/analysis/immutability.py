@@ -5,8 +5,8 @@ published ``DataTable``/``SketchStore``/``Column`` is shared by every
 in-flight query, so mutating one in place silently corrupts concurrent
 results.  The contract is that those types are only ever *built* —
 populated inside their own constructor modules or rebuilt fresh (via
-constructors, ``from_parts``-style classmethods, or ``copy.deepcopy``)
-— and never mutated after publication.
+constructors, ``from_parts``-style classmethods, or a sketch's own
+``copy()``) — and never mutated after publication.
 
 This rule flags, outside the whitelisted builder modules:
 
@@ -18,9 +18,10 @@ This rule flags, outside the whitelisted builder modules:
 An object is *tracked* when a function parameter or annotated local is
 typed as one of the immutable types; it stops being tracked once
 reassigned from a fresh-construction expression (constructor call,
-classmethod on the type, or ``copy.deepcopy``/``copy.copy``/
-``dataclasses.replace``) — mutating your own fresh copy is the
-sanctioned pattern.
+classmethod on the type, a ``.copy()`` method such as
+:meth:`repro.sketch.base.Sketch.copy`, ``dataclasses.replace``, or the
+``copy`` module's functions) — mutating your own fresh copy is the
+sanctioned pattern, and ``sketch.copy()`` is how the merge paths get one.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class _FunctionChecker:
             return True
         if isinstance(func, ast.Attribute):
             if func.attr in _FRESH_CALLS:
-                return True  # copy.deepcopy(x), dataclasses.replace(x)
+                return True  # sketch.copy(), dataclasses.replace(x), copy.copy(x)
             # Classmethod constructors: SketchStore.from_parts(...).
             if isinstance(func.value, ast.Name) and func.value.id in self.rule.immutable_types:
                 return True
@@ -125,7 +126,7 @@ class _FunctionChecker:
                 line=line,
                 message=(
                     f"{what} on published snapshot object '{name}' outside a "
-                    "builder module; copy (deepcopy/from_parts) before mutating"
+                    "builder module; copy (.copy()/from_parts) before mutating"
                 ),
             )
         )

@@ -195,6 +195,7 @@ DEFAULT_CONFIG = ProjectConfig(
         "merge",
         "update",
         "update_many",
+        "update_counts",
         "add",
         "append",
         "extend",

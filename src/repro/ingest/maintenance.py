@@ -9,15 +9,17 @@ that property into a live-update path.  For a validated
    (:func:`build_delta_partials`, fanned out over the engine's
    :class:`~repro.core.executor.Executor` exactly like the base
    preprocessing), then
-2. **merges** them into copies of the live store's sketches and packages
-   the result as a brand-new :class:`~repro.sketch.store.SketchStore`
-   over the grown table (:func:`merge_delta`).
+2. **merges** them into ``copy()``s of the live store's sketches
+   (:meth:`~repro.sketch.store.ColumnSketches.merged`) and packages the
+   result as a brand-new :class:`~repro.sketch.store.SketchStore` over
+   the grown table (:func:`merge_delta`).
 
 Per-sketch-type merge semantics:
 
 =================  =========================================================
 moments            running sums add exactly (merge is lossless)
-quantile (GK)      tuple interleave + compress; rank error stays ≤ ε·n
+quantile (GK)      stable sort of both summaries' tuples by value + greedy
+                   compress; rank error stays ≤ ε·n
 count-min          counter tables add; overestimate bound ε·n preserved
 Misra–Gries        counter union + (k+1)-th-largest reduction; undercount
                    bound n/capacity preserved
@@ -44,7 +46,6 @@ snapshot keep reading a consistent view.
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, replace as dataclass_replace
 
@@ -54,13 +55,10 @@ from repro.core.executor import Executor
 from repro.data.table import DataTable
 from repro.errors import IngestError
 from repro.ingest.log import IngestLog
-from repro.sketch.countmin import CountMinSketch
-from repro.sketch.entropy import EntropySketch
-from repro.sketch.frequent import MisraGriesSketch
-from repro.sketch.moments import MomentSketch
-from repro.sketch.quantile import QuantileSketch
 from repro.sketch.reservoir import advance_row_indices
-from repro.sketch.store import ColumnSketches, SketchStore
+from repro.sketch.store import (
+    ColumnSketches, SketchStore, numeric_sketches, value_count_sketches,
+)
 
 
 @dataclass(frozen=True)
@@ -171,52 +169,19 @@ def build_delta_partials(
 def _build_column_partial(
     delta_table: DataTable, store: SketchStore, name: str, index: int
 ) -> ColumnSketches:
-    config = store.config
-    base = store.column_sketches(name)
-    partial = ColumnSketches(name=name)
-    column = delta_table.column(name)
-    if base.moments is not None or base.quantiles is not None:
-        values = delta_table.numeric_column(name).valid_values()
-        if base.moments is not None:
-            moments = MomentSketch()
-            moments.update_array(values)
-            partial.moments = moments
-        if base.quantiles is not None:
-            quantiles = QuantileSketch(epsilon=config.quantile_epsilon)
-            if values.size > config.quantile_sample_cap:
-                # Mirror the base build's sampling policy; the stream
-                # position (rows already absorbed) keys the RNG so
-                # repeated large appends draw independent samples.
-                rng = np.random.default_rng(
-                    [config.seed, index, store.table.n_rows]
-                )
-                sampled = rng.choice(
-                    values, size=config.quantile_sample_cap, replace=False
-                )
-                quantiles.update_array(sampled)
-            else:
-                quantiles.update_array(values)
-            partial.quantiles = quantiles
-    needs_labels = (base.frequent is not None or base.entropy is not None
-                    or base.countmin is not None)
-    if needs_labels:
-        labels = [label for label in column.to_list() if label is not None]
-        if base.frequent is not None:
-            frequent = MisraGriesSketch(capacity=config.frequent_capacity)
-            frequent.update_many(labels)
-            partial.frequent = frequent
-        if base.entropy is not None:
-            entropy = EntropySketch(capacity=config.entropy_capacity,
-                                    seed=config.seed)
-            entropy.update_many(labels)
-            partial.entropy = entropy
-        if base.countmin is not None:
-            countmin = CountMinSketch(width=config.countmin_width,
-                                      depth=config.countmin_depth,
-                                      seed=config.seed)
-            countmin.update_many(labels)
-            partial.countmin = countmin
-    return partial
+    config, base = store.config, store.column_sketches(name)
+    sketches: dict[str, object] = {}
+    if base.moments is not None:
+        # The base build's sampling policy; the stream position (rows
+        # already absorbed) keys the RNG so repeated large appends draw
+        # independent samples.
+        sketches.update(numeric_sketches(
+            delta_table.numeric_column(name).valid_values(), config,
+            [config.seed, index, store.table.n_rows],
+        ))
+    if base.frequent is not None:
+        sketches.update(value_count_sketches(delta_table.column(name), config))
+    return ColumnSketches(name=name, **sketches)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +195,13 @@ def merge_delta(
 ) -> SketchStore:
     """A new store over ``new_table`` with the partials merged in.
 
-    Copy-on-merge: every sketch that absorbs a partial is deep-copied
-    first, so the input store — possibly still being read by in-flight
-    queries — is never mutated.  Sketches without a partial (and the
-    immutable hyperplane signatures) are shared between the old and new
-    store.  The uniform row sample advances by algorithm R over the
-    appended row indices, keeping it uniform over the grown table.
+    Copy-on-merge: every sketch that absorbs a partial is merged on its
+    own ``copy()`` (:meth:`ColumnSketches.merged`), so the input store —
+    possibly still being read by in-flight queries — is never mutated.
+    Bundles without a partial (and the immutable hyperplane signatures)
+    are shared between the old and new store.  The uniform row sample
+    advances by algorithm R over the appended row indices, keeping it
+    uniform over the grown table.
     """
     if new_table.n_rows != store.table.n_rows + delta_rows:
         raise IngestError(
@@ -247,20 +213,9 @@ def merge_delta(
     columns: dict[str, ColumnSketches] = {}
     for name, base in store.column_map().items():
         partial = partials.get(name)
-        if partial is None:
-            columns[name] = base
-            continue
-        merged = ColumnSketches(name=name, hyperplane=base.hyperplane)
-        for attribute in ColumnSketches.MERGEABLE:
-            base_sketch = getattr(base, attribute)
-            delta_sketch = getattr(partial, attribute)
-            if base_sketch is None or delta_sketch is None:
-                setattr(merged, attribute, base_sketch)
-                continue
-            combined = copy.deepcopy(base_sketch)
-            combined.merge(delta_sketch)
-            setattr(merged, attribute, combined)
-        columns[name] = merged
+        columns[name] = base if partial is None else dataclass_replace(
+            base.merged(partial), hyperplane=base.hyperplane
+        )
 
     n_seen = store.table.n_rows
     rng = np.random.default_rng([config.seed, n_seen])

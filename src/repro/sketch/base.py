@@ -7,8 +7,11 @@ parallelises and incremental data can be absorbed.  Every sketch in
 :mod:`repro.sketch` therefore implements the :class:`Sketch` interface:
 
 * ``update(value)`` / ``update_array(values)`` — single-pass construction;
+* ``update_counts(values, counts)`` — the same from per-distinct-value
+  counts, for the sketches whose ``update`` takes a weight;
 * ``merge(other)`` — composition, raising :class:`SketchMergeError` when the
   two sketches were built with incompatible parameters;
+* ``copy()`` — an independent sketch with the same state (copy-on-merge);
 * ``memory_bytes()`` — the size accounting used by the complexity benchmark.
 """
 
@@ -38,9 +41,26 @@ class Sketch(abc.ABC):
         """Absorb a NumPy array (default: loop; subclasses vectorise)."""
         self.update_many(np.asarray(values).tolist())
 
+    def update_counts(self, values: Iterable, counts: Iterable[int]) -> None:
+        """Absorb ``values[i]`` ``counts[i]`` times: ``update`` over the rows
+        with equal values grouped together, one weighted call per value."""
+        for value, count in zip(values, counts):
+            self.update(value, count)
+
     @abc.abstractmethod
     def merge(self, other: "Sketch") -> None:
         """Merge another sketch of the same type and parameters into this one."""
+
+    def copy(self) -> "Sketch":
+        """An independent sketch with the same parameters and state."""
+        raise NotImplementedError(f"{type(self).__name__} does not support copy()")
+
+    def _clone(self, **fresh) -> "Sketch":
+        """This sketch's attributes on a new object, ``fresh`` replacing the
+        mutable ones: what ``copy()`` returns, given a copy of each."""
+        clone = object.__new__(type(self))
+        clone.__dict__.update(vars(self), **fresh)
+        return clone
 
     @abc.abstractmethod
     def memory_bytes(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Hashable, Iterable
+from typing import Hashable
 
 import numpy as np
 
@@ -65,10 +65,6 @@ class CountMinSketch(Sketch):
             self._table[row, col] += weight
         self._count += weight
 
-    def update_many(self, values: Iterable) -> None:
-        for value in values:
-            self.update(value)
-
     def merge(self, other: "Sketch") -> None:
         self._require_same_type(other)
         assert isinstance(other, CountMinSketch)
@@ -80,6 +76,9 @@ class CountMinSketch(Sketch):
         )
         self._table += other._table
         self._count += other._count
+
+    def copy(self) -> "CountMinSketch":
+        return self._clone(_table=self._table.copy())
 
     # -- queries -----------------------------------------------------------------
     def estimate(self, value) -> int:

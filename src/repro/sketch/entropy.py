@@ -18,10 +18,10 @@ mergeable because its two components are.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable
 
 from repro.errors import SketchError
 from repro.sketch.base import Sketch
+from repro.sketch.countmin import _stable_hash
 from repro.sketch.frequent import SpaceSavingSketch
 
 
@@ -42,17 +42,14 @@ class EntropySketch(Sketch):
     def count(self) -> int:
         return self._count
 
-    def update(self, value) -> None:
+    def update(self, value, weight: int = 1) -> None:
         if value is None:
             return
-        self._count += 1
-        self._head.update(value)
-        bucket = hash((self.seed, value)) & ((1 << self._distinct_bits) - 1)
+        self._count += weight
+        self._head.update(value, weight)
+        # Not hash(): str hashes are salted per process; replicas must agree.
+        bucket = _stable_hash(value, self.seed) & ((1 << self._distinct_bits) - 1)
         self._distinct_tracker.add(bucket)
-
-    def update_many(self, values: Iterable) -> None:
-        for value in values:
-            self.update(value)
 
     def merge(self, other: "Sketch") -> None:
         self._require_same_type(other)
@@ -64,6 +61,10 @@ class EntropySketch(Sketch):
         self._head.merge(other._head)
         self._count += other._count
         self._distinct_tracker |= other._distinct_tracker
+
+    def copy(self) -> "EntropySketch":
+        return self._clone(_head=self._head.copy(),
+                           _distinct_tracker=set(self._distinct_tracker))
 
     # -- estimates ----------------------------------------------------------------
     def distinct_estimate(self) -> int:

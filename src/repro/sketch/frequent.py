@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Hashable, Iterable
 
-import numpy as np
-
 from repro.errors import SketchError
 from repro.sketch.base import Sketch
 
@@ -39,28 +37,26 @@ class MisraGriesSketch(Sketch):
         """Total number of items absorbed."""
         return self._count
 
-    def update(self, value) -> None:
+    def update(self, value, weight: int = 1) -> None:
         if value is None:
             return
-        self._count += 1
+        self._count += weight
         counters = self._counters
         if value in counters:
-            counters[value] += 1
+            counters[value] += weight
         elif len(counters) < self.capacity:
-            counters[value] = 1
+            counters[value] = weight
         else:
-            # Decrement every counter; drop the ones that reach zero.
-            to_delete = []
-            for key in counters:
-                counters[key] -= 1
-                if counters[key] == 0:
-                    to_delete.append(key)
-            for key in to_delete:
-                del counters[key]
-
-    def update_many(self, values: Iterable) -> None:
-        for value in values:
-            self.update(value)
+            # ``weight`` decrement rounds at once: every counter and the
+            # incoming weight lose the smaller of the weight and the
+            # smallest counter; counters that reach zero are dropped, and
+            # whatever weight is left takes one of the freed slots.
+            step = min(weight, min(counters.values()))
+            self._counters = {
+                key: count - step for key, count in counters.items() if count > step
+            }
+            if weight > step:
+                self._counters[value] = weight - step
 
     def merge(self, other: "Sketch") -> None:
         self._require_same_type(other)
@@ -84,6 +80,9 @@ class MisraGriesSketch(Sketch):
             }
         self._counters = combined
         self._count += other._count
+
+    def copy(self) -> "MisraGriesSketch":
+        return self._clone(_counters=dict(self._counters))
 
     # -- queries -------------------------------------------------------------
     def estimate(self, value) -> int:
@@ -133,22 +132,22 @@ class SpaceSavingSketch(Sketch):
     def count(self) -> int:
         return self._count
 
-    def update(self, value) -> None:
+    def update(self, value, weight: int = 1) -> None:
         if value is None:
             return
-        self._count += 1
+        self._count += weight
         if value in self._counts:
-            self._counts[value] += 1
+            self._counts[value] += weight
             return
         if len(self._counts) < self.capacity:
-            self._counts[value] = 1
+            self._counts[value] = weight
             self._errors[value] = 0
             return
         # Replace the current minimum item.
         victim = min(self._counts, key=lambda key: self._counts[key])
         victim_count = self._counts.pop(victim)
         self._errors.pop(victim, None)
-        self._counts[value] = victim_count + 1
+        self._counts[value] = victim_count + weight
         self._errors[value] = victim_count
 
     def merge(self, other: "Sketch") -> None:
@@ -165,12 +164,14 @@ class SpaceSavingSketch(Sketch):
             combined_errors[key] = combined_errors.get(key, 0) + other._errors.get(key, 0)
         if len(combined_counts) > self.capacity:
             keep = sorted(combined_counts, key=lambda k: -combined_counts[k])[: self.capacity]
-            keep_set = set(keep)
-            combined_counts = {k: combined_counts[k] for k in keep_set}
-            combined_errors = {k: combined_errors.get(k, 0) for k in keep_set}
+            combined_counts = {k: combined_counts[k] for k in keep}
+            combined_errors = {k: combined_errors.get(k, 0) for k in keep}
         self._counts = combined_counts
         self._errors = combined_errors
         self._count += other._count
+
+    def copy(self) -> "SpaceSavingSketch":
+        return self._clone(_counts=dict(self._counts), _errors=dict(self._errors))
 
     # -- queries ------------------------------------------------------------------
     def estimate(self, value) -> int:

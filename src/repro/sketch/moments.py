@@ -36,6 +36,10 @@ class MomentSketch(Sketch):
         assert isinstance(other, MomentSketch)
         self._moments.merge(other._moments)
 
+    def copy(self) -> "MomentSketch":
+        # Merged with nothing: a new accumulator holding the same seven scalars.
+        return self._clone(_moments=self._moments.merged(RunningMoments()))
+
     # -- estimates ---------------------------------------------------------------
     @property
     def count(self) -> int:

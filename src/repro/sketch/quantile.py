@@ -11,7 +11,6 @@ and histogram-oriented visualizations without re-reading the data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,25 +18,27 @@ from repro.errors import EmptyColumnError, SketchError
 from repro.sketch.base import Sketch
 
 
-@dataclass
-class _Tuple:
-    """A GK summary tuple: a stored value with rank uncertainty bounds."""
-
-    value: float
-    g: int      # difference between the min rank of this and the previous tuple
-    delta: int  # uncertainty in the rank of this tuple
-
-
 class QuantileSketch(Sketch):
-    """ε-approximate quantile summary (Greenwald–Khanna 2001)."""
+    """ε-approximate quantile summary (Greenwald–Khanna 2001).
+
+    The tuples are three parallel arrays ordered by value: ``value`` (f64),
+    ``g`` (i64, minimum rank minus the previous tuple's) and ``delta``
+    (i64, rank uncertainty).  Operations replace the arrays, never write
+    into them.
+    """
 
     def __init__(self, epsilon: float = 0.01):
         if not 0.0 < epsilon < 0.5:
             raise SketchError("epsilon must be in (0, 0.5)")
         self.epsilon = float(epsilon)
-        self._tuples: list[_Tuple] = []
+        self._set_summary(np.empty(0), np.empty(0, np.int64), np.empty(0, np.int64))
         self._count = 0
         self._since_compress = 0
+
+    def _set_summary(self, value, g, delta) -> None:
+        self._value = np.asarray(value, dtype=np.float64)
+        self._g = np.asarray(g, dtype=np.int64)
+        self._delta = np.asarray(delta, dtype=np.int64)
 
     # -- construction -------------------------------------------------------------
     @property
@@ -69,58 +70,53 @@ class QuantileSketch(Sketch):
             ordered = np.sort(values)
             n = int(ordered.size)
             step = max(int(2.0 * self.epsilon * n), 1)
-            keep = list(range(0, n, step))
+            keep = np.arange(0, n, step)
             if keep[-1] != n - 1:
-                keep.append(n - 1)
-            tuples = []
-            previous = -1
-            for index in keep:
-                tuples.append(_Tuple(float(ordered[index]), index - previous, 0))
-                previous = index
-            self._tuples = tuples
+                keep = np.append(keep, n - 1)
+            self._set_summary(
+                ordered[keep], np.diff(keep, prepend=-1), np.zeros(keep.size)
+            )
             self._count = n
             self._since_compress = 0
             return
-        for value in values:
-            self.update(float(value))
+        for value in values.tolist():
+            self.update(value)
 
     def _insert(self, value: float) -> None:
-        tuples = self._tuples
-        if not tuples or value < tuples[0].value:
-            tuples.insert(0, _Tuple(value, 1, 0))
-            return
-        if value >= tuples[-1].value:
-            tuples.append(_Tuple(value, 1, 0))
-            return
-        # Binary search for the first tuple with value > inserted value.
-        lo, hi = 0, len(tuples)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if tuples[mid].value <= value:
-                lo = mid + 1
-            else:
-                hi = mid
-        delta = max(int(math.floor(2.0 * self.epsilon * self._count)) - 1, 0)
-        tuples.insert(lo, _Tuple(value, 1, delta))
+        size = self._value.size
+        # The first stored value greater than the inserted one.
+        at = int(np.searchsorted(self._value, value, side="right"))
+        if at == 0 or at == size:
+            delta = 0  # a new minimum or maximum has an exactly known rank
+        else:
+            delta = max(int(math.floor(2.0 * self.epsilon * self._count)) - 1, 0)
+        self._set_summary(
+            np.insert(self._value, at, value),
+            np.insert(self._g, at, 1),
+            np.insert(self._delta, at, delta),
+        )
 
     def _compress(self) -> None:
-        if len(self._tuples) < 3:
+        size = self._value.size
+        if size < 3:
             return
         threshold = 2.0 * self.epsilon * self._count
-        tuples = self._tuples
-        merged: list[_Tuple] = [tuples[0]]
-        for current in tuples[1:-1]:
-            candidate = merged[-1]
-            if (
-                len(merged) > 1
-                and candidate.g + current.g + current.delta <= threshold
-            ):
-                current = _Tuple(current.value, candidate.g + current.g, current.delta)
-                merged[-1] = current
+        g, delta = self._g.tolist(), self._delta.tolist()
+        # Greedy left-to-right banding of the interior tuples: a tuple
+        # absorbs the band before it while the band's rank span stays
+        # within the threshold.  Each band is kept as its last tuple with
+        # the band's summed g; the two extremes are never merged.
+        keep, band_g = [0, 1], [g[0], g[1]]
+        for index in range(2, size - 1):
+            total = band_g[-1] + g[index]
+            if total + delta[index] <= threshold:
+                keep[-1], band_g[-1] = index, total
             else:
-                merged.append(current)
-        merged.append(tuples[-1])
-        self._tuples = merged
+                keep.append(index)
+                band_g.append(g[index])
+        keep.append(size - 1)
+        band_g.append(g[-1])
+        self._set_summary(self._value[keep], band_g, self._delta[keep])
 
     # -- merging ---------------------------------------------------------------------
     def merge(self, other: "Sketch") -> None:
@@ -130,32 +126,49 @@ class QuantileSketch(Sketch):
             math.isclose(self.epsilon, other.epsilon),
             "cannot merge quantile sketches with different epsilon",
         )
-        # Standard GK merge: interleave tuples by value; the error bound of
-        # the merged sketch is bounded by the max of the two errors.
-        combined = sorted(
-            self._tuples + [ _Tuple(t.value, t.g, t.delta) for t in other._tuples ],
-            key=lambda t: t.value,
+        # Standard GK merge: interleave tuples by value (ties keep this
+        # sketch's tuples first).  A tuple's rank in the union is uncertain
+        # by its own delta plus the rows the other summary may hold below it
+        # but counts under its next tuple, g + delta - 1.  Widening delta
+        # by that keeps g + delta <= 2*epsilon*n over any chain of merges.
+        value = np.concatenate([self._value, other._value])
+        order = np.argsort(value, kind="stable")
+        self._set_summary(
+            value[order],
+            np.concatenate([self._g, other._g])[order],
+            np.concatenate([
+                self._delta + other._span_above(self._value, "left"),
+                other._delta + self._span_above(other._value, "right"),
+            ])[order],
         )
-        self._tuples = combined
         self._count += other._count
         self._compress()
+
+    def _span_above(self, values: np.ndarray, side: str) -> np.ndarray:
+        """``g + delta - 1`` of the tuple each value sorts before (0 past the end)."""
+        span = np.append(self._g + self._delta - 1, 0)
+        return span[np.searchsorted(self._value, values, side=side)]
+
+    def copy(self) -> "QuantileSketch":
+        return self._clone(_value=self._value.copy(), _g=self._g.copy(),
+                           _delta=self._delta.copy())
 
     # -- queries -----------------------------------------------------------------------
     def quantile(self, q: float) -> float:
         """Approximate q-th quantile (0 <= q <= 1)."""
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
-        if self._count == 0 or not self._tuples:
+        if self._count == 0:
             raise EmptyColumnError("quantile sketch is empty")
         target = q * (self._count - 1) + 1
         margin = self.epsilon * self._count
-        min_rank = 0
-        for t in self._tuples:
-            min_rank += t.g
-            max_rank = min_rank + t.delta
-            if max_rank >= target - margin and min_rank <= target + margin:
-                return t.value
-        return self._tuples[-1].value
+        min_rank = np.cumsum(self._g)
+        within = (min_rank + self._delta >= target - margin) & (
+            min_rank <= target + margin
+        )
+        # The first tuple whose rank interval meets the target's (argmax of
+        # an all-False mask is 0, hence the any() guard).
+        return float(self._value[within.argmax() if within.any() else -1])
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -165,17 +178,10 @@ class QuantileSketch(Sketch):
 
     def rank(self, value: float) -> int:
         """Approximate number of inserted values <= ``value``."""
-        if self._count == 0:
+        if value != value:  # NaN compares below nothing
             return 0
-        min_rank = 0
-        estimate = 0
-        for t in self._tuples:
-            min_rank += t.g
-            if t.value <= value:
-                estimate = min_rank
-            else:
-                break
-        return int(estimate)
+        upto = np.searchsorted(self._value, value, side="right")
+        return int(self._g[:upto].sum())
 
     def cdf(self, value: float) -> float:
         """Approximate empirical CDF at ``value``."""
@@ -196,8 +202,8 @@ class QuantileSketch(Sketch):
     # -- accounting --------------------------------------------------------------------
     @property
     def n_tuples(self) -> int:
-        return len(self._tuples)
+        return int(self._value.size)
 
     def memory_bytes(self) -> int:
         # value (8 bytes) + two ints (8 bytes each, conservatively).
-        return len(self._tuples) * 24
+        return self.n_tuples * 24

@@ -21,7 +21,6 @@ back to the exact statistics (``mode="exact"``).
 
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping
@@ -31,7 +30,7 @@ import numpy as np
 from repro.errors import SketchNotAvailableError
 from repro.core.executor import Executor, SerialExecutor
 from repro.obs.resources import record_sketch_probe
-from repro.data.column import CategoricalColumn, NumericColumn
+from repro.data.column import CategoricalColumn, Column
 from repro.data.table import DataTable
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.entropy import EntropySketch
@@ -97,6 +96,68 @@ class ColumnSketches:
                 total += sketch.memory_bytes()
         return total
 
+    def merged(self, other: "ColumnSketches") -> "ColumnSketches":
+        """A new bundle over the union of two disjoint row partitions.
+
+        Copy-on-merge: a sketch both sides hold is combined on a ``copy()``
+        of this bundle's, so neither input (each possibly a published
+        snapshot) is mutated; one only one side holds is shared as is.  The
+        hyperplane signature cannot absorb rows and is left unset.
+        """
+        bundle = ColumnSketches(name=self.name)
+        for attribute in self.MERGEABLE:
+            mine, theirs = getattr(self, attribute), getattr(other, attribute)
+            if mine is not None and theirs is not None:
+                mine = mine.copy()
+                mine.merge(theirs)
+            setattr(bundle, attribute, theirs if mine is None else mine)
+        return bundle
+
+
+def column_value_counts(column: Column) -> tuple[list[object], list[int]]:
+    """A column's distinct non-missing values (categorical levels in code
+    order, numeric values sorted) and the number of rows holding each."""
+    if isinstance(column, CategoricalColumn):
+        codes = column.codes
+        counts = np.bincount(codes[codes >= 0], minlength=column.n_categories())
+        present = np.flatnonzero(counts)
+        categories = column.categories
+        return [categories[code] for code in present], counts[present].tolist()
+    values, counts = np.unique(column.values[~column.mask], return_counts=True)
+    return values.tolist(), counts.tolist()
+
+
+def value_count_sketches(column: Column, config: SketchStoreConfig) -> dict[str, object]:
+    """A column's frequent / entropy / count-min sketches, at one weighted
+    update (and ``countmin_depth`` hashes) per distinct value, not per row."""
+    values, counts = column_value_counts(column)
+    frequent = MisraGriesSketch(capacity=config.frequent_capacity)
+    frequent.update_counts(values, counts)
+    entropy = EntropySketch(capacity=config.entropy_capacity, seed=config.seed)
+    entropy.update_counts(values, counts)
+    countmin = None
+    if config.countmin_width >= 1:
+        countmin = CountMinSketch(width=config.countmin_width,
+                                  depth=config.countmin_depth, seed=config.seed)
+        countmin.update_counts(values, counts)
+    return {"frequent": frequent, "entropy": entropy, "countmin": countmin}
+
+
+def numeric_sketches(values: np.ndarray, config: SketchStoreConfig,
+                     rng_key: list[int]) -> dict[str, object]:
+    """The moment and quantile sketches of a numeric column's valid values;
+    above ``quantile_sample_cap`` rows the GK summary is of a uniform
+    sample drawn from the RNG stream ``rng_key`` names."""
+    moments = MomentSketch()
+    moments.update_array(values)
+    if values.size > config.quantile_sample_cap:
+        values = np.random.default_rng(rng_key).choice(
+            values, size=config.quantile_sample_cap, replace=False
+        )
+    quantiles = QuantileSketch(epsilon=config.quantile_epsilon)
+    quantiles.update_array(values)
+    return {"moments": moments, "quantiles": quantiles}
+
 
 @dataclass
 class PreprocessStats:
@@ -126,6 +187,9 @@ class SketchStore:
     column build order and worker count — a parallel build is identical
     to a serial one.
     """
+
+    #: The row sample as a table, taken on first use (see ``sample_table``).
+    _sample: DataTable | None = None
 
     def __init__(
         self,
@@ -208,61 +272,17 @@ class SketchStore:
         """
         config = self._config
         column = self._table.numeric_column(name)
-        values = column.valid_values()
-        moments = MomentSketch()
-        moments.update_array(values)
-        quantiles = QuantileSketch(epsilon=config.quantile_epsilon)
-        if values.size > config.quantile_sample_cap:
-            rng = np.random.default_rng([config.seed, index])
-            sampled = rng.choice(
-                values, size=config.quantile_sample_cap, replace=False
-            )
-            quantiles.update_array(sampled)
-        else:
-            quantiles.update_array(values)
-        bundle = ColumnSketches(
+        return ColumnSketches(
             name=name,
-            moments=moments,
-            quantiles=quantiles,
             hyperplane=signature,
+            **numeric_sketches(column.valid_values(), config, [config.seed, index]),
+            **(value_count_sketches(column, config) if column.is_discrete() else {}),
         )
-        if column.is_discrete():
-            labels = column.to_list()
-            bundle.frequent = self._build_frequent(labels)
-            bundle.entropy = self._build_entropy(labels)
-            bundle.countmin = self._build_countmin(labels)
-        return bundle
 
     def _build_categorical_column(self, name: str) -> ColumnSketches:
         """Build one categorical column's sketch bundle (runs on a worker)."""
         column = self._table.categorical_column(name)
-        labels = column.labels()
-        return ColumnSketches(
-            name=name,
-            frequent=self._build_frequent(labels),
-            entropy=self._build_entropy(labels),
-            countmin=self._build_countmin(labels),
-        )
-
-    def _build_frequent(self, labels: list[object]) -> MisraGriesSketch:
-        sketch = MisraGriesSketch(capacity=self._config.frequent_capacity)
-        sketch.update_many(label for label in labels if label is not None)
-        return sketch
-
-    def _build_entropy(self, labels: list[object]) -> EntropySketch:
-        sketch = EntropySketch(capacity=self._config.entropy_capacity,
-                               seed=self._config.seed)
-        sketch.update_many(label for label in labels if label is not None)
-        return sketch
-
-    def _build_countmin(self, labels: list[object]) -> CountMinSketch | None:
-        if self._config.countmin_width < 1:
-            return None
-        sketch = CountMinSketch(width=self._config.countmin_width,
-                                depth=self._config.countmin_depth,
-                                seed=self._config.seed)
-        sketch.update_many(label for label in labels if label is not None)
-        return sketch
+        return ColumnSketches(name=name, **value_count_sketches(column, self._config))
 
     # ------------------------------------------------------------------
     # Alternative construction (live ingestion)
@@ -340,8 +360,13 @@ class SketchStore:
         return name in self._columns
 
     def sample_table(self) -> DataTable:
-        """The uniform row sample used by visualizations."""
-        return self._table.take(self._sample_indices, name=f"{self._table.name}-sample")
+        """The uniform row sample used by visualizations (taken on first
+        use: the table and the sampled rows are fixed at construction)."""
+        if self._sample is None:
+            self._sample = self._table.take(
+                self._sample_indices, name=f"{self._table.name}-sample"
+            )
+        return self._sample
 
     def memory_bytes(self) -> int:
         return self._stats.total_sketch_bytes
@@ -461,26 +486,13 @@ def merge_column_sketches(left: Mapping[str, ColumnSketches],
     signatures require a shared hyperplane draw over the union of rows and
     are left to the batch sketcher.
 
-    Both inputs are treated as published snapshots: the combined sketch is
-    built on a deep copy, never by merging into an input in place, and the
+    Both inputs are treated as published snapshots
+    (:meth:`ColumnSketches.merged` copies before it merges), and the
     result dictionary is populated in sorted column order so the merged
     bundle is byte-identical regardless of set hash order.
     """
     merged: dict[str, ColumnSketches] = {}
     for name in sorted(set(left) | set(right)):
         a, b = left.get(name), right.get(name)
-        if a is None or b is None:
-            merged[name] = a or b  # type: ignore[assignment]
-            continue
-        bundle = ColumnSketches(name=name)
-        for attribute in ColumnSketches.MERGEABLE:
-            sketch_a = getattr(a, attribute)
-            sketch_b = getattr(b, attribute)
-            if sketch_a is not None and sketch_b is not None:
-                combined = copy.deepcopy(sketch_a)
-                combined.merge(sketch_b)
-                setattr(bundle, attribute, combined)
-            else:
-                setattr(bundle, attribute, sketch_a or sketch_b)
-        merged[name] = bundle
+        merged[name] = a.merged(b) if a is not None and b is not None else a or b
     return merged

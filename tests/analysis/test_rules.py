@@ -271,8 +271,11 @@ class TestImmutability:
         path = write(tmp_path, "builder.py", MUTATOR)
         assert run_rule(ImmutabilityRule(IMMUTABLE_CONFIG), [path]) == []
 
-    def test_fresh_copy_is_sanctioned(self, tmp_path):
-        path = write(tmp_path, "consumer.py", FRESH)
+    @pytest.mark.parametrize(
+        "source", [FRESH, FRESH.replace("copy.deepcopy(table)", "table.copy()")]
+    )
+    def test_fresh_copy_is_sanctioned(self, tmp_path, source):
+        path = write(tmp_path, "consumer.py", source)
         assert run_rule(ImmutabilityRule(IMMUTABLE_CONFIG), [path]) == []
 
     def test_alias_stays_tracked(self, tmp_path):
