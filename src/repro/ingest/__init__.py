@@ -19,9 +19,9 @@ The pieces, bottom-up:
   hyperplane signatures go stale under appends, and once accumulated
   delta rows exceed ``rebuild_fraction`` of the base rows, the next
   append pays for a full rebuild instead of a merge;
-* :class:`IngestLog` — the append journal minting monotone sequence
-  numbers, making a dataset's cache/provenance identity the pair
-  ``(version, seq)``;
+* :class:`IngestLog` — a generation's sequence number and ingestion
+  counters (a fold over journal records), making a dataset's
+  cache/provenance identity the pair ``(version, seq)``;
 * :class:`DatasetJournal` / :func:`replay_state`
   (:mod:`repro.ingest.durable`) — the on-disk write-ahead journal:
   length-prefixed, checksummed, fsync-on-commit records persisting every
@@ -30,8 +30,10 @@ The pieces, bottom-up:
   and sketch state an uninterrupted process would hold, tolerating a
   torn or corrupted tail by recovering to the last complete record.
 
-``Workspace.append`` (:mod:`repro.service.workspace`) orchestrates these
-under the dataset's single-flight lock, and the HTTP transport exposes
+What a journal record does to a dataset is written once, as
+:class:`~repro.ingest.durable.ReplayMachine`; ``Workspace.append``
+(:mod:`repro.service.workspace`) decides, stages, journals and commits
+it under the dataset's single-flight lock, and the HTTP transport exposes
 them as ``PUT /v1/datasets/{name}``, ``POST /v1/datasets/{name}/rows``
 and ``POST /v1/datasets/{name}/reload``.
 """
@@ -56,7 +58,6 @@ from repro.ingest.log import (
     APPLIED_DELTA_MERGE,
     APPLIED_REBUILD,
     IngestLog,
-    IngestRecord,
 )
 from repro.ingest.maintenance import (
     IngestConfig,
@@ -77,7 +78,6 @@ __all__ = [
     "IngestConfig",
     "IngestError",
     "IngestLog",
-    "IngestRecord",
     "MAX_BATCH_ROWS",
     "SnapshotDecodeError",
     "build_delta_partials",

@@ -24,24 +24,26 @@ serving stack relies on.  This module makes the journal **persistent**:
 * **Snapshots + compaction** — a full sketch rebuild makes the engine
   state a pure function of ``(rows[:base_rows], rows[base_rows:])``, so
   right after one the journal writes a per-generation
-  ``snapshot-<version>.json`` (the table in
+  ``snapshot-<version>.bin`` (the table in
   columnar form plus the ingest counters, atomically via
   ``write-tmp + fsync + rename``) and truncates the replayed records by
   starting a fresh segment.  Replay cost is therefore bounded by the
   accuracy budget, not by dataset lifetime.
 
-* **Replay** — :func:`replay_state` folds a loaded
-  :class:`DurableState` back into exactly the ``(table, engine,
-  IngestLog)`` an uninterrupted process would hold: deferred appends
-  concat rows, delta-merge records rebuild the per-column partials and
-  merge them (same RNG seeds — the streams are keyed by table sizes, not
-  wall clock), rebuild/swap records re-run the deterministic full build.
-  Byte-identical responses after restart are the tested contract, not a
-  best effort.
+* **The transition** — what an ``append`` / ``build`` / ``swap`` record
+  does to a dataset's ``(table, engine, IngestLog)`` is written exactly
+  once, as :class:`ReplayMachine`: a side-effect-free ``stage`` (record
+  → next table and engine) and a ``commit`` (assign them, fold the
+  record into the log via :func:`fold_record`).  The primary decides,
+  stages, journals, then commits; a restart (:func:`replay_state`) and
+  a replica just ``apply`` (stage-then-commit) the journalled records —
+  same code, same RNG seeds (the streams are keyed by table sizes, not
+  wall clock), so byte-identical responses after restart or on a
+  replica are the tested contract, not a best effort.
 
 The :class:`~repro.service.workspace.Workspace` drives all of this via
 its ``data_dir`` argument; this module owns the file format and the
-deterministic state reconstruction.
+dataset transition.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ import threading
 import zlib
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 from urllib.parse import quote, unquote
 
 import numpy as np
@@ -98,23 +100,13 @@ RECORD_SWAP = "swap"          # background rebuild swapped a fresh engine in
 #: copy before the new generation's segment exists, so each lives in its
 #: own file and stale ones are deleted only after the rotation is safe.
 _SEGMENT_RE = re.compile(r"^journal-(\d{8})-(\d{10})\.seg$")
-_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.(?:bin|json)$")
+_SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.bin$")
 
 
 def snapshot_filename(version: int) -> str:
     """The (binary columnar) snapshot file for generation ``version``."""
     return f"snapshot-{version:08d}.bin"
 
-
-def legacy_snapshot_filename(version: int) -> str:
-    """The pre-codec JSON snapshot name — read-compat fallback only.
-
-    Directories written before the binary columnar codec hold
-    ``snapshot-<version>.json`` (one canonical-JSON journal record).
-    They restore exactly as before; the next compaction writes the
-    binary form and retires the JSON file.
-    """
-    return f"snapshot-{version:08d}.json"
 
 #: Record header: big-endian (payload_length, crc32(payload)).
 _HEADER = struct.Struct(">II")
@@ -316,9 +308,9 @@ class DurableState:
     """Everything the journal knows about one dataset."""
 
     version: int
-    #: The compaction snapshot (payload of ``snapshot-<version>.json``),
-    #: or None
-    #: when recovery starts from the registered loader's base table.
+    #: The compaction snapshot (payload of ``snapshot-<version>.bin``),
+    #: or None when recovery starts from the registered loader's base
+    #: table.
     snapshot: dict[str, Any] | None
     #: Replayable records of the current generation, contiguous, with
     #: seq above the snapshot's.
@@ -342,6 +334,14 @@ class DurableState:
         if self.snapshot is not None:
             return int(self.snapshot["seq"])
         return 0
+
+    def base_log(self) -> IngestLog:
+        """The log the generation's records fold onto: the snapshot's
+        counters at the snapshot's seq, or a fresh one at seq 0."""
+        if self.snapshot is None:
+            return IngestLog()
+        return IngestLog.from_payload(self.snapshot.get("counters", {}),
+                                      seq=int(self.snapshot["seq"]))
 
 
 class _CommitPipeline:
@@ -634,36 +634,17 @@ class DatasetJournal:
 
     def _read_snapshot(self, name: str,
                        version: int) -> dict[str, Any] | None:
-        directory = self._dir(name)
-        binary = directory / snapshot_filename(version)
+        """The generation's snapshot payload, or None (absent or corrupt —
+        the caller tells the two apart by the file's presence)."""
         try:
-            data = binary.read_bytes()
-        except OSError:
-            data = None
-        if data is not None:
-            # A present-but-undecodable binary snapshot is corruption,
-            # not a reason to fall back: a leftover same-version .json
-            # may sit at an older seq than the segment's base_seq and
-            # would replay into a gap.  Returning None routes into the
-            # corrupt-snapshot rotation instead.
-            try:
-                payload = decode_snapshot(data)
-            except SnapshotDecodeError:
-                return None
-            if (payload.get("type") != "snapshot"
-                    or int(payload.get("version", -1)) != version):
-                return None
-            return payload
-        legacy = directory / legacy_snapshot_filename(version)
-        try:
-            data = legacy.read_bytes()
-        except OSError:
+            data = (self._dir(name) / snapshot_filename(version)).read_bytes()
+            payload = decode_snapshot(data)
+        except (OSError, SnapshotDecodeError):
             return None
-        records, _clean = decode_records(data)
-        if (not records or records[0].get("type") != "snapshot"
-                or int(records[0].get("version", -1)) != version):
+        if (payload.get("type") != "snapshot"
+                or int(payload.get("version", -1)) != version):
             return None
-        return records[0]
+        return payload
 
     # ------------------------------------------------------------------
     # Writing
@@ -844,10 +825,6 @@ class DatasetJournal:
             self._remove(temporary)  # recovery ignores .tmp, but be tidy
             raise
         self._fsync_dir(directory)
-        # A pre-codec .json snapshot of this generation is superseded by
-        # the durable .bin; drop it so discovery never sees two files
-        # for one version.
-        self._remove(directory / legacy_snapshot_filename(version))
         self.begin_generation(name, version, base_seq=int(payload["seq"]),
                               engine_config=payload.get("engine_config"))
 
@@ -1106,198 +1083,218 @@ class DatasetJournal:
 
 
 # ---------------------------------------------------------------------------
-# Replay
+# The dataset transition
 # ---------------------------------------------------------------------------
-@dataclass
-class ReplayOutcome:
-    """What :func:`replay_state` reconstructed."""
+@dataclass(kw_only=True)
+class DatasetState:
+    """What the journal determines about one dataset, and nothing else.
 
-    table: DataTable
-    engine: Foresight | None
-    log: IngestLog
-    #: Engine builds performed during replay (for the entry's counters).
+    A workspace's dataset entry *is* one of these (plus registration
+    metadata and its lock); :func:`replay_state` builds a bare one.
+    :class:`ReplayMachine` is the only code that advances it.
+    """
+
+    table: DataTable | None = None
+    engine: Foresight | None = None
+    #: Sequence number, ingestion counters and accuracy-budget accounting
+    #: of this generation.  Replaced wholesale on reload.
+    ingest: IngestLog = field(default_factory=IngestLog)
+    #: How many times the engine was (re)built — the single-flight tests
+    #: assert this stays at 1 when N threads race on a cold dataset.
     engine_builds: int = 0
-    #: Whether the registered loader ran (0 when a snapshot supplied rows).
+    #: How many times the loader actually ran.
     loads: int = 0
 
 
-def rebuild_with_catchup(
-    full_table: DataTable,
-    prefix_table: DataTable,
-    make_engine: Callable[[DataTable], Foresight],
-) -> Foresight:
-    """A fresh engine over ``full_table`` whose sketches were rebuilt from
-    ``prefix_table`` and delta-merged over the remaining rows.
-
-    This is the single code path behind both a live background-rebuild
-    swap (where ``prefix_table`` is the table snapshot the worker built
-    from) and its journal replay (where the prefix is re-sliced from the
-    grown table) — sharing it is what makes the two byte-identical.
-    """
-    n_total = full_table.n_rows
-    n_prefix = prefix_table.n_rows
-    fresh = make_engine(prefix_table)
-    if fresh.store is None or n_total <= n_prefix:
-        if n_total <= n_prefix and fresh.table is full_table:
-            return fresh
-        return Foresight(
-            full_table,
-            registry=fresh.registry,
-            config=fresh.config,
-            preprocess=False,
-            store=fresh.store,
-            executor=fresh.executor,
-        )
-    delta_table = full_table.take(np.arange(n_prefix, n_total))
-    partials = build_delta_partials(delta_table, fresh.store, fresh.executor)
-    store = merge_delta(fresh.store, full_table, n_total - n_prefix, partials)
+def _engine_over(engine: Foresight, table: DataTable,
+                 store: Any) -> Foresight:
+    """``engine``'s registry/config/executor over ``table`` — no preprocess."""
     return Foresight(
-        full_table,
-        registry=fresh.registry,
-        config=fresh.config,
+        table,
+        registry=engine.registry,
+        config=engine.config,
         preprocess=False,
         store=store,
-        executor=fresh.executor,
+        executor=engine.executor,
     )
 
 
-def _log_from_snapshot(snapshot: dict[str, Any]) -> IngestLog:
-    counters = snapshot.get("counters", {})
-    return IngestLog(
-        base_seq=int(snapshot["seq"]),
-        rows_since_rebuild=int(counters.get("rows_since_rebuild", 0)),
-        base_rows=int(counters.get("base_rows", 0)),
-        rows_appended=int(counters.get("rows_appended", 0)),
-        delta_merges=int(counters.get("delta_merges", 0)),
-        rebuilds=int(counters.get("rebuilds", 0)),
-        bg_rebuilds=int(counters.get("bg_rebuilds", 0)),
-    )
+def _delta_merged(engine: Foresight, new_table: DataTable,
+                  delta_table: DataTable) -> Foresight:
+    """An engine over ``new_table``: ``engine``'s sketches with the delta
+    rows' partials merged in (copy-on-merge; ``engine`` is untouched)."""
+    store = engine.store
+    partials = build_delta_partials(delta_table, store, engine.executor)
+    merged = merge_delta(store, new_table, delta_table.n_rows, partials)
+    return _engine_over(engine, new_table, merged)
 
 
-def replay_counters(state: DurableState) -> IngestLog:
-    """The :class:`IngestLog` a full replay would produce — counters only.
+def rebuild_with_catchup(
+    table: DataTable,
+    base_rows: int,
+    make_engine: Callable[[DataTable], Foresight],
+    fresh: Foresight | None = None,
+) -> Foresight:
+    """An engine over ``table`` whose sketches were rebuilt from its first
+    ``base_rows`` rows and delta-merged over the remaining ones.
 
-    Walks the records without touching tables or sketches, so a restored
-    dataset can report its exact ``(version, seq)`` identity and
-    ingestion counters immediately while the expensive state
-    reconstruction (:func:`replay_state`) is deferred to first use.
+    ``fresh`` is that prefix build when the caller already has it (a
+    background rebuild sketches its table snapshot off-lock); otherwise
+    the prefix is re-sliced from ``table`` and built here.
     """
-    log = (IngestLog() if state.snapshot is None
-           else _log_from_snapshot(state.snapshot))
-    for record in state.records:
-        kind = record["type"]
-        if kind == RECORD_APPEND:
-            log.append(int(record["n_rows"]), record["applied"],
-                       int(record["total_rows"]),
-                       timestamp=record.get("ts"))
-        elif kind == RECORD_BUILD:
-            log.mark_rebuilt(int(record["total_rows"]))
-        elif kind == RECORD_SWAP:
-            base_rows = int(record["built_from_rows"])
-            total_rows = int(record["total_rows"])
-            log.record_swap(max(0, total_rows - base_rows), base_rows,
-                            total_rows, timestamp=record.get("ts"))
+    if fresh is None:
+        prefix = (table if base_rows >= table.n_rows
+                  else table.take(np.arange(base_rows)))
+        fresh = make_engine(prefix)
+    if fresh.table is table:
+        return fresh
+    n_prefix = fresh.table.n_rows
+    if fresh.store is None or table.n_rows <= n_prefix:
+        return _engine_over(fresh, table, fresh.store)
+    return _delta_merged(
+        fresh, table, table.take(np.arange(n_prefix, table.n_rows))
+    )
+
+
+def fold_record(log: IngestLog, record: dict[str, Any]) -> None:
+    """The log half of the transition: count one journal record.
+
+    Needs no table, so a dataset whose replay is still deferred (a
+    pending entry) reports exactly the counters its replay will produce.
+    """
+    kind = record["type"]
+    if kind == RECORD_APPEND:
+        n_rows, total_rows = int(record["n_rows"]), int(record["total_rows"])
+        applied = record["applied"]
+        if applied == APPLIED_DELTA_MERGE and log.base_rows <= 0:
+            # A delta merge needs a built store, yet this log has
+            # accounted no build: the engine was cold-built over the
+            # pre-append rows with no marker folded (a build at seq 0 is
+            # not journalled).
+            log.mark_rebuilt(total_rows - n_rows)
+        log.append(n_rows, applied, total_rows)
+    elif kind == RECORD_BUILD:
+        log.mark_rebuilt(int(record["total_rows"]))
+    elif kind == RECORD_SWAP:
+        log.record_swap(int(record["built_from_rows"]),
+                        int(record["total_rows"]))
+
+
+def fold_records(log: IngestLog, records: Iterable[dict[str, Any]]) -> IngestLog:
+    """:func:`fold_record` over ``records``; returns ``log``."""
+    for record in records:
+        fold_record(log, record)
     return log
 
 
 class ReplayMachine:
-    """Applies journal records to live ``(table, engine, log)`` state.
+    """What a journal record does to a dataset — the one transition.
 
-    This is :func:`replay_state`'s record loop factored into an object
-    that can be fed records *incrementally* — restart replay constructs
-    one and drains a loaded :class:`DurableState` through it; a
-    replication replica constructs one over its materialised state and
-    feeds it records as they stream in from the primary.  Both paths run
-    the exact same code, which is what makes a tailing replica
-    byte-identical to a restarted primary at the same ``(version, seq)``.
+    Bound to a :class:`DatasetState` (a live workspace entry, or the
+    bare state a restart is rebuilding) and the owning workspace's
+    ``make_engine`` (a full build under the dataset's config).  The
+    transition is split so a primary can put its write-ahead journal
+    write in the middle:
 
-    ``engine`` may start ``None``: the first record that needs sketches
-    (a delta-merge append, or a build marker) triggers a deterministic
-    cold build over the pre-append table, exactly as replay does.
+    * :meth:`stage` — record → the next ``(table, engine)``.  Touches
+      nothing; may raise (invalid rows, a failed merge).
+    * :meth:`commit` — assign the staged state and fold the record into
+      the log.  Cannot fail.
+
+    :meth:`apply` is stage-then-commit: all a restart or a replica does.
+    Every caller running the same code over the same records is what
+    makes a live, a restarted and a replicated dataset byte-identical
+    at the same ``(version, seq)``.
     """
 
-    __slots__ = ("dataset", "table", "engine", "log", "make_engine",
-                 "engine_builds")
+    __slots__ = ("dataset", "state", "make_engine")
 
     def __init__(
         self,
         dataset: str,
-        table: DataTable,
-        log: IngestLog,
+        state: DatasetState,
         make_engine: Callable[[DataTable], Foresight],
-        engine: Foresight | None = None,
     ):
         self.dataset = dataset
-        self.table = table
-        self.engine = engine
-        self.log = log
+        self.state = state
         self.make_engine = make_engine
-        self.engine_builds = 0
 
-    def apply(self, record: dict[str, Any]) -> None:
-        """Fold one journal record into the state (mutates in place)."""
+    def stage(
+        self,
+        record: dict[str, Any],
+        batch: DeltaBatch | None = None,
+        fresh: Foresight | None = None,
+    ) -> tuple[DataTable, Foresight | None, int]:
+        """The ``(table, engine, engine_builds)`` that ``record`` leads to.
+
+        ``batch`` and ``fresh`` are work a live caller has already done
+        — the validated rows of an append; the engine a lazy cold build
+        sketched over the table, or a background rebuild sketched
+        off-lock over its first ``built_from_rows`` rows — handed over
+        so it is not redone; replay derives both from the record.
+        """
+        table, engine = self.state.table, self.state.engine
         kind = record["type"]
+        builds = 0
         if kind == RECORD_APPEND:
-            batch = DeltaBatch.from_records(
-                self.dataset, record["rows"], self.table.schema
-            )
-            new_table = self.table.concat(batch.table)
+            if batch is None:
+                batch = DeltaBatch.from_records(
+                    self.dataset, record["rows"], table.schema
+                )
+            new_table = table.concat(batch.table)
             applied = record["applied"]
             if applied == APPLIED_DELTA_MERGE:
-                if self.engine is None:
-                    # The engine existed live (a cold build at seq 0
-                    # needs no marker) — rebuild it over the same rows.
-                    self.engine = self.make_engine(self.table)
-                    self.engine_builds += 1
-                    self.log.mark_rebuilt(self.table.n_rows)
-                store = self.engine.store
-                if store is None:  # pragma: no cover - defensive
+                if engine is None:
+                    # Cold-built at seq 0 live (no marker needed):
+                    # rebuild it over the same pre-append rows.
+                    engine = self.make_engine(table)
+                    builds = 1
+                if engine.store is None:  # pragma: no cover - defensive
                     raise IngestError(
                         f"journal for {self.dataset!r} delta-merges into "
                         "an exact-mode engine"
                     )
-                partials = build_delta_partials(
-                    batch.table, store, self.engine.executor
-                )
-                new_store = merge_delta(
-                    store, new_table, batch.n_rows, partials
-                )
-                self.engine = Foresight(
-                    new_table,
-                    registry=self.engine.registry,
-                    config=self.engine.config,
-                    preprocess=False,
-                    store=new_store,
-                    executor=self.engine.executor,
-                )
+                engine = _delta_merged(engine, new_table, batch.table)
             elif applied == APPLIED_REBUILD:
-                self.engine = self.make_engine(new_table)
-                self.engine_builds += 1
-            # APPLIED_DEFERRED: rows extend the table; the engine (if it
-            # was an exact-mode swap live) rebuilds lazily over the same
-            # rows, which is byte-identical for exact mode.
-            self.table = new_table
-            self.log.append(batch.n_rows, applied, self.table.n_rows,
-                            timestamp=record.get("ts"))
-        elif kind == RECORD_BUILD:
-            if self.engine is None:
-                self.engine = self.make_engine(self.table)
-                self.engine_builds += 1
-            self.log.mark_rebuilt(self.table.n_rows)
+                engine = self.make_engine(new_table)
+                builds = 1
+            elif engine is not None:
+                # Deferred: rows only extend the table.  An exact-mode
+                # engine has nothing sketched and simply moves onto the
+                # grown table.  An approximate one can only be a
+                # replica's local lazy build the journal never recorded
+                # (a primary would have merged): it no longer covers
+                # every row, so it must not stand — the next build
+                # marker or read rebuilds over the full table.
+                engine = (_engine_over(engine, new_table, None)
+                          if engine.store is None else None)
+            return new_table, engine, builds
+        if kind == RECORD_BUILD:
+            # A lazily built engine covering the same rows is, by
+            # determinism, the engine the marker names: keep it.
+            if engine is None:
+                engine = (fresh if fresh is not None
+                          else self.make_engine(table))
+                builds = 1
         elif kind == RECORD_SWAP:
-            base_rows = int(record["built_from_rows"])
-            prefix = (
-                self.table if base_rows >= self.table.n_rows
-                else self.table.take(np.arange(base_rows))
+            engine = rebuild_with_catchup(
+                table, int(record["built_from_rows"]), self.make_engine,
+                fresh=fresh,
             )
-            self.engine = rebuild_with_catchup(
-                self.table, prefix, self.make_engine
-            )
-            self.engine_builds += 1
-            self.log.record_swap(
-                max(0, self.table.n_rows - base_rows), base_rows,
-                self.table.n_rows, timestamp=record.get("ts"),
-            )
+            builds = 1
+        return table, engine, builds
+
+    def commit(self, record: dict[str, Any],
+               staged: tuple[DataTable, Foresight | None, int]) -> None:
+        """Make ``staged`` (from :meth:`stage` of ``record``) the state."""
+        state = self.state
+        state.table, state.engine, builds = staged
+        state.engine_builds += builds
+        fold_record(state.ingest, record)
+
+    def apply(self, record: dict[str, Any]) -> None:
+        """Fold one journal record into the state (stage, then commit)."""
+        self.commit(record, self.stage(record))
 
 
 def replay_state(
@@ -1305,7 +1302,7 @@ def replay_state(
     state: DurableState,
     base_table: Callable[[], DataTable] | None,
     make_engine: Callable[[DataTable], Foresight],
-) -> ReplayOutcome:
+) -> DatasetState:
     """Fold a :class:`DurableState` back into live serving state.
 
     ``base_table`` supplies the generation's base rows when no snapshot
@@ -1313,38 +1310,27 @@ def replay_state(
     for a table exactly the way the owning workspace would (same config
     resolution), so replayed builds match live builds byte for byte.
     """
-    builds = 0
-    loads = 0
-    engine: Foresight | None = None
-    if state.snapshot is not None:
-        snapshot = state.snapshot
+    snapshot = state.snapshot
+    if snapshot is not None:
         table = table_from_payload(snapshot["table"])
-        log = _log_from_snapshot(snapshot)
+        replayed = DatasetState(table=table, ingest=state.base_log())
         if snapshot.get("engine_built"):
-            base_rows = int(snapshot.get("base_rows", table.n_rows))
-            prefix = (
-                table if base_rows >= table.n_rows
-                else table.take(np.arange(base_rows))
+            replayed.engine = rebuild_with_catchup(
+                table, int(snapshot.get("base_rows", table.n_rows)),
+                make_engine,
             )
-            engine = rebuild_with_catchup(table, prefix, make_engine)
-            builds += 1
+            replayed.engine_builds = 1
     else:
         if base_table is None:
             raise IngestError(
                 f"dataset {dataset!r} has journalled appends but no snapshot "
                 "and no loader to supply its base rows"
             )
-        table = base_table()
-        loads = 1
-        log = IngestLog()
-
-    machine = ReplayMachine(dataset, table, log, make_engine, engine=engine)
+        replayed = DatasetState(table=base_table(), loads=1)
+    machine = ReplayMachine(dataset, replayed, make_engine)
     for record in state.records:
         machine.apply(record)
-    return ReplayOutcome(
-        table=machine.table, engine=machine.engine, log=machine.log,
-        engine_builds=builds + machine.engine_builds, loads=loads,
-    )
+    return replayed
 
 
 # ---------------------------------------------------------------------------
@@ -1352,26 +1338,37 @@ def replay_state(
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class FeedPosition:
-    """A replica's cursor into one dataset's journal: ``(version, seq)``.
+    """A replica's cursor into one dataset's journal: ``(version, seq)``,
+    plus whether the build marker at ``seq`` is behind it.
 
-    The token form ``"<version>:<seq>"`` travels in the
-    ``?from=`` query parameter of the HTTP journal endpoint.
+    A build marker is the one journal record that moves no ``seq``, and
+    a primary may write it long after the append it follows — after a
+    replica already holds that ``seq``.  ``built`` keeps the cursor
+    exact there: the marker is delivered once, not never and not on
+    every poll.
+
+    The token form ``"<version>:<seq>"`` (``"<version>:<seq>b"`` when
+    ``built``) travels in the ``?from=`` query parameter of the HTTP
+    journal endpoint.
     """
 
     version: int
     seq: int
+    built: bool = False
 
     def token(self) -> str:
-        return f"{self.version}:{self.seq}"
+        return f"{self.version}:{self.seq}{'b' if self.built else ''}"
 
     @classmethod
     def parse(cls, token: str) -> "FeedPosition":
         version_text, sep, seq_text = token.partition(":")
         if not sep:
             raise ValueError(
-                f"feed position must be '<version>:<seq>', got {token!r}"
+                f"feed position must be '<version>:<seq>[b]', got {token!r}"
             )
-        return cls(version=int(version_text), seq=int(seq_text))
+        return cls(version=int(version_text),
+                   seq=int(seq_text.removesuffix("b")),
+                   built=seq_text.endswith("b"))
 
 
 @dataclass
@@ -1459,8 +1456,8 @@ class JournalFeed:
         the answer is always a reset.  ``max_records`` bounds one
         incremental batch; the cut is extended through trailing build
         markers so a build is never separated from the append at its
-        seq (re-sending it would double-count a rebuild in the
-        replica's counters).
+        seq.  A marker written after the replica reached its seq is
+        still owed: it is kept while ``position.built`` is unset.
         """
         if max_records < 1:
             raise IngestError(f"max_records must be >= 1, got {max_records}")
@@ -1479,9 +1476,11 @@ class JournalFeed:
         state = self._journal.load(name, repair=False)
         if state is None:
             return None
+        built = bool(state.records) and (
+            state.records[-1]["type"] == RECORD_BUILD)
         return FeedBatch(
             dataset=name, reset=state, records=[],
-            position=FeedPosition(state.version, state.seq),
+            position=FeedPosition(state.version, state.seq, built),
             more=False, primary_seq=state.seq,
         )
 
@@ -1521,7 +1520,9 @@ class JournalFeed:
                     expected = seq
                     kept.append(record)
                 elif kind == RECORD_BUILD:
-                    if int(record.get("seq", -1)) > position.seq:
+                    seq = int(record.get("seq", -1))
+                    if seq > position.seq or (seq == position.seq
+                                              and not position.built):
                         kept.append(record)
         if position.seq > tip:
             # The cursor is ahead of everything on disk: the primary
@@ -1534,14 +1535,15 @@ class JournalFeed:
                 cut += 1
         batch_records = kept[:cut]
         more = cut < len(kept)
-        new_seq = position.seq
-        for record in reversed(batch_records):
-            if record["type"] in (RECORD_APPEND, RECORD_SWAP):
-                new_seq = int(record["seq"])
-                break
+        new_seq, built = position.seq, position.built
+        for record in batch_records:
+            if record["type"] == RECORD_BUILD:
+                built = True
+            else:
+                new_seq, built = int(record["seq"]), False
         return FeedBatch(
             dataset=name, reset=None, records=batch_records,
-            position=FeedPosition(version, new_seq), more=more,
+            position=FeedPosition(version, new_seq, built), more=more,
             primary_seq=tip,
         )
 
@@ -1549,6 +1551,7 @@ class JournalFeed:
 __all__ = [
     "CommitTicket",
     "DatasetJournal",
+    "DatasetState",
     "DurableState",
     "FeedBatch",
     "FeedPosition",
@@ -1559,17 +1562,16 @@ __all__ = [
     "RECORD_GENERATION",
     "RECORD_SWAP",
     "ReplayMachine",
-    "ReplayOutcome",
     "decode_records",
     "durable_state_from_payload",
     "durable_state_to_payload",
     "encode_record",
     "engine_config_from_payload",
     "engine_config_to_payload",
+    "fold_record",
+    "fold_records",
     "rebuild_with_catchup",
-    "replay_counters",
     "replay_state",
-    "legacy_snapshot_filename",
     "scan_records",
     "segment_filename",
     "snapshot_filename",

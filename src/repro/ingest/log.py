@@ -1,65 +1,48 @@
-"""The ingest journal: monotone sequence numbers and append provenance.
+"""The ingest log: a dataset generation's sequence number and counters.
 
-Every dataset carries an :class:`IngestLog`.  Each accepted append is
-journalled as an :class:`IngestRecord` with a **monotone, gap-free
-sequence number**, so a dataset's identity for caching and provenance is
-the pair ``(version, seq)``:
+Every dataset carries an :class:`IngestLog`, and a dataset's identity for
+caching and provenance is the pair ``(version, seq)``:
 
 * ``version`` bumps on reload / re-registration (a new *generation* of
-  the data — the journal resets with it);
-* ``seq`` bumps on every append within a generation.
+  the data — the log resets with it);
+* ``seq`` bumps on every accepted append, and on every background-rebuild
+  swap, within a generation.
 
 A response stamped ``(version, seq)`` therefore names the exact
-ingestion state it was computed from: the base load identified by
-``version`` plus the first ``seq`` journalled appends.  The log also
-accumulates the ingestion counters (rows appended, delta merges, full
-rebuilds) surfaced by ``Workspace.ingest_stats`` and the server's
-``/metrics``.
+ingestion state it was computed from.  The log also accumulates the
+ingestion counters (rows appended, delta merges, full rebuilds) and the
+accuracy-budget accounting surfaced by ``Workspace.ingest_stats`` and
+the server's ``/metrics``.
 
-The log is deliberately not thread-safe on its own: every mutation
-happens under the owning dataset entry's lock (the same single-flight
-lock that guards engine swaps), which is what makes an append's
-journal-write and engine-swap atomic together.
+The log is a pure fold over journal records: the only code that mutates
+one is :func:`repro.ingest.durable.fold_record` — the log half of the
+dataset transition — so a live, a restarted, a still-pending and a
+replicated dataset at one ``(version, seq)`` hold equal logs by
+construction.  It is not thread-safe on its own: the fold runs under the
+owning dataset entry's lock.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 #: How an accepted append was absorbed into the serving state.
 APPLIED_DELTA_MERGE = "delta_merge"   # sketch partials merged into the store
 APPLIED_REBUILD = "rebuild"           # accuracy budget exhausted: full rebuild
 APPLIED_DEFERRED = "deferred"         # no engine/store yet: rows concat only
 
-
-@dataclass(frozen=True)
-class IngestRecord:
-    """One journalled append."""
-
-    seq: int
-    n_rows: int
-    applied: str
-    timestamp: float
-    #: Total table rows after this append (provenance for debugging).
-    total_rows: int
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "n_rows": self.n_rows,
-            "applied": self.applied,
-            "timestamp": self.timestamp,
-            "total_rows": self.total_rows,
-        }
+#: The counters a compaction snapshot persists beside its ``seq``.
+_PERSISTED = ("rows_appended", "delta_merges", "rebuilds", "bg_rebuilds",
+              "rows_since_rebuild", "base_rows")
 
 
 @dataclass
 class IngestLog:
-    """Append journal for one dataset generation."""
+    """Sequence number and ingestion counters of one dataset generation."""
 
-    records: list[IngestRecord] = field(default_factory=list)
+    #: The current sequence number (0 before any append).
+    seq: int = 0
     #: Rows absorbed by delta merges since the last full build — the
     #: accuracy-budget numerator.
     rows_since_rebuild: int = 0
@@ -70,31 +53,10 @@ class IngestLog:
     rebuilds: int = 0
     #: Rebuilds that ran off the append path (a subset of ``rebuilds``).
     bg_rebuilds: int = 0
-    #: Sequence number the in-memory record list starts counting from.
-    #: Normally 0; a log restored from a durable snapshot starts at the
-    #: snapshot's sequence number (the compacted history is not kept).
-    base_seq: int = 0
 
-    @property
-    def seq(self) -> int:
-        """The current sequence number (0 before any append)."""
-        return self.records[-1].seq if self.records else self.base_seq
-
-    def append(self, n_rows: int, applied: str, total_rows: int,
-               timestamp: float | None = None) -> IngestRecord:
-        """Journal one accepted append; returns the minted record.
-
-        ``timestamp`` lets the durable-journal replay path reproduce the
-        original record times instead of stamping replay time.
-        """
-        record = IngestRecord(
-            seq=self.seq + 1,
-            n_rows=n_rows,
-            applied=applied,
-            timestamp=time.time() if timestamp is None else timestamp,
-            total_rows=total_rows,
-        )
-        self.records.append(record)
+    def append(self, n_rows: int, applied: str, total_rows: int) -> int:
+        """Count one accepted append; returns its sequence number."""
+        self.seq += 1
         self.rows_appended += n_rows
         if applied == APPLIED_REBUILD:
             self.rebuilds += 1
@@ -104,59 +66,49 @@ class IngestLog:
             if applied == APPLIED_DELTA_MERGE:
                 self.delta_merges += 1
             self.rows_since_rebuild += n_rows
-        return record
+        return self.seq
 
-    def record_swap(self, catchup_rows: int, base_rows: int, total_rows: int,
-                    timestamp: float | None = None) -> IngestRecord:
-        """Journal an off-path rebuild swapping in (a background rebuild).
+    def record_swap(self, base_rows: int, total_rows: int) -> int:
+        """Count an off-path rebuild swapping in (a background rebuild).
 
         Mints a sequence number of its own — the swap changes the
         serving engine, so ``(version, seq)`` must move with it or two
         different engine states would share one cache/provenance
-        identity.  ``catchup_rows`` is how many appended rows were
-        delta-merged onto the fresh store at swap time (they still count
-        against the accuracy budget; ``base_rows`` is the row count the
-        fresh sketches were built over).
+        identity.  ``base_rows`` is the row count the fresh sketches
+        were built over; the rows appended since were delta-merged onto
+        them at swap time and still count against the accuracy budget.
         """
-        record = IngestRecord(
-            seq=self.seq + 1,
-            n_rows=0,
-            applied=APPLIED_REBUILD,
-            timestamp=time.time() if timestamp is None else timestamp,
-            total_rows=total_rows,
-        )
-        self.records.append(record)
+        self.seq += 1
         self.rebuilds += 1
         self.bg_rebuilds += 1
-        self.rows_since_rebuild = catchup_rows
+        self.rows_since_rebuild = max(0, total_rows - base_rows)
         self.base_rows = base_rows
-        return record
+        return self.seq
 
     def mark_rebuilt(self, total_rows: int) -> None:
-        """Reset the accuracy budget after an out-of-band full build.
+        """Reset the accuracy budget after a cold (lazy first) build.
 
-        Called when the engine is (re)built from the full table outside
-        the append path — a lazy first build or an explicit reload — so
-        the budget starts counting from the freshly sketched base.
+        The engine was built from the full table outside the append
+        path, so the budget starts counting from the freshly sketched
+        base.
         """
         self.rows_since_rebuild = 0
         self.base_rows = total_rows
 
     def counters(self) -> dict[str, int]:
         """The ingestion counters (merged into ops surfaces)."""
-        return {
-            "seq": self.seq,
-            "rows_appended": self.rows_appended,
-            "delta_merges": self.delta_merges,
-            "rebuilds": self.rebuilds,
-            "bg_rebuilds": self.bg_rebuilds,
-            "rows_since_rebuild": self.rows_since_rebuild,
-            "base_rows": self.base_rows,
-        }
+        return {"seq": self.seq, **self.to_payload()}
 
-    def tail(self, n: int = 10) -> list[dict[str, Any]]:
-        """The most recent ``n`` journal records, oldest first."""
-        return [record.as_dict() for record in self.records[-n:]]
+    def to_payload(self) -> dict[str, int]:
+        """The counters as a snapshot persists them (``seq`` travels
+        beside them, as the snapshot's own position)."""
+        return {name: getattr(self, name) for name in _PERSISTED}
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, Any], seq: int) -> "IngestLog":
+        """The log a snapshot at ``seq`` was written from."""
+        return cls(seq=seq, **{name: int(payload.get(name, 0))
+                               for name in _PERSISTED})
 
 
 __all__ = [
@@ -164,5 +116,4 @@ __all__ = [
     "APPLIED_DELTA_MERGE",
     "APPLIED_REBUILD",
     "IngestLog",
-    "IngestRecord",
 ]

@@ -4,12 +4,14 @@ A :class:`ReplicaWorkspace` is an ordinary :class:`Workspace` whose
 datasets are populated not by ``register()`` calls but by **tailing a
 primary's durable journal** through a :class:`FeedSource`.  Records
 arrive in the exact CRC'd form the primary's
-:class:`~repro.ingest.durable.DatasetJournal` wrote and are applied
-through :class:`~repro.ingest.durable.ReplayMachine` — the same code
-path restart replay runs — so a replica at ``(version, seq)`` serves
-query payloads **byte-identical** to a primary restarted at that
-position.  That identity is the whole correctness story: there is no
-replica-specific apply logic to diverge.
+:class:`~repro.ingest.durable.DatasetJournal` wrote and are applied to
+the dataset entry's own state by the dataset transition,
+:class:`~repro.ingest.durable.ReplayMachine` — the code the primary
+committed them with and restart replay re-runs — so a replica at
+``(version, seq)`` serves query payloads **byte-identical** to the
+primary, live or restarted, at that position.  That identity is the
+whole correctness story: there is no replica-specific apply logic, and
+no replica-side copy of the state, to diverge.
 
 Consistency model
 -----------------
@@ -19,11 +21,11 @@ Consistency model
   ships a full :class:`~repro.ingest.durable.DurableState`, adopted the
   same deferred way restart recovery adopts one — exact ``(version,
   seq)`` and counters immediately, table/engine replay on first use.
-* A query-triggered local engine build on a replica is **ephemeral**:
-  the anchored :class:`ReplayMachine` engine — the one journal records
-  merge into — is tracked separately, and deferred appends arriving
-  after a local build *drop* it, exactly reproducing what a primary
-  restarted at the new position would lazily rebuild.
+* A query-triggered local engine build is the one thing the journal
+  never recorded.  Builds are deterministic, so it equals the engine
+  the journal's next record assumes whenever it covers the same rows;
+  the transition's ``deferred``-append rule drops it in the one case it
+  would not.
 * Writes (``append``/``register``/``reload``/``rebuild``) raise
   :class:`~repro.errors.ReplicaReadOnlyError` until :meth:`promote`.
 
@@ -40,16 +42,13 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.engine import EngineConfig, Foresight
 from repro.core.executor import ExecutorConfig
 from repro.errors import ReplicaReadOnlyError, ServiceError
 from repro.ingest.durable import (
-    DurableState,
     FeedBatch,
     FeedPosition,
     JournalFeed,
-    ReplayMachine,
-    replay_counters,
+    fold_records,
 )
 from repro.obs import events as obs_events
 from repro.obs.config import ObsConfig
@@ -97,17 +96,14 @@ class LocalFeedSource(FeedSource):
 
 @dataclass
 class _ReplicaDataset:
-    """Per-dataset replication state (owned by the sync pass).
+    """Per-dataset replication cursor and counters (owned by the sync
+    pass; the dataset's state itself lives on its workspace entry).
 
-    ``machine`` is the *anchored* applier: its engine is the one journal
-    records delta-merge into, distinct from any ephemeral engine a local
-    query built.  ``position`` is the applied cursor; counters feed
-    ``ingest_stats()``.  Mutated only under the entry lock (machine) or
-    by the single sync pass (cursor/counters); reads off-thread are
-    GIL-atomic snapshots for stats.
+    ``position`` is the applied cursor; the counters feed
+    ``ingest_stats()``.  Mutated only by the single sync pass; reads
+    off-thread are GIL-atomic snapshots for stats.
     """
 
-    machine: ReplayMachine | None = None
     position: FeedPosition | None = None
     primary_seq: int = 0
     applied_records: int = 0
@@ -250,7 +246,6 @@ class ReplicaWorkspace(Workspace):
             # onto the replacement, then publish.
             with existing.lock:
                 existing.superseded = True
-        rs.machine = None
         self._pending_entry(name, state, loader=None,
                             engine_config=self._restored_config(state))
         self._cache.invalidate(name)
@@ -262,66 +257,24 @@ class ReplicaWorkspace(Workspace):
 
     def _apply_records(self, name: str, rs: _ReplicaDataset,
                        batch: FeedBatch) -> None:
-        """Apply one incremental batch through the restart code path."""
+        """Apply one incremental batch to the entry's own state."""
         with self._locked_entry(name) as entry:
             if entry.pending is not None:
                 # Not yet materialised: grow the deferred state and keep
                 # the counters exact — the heavy replay stays deferred
                 # to first use, exactly like restart recovery.
                 entry.pending.records.extend(batch.records)
-                entry.ingest = replay_counters(entry.pending)
+                fold_records(entry.ingest, batch.records)
             else:
-                machine = rs.machine
-                if machine is None:
-                    # No anchored engine is always safe: a delta-merge
-                    # record then cold-builds over the pre-append table,
-                    # which is precisely replay's rule.
-                    machine = self._anchor_machine(entry, engine=None)
-                    rs.machine = machine
-                builds_before = machine.engine_builds
+                machine = self._machine(entry)
                 for record in batch.records:
                     machine.apply(record)
-                entry.table = machine.table
-                entry.ingest = machine.log
-                entry.engine_builds += machine.engine_builds - builds_before
-                if machine.engine is not None:
-                    entry.engine = machine.engine
-                elif batch.records:
-                    # Deferred appends with no anchored engine: any
-                    # locally built (ephemeral) engine predates these
-                    # rows.  Drop it — a primary restarted here would
-                    # lazily rebuild over the full table too.
-                    entry.engine = None
                 self._account_entry(entry)
         if batch.records:
             self._cache.invalidate(name)
         rs.position = batch.position
         rs.primary_seq = batch.primary_seq
         rs.applied_records += len(batch.records)
-
-    def _anchor_machine(self, entry: _DatasetEntry,
-                        engine: Foresight | None) -> ReplayMachine:
-        """A :class:`ReplayMachine` over the entry's live state."""
-        assert entry.table is not None
-        config = (entry.engine_config
-                  or EngineConfig(executor=self._executor_config))
-        return ReplayMachine(
-            entry.name,
-            entry.table,
-            entry.ingest,
-            make_engine=lambda table: Foresight(table, config=config),
-            engine=engine,
-        )
-
-    def _materialize(self, entry: _DatasetEntry) -> None:
-        was_pending = entry.pending is not None
-        super()._materialize(entry)
-        if was_pending and not self._promoted:
-            # Replay just produced the journal-anchored state: anchor
-            # the applier on it (engine included — at this instant the
-            # engine, when present, is exactly what the journal built).
-            rs = self._replica_state(entry.name)
-            rs.machine = self._anchor_machine(entry, engine=entry.engine)
 
     # ------------------------------------------------------------------
     # Tailer + promotion

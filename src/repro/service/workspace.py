@@ -71,12 +71,14 @@ from repro.ingest.durable import (
     RECORD_APPEND,
     RECORD_BUILD,
     RECORD_SWAP,
+    CommitTicket,
     DatasetJournal,
+    DatasetState,
     DurableState,
+    ReplayMachine,
     engine_config_from_payload,
     engine_config_to_payload,
-    rebuild_with_catchup,
-    replay_counters,
+    fold_records,
     replay_state,
     table_to_payload,
 )
@@ -86,9 +88,14 @@ from repro.ingest.log import (
     APPLIED_REBUILD,
     IngestLog,
 )
-from repro.ingest.maintenance import (
+# ``merge_delta`` is unused here — the delta merge lives in the transition,
+# ``repro.ingest.durable``.  The import stays only because
+# benchmarks/perf/test_perf_harness.py::
+# test_wrappers_are_restored_and_holders_rebound reads
+# ``repro.service.workspace.merge_delta`` (see ROADMAP: the next benchmark
+# PR re-points that test).
+from repro.ingest.maintenance import (  # noqa: F401
     IngestConfig,
-    build_delta_partials,
     merge_delta,
     should_rebuild,
 )
@@ -124,29 +131,24 @@ _DEFAULT_BATCH_WORKERS = 4
 _SNAPSHOT_SPAN_FLOOR = 0.001
 
 
-@dataclass
-class _DatasetEntry:
-    """Registration record for one named dataset."""
+@dataclass(kw_only=True)
+class _DatasetEntry(DatasetState):
+    """Registration record for one named dataset.
+
+    The inherited :class:`~repro.ingest.durable.DatasetState` fields
+    (``table``, ``engine``, ``ingest``, ``engine_builds``, ``loads``) are
+    what the journal determines; they advance only through the dataset
+    transition (:meth:`Workspace._machine`).
+    """
 
     name: str
     loader: Callable[[], DataTable] | None
-    table: DataTable | None
     engine_config: EngineConfig | None
-    engine: Foresight | None = None
     version: int = 1
     #: Guards lazy loading/building and version bumps for this dataset.
     #: Reentrant because building the engine loads the table under the
     #: same lock.
     lock: threading.RLock = field(default_factory=threading.RLock)
-    #: How many times the engine was (re)built — the single-flight tests
-    #: assert this stays at 1 when N threads race on a cold dataset.
-    engine_builds: int = 0
-    #: How many times the loader actually ran.
-    loads: int = 0
-    #: The append journal for this generation of the dataset: monotone
-    #: sequence numbers, ingestion counters and the accuracy-budget
-    #: accounting.  Replaced wholesale on reload (a new generation).
-    ingest: IngestLog = field(default_factory=IngestLog)
     #: True when this entry was reconstructed from the durable journal
     #: (restart replay) rather than registered fresh this process.
     restored: bool = False
@@ -371,7 +373,7 @@ class Workspace:
             table=None,
             engine_config=engine_config,
             version=state.version,
-            ingest=replay_counters(state),
+            ingest=fold_records(state.base_log(), state.records),
             restored=True,
             pending=state,
         )
@@ -403,21 +405,89 @@ class Workspace:
         state = entry.pending
         if state is None:
             return
-        config = (entry.engine_config
-                  or EngineConfig(executor=self._executor_config))
-        outcome = replay_state(
-            entry.name,
-            state,
-            base_table=entry.loader,
-            make_engine=lambda table: Foresight(table, config=config),
+        replayed = replay_state(
+            entry.name, state, base_table=entry.loader,
+            make_engine=self._make_engine(entry),
         )
-        entry.table = outcome.table
-        entry.engine = outcome.engine
-        entry.ingest = outcome.log
-        entry.engine_builds += outcome.engine_builds
-        entry.loads += outcome.loads
+        entry.table, entry.engine, entry.ingest = (
+            replayed.table, replayed.engine, replayed.ingest)
+        entry.engine_builds += replayed.engine_builds
+        entry.loads += replayed.loads
         entry.pending = None
         self._account_entry(entry)
+
+    def _table_locked(self, entry: _DatasetEntry) -> DataTable:
+        """The entry's table — deferred replay run, loader run if it has
+        not yet (caller holds the entry lock)."""
+        self._materialize(entry)
+        if entry.table is None:
+            assert entry.loader is not None
+            entry.table = entry.loader()
+            entry.loads += 1
+        return entry.table
+
+    def _make_engine(
+        self, entry: _DatasetEntry
+    ) -> Callable[[DataTable], Foresight]:
+        """A full engine build under ``entry``'s config.
+
+        Datasets registered without an explicit config inherit the
+        workspace's executor configuration, so an explicit
+        ``Workspace(executor=...)`` wins over the ``REPRO_MAX_WORKERS``
+        environment default either way.
+        """
+        config = (entry.engine_config
+                  or EngineConfig(executor=self._executor_config))
+        return lambda table: Foresight(table, config=config)
+
+    def _machine(self, entry: _DatasetEntry) -> ReplayMachine:
+        """The dataset transition bound to ``entry``'s own state.
+
+        Every change to ``(table, engine, ingest)`` within a generation
+        goes through it (caller holds the entry lock): this workspace's
+        appends, cold builds and rebuild swaps via
+        :meth:`_transition_locked`; a replica applies the primary's
+        records.
+        """
+        return ReplayMachine(entry.name, entry, self._make_engine(entry))
+
+    def _transition_locked(
+        self,
+        entry: _DatasetEntry,
+        record: dict[str, Any],
+        durable: bool = True,
+        batch: DeltaBatch | None = None,
+        fresh: Foresight | None = None,
+    ) -> CommitTicket | None:
+        """Stage → journal → commit one decided record (entry lock held).
+
+        Write-ahead: the record commits to the durable journal (if there
+        is one, and unless the caller says this record needs none)
+        between the side-effect-free stage and the in-memory commit.  A
+        stage or journal write that raises fails the operation whole —
+        the caller sees the error and the serving state is untouched.
+        Under group commit the write happens here (so records hit the
+        file in entry-lock order) but the fsync is deferred to the
+        returned ticket, waited on after the lock is released — one
+        leader's fsync then acknowledges every writer queued behind it.
+        ``batch`` / ``fresh`` are work already done, handed to
+        :meth:`ReplayMachine.stage <repro.ingest.durable.ReplayMachine.stage>`.
+        """
+        machine = self._machine(entry)
+        staged = machine.stage(record, batch=batch, fresh=fresh)
+        ticket = None
+        if durable and self._journal is not None:
+            # An ambient child (or no-op outside any trace), never a root.
+            with obs_span("journal.append") as journal_span:
+                if "n_rows" in record:
+                    journal_span.set_attribute("n_rows", record["n_rows"])
+                ticket = self._journal.append(entry.name, record)
+                if ticket is None:
+                    # No commit pipeline: the fsync (if configured)
+                    # already ran inline above.
+                    journal_span.set_attribute("fsync_role", "inline")
+        machine.commit(record, staged)
+        return ticket
 
     def _write_snapshot_locked(self, entry: _DatasetEntry) -> None:
         """Persist a compaction snapshot (caller holds the entry lock).
@@ -437,14 +507,7 @@ class Workspace:
             "base_rows": log.base_rows,
             "engine_built": (entry.engine is not None
                              and entry.engine.store is not None),
-            "counters": {
-                "rows_appended": log.rows_appended,
-                "delta_merges": log.delta_merges,
-                "rebuilds": log.rebuilds,
-                "bg_rebuilds": log.bg_rebuilds,
-                "rows_since_rebuild": log.rows_since_rebuild,
-                "base_rows": log.base_rows,
-            },
+            "counters": log.to_payload(),
             "table": table_to_payload(entry.table),
         }
         config_payload = self._config_payload(entry)
@@ -761,12 +824,7 @@ class Workspace:
         run the loader exactly once.
         """
         with self._locked_entry(name) as entry:
-            self._materialize(entry)
-            if entry.table is None:
-                assert entry.loader is not None
-                entry.table = entry.loader()
-                entry.loads += 1
-            return entry.table
+            return self._table_locked(entry)
 
     def engine(self, name: str) -> Foresight:
         """The dataset's preprocessed engine, built lazily and cached.
@@ -853,132 +911,75 @@ class Workspace:
     ) -> "AppendResult":
         """Append validated rows to a dataset, keeping its engine live.
 
-        The whole append runs under the dataset's single-flight lock:
+        The whole append runs under the dataset's single-flight lock, as
+        one pass through the dataset transition
+        (:class:`~repro.ingest.durable.ReplayMachine`, which owns what
+        each kind of append does to the table and engine):
 
-        1. the rows are validated against the dataset schema as a
-           :class:`~repro.ingest.delta.DeltaBatch` (all-or-nothing;
+        1. **validate** — the rows become a
+           :class:`~repro.ingest.delta.DeltaBatch` against the dataset
+           schema (all-or-nothing;
            :class:`~repro.errors.DeltaValidationError` on any problem);
-        2. if the engine is built in approximate mode and the accuracy
-           budget allows, per-column sketch partials are built over just
-           the delta rows (via the engine's executor) and **merged** into
-           copies of the live store's sketches — no full rebuild; when
-           the accumulated deltas exceed
-           ``IngestConfig.rebuild_fraction`` of the base rows, the
-           append pays for one full rebuild instead (refreshing the
-           hyperplane signatures);
-        3. the grown table, new engine and journal record swap in
-           atomically: a query that snapshotted ``(engine, version,
+        2. **decide** — the policy, and the only part that is this
+           method's own: ``deferred`` while no approximate engine
+           exists, else ``delta_merge`` (sketch partials over just the
+           delta rows merged into copies of the live store's sketches),
+           unless the accuracy budget
+           (``IngestConfig.rebuild_fraction``) is exhausted — then
+           ``rebuild`` inline, or still ``delta_merge`` with the rebuild
+           scheduled off-path (``IngestConfig.background_rebuild``).
+           The journal record carries the decision;
+        3. **stage → journal → commit** — the next table and engine are
+           computed without touching the entry, the record (rows
+           included) is written ahead, and only then does the staged
+           state swap in: a query that snapshotted ``(engine, version,
            seq)`` before the swap keeps reading the old, internally
-           consistent store, and every response names the snapshot it
-           was computed from.
+           consistent store, and a failure at either earlier step leaves
+           the serving state untouched.
 
         Only this dataset's cached responses are invalidated; the
         version-and-seq-qualified cache key already makes them
         unreachable, invalidation just reclaims the memory eagerly.
         """
         schedule_rebuild = False
-        ticket = None
         with self._tracer.span("workspace.append", dataset=name) as append_span:
             with self._locked_entry(name) as entry:
                 self._check_open()
-                self._materialize(entry)
-                if entry.table is None:
-                    assert entry.loader is not None
-                    entry.table = entry.loader()
-                    entry.loads += 1
-                batch = DeltaBatch.from_records(name, list(rows),
-                                                entry.table.schema)
-                new_table = entry.table.concat(batch.table)
+                table = self._table_locked(entry)
+                batch = DeltaBatch.from_records(name, list(rows), table.schema)
                 engine = entry.engine
-                new_engine: Foresight | None = None
-                rebuilt = False
-                if engine is None:
-                    # No engine yet: the rows simply extend the table and
-                    # the (eventual) first build sketches everything at
-                    # once.
+                if engine is None or engine.store is None:
+                    # Nothing sketched to maintain (no engine yet, or an
+                    # exact-mode one): the rows simply extend the table.
                     applied = APPLIED_DEFERRED
                 else:
-                    store = engine.store
-                    rebuild_due = store is not None and should_rebuild(
+                    rebuild_due = should_rebuild(
                         entry.ingest, batch.n_rows, self._ingest_config
                     )
-                    if store is None:
-                        # Exact-mode engine: nothing sketched to maintain
-                        # — swap in a new engine over the grown table.
-                        new_engine = Foresight(
-                            new_table,
-                            registry=engine.registry,
-                            config=engine.config,
-                            preprocess=False,
-                            executor=engine.executor,
-                        )
-                        applied = APPLIED_DEFERRED
-                    elif (rebuild_due
-                          and not self._ingest_config.background_rebuild):
-                        new_engine = Foresight(
-                            new_table,
-                            registry=engine.registry,
-                            config=engine.config,
-                            executor=engine.executor,
-                        )
-                        rebuilt = True
+                    if (rebuild_due
+                            and not self._ingest_config.background_rebuild):
                         applied = APPLIED_REBUILD
                     else:
                         # The delta-merge fast path — also taken when a
                         # rebuild is due but runs in the background: the
                         # append never pays for it.
-                        partials = build_delta_partials(
-                            batch.table, store, engine.executor
-                        )
-                        new_store = merge_delta(
-                            store, new_table, batch.n_rows, partials
-                        )
-                        new_engine = Foresight(
-                            new_table,
-                            registry=engine.registry,
-                            config=engine.config,
-                            preprocess=False,
-                            store=new_store,
-                            executor=engine.executor,
-                        )
                         applied = APPLIED_DELTA_MERGE
                         schedule_rebuild = rebuild_due
-                # Write-ahead: the journal record (rows included) commits
-                # to disk before any in-memory state changes.  If the
-                # write fails the append fails whole — the caller sees
-                # the error and the serving state is untouched.  Under
-                # group commit the write happens here (so records hit
-                # the file in entry-lock order) but the fsync is
-                # deferred to a ticket waited on after the lock is
-                # released — one leader's fsync then acknowledges every
-                # appender queued behind it.
-                timestamp = time.time()
+                seq = entry.ingest.seq + 1
+                total_rows = table.n_rows + batch.n_rows
+                record = {
+                    "type": RECORD_APPEND,
+                    "seq": seq,
+                    "applied": applied,
+                    "n_rows": batch.n_rows,
+                    "total_rows": total_rows,
+                    "ts": time.time(),
+                }
                 if self._journal is not None:
-                    with obs_span("journal.append") as journal_span:
-                        journal_span.set_attribute("n_rows", batch.n_rows)
-                        ticket = self._journal.append(name, {
-                            "type": RECORD_APPEND,
-                            "seq": entry.ingest.seq + 1,
-                            "applied": applied,
-                            "n_rows": batch.n_rows,
-                            "total_rows": new_table.n_rows,
-                            "ts": timestamp,
-                            "rows": batch.to_records(),
-                        })
-                        if ticket is None:
-                            # No commit pipeline: the fsync (if
-                            # configured) already ran inline above.
-                            journal_span.set_attribute("fsync_role", "inline")
-                if new_engine is not None:
-                    entry.engine = new_engine
-                if rebuilt:
-                    entry.engine_builds += 1
-                entry.table = new_table
-                record = entry.ingest.append(batch.n_rows, applied,
-                                             new_table.n_rows,
-                                             timestamp=timestamp)
+                    record["rows"] = batch.to_records()
+                ticket = self._transition_locked(entry, record, batch=batch)
                 version = entry.version
-                if rebuilt:
+                if applied == APPLIED_REBUILD:
                     # A full rebuild makes the sketch state a pure
                     # function of the rows: the natural compaction
                     # point.  The rotation it performs drains the commit
@@ -995,7 +996,7 @@ class Workspace:
                 with obs_span("journal.commit_wait") as wait_span:
                     wait_span.set_attribute("fsync_role", ticket.wait())
             append_span.set_attribute("applied", applied)
-            append_span.set_attribute("seq", record.seq)
+            append_span.set_attribute("seq", seq)
             append_span.set_attribute("rows", batch.n_rows)
         with self._stats_lock:
             self._ingest_totals["appends"] += 1
@@ -1010,9 +1011,9 @@ class Workspace:
         return AppendResult(
             dataset=name,
             version=version,
-            seq=record.seq,
+            seq=seq,
             rows_appended=batch.n_rows,
-            total_rows=new_table.n_rows,
+            total_rows=total_rows,
             applied=applied,
         )
 
@@ -1022,12 +1023,15 @@ class Workspace:
         The heavy work — a full preprocess over a snapshot of the table
         — runs **without** the dataset lock, so appends keep
         delta-merging and queries keep serving while it runs.  At swap
-        time, under the lock, any rows appended since the snapshot are
-        delta-merged onto the fresh store, the engine swaps in whole
-        (readers never observe a half-built engine), and the swap mints
-        a sequence number of its own — two different engine states must
-        never share one ``(version, seq)`` identity.  A reload or
-        re-registration racing the rebuild discards it (returns None).
+        time, under the lock, the fresh engine is handed to the dataset
+        transition as a ``swap`` record (stage → journal → commit, see
+        :class:`~repro.ingest.durable.ReplayMachine`): rows appended
+        since the snapshot are delta-merged onto the fresh store, the
+        engine swaps in whole (readers never observe a half-built
+        engine), and the swap mints a sequence number of its own — two
+        different engine states must never share one ``(version, seq)``
+        identity.  A reload or re-registration racing the rebuild
+        discards it (returns None).
 
         Returns a summary dict, or None when there was nothing to
         rebuild (no approximate engine) or the result was discarded.
@@ -1058,15 +1062,13 @@ class Workspace:
                     return None  # exact mode: nothing sketched to refresh
                 base_table = entry.table
                 version = entry.version
-                registry = engine.registry
-                config = engine.config
-                executor = engine.executor
             # Full preprocess over the snapshot — off-lock, possibly
             # seconds.
             with obs_span("engine.build") as build_span:
                 build_span.set_attribute("rows", base_table.n_rows)
-                fresh = Foresight(base_table, registry=registry,
-                                  config=config, executor=executor)
+                fresh = Foresight(base_table, registry=engine.registry,
+                                  config=engine.config,
+                                  executor=engine.executor)
             with entry.lock:
                 # A reload bumps the version on this same entry; a
                 # replace-registration installs a whole new entry and
@@ -1088,30 +1090,19 @@ class Workspace:
                     return None
                 n_now = entry.table.n_rows
                 n_base = base_table.n_rows
-                rebuilt = rebuild_with_catchup(
-                    entry.table, base_table,
-                    make_engine=lambda _table: fresh,
-                )
-                timestamp = time.time()
-                if self._journal is not None:
-                    # The snapshot rotation below drains the commit
-                    # pipeline, so the swap record's group-commit ticket
-                    # (if any) is settled before the lock is released.
-                    with obs_span("journal.append"):
-                        self._journal.append(name, {
-                            "type": RECORD_SWAP,
-                            "seq": entry.ingest.seq + 1,
-                            "built_from_rows": n_base,
-                            "total_rows": n_now,
-                            "ts": timestamp,
-                        })
-                entry.engine = rebuilt
-                entry.engine_builds += 1
+                seq = entry.ingest.seq + 1
+                record = {
+                    "type": RECORD_SWAP,
+                    "seq": seq,
+                    "built_from_rows": n_base,
+                    "total_rows": n_now,
+                    "ts": time.time(),
+                }
+                # The snapshot rotation below drains the commit
+                # pipeline, so the swap record's group-commit ticket
+                # (if any) is settled before the lock is released.
+                self._transition_locked(entry, record, fresh=fresh)
                 entry.rebuild_error = None
-                record = entry.ingest.record_swap(
-                    n_now - n_base, n_base, n_now, timestamp=timestamp
-                )
-                seq = record.seq
                 self._write_snapshot_locked(entry)
                 self._account_entry(entry)
             with self._stats_lock:
@@ -1655,42 +1646,31 @@ class Workspace:
         """
         ticket = None
         with self._locked_entry(name) as entry:
-            built = False
-            self._materialize(entry)
-            if entry.engine is None:
-                if entry.table is None:
-                    assert entry.loader is not None
-                    entry.table = entry.loader()
-                    entry.loads += 1
-                config = entry.engine_config
-                if config is None:
-                    # Inherit the workspace's executor configuration,
-                    # so an explicit Workspace(executor=...) wins over
-                    # the REPRO_MAX_WORKERS environment default either
-                    # way.
-                    config = EngineConfig(executor=self._executor_config)
-                with obs_span("engine.build") as build_span:
-                    build_span.set_attribute("rows", entry.table.n_rows)
-                    entry.engine = Foresight(entry.table, config=config)
-                entry.engine_builds += 1
-                built = True
-                # The cold build sketched the full current table (any
-                # deferred appends included): the accuracy budget
-                # counts from this freshly sketched base.
-                entry.ingest.mark_rebuilt(entry.table.n_rows)
-                if self._journal is not None and entry.ingest.seq > 0:
-                    # Mark where the build froze the deferred appends
-                    # so replay builds at the same point in the row
-                    # stream.  (At seq 0 the build is over the base
-                    # table alone and replay's lazy build is already
-                    # identical.)
-                    ticket = self._journal.append(entry.name, {
-                        "type": RECORD_BUILD,
-                        "seq": entry.ingest.seq,
-                        "total_rows": entry.table.n_rows,
-                        "ts": time.time(),
-                    })
+            table = self._table_locked(entry)
+            built = entry.engine is None
             if built:
+                # The cold build is a ``build`` record through the
+                # dataset transition: it sketches the full current table
+                # (any deferred appends included) and the accuracy
+                # budget counts from that freshly sketched base.
+                record = {
+                    "type": RECORD_BUILD,
+                    "seq": entry.ingest.seq,
+                    "total_rows": table.n_rows,
+                    "ts": time.time(),
+                }
+                with obs_span("engine.build") as build_span:
+                    build_span.set_attribute("rows", table.n_rows)
+                    fresh = self._make_engine(entry)(table)
+                # Journalled only past seq 0: the marker says where the
+                # build froze the deferred appends, so replay builds at
+                # the same point in the row stream.  (At seq 0 the build
+                # is over the base table alone and replay's lazy build
+                # is already identical.)
+                ticket = self._transition_locked(
+                    entry, record, durable=entry.ingest.seq > 0,
+                    fresh=fresh,
+                )
                 self._account_entry(entry)
             result = entry.engine, entry.version, entry.ingest.seq
         return result, built, ticket

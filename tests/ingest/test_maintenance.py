@@ -194,7 +194,7 @@ class TestAccuracyBudget:
     def test_seq_is_monotone_and_gap_free(self):
         log = IngestLog()
         log.mark_rebuilt(100)
-        seqs = [log.append(1, "delta_merge", 100 + i + 1).seq
+        seqs = [log.append(1, "delta_merge", 100 + i + 1)
                 for i in range(5)]
         assert seqs == [1, 2, 3, 4, 5]
         assert log.seq == 5

@@ -1,0 +1,235 @@
+"""Generated state-machine test for the dataset transition.
+
+The system promise: a live dataset, the same dataset restarted from its
+data directory (cleanly or after a crash), and a replica that tailed its
+journal hold **the same state** at the same ``(version, seq)`` — the same
+ingest counters and byte-identical answers.  One transition function
+(:class:`repro.ingest.durable.ReplayMachine`) is what keeps that promise;
+this test generates interleavings of append / read / rebuild / restart /
+crash / replica sync / promote and checks it after every step.
+
+Two divergences are inherent, not bugs, and the invariant is worded
+around them: a cold build at seq 0 is not journalled (nothing to mark —
+replay's lazy build is identical), so ``base_rows`` is learnt at first
+use there; and a replica's local read may lazily build what the primary
+has not built yet, so replica counters are compared once the primary
+has an engine (its build marker then settles both).
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.data.datasets import make_mixed_table
+from repro.ingest import IngestConfig, IngestLog
+from repro.ingest.durable import fold_records
+from repro.service import (
+    InsightRequest,
+    LocalFeedSource,
+    ReplicaWorkspace,
+    Workspace,
+)
+
+NAME = "live"
+BASE = make_mixed_table(n_rows=120, n_numeric=3, n_categorical=2, seed=21)
+POOL = make_mixed_table(n_rows=256, n_numeric=3, n_categorical=2,
+                        seed=22).to_records()
+PROBE = InsightRequest(dataset=NAME, insight_classes=("skew", "outliers"),
+                       top_k=3)
+#: No fsync (a *process* crash keeps flushed bytes, and the crash copies
+#: below see them); inline rebuilds, so the budget-triggered rebuild is a
+#: deterministic ``applied="rebuild"`` append rather than a timing race.
+INGEST = IngestConfig(fsync=False, background_rebuild=False)
+
+
+def _open(data_dir) -> Workspace:
+    return Workspace(data_dir=str(data_dir), ingest=INGEST)
+
+
+def _counters(workspace) -> dict:
+    return workspace.ingest_stats()["datasets"][NAME]
+
+
+def _payload(workspace) -> str:
+    """Canonical probe response minus wall-clock timing and cache state."""
+    body = workspace.handle(PROBE).to_dict()
+    body.pop("timing")
+    body["provenance"].pop("cache", None)
+    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+
+
+class DatasetStateMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.root = Path(tempfile.mkdtemp(prefix="repro-sm-"))
+        self.data_dir = self.root / "primary"
+        self.primary = _open(self.data_dir)
+        self.primary.register(NAME, BASE)
+        self.replica = ReplicaWorkspace(LocalFeedSource(str(self.data_dir)))
+        #: Has the replica synced since the primary last wrote?  (A build
+        #: marker is a journal record that moves no ``seq``, so equal
+        #: ``(version, seq)`` alone does not say "caught up".)
+        self.replica_caught_up = False
+
+    def teardown(self):
+        self.replica.close()
+        self.primary.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def _crash_copy(self) -> Path:
+        """The data dir as a crash would leave it: copied without close()."""
+        target = Path(tempfile.mkdtemp(prefix="crash-", dir=self.root))
+        shutil.copytree(self.data_dir, target / "data")
+        return target / "data"
+
+    # ------------------------------------------------------------------
+    # Rules
+    # ------------------------------------------------------------------
+    @rule(start=st.integers(0, len(POOL) - 64), n=st.integers(1, 64))
+    def append(self, start, n):
+        self.primary.append(NAME, POOL[start:start + n])
+        self.replica_caught_up = False
+
+    @rule()
+    def read(self):
+        """A sketch-mode read: forces the lazy build and its marker."""
+        self.primary.handle(PROBE)
+        self.replica_caught_up = False
+
+    @rule()
+    def rebuild(self):
+        self.primary.rebuild(NAME)
+        self.replica_caught_up = False
+
+    @rule()
+    def clean_restart(self):
+        self.primary.close()
+        self.primary = _open(self.data_dir)
+
+    @rule()
+    def crash_restart(self):
+        survivor = self._crash_copy()
+        self.primary.close()
+        shutil.rmtree(self.data_dir)
+        survivor.rename(self.data_dir)
+        self.primary = _open(self.data_dir)
+
+    @rule()
+    def replica_sync(self):
+        self.replica.sync()
+        self.replica_caught_up = True
+
+    @rule()
+    def replica_read(self):
+        """A local read on a (possibly lagging, possibly empty) replica."""
+        if NAME in self.replica:
+            self.replica.handle(PROBE)
+
+    @precondition(lambda self: NAME in self.replica)
+    @rule()
+    def promote(self):
+        """Failover: the promoted replica serves what it applied and takes
+        writes; a fresh replica then takes its place behind the primary."""
+        self.replica.sync()
+        before = _counters(self.replica)
+        if self.primary.describe()[0]["engine_built"]:
+            assert before == _counters(self.primary)
+        self.replica.promote()
+        assert _counters(self.replica) == before
+        result = self.replica.append(NAME, POOL[:3])
+        assert result.seq == before["seq"] + 1
+        self.replica.close()
+        self.replica = ReplicaWorkspace(LocalFeedSource(str(self.data_dir)))
+        self.replica_caught_up = False
+
+    # ------------------------------------------------------------------
+    # The contract
+    # ------------------------------------------------------------------
+    @invariant()
+    def live_restarted_and_replica_agree(self):
+        state = self.primary.state(NAME)
+        [described] = self.primary.describe()
+        built = described["engine_built"]
+        reopened = _open(self._crash_copy())
+        others = [("restarted", reopened)]
+        if built and self.replica_caught_up:
+            others.append(("replica", self.replica))
+        try:
+            live = _counters(self.primary)
+            if not built:
+                # Nobody has built: the pending counters are the whole
+                # comparable state (probing would build, and journal).
+                assert _counters(reopened) == live, ("restarted", state)
+                return
+            answer = _payload(self.primary)
+            assert _counters(self.primary) == live  # a read changes nothing
+            for label, other in others:
+                assert other.state(NAME) == state, label
+                if state[1] > 0:
+                    # Still pending / never queried: already exact.
+                    assert _counters(other) == live, (label, "pending", state)
+                assert _payload(other) == answer, (label, state)
+                assert _counters(other) == live, (label, "served", state)
+        finally:
+            reopened.close()
+
+
+DatasetStateMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=12, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+TestDatasetStateMachine = DatasetStateMachine.TestCase
+
+
+def _drive(machine, *steps):
+    """Run ``steps`` (rule name, or ``(rule name, kwargs)``) on a fresh
+    machine, checking the contract after every one."""
+    try:
+        for step in steps:
+            name, kwargs = (step, {}) if isinstance(step, str) else step
+            getattr(machine, name)(**kwargs)
+            machine.live_restarted_and_replica_agree()
+    finally:
+        machine.teardown()
+
+
+def test_build_marker_written_after_the_replica_reached_its_seq():
+    """Pinned: the marker of a lazy build lands at a seq the replica
+    already holds; the feed still owes it (found by this machine)."""
+    _drive(DatasetStateMachine(),
+           ("append", {"start": 0, "n": 1}), "replica_sync", "read",
+           "replica_sync")
+
+
+def test_failover_after_a_late_marker_keeps_the_accuracy_budget():
+    """Pinned: the replica that took the late marker and one more append
+    holds the primary's budget accounting when it is promoted — not
+    ``base_rows`` 0, which would never schedule a rebuild again."""
+    _drive(DatasetStateMachine(),
+           ("append", {"start": 0, "n": 5}), "replica_sync", "read",
+           "replica_sync", ("append", {"start": 5, "n": 11}), "replica_sync",
+           "promote")
+
+
+def test_a_delta_merge_implies_the_cold_build_no_marker_recorded():
+    """The fold's one inference, not only at seq 0: should a marker be
+    lost outright, the next delta merge still accounts the build."""
+    log = fold_records(IngestLog(), [
+        {"type": "append", "seq": 1, "applied": "deferred",
+         "n_rows": 5, "total_rows": 125},
+        {"type": "append", "seq": 2, "applied": "delta_merge",
+         "n_rows": 11, "total_rows": 136},
+    ])
+    assert (log.base_rows, log.rows_since_rebuild) == (125, 11)

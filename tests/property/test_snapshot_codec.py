@@ -10,16 +10,13 @@ Two families of properties:
   :class:`SnapshotDecodeError` or decode to the original payload (a
   flip inside zlib padding may be absorbed) — never return a silently
   different payload;
-* **format coexistence** — a data directory holding a mix of binary
-  and legacy-JSON snapshots (the pre-codec format, synthesized via
-  ``encode_record``) restores every dataset byte-identically: the
-  read-compat fallback serves old directories while new writes are
-  binary.
+* **no legacy reader** — a directory holding only a pre-codec
+  ``snapshot-<version>.json`` (synthesized via ``encode_record``) has no
+  durable state.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
@@ -28,10 +25,9 @@ from hypothesis import strategies as st
 
 from repro.data.schema import ColumnKind
 from repro.data.table import DataTable
-from repro.ingest import IngestConfig
 from repro.ingest.durable import (
+    DatasetJournal,
     encode_record,
-    legacy_snapshot_filename,
     table_to_payload,
 )
 from repro.ingest.snapshot_codec import (
@@ -39,7 +35,7 @@ from repro.ingest.snapshot_codec import (
     decode_snapshot,
     encode_snapshot,
 )
-from repro.service import InsightRequest, Workspace
+from repro.service import Workspace
 
 SETTINGS = settings(
     max_examples=25, deadline=None,
@@ -140,91 +136,37 @@ class TestCodecRoundTrip:
         assert decoded == payload
 
 
-class TestFormatCoexistence:
-    def _payload(self, workspace, name):
-        request = InsightRequest(dataset=name, insight_classes=("skew",),
-                                 top_k=3)
-        body = workspace.handle(request).to_dict()
-        body.pop("timing")
-        body["provenance"].pop("cache", None)
-        return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-    def _table(self, seed):
-        n = 40
-        return DataTable.from_columns(
-            {"x": [float((i * seed) % 17) for i in range(n)],
-             "label": [LABELS[(i + seed) % len(LABELS)] for i in range(n)]},
-            kinds={"x": ColumnKind.NUMERIC,
-                   "label": ColumnKind.CATEGORICAL},
-            name="live",
+class TestLegacyJsonSnapshotIsNotRead:
+    def test_json_only_directory_loads_as_no_snapshot(self, tmp_path):
+        """The pre-codec ``snapshot-<version>.json`` read path is gone: a
+        directory holding only such a file has no durable state — the
+        journal neither lists nor loads it, and the name registers
+        fresh."""
+        table = DataTable.from_columns(
+            {"x": [float(i % 17) for i in range(40)]},
+            kinds={"x": ColumnKind.NUMERIC}, name="live",
         )
-
-    def test_mixed_binary_and_legacy_directory_restores_exactly(
-        self, tmp_path
-    ):
-        """Two snapshotted datasets; one converted to the legacy JSON
-        format on disk.  A restart must restore both byte-identically —
-        same identity, same query payload — through different decoders.
-        """
-        live = Workspace(data_dir=str(tmp_path),
-                         ingest=IngestConfig(rebuild_fraction=float("inf")))
-        live.register("bin", self._table(3))
-        live.register("legacy", self._table(5))
-        references = {name: self._payload(live, name)
-                      for name in ("bin", "legacy")}
-        states = {name: live.state(name) for name in ("bin", "legacy")}
-        live.close()
-
-        # Rewrite one dataset's snapshot in the pre-codec format: the
-        # same payload as an encode_record-framed JSON file, exactly
-        # what an old process would have left behind.
-        directory = Path(tmp_path, "legacy")
-        binary = next(directory.glob("snapshot-*.bin"))
-        payload = decode_snapshot(binary.read_bytes())
-        version = int(payload["version"])
-        (directory / legacy_snapshot_filename(version)).write_bytes(
-            encode_record(payload))
-        binary.unlink()
-
-        restarted = Workspace(
-            data_dir=str(tmp_path),
-            ingest=IngestConfig(rebuild_fraction=float("inf")))
-        for name in ("bin", "legacy"):
-            assert restarted.state(name) == states[name]
-            assert self._payload(restarted, name) == references[name]
-        restarted.close()
-
-    def test_binary_write_replaces_same_version_legacy_file(self, tmp_path):
-        """Compaction over a legacy directory upgrades it: the new
-        binary snapshot lands and the stale same-version JSON file is
-        removed, so a later corruption of one can never resurrect the
-        other at a stale seq."""
-        live = Workspace(data_dir=str(tmp_path),
-                         ingest=IngestConfig(rebuild_fraction=float("inf")))
-        live.register("live", self._table(7))
+        live = Workspace(data_dir=str(tmp_path))
+        live.register("live", table)
         live.close()
         directory = Path(tmp_path, "live")
         binary = next(directory.glob("snapshot-*.bin"))
         payload = decode_snapshot(binary.read_bytes())
-        version = int(payload["version"])
-        legacy = directory / legacy_snapshot_filename(version)
-        legacy.write_bytes(encode_record(payload))
+        (directory / binary.name.replace(".bin", ".json")).write_bytes(
+            encode_record(payload))
         binary.unlink()
+        for segment in directory.glob("journal-*.seg"):
+            segment.unlink()
 
-        # Restore from JSON, then compact at the SAME version: the
-        # rebuild's snapshot write must replace the legacy file, not
-        # leave two same-version snapshots racing future recoveries.
-        restarted = Workspace(
-            data_dir=str(tmp_path),
-            ingest=IngestConfig(rebuild_fraction=float("inf")))
-        restarted.register("live", lambda: self._table(7))
-        restarted.engine("live")
-        restarted.append("live", self._table(7).to_records()[:5])
-        assert restarted.rebuild("live") is not None
-        assert restarted.state("live")[0] == version  # same generation
+        journal = DatasetJournal(tmp_path, fsync=False)
+        assert journal.dataset_names() == []
+        assert not journal.has_state("live")
+        assert journal.load("live") is None
+        restarted = Workspace(data_dir=str(tmp_path))
+        assert restarted.datasets() == []
+        restarted.register("live", table)  # no "journalled state" refusal
+        assert restarted.state("live") == (1, 0)
         restarted.close()
-        assert list(directory.glob(f"snapshot-{version:08d}.bin"))
-        assert not list(directory.glob("snapshot-*.json"))
 
 
 if __name__ == "__main__":  # pragma: no cover
