@@ -23,7 +23,6 @@ role                  level  lock
 ``workspace.stats``    30    ``Workspace._stats_lock`` counter leaf
 ``cache.lock``         30    ``ResultCache._lock`` leaf
 ``executor.lock``      30    ``ParallelExecutor._lock`` pool leaf
-``executor.process``   30    ``ProcessExecutor._lock`` pool leaf
 ``metrics.lock``       30    ``ServerMetrics._lock`` counter leaf
 ``journal.commit``     30    ``_CommitPipeline.cond`` group-commit leaf
 ``obs.trace``          30    ``Tracer._drain_lock`` trace-ring leaf
@@ -146,7 +145,6 @@ DEFAULT_CONFIG = ProjectConfig(
         LockSpec("workspace.entry", 10, "service/replica.py", "_DatasetEntry", "lock", reentrant=True),
         LockSpec("cache.lock", 30, "service/cache.py", "ResultCache", "_lock", reentrant=True),
         LockSpec("executor.lock", 30, "core/executor.py", "ParallelExecutor", "_lock"),
-        LockSpec("executor.process", 30, "core/executor.py", "ProcessExecutor", "_lock"),
         LockSpec("metrics.lock", 30, "server/metrics.py", "ServerMetrics", "_lock"),
         # The group-commit condition: taken under workspace.entry on the
         # journal write paths, bare during off-lock ticket waits; never

@@ -24,9 +24,11 @@ from repro.core.insight import (
     EvaluationContext,
     Insight,
     InsightClass,
+    KernelScoredInsightClass,
     ScoredCandidate,
     pairs,
 )
+from repro.sketch.features import TableFeatures
 from repro.stats import correlation as correlation_stats
 from repro.stats import dependence as dependence_stats
 from repro.stats import monotonic as monotonic_stats
@@ -62,6 +64,29 @@ class LinearRelationshipInsight(InsightClass):
         return d * (d - 1) // 2
 
     # -- scoring -----------------------------------------------------------------
+    def _scored(self, attributes: tuple[str, ...], rho: float, source: str) -> ScoredCandidate:
+        return ScoredCandidate(
+            attributes=attributes,
+            score=abs(rho),
+            details={
+                "correlation": rho,
+                "method": self.method,
+                "direction": "positive" if rho >= 0 else "negative",
+                "source": source,
+            },
+        )
+
+    def _matrix(self, names: Sequence[str], context: EvaluationContext):
+        """All pairwise correlations of ``names``: one sketch matrix product
+        (O(d²·k)) in approximate mode, one dense correlation matrix
+        (O(d²·n)) in exact mode.  Returns (matrix, column order, source)."""
+        if context.use_sketches and self.method == "pearson" and all(
+            context.store.has_column(name) for name in names
+        ):
+            return *context.store.approx_correlation_matrix(names), "sketch"
+        dense, ordered = context.table.numeric_matrix(names)
+        return correlation_stats.correlation_matrix(dense, method=self.method), ordered, "exact"
+
     def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
         x_name, y_name = attributes
         try:
@@ -86,69 +111,31 @@ class LinearRelationshipInsight(InsightClass):
                 source = "exact"
         except EmptyColumnError:
             return None
-        return ScoredCandidate(
-            attributes=attributes,
-            score=float(abs(rho)),
-            details={
-                "correlation": float(rho),
-                "method": self.method,
-                "direction": "positive" if rho >= 0 else "negative",
-                "source": source,
-            },
-        )
+        return self._scored(attributes, float(rho), source)
 
     def score_all(
         self, candidate_tuples: Sequence[tuple[str, ...]], context: EvaluationContext
     ) -> list[ScoredCandidate]:
-        """Batched scoring.
-
-        In approximate mode all pairwise correlations come from one sketch
-        matrix product (O(d²·k)); in exact mode they come from one dense
-        correlation-matrix computation (O(d²·n)).  This is the code path the
-        latency benchmarks measure.
-        """
+        """Batched scoring from one :meth:`_matrix` — the code path the
+        latency benchmarks measure."""
         if self.method != "pearson":
             return super().score_all(candidate_tuples, context)
         names = sorted({name for attrs in candidate_tuples for name in attrs})
         try:
-            if context.use_sketches and all(
-                context.store.has_column(name) for name in names
-            ):
-                matrix, ordered = context.store.approx_correlation_matrix(names)
-                source = "sketch"
-            else:
-                dense, ordered = context.table.numeric_matrix(names)
-                matrix = correlation_stats.correlation_matrix(dense, method=self.method)
-                source = "exact"
+            matrix, ordered, source = self._matrix(names, context)
         except (EmptyColumnError, ValueError):
             return super().score_all(candidate_tuples, context)
         index = {name: i for i, name in enumerate(ordered)}
-        results = []
-        for attributes in candidate_tuples:
-            x_name, y_name = attributes
-            if x_name not in index or y_name not in index:
-                continue
-            rho = float(matrix[index[x_name], index[y_name]])
-            results.append(
-                ScoredCandidate(
-                    attributes=attributes,
-                    score=abs(rho),
-                    details={
-                        "correlation": rho,
-                        "method": self.method,
-                        "direction": "positive" if rho >= 0 else "negative",
-                        "source": source,
-                    },
-                )
-            )
-        return results
+        return [
+            self._scored(attributes, float(matrix[index[attributes[0]], index[attributes[1]]]), source)
+            for attributes in candidate_tuples
+            if attributes[0] in index and attributes[1] in index
+        ]
 
     # -- presentation --------------------------------------------------------------
     def visualize(self, insight: Insight, context: EvaluationContext) -> VisualizationSpec:
         x_name, y_name = insight.attributes
-        table = context.table
-        if context.use_sketches and context.store is not None:
-            table = context.store.sample_table()
+        table = context.display_table()
         x = table.numeric_column(x_name)
         y = table.numeric_column(y_name)
         x_values, y_values = pairwise_values(x, y)
@@ -164,13 +151,7 @@ class LinearRelationshipInsight(InsightClass):
         names = context.table.numeric_names()
         if len(names) < 2:
             return None
-        if context.use_sketches and all(
-            context.store.has_column(name) for name in names
-        ):
-            matrix, ordered = context.store.approx_correlation_matrix(names)
-        else:
-            dense, ordered = context.table.numeric_matrix(names)
-            matrix = correlation_stats.correlation_matrix(dense, method=self.method)
+        matrix, ordered, _source = self._matrix(names, context)
         spec = heatmap_spec(matrix, ordered, value_name="correlation",
                             title="Pairwise attribute correlations")
         spec.metadata["insight_class"] = self.name
@@ -186,7 +167,7 @@ class LinearRelationshipInsight(InsightClass):
         )
 
 
-class MonotonicRelationshipInsight(InsightClass):
+class MonotonicRelationshipInsight(KernelScoredInsightClass):
     """Nonlinear but monotonic relationship between two numeric attributes."""
 
     name = "monotonic_relationship"
@@ -206,91 +187,39 @@ class MonotonicRelationshipInsight(InsightClass):
         d = len(table.numeric_names())
         return d * (d - 1) // 2
 
-    def _columns(self, attributes: tuple[str, ...], context: EvaluationContext):
-        table = context.table
-        if context.use_sketches and context.store is not None:
-            table = context.store.sample_table()
-        return (
-            table.numeric_column(attributes[0]),
-            table.numeric_column(attributes[1]),
-        )
-
-    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
-        try:
-            x_column, y_column = self._columns(attributes, context)
-            x, y = pairwise_values(x_column, y_column, minimum=5)
-        except EmptyColumnError:
-            return None
-        relation = monotonic_stats.monotonic_relation(x, y)
-        strength = monotonic_stats.monotonic_strength(x, y)
-        return ScoredCandidate(
-            attributes=attributes,
-            score=float(strength),
-            details={
-                "spearman": relation.spearman,
-                "pearson": relation.pearson,
-                "direction": relation.direction,
-                "nonlinearity_gap": relation.nonlinearity_gap,
-            },
-        )
-
-    def score_all(
-        self, candidate_tuples: Sequence[tuple[str, ...]], context: EvaluationContext
-    ) -> list[ScoredCandidate]:
-        """Batched scoring via one Spearman matrix and one Pearson matrix.
-
-        Rank-transforming every column once and computing two dense
-        correlation matrices is O(d²·m) matrix algebra (m = sample size in
-        approximate mode), instead of O(d²) separate rank correlations.
-        """
-        names = sorted({name for attrs in candidate_tuples for name in attrs})
-        table = context.table
-        if context.use_sketches and context.store is not None:
-            table = context.store.sample_table()
-        try:
-            dense, ordered = table.numeric_matrix(names)
-        except Exception:
-            return super().score_all(candidate_tuples, context)
-        if dense.shape[0] < 5 or np.isnan(dense).any():
-            # Pairwise-complete handling differs per pair; fall back.
-            return super().score_all(candidate_tuples, context)
-        spearman_matrix = correlation_stats.correlation_matrix(dense, method="spearman")
-        pearson_matrix = correlation_stats.correlation_matrix(dense, method="pearson")
-        index = {name: i for i, name in enumerate(ordered)}
+    def score_complete(
+        self, features: TableFeatures, candidate_tuples: Sequence[tuple[str, ...]]
+    ) -> list[ScoredCandidate | None]:
+        """Spearman is Pearson on the standardised ranks: two
+        gather-multiply-reduce passes score every pair of the request."""
+        if features.n_rows < 5:
+            return [None] * len(candidate_tuples)
+        left = features.numeric_rows(attrs[0] for attrs in candidate_tuples)
+        right = features.numeric_rows(attrs[1] for attrs in candidate_tuples)
+        spearman = correlation_stats.pair_correlations(
+            features.rank_standardized, left, right)
+        pearson = correlation_stats.pair_correlations(
+            features.standardized, left, right)
         results = []
-        for attributes in candidate_tuples:
-            x_name, y_name = attributes
-            if x_name not in index or y_name not in index:
-                continue
-            spearman_value = float(spearman_matrix[index[x_name], index[y_name]])
-            pearson_value = float(pearson_matrix[index[x_name], index[y_name]])
-            relation = monotonic_stats.MonotonicRelation(
-                spearman=spearman_value, pearson=pearson_value
-            )
-            if abs(spearman_value) < 1e-12:
-                strength = 0.0
-            else:
-                strength = abs(spearman_value) * (
-                    relation.nonlinearity_gap / abs(spearman_value)
-                )
-            results.append(
-                ScoredCandidate(
-                    attributes=attributes,
-                    score=float(strength),
-                    details={
-                        "spearman": spearman_value,
-                        "pearson": pearson_value,
-                        "direction": relation.direction,
-                        "nonlinearity_gap": relation.nonlinearity_gap,
-                    },
-                )
-            )
+        for attributes, rank_rho, rho in zip(
+                candidate_tuples, spearman.tolist(), pearson.tolist()):
+            relation = monotonic_stats.MonotonicRelation(spearman=rank_rho, pearson=rho)
+            results.append(ScoredCandidate(
+                attributes=attributes,
+                score=relation.strength,
+                details={
+                    "spearman": relation.spearman,
+                    "pearson": relation.pearson,
+                    "direction": relation.direction,
+                    "nonlinearity_gap": relation.nonlinearity_gap,
+                },
+            ))
         return results
 
     def visualize(self, insight: Insight, context: EvaluationContext) -> VisualizationSpec:
         x_name, y_name = insight.attributes
-        x_column, y_column = self._columns(insight.attributes, context)
-        x, y = pairwise_values(x_column, y_column)
+        table = context.display_table()
+        x, y = pairwise_values(table.numeric_column(x_name), table.numeric_column(y_name))
         spec = scatter_spec(x, y, x_name, y_name,
                             title=f"{self.label}: {y_name} vs {x_name}")
         spec.metadata["insight_class"] = self.name
@@ -309,7 +238,7 @@ class MonotonicRelationshipInsight(InsightClass):
         )
 
 
-class DependenceInsight(InsightClass):
+class DependenceInsight(KernelScoredInsightClass):
     """General statistical dependence between attributes of mixed kinds."""
 
     name = "dependence"
@@ -341,40 +270,42 @@ class DependenceInsight(InsightClass):
             for num_name in numeric:
                 yield (cat_name, num_name)
 
-    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
-        first, second = attributes
-        table = context.table
-        if context.use_sketches and context.store is not None:
-            table = context.store.sample_table()
-        try:
-            first_kind = table.column(first).kind
-            second_kind = table.column(second).kind
-            if first_kind.is_categorical and second_kind.is_categorical:
-                value = dependence_stats.cramers_v(
-                    table.categorical_column(first).labels(),
-                    table.categorical_column(second).labels(),
-                )
+    def score_complete(
+        self, features: TableFeatures, candidate_tuples: Sequence[tuple[str, ...]]
+    ) -> list[ScoredCandidate | None]:
+        """Cramér's V from one ``onehot_a @ onehot_b.T`` per categorical
+        pair; η² of *every* numeric column under a categorical one from a
+        single ``onehot @ standardized.T``, computed once per grouping."""
+        table = features.table
+        eta_by_grouping: dict[str, np.ndarray] = {}
+        results: list[ScoredCandidate | None] = []
+        for attributes in candidate_tuples:
+            first, second = attributes
+            first_categorical = table.column(first).kind.is_categorical
+            value: float | None = None
+            if first_categorical and table.column(second).kind.is_categorical:
                 measure = "cramers_v"
+                if features.n_rows >= 1:
+                    value = dependence_stats.cramers_v_of_table(
+                        features.onehot(first) @ features.onehot(second).T)
             else:
-                cat_name, num_name = (first, second) if first_kind.is_categorical else (second, first)
-                value = dependence_stats.correlation_ratio(
-                    table.categorical_column(cat_name).labels(),
-                    table.numeric_column(num_name).values,
-                )
                 measure = "correlation_ratio"
-        except EmptyColumnError:
-            return None
-        return ScoredCandidate(
-            attributes=attributes,
-            score=float(value),
-            details={"measure": measure},
-        )
+                grouping, numeric = (
+                    (first, second) if first_categorical else (second, first))
+                if features.n_rows >= 2:
+                    if grouping not in eta_by_grouping:
+                        eta_by_grouping[grouping] = dependence_stats.scatter_ratio(
+                            *dependence_stats.group_scatter(
+                                features.onehot(grouping), features.standardized))
+                    value = float(
+                        eta_by_grouping[grouping][features.numeric_rows([numeric])[0]])
+            results.append(None if value is None else ScoredCandidate(
+                attributes=attributes, score=value, details={"measure": measure}))
+        return results
 
     def visualize(self, insight: Insight, context: EvaluationContext) -> VisualizationSpec:
         first, second = insight.attributes
-        table = context.table
-        if context.use_sketches and context.store is not None:
-            table = context.store.sample_table()
+        table = context.display_table()
         first_kind = table.column(first).kind
         second_kind = table.column(second).kind
         if first_kind.is_categorical and second_kind.is_categorical:

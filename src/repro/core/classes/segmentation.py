@@ -11,23 +11,26 @@ visualization is a scatter plot coloured by z.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from repro.errors import EmptyColumnError
+import numpy as np
+
 from repro.data.table import DataTable
 from repro.core.insight import (
     EvaluationContext,
     Insight,
-    InsightClass,
+    KernelScoredInsightClass,
     ScoredCandidate,
     pairs,
 )
+from repro.sketch.features import TableFeatures
+from repro.stats import dependence as dependence_stats
 from repro.stats import segmentation as segmentation_stats
 from repro.viz.charts import grouped_scatter_spec
 from repro.viz.spec import VisualizationSpec
 
 
-class SegmentationInsight(InsightClass):
+class SegmentationInsight(KernelScoredInsightClass):
     """(x, y) points that cluster strongly when grouped by a categorical z."""
 
     name = "segmentation"
@@ -61,32 +64,39 @@ class SegmentationInsight(InsightClass):
         d = len(table.numeric_names())
         return (d * (d - 1) // 2) * len(self._grouping_columns(table))
 
-    def _table(self, context: EvaluationContext) -> DataTable:
-        if context.use_sketches and context.store is not None:
-            return context.store.sample_table()
-        return context.table
-
-    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
-        x_name, y_name, z_name = attributes
-        table = self._table(context)
-        try:
-            strength = segmentation_stats.segmentation_strength(
-                table.numeric_column(x_name).values,
-                table.numeric_column(y_name).values,
-                table.categorical_column(z_name).labels(),
-            )
-        except EmptyColumnError:
-            return None
-        n_groups = table.categorical_column(z_name).n_categories()
-        return ScoredCandidate(
-            attributes=attributes,
-            score=float(strength),
-            details={"n_groups": n_groups},
-        )
+    def score_complete(
+        self, features: TableFeatures, candidate_tuples: Sequence[tuple[str, ...]]
+    ) -> list[ScoredCandidate | None]:
+        """One ``onehot_z @ standardized.T`` per grouping column z gives
+        every numeric column's scatter under z; each (x, y | z) is then
+        four gathers and a divide."""
+        if features.n_rows < 4:
+            return [None] * len(candidate_tuples)
+        by_grouping: dict[str, list[int]] = {}
+        for position, attributes in enumerate(candidate_tuples):
+            by_grouping.setdefault(attributes[2], []).append(position)
+        results: list[ScoredCandidate | None] = [None] * len(candidate_tuples)
+        for z_name, positions in by_grouping.items():
+            onehot = features.onehot(z_name)
+            strengths = np.zeros(len(positions))
+            if onehot.shape[0] >= 2:
+                strengths = segmentation_stats.pair_strengths(
+                    *dependence_stats.group_scatter(onehot, features.standardized),
+                    features.numeric_rows(candidate_tuples[p][0] for p in positions),
+                    features.numeric_rows(candidate_tuples[p][1] for p in positions),
+                )
+            n_groups = features.table.categorical_column(z_name).n_categories()
+            for position, strength in zip(positions, strengths.tolist()):
+                results[position] = ScoredCandidate(
+                    attributes=candidate_tuples[position],
+                    score=strength,
+                    details={"n_groups": n_groups},
+                )
+        return results
 
     def visualize(self, insight: Insight, context: EvaluationContext) -> VisualizationSpec:
         x_name, y_name, z_name = insight.attributes
-        table = self._table(context)
+        table = context.display_table()
         spec = grouped_scatter_spec(
             table.numeric_column(x_name).values,
             table.numeric_column(y_name).values,

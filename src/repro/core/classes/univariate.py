@@ -49,6 +49,13 @@ class _UnivariateNumericInsight(InsightClass):
     def _values(self, name: str, context: EvaluationContext) -> np.ndarray:
         return context.table.numeric_column(name).valid_values()
 
+    def _sample_values(self, name: str, context: EvaluationContext) -> np.ndarray:
+        """What a sample-backed metric scores: the store's memoised sample
+        column in sketch mode, the full column in exact mode."""
+        if context.use_sketches:
+            return context.store.sample_features().valid_values(name)
+        return self._values(name, context)
+
     def _safe(self, attributes: tuple[str, ...], compute) -> ScoredCandidate | None:
         try:
             return compute()
@@ -282,18 +289,13 @@ class MultimodalityInsight(_UnivariateNumericInsight):
         name = attributes[0]
 
         def compute() -> ScoredCandidate | None:
-            if context.use_sketches and context.store is not None:
-                sample = context.store.sample_table()
-                values = sample.numeric_column(name).valid_values()
-            else:
-                values = self._values(name, context)
+            values = self._sample_values(name, context)
             if values.size < 5:
                 return None
-            strength = multimodality_stats.multimodality_strength(values)
             modes = multimodality_stats.find_modes(values)
             return ScoredCandidate(
                 attributes=attributes,
-                score=float(strength),
+                score=multimodality_stats.mode_strength(modes),
                 details={
                     "n_modes": len(modes),
                     "mode_locations": [round(m.location, 6) for m in modes[:4]],
@@ -328,18 +330,14 @@ class NormalityInsight(_UnivariateNumericInsight):
         name = attributes[0]
 
         def compute() -> ScoredCandidate | None:
-            if context.use_sketches and context.store is not None:
-                sample = context.store.sample_table()
-                values = sample.numeric_column(name).valid_values()
-            else:
-                values = self._values(name, context)
+            values = self._sample_values(name, context)
             if values.size < 8:
                 return None
             result = normality_stats.normality_test(values)
-            score = normality_stats.non_normality_score(values)
+            score = 1.0 - result.normality_score
             return ScoredCandidate(
                 attributes=attributes,
-                score=float(score),
+                score=score,
                 details={
                     "shape": result.shape_label,
                     "skewness": result.skewness,

@@ -18,15 +18,6 @@ exist:
   calls that release the GIL, and every work item reads shared,
   immutable table/sketch state that would be expensive to pickle.
 
-A third backend, :class:`ProcessExecutor`
-(``ExecutorConfig(backend="process")``), exists for the workloads where
-the GIL *does* bind — pure-Python scoring functions, CPU-bound
-replication replay in tests.  It keeps the same order-preserving,
-first-exception contract, and degrades gracefully: work that cannot be
-pickled (closures over engines, lambdas) runs inline on the calling
-thread instead of failing, with the fallback counted on
-``ProcessExecutor.pickle_fallbacks``.
-
 Determinism is a hard requirement, not an aspiration: ``Executor.map``
 always returns results **in submission order**, and callers only submit
 work whose items are evaluated independently of each other (see
@@ -44,9 +35,8 @@ from __future__ import annotations
 
 import abc
 import os
-import pickle
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -96,18 +86,11 @@ class ExecutorConfig:
     thread_name_prefix:
         Prefix for worker thread names (visible in profilers and
         stack dumps).
-    backend:
-        ``"thread"`` (the default) or ``"process"``.  Threads suit the
-        numpy-heavy, GIL-releasing workloads; processes suit pure-Python
-        CPU-bound work whose functions and items pickle cleanly.  With
-        ``max_workers == 1`` either backend resolves to the serial
-        executor.
     """
 
     max_workers: int = field(default_factory=default_max_workers)
     min_chunk_size: int = 4
     thread_name_prefix: str = "repro-exec"
-    backend: str = "thread"
 
     def __post_init__(self) -> None:
         if self.max_workers < 1:
@@ -117,10 +100,6 @@ class ExecutorConfig:
         if self.min_chunk_size < 1:
             raise ValueError(
                 f"min_chunk_size must be >= 1, got {self.min_chunk_size}"
-            )
-        if self.backend not in ("thread", "process"):
-            raise ValueError(
-                f'backend must be "thread" or "process", got {self.backend!r}'
             )
 
 
@@ -251,94 +230,11 @@ class ParallelExecutor(Executor):
         return f"ParallelExecutor(max_workers={self.max_workers}, {state})"
 
 
-class ProcessExecutor(Executor):
-    """Fans picklable work out over a lazily created process pool.
-
-    The contract is the same as every executor's — results in submission
-    order, first worker exception propagates — but workers are separate
-    interpreters, so ``fn`` and the items must pickle.  Much of this
-    codebase's hot state deliberately does *not* pickle (engines close
-    over tables, sketches hold locks); rather than make those callers
-    crash, unpicklable work runs inline on the calling thread and the
-    miss is counted on :attr:`pickle_fallbacks` — an observable
-    degradation, not a silent one.  The pickle probe covers ``fn`` and
-    the items, which in practice covers the results too (this codebase's
-    work functions return data of the same shape they consume).
-    """
-
-    def __init__(self, config: ExecutorConfig | None = None):
-        self.config = config or ExecutorConfig(max_workers=2,
-                                               backend="process")
-        if self.config.max_workers < 2:
-            raise ValueError(
-                "ProcessExecutor needs max_workers >= 2; "
-                "use SerialExecutor (or create_executor) for serial runs"
-            )
-        self.max_workers = self.config.max_workers
-        #: Times map()/submit() ran inline because the work didn't pickle.
-        self.pickle_fallbacks = 0
-        self._pool: ProcessPoolExecutor | None = None
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("executor is closed")
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers
-                )
-            return self._pool
-
-    def _picklable(self, *objects) -> bool:
-        try:
-            for obj in objects:
-                pickle.dumps(obj)
-        except Exception:  # noqa: BLE001 - any pickle failure means inline
-            with self._lock:
-                self.pickle_fallbacks += 1
-            return False
-        return True
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        items = list(items)
-        if self._closed:
-            raise RuntimeError("executor is closed")
-        if len(items) <= 1:
-            # Same single-item shortcut as the thread pool: a process
-            # hop costs far more than it could save.
-            return [fn(item) for item in items]
-        if not self._picklable(fn, items):
-            return [fn(item) for item in items]
-        pool = self._ensure_pool()
-        return list(pool.map(fn, items))
-
-    def submit(self, fn: Callable[..., R], *args) -> "Future[R]":
-        if not self._closed and self._picklable(fn, args):
-            return self._ensure_pool().submit(fn, *args)
-        return super().submit(fn, *args)
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "closed" if self._closed else "open"
-        return (f"ProcessExecutor(max_workers={self.max_workers}, {state}, "
-                f"pickle_fallbacks={self.pickle_fallbacks})")
-
-
 def create_executor(config: ExecutorConfig | None = None) -> Executor:
     """Build the executor selected by ``config`` (serial for 1 worker)."""
     config = config or ExecutorConfig()
     if config.max_workers <= 1:
         return SerialExecutor(config)
-    if config.backend == "process":
-        return ProcessExecutor(config)
     return ParallelExecutor(config)
 
 
@@ -376,7 +272,6 @@ __all__ = [
     "ExecutorConfig",
     "MAX_WORKERS_ENV",
     "ParallelExecutor",
-    "ProcessExecutor",
     "SerialExecutor",
     "create_executor",
     "default_max_workers",

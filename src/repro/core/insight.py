@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
 from repro.data.table import DataTable
+from repro.sketch.features import TableFeatures
 from repro.sketch.store import SketchStore
 from repro.viz.spec import VisualizationSpec
 
@@ -56,6 +57,19 @@ class EvaluationContext:
     @property
     def use_sketches(self) -> bool:
         return self.mode == MODE_APPROXIMATE and self.store is not None
+
+    def display_table(self) -> DataTable:
+        """The rows a visualization draws: the store's sample in sketch mode."""
+        return self.store.sample_table() if self.use_sketches else self.table
+
+    def features(self) -> TableFeatures:
+        """The arrays the whole-class kernels score on: the store's row
+        sample, derived once per store, in sketch mode; the full table,
+        derived for this call, in exact mode — so exact scoring grows with
+        the rows and sketch scoring does not."""
+        if self.use_sketches:
+            return self.store.sample_features()
+        return TableFeatures(self.table)
 
     def exact(self) -> "EvaluationContext":
         """A copy of this context forced to exact evaluation."""
@@ -242,6 +256,48 @@ class InsightClass(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<InsightClass {self.name!r} metric={self.metric_name!r}>"
+
+
+class KernelScoredInsightClass(InsightClass):
+    """An insight class that scores a whole request with array kernels.
+
+    Subclasses implement :meth:`score_complete`: gather indices, call the
+    :mod:`repro.stats` kernel, package.  Both modes run it, on
+    :meth:`EvaluationContext.features`.  A tuple touching a column with
+    missing entries is scored by the same method, alone, on the features
+    of its own complete rows — the pairwise-complete value.
+    """
+
+    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
+        scored = self.score_all([attributes], context)
+        return scored[0] if scored else None
+
+    def score_all(
+        self, candidate_tuples: Sequence[tuple[str, ...]], context: EvaluationContext
+    ) -> list[ScoredCandidate]:
+        features = context.features()
+        complete = [features.complete.issuperset(attrs) for attrs in candidate_tuples]
+        batch = iter(self.score_complete(
+            features, [attrs for attrs, ok in zip(candidate_tuples, complete) if ok]
+        ))
+        results = []
+        for attributes, ok in zip(candidate_tuples, complete):
+            scored = next(batch) if ok else self.score_complete(
+                features.on_complete_rows(attributes), [attributes]
+            )[0]
+            if scored is not None:
+                results.append(scored)
+        return results
+
+    @abc.abstractmethod
+    def score_complete(
+        self, features: TableFeatures, candidate_tuples: Sequence[tuple[str, ...]]
+    ) -> list[ScoredCandidate | None]:
+        """One result per tuple (None where the metric is undefined), given
+        that no column the tuples name has a missing entry in ``features``.
+        Must honour the :meth:`InsightClass.score_all` contract: a tuple's
+        value comes from its own columns, or from products whose shape the
+        table fixes, never from "the columns of this batch"."""
 
 
 def pairs(names: Sequence[str]) -> Iterator[tuple[str, str]]:

@@ -532,6 +532,7 @@ class DatasetJournal:
         stale_paths += [path for v, path in snapshots if v != version]
         snapshot = self._read_snapshot(name, version)
         snapshot_seq = int(snapshot["seq"]) if snapshot is not None else 0
+        snapshot_built = bool(snapshot and snapshot.get("engine_built"))
         #: The generation HAS a snapshot file but it is unreadable: the
         #: compacted rows are lost, so every surviving record is
         #: unanchored — and pretending the generation starts at seq 0
@@ -590,7 +591,11 @@ class DatasetJournal:
                     expected_seq = seq
                     records.append(record)
                 elif kind == RECORD_BUILD:
-                    if int(record.get("seq", -1)) > snapshot_seq:
+                    # A marker at the snapshot's own seq is news only if
+                    # the snapshot was taken before the engine was built.
+                    seq = int(record.get("seq", -1))
+                    if seq > snapshot_seq or (
+                            seq == snapshot_seq and not snapshot_built):
                         records.append(record)
                 else:
                     continue  # unknown record types are skipped, not fatal
@@ -1169,8 +1174,8 @@ def fold_record(log: IngestLog, record: dict[str, Any]) -> None:
         if applied == APPLIED_DELTA_MERGE and log.base_rows <= 0:
             # A delta merge needs a built store, yet this log has
             # accounted no build: the engine was cold-built over the
-            # pre-append rows with no marker folded (a build at seq 0 is
-            # not journalled).
+            # pre-append rows and its marker is not here (a journal
+            # written before seq-0 builds were journalled).
             log.mark_rebuilt(total_rows - n_rows)
         log.append(n_rows, applied, total_rows)
     elif kind == RECORD_BUILD:
@@ -1245,7 +1250,8 @@ class ReplayMachine:
             applied = record["applied"]
             if applied == APPLIED_DELTA_MERGE:
                 if engine is None:
-                    # Cold-built at seq 0 live (no marker needed):
+                    # Cold-built live with no marker in this journal
+                    # (one written before seq-0 builds were journalled):
                     # rebuild it over the same pre-append rows.
                     engine = self.make_engine(table)
                     builds = 1

@@ -455,15 +455,13 @@ class Workspace:
         self,
         entry: _DatasetEntry,
         record: dict[str, Any],
-        durable: bool = True,
         batch: DeltaBatch | None = None,
         fresh: Foresight | None = None,
     ) -> CommitTicket | None:
         """Stage → journal → commit one decided record (entry lock held).
 
         Write-ahead: the record commits to the durable journal (if there
-        is one, and unless the caller says this record needs none)
-        between the side-effect-free stage and the in-memory commit.  A
+        is one) between the side-effect-free stage and the in-memory commit.  A
         stage or journal write that raises fails the operation whole —
         the caller sees the error and the serving state is untouched.
         Under group commit the write happens here (so records hit the
@@ -476,7 +474,7 @@ class Workspace:
         machine = self._machine(entry)
         staged = machine.stage(record, batch=batch, fresh=fresh)
         ticket = None
-        if durable and self._journal is not None:
+        if self._journal is not None:
             # An ambient child (or no-op outside any trace), never a root.
             with obs_span("journal.append") as journal_span:
                 if "n_rows" in record:
@@ -1662,15 +1660,11 @@ class Workspace:
                 with obs_span("engine.build") as build_span:
                     build_span.set_attribute("rows", table.n_rows)
                     fresh = self._make_engine(entry)(table)
-                # Journalled only past seq 0: the marker says where the
-                # build froze the deferred appends, so replay builds at
-                # the same point in the row stream.  (At seq 0 the build
-                # is over the base table alone and replay's lazy build
-                # is already identical.)
-                ticket = self._transition_locked(
-                    entry, record, durable=entry.ingest.seq > 0,
-                    fresh=fresh,
-                )
+                # The marker says where the build froze the deferred
+                # appends, so replay builds at the same point in the row
+                # stream — at seq 0 too, where it is what tells a restart
+                # and a replica the budget's ``base_rows``.
+                ticket = self._transition_locked(entry, record, fresh=fresh)
                 self._account_entry(entry)
             result = entry.engine, entry.version, entry.ingest.seq
         return result, built, ticket

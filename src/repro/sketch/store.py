@@ -34,6 +34,7 @@ from repro.data.column import CategoricalColumn, Column
 from repro.data.table import DataTable
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.entropy import EntropySketch
+from repro.sketch.features import TableFeatures
 from repro.sketch.frequent import MisraGriesSketch
 from repro.sketch.hyperplane import HyperplaneSketch, HyperplaneSketcher, suggest_width
 from repro.sketch.moments import MomentSketch
@@ -188,8 +189,12 @@ class SketchStore:
     to a serial one.
     """
 
-    #: The row sample as a table, taken on first use (see ``sample_table``).
+    #: The row sample as a table, and the kernel inputs derived from it:
+    #: each taken on first use, once per store — a store is one published
+    #: snapshot, and an append publishes a new one (``from_parts``) that
+    #: derives its own.  Never journalled or snapshotted.
     _sample: DataTable | None = None
+    _features: TableFeatures | None = None
 
     def __init__(
         self,
@@ -368,6 +373,12 @@ class SketchStore:
             )
         return self._sample
 
+    def sample_features(self) -> TableFeatures:
+        """The row sample as per-column arrays for the scoring kernels."""
+        if self._features is None:
+            self._features = TableFeatures(self.sample_table())
+        return self._features
+
     def memory_bytes(self) -> int:
         return self._stats.total_sketch_bytes
 
@@ -462,8 +473,7 @@ class SketchStore:
         if std == 0.0 or np.isnan(std):
             return 0.0
         low, high = q1 - whisker_k * iqr, q3 + whisker_k * iqr
-        sample_column = self.sample_table().numeric_column(name)
-        sample = sample_column.valid_values()
+        sample = self.sample_features().valid_values(name)
         if sample.size == 0:
             return 0.0
         outliers = sample[(sample < low) | (sample > high)]

@@ -32,36 +32,64 @@ def _pair(x: np.ndarray, y: np.ndarray, minimum: int = 2) -> tuple[np.ndarray, n
     return x, y
 
 
+def standardize(rows: np.ndarray) -> np.ndarray:
+    """Each row of a (d, n) matrix to zero mean and unit population
+    variance; a constant row (no relationship with anything) becomes zeros."""
+    rows = np.asarray(rows, dtype=np.float64)
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    sigma = rows.std(axis=1, keepdims=True)
+    return np.where(sigma > 0.0, centered / np.where(sigma > 0.0, sigma, 1.0), 0.0)
+
+
+#: Elements per gathered block in :func:`pair_correlations` (bounds the
+#: temporaries when an exact-mode table has millions of rows).
+_PAIR_BLOCK = 1 << 22
+
+
+def pair_correlations(
+    standardized: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Correlation of rows ``left[k]`` and ``right[k]`` of a standardised
+    (d, n) matrix, for every k.
+
+    Gather, multiply, reduce along the contiguous axis: each value comes
+    from its own two rows only, so it does not depend on which other pairs
+    are asked for.  On standardised ranks this is Spearman.
+    """
+    left = np.asarray(left, dtype=np.intp)
+    right = np.asarray(right, dtype=np.intp)
+    n = standardized.shape[1]
+    out = np.empty(left.size, dtype=np.float64)
+    step = max(1, _PAIR_BLOCK // max(n, 1))
+    for start in range(0, left.size, step):
+        block = slice(start, start + step)
+        out[block] = (standardized[left[block]] * standardized[right[block]]).sum(axis=1)
+    return np.clip(out / n, -1.0, 1.0)
+
+
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
     """Pearson correlation coefficient ρ(x, y); 0.0 if either side is constant."""
     x, y = _pair(x, y)
-    sx = np.std(x)
-    sy = np.std(y)
-    if sx == 0.0 or sy == 0.0:
-        return 0.0
-    return float(np.mean((x - np.mean(x)) * (y - np.mean(y))) / (sx * sy))
+    return float(pair_correlations(standardize(np.stack([x, y])), [0], [1])[0])
 
 
-def _ranks(values: np.ndarray) -> np.ndarray:
+def average_ranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (ties share the mean of the tied positions)."""
+    values = np.asarray(values, dtype=np.float64)
+    n = values.size
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size, dtype=np.float64)
-    sorted_values = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        average_rank = 0.5 * (i + j) + 1.0
-        ranks[order[i: j + 1]] = average_rank
-        i = j + 1
+    ordered = values[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    last = np.concatenate((first[1:], [n]))  # one past each tie group
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last - 1) + 1.0, last - first)
     return ranks
 
 
 def spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rank correlation coefficient (Pearson on average ranks)."""
     x, y = _pair(x, y)
-    return pearson(_ranks(x), _ranks(y))
+    return pearson(average_ranks(x), average_ranks(y))
 
 
 def kendall_tau(x: np.ndarray, y: np.ndarray) -> float:
@@ -120,44 +148,26 @@ def correlation_matrix(
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
-    d = matrix.shape[1]
+    if method not in ("pearson", "spearman"):
+        raise ValueError(f"unknown correlation method {method!r}")
+    n, d = matrix.shape
     if not np.isnan(matrix).any():
-        return _dense_correlation(matrix, method)
+        rows = matrix.T
+        if method == "spearman":
+            rows = np.array([average_ranks(row) for row in rows]).reshape(d, n)
+        normalised = standardize(rows)
+        corr = normalised @ normalised.T / max(n, 1)
+        np.fill_diagonal(corr, 1.0)
+        return np.clip(corr, -1.0, 1.0)
+    pair = pearson if method == "pearson" else spearman
     out = np.eye(d)
     for i in range(d):
         for j in range(i + 1, d):
             try:
-                if method == "pearson":
-                    value = pearson(matrix[:, i], matrix[:, j])
-                elif method == "spearman":
-                    value = spearman(matrix[:, i], matrix[:, j])
-                else:
-                    raise ValueError(f"unknown correlation method {method!r}")
+                out[i, j] = out[j, i] = pair(matrix[:, i], matrix[:, j])
             except EmptyColumnError:
-                value = 0.0
-            out[i, j] = out[j, i] = value
+                pass  # too few complete pairs: no evidence of a relationship
     return out
-
-
-def _dense_correlation(matrix: np.ndarray, method: str) -> np.ndarray:
-    if method == "spearman":
-        matrix = np.column_stack([_ranks(matrix[:, j]) for j in range(matrix.shape[1])])
-    elif method != "pearson":
-        raise ValueError(f"unknown correlation method {method!r}")
-    d = matrix.shape[1]
-    stds = matrix.std(axis=0)
-    constant = stds == 0.0
-    safe = matrix.copy()
-    # A constant column has no linear relationship with anything; force its
-    # correlations to zero rather than dividing by zero.
-    centered = safe - safe.mean(axis=0)
-    stds_safe = np.where(constant, 1.0, stds)
-    normalised = centered / stds_safe
-    corr = normalised.T @ normalised / matrix.shape[0]
-    corr[constant, :] = 0.0
-    corr[:, constant] = 0.0
-    np.fill_diagonal(corr, 1.0)
-    return np.clip(corr, -1.0, 1.0)
 
 
 def top_correlated_pairs(

@@ -8,6 +8,10 @@ correlation:
 * normalised mutual information (symmetric uncertainty);
 * Cramér's V from the chi-square statistic of a contingency table;
 * the correlation ratio η² between a categorical and a numeric column.
+
+Each statistic is one array kernel over integer codes and one-hot blocks
+(:func:`one_hot`, :func:`group_scatter`, :func:`cramers_v_of_table`); the
+label-sequence functions :func:`factorize` their input and call it.
 """
 
 from __future__ import annotations
@@ -18,27 +22,39 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import EmptyColumnError
+from repro.stats.correlation import standardize
+
+
+def factorize(labels: Sequence[object]) -> tuple[np.ndarray, np.ndarray]:
+    """Integer codes (-1 where the label is None) into the sorted distinct
+    ``str`` levels of a label sequence, and those levels."""
+    raw = np.asarray(labels, dtype=object)
+    present = raw != None  # noqa: E711 - elementwise on an object array
+    levels, inverse = np.unique(raw[present].astype(str), return_inverse=True)
+    codes = np.full(raw.size, -1, dtype=np.int64)
+    codes[present] = inverse
+    return codes, levels
+
+
+def one_hot(codes: np.ndarray) -> np.ndarray:
+    """The (levels present, n) 0/1 block of a code array, one row per
+    distinct code in ascending order."""
+    levels, inverse = np.unique(codes, return_inverse=True)
+    block = np.zeros((levels.size, inverse.size), dtype=np.float64)
+    block[inverse, np.arange(inverse.size)] = 1.0
+    return block
 
 
 def contingency_table(x_labels: Sequence[object], y_labels: Sequence[object]) -> np.ndarray:
-    """Joint count table of two label sequences (missing rows dropped)."""
+    """Joint count table of two label sequences (missing rows dropped);
+    rows and columns follow the sorted levels present."""
     if len(x_labels) != len(y_labels):
         raise ValueError("label sequences must have equal length")
-    pairs = [
-        (str(a), str(b))
-        for a, b in zip(x_labels, y_labels)
-        if a is not None and b is not None
-    ]
-    if not pairs:
+    x_codes, y_codes = factorize(x_labels)[0], factorize(y_labels)[0]
+    keep = (x_codes >= 0) & (y_codes >= 0)
+    if not keep.any():
         raise EmptyColumnError("no complete label pairs")
-    x_levels = sorted({a for a, _ in pairs})
-    y_levels = sorted({b for _, b in pairs})
-    x_index = {label: i for i, label in enumerate(x_levels)}
-    y_index = {label: j for j, label in enumerate(y_levels)}
-    table = np.zeros((len(x_levels), len(y_levels)), dtype=np.float64)
-    for a, b in pairs:
-        table[x_index[a], y_index[b]] += 1.0
-    return table
+    return one_hot(x_codes[keep]) @ one_hot(y_codes[keep]).T
 
 
 def chi_square(table: np.ndarray) -> float:
@@ -55,15 +71,19 @@ def chi_square(table: np.ndarray) -> float:
     return float(terms.sum())
 
 
-def cramers_v(x_labels: Sequence[object], y_labels: Sequence[object]) -> float:
-    """Cramér's V in [0, 1]; 0 = independent, 1 = perfectly associated."""
-    table = contingency_table(x_labels, y_labels)
+def cramers_v_of_table(table: np.ndarray) -> float:
+    """Cramér's V of a contingency table with no empty row or column
+    (``one_hot_a @ one_hot_b.T``); 0.0 when either side has one level."""
     n = table.sum()
-    r, c = table.shape
-    k = min(r - 1, c - 1)
+    k = min(table.shape) - 1
     if k <= 0 or n == 0:
         return 0.0
     return float(math.sqrt(chi_square(table) / (n * k)))
+
+
+def cramers_v(x_labels: Sequence[object], y_labels: Sequence[object]) -> float:
+    """Cramér's V in [0, 1]; 0 = independent, 1 = perfectly associated."""
+    return cramers_v_of_table(contingency_table(x_labels, y_labels))
 
 
 def mutual_information(
@@ -71,18 +91,11 @@ def mutual_information(
 ) -> float:
     """Mutual information I(X; Y) of two label sequences (in bits by default)."""
     table = contingency_table(x_labels, y_labels)
-    n = table.sum()
-    joint = table / n
-    px = joint.sum(axis=1, keepdims=True)
-    py = joint.sum(axis=0, keepdims=True)
-    mi = 0.0
-    rows, cols = joint.shape
-    for i in range(rows):
-        for j in range(cols):
-            p = joint[i, j]
-            if p > 0:
-                mi += p * math.log(p / (px[i, 0] * py[0, j]), base)
-    return max(mi, 0.0)
+    joint = table / table.sum()
+    independent = joint.sum(axis=1, keepdims=True) @ joint.sum(axis=0, keepdims=True)
+    seen = joint > 0
+    mi = float(np.sum(joint[seen] * np.log(joint[seen] / independent[seen])))
+    return max(mi / math.log(base), 0.0)
 
 
 def symmetric_uncertainty(
@@ -107,22 +120,17 @@ def discretize(values: np.ndarray, bins: int = 10) -> list[str | None]:
     missing values (NaN) map to None.
     """
     values = np.asarray(values, dtype=np.float64)
-    finite = values[~np.isnan(values)]
-    if finite.size == 0:
+    missing = np.isnan(values)
+    if missing.all():
         raise EmptyColumnError("no non-missing values to discretise")
-    low, high = float(finite.min()), float(finite.max())
-    if low == high:
-        return [None if math.isnan(v) else "bin0" for v in values]
-    edges = np.linspace(low, high, bins + 1)
-    labels: list[str | None] = []
-    for value in values:
-        if math.isnan(value):
-            labels.append(None)
-            continue
-        index = int(np.searchsorted(edges, value, side="right")) - 1
-        index = min(max(index, 0), bins - 1)
-        labels.append(f"bin{index}")
-    return labels
+    low, high = float(values[~missing].min()), float(values[~missing].max())
+    index = np.zeros(values.size, dtype=np.int64)
+    if low != high:
+        edges = np.linspace(low, high, bins + 1)
+        index = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, bins - 1)
+    labels = np.char.add("bin", index.astype(str)).astype(object)
+    labels[missing] = None
+    return labels.tolist()
 
 
 def numeric_mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 10) -> float:
@@ -135,6 +143,30 @@ def numeric_mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 10) -> 
     return mutual_information(discretize(x[keep], bins), discretize(y[keep], bins))
 
 
+def group_scatter(
+    onehot: np.ndarray, standardized: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Between-group and total sums of squares of every row of a
+    standardised (d, n) matrix under the grouping ``onehot`` (levels, n).
+
+    One ``onehot @ standardized.T`` gives every column's group sums; a
+    standardised row has mean 0, so its between-group scatter is
+    Σ_g (group sum)² / n_g and its total is Σ z² (0 for a constant row).
+    The product's shape is fixed by the table, not by which columns a
+    caller goes on to read.
+    """
+    sums = onehot @ standardized.T
+    between = (sums * sums / onehot.sum(axis=1, keepdims=True)).sum(axis=0)
+    total = (standardized * standardized).sum(axis=1)
+    return between, total
+
+
+def scatter_ratio(between: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """``between / total`` clipped to [0, 1]; 0 where there is no scatter."""
+    safe = np.where(total > 0.0, total, 1.0)
+    return np.where(total > 0.0, np.clip(between / safe, 0.0, 1.0), 0.0)
+
+
 def correlation_ratio(labels: Sequence[object], values: Iterable[float]) -> float:
     """Correlation ratio η² between a categorical and a numeric column.
 
@@ -143,26 +175,13 @@ def correlation_ratio(labels: Sequence[object], values: Iterable[float]) -> floa
     categorical.
     """
     values = np.asarray(list(values), dtype=np.float64)
-    labels = list(labels)
-    if len(labels) != values.size:
+    codes = factorize(labels)[0]
+    if codes.size != values.size:
         raise ValueError("labels and values must have equal length")
-    keep = [
-        i
-        for i in range(values.size)
-        if labels[i] is not None and not math.isnan(values[i])
-    ]
-    if len(keep) < 2:
+    keep = (codes >= 0) & ~np.isnan(values)
+    if int(keep.sum()) < 2:
         raise EmptyColumnError("need at least 2 complete pairs")
-    x = values[keep]
-    groups: dict[str, list[float]] = {}
-    for i in keep:
-        groups.setdefault(str(labels[i]), []).append(float(values[i]))
-    overall_mean = float(np.mean(x))
-    total_ss = float(np.sum((x - overall_mean) ** 2))
-    if total_ss == 0.0:
-        return 0.0
-    between_ss = sum(
-        len(members) * (float(np.mean(members)) - overall_mean) ** 2
-        for members in groups.values()
+    between, total = group_scatter(
+        one_hot(codes[keep]), standardize(values[keep][None, :])
     )
-    return float(min(max(between_ss / total_ss, 0.0), 1.0))
+    return float(scatter_ratio(between, total)[0])

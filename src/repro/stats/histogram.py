@@ -12,17 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import EmptyColumnError
-
-
-def _clean(values: np.ndarray, minimum: int = 1) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    values = values[~np.isnan(values)]
-    if values.size < minimum:
-        raise EmptyColumnError(
-            f"need at least {minimum} non-missing values, got {values.size}"
-        )
-    return values
+from repro.stats.moments import _clean
 
 
 def sturges_bins(values: np.ndarray) -> int:

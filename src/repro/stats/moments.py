@@ -227,6 +227,8 @@ class RunningMoments:
 # ---------------------------------------------------------------------------
 
 def _clean(values: np.ndarray, minimum: int = 1) -> np.ndarray:
+    """The non-NaN values as float64 (shared by the whole package); raises
+    when fewer than ``minimum`` remain."""
     values = np.asarray(values, dtype=np.float64)
     values = values[~np.isnan(values)]
     if values.size < minimum:

@@ -33,6 +33,20 @@ class MonotonicRelation:
         return max(abs(self.spearman) - abs(self.pearson), 0.0)
 
     @property
+    def strength(self) -> float:
+        """The Nonlinear-Monotonic-Relationship ranking metric.
+
+        |Spearman| weighted by how much it exceeds |Pearson|, so pairs that
+        a linear-correlation ranking would miss rank high here, while pairs
+        that are already strongly linear score near 0 (they belong to the
+        Linear-Relationship insight instead).
+        """
+        magnitude = abs(self.spearman)
+        if magnitude < 1e-12:
+            return 0.0
+        return float(magnitude * (self.nonlinearity_gap / magnitude))
+
+    @property
     def direction(self) -> str:
         if self.spearman > 0:
             return "increasing"
@@ -47,18 +61,8 @@ def monotonic_relation(x: np.ndarray, y: np.ndarray) -> MonotonicRelation:
 
 
 def monotonic_strength(x: np.ndarray, y: np.ndarray) -> float:
-    """Ranking metric for the Nonlinear-Monotonic-Relationship insight.
-
-    Returns |Spearman| weighted by how much it exceeds |Pearson|, so pairs
-    that a linear-correlation ranking would miss rank high here, while pairs
-    that are already strongly linear score near 0 (they belong to the
-    Linear-Relationship insight instead).
-    """
-    relation = monotonic_relation(x, y)
-    if abs(relation.spearman) < 1e-12:
-        return 0.0
-    gap_weight = relation.nonlinearity_gap / abs(relation.spearman)
-    return float(abs(relation.spearman) * gap_weight)
+    """:attr:`MonotonicRelation.strength` of the pair (x, y)."""
+    return monotonic_relation(x, y).strength
 
 
 def monotonicity_score(x: np.ndarray, y: np.ndarray) -> float:

@@ -16,18 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import EmptyColumnError
 from repro.stats.histogram import histogram_counts
-
-
-def _clean(values: np.ndarray, minimum: int = 5) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    values = values[~np.isnan(values)]
-    if values.size < minimum:
-        raise EmptyColumnError(
-            f"need at least {minimum} non-missing values, got {values.size}"
-        )
-    return values
+from repro.stats.moments import _clean
 
 
 @dataclass(frozen=True)
@@ -57,22 +47,20 @@ def find_modes(
     ``min_relative_height`` times the height of the tallest mode, which
     filters sampling noise.
     """
-    x = _clean(values)
+    x = _clean(values, 5)
     if np.unique(x).size == 1:
         return [ModeInfo(location=float(x[0]), height=1.0)]
     counts, edges = histogram_counts(x, bins=bins)
     smoothed = _smooth(counts)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    peaks: list[ModeInfo] = []
-    for i in range(smoothed.size):
-        left = smoothed[i - 1] if i > 0 else -np.inf
-        right = smoothed[i + 1] if i < smoothed.size - 1 else -np.inf
-        if smoothed[i] > left and smoothed[i] >= right and smoothed[i] > 0:
-            peaks.append(ModeInfo(location=float(centers[i]), height=float(smoothed[i])))
-    if not peaks:
+    left = np.concatenate(([-np.inf], smoothed[:-1]))
+    right = np.concatenate((smoothed[1:], [-np.inf]))
+    found = np.flatnonzero((smoothed > left) & (smoothed >= right) & (smoothed > 0))
+    if found.size == 0:
         # Completely flat histogram: report the global maximum bin.
-        i = int(np.argmax(smoothed))
-        peaks = [ModeInfo(location=float(centers[i]), height=float(smoothed[i]))]
+        found = np.array([int(np.argmax(smoothed))])
+    peaks = [ModeInfo(location=float(centers[i]), height=float(smoothed[i]))
+             for i in found]
     tallest = max(peak.height for peak in peaks)
     peaks = [p for p in peaks if p.height >= min_relative_height * tallest]
     peaks.sort(key=lambda p: -p.height)
@@ -86,7 +74,7 @@ def mode_count(values: np.ndarray, bins: int | None = None) -> int:
 
 def bimodality_coefficient(values: np.ndarray) -> float:
     """Sarle's bimodality coefficient in (0, 1]; > 0.555 suggests bimodality."""
-    x = _clean(values)
+    x = _clean(values, 5)
     n = x.size
     sigma = np.std(x)
     if sigma == 0.0:
@@ -100,18 +88,23 @@ def bimodality_coefficient(values: np.ndarray) -> float:
     return float((skew**2 + 1.0) / denominator)
 
 
-def multimodality_strength(values: np.ndarray, bins: int | None = None) -> float:
-    """The Multimodality insight ranking metric, in [0, 1].
+def mode_strength(modes: list[ModeInfo]) -> float:
+    """The Multimodality insight ranking metric of :func:`find_modes`'
+    answer, in [0, 1].
 
     0 for unimodal columns.  For multimodal columns the score is the
     relative prominence of the second-highest mode (its height divided by
     the primary mode's height), scaled by how many extra modes exist, so
     clean bimodal mixtures with comparable masses score near 1.
     """
-    modes = find_modes(values, bins=bins)
     if len(modes) < 2:
         return 0.0
     primary, secondary = modes[0], modes[1]
     prominence = secondary.height / primary.height if primary.height > 0 else 0.0
     extra_modes_bonus = min(len(modes) - 1, 3) / 3.0
     return float(min(1.0, 0.7 * prominence + 0.3 * extra_modes_bonus))
+
+
+def multimodality_strength(values: np.ndarray, bins: int | None = None) -> float:
+    """:func:`mode_strength` of the column's modes."""
+    return mode_strength(find_modes(values, bins=bins))

@@ -15,17 +15,7 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.errors import EmptyColumnError
-
-
-def _clean(values: np.ndarray, minimum: int = 3) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
-    values = values[~np.isnan(values)]
-    if values.size < minimum:
-        raise EmptyColumnError(
-            f"need at least {minimum} non-missing values, got {values.size}"
-        )
-    return values
+from repro.stats.moments import _clean
 
 
 @dataclass(frozen=True)
@@ -121,7 +111,7 @@ def detect_outliers(
     **detector_kwargs,
 ) -> OutlierResult:
     """Run a detector and return the outlier indices and values."""
-    x = _clean(values)
+    x = _clean(values, 3)
     if isinstance(detector, str):
         detector = get_detector(detector, **detector_kwargs)
     mask = np.asarray(detector(x), dtype=bool)
@@ -144,7 +134,7 @@ def average_standardized_distance(
     standard deviations.  Columns with no detected outliers (or zero
     standard deviation) score 0.0.
     """
-    x = _clean(values)
+    x = _clean(values, 3)
     result = detect_outliers(x, detector, **detector_kwargs)
     if result.count == 0:
         return 0.0
@@ -160,7 +150,7 @@ def outlier_strength(
     **detector_kwargs,
 ) -> tuple[float, OutlierResult]:
     """Metric and detection result together (used by the insight class)."""
-    x = _clean(values)
+    x = _clean(values, 3)
     result = detect_outliers(x, detector, **detector_kwargs)
     sigma = np.std(x)
     if result.count == 0 or sigma == 0.0:

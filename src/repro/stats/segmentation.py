@@ -20,29 +20,27 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import EmptyColumnError
+from repro.stats.correlation import standardize
+from repro.stats.dependence import factorize, group_scatter, one_hot, scatter_ratio
 
 
-def _group_values(
+def _grouped(
     values: np.ndarray, labels: Sequence[object], minimum_per_group: int = 2
-) -> dict[str, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The usable values and their dense group index (0..k-1), over the
+    groups that keep at least ``minimum_per_group`` members."""
     values = np.asarray(values, dtype=np.float64)
-    if len(labels) != values.size:
+    codes, levels = factorize(labels)
+    if codes.size != values.size:
         raise ValueError("labels and values must have equal length")
-    groups: dict[str, list[float]] = {}
-    for value, label in zip(values, labels):
-        if label is None or np.isnan(value):
-            continue
-        groups.setdefault(str(label), []).append(float(value))
-    out = {
-        label: np.asarray(members, dtype=np.float64)
-        for label, members in groups.items()
-        if len(members) >= minimum_per_group
-    }
-    if len(out) < 2:
+    keep = (codes >= 0) & ~np.isnan(values)
+    sizes = np.bincount(codes[keep], minlength=levels.size)
+    keep[keep] = sizes[codes[keep]] >= minimum_per_group
+    if int((sizes >= minimum_per_group).sum()) < 2:
         raise EmptyColumnError(
             "need at least 2 groups with enough members for segmentation metrics"
         )
-    return out
+    return values[keep], np.unique(codes[keep], return_inverse=True)[1]
 
 
 @dataclass(frozen=True)
@@ -59,18 +57,13 @@ class AnovaResult:
 
 def anova(values: np.ndarray, labels: Sequence[object]) -> AnovaResult:
     """One-way ANOVA of ``values`` grouped by ``labels``."""
-    groups = _group_values(values, labels)
-    all_values = np.concatenate(list(groups.values()))
-    overall_mean = float(np.mean(all_values))
-    between_ss = sum(
-        members.size * (float(np.mean(members)) - overall_mean) ** 2
-        for members in groups.values()
-    )
-    within_ss = sum(
-        float(np.sum((members - np.mean(members)) ** 2)) for members in groups.values()
-    )
-    k = len(groups)
-    n = int(all_values.size)
+    x, group = _grouped(values, labels)
+    sizes = np.bincount(group)
+    means = np.bincount(group, weights=x) / sizes
+    between_ss = float(np.sum(sizes * (means - np.mean(x)) ** 2))
+    within_ss = float(np.sum((x - means[group]) ** 2))
+    k = int(sizes.size)
+    n = int(x.size)
     df_between = k - 1
     df_within = n - k
     if df_within <= 0 or within_ss == 0.0:
@@ -82,8 +75,8 @@ def anova(values: np.ndarray, labels: Sequence[object]) -> AnovaResult:
     return AnovaResult(
         f_statistic=float(f_stat),
         eta_squared=float(eta_sq),
-        between_ss=float(between_ss),
-        within_ss=float(within_ss),
+        between_ss=between_ss,
+        within_ss=within_ss,
         n_groups=k,
         n_values=n,
     )
@@ -99,27 +92,42 @@ def eta_squared(values: np.ndarray, labels: Sequence[object]) -> float:
     return anova(values, labels).eta_squared
 
 
-def group_centroids(
+def _complete_points(
     x: np.ndarray, y: np.ndarray, labels: Sequence[object]
-) -> Mapping[str, tuple[float, float]]:
-    """Per-group centroids of the (x, y) points."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (2, m) complete points, their level codes and the levels."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or len(labels) != x.size:
         raise ValueError("x, y and labels must have equal length")
-    sums: dict[str, list[float]] = {}
-    for xi, yi, label in zip(x, y, labels):
-        if label is None or np.isnan(xi) or np.isnan(yi):
-            continue
-        entry = sums.setdefault(str(label), [0.0, 0.0, 0.0])
-        entry[0] += xi
-        entry[1] += yi
-        entry[2] += 1.0
+    codes, levels = factorize(labels)
+    keep = ~(np.isnan(x) | np.isnan(y)) & (codes >= 0)
+    return np.stack([x[keep], y[keep]]), codes[keep], levels
+
+
+def group_centroids(
+    x: np.ndarray, y: np.ndarray, labels: Sequence[object]
+) -> Mapping[str, tuple[float, float]]:
+    """Per-group centroids of the (x, y) points."""
+    points, codes, levels = _complete_points(x, y, labels)
+    sizes = np.bincount(codes, minlength=levels.size)
+    present = np.flatnonzero(sizes)
+    centroids = np.stack(
+        [np.bincount(codes, weights=axis, minlength=levels.size) for axis in points]
+    )[:, present] / sizes[present]
     return {
-        label: (sx / count, sy / count)
-        for label, (sx, sy, count) in sums.items()
-        if count > 0
+        str(levels[code]): (float(cx), float(cy))
+        for code, cx, cy in zip(present, *centroids)
     }
+
+
+def pair_strengths(
+    between: np.ndarray, total: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """The 2-D η² of every (``left[k]``, ``right[k]``) column pair under one
+    grouping, from that grouping's :func:`~repro.stats.dependence.group_scatter`:
+    ``(between_x + between_y) / (total_x + total_y)``."""
+    return scatter_ratio(between[left] + between[right], total[left] + total[right])
 
 
 def segmentation_strength(
@@ -132,34 +140,12 @@ def segmentation_strength(
     two-dimensional η².  1 means the groups are perfectly separated along
     some direction; 0 means the grouping explains nothing.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.size != y.size or len(labels) != x.size:
-        raise ValueError("x, y and labels must have equal length")
-    keep = ~(np.isnan(x) | np.isnan(y))
-    keep &= np.asarray([label is not None for label in labels])
-    if int(keep.sum()) < 4:
+    points, codes, _levels = _complete_points(x, y, labels)
+    if codes.size < 4:
         raise EmptyColumnError("need at least 4 complete (x, y, label) rows")
-    xs, ys = x[keep], y[keep]
-    kept_labels = [str(label) for label, k in zip(labels, keep) if k]
+    onehot = one_hot(codes)
+    if onehot.shape[0] < 2:
+        return 0.0
     # Standardise each axis so neither dominates the scatter.
-    def standardise(values: np.ndarray) -> np.ndarray:
-        sigma = np.std(values)
-        return (values - np.mean(values)) / sigma if sigma > 0 else values * 0.0
-
-    points = np.column_stack([standardise(xs), standardise(ys)])
-    overall = points.mean(axis=0)
-    total_scatter = float(np.sum((points - overall) ** 2))
-    if total_scatter == 0.0:
-        return 0.0
-    between = 0.0
-    groups: dict[str, list[int]] = {}
-    for i, label in enumerate(kept_labels):
-        groups.setdefault(label, []).append(i)
-    if len(groups) < 2:
-        return 0.0
-    for indices in groups.values():
-        member = points[indices]
-        centroid = member.mean(axis=0)
-        between += member.shape[0] * float(np.sum((centroid - overall) ** 2))
-    return float(min(max(between / total_scatter, 0.0), 1.0))
+    between, total = group_scatter(onehot, standardize(points))
+    return float(pair_strengths(between, total, [0], [1])[0])

@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import Foresight
 from repro.data import DataTable
@@ -17,6 +18,14 @@ from repro.data.datasets import (
     make_mixed_table,
     make_numeric_table,
 )
+
+# ``HYPOTHESIS_PROFILE=ci`` (set by ci.yml) derives every generated example
+# from the test's own name instead of a random seed or a local
+# ``.hypothesis/`` database, so the generated state machine and kernel
+# properties run the same examples — and green means the same thing — on
+# every runner.  Loaded here, before any test module builds its settings.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session", autouse=True)

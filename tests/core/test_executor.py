@@ -4,23 +4,15 @@ import threading
 
 import pytest
 
-import pickle
-
 from repro.core.executor import (
     ExecutorConfig,
     MAX_WORKERS_ENV,
     ParallelExecutor,
-    ProcessExecutor,
     SerialExecutor,
     create_executor,
     default_max_workers,
     shard,
 )
-
-
-def _square(x):
-    """Module-level so it pickles into worker processes."""
-    return x * x
 
 
 class TestExecutorConfig:
@@ -129,72 +121,6 @@ class TestMapSemantics:
             executor.map(lambda x: x, range(4))
         with pytest.raises(RuntimeError):
             executor.map(lambda x: x, [1])  # single-item fast path too
-
-
-class TestProcessExecutor:
-    def test_backend_process_selects_process_executor(self):
-        executor = create_executor(
-            ExecutorConfig(max_workers=2, backend="process"))
-        try:
-            assert isinstance(executor, ProcessExecutor)
-            assert executor.max_workers == 2
-        finally:
-            executor.close()
-
-    def test_one_worker_still_selects_serial(self):
-        executor = create_executor(
-            ExecutorConfig(max_workers=1, backend="process"))
-        assert isinstance(executor, SerialExecutor)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            ExecutorConfig(backend="fiber")
-
-    def test_process_refuses_single_worker(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(ExecutorConfig(max_workers=1, backend="process"))
-
-    def test_map_preserves_order_across_processes(self):
-        with ProcessExecutor(ExecutorConfig(max_workers=2,
-                                            backend="process")) as executor:
-            assert executor.map(_square, range(8)) == [x * x for x in range(8)]
-            assert executor.pickle_fallbacks == 0
-
-    def test_unpicklable_work_runs_inline_and_is_counted(self):
-        captured = []  # closures over locals never pickle
-
-        def record(x):
-            captured.append(x)
-            return x + 1
-
-        with ProcessExecutor(ExecutorConfig(max_workers=2,
-                                            backend="process")) as executor:
-            assert pickle.dumps(_square)  # sanity: the probe is the gate
-            assert executor.map(record, range(4)) == [1, 2, 3, 4]
-            assert executor.pickle_fallbacks == 1
-            assert captured == [0, 1, 2, 3]  # ran in *this* interpreter
-
-    def test_single_item_short_circuits_the_pool(self):
-        executor = ProcessExecutor(ExecutorConfig(max_workers=2,
-                                                  backend="process"))
-        try:
-            assert executor.map(_square, [3]) == [9]
-            assert executor._pool is None  # no process was ever spawned
-        finally:
-            executor.close()
-
-    def test_submit_round_trips(self):
-        with ProcessExecutor(ExecutorConfig(max_workers=2,
-                                            backend="process")) as executor:
-            assert executor.submit(_square, 6).result(timeout=60) == 36
-
-    def test_closed_executor_refuses_work(self):
-        executor = ProcessExecutor(ExecutorConfig(max_workers=2,
-                                                  backend="process"))
-        executor.close()
-        executor.close()  # idempotent
-        with pytest.raises(RuntimeError):
-            executor.map(_square, range(4))
 
 
 class TestShard:

@@ -1,0 +1,309 @@
+"""Property tests for the whole-class scoring kernels.
+
+Five insight classes score on per-column arrays instead of per-tuple
+Python loops (:mod:`repro.sketch.features`, the array functions of
+:mod:`repro.stats`).  Over generated mixed tables — NaNs, missing labels,
+constant columns, heavy ties, a single-level categorical, fewer than five
+rows — and in both modes:
+
+* **the ``score_all`` contract holds bit for bit**: a candidate's value
+  does not depend on its batch (``score_all(a + b) == score_all(a) +
+  score_all(b)``) and ``score_all([t]) == [score(t)]``;
+* **every value is the statistic it claims to be**: within 1e-9 of a
+  plain per-tuple reference written here (the loops the kernels replaced)
+  or of scipy's ``spearmanr`` / ``chi2_contingency`` / ``kstest``;
+* average ranks equal ``scipy.stats.rankdata(method="average")`` exactly.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+import warnings
+from collections import Counter
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from scipy import stats as scipy_stats
+
+from repro import default_registry
+from repro.core.insight import MODE_APPROXIMATE, MODE_EXACT, EvaluationContext
+from repro.data import CategoricalColumn, ColumnKind, DataTable, Field, NumericColumn
+from repro.sketch.store import SketchStore, SketchStoreConfig
+from repro.stats.correlation import average_ranks
+from repro.stats.histogram import histogram_counts
+from repro.stats.multimodality import _smooth
+
+NUMERIC = ("n0", "n1", "n2")
+CATEGORICAL = ("c0", "c1", "c2")
+TOLERANCE = 1e-9
+REGISTRY = default_registry()
+
+
+# ---------------------------------------------------------------------------
+# Generated tables
+# ---------------------------------------------------------------------------
+@st.composite
+def numeric_values(draw, n_rows: int) -> np.ndarray:
+    """One numeric column: continuous, heavily tied or constant, with
+    holes.  Values are small binary fractions, so a constant column's
+    mean is exact and its standard deviation exactly 0."""
+    shape = draw(st.sampled_from(("continuous", "ties", "constant")))
+    if shape == "continuous":
+        cells = st.integers(-10**6, 10**6).map(lambda k: k / 64.0)
+    elif shape == "ties":
+        cells = st.integers(0, 3).map(float)
+    else:
+        cells = st.just(float(draw(st.integers(-5, 5))))
+    values = np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    holes = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        values[np.array(holes, dtype=bool)] = np.nan
+    return values
+
+
+@st.composite
+def categorical_codes(draw, n_rows: int) -> tuple[np.ndarray, int]:
+    """One categorical column's codes (-1 = missing) and level count;
+    one level in four draws is the single-level case."""
+    n_levels = draw(st.sampled_from((1, 2, 3, 4)))
+    lowest = -1 if draw(st.booleans()) else 0
+    codes = draw(st.lists(st.integers(lowest, n_levels - 1),
+                          min_size=n_rows, max_size=n_rows))
+    return np.array(codes, dtype=np.int64), n_levels
+
+
+@st.composite
+def mixed_tables(draw) -> DataTable:
+    n_rows = draw(st.one_of(st.integers(1, 4), st.integers(5, 40)))
+    columns = [
+        NumericColumn(Field(name, ColumnKind.NUMERIC), draw(numeric_values(n_rows)))
+        for name in NUMERIC
+    ]
+    for name in CATEGORICAL:
+        codes, n_levels = draw(categorical_codes(n_rows))
+        columns.append(CategoricalColumn(
+            Field(name, ColumnKind.CATEGORICAL), codes,
+            [f"level{k}" for k in range(n_levels)]))
+    return DataTable(columns, name="generated")
+
+
+def _contexts(table: DataTable, sample_capacity: int):
+    """``(mode, context, the table that mode scores on)`` for both modes."""
+    store = SketchStore(table, SketchStoreConfig(sample_capacity=sample_capacity))
+    yield MODE_EXACT, EvaluationContext(table, store, MODE_EXACT), table
+    yield (MODE_APPROXIMATE, EvaluationContext(table, store, MODE_APPROXIMATE),
+           store.sample_table())
+
+
+_PAIRS = [(a, b) for i, a in enumerate(NUMERIC) for b in NUMERIC[i + 1:]]
+CANDIDATES = {
+    "monotonic_relationship": _PAIRS + [(b, a) for a, b in _PAIRS],
+    "dependence": (
+        [(a, b) for i, a in enumerate(CATEGORICAL) for b in CATEGORICAL[i + 1:]]
+        + [(c, x) for c in CATEGORICAL for x in NUMERIC]
+        + [(NUMERIC[0], CATEGORICAL[0])]
+    ),
+    "segmentation": [(x, y, z) for x, y in _PAIRS for z in CATEGORICAL],
+    "normality": [(x,) for x in NUMERIC],
+    "multimodality": [(x,) for x in NUMERIC],
+}
+
+
+# ---------------------------------------------------------------------------
+# Plain references: one tuple at a time, one row at a time
+# ---------------------------------------------------------------------------
+def _numeric(table: DataTable, name: str) -> list[float | None]:
+    column = table.numeric_column(name)
+    return [None if missing else float(value)
+            for value, missing in zip(column.values, column.mask)]
+
+
+def _complete(*columns: list) -> list[tuple]:
+    return [row for row in zip(*columns) if None not in row]
+
+
+def _mean(values: list[float]) -> float:
+    return math.fsum(values) / len(values)
+
+
+def _sum_sq(values: list[float]) -> float:
+    mean = _mean(values)
+    return math.fsum((v - mean) ** 2 for v in values)
+
+
+def _reference_monotonic(table: DataTable, attributes) -> float | None:
+    rows = _complete(_numeric(table, attributes[0]), _numeric(table, attributes[1]))
+    if len(rows) < 5:
+        return None
+    x, y = (np.array(side) for side in zip(*rows))
+    if np.ptp(x) == 0 or np.ptp(y) == 0:
+        return 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        spearman = float(scipy_stats.spearmanr(x, y).statistic)
+        pearson = float(scipy_stats.pearsonr(x, y).statistic)
+    return 0.0 if abs(spearman) < 1e-12 else max(abs(spearman) - abs(pearson), 0.0)
+
+
+def _eta_squared_parts(values: list[float], labels: list) -> tuple[float, float]:
+    """Between-group and total sums of squares, group by group."""
+    overall = _mean(values)
+    groups: dict[object, list[float]] = {}
+    for value, label in zip(values, labels):
+        groups.setdefault(label, []).append(value)
+    between = math.fsum(len(members) * (_mean(members) - overall) ** 2
+                        for members in groups.values())
+    return between, _sum_sq(values)
+
+
+def _reference_dependence(table: DataTable, attributes) -> float | None:
+    first, second = attributes
+    if first in NUMERIC:
+        first, second = second, first
+    labels = table.categorical_column(first).labels()
+    if second in CATEGORICAL:
+        rows = _complete(labels, table.categorical_column(second).labels())
+        if not rows:
+            return None
+        counts = Counter(rows)
+        xs = sorted({a for a, _ in rows})
+        ys = sorted({b for _, b in rows})
+        k = min(len(xs), len(ys)) - 1
+        if k <= 0:
+            return 0.0
+        observed = [[counts[(a, b)] for b in ys] for a in xs]
+        chi2 = scipy_stats.chi2_contingency(observed, correction=False).statistic
+        return math.sqrt(chi2 / (len(rows) * k))
+    rows = _complete(labels, _numeric(table, second))
+    if len(rows) < 2:
+        return None
+    between, total = _eta_squared_parts([v for _, v in rows], [g for g, _ in rows])
+    return 0.0 if total == 0 else min(max(between / total, 0.0), 1.0)
+
+
+def _reference_segmentation(table: DataTable, attributes) -> float | None:
+    x_name, y_name, z_name = attributes
+    rows = _complete(_numeric(table, x_name), _numeric(table, y_name),
+                     table.categorical_column(z_name).labels())
+    if len(rows) < 4:
+        return None
+    labels = [row[2] for row in rows]
+    between = total = 0.0
+    for axis in (0, 1):
+        values = [row[axis] for row in rows]
+        scale = math.sqrt(_sum_sq(values) / len(values))
+        if scale == 0:
+            continue  # a constant axis standardises to zeros: no scatter
+        part = _eta_squared_parts([v / scale for v in values], labels)
+        between, total = between + part[0], total + part[1]
+    if total == 0 or len(set(labels)) < 2:
+        return 0.0
+    return min(max(between / total, 0.0), 1.0)
+
+
+def _valid(table: DataTable, name: str) -> np.ndarray:
+    return np.array([v for v in _numeric(table, name) if v is not None])
+
+
+def _reference_normality(table: DataTable, attributes) -> float | None:
+    x = _valid(table, attributes[0])
+    if x.size < 8:
+        return None
+    if np.ptp(x) == 0:
+        distance, skew, excess = 1.0, 0.0, -3.0
+    else:
+        distance = scipy_stats.kstest(x, "norm", args=(x.mean(), x.std())).statistic
+        skew = float(scipy_stats.skew(x))
+        excess = float(scipy_stats.kurtosis(x))
+    shape = 1.0 - 0.5 * (min(abs(skew) / 2.0, 1.0) + min(abs(excess) / 6.0, 1.0))
+    normal = 0.5 * max(0.0, 1.0 - 2.0 * distance) + 0.5 * shape
+    return 1.0 - max(0.0, min(1.0, normal))
+
+
+def _reference_multimodality(table: DataTable, attributes) -> float | None:
+    """Peak counting bin by bin, as ``find_modes`` did before it compared
+    whole arrays."""
+    x = _valid(table, attributes[0])
+    if x.size < 5:
+        return None
+    if np.ptp(x) == 0:
+        return 0.0
+    smoothed = _smooth(histogram_counts(x)[0]).tolist()
+    heights = []
+    for i, height in enumerate(smoothed):
+        left = smoothed[i - 1] if i > 0 else -math.inf
+        right = smoothed[i + 1] if i < len(smoothed) - 1 else -math.inf
+        if height > left and height >= right and height > 0:
+            heights.append(height)
+    heights = sorted((h for h in heights if h >= 0.1 * max(heights)), reverse=True)
+    if len(heights) < 2:
+        return 0.0
+    return min(1.0, 0.7 * heights[1] / heights[0]
+               + 0.3 * min(len(heights) - 1, 3) / 3.0)
+
+
+REFERENCES = {
+    "monotonic_relationship": _reference_monotonic,
+    "dependence": _reference_dependence,
+    "segmentation": _reference_segmentation,
+    "normality": _reference_normality,
+    "multimodality": _reference_multimodality,
+}
+
+
+# ---------------------------------------------------------------------------
+# The properties
+# ---------------------------------------------------------------------------
+def _bits(scored) -> list[tuple]:
+    """Scored candidates with the score as its eight bytes."""
+    return [(c.attributes, struct.pack("<d", c.score), sorted(c.details.items()))
+            for c in scored]
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=mixed_tables(), sample_capacity=st.sampled_from((6, 2000)),
+       cut=st.integers(0, 18))
+def test_a_candidates_value_does_not_depend_on_its_batch(table, sample_capacity, cut):
+    for _mode, context, _scored_on in _contexts(table, sample_capacity):
+        for name, candidates in CANDIDATES.items():
+            insight_class = REGISTRY.get(name)
+            whole = insight_class.score_all(candidates, context)
+            head, tail = candidates[:cut], candidates[cut:]
+            assert _bits(whole) == _bits(
+                insight_class.score_all(head, context)
+                + insight_class.score_all(tail, context)), name
+            one_by_one = [insight_class.score(attrs, context) for attrs in candidates]
+            assert _bits(whole) == _bits(c for c in one_by_one if c is not None), name
+            for attributes, alone in zip(candidates, one_by_one):
+                assert _bits(insight_class.score_all([attributes], context)) == _bits(
+                    [] if alone is None else [alone]), (name, attributes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=mixed_tables(), sample_capacity=st.sampled_from((6, 2000)))
+def test_every_value_is_within_1e_9_of_its_plain_reference(table, sample_capacity):
+    for mode, context, scored_on in _contexts(table, sample_capacity):
+        for name, candidates in CANDIDATES.items():
+            scored = {c.attributes: c.score
+                      for c in REGISTRY.get(name).score_all(candidates, context)}
+            for attributes in candidates:
+                expected = REFERENCES[name](scored_on, attributes)
+                got = scored.get(attributes)
+                if expected is None:
+                    assert got is None, (mode, name, attributes, got)
+                else:
+                    assert got is not None, (mode, name, attributes, expected)
+                    assert abs(got - expected) <= TOLERANCE, (
+                        mode, name, attributes, got, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(
+    st.one_of(st.integers(0, 4).map(float),
+              st.floats(allow_nan=False, allow_infinity=False, width=32)),
+    max_size=60))
+def test_average_ranks_are_scipys_exactly(values):
+    x = np.array(values, dtype=np.float64)
+    assert average_ranks(x).tolist() == scipy_stats.rankdata(
+        x, method="average").tolist()
