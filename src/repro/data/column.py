@@ -12,6 +12,12 @@ missing-value mask.  Three concrete column types exist:
 Columns are immutable from the caller's perspective: all transforming
 operations return new column objects, and ``values``/``mask`` accessors
 return read-only views.
+
+``from_raw`` parses raw cells under the column's kind.  A cell that is
+neither missing nor parseable becomes missing — the lenient policy of a
+file load — and, when the caller passes a ``rejected`` list, its position
+is appended there, so a strict caller (the append path's
+:class:`~repro.ingest.delta.DeltaBatch`) validates and parses in one pass.
 """
 
 from __future__ import annotations
@@ -137,35 +143,42 @@ class NumericColumn(Column):
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise SchemaError("column values must be one-dimensional")
-        if mask is None:
-            mask = np.isnan(values)
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != values.shape:
-            raise SchemaError("mask shape must match values shape")
-        # Normalise: every NaN is missing even if the caller's mask says not.
-        mask = mask | np.isnan(values)
-        super().__init__(field, mask)
+        missing = np.isnan(values)
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != values.shape:
+                raise SchemaError("mask shape must match values shape")
+            # Normalise: every NaN is missing even if the caller's mask says not.
+            missing |= mask
+        super().__init__(field, missing)
         self._values = values
+
+    @classmethod
+    def _validated(cls, field: Field, values: np.ndarray, mask: np.ndarray) -> "NumericColumn":
+        """A column over arrays that already satisfy ``__init__``'s checks
+        (float64 values, a boolean mask of their shape covering every NaN):
+        what indexing or concatenating existing columns' arrays yields."""
+        column = object.__new__(cls)
+        Column.__init__(column, field, mask)
+        column._values = values
+        return column
 
     # -- constructors -------------------------------------------------------
     @classmethod
-    def from_raw(cls, name: str, raw_values: Sequence[object], **field_kwargs) -> "NumericColumn":
+    def from_raw(cls, name: str, raw_values: Sequence[object],
+                 rejected: list[int] | None = None, **field_kwargs) -> "NumericColumn":
         """Build a numeric column from raw (possibly string) values."""
-        parsed = np.empty(len(raw_values), dtype=np.float64)
-        mask = np.zeros(len(raw_values), dtype=bool)
+        parsed = np.full(len(raw_values), np.nan)
         for i, value in enumerate(raw_values):
             if is_missing_token(value):
-                parsed[i] = np.nan
-                mask[i] = True
                 continue
             number = parse_number(value)
-            if number is None:
-                parsed[i] = np.nan
-                mask[i] = True
-            else:
+            if number is not None:
                 parsed[i] = number
+            elif rejected is not None:
+                rejected.append(i)
         field = Field(name=name, kind=ColumnKind.NUMERIC, **field_kwargs)
-        return cls(field, parsed, mask)
+        return cls(field, parsed)
 
     # -- accessors ----------------------------------------------------------
     @property
@@ -209,7 +222,9 @@ class NumericColumn(Column):
     # -- transformations ------------------------------------------------------
     def take(self, indices: np.ndarray) -> "NumericColumn":
         indices = np.asarray(indices)
-        return NumericColumn(self._field, self._values[indices], self._mask[indices])
+        return NumericColumn._validated(
+            self._field, self._values[indices], self._mask[indices]
+        )
 
     def rename(self, name: str) -> "NumericColumn":
         field = Field(
@@ -230,7 +245,7 @@ class NumericColumn(Column):
     def concat(self, other: "Column") -> "NumericColumn":
         self._require_concat_compatible(other)
         assert isinstance(other, NumericColumn)
-        return NumericColumn(
+        return NumericColumn._validated(
             self._field,
             np.concatenate([self._values, other._values]),
             np.concatenate([self._mask, other._mask]),
@@ -270,21 +285,39 @@ class CategoricalColumn(Column):
         name: str,
         raw_values: Sequence[object],
         kind: ColumnKind = ColumnKind.CATEGORICAL,
+        rejected: list[int] | None = None,
         **field_kwargs,
     ) -> "CategoricalColumn":
-        """Build a categorical column from raw values (labels)."""
+        """Build a categorical column from raw values (labels).
+
+        Any scalar is a label; a container almost always indicates a
+        malformed payload, so a strict caller has it ``rejected``.
+        """
         labels: list[str] = []
         label_index: dict[str, int] = {}
-        codes = np.empty(len(raw_values), dtype=np.int64)
+        # Raw string cell -> code: a column repeats few labels many times,
+        # and a str key equals only the same str (1, 1.0 and True would
+        # share a slot; they take the full path every time).
+        seen: dict[str, int] = {}
+        codes = np.full(len(raw_values), cls.MISSING_CODE, dtype=np.int64)
         for i, value in enumerate(raw_values):
-            if is_missing_token(value):
-                codes[i] = cls.MISSING_CODE
+            is_text = type(value) is str
+            if is_text and value in seen:
+                codes[i] = seen[value]
                 continue
-            label = str(value).strip()
-            if label not in label_index:
-                label_index[label] = len(labels)
-                labels.append(label)
-            codes[i] = label_index[label]
+            if is_missing_token(value):
+                code = cls.MISSING_CODE
+            elif rejected is not None and isinstance(value, (list, tuple, dict, set)):
+                rejected.append(i)
+                continue
+            else:
+                label = str(value).strip()
+                if label not in label_index:
+                    label_index[label] = len(labels)
+                    labels.append(label)
+                code = codes[i] = label_index[label]
+            if is_text:
+                seen[value] = code
         field = Field(name=name, kind=kind, **field_kwargs)
         return cls(field, codes, labels)
 
@@ -379,14 +412,17 @@ class BooleanColumn(CategoricalColumn):
         super().__init__(field, codes, [self.FALSE_LABEL, self.TRUE_LABEL])
 
     @classmethod
-    def from_raw(cls, name: str, raw_values: Sequence[object], **field_kwargs) -> "BooleanColumn":
-        codes = np.empty(len(raw_values), dtype=np.int64)
+    def from_raw(cls, name: str, raw_values: Sequence[object],
+                 rejected: list[int] | None = None, **field_kwargs) -> "BooleanColumn":
+        codes = np.full(len(raw_values), cls.MISSING_CODE, dtype=np.int64)
         for i, value in enumerate(raw_values):
             if is_missing_token(value):
-                codes[i] = cls.MISSING_CODE
                 continue
             parsed = parse_boolean(value)
-            codes[i] = cls.MISSING_CODE if parsed is None else int(parsed)
+            if parsed is not None:
+                codes[i] = int(parsed)
+            elif rejected is not None:
+                rejected.append(i)
         field = Field(name=name, kind=ColumnKind.BOOLEAN, **field_kwargs)
         return cls(field, codes)
 
@@ -416,14 +452,16 @@ class BooleanColumn(CategoricalColumn):
         )
 
 
-def column_from_raw(name: str, raw_values: Sequence[object], kind: ColumnKind) -> Column:
-    """Build the appropriate column type for ``kind`` from raw values."""
+def column_from_raw(name: str, raw_values: Sequence[object], kind: ColumnKind,
+                    rejected: list[int] | None = None) -> Column:
+    """Build the appropriate column type for ``kind`` from raw values
+    (``rejected`` collects the positions of unparseable cells)."""
     if kind is ColumnKind.NUMERIC:
-        return NumericColumn.from_raw(name, raw_values)
+        return NumericColumn.from_raw(name, raw_values, rejected=rejected)
     if kind is ColumnKind.BOOLEAN:
-        return BooleanColumn.from_raw(name, raw_values)
+        return BooleanColumn.from_raw(name, raw_values, rejected=rejected)
     if kind is ColumnKind.CATEGORICAL:
-        return CategoricalColumn.from_raw(name, raw_values)
+        return CategoricalColumn.from_raw(name, raw_values, rejected=rejected)
     raise ColumnTypeError(f"unsupported column kind {kind!r}")
 
 

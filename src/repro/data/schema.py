@@ -195,7 +195,10 @@ def parse_number(value: object) -> float | None:
     if isinstance(value, bool):
         return float(value)
     if isinstance(value, (int, float)):
-        value_f = float(value)
+        try:
+            value_f = float(value)
+        except OverflowError:  # an int beyond the float range
+            return None
         return None if math.isnan(value_f) else value_f
     if isinstance(value, str):
         text = value.strip().replace(",", "")

@@ -21,22 +21,28 @@ landed.  A validated batch materialises as a
 :class:`~repro.data.table.DataTable` with the dataset's exact schema
 (kinds forced, never re-inferred — a delta of integer-looking strings in
 a categorical column stays categorical).
+
+What validation costs: the batch is read **once**.  Records are checked
+as mappings over known keys (a set comparison each), gathered column by
+column, and every cell is then classified exactly once: a numeric column
+holding only plain ``int`` / ``float`` values — what a JSON client sends
+— becomes its array in one ``np.array`` call (NaN marks missing, as
+:class:`~repro.data.column.NumericColumn` defines it), and any other
+column goes through the column type's ``from_raw``, which parses each
+cell and reports the ones it could not in the same step.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any
+
+import numpy as np
 
 from repro.errors import DeltaValidationError
-from repro.data.column import column_from_raw
-from repro.data.schema import (
-    ColumnKind,
-    Schema,
-    is_missing_token,
-    parse_boolean,
-    parse_number,
-)
+from repro.data.column import Column, NumericColumn, column_from_raw
+from repro.data.schema import ColumnKind, Field, Schema
 from repro.data.table import DataTable
 
 #: Refuse pathologically large single batches; callers should chunk.
@@ -72,7 +78,6 @@ class DeltaBatch:
         Raises :class:`DeltaValidationError` carrying every problem found
         (not just the first), so clients get one round trip of feedback.
         """
-        problems: list[str] = []
         if not isinstance(records, Sequence) or isinstance(records, (str, bytes)):
             raise DeltaValidationError(
                 dataset, ["rows must be a list of record objects"]
@@ -85,37 +90,39 @@ class DeltaBatch:
                 [f"batch has {len(records)} rows; the per-batch limit is "
                  f"{MAX_BATCH_ROWS} (split into smaller appends)"],
             )
-        names = schema.names()
-        known = set(names)
-        columns: dict[str, list[Any]] = {name: [] for name in names}
+        known = set(schema.names())
+        # (row, column position, text): sorted into row-major order — a
+        # row-level problem (position -1) first — before they are reported.
+        problems: list[tuple[int, int, str]] = []
+        rows: list[int] = []
+        accepted: list[Mapping[str, Any]] = []
         for index, record in enumerate(records):
             if not isinstance(record, Mapping):
-                problems.append(f"row {index}: not a record object")
-                continue
-            unknown = [key for key in record if key not in known]
-            if unknown:
+                problems.append((index, -1, f"row {index}: not a record object"))
+            elif not record.keys() <= known:
+                unknown = sorted(key for key in record if key not in known)
                 problems.append(
-                    f"row {index}: unknown column(s) {sorted(unknown)}"
+                    (index, -1, f"row {index}: unknown column(s) {unknown}")
                 )
-                continue
-            for name in names:
-                value = record.get(name)
-                kind = schema[name].kind
-                problem = _check_value(kind, value)
-                if problem is not None:
-                    problems.append(
-                        f"row {index}, column {name!r}: {problem}"
-                    )
-                else:
-                    columns[name].append(value)
+            else:
+                rows.append(index)
+                accepted.append(record)
+        built: list[Column] = []
+        for position, field in enumerate(schema):
+            name, kind = field.name, field.kind
+            values = [record.get(name) for record in accepted]
+            rejected: list[int] = []
+            built.append(_parse_column(name, kind, values, rejected))
+            problems += [
+                (rows[i], position,
+                 f"row {rows[i]}, column {name!r}: {_problem(kind, values[i])}")
+                for i in rejected
+            ]
         if problems:
-            # Any problem rejects the whole batch, so the (possibly
-            # ragged) accumulated columns are never materialised.
-            raise DeltaValidationError(dataset, problems)
-        built = [
-            column_from_raw(name, columns[name], schema[name].kind)
-            for name in names
-        ]
+            # Any problem rejects the whole batch: nothing materialises.
+            raise DeltaValidationError(
+                dataset, [text for _, _, text in sorted(problems)]
+            )
         return cls(dataset=dataset, table=DataTable(built, name=f"{dataset}-delta"))
 
     def to_records(self) -> list[dict[str, Any]]:
@@ -123,23 +130,33 @@ class DeltaBatch:
         return self.table.to_records()
 
 
-def _check_value(kind: ColumnKind, value: Any) -> str | None:
-    """Return a problem description, or None when the value is admissible."""
-    if is_missing_token(value):
-        return None
+#: The exact types one ``np.array`` call converts as ``float()`` would
+#: (``bool`` is an ``int`` subclass but not a plain number; a ``str`` needs
+#: parsing; ``None`` is missing).
+_PLAIN_NUMBERS = frozenset({int, float})
+
+
+def _parse_column(name: str, kind: ColumnKind, values: list[Any],
+                  rejected: list[int]) -> Column:
+    """One column of the batch; inadmissible cells' positions go to
+    ``rejected`` (and are stored as missing — the batch will be refused)."""
+    if kind is ColumnKind.NUMERIC and _PLAIN_NUMBERS.issuperset(map(type, values)):
+        try:
+            array = np.array(values, dtype=np.float64)
+        except OverflowError:
+            pass  # an int beyond the float range: the cell path names it
+        else:
+            return NumericColumn(Field(name=name, kind=kind), array)
+    return column_from_raw(name, values, kind, rejected)
+
+
+def _problem(kind: ColumnKind, value: Any) -> str:
+    """Why ``from_raw`` rejected ``value`` under ``kind``."""
     if kind is ColumnKind.NUMERIC:
-        if parse_number(value) is None:
-            return f"value {value!r} is not numeric"
-        return None
+        return f"value {value!r} is not numeric"
     if kind is ColumnKind.BOOLEAN:
-        if parse_boolean(value) is None:
-            return f"value {value!r} is not boolean"
-        return None
-    # Categorical columns accept any scalar; reject containers, which
-    # almost always indicate a malformed payload rather than a label.
-    if isinstance(value, (list, tuple, dict, set)):
-        return f"value of type {type(value).__name__} is not a categorical label"
-    return None
+        return f"value {value!r} is not boolean"
+    return f"value of type {type(value).__name__} is not a categorical label"
 
 
 __all__ = ["DeltaBatch", "MAX_BATCH_ROWS"]

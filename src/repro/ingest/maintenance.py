@@ -6,13 +6,21 @@ that property into a live-update path.  For a validated
 :class:`~repro.ingest.delta.DeltaBatch` it
 
 1. builds **per-column sketch partials** over just the delta rows
-   (:func:`build_delta_partials`, fanned out over the engine's
-   :class:`~repro.core.executor.Executor` exactly like the base
-   preprocessing), then
-2. **merges** them into ``copy()``s of the live store's sketches
+   (:func:`build_delta_partials`: the numeric columns as one block, the
+   value-count sketches column by column), then
+2. **merges** them into new sketches beside the live store's
    (:meth:`~repro.sketch.store.ColumnSketches.merged`) and packages the
    result as a brand-new :class:`~repro.sketch.store.SketchStore` over
    the grown table (:func:`merge_delta`).
+
+What an append costs here: the batch's numeric columns are stacked once
+into a ``(d, rows)`` block, and every moment partial comes from one pass
+of axis-1 reductions, every GK partial from one row-wise sort.  What stays
+per column is the merge itself — a GK interleave whose compress walks only
+the tuples that could merge, a value-count update that hashes only labels
+this process has not hashed before — so the cycle no longer grows with the
+batch's cell count.  The known remainder is outside this module:
+``DataTable.concat`` copies the whole table per append.
 
 Per-sketch-type merge semantics:
 
@@ -151,37 +159,56 @@ def build_delta_partials(
     column (a numeric column that is not discrete in the base gets no
     frequent/entropy/count-min partial), and is built with the base
     config's parameters so every merge passes the sketches'
-    compatibility checks.  Column builds fan out over ``executor``; each
-    column's work is independent, so parallel and serial builds are
-    identical.
+    compatibility checks.
+
+    The batch is sketched as a block: the numeric columns with no missing
+    entry in the delta — all of them, for a well-formed append — stack
+    into one ``(d, rows)`` array whose moment and quantile partials come
+    from one call of the kernels a column build uses on one row
+    (:func:`~repro.sketch.store.numeric_sketches`); a column with missing
+    entries runs the same kernels on its valid values.  Only the
+    value-count partials are per-column work, and fan out over
+    ``executor``.
     """
     names = [
         name for name in delta_table.column_names() if store.has_column(name)
     ]
-    indexed = list(enumerate(names))
-    bundles = executor.map(
-        lambda item: _build_column_partial(delta_table, store, item[1], item[0]),
-        indexed,
-    )
-    return {name: bundle for name, bundle in zip(names, bundles)}
-
-
-def _build_column_partial(
-    delta_table: DataTable, store: SketchStore, name: str, index: int
-) -> ColumnSketches:
-    config, base = store.config, store.column_sketches(name)
-    sketches: dict[str, object] = {}
-    if base.moments is not None:
+    config, n_seen = store.config, store.table.n_rows
+    sketches: dict[str, dict[str, object]] = {name: {} for name in names}
+    complete, rng_keys = [], []
+    for index, name in enumerate(names):
+        if store.column_sketches(name).moments is None:
+            continue
+        column = delta_table.numeric_column(name)
         # The base build's sampling policy; the stream position (rows
         # already absorbed) keys the RNG so repeated large appends draw
         # independent samples.
-        sketches.update(numeric_sketches(
-            delta_table.numeric_column(name).valid_values(), config,
-            [config.seed, index, store.table.n_rows],
-        ))
-    if base.frequent is not None:
-        sketches.update(value_count_sketches(delta_table.column(name), config))
-    return ColumnSketches(name=name, **sketches)
+        rng_key = [config.seed, index, n_seen]
+        if column.mask.any():
+            (sketches[name],) = numeric_sketches(
+                column.valid_values()[np.newaxis, :], config, [rng_key]
+            )
+        else:
+            complete.append(column)
+            rng_keys.append(rng_key)
+    if complete:
+        block = np.array([column.values for column in complete])
+        for column, built in zip(
+            complete, numeric_sketches(block, config, rng_keys)
+        ):
+            sketches[column.name] = built
+    counted = [
+        name for name in names
+        if store.column_sketches(name).frequent is not None
+    ]
+    for name, built in zip(counted, executor.map(
+        lambda name: value_count_sketches(delta_table.column(name), config),
+        counted,
+    )):
+        sketches[name].update(built)
+    return {
+        name: ColumnSketches(name=name, **sketches[name]) for name in names
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +222,16 @@ def merge_delta(
 ) -> SketchStore:
     """A new store over ``new_table`` with the partials merged in.
 
-    Copy-on-merge: every sketch that absorbs a partial is merged on its
-    own ``copy()`` (:meth:`ColumnSketches.merged`), so the input store —
+    Copy-on-merge: every sketch that absorbs a partial is merged into a
+    new one (:meth:`ColumnSketches.merged`), so the input store —
     possibly still being read by in-flight queries — is never mutated.
     Bundles without a partial (and the immutable hyperplane signatures)
     are shared between the old and new store.  The uniform row sample
     advances by algorithm R over the appended row indices, keeping it
-    uniform over the grown table.
+    uniform over the grown table; an append that replaces no sampled row
+    and adds no categorical level leaves the sample table exactly what
+    it was, so whatever ``store`` has derived from it (PR 17's sample
+    features) is handed to the new store instead of derived again.
     """
     if new_table.n_rows != store.table.n_rows + delta_rows:
         raise IngestError(
@@ -210,12 +240,15 @@ def merge_delta(
         )
     start = time.perf_counter()
     config = store.config
-    columns: dict[str, ColumnSketches] = {}
-    for name, base in store.column_map().items():
-        partial = partials.get(name)
-        columns[name] = base if partial is None else dataclass_replace(
-            base.merged(partial), hyperplane=base.hyperplane
-        )
+    columns = store.column_map()
+    sketch_bytes = store.stats.total_sketch_bytes
+    for name, partial in partials.items():
+        base = columns.get(name)
+        if base is None:
+            continue
+        columns[name] = merged = base.merged(partial)
+        merged.hyperplane = base.hyperplane
+        sketch_bytes += merged.memory_bytes() - base.memory_bytes()
 
     n_seen = store.table.n_rows
     rng = np.random.default_rng([config.seed, n_seen])
@@ -230,9 +263,7 @@ def merge_delta(
         n_rows=new_table.n_rows,
         delta_rows=store.stats.delta_rows + delta_rows,
         delta_batches=store.stats.delta_batches + 1,
-    )
-    stats.total_sketch_bytes = sum(
-        bundle.memory_bytes() for bundle in columns.values()
+        total_sketch_bytes=sketch_bytes,
     )
     stats.per_stage_seconds["delta_merge"] = time.perf_counter() - start
 
@@ -244,6 +275,20 @@ def merge_delta(
         sketcher=store.sketcher,
         sample_indices=sample_indices,
         stats=stats,
+        sample_from=store if (
+            sample_indices is store.sample_indices
+            and _same_levels(store.table, new_table)
+        ) else None,
+    )
+
+
+def _same_levels(old: DataTable, new: DataTable) -> bool:
+    """Did no categorical column gain a level?  (Levels are only ever
+    appended, and a sampled column carries its table's whole list.)"""
+    return all(
+        new.categorical_column(column.name).n_categories()
+        == column.n_categories()
+        for column in old.categorical_columns()
     )
 
 

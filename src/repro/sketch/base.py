@@ -11,7 +11,8 @@ parallelises and incremental data can be absorbed.  Every sketch in
   counts, for the sketches whose ``update`` takes a weight;
 * ``merge(other)`` — composition, raising :class:`SketchMergeError` when the
   two sketches were built with incompatible parameters;
-* ``copy()`` — an independent sketch with the same state (copy-on-merge);
+* ``copy()`` — an independent sketch with the same state (copy-on-merge),
+  and ``merged(other)`` — the merge as a new sketch, neither input touched;
 * ``memory_bytes()`` — the size accounting used by the complexity benchmark.
 """
 
@@ -54,6 +55,13 @@ class Sketch(abc.ABC):
     def copy(self) -> "Sketch":
         """An independent sketch with the same parameters and state."""
         raise NotImplementedError(f"{type(self).__name__} does not support copy()")
+
+    def merged(self, other: "Sketch") -> "Sketch":
+        """A new sketch over both inputs' data; neither is mutated (default:
+        ``merge`` into a ``copy()``; subclasses may combine directly)."""
+        combined = self.copy()
+        combined.merge(other)
+        return combined
 
     def _clone(self, **fresh) -> "Sketch":
         """This sketch's attributes on a new object, ``fresh`` replacing the

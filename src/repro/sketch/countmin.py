@@ -9,6 +9,7 @@ and ``δ = exp(-depth)``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from typing import Hashable
@@ -21,8 +22,16 @@ from repro.sketch.base import Sketch
 
 def _stable_hash(value: Hashable, salt: int) -> int:
     """Deterministic 64-bit hash of (value, salt), stable across processes."""
-    payload = f"{salt}:{value!r}".encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
+    return _hash_text(f"{salt}:{value!r}")
+
+
+@functools.lru_cache(maxsize=4096)
+def _hash_text(text: str) -> int:
+    # Memoised on the text that is hashed, never on the value: 1, 1.0 and
+    # True are one dict key but three reprs.  An append re-hashes only the
+    # labels this process has not seen (bounded: the table is per process).
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "big")
 
 
 class CountMinSketch(Sketch):

@@ -24,6 +24,14 @@ class MomentSketch(Sketch):
     def __init__(self) -> None:
         self._moments = RunningMoments()
 
+    @classmethod
+    def from_moments(cls, moments: RunningMoments) -> "MomentSketch":
+        """The sketch of the values ``moments`` has accumulated (adopted, not
+        copied: e.g. one row of :func:`repro.stats.moments.block_moments`)."""
+        sketch = object.__new__(cls)
+        sketch._moments = moments
+        return sketch
+
     # -- construction -----------------------------------------------------------
     def update(self, value) -> None:
         self._moments.update(float(value))
@@ -35,6 +43,12 @@ class MomentSketch(Sketch):
         self._require_same_type(other)
         assert isinstance(other, MomentSketch)
         self._moments.merge(other._moments)
+
+    def merged(self, other: "Sketch") -> "MomentSketch":
+        # The accumulators add into a new one: no copy to then overwrite.
+        self._require_same_type(other)
+        assert isinstance(other, MomentSketch)
+        return self._clone(_moments=self._moments.merged(other._moments))
 
     def copy(self) -> "MomentSketch":
         # Merged with nothing: a new accumulator holding the same seven scalars.

@@ -18,6 +18,10 @@ from repro.errors import EmptyColumnError, SketchError
 from repro.sketch.base import Sketch
 
 
+#: What a value past a summary's last tuple sorts before: nothing.
+_NO_SPAN = np.zeros(1, dtype=np.int64)
+
+
 class QuantileSketch(Sketch):
     """ε-approximate quantile summary (Greenwald–Khanna 2001).
 
@@ -39,6 +43,32 @@ class QuantileSketch(Sketch):
         self._value = np.asarray(value, dtype=np.float64)
         self._g = np.asarray(g, dtype=np.int64)
         self._delta = np.asarray(delta, dtype=np.int64)
+
+    @classmethod
+    def of_sorted_rows(cls, ordered: np.ndarray,
+                       epsilon: float = 0.01) -> list["QuantileSketch"]:
+        """The summary of each row of ``ordered``: a ``(d, n)`` float64
+        block, NaN-free, ``n >= 1``, sorted along axis 1.
+
+        For a sorted batch the compressed summary can be built directly by
+        keeping every floor(2*epsilon*n)-th value with g = gap to the
+        previous kept value and delta = 0.  Every tuple then satisfies the
+        GK invariant g + delta <= 2*epsilon*n, so the epsilon*n rank-error
+        bound is unchanged.  Rows of one block have one ``n``, hence one
+        selection; their sketches share the ``g`` and ``delta`` arrays,
+        which — like every summary array — are replaced, never written.
+        """
+        n = int(ordered.shape[1])
+        step = max(int(2.0 * epsilon * n), 1)
+        keep = np.arange(0, n, step)
+        if keep[-1] != n - 1:
+            keep = np.append(keep, n - 1)
+        empty = cls(epsilon)
+        g, delta = np.diff(keep, prepend=-1), np.zeros(keep.size, dtype=np.int64)
+        return [
+            empty._clone(_value=value, _g=g, _delta=delta, _count=n)
+            for value in np.take(ordered, keep, axis=1)
+        ]
 
     # -- construction -------------------------------------------------------------
     @property
@@ -62,22 +92,11 @@ class QuantileSketch(Sketch):
         if values.size == 0:
             return
         if self._count == 0:
-            # Batch fast path: for a sorted batch the compressed summary can
-            # be built directly by keeping every floor(2*epsilon*n)-th value
-            # with g = gap to the previous kept value and delta = 0.  Every
-            # tuple then satisfies the GK invariant g + delta <= 2*epsilon*n,
-            # so the epsilon*n rank-error bound is unchanged.
-            ordered = np.sort(values)
-            n = int(ordered.size)
-            step = max(int(2.0 * self.epsilon * n), 1)
-            keep = np.arange(0, n, step)
-            if keep[-1] != n - 1:
-                keep = np.append(keep, n - 1)
-            self._set_summary(
-                ordered[keep], np.diff(keep, prepend=-1), np.zeros(keep.size)
+            # Batch fast path: the summary of the sorted batch, adopted.
+            (summary,) = self.of_sorted_rows(
+                np.sort(values)[np.newaxis, :], self.epsilon
             )
-            self._count = n
-            self._since_compress = 0
+            self.__dict__.update(vars(summary))
             return
         for value in values.tolist():
             self.update(value)
@@ -101,22 +120,42 @@ class QuantileSketch(Sketch):
         if size < 3:
             return
         threshold = 2.0 * self.epsilon * self._count
-        g, delta = self._g.tolist(), self._delta.tolist()
+        at = self._compress_candidates(threshold)
+        if at.size == 0:
+            return
         # Greedy left-to-right banding of the interior tuples: a tuple
         # absorbs the band before it while the band's rank span stays
         # within the threshold.  Each band is kept as its last tuple with
-        # the band's summed g; the two extremes are never merged.
-        keep, band_g = [0, 1], [g[0], g[1]]
-        for index in range(2, size - 1):
-            total = band_g[-1] + g[index]
+        # the band's summed g; the two extremes are never merged.  ``g``
+        # holds, at a band's current last tuple, the band's sum so far.
+        g, delta = self._g.tolist(), self._delta.tolist()
+        absorbed = []
+        for index in at.tolist():
+            total = g[index - 1] + g[index]
             if total + delta[index] <= threshold:
-                keep[-1], band_g[-1] = index, total
-            else:
-                keep.append(index)
-                band_g.append(g[index])
-        keep.append(size - 1)
-        band_g.append(g[-1])
-        self._set_summary(self._value[keep], band_g, self._delta[keep])
+                g[index] = total
+                absorbed.append(index - 1)
+        if not absorbed:
+            return
+        keep = np.ones(size, dtype=bool)
+        keep[absorbed] = False
+        self._value = self._value[keep]
+        self._g = np.array(g, dtype=np.int64)[keep]
+        self._delta = self._delta[keep]
+
+    def _compress_candidates(self, threshold: float) -> np.ndarray:
+        """The interior tuples that could join the band before them.
+
+        A band's g is at least its last tuple's, so tuple ``i`` absorbs
+        nothing unless ``g[i-1] + g[i] + delta[i] <= threshold``: one
+        vectorised test, and the sequential walk of :meth:`_compress`
+        visits only the tuples that pass — on a summary compressed a
+        merge ago, a handful.
+        """
+        g, delta = self._g, self._delta
+        span = g[2:-1] + delta[2:-1]
+        span += g[1:-2]
+        return (span <= threshold).nonzero()[0] + 2
 
     # -- merging ---------------------------------------------------------------------
     def merge(self, other: "Sketch") -> None:
@@ -131,23 +170,21 @@ class QuantileSketch(Sketch):
         # by its own delta plus the rows the other summary may hold below it
         # but counts under its next tuple, g + delta - 1.  Widening delta
         # by that keeps g + delta <= 2*epsilon*n over any chain of merges.
-        value = np.concatenate([self._value, other._value])
-        order = np.argsort(value, kind="stable")
-        self._set_summary(
-            value[order],
-            np.concatenate([self._g, other._g])[order],
-            np.concatenate([
-                self._delta + other._span_above(self._value, "left"),
-                other._delta + self._span_above(other._value, "right"),
-            ])[order],
-        )
+        value = np.concatenate((self._value, other._value))
+        order = value.argsort(kind="stable")
+        delta = np.concatenate((
+            self._delta + other._span_above(self._value, "left"),
+            other._delta + self._span_above(other._value, "right"),
+        ))
+        self._g = np.concatenate((self._g, other._g))[order]
+        self._value, self._delta = value[order], delta[order]
         self._count += other._count
         self._compress()
 
     def _span_above(self, values: np.ndarray, side: str) -> np.ndarray:
         """``g + delta - 1`` of the tuple each value sorts before (0 past the end)."""
-        span = np.append(self._g + self._delta - 1, 0)
-        return span[np.searchsorted(self._value, values, side=side)]
+        span = np.concatenate((self._g + self._delta - 1, _NO_SPAN))
+        return span[self._value.searchsorted(values, side)]
 
     def copy(self) -> "QuantileSketch":
         return self._clone(_value=self._value.copy(), _g=self._g.copy(),

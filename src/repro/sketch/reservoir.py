@@ -130,20 +130,25 @@ def advance_row_indices(
     over the new row indices — each appended row ``i`` enters the sample
     with probability ``capacity / (i + 1)``, which is exactly the
     weighting that keeps the maintained sample uniform over the grown
-    dataset.  The input array is not mutated.
+    dataset.  The input array is not mutated; when no appended row enters
+    the sample it is returned *itself*, so a caller can tell by identity
+    that whatever it derived from the sampled rows still stands.
     """
     if capacity < 1:
         raise SketchError("capacity must be >= 1")
-    sample = list(np.asarray(indices, dtype=np.int64))
-    for offset in range(n_new):
-        global_index = n_seen + offset
-        if len(sample) < capacity:
-            sample.append(global_index)
-            continue
+    # Rows that arrive while the sample is short of capacity all enter it.
+    filling = min(n_new, max(capacity - len(indices), 0))
+    sample = np.concatenate([
+        np.asarray(indices, dtype=np.int64),
+        np.arange(n_seen, n_seen + filling, dtype=np.int64),
+    ])
+    untouched = filling == 0
+    for global_index in range(n_seen + filling, n_seen + n_new):
         j = int(rng.integers(0, global_index + 1))
         if j < capacity:
             sample[j] = global_index
-    return np.sort(np.asarray(sample, dtype=np.int64))
+            untouched = False
+    return indices if untouched else np.sort(sample)
 
 
 def sample_pairs(

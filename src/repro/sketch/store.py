@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar, Mapping
+from typing import ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from repro.sketch.hyperplane import HyperplaneSketch, HyperplaneSketcher, sugges
 from repro.sketch.moments import MomentSketch
 from repro.sketch.quantile import QuantileSketch
 from repro.sketch.reservoir import reservoir_row_indices
+from repro.stats.moments import block_moments
 
 
 @dataclass
@@ -100,8 +101,8 @@ class ColumnSketches:
     def merged(self, other: "ColumnSketches") -> "ColumnSketches":
         """A new bundle over the union of two disjoint row partitions.
 
-        Copy-on-merge: a sketch both sides hold is combined on a ``copy()``
-        of this bundle's, so neither input (each possibly a published
+        Copy-on-merge: a sketch both sides hold is combined into a new one
+        (:meth:`Sketch.merged`), so neither input (each possibly a published
         snapshot) is mutated; one only one side holds is shared as is.  The
         hyperplane signature cannot absorb rows and is left unset.
         """
@@ -109,8 +110,7 @@ class ColumnSketches:
         for attribute in self.MERGEABLE:
             mine, theirs = getattr(self, attribute), getattr(other, attribute)
             if mine is not None and theirs is not None:
-                mine = mine.copy()
-                mine.merge(theirs)
+                mine = mine.merged(theirs)
             setattr(bundle, attribute, theirs if mine is None else mine)
         return bundle
 
@@ -144,20 +144,31 @@ def value_count_sketches(column: Column, config: SketchStoreConfig) -> dict[str,
     return {"frequent": frequent, "entropy": entropy, "countmin": countmin}
 
 
-def numeric_sketches(values: np.ndarray, config: SketchStoreConfig,
-                     rng_key: list[int]) -> dict[str, object]:
-    """The moment and quantile sketches of a numeric column's valid values;
-    above ``quantile_sample_cap`` rows the GK summary is of a uniform
-    sample drawn from the RNG stream ``rng_key`` names."""
-    moments = MomentSketch()
-    moments.update_array(values)
-    if values.size > config.quantile_sample_cap:
-        values = np.random.default_rng(rng_key).choice(
-            values, size=config.quantile_sample_cap, replace=False
-        )
-    quantiles = QuantileSketch(epsilon=config.quantile_epsilon)
-    quantiles.update_array(values)
-    return {"moments": moments, "quantiles": quantiles}
+def numeric_sketches(block: np.ndarray, config: SketchStoreConfig,
+                     rng_keys: Sequence[list[int]]) -> list[dict[str, object]]:
+    """The moment and quantile sketches of each row of ``block``: a
+    C-contiguous ``(d, n)`` array of valid (NaN-free) values — one
+    column's, or every complete column of an append batch at once.  All
+    moments come from one pass of axis-1 reductions and all GK summaries
+    from one row-wise sort; above ``quantile_sample_cap`` values a row's
+    summary is of a uniform sample drawn from the RNG stream its
+    ``rng_keys`` entry names."""
+    epsilon = config.quantile_epsilon
+    if block.shape[1] == 0:
+        return [{"moments": MomentSketch(), "quantiles": QuantileSketch(epsilon)}
+                for _ in rng_keys]
+    moments = block_moments(block)
+    if block.shape[1] > config.quantile_sample_cap:
+        block = np.array([
+            np.random.default_rng(key).choice(
+                row, size=config.quantile_sample_cap, replace=False)
+            for key, row in zip(rng_keys, block)
+        ])
+    quantiles = QuantileSketch.of_sorted_rows(np.sort(block, axis=1), epsilon)
+    return [
+        {"moments": MomentSketch.from_moments(running), "quantiles": summary}
+        for running, summary in zip(moments, quantiles)
+    ]
 
 
 @dataclass
@@ -192,7 +203,8 @@ class SketchStore:
     #: The row sample as a table, and the kernel inputs derived from it:
     #: each taken on first use, once per store — a store is one published
     #: snapshot, and an append publishes a new one (``from_parts``) that
-    #: derives its own.  Never journalled or snapshotted.
+    #: derives its own unless it left the sample as it was.  Never
+    #: journalled or snapshotted.
     _sample: DataTable | None = None
     _features: TableFeatures | None = None
 
@@ -277,10 +289,13 @@ class SketchStore:
         """
         config = self._config
         column = self._table.numeric_column(name)
+        (sketches,) = numeric_sketches(
+            column.valid_values()[np.newaxis, :], config, [[config.seed, index]]
+        )
         return ColumnSketches(
             name=name,
             hyperplane=signature,
-            **numeric_sketches(column.valid_values(), config, [config.seed, index]),
+            **sketches,
             **(value_count_sketches(column, config) if column.is_discrete() else {}),
         )
 
@@ -302,6 +317,7 @@ class SketchStore:
         sketcher: HyperplaneSketcher | None,
         sample_indices: np.ndarray,
         stats: PreprocessStats,
+        sample_from: "SketchStore | None" = None,
     ) -> "SketchStore":
         """Assemble a store from already-built parts, skipping ``_build``.
 
@@ -309,6 +325,11 @@ class SketchStore:
         ingest layer merges delta partials into *copies* of a live
         store's sketches and packages the result as a new store object,
         so in-flight readers of the old store never observe a mutation.
+
+        ``sample_from`` names a store whose sample is of these same rows
+        with these same category lists (the caller's claim): whatever it
+        has already derived from them — the sample table, the kernel
+        features — is shared instead of derived again.
         """
         store = cls.__new__(cls)
         store._table = table
@@ -318,6 +339,9 @@ class SketchStore:
         store._sketcher = sketcher
         store._sample_indices = np.asarray(sample_indices, dtype=np.int64)
         store._stats = stats
+        if sample_from is not None:
+            store._sample = sample_from._sample
+            store._features = sample_from._features
         return store
 
     # ------------------------------------------------------------------

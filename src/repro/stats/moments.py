@@ -105,17 +105,8 @@ class RunningMoments:
         values = values[~np.isnan(values)]
         if values.size == 0:
             return
-        batch = RunningMoments()
-        batch.n = int(values.size)
-        batch.mean = float(values.mean())
-        centered = values - batch.mean
-        batch.m2 = float(np.sum(centered**2))
-        batch.m3 = float(np.sum(centered**3))
-        batch.m4 = float(np.sum(centered**4))
-        batch.minimum = float(values.min())
-        batch.maximum = float(values.max())
-        merged = self.merged(batch)
-        self.__dict__.update(merged.__dict__)
+        (batch,) = block_moments(values[np.newaxis, :])
+        self.__dict__.update(self.merged(batch).__dict__)
 
     # -- merge --------------------------------------------------------------
     def merged(self, other: "RunningMoments") -> "RunningMoments":
@@ -220,6 +211,39 @@ class RunningMoments:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RunningMoments(n={self.n}, mean={self.mean:.4g})"
+
+
+def block_moments(block: np.ndarray) -> list[RunningMoments]:
+    """One accumulator per row of ``block``: the batch summaries of many
+    columns at once.
+
+    ``block`` is a C-contiguous ``(d, n)`` float64 array, one variable per
+    row, NaN-free, ``n >= 1``.  Every reduction runs along the contiguous
+    axis, so a row's sums are the pairwise sums the same values give as a
+    1-D array — a column summarised alone (:meth:`RunningMoments.update_array`
+    passes a one-row block) and inside a wider block agree to the bit.
+    Powers are explicit products: ``x**3`` and ``x**4`` go through ``pow``.
+    """
+    mean = block.mean(axis=1)
+    centered = block - mean[:, np.newaxis]
+    squared = centered * centered
+    columns = zip(
+        mean.tolist(),
+        squared.sum(axis=1).tolist(),
+        (squared * centered).sum(axis=1).tolist(),
+        (squared * squared).sum(axis=1).tolist(),
+        block.min(axis=1).tolist(),
+        block.max(axis=1).tolist(),
+    )
+    n = int(block.shape[1])
+    summaries = []
+    for mean_, m2, m3, m4, minimum, maximum in columns:
+        moments = RunningMoments()
+        moments.n, moments.mean = n, mean_
+        moments.m2, moments.m3, moments.m4 = m2, m3, m4
+        moments.minimum, moments.maximum = minimum, maximum
+        summaries.append(moments)
+    return summaries
 
 
 # ---------------------------------------------------------------------------

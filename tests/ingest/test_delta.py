@@ -84,6 +84,17 @@ class TestRejectedBatches:
                 "people", [{"smoker": "maybe"}], base_table.schema
             )
 
+    def test_int_beyond_the_float_range_is_a_named_rejection(self, base_table):
+        # Was an OverflowError out of parse_number (a 500 over HTTP).
+        with pytest.raises(DeltaValidationError) as info:
+            DeltaBatch.from_records(
+                "people", [{"height": 1.7}, {"height": 10**400}],
+                base_table.schema,
+            )
+        assert info.value.problems == [
+            f"row 1, column 'height': value {10**400!r} is not numeric"
+        ]
+
     def test_container_is_not_a_label(self, base_table):
         with pytest.raises(DeltaValidationError, match="categorical"):
             DeltaBatch.from_records(
@@ -107,6 +118,28 @@ class TestRejectedBatches:
         rows = [{"height": 1.0}] * (MAX_BATCH_ROWS + 1)
         with pytest.raises(DeltaValidationError, match="per-batch limit"):
             DeltaBatch.from_records("people", rows, base_table.schema)
+
+    def test_problems_are_reported_in_row_major_order(self, base_table):
+        with pytest.raises(DeltaValidationError) as info:
+            DeltaBatch.from_records(
+                "people",
+                [{"height": "x", "city": ["Oslo"], "smoker": "nah"},
+                 [1, 2],
+                 {"smoker": "maybe", "height": 1.0},
+                 {"zip": 1, "age": 2},
+                 {"city": {"a": 1}, "height": "tall"}],
+                base_table.schema,
+            )
+        assert info.value.problems == [
+            "row 0, column 'height': value 'x' is not numeric",
+            "row 0, column 'city': value of type list is not a categorical label",
+            "row 0, column 'smoker': value 'nah' is not boolean",
+            "row 1: not a record object",
+            "row 2, column 'smoker': value 'maybe' is not boolean",
+            "row 3: unknown column(s) ['age', 'zip']",
+            "row 4, column 'height': value 'tall' is not numeric",
+            "row 4, column 'city': value of type dict is not a categorical label",
+        ]
 
     def test_rejection_is_all_or_nothing(self, base_table):
         # One bad row in a batch of two: nothing materialises.

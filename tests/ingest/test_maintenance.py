@@ -163,6 +163,102 @@ class TestMergeDelta:
         assert np.array_equal(a.sample_indices, b.sample_indices)
 
 
+    def test_sketch_bytes_adjusted_by_the_merged_bundles(self, store,
+                                                         base_table,
+                                                         delta_table):
+        merged = _merged(store, base_table, delta_table)
+        assert merged.stats.total_sketch_bytes == sum(
+            bundle.memory_bytes() for bundle in merged.column_map().values()
+        )
+        assert merged.stats.total_sketch_bytes != store.stats.total_sketch_bytes
+
+
+class TestWhatAnAppendCosts:
+    """Call counts, not clocks: the write path reads a batch as one block."""
+
+    N_NUMERIC, N_CATEGORICAL, ROWS = 20, 2, 64
+
+    @pytest.fixture(scope="class")
+    def wide_table(self):
+        return make_mixed_table(n_rows=500, n_numeric=self.N_NUMERIC,
+                                n_categorical=self.N_CATEGORICAL, seed=21)
+
+    @pytest.fixture(scope="class")
+    def plain_rows(self):
+        # What a JSON client sends: floats and label strings.
+        return make_mixed_table(n_rows=self.ROWS, n_numeric=self.N_NUMERIC,
+                                n_categorical=self.N_CATEGORICAL,
+                                seed=22).to_records()
+
+    @staticmethod
+    def _counted(monkeypatch, owner, name) -> list:
+        calls, original = [], getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def test_plain_numeric_cells_are_never_parsed_one_by_one(
+            self, monkeypatch, wide_table, plain_rows):
+        from repro.data import column as column_module
+
+        parsed = self._counted(monkeypatch, column_module, "parse_number")
+        tested = self._counted(monkeypatch, column_module, "is_missing_token")
+        batch = DeltaBatch.from_records("d", plain_rows, wide_table.schema)
+        assert batch.n_rows == self.ROWS
+        assert parsed == []
+        # Categorical labels, and only those, take the cell path — once per
+        # distinct raw label of a column.
+        assert all(isinstance(value, str) for (value,) in tested)
+        assert len(tested) == sum(
+            len({row[name] for row in plain_rows})
+            for name in wide_table.categorical_names())
+
+    def test_a_batch_is_sorted_once_and_hashes_only_unseen_labels(
+            self, monkeypatch, wide_table, plain_rows):
+        import hashlib
+
+        store = SketchStore(wide_table)
+        delta = DeltaBatch.from_records("d", plain_rows, wide_table.schema).table
+        sorts = self._counted(monkeypatch, np, "sort")
+        hashed = self._counted(monkeypatch, hashlib, "blake2b")
+        partials = build_delta_partials(delta, store, store.executor)
+        assert len(sorts) == 1  # one row-wise sort for all 20 GK partials
+        assert sorts[0][0].shape == (self.N_NUMERIC, self.ROWS)
+        merged = merge_delta(store, wide_table.concat(delta), delta.n_rows,
+                             partials)
+        seen = len(hashed)
+        # The same labels again: every hash comes from the memo.
+        build_delta_partials(delta, merged, merged.executor)
+        assert len(hashed) == seen
+
+    def test_compress_walks_only_where_a_merge_is_possible(self, monkeypatch):
+        from repro.sketch.quantile import QuantileSketch
+
+        walked = []
+        candidates = QuantileSketch._compress_candidates
+
+        def counted(self, threshold):
+            at = candidates(self, threshold)
+            walked.append(int(at.size))
+            return at
+
+        monkeypatch.setattr(QuantileSketch, "_compress_candidates", counted)
+        rng = np.random.default_rng(8)
+        summary = QuantileSketch(0.01)
+        summary.update_array(rng.normal(size=5000))  # freshly compressed
+        assert summary.n_tuples > 40
+        for _ in range(30):  # ... plus one tuple, thirty times over
+            one = QuantileSketch(0.01)
+            one.update_array(rng.normal(size=1))
+            summary = summary.merged(one)
+        assert len(walked) == 30 and max(walked) <= 4
+        assert summary.n_tuples > 40
+
+
 class TestAccuracyBudget:
     def test_budget_counts_from_base_rows(self):
         log = IngestLog()

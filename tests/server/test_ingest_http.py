@@ -106,6 +106,25 @@ class TestDatasetManagementAPI:
                 )
                 assert replaced["version"] == 2  # behaves like a reload
 
+    def test_append_of_an_int_beyond_the_float_range_is_400(self, live_table):
+        # Valid JSON, and it used to be a 500: float(10**400) overflows.
+        column = live_table.numeric_names()[0]
+        server, handle = _serving(live_table)
+        with handle:
+            with ReproClient(*handle.address) as client:
+                raw = client.request_raw(
+                    "POST", "/v1/datasets/live/rows",
+                    {"rows": [{column: 1.5}, {column: 10**400}]},
+                )
+                assert raw.status == 400
+                assert raw.payload["code"] == "delta_rejected"
+                (problem,) = raw.payload["problems"]
+                assert problem.startswith(f"row 1, column {column!r}: value 1000")
+                assert problem.endswith("is not numeric")
+                (status,) = [d for d in client.datasets()
+                             if d["name"] == "live"]
+                assert status["seq"] == 0
+
     def test_append_validation_failure_is_400_with_problems(self, live_table):
         server, handle = _serving(live_table)
         with handle:
