@@ -22,19 +22,17 @@ Serving layer (multi-user, transport-agnostic):
   under concurrent callers), serves
   :class:`repro.InsightRequest` → :class:`repro.InsightResponse` DTOs
   with LRU result caching, version-aware invalidation and pagination,
-  executes request batches concurrently (``handle_many``), and restores
-  exploration sessions by dataset name.  Thread-safe throughout.
+  serves request batches in order (``handle_many``), and restores
+  exploration sessions by dataset name.  Thread-safe throughout; one
+  request runs on one thread, the caller's.
 * :class:`repro.InsightRequest` / :class:`repro.InsightResponse` — the
   versioned, JSON-serialisable wire protocol: one or many insight
   classes per request, shared query constraints, pagination cursors and
   cache/mode provenance on every response.
 * :class:`repro.service.QueryPipeline` — the staged execution pipeline
   (plan → enumerate → score → rank); multi-class requests enumerate each
-  shared candidate domain once instead of once per class, unpruned
-  same-class queries share scored batches, and the score stage shards
-  deterministically across :class:`repro.ExecutorConfig`-driven workers
-  (``max_workers=1``, the default, is byte-identical to parallel runs
-  and preserves the historical serial behavior exactly).
+  shared candidate domain once instead of once per class, and unpruned
+  same-class queries share scored batches.
 
 Single-process embedding:
 
@@ -48,7 +46,7 @@ Single-process embedding:
 * :mod:`repro.stats` — exact statistics behind every insight metric.
 * :mod:`repro.sketch` — single-pass, mergeable sketches for fast
   approximate insight metrics (random hyperplane, moments, quantile,
-  frequent items, entropy, random projection, reservoir sampling).
+  frequent items, entropy, reservoir sampling).
 * :mod:`repro.viz` — declarative visualization specs and ASCII renderers.
 
 Quick serving example::
@@ -69,10 +67,9 @@ See ``docs/API.md`` for the full serving-layer guide.
 """
 
 from repro.core.engine import Carousel, EngineConfig, Foresight
-from repro.core.executor import ExecutorConfig
 from repro.core.insight import Insight, InsightClass, EvaluationContext
+from repro.core.pipeline import RankingResult
 from repro.core.query import InsightQuery, MetricRange, query
-from repro.core.ranking import RankingResult
 from repro.core.registry import InsightRegistry, default_registry
 from repro.core.session import ExplorationSession
 from repro.data.table import DataTable
@@ -93,7 +90,6 @@ __all__ = [
     "DataTable",
     "EngineConfig",
     "EvaluationContext",
-    "ExecutorConfig",
     "ExplorationSession",
     "Foresight",
     "Insight",

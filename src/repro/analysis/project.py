@@ -22,7 +22,6 @@ role                  level  lock
 ``workspace.registry`` 20    ``Workspace._lock`` registry (RLock)
 ``workspace.stats``    30    ``Workspace._stats_lock`` counter leaf
 ``cache.lock``         30    ``ResultCache._lock`` leaf
-``executor.lock``      30    ``ParallelExecutor._lock`` pool leaf
 ``metrics.lock``       30    ``ServerMetrics._lock`` counter leaf
 ``journal.commit``     30    ``_CommitPipeline.cond`` group-commit leaf
 ``obs.trace``          30    ``Tracer._drain_lock`` trace-ring leaf
@@ -124,7 +123,6 @@ DEFAULT_CONFIG = ProjectConfig(
         "service/workspace.py",
         "service/replica.py",
         "service/cache.py",
-        "core/executor.py",
         "server/metrics.py",
         "ingest/durable.py",
         "obs/tracer.py",
@@ -144,7 +142,6 @@ DEFAULT_CONFIG = ProjectConfig(
         LockSpec("workspace.registry", 20, "service/replica.py", "ReplicaWorkspace", "_lock", reentrant=True),
         LockSpec("workspace.entry", 10, "service/replica.py", "_DatasetEntry", "lock", reentrant=True),
         LockSpec("cache.lock", 30, "service/cache.py", "ResultCache", "_lock", reentrant=True),
-        LockSpec("executor.lock", 30, "core/executor.py", "ParallelExecutor", "_lock"),
         LockSpec("metrics.lock", 30, "server/metrics.py", "ServerMetrics", "_lock"),
         # The group-commit condition: taken under workspace.entry on the
         # journal write paths, bare during off-lock ticket waits; never

@@ -1,12 +1,5 @@
 """Core contribution: the insight framework, ranking engine and exploration API."""
 
-from repro.core.executor import (
-    Executor,
-    ExecutorConfig,
-    ParallelExecutor,
-    SerialExecutor,
-    create_executor,
-)
 from repro.core.insight import (
     EvaluationContext,
     Insight,
@@ -17,7 +10,7 @@ from repro.core.insight import (
 )
 from repro.core.registry import InsightRegistry, default_registry
 from repro.core.query import InsightQuery, MetricRange, query
-from repro.core.ranking import RankingEngine, RankingResult
+from repro.core.pipeline import RankingResult
 from repro.core.neighborhood import (
     NeighborhoodConfig,
     NeighborhoodRecommender,
@@ -48,13 +41,8 @@ __all__ = [
     "DispersionInsight",
     "EngineConfig",
     "EvaluationContext",
-    "Executor",
-    "ExecutorConfig",
     "ExplorationSession",
     "Foresight",
-    "ParallelExecutor",
-    "SerialExecutor",
-    "create_executor",
     "HeavyTailsInsight",
     "HeterogeneousFrequenciesInsight",
     "Insight",
@@ -72,7 +60,6 @@ __all__ = [
     "NeighborhoodRecommender",
     "NormalityInsight",
     "OutlierInsight",
-    "RankingEngine",
     "RankingResult",
     "ScoredCandidate",
     "SegmentationInsight",

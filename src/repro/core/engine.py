@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from repro.errors import InsightError
 from repro.data.table import DataTable
-from repro.core.executor import Executor, ExecutorConfig, create_executor
 from repro.core.insight import (
     EvaluationContext,
     Insight,
@@ -33,8 +32,7 @@ from repro.core.insight import (
 )
 from repro.core.neighborhood import NeighborhoodConfig, NeighborhoodRecommender
 from repro.core.query import InsightQuery, query as build_query
-from repro.core.ranking import RankingEngine, RankingResult
-from repro.core.pipeline import PipelineStats
+from repro.core.pipeline import PipelineStats, QueryPipeline, RankingResult
 from repro.core.registry import InsightRegistry, default_registry
 from repro.sketch.store import SketchStore, SketchStoreConfig
 from repro.viz.spec import VisualizationSpec
@@ -65,11 +63,6 @@ class EngineConfig:
     default_top_k: int = 5
     sketch: SketchStoreConfig = field(default_factory=SketchStoreConfig)
     neighborhood: NeighborhoodConfig = field(default_factory=NeighborhoodConfig)
-    #: Execution-layer knobs: ``max_workers=1`` (the default) runs
-    #: everything serially on the caller's thread; higher values
-    #: parallelise preprocessing and the score stage without changing
-    #: any output byte.
-    executor: ExecutorConfig = field(default_factory=ExecutorConfig)
     #: Cap on scored candidates for 3-attribute classes to stay interactive.
     max_candidates_triples: int = 5000
 
@@ -84,29 +77,24 @@ class Foresight:
         config: EngineConfig | None = None,
         preprocess: bool = True,
         store: SketchStore | None = None,
-        executor: Executor | None = None,
     ):
         """Build an engine for ``table``.
 
         ``store`` injects an already-built sketch store (the live-ingest
         path merges delta sketches into a copy of the previous store and
-        swaps in a new engine without re-preprocessing); ``executor``
-        likewise shares an existing execution pool instead of creating
-        one per engine.  Both default to being built from ``config``.
+        swaps in a new engine without re-preprocessing); by default it is
+        built from ``config``.
         """
         self._table = table
         self._registry = registry or default_registry()
         self._config = config or EngineConfig()
-        self._executor = executor or create_executor(self._config.executor)
         self._store: SketchStore | None = store
         if (store is None and preprocess
                 and self._config.mode == MODE_APPROXIMATE):
-            self._store = SketchStore(
-                table, config=self._config.sketch, executor=self._executor
-            )
-        self._ranking = RankingEngine(self._registry, executor=self._executor)
+            self._store = SketchStore(table, config=self._config.sketch)
+        self._pipeline = QueryPipeline(self._registry)
         self._neighborhood = NeighborhoodRecommender(
-            self._ranking, config=self._config.neighborhood
+            self._pipeline, config=self._config.neighborhood
         )
 
     # ------------------------------------------------------------------
@@ -128,11 +116,6 @@ class Foresight:
     @property
     def config(self) -> EngineConfig:
         return self._config
-
-    @property
-    def executor(self) -> Executor:
-        """The execution layer shared by preprocessing and the pipeline."""
-        return self._executor
 
     def insight_classes(self) -> list[dict[str, object]]:
         """Catalogue of the registered insight classes."""
@@ -172,7 +155,9 @@ class Foresight:
             kwargs.setdefault("mode", self._config.mode)
             insight_query = build_query(insight_class, **kwargs)
             insight_query = self._apply_default_caps(insight_query)
-        return self._ranking.rank(insight_query, self.context(insight_query.mode))
+        return self._pipeline.execute(
+            [insight_query], self.context(insight_query.mode)
+        )[0]
 
     def rank_many(
         self,
@@ -188,7 +173,7 @@ class Foresight:
         candidate walk once per class.  ``stats`` (when given) accumulates
         the pipeline's enumeration/sharing counters.
         """
-        return self._ranking.pipeline.execute(
+        return self._pipeline.execute(
             queries,
             self.context(),
             default_caps=self._apply_default_caps if apply_caps else None,
@@ -280,12 +265,10 @@ class Foresight:
             default_top_k=self._config.default_top_k,
             sketch=self._config.sketch,
             neighborhood=self._config.neighborhood,
-            executor=self._config.executor,
             max_candidates_triples=self._config.max_candidates_triples,
         )
-        clone._executor = self._executor
         clone._store = self._store
-        clone._ranking = self._ranking
+        clone._pipeline = self._pipeline
         clone._neighborhood = self._neighborhood
         return clone
 

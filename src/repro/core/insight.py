@@ -175,7 +175,7 @@ class InsightClass(abc.ABC):
         Two classes that return the same non-None key (and have equal
         ``arity``) promise to yield *identical* candidate sequences for any
         table.  The staged query pipeline
-        (:mod:`repro.service.pipeline`) uses this to enumerate a shared
+        (:mod:`repro.core.pipeline`) uses this to enumerate a shared
         domain once per multi-class request instead of once per class.
         Returning None (the default) opts the class out of sharing.
         """
@@ -205,16 +205,6 @@ class InsightClass(abc.ABC):
             if scored is not None:
                 results.append(scored)
         return results
-
-    def scores_elementwise(self) -> bool:
-        """Whether scoring is a plain per-candidate loop (no batched override).
-
-        The query pipeline shards the score stage of such classes across
-        executor workers; classes overriding :meth:`score_all` vectorise
-        internally (one matrix product beats four chunked ones), so they
-        are scored in a single batch instead.
-        """
-        return type(self).score_all is InsightClass.score_all
 
     # -- presentation ----------------------------------------------------------------
     @abc.abstractmethod

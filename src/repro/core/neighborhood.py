@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.executor import shard
 from repro.core.insight import EvaluationContext, Insight
-from repro.core.pipeline import PipelineStats
+from repro.core.pipeline import PipelineStats, QueryPipeline, RankingResult
 from repro.core.query import InsightQuery
-from repro.core.ranking import RankingEngine, RankingResult
 
 
 def attribute_jaccard(a: Insight, b: Insight) -> float:
@@ -73,8 +71,8 @@ class NeighborhoodConfig:
 class NeighborhoodRecommender:
     """Recommends insights near a set of focused insights."""
 
-    def __init__(self, engine: RankingEngine, config: NeighborhoodConfig | None = None):
-        self._engine = engine
+    def __init__(self, pipeline: QueryPipeline, config: NeighborhoodConfig | None = None):
+        self._pipeline = pipeline
         self._config = config or NeighborhoodConfig()
 
     def similarity_to_focus(self, insight: Insight, focus: list[Insight]) -> float:
@@ -108,11 +106,7 @@ class NeighborhoodRecommender:
 
         All pool queries (one per focus attribute plus the unconstrained
         top-up) execute as **one** pipeline run, so they share a single
-        candidate enumeration and their score stages shard across the
-        engine's executor exactly like the main serving path; the blended
-        re-ranking itself is likewise sharded over the executor's
-        workers.  Both fan-outs are order-preserving and per-item pure,
-        so parallel and serial recommendations are identical.
+        candidate enumeration.
         """
         config = self._config
         query = base_query or InsightQuery(insight_class=insight_class)
@@ -131,7 +125,7 @@ class NeighborhoodRecommender:
         ]
         queries.append(pool_query)
         stats = PipelineStats()
-        results = self._engine.pipeline.execute(queries, context, stats=stats)
+        results = self._pipeline.execute(queries, context, stats=stats)
 
         pooled: list[Insight] = []
         seen: set[tuple[str, tuple[str, ...]]] = set()
@@ -158,7 +152,7 @@ class NeighborhoodRecommender:
             similarity = self.similarity_to_focus(insight, focus)
             return strength_weight * normalised_strength + (1 - strength_weight) * similarity
 
-        blended_scores = self._blend_scores(pooled, blended)
+        blended_scores = [blended(insight) for insight in pooled]
         order = sorted(
             range(len(pooled)),
             key=lambda i: (-blended_scores[i], pooled[i].attributes),
@@ -175,23 +169,3 @@ class NeighborhoodRecommender:
                 "pipeline": stats.as_dict(),
             },
         )
-
-    def _blend_scores(self, pooled, blended) -> list[float]:
-        """Blended scores for the pool, sharded across the engine executor.
-
-        Chunk boundaries are a pure function of the pool size and each
-        blended score depends only on its own insight, so concatenating
-        the chunk results is identical to one serial pass.
-        """
-        executor = self._engine.pipeline.executor
-        if executor.max_workers > 1 and len(pooled) > 1:
-            chunks = shard(
-                pooled, executor.max_workers, executor.config.min_chunk_size
-            )
-            if len(chunks) > 1:
-                parts = executor.map(
-                    lambda chunk: [blended(insight) for insight in chunk],
-                    chunks,
-                )
-                return [score for part in parts for score in part]
-        return [blended(insight) for insight in pooled]

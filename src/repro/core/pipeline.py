@@ -1,10 +1,8 @@
 """The staged query execution pipeline: plan → enumerate → score → rank.
 
-Historically :meth:`RankingEngine.rank` and :meth:`Foresight.carousels`
-each interleaved candidate enumeration, constraint filtering, scoring and
-ranking, so a multi-class request re-enumerated the candidate tuples once
-per class.  This module extracts those steps into four explicit stages
-executed by :class:`QueryPipeline`:
+A multi-class request that ranked one class at a time would re-enumerate
+the candidate tuples once per class.  :class:`QueryPipeline` runs the
+work as four explicit stages instead:
 
 1. **plan** — resolve each :class:`~repro.core.query.InsightQuery` against
    the registry, apply default candidate caps, and compute a *share key*
@@ -16,24 +14,14 @@ executed by :class:`QueryPipeline`:
    ``max_candidates`` cap, which must keep the lazy early-stop that avoids
    materialising a large domain to serve a few tuples — iterate privately;
 3. **score** — evaluate the insight metric over the admissible candidates
-   (batched / sketch-backed where the class supports it).  Two pieces of
-   machinery live here:
-
-   * **sharded scoring** — classes that score candidates one at a time
-     (:meth:`~repro.core.insight.InsightClass.scores_elementwise`) have
-     their admissible list split into deterministic contiguous chunks
-     (:func:`repro.core.executor.shard`) and fanned out over the
-     pipeline's :class:`~repro.core.executor.Executor`.  Because chunking
-     is a pure function of the candidate count and ``score_all`` is
-     order-preserving and element-independent, a parallel run produces
-     byte-identical rankings to a serial one;
-   * **cross-query score sharing** — queries over the same shared
-     candidate domain whose constraints don't prune (their admissible
-     list *is* the full domain) share scored candidates, not just
-     enumerated tuples: the first query of each
-     ``(class, mode, domain)`` group pays for scoring and the rest reuse
-     its batch, so a batch of unpruned same-class queries scores each
-     candidate once;
+   (batched / sketch-backed where the class supports it), one
+   ``score_all`` call per query on the calling thread.  Queries over the
+   same shared candidate domain whose constraints don't prune (their
+   admissible list *is* the full domain) share scored candidates, not
+   just enumerated tuples: the first query of each
+   ``(class, mode, domain)`` group pays for scoring and the rest reuse
+   its batch, so a batch of unpruned same-class queries scores each
+   candidate once;
 
 4. **rank** — apply the metric-range filter, sort (score descending, ties
    broken by attribute names for determinism) and take the top-k.
@@ -46,9 +34,8 @@ request over same-arity classes enumerates only once and that unpruned
 same-class queries score each candidate once, not twice.
 
 The implementation lives in :mod:`repro.core` (it is execution-engine
-machinery); :mod:`repro.service.pipeline` re-exports it as part of the
-public serving namespace, keeping the import graph strictly
-core ← service.
+machinery); :mod:`repro.service` re-exports it as part of the public
+serving namespace, keeping the import graph strictly core ← service.
 """
 
 from __future__ import annotations
@@ -57,7 +44,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.core.executor import Executor, SerialExecutor, shard
 from repro.obs.resources import record_candidates
 from repro.obs.tracer import obs_span
 from repro.core.insight import (
@@ -115,8 +101,6 @@ class PipelineStats:
     #: Queries whose scored batch was reused from an earlier query of the
     #: same (class, mode, domain) group.
     shared_score_queries: int = 0
-    #: Chunks dispatched by the sharded score stage (0 = no sharding).
-    score_shards: int = 0
     #: Wall-clock seconds for the whole execution.
     elapsed_seconds: float = 0.0
 
@@ -128,7 +112,6 @@ class PipelineStats:
             "n_scored": self.n_scored,
             "score_evaluations": self.score_evaluations,
             "shared_score_queries": self.shared_score_queries,
-            "score_shards": self.score_shards,
             "elapsed_seconds": self.elapsed_seconds,
         }
 
@@ -146,7 +129,6 @@ class PipelineStats:
         self.n_scored += other.n_scored
         self.score_evaluations += other.score_evaluations
         self.shared_score_queries += other.shared_score_queries
-        self.score_shards += other.score_shards
         self.elapsed_seconds += other.elapsed_seconds
 
 
@@ -204,26 +186,17 @@ class ScoredBatch:
 class QueryPipeline:
     """Executes insight queries in explicit stages with shared enumeration.
 
-    The optional ``executor`` fans the score stage out across workers;
-    the default :class:`~repro.core.executor.SerialExecutor` preserves
-    single-threaded behavior exactly.  One pipeline instance is safe to
-    use from many threads concurrently: every per-execution structure is
-    call-local, and the executor's thread pool supports concurrent
-    submitters.
+    Every stage runs on the calling thread.  One pipeline instance is
+    safe to use from many threads concurrently: every per-execution
+    structure is call-local.
     """
 
-    def __init__(self, registry: InsightRegistry, executor: Executor | None = None):
+    def __init__(self, registry: InsightRegistry):
         self._registry = registry
-        self._executor = executor or SerialExecutor()
 
     @property
     def registry(self) -> InsightRegistry:
         return self._registry
-
-    @property
-    def executor(self) -> Executor:
-        """The executor the score stage fans out on."""
-        return self._executor
 
     # ------------------------------------------------------------------
     # Stage 1: plan
@@ -321,8 +294,7 @@ class QueryPipeline:
         Queries whose enumeration carries a ``score_share_key`` (same
         shared domain, nothing pruned) additionally share scoring per
         ``(class, mode, domain)`` group — the first query pays, the rest
-        reuse its scored batch.  Scoring of element-wise classes is
-        sharded across the executor's workers in deterministic chunks.
+        reuse its scored batch.
         """
         batches = []
         shared_scores: dict[tuple[str, str, tuple[str, int]], list[ScoredCandidate]] = {}
@@ -361,43 +333,18 @@ class QueryPipeline:
             )
         return batches
 
+    @staticmethod
     def _score_one(
-        self,
         insight_class: InsightClass,
         admissible: list[tuple[str, ...]],
         query_context: EvaluationContext,
         stats: PipelineStats | None,
     ) -> list[ScoredCandidate]:
-        """Score one query's admissible candidates, sharding when worthwhile.
-
-        Only element-wise classes shard: a batched ``score_all`` override
-        computes shared intermediates (one correlation matrix beats four
-        chunked ones), so it runs as a single batch.  Chunk boundaries are
-        a pure function of the candidate count, and ``score_all`` is
-        order-preserving and element-independent, so concatenating the
-        chunk results is bit-identical to one serial pass.
-        """
+        """Score one query's admissible candidates as a single batch."""
         if not admissible:
             return []
         if stats is not None:
             stats.score_evaluations += len(admissible)
-        if (
-            self._executor.max_workers > 1
-            and insight_class.scores_elementwise()
-        ):
-            chunks = shard(
-                admissible,
-                self._executor.max_workers,
-                self._executor.config.min_chunk_size,
-            )
-            if len(chunks) > 1:
-                if stats is not None:
-                    stats.score_shards += len(chunks)
-                parts = self._executor.map(
-                    lambda chunk: insight_class.score_all(chunk, query_context),
-                    chunks,
-                )
-                return [scored for part in parts for scored in part]
         return insight_class.score_all(admissible, query_context)
 
     # ------------------------------------------------------------------
@@ -465,7 +412,6 @@ class QueryPipeline:
                 enumerate_span.set_attribute("enumerations", stats.enumerations)
             with obs_span("pipeline.score") as score_span:
                 batches = self.score(plan, enumerations, context, stats=stats)
-                score_span.set_attribute("score_shards", stats.score_shards)
                 score_span.set_attribute(
                     "score_evaluations", stats.score_evaluations
                 )

@@ -12,7 +12,7 @@ feature tuples according to the insight metric selected" (paper section
   exact vs approximate (sketch-backed) evaluation.
 
 :class:`InsightQuery` is a declarative description of such a query; the
-ranking engine (:mod:`repro.core.ranking`) executes it.
+query pipeline (:mod:`repro.core.pipeline`) executes it.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from repro.errors import InsightError, ProtocolError
 from repro.core.engine import Carousel, Foresight
 from repro.core.insight import Insight
 from repro.core.query import InsightQuery
-from repro.core.ranking import RankingResult
+from repro.core.pipeline import RankingResult
 
 
 @dataclass

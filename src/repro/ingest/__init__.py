@@ -11,8 +11,7 @@ The pieces, bottom-up:
   dataset schema (type / arity / missing-value rules from
   :mod:`repro.data`); rejection is all-or-nothing with per-row problems;
 * :func:`build_delta_partials` / :func:`merge_delta` — per-column sketch
-  partials over just the delta rows (parallelised via the engine's
-  executor), copy-merged into a brand-new
+  partials over just the delta rows, copy-merged into a brand-new
   :class:`~repro.sketch.store.SketchStore` so in-flight readers never
   observe a mutation;
 * :class:`IngestConfig` / :func:`should_rebuild` — the accuracy budget:

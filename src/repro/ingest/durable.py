@@ -65,7 +65,6 @@ from repro.errors import IngestError
 from repro.obs import events as obs_events
 from repro.obs.resources import record_journal_bytes
 from repro.core.engine import EngineConfig, Foresight
-from repro.core.executor import ExecutorConfig
 from repro.core.neighborhood import NeighborhoodConfig
 from repro.sketch.store import SketchStoreConfig
 from repro.data.column import (
@@ -249,9 +248,7 @@ def engine_config_to_payload(config: EngineConfig) -> dict[str, Any]:
     custom-configured dataset under the exact config it was registered
     with — sketch seeds, capacities and mode all change what a query
     returns, so restoring under the workspace default would silently
-    break byte-identical recovery.  The executor is deliberately
-    excluded: worker count is a per-process runtime property documented
-    not to change any output byte.
+    break byte-identical recovery.
     """
     return {
         "mode": config.mode,
@@ -264,17 +261,13 @@ def engine_config_to_payload(config: EngineConfig) -> dict[str, Any]:
     }
 
 
-def engine_config_from_payload(
-    payload: dict[str, Any],
-    executor: ExecutorConfig | None = None,
-) -> EngineConfig:
+def engine_config_from_payload(payload: dict[str, Any]) -> EngineConfig:
     """Rebuild the :class:`EngineConfig` written by
     :func:`engine_config_to_payload`.
 
     Unknown keys are ignored (an older build reading a newer snapshot
     must not crash on a knob it doesn't have); missing keys keep their
-    defaults.  ``executor`` supplies the owning workspace's execution
-    config — the one dimension intentionally not persisted.
+    defaults.
     """
     def _known(cls: type, raw: Any) -> dict[str, Any]:
         names = {f.name for f in dataclass_fields(cls)}
@@ -282,7 +275,7 @@ def engine_config_from_payload(
                 if key in names}
 
     base = EngineConfig()
-    config = EngineConfig(
+    return EngineConfig(
         mode=str(payload.get("mode", base.mode)),
         default_top_k=int(payload.get("default_top_k", base.default_top_k)),
         max_candidates_triples=int(
@@ -295,9 +288,6 @@ def engine_config_from_payload(
             **_known(NeighborhoodConfig, payload.get("neighborhood"))
         ),
     )
-    if executor is not None:
-        config.executor = executor
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -1113,14 +1103,13 @@ class DatasetState:
 
 def _engine_over(engine: Foresight, table: DataTable,
                  store: Any) -> Foresight:
-    """``engine``'s registry/config/executor over ``table`` — no preprocess."""
+    """``engine``'s registry/config over ``table`` — no preprocess."""
     return Foresight(
         table,
         registry=engine.registry,
         config=engine.config,
         preprocess=False,
         store=store,
-        executor=engine.executor,
     )
 
 
@@ -1129,7 +1118,7 @@ def _delta_merged(engine: Foresight, new_table: DataTable,
     """An engine over ``new_table``: ``engine``'s sketches with the delta
     rows' partials merged in (copy-on-merge; ``engine`` is untouched)."""
     store = engine.store
-    partials = build_delta_partials(delta_table, store, engine.executor)
+    partials = build_delta_partials(delta_table, store)
     merged = merge_delta(store, new_table, delta_table.n_rows, partials)
     return _engine_over(engine, new_table, merged)
 

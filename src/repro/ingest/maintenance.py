@@ -59,7 +59,6 @@ from dataclasses import dataclass, replace as dataclass_replace
 
 import numpy as np
 
-from repro.core.executor import Executor
 from repro.data.table import DataTable
 from repro.errors import IngestError
 from repro.ingest.log import IngestLog
@@ -151,7 +150,6 @@ def should_rebuild(log: IngestLog, incoming_rows: int,
 def build_delta_partials(
     delta_table: DataTable,
     store: SketchStore,
-    executor: Executor,
 ) -> dict[str, ColumnSketches]:
     """Per-column sketch partials over just the delta rows.
 
@@ -167,8 +165,7 @@ def build_delta_partials(
     from one call of the kernels a column build uses on one row
     (:func:`~repro.sketch.store.numeric_sketches`); a column with missing
     entries runs the same kernels on its valid values.  Only the
-    value-count partials are per-column work, and fan out over
-    ``executor``.
+    value-count partials are per-column work.
     """
     names = [
         name for name in delta_table.column_names() if store.has_column(name)
@@ -197,15 +194,11 @@ def build_delta_partials(
             complete, numeric_sketches(block, config, rng_keys)
         ):
             sketches[column.name] = built
-    counted = [
-        name for name in names
-        if store.column_sketches(name).frequent is not None
-    ]
-    for name, built in zip(counted, executor.map(
-        lambda name: value_count_sketches(delta_table.column(name), config),
-        counted,
-    )):
-        sketches[name].update(built)
+    for name in names:
+        if store.column_sketches(name).frequent is not None:
+            sketches[name].update(
+                value_count_sketches(delta_table.column(name), config)
+            )
     return {
         name: ColumnSketches(name=name, **sketches[name]) for name in names
     }
@@ -270,7 +263,6 @@ def merge_delta(
     return SketchStore.from_parts(
         table=new_table,
         config=config,
-        executor=store.executor,
         columns=columns,
         sketcher=store.sketcher,
         sample_indices=sample_indices,

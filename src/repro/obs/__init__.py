@@ -34,7 +34,6 @@ from repro.obs.resources import (
     CostAggregator,
     CostRecorder,
     attach_recorder,
-    carry_cost,
     current_recorder,
     record_cache_probe,
     record_candidates,
@@ -47,7 +46,6 @@ from repro.obs.tracer import (
     Span,
     Tracer,
     bind,
-    carry_current,
     current_span,
     obs_span,
     trace_entry_bytes,
@@ -73,8 +71,6 @@ __all__ = [
     "Tracer",
     "attach_recorder",
     "bind",
-    "carry_cost",
-    "carry_current",
     "current_recorder",
     "current_span",
     "deep_sizeof",

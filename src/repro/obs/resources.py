@@ -1,11 +1,10 @@
 """Per-request resource accounting: cost recorders and rolling windows.
 
 Every request the :class:`~repro.service.Workspace` handles accumulates
-a :class:`CostRecorder` — CPU seconds (``time.thread_time``, measured
-per thread and carried across :class:`~repro.core.executor.ParallelExecutor`
-shards by the tracer's ``carry_current`` machinery), rows scanned,
-candidates enumerated and pruned, sketch probes, result-cache hits and
-misses, and bytes journaled.  The recorder rides the same ambient
+a :class:`CostRecorder` — CPU seconds (``time.thread_time`` of the
+thread that handles it), rows scanned, candidates enumerated and
+pruned, sketch probes, result-cache hits and misses, and bytes
+journaled.  The recorder rides the same ambient
 (thread-local) channel as the current span: layers with no recorder
 reference (column scans, sketch probes, the journal) call the
 module-level ``record_*`` helpers, which are a thread-local read and a
@@ -25,9 +24,8 @@ once.
 
 CPU accounting is nesting-safe: a thread with an open CPU window (the
 handler thread inside ``Workspace.handle``) contributes nothing extra
-when an inner window opens on the same thread (a serial executor
-running shards inline), while shards on pool threads open their own
-windows and their CPU sums into the same recorder.
+when an inner window opens on the same thread, while windows opened on
+other threads sum their CPU into the same recorder.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ __all__ = [
     "CostRecorder",
     "CostAggregator",
     "attach_recorder",
-    "carry_cost",
     "current_recorder",
     "record_cache_probe",
     "record_candidates",
@@ -71,24 +68,6 @@ def attach_recorder(recorder: "CostRecorder | None") -> Iterator["CostRecorder |
         yield recorder
     finally:
         _ambient.recorder = previous
-
-
-def carry_cost(fn):
-    """Wrap ``fn`` so the calling thread's recorder rides to the worker.
-
-    The wrapper re-attaches the recorder on the worker thread and opens
-    a CPU window there, so sharded work bills its CPU to the request
-    that sharded it.  Identity when no recorder is ambient.
-    """
-    recorder = current_recorder()
-    if recorder is None:
-        return fn
-
-    def carried(*args, **kwargs):
-        with attach_recorder(recorder), recorder.cpu_window():
-            return fn(*args, **kwargs)
-
-    return carried
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +148,7 @@ class CostRecorder:
 
         Nesting-safe: if this thread already has a window open, the
         inner window is a no-op — the outer window's delta already
-        covers the inner body (a serial executor running a shard on the
-        submitting thread must not double-bill).
+        covers the inner body and must not be billed twice.
         """
         ident = threading.get_ident()
         with self._lock:

@@ -17,9 +17,8 @@ asymmetric between sync and async code:
 
 Context crosses thread boundaries explicitly: :func:`bind` pins a given
 span as ambient around a callable (the server wraps its
-``run_in_executor`` dispatches with it) and :func:`carry_current`
-captures the submitting thread's ambient span so ``ParallelExecutor``
-workers re-parent to the request that sharded onto them.
+``run_in_executor`` dispatches with it).  Below that hand-off a request
+stays on one thread, so nothing else needs carrying.
 
 Timing is monotonic (``perf_counter``) everywhere; the injectable wall
 clock is consulted once per trace, on the root span, so the ranking
@@ -50,7 +49,6 @@ from typing import Any, Callable
 
 from repro.obs.config import ObsConfig
 from repro.obs.events import emit as _emit_event
-from repro.obs.resources import carry_cost
 
 #: Upper bounds (seconds) of per-span duration histogram buckets.
 #: Kept value-identical to ``repro.server.metrics.LATENCY_BUCKETS`` (the
@@ -607,26 +605,12 @@ def bind(span: "Span | _NoopSpan | None", fn: Callable) -> Callable:
     return bound
 
 
-def carry_current(fn: Callable) -> Callable:
-    """Capture the *submitting* thread's ambient span into ``fn``.
-
-    ``ParallelExecutor.map`` wraps worker callables with this, so spans
-    started inside a worker re-parent to the request that sharded the
-    work — not to whatever the pool thread last ran.  The submitting
-    thread's ambient :class:`~repro.obs.resources.CostRecorder` rides
-    the same handoff (:func:`~repro.obs.resources.carry_cost`), so a
-    shard's CPU time bills to the request that sharded it.
-    """
-    return bind(current_span(), carry_cost(fn))
-
-
 __all__ = [
     "NOOP_SPAN",
     "SPAN_BUCKETS",
     "Span",
     "Tracer",
     "bind",
-    "carry_current",
     "current_span",
     "obs_span",
     "trace_entry_bytes",

@@ -5,8 +5,7 @@ datasets (the paper's three scenarios), wraps it in
 :class:`~repro.server.ReproServer` and blocks until Ctrl-C, which drains
 in-flight requests before exiting.  Every :class:`ServerConfig` knob is
 available as a flag (``repro-serve --help``) or a ``REPRO_SERVER_*``
-environment variable; ``--workers`` additionally sets the engines'
-executor width (sharded scoring / parallel preprocessing).
+environment variable.
 
 ``--replica-of http://host:port`` serves a read replica instead: the
 workspace tails the primary's journal endpoint, refuses writes (403)
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core.executor import ExecutorConfig
 from repro.data.datasets import load_imdb, load_oecd, load_parkinson
 from repro.ingest.maintenance import IngestConfig
 from repro.obs.config import ObsConfig
@@ -45,7 +43,6 @@ BUNDLED_DATASETS = {
 
 def build_workspace(
     datasets: list[str] | None = None,
-    max_workers: int | None = None,
     preload: bool = False,
     data_dir: str | None = None,
     group_commit: bool = False,
@@ -65,15 +62,10 @@ def build_workspace(
     preload engine builds) is traced under the requested settings.
     """
     names = datasets or sorted(BUNDLED_DATASETS)
-    executor = (
-        ExecutorConfig(max_workers=max_workers)
-        if max_workers is not None else None
-    )
     ingest = IngestConfig(
         group_commit=group_commit, max_group_delay=max_group_delay
     )
-    workspace = Workspace(executor=executor, data_dir=data_dir,
-                          ingest=ingest, obs=obs)
+    workspace = Workspace(data_dir=data_dir, ingest=ingest, obs=obs)
     restored = set(workspace.datasets())
     if restored:
         print(f"restored from journal: {', '.join(sorted(restored))}")
@@ -92,10 +84,7 @@ def build_workspace(
     return workspace
 
 
-def build_replica_workspace(
-    config: ServerConfig,
-    max_workers: int | None = None,
-) -> ReplicaWorkspace:
+def build_replica_workspace(config: ServerConfig) -> ReplicaWorkspace:
     """A read replica tailing the primary named by ``config.replica_of``.
 
     The feed source is constructed lazily-tolerant: an unreachable
@@ -108,12 +97,8 @@ def build_replica_workspace(
     # client, which nothing else in the serve path needs.
     from repro.replication.feed import HttpFeedSource
 
-    executor = (
-        ExecutorConfig(max_workers=max_workers)
-        if max_workers is not None else None
-    )
     source = HttpFeedSource.from_url(config.replica_of)
-    workspace = ReplicaWorkspace(source, executor=executor)
+    workspace = ReplicaWorkspace(source)
     workspace.start_tailing(
         interval=config.replica_poll_interval,
         promote_after=config.promote_after,
@@ -133,23 +118,18 @@ def main(argv: list[str] | None = None) -> int:
              f"(default: {' '.join(sorted(BUNDLED_DATASETS))})",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="engine executor width (sharded scoring, parallel "
-             "preprocessing); default honors REPRO_MAX_WORKERS",
-    )
-    parser.add_argument(
         "--preload", action="store_true",
         help="build every engine at startup instead of on first request",
     )
     args = parser.parse_args(argv)
     config = ServerConfig.from_args(args)
     if config.replica_of is not None:
-        workspace = build_replica_workspace(config, max_workers=args.workers)
+        workspace = build_replica_workspace(config)
         print(f"replicating from {config.replica_of}")
         ReproServer(workspace, config).run()
         return 0
     workspace = build_workspace(
-        datasets=args.datasets, max_workers=args.workers,
+        datasets=args.datasets,
         preload=args.preload, data_dir=config.data_dir,
         group_commit=config.group_commit,
         max_group_delay=config.max_group_delay,

@@ -9,12 +9,13 @@ queries with shared candidate enumeration and the :class:`ResultCache`
 absorbs repeated traffic.
 
 The whole path is safe under concurrent callers: the cache is locked,
-engine builds are single-flight, and :meth:`Workspace.handle_many` fans a
-batch of requests out over a thread pool configured by
-:class:`ExecutorConfig` (re-exported from :mod:`repro.core.executor`).
+engine builds are single-flight, and every dataset sits behind its own
+lock.  One request runs on one thread — the thread that called
+:meth:`Workspace.handle` or :meth:`Workspace.handle_many` — so
+parallelism is the caller's: requests side by side, as the HTTP server's
+handler pool runs them.
 """
 
-from repro.core.executor import Executor, ExecutorConfig
 from repro.service.cache import ResultCache
 from repro.service.cursor import decode_cursor, encode_cursor
 from repro.service.dto import (
@@ -26,7 +27,7 @@ from repro.service.dto import (
     error_envelope_json,
     is_error_envelope,
 )
-from repro.service.pipeline import (
+from repro.core.pipeline import (
     Enumeration,
     ExecutionPlan,
     PipelineStats,
@@ -45,8 +46,6 @@ __all__ = [
     "FeedSource",
     "IngestConfig",
     "ExecutionPlan",
-    "Executor",
-    "ExecutorConfig",
     "InsightRequest",
     "InsightResponse",
     "LocalFeedSource",

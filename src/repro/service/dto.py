@@ -233,10 +233,10 @@ class InsightResponse:
     ``provenance`` records how the answer was produced: ``cache`` ("hit" /
     "miss"), evaluation ``mode``, the pipeline's enumeration and scoring
     counters (``enumerations``, ``shared_queries``, ``score_evaluations``,
-    ``shared_score_queries``) and the executor width (``max_workers``).
+    ``shared_score_queries``).
     Responses served through :meth:`~repro.service.workspace.Workspace.handle_many`
-    additionally carry a ``batch`` entry (``{"index", "size",
-    "max_workers"}``) identifying the request's position in its batch;
+    additionally carry a ``batch`` entry (``{"index", "size"}``)
+    identifying the request's position in its batch;
     batch position is stamped per response and never enters the result
     cache, so a cached answer is byte-identical however it was batched.
     """

@@ -42,7 +42,6 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.executor import ExecutorConfig
 from repro.errors import ReplicaReadOnlyError, ServiceError
 from repro.ingest.durable import (
     FeedBatch,
@@ -126,12 +125,11 @@ class ReplicaWorkspace(Workspace):
         self,
         source: FeedSource,
         cache_size: int = 128,
-        executor: ExecutorConfig | None = None,
         obs: ObsConfig | Tracer | None = None,
         poll_interval: float = 0.25,
         max_batch_records: int = 512,
     ):
-        super().__init__(cache_size=cache_size, executor=executor, obs=obs)
+        super().__init__(cache_size=cache_size, obs=obs)
         self._source = source
         self._poll_interval = poll_interval
         self._max_batch_records = max_batch_records

@@ -29,7 +29,7 @@ internally locked, every dataset entry carries its own lock, and engine
 builds are *single-flight* — when N threads race on a cold dataset,
 exactly one pays for the build (``engine_builds`` in :meth:`describe`
 proves it) while the rest wait and reuse it.  :meth:`handle_many`
-executes a batch of requests concurrently on a thread pool, stamping
+serves a batch of requests in order on the calling thread, stamping
 per-request batch provenance on each response.
 
 Typical use::
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
@@ -63,7 +64,7 @@ from repro.errors import (
     UnknownInsightClassError,
 )
 from repro.core.engine import EngineConfig, Foresight
-from repro.core.executor import ExecutorConfig, create_executor
+from repro.core.pipeline import PipelineStats
 from repro.core.session import ExplorationSession
 from repro.data.table import DataTable
 from repro.ingest.delta import DeltaBatch
@@ -118,11 +119,6 @@ from repro.service.dto import (
     SessionState,
     error_envelope_json,
 )
-from repro.service.pipeline import PipelineStats
-
-#: Concurrency used by :meth:`Workspace.handle_many` when neither the
-#: call nor the workspace's executor config asks for a specific width.
-_DEFAULT_BATCH_WORKERS = 4
 
 #: An ``engine.snapshot`` on the warm path records a span only when the
 #: entry-lock wait reached this (seconds): a microsecond read of an
@@ -172,12 +168,10 @@ class _DatasetEntry(DatasetState):
 class Workspace:
     """Registers named datasets and serves insight requests against them.
 
-    ``executor`` configures concurrency: it is the default pool width for
-    :meth:`handle_many`, and datasets registered without an explicit
-    ``engine_config`` inherit it into their engines, parallelising sketch
-    preprocessing and the pipeline's score stage.  The default
-    (``max_workers=1``, unless ``REPRO_MAX_WORKERS`` says otherwise) is
-    fully serial inside each request, exactly as before.
+    A request, an engine build and an append each run on the thread that
+    asked; the workspace is safe to call from many threads at once, and
+    that — requests side by side, datasets behind their own locks — is
+    where its concurrency lives.
 
     ``data_dir`` makes ingestion **durable**: every accepted append is
     committed to an on-disk write-ahead journal (rows included,
@@ -201,7 +195,6 @@ class Workspace:
     def __init__(
         self,
         cache_size: int = 128,
-        executor: ExecutorConfig | None = None,
         ingest: IngestConfig | None = None,
         data_dir: str | None = None,
         obs: ObsConfig | Tracer | None = None,
@@ -234,7 +227,6 @@ class Workspace:
         self._stall = StallDetector(
             deadline_seconds=obs_config.rebuild_deadline_s
         )
-        self._executor_config = executor or ExecutorConfig()
         self._ingest_config = ingest or IngestConfig()
         #: Lifetime pipeline counters across every cache-miss request,
         #: for operational surfaces (the server's ``/metrics``).
@@ -256,7 +248,7 @@ class Workspace:
         self._version_counters: dict[str, int] = {}
         #: Lazily created 2-worker pool for background sketch rebuilds
         #: (the budget-triggered rebuild runs here, off the append path).
-        self._maintenance: Any = None
+        self._maintenance: ThreadPoolExecutor | None = None
         self._closed = False
         #: The durable write-ahead journal (None = in-memory only).
         self.data_dir = data_dir
@@ -343,9 +335,7 @@ class Workspace:
         as it would have on the original registration.
         """
         if state.engine_config is not None:
-            return engine_config_from_payload(
-                state.engine_config, executor=self._executor_config
-            )
+            return engine_config_from_payload(state.engine_config)
         return supplied
 
     @staticmethod
@@ -429,15 +419,8 @@ class Workspace:
     def _make_engine(
         self, entry: _DatasetEntry
     ) -> Callable[[DataTable], Foresight]:
-        """A full engine build under ``entry``'s config.
-
-        Datasets registered without an explicit config inherit the
-        workspace's executor configuration, so an explicit
-        ``Workspace(executor=...)`` wins over the ``REPRO_MAX_WORKERS``
-        environment default either way.
-        """
-        config = (entry.engine_config
-                  or EngineConfig(executor=self._executor_config))
+        """A full engine build under ``entry``'s config."""
+        config = entry.engine_config or EngineConfig()
         return lambda table: Foresight(table, config=config)
 
     def _machine(self, entry: _DatasetEntry) -> ReplayMachine:
@@ -830,8 +813,7 @@ class Workspace:
         Builds are single-flight: when N threads race on a cold dataset,
         one thread pays for preprocessing under the entry lock while the
         rest wait and reuse the finished engine (``engine_builds`` stays
-        at 1).  Datasets registered without an explicit ``engine_config``
-        inherit the workspace's executor configuration.
+        at 1).
         """
         return self._engine_snapshot(name)[0]
 
@@ -1038,8 +1020,7 @@ class Workspace:
             return None
         entry = self._entry(name)
         # Roots its own trace: background rebuilds run on a maintenance
-        # thread with no ambient request span (the executor's submit()
-        # path deliberately carries none across).
+        # thread with no ambient request span.
         with self._tracer.span("workspace.rebuild", dataset=name) as rebuild_span:
             with entry.lock:
                 if entry.superseded:
@@ -1065,8 +1046,7 @@ class Workspace:
             with obs_span("engine.build") as build_span:
                 build_span.set_attribute("rows", base_table.n_rows)
                 fresh = Foresight(base_table, registry=engine.registry,
-                                  config=engine.config,
-                                  executor=engine.executor)
+                                  config=engine.config)
             with entry.lock:
                 # A reload bumps the version on this same entry; a
                 # replace-registration installs a whole new entry and
@@ -1140,20 +1120,20 @@ class Workspace:
                 with entry.lock:
                     entry.rebuild_running = False
 
-        executor = self._maintenance_executor()
-        if executor is None:
+        pool = self._maintenance_pool()
+        if pool is None:
             with entry.lock:
                 entry.rebuild_running = False
             return
         try:
-            executor.submit(_run)
+            pool.submit(_run)
         except RuntimeError:
             # close() shut the pool between our checks: drop the
             # rebuild — a closed workspace schedules nothing.
             with entry.lock:
                 entry.rebuild_running = False
 
-    def _maintenance_executor(self):
+    def _maintenance_pool(self) -> ThreadPoolExecutor | None:
         """The background-rebuild pool, or None once the workspace closed.
 
         Created under the registry lock — the same lock close() takes to
@@ -1164,9 +1144,9 @@ class Workspace:
             if self._closed:
                 return None
             if self._maintenance is None:
-                self._maintenance = create_executor(ExecutorConfig(
+                self._maintenance = ThreadPoolExecutor(
                     max_workers=2, thread_name_prefix="repro-maintenance",
-                ))
+                )
             return self._maintenance
 
     def wait_for_rebuilds(self, timeout: float = 30.0) -> bool:
@@ -1219,7 +1199,7 @@ class Workspace:
             self._closed = True
             maintenance, self._maintenance = self._maintenance, None
         if maintenance is not None:
-            maintenance.close()  # waits for an in-flight rebuild
+            maintenance.shutdown(wait=True)  # waits for an in-flight rebuild
         if self._journal is not None:
             try:
                 self.flush_all()
@@ -1279,8 +1259,7 @@ class Workspace:
                                dataset=request.dataset) as handle_span:
             handle_span.set_cost(recorder)
             # The CPU window closes before the snapshot below, so the
-            # handler thread's own CPU — not just the shards' — is in
-            # the recorded total.
+            # handler thread's CPU is in the recorded total.
             with attach_recorder(recorder), recorder.cpu_window():
                 response = self._handle_traced(request, handle_span)
             snapshot = recorder.finish().snapshot()
@@ -1360,7 +1339,6 @@ class Workspace:
                 "shared_queries": stats.shared_queries,
                 "score_evaluations": stats.score_evaluations,
                 "shared_score_queries": stats.shared_score_queries,
-                "max_workers": engine.executor.max_workers,
             },
             next_cursor=(encode_cursor(offset + page_size)
                          if has_more else None),
@@ -1371,45 +1349,28 @@ class Workspace:
     def handle_many(
         self,
         requests: Sequence[InsightRequest | Mapping[str, Any] | str],
-        max_workers: int | None = None,
     ) -> list[InsightResponse]:
-        """Serve a batch of requests concurrently, preserving order.
+        """Serve a batch of requests in order, on the calling thread.
 
-        Each request runs through :meth:`handle` on a worker thread, so
-        batches get the full machinery — result cache, single-flight
-        engine builds, shared enumeration and scoring — plus per-request
-        batch provenance (``provenance["batch"]`` carries the request's
-        index, the batch size and the pool width).  ``max_workers``
-        defaults to the workspace's executor configuration, or
-        4 when that is serial; pass 1 to force a serial batch.  The first
-        request failure propagates, mirroring :meth:`handle`.
+        Each request runs through :meth:`handle`, so batches get the full
+        machinery — result cache, single-flight engine builds, shared
+        enumeration and scoring — plus per-request batch provenance
+        (``provenance["batch"]`` carries the request's index and the
+        batch size).  The first request failure propagates, mirroring
+        :meth:`handle`.
         """
         coerced = [self._coerce_request(request) for request in requests]
-        if not coerced:
-            return []
-        if max_workers is None:
-            configured = self._executor_config.max_workers
-            max_workers = configured if configured > 1 else _DEFAULT_BATCH_WORKERS
-        workers = max(1, min(int(max_workers), len(coerced)))
-        batch_size = len(coerced)
-
-        def _serve(indexed: tuple[int, InsightRequest]) -> InsightResponse:
-            index, request = indexed
+        responses = []
+        for index, request in enumerate(coerced):
             response = self.handle(request)
             # Annotate after handle() has cached the canonical JSON, so
             # batch position never leaks into cached responses.
             response.provenance = {
                 **response.provenance,
-                "batch": {"index": index, "size": batch_size,
-                          "max_workers": workers},
+                "batch": {"index": index, "size": len(coerced)},
             }
-            return response
-
-        executor = create_executor(ExecutorConfig(max_workers=workers))
-        try:
-            return executor.map(_serve, list(enumerate(coerced)))
-        finally:
-            executor.close()
+            responses.append(response)
+        return responses
 
     def handle_json(self, text: str) -> str:
         """JSON-in / JSON-out convenience for transport adapters.
@@ -1467,7 +1428,7 @@ class Workspace:
         """Lifetime pipeline counters summed over every cache-miss request.
 
         A consistent snapshot (taken under the accumulator lock) of
-        enumerations, sharing, score evaluations, shards and elapsed
+        enumerations, sharing, score evaluations and elapsed
         seconds — the raw material for the server's ``/metrics``.
         """
         with self._stats_lock:

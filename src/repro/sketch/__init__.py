@@ -12,7 +12,6 @@ from repro.sketch.hyperplane import (
     suggest_width,
 )
 from repro.sketch.moments import MomentSketch
-from repro.sketch.projection import RandomProjectionSketch, RandomProjectionSketcher
 from repro.sketch.quantile import QuantileSketch
 from repro.sketch.reservoir import ReservoirSample, reservoir_row_indices, sample_pairs
 from repro.sketch.store import (
@@ -35,8 +34,6 @@ __all__ = [
     "MomentSketch",
     "PreprocessStats",
     "QuantileSketch",
-    "RandomProjectionSketch",
-    "RandomProjectionSketcher",
     "ReservoirSample",
     "Sketch",
     "SketchStore",

@@ -28,7 +28,6 @@ from typing import ClassVar, Mapping, Sequence
 import numpy as np
 
 from repro.errors import SketchNotAvailableError
-from repro.core.executor import Executor, SerialExecutor
 from repro.obs.resources import record_sketch_probe
 from repro.data.column import CategoricalColumn, Column
 from repro.data.table import DataTable
@@ -192,12 +191,9 @@ class PreprocessStats:
 class SketchStore:
     """Per-column sketches for a table, plus approximate metric queries.
 
-    Preprocessing is embarrassingly parallel across columns, so the
-    per-column builds fan out over ``executor`` when one with workers is
-    supplied.  Each column derives its own RNG stream from
-    ``(seed, column index)``, making the built store independent of both
-    column build order and worker count — a parallel build is identical
-    to a serial one.
+    Each column derives its own RNG stream from ``(seed, column index)``,
+    so the built store does not depend on the order columns are built in
+    (and every stored sketch would change if the keys did).
     """
 
     #: The row sample as a table, and the kernel inputs derived from it:
@@ -212,11 +208,9 @@ class SketchStore:
         self,
         table: DataTable,
         config: SketchStoreConfig | None = None,
-        executor: Executor | None = None,
     ):
         self._table = table
         self._config = config or SketchStoreConfig()
-        self._executor = executor or SerialExecutor()
         self._columns: dict[str, ColumnSketches] = {}
         self._sketcher: HyperplaneSketcher | None = None
         self._sample_indices: np.ndarray = np.empty(0, dtype=np.int64)
@@ -246,22 +240,15 @@ class SketchStore:
         self._stats.per_stage_seconds["hyperplane"] = time.perf_counter() - stage_start
 
         stage_start = time.perf_counter()
-        numeric_bundles = self._executor.map(
-            lambda item: self._build_numeric_column(
-                item[1], signatures[item[0]] if signatures else None, item[0]
-            ),
-            list(enumerate(numeric_names)),
-        )
-        for name, bundle in zip(numeric_names, numeric_bundles):
-            self._columns[name] = bundle
+        for index, name in enumerate(numeric_names):
+            self._columns[name] = self._build_numeric_column(
+                name, signatures[index] if signatures else None, index
+            )
         self._stats.per_stage_seconds["numeric"] = time.perf_counter() - stage_start
 
         stage_start = time.perf_counter()
-        categorical_bundles = self._executor.map(
-            self._build_categorical_column, categorical_names
-        )
-        for name, bundle in zip(categorical_names, categorical_bundles):
-            self._columns[name] = bundle
+        for name in categorical_names:
+            self._columns[name] = self._build_categorical_column(name)
         self._stats.per_stage_seconds["categorical"] = time.perf_counter() - stage_start
 
         self._sample_indices = reservoir_row_indices(
@@ -280,12 +267,12 @@ class SketchStore:
     def _build_numeric_column(
         self, name: str, signature: HyperplaneSketch | None, index: int
     ) -> ColumnSketches:
-        """Build one numeric column's sketch bundle (runs on a worker).
+        """Build one numeric column's sketch bundle.
 
         The quantile sampling RNG is seeded from ``(seed, column index)``
         rather than drawn from one sequential stream, so the sampled rows
         — and therefore the built store — do not depend on the order in
-        which workers finish.
+        which columns are built.
         """
         config = self._config
         column = self._table.numeric_column(name)
@@ -300,7 +287,7 @@ class SketchStore:
         )
 
     def _build_categorical_column(self, name: str) -> ColumnSketches:
-        """Build one categorical column's sketch bundle (runs on a worker)."""
+        """Build one categorical column's sketch bundle."""
         column = self._table.categorical_column(name)
         return ColumnSketches(name=name, **value_count_sketches(column, self._config))
 
@@ -312,7 +299,6 @@ class SketchStore:
         cls,
         table: DataTable,
         config: SketchStoreConfig,
-        executor: Executor,
         columns: Mapping[str, ColumnSketches],
         sketcher: HyperplaneSketcher | None,
         sample_indices: np.ndarray,
@@ -334,7 +320,6 @@ class SketchStore:
         store = cls.__new__(cls)
         store._table = table
         store._config = config
-        store._executor = executor
         store._columns = dict(columns)
         store._sketcher = sketcher
         store._sample_indices = np.asarray(sample_indices, dtype=np.int64)
@@ -355,11 +340,6 @@ class SketchStore:
     def sketcher(self) -> HyperplaneSketcher | None:
         """The shared hyperplane draw (None when no numeric columns)."""
         return self._sketcher
-
-    @property
-    def executor(self) -> Executor:
-        """The execution layer the store was built with."""
-        return self._executor
 
     @property
     def sample_indices(self) -> np.ndarray:

@@ -14,8 +14,8 @@ import pytest
 from repro import Foresight
 from repro.core.engine import EngineConfig
 from repro.core.insight import EvaluationContext, MODE_EXACT
+from repro.core.pipeline import QueryPipeline
 from repro.core.query import InsightQuery, query
-from repro.core.ranking import RankingEngine
 from repro.core.registry import default_registry
 from repro.data import DataTable, NumericColumn
 from repro.data.schema import ColumnKind, Field
@@ -46,9 +46,13 @@ def tagged_table() -> DataTable:
 
 @pytest.fixture(scope="module")
 def parts(tagged_table):
-    engine = RankingEngine(default_registry())
+    engine = QueryPipeline(default_registry())
     context = EvaluationContext(table=tagged_table, store=None, mode=MODE_EXACT)
     return engine, context
+
+
+def _rank(pipeline, query, context):
+    return pipeline.execute([query], context)[0]
 
 
 class TestQueryTagApi:
@@ -79,7 +83,8 @@ class TestQueryTagApi:
 class TestTagConstrainedRanking:
     def test_univariate_query_restricted_to_currency(self, parts):
         engine, context = parts
-        result = engine.rank(
+        result = _rank(
+            engine,
             InsightQuery("dispersion", top_k=10, mode=MODE_EXACT,
                          required_tags=("currency",)),
             context,
@@ -90,7 +95,8 @@ class TestTagConstrainedRanking:
 
     def test_pairwise_query_requires_both_attributes_tagged(self, parts):
         engine, context = parts
-        result = engine.rank(
+        result = _rank(
+            engine,
             InsightQuery("linear_relationship", top_k=10, mode=MODE_EXACT,
                          required_tags=("currency",)),
             context,
@@ -103,7 +109,8 @@ class TestTagConstrainedRanking:
 
     def test_fixed_attribute_is_exempt_from_tag_requirement(self, parts):
         engine, context = parts
-        result = engine.rank(
+        result = _rank(
+            engine,
             InsightQuery("linear_relationship", top_k=10, mode=MODE_EXACT,
                          fixed_attributes=("headcount",), required_tags=("currency",)),
             context,
@@ -115,7 +122,8 @@ class TestTagConstrainedRanking:
 
     def test_unmatched_tag_returns_empty(self, parts):
         engine, context = parts
-        result = engine.rank(
+        result = _rank(
+            engine,
             InsightQuery("skew", top_k=5, mode=MODE_EXACT, required_tags=("geo",)),
             context,
         )

@@ -10,23 +10,27 @@ from repro.core.neighborhood import (
     insight_similarity,
     score_proximity,
 )
+from repro.core.pipeline import QueryPipeline
 from repro.core.query import InsightQuery, MetricRange
-from repro.core.ranking import RankingEngine
 from repro.core.registry import default_registry
 
 
 @pytest.fixture(scope="module")
 def engine_parts(oecd_table):
     registry = default_registry()
-    engine = RankingEngine(registry)
+    engine = QueryPipeline(registry)
     context = EvaluationContext(table=oecd_table, store=None, mode=MODE_EXACT)
     return engine, context
+
+
+def _rank(pipeline, query, context):
+    return pipeline.execute([query], context)[0]
 
 
 class TestRankingEngine:
     def test_returns_top_k_sorted(self, engine_parts):
         engine, context = engine_parts
-        result = engine.rank(InsightQuery("linear_relationship", top_k=4, mode=MODE_EXACT), context)
+        result = _rank(engine, InsightQuery("linear_relationship", top_k=4, mode=MODE_EXACT), context)
         assert len(result) == 4
         scores = [i.score for i in result]
         assert scores == sorted(scores, reverse=True)
@@ -34,7 +38,7 @@ class TestRankingEngine:
 
     def test_top_pair_is_the_planted_one(self, engine_parts):
         engine, context = engine_parts
-        result = engine.rank(InsightQuery("linear_relationship", top_k=1, mode=MODE_EXACT), context)
+        result = _rank(engine, InsightQuery("linear_relationship", top_k=1, mode=MODE_EXACT), context)
         assert set(result.top().attributes) == {
             "EmployeesWorkingVeryLongHours", "TimeDevotedToLeisure",
         }
@@ -45,7 +49,7 @@ class TestRankingEngine:
             "linear_relationship", top_k=3, mode=MODE_EXACT,
             fixed_attributes=("SelfReportedHealth",),
         )
-        result = engine.rank(query, context)
+        result = _rank(engine, query, context)
         assert all(i.involves("SelfReportedHealth") for i in result)
         assert set(result.top().attributes) == {"SelfReportedHealth", "LifeSatisfaction"}
 
@@ -55,7 +59,7 @@ class TestRankingEngine:
             "linear_relationship", top_k=5, mode=MODE_EXACT,
             excluded_attributes=("TimeDevotedToLeisure",),
         )
-        result = engine.rank(query, context)
+        result = _rank(engine, query, context)
         assert all(not i.involves("TimeDevotedToLeisure") for i in result)
 
     def test_metric_range_filters_trivial_correlations(self, engine_parts):
@@ -64,20 +68,20 @@ class TestRankingEngine:
             "linear_relationship", top_k=10, mode=MODE_EXACT,
             metric_range=MetricRange(0.5, 0.8),
         )
-        result = engine.rank(query, context)
+        result = _rank(engine, query, context)
         assert result.insights, "range query should still find mid-strength pairs"
         assert all(0.5 <= i.score <= 0.8 for i in result)
 
     def test_max_candidates_truncation(self, engine_parts):
         engine, context = engine_parts
         query = InsightQuery("linear_relationship", top_k=3, mode=MODE_EXACT, max_candidates=10)
-        result = engine.rank(query, context)
+        result = _rank(engine, query, context)
         assert result.truncated
         assert result.n_scored <= 10
 
     def test_bookkeeping_counts(self, engine_parts):
         engine, context = engine_parts
-        result = engine.rank(InsightQuery("skew", top_k=3, mode=MODE_EXACT), context)
+        result = _rank(engine, InsightQuery("skew", top_k=3, mode=MODE_EXACT), context)
         assert result.n_candidates == len(context.table.numeric_names())
         assert result.n_scored <= result.n_candidates
         assert result.n_admitted >= len(result.insights)
@@ -86,13 +90,16 @@ class TestRankingEngine:
         engine, context = engine_parts
         queries = [InsightQuery("skew", top_k=2, mode=MODE_EXACT),
                    InsightQuery("outliers", top_k=2, mode=MODE_EXACT)]
-        results = engine.rank_all(queries, context)
+        results = {
+            query.insight_class: result
+            for query, result in zip(queries, engine.execute(queries, context))
+        }
         assert set(results) == {"skew", "outliers"}
         assert all(len(r) <= 2 for r in results.values())
 
     def test_attribute_sets_helper(self, engine_parts):
         engine, context = engine_parts
-        result = engine.rank(InsightQuery("dispersion", top_k=3, mode=MODE_EXACT), context)
+        result = _rank(engine, InsightQuery("dispersion", top_k=3, mode=MODE_EXACT), context)
         assert len(result.attribute_sets()) == len(result)
 
 
@@ -182,3 +189,29 @@ class TestNeighborhoodRecommender:
         assert set(by_strength.insights[0].attributes) == {
             "EmployeesWorkingVeryLongHours", "TimeDevotedToLeisure",
         }
+
+
+class TestSharedEnumeration:
+    def test_nearby_runs_one_pipeline_execution(self, engine_parts):
+        engine, context = engine_parts
+        recommender = NeighborhoodRecommender(engine)
+        focus = _rank(
+            engine,
+            InsightQuery("linear_relationship", top_k=1, mode=MODE_EXACT),
+            context,
+        ).top()
+        result = recommender.nearby([focus], "linear_relationship", context,
+                                    top_k=5)
+        stats = result.details["pipeline"]
+        # One pool = one enumeration paid, every other pool query shared it
+        # (2 focus attributes + 1 unconstrained top-up = 3 queries).
+        assert stats["n_queries"] == 3
+        assert stats["enumerations"] == 1
+        assert stats["shared_queries"] == stats["n_queries"] - 1
+
+    def test_focusless_nearby_still_works(self, engine_parts):
+        engine, context = engine_parts
+        recommender = NeighborhoodRecommender(engine)
+        result = recommender.nearby([], "skew", context, top_k=3)
+        assert len(result) > 0
+        assert result.details["pipeline"]["n_queries"] == 1

@@ -87,7 +87,7 @@ def test_merge_delta_copies_what_it_merges_and_shares_the_rest():
     store = SketchStore(base_table)
     before = json.dumps(sketch_answers(store))
 
-    partials = build_delta_partials(delta_table, store, store.executor)
+    partials = build_delta_partials(delta_table, store)
     untouched = sorted(partials)[:2]
     for name in untouched:
         del partials[name]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.executor import ExecutorConfig, create_executor
 from repro.data.datasets import make_mixed_table
 from repro.ingest import (
     DeltaBatch,
@@ -36,14 +35,14 @@ def store(base_table):
 
 
 def _merged(store, base_table, delta_table):
-    partials = build_delta_partials(delta_table, store, store.executor)
+    partials = build_delta_partials(delta_table, store)
     new_table = base_table.concat(delta_table)
     return merge_delta(store, new_table, delta_table.n_rows, partials)
 
 
 class TestDeltaPartials:
     def test_partials_mirror_base_bundle_shape(self, store, delta_table):
-        partials = build_delta_partials(delta_table, store, store.executor)
+        partials = build_delta_partials(delta_table, store)
         for name, partial in partials.items():
             base = store.column_sketches(name)
             for attribute in ("moments", "quantiles", "frequent",
@@ -52,21 +51,6 @@ class TestDeltaPartials:
                 partial_has = getattr(partial, attribute) is not None
                 assert partial_has == base_has, (name, attribute)
             assert partial.hyperplane is None
-
-    def test_parallel_partials_match_serial(self, store, delta_table):
-        serial = build_delta_partials(delta_table, store, store.executor)
-        executor = create_executor(ExecutorConfig(max_workers=4))
-        try:
-            parallel = build_delta_partials(delta_table, store, executor)
-        finally:
-            executor.close()
-        for name in serial:
-            s, p = serial[name], parallel[name]
-            if s.moments is not None:
-                assert s.moments.mean() == p.moments.mean()
-                assert s.moments.count == p.moments.count
-            if s.frequent is not None:
-                assert s.frequent.top_k(5) == p.frequent.top_k(5)
 
 
 class TestMergeDelta:
@@ -150,7 +134,7 @@ class TestMergeDelta:
             merged,
             merged.table.concat(delta_table),
             delta_table.n_rows,
-            build_delta_partials(delta_table, merged, merged.executor),
+            build_delta_partials(delta_table, merged),
         )
         assert twice.stats.delta_rows == 2 * delta_table.n_rows
         assert twice.stats.delta_batches == 2
@@ -225,14 +209,14 @@ class TestWhatAnAppendCosts:
         delta = DeltaBatch.from_records("d", plain_rows, wide_table.schema).table
         sorts = self._counted(monkeypatch, np, "sort")
         hashed = self._counted(monkeypatch, hashlib, "blake2b")
-        partials = build_delta_partials(delta, store, store.executor)
+        partials = build_delta_partials(delta, store)
         assert len(sorts) == 1  # one row-wise sort for all 20 GK partials
         assert sorts[0][0].shape == (self.N_NUMERIC, self.ROWS)
         merged = merge_delta(store, wide_table.concat(delta), delta.n_rows,
                              partials)
         seen = len(hashed)
         # The same labels again: every hash comes from the memo.
-        build_delta_partials(delta, merged, merged.executor)
+        build_delta_partials(delta, merged)
         assert len(hashed) == seen
 
     def test_compress_walks_only_where_a_merge_is_possible(self, monkeypatch):

@@ -1,11 +1,10 @@
 """Unit tests for :mod:`repro.obs.resources`.
 
 Cost recorders (counter accumulation, nesting-safe CPU windows, the
-ambient thread-local channel and its ``carry_cost`` propagation to
-worker threads) and the workspace-side :class:`CostAggregator` (rolling
-per-key windows checked against a brute-force recompute, monotone
-lifetime totals, the top-K ring) — plus the ObsConfig knob surface the
-subsystem is configured through.
+ambient thread-local channel) and the workspace-side
+:class:`CostAggregator` (rolling per-key windows checked against a
+brute-force recompute, monotone lifetime totals, the top-K ring) — plus
+the ObsConfig knob surface the subsystem is configured through.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.obs.resources import (
     CostAggregator,
     CostRecorder,
     attach_recorder,
-    carry_cost,
     current_recorder,
     record_cache_probe,
     record_candidates,
@@ -74,7 +72,7 @@ class TestCostRecorder:
         recorder = CostRecorder()
         before = time.thread_time()
         with recorder.cpu_window():
-            with recorder.cpu_window():  # serial executor, inline shard
+            with recorder.cpu_window():
                 _burn_cpu(0.02)
         external = time.thread_time() - before
         # Double billing would record ~2x the externally measured CPU.
@@ -119,30 +117,6 @@ class TestAmbientChannel:
         with attach_recorder(None) as attached:
             assert attached is None
             assert current_recorder() is None
-
-    def test_carry_cost_identity_without_recorder(self):
-        def fn():
-            return 42
-
-        assert carry_cost(fn) is fn
-
-    def test_carry_cost_bills_worker_threads(self):
-        recorder = CostRecorder()
-        results = []
-
-        def shard():
-            record_rows(25)
-            _burn_cpu(0.02)
-            results.append(current_recorder())
-
-        with attach_recorder(recorder):
-            carried = carry_cost(shard)
-        thread = threading.Thread(target=carried)
-        thread.start()
-        thread.join()
-        assert results == [recorder]
-        assert recorder.rows_scanned == 25
-        assert recorder.cpu_seconds >= 0.015
 
 
 class TestCostAggregator:

@@ -13,7 +13,6 @@ import threading
 
 import pytest
 
-from repro.core.executor import ExecutorConfig, ParallelExecutor
 from repro.obs.config import ObsConfig
 from repro.obs.events import emit
 from repro.obs.tracer import (
@@ -21,7 +20,6 @@ from repro.obs.tracer import (
     SPAN_BUCKETS,
     Tracer,
     bind,
-    carry_current,
     current_span,
     obs_span,
 )
@@ -317,24 +315,6 @@ class TestThreads:
             t["n_spans"] == children + 1 for t in tracer.traces(limit=200)
         )
 
-    def test_executor_map_reparents_worker_spans(self, clock):
-        tracer = make_tracer(clock)
-        executor = ParallelExecutor(ExecutorConfig(max_workers=4))
-        try:
-            def shard(item: int) -> int:
-                with obs_span("shard.score", index=item):
-                    return item * 2
-            with tracer.span("request") as root:
-                results = executor.map(shard, range(6))
-            assert results == [0, 2, 4, 6, 8, 10]
-        finally:
-            executor.close()
-        trace = tracer.trace(root.trace_id)
-        shards = [n for n in trace["root"]["children"]
-                  if n["name"] == "shard.score"]
-        assert len(shards) == 6
-        assert sorted(n["attributes"]["index"] for n in shards) == list(range(6))
-
     def test_bind_hands_span_to_a_foreign_thread(self, clock):
         tracer = make_tracer(clock)
         root = tracer.start_span("request")
@@ -351,13 +331,6 @@ class TestThreads:
             root.end()
         trace = tracer.trace(root.trace_id)
         assert [n["name"] for n in trace["root"]["children"]] == ["stage"]
-
-    def test_carry_current_is_noop_outside_spans(self, clock):
-        calls = []
-        fn = carry_current(calls.append)
-        fn(1)
-        assert calls == [1]
-        assert current_span() is None
 
 
 # ---------------------------------------------------------------------------

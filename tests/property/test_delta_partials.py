@@ -25,7 +25,6 @@ import warnings
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.executor import SerialExecutor
 from repro.data import CategoricalColumn, ColumnKind, DataTable, Field, NumericColumn
 from repro.ingest import build_delta_partials
 from repro.sketch import countmin
@@ -146,7 +145,7 @@ def test_block_partials_equal_partials_built_one_column_at_a_time(delta):
         # inf - inf while centring a column that holds ±inf: NaN moments,
         # the same NaN either way.
         warnings.simplefilter("ignore", RuntimeWarning)
-        block = build_delta_partials(delta, STORE, SerialExecutor())
+        block = build_delta_partials(delta, STORE)
         alone = _column_by_column(delta, STORE)
     assert list(block) == list(alone) == delta.column_names()
     for name in alone:

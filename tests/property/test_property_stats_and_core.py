@@ -7,8 +7,8 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.insight import EvaluationContext, MODE_EXACT
+from repro.core.pipeline import QueryPipeline
 from repro.core.query import InsightQuery, MetricRange
-from repro.core.ranking import RankingEngine
 from repro.core.registry import default_registry
 from repro.data import DataTable
 from repro.data.csv_io import read_csv_text, to_csv_text
@@ -122,15 +122,18 @@ def _random_table(seed: int, n_rows: int) -> DataTable:
     )
 
 
+def _rank(query, context):
+    return QueryPipeline(default_registry()).execute([query], context)[0]
+
+
 class TestRankingProperties:
     @given(seed=st.integers(min_value=0, max_value=500),
            top_k=st.integers(min_value=1, max_value=6))
     @settings(max_examples=30, deadline=None)
     def test_scores_sorted_and_bounded_by_top_k(self, seed, top_k):
         table = _random_table(seed, 60)
-        engine = RankingEngine(default_registry())
         context = EvaluationContext(table=table, store=None, mode=MODE_EXACT)
-        result = engine.rank(
+        result = _rank(
             InsightQuery("linear_relationship", top_k=top_k, mode=MODE_EXACT), context
         )
         scores = [i.score for i in result]
@@ -143,9 +146,8 @@ class TestRankingProperties:
     @settings(max_examples=30, deadline=None)
     def test_metric_range_respected(self, seed, low, width):
         table = _random_table(seed, 60)
-        engine = RankingEngine(default_registry())
         context = EvaluationContext(table=table, store=None, mode=MODE_EXACT)
-        result = engine.rank(
+        result = _rank(
             InsightQuery(
                 "linear_relationship", top_k=10, mode=MODE_EXACT,
                 metric_range=MetricRange(low, low + width),
@@ -158,9 +160,8 @@ class TestRankingProperties:
     @settings(max_examples=30, deadline=None)
     def test_fixed_attribute_always_present(self, seed):
         table = _random_table(seed, 60)
-        engine = RankingEngine(default_registry())
         context = EvaluationContext(table=table, store=None, mode=MODE_EXACT)
-        result = engine.rank(
+        result = _rank(
             InsightQuery(
                 "linear_relationship", top_k=10, mode=MODE_EXACT,
                 fixed_attributes=("a",),

@@ -20,8 +20,7 @@ def make_response(request: InsightRequest) -> InsightResponse:
         dataset_version=1,
         carousels=[{"insight_class": "skew", "label": "Skew", "insights": [],
                     "n_admitted": request.top_k, "truncated": False}],
-        provenance={"cache": "miss", "batch": {"index": 0, "size": 1,
-                                               "max_workers": 1}},
+        provenance={"cache": "miss", "batch": {"index": 0, "size": 1}},
     )
 
 

@@ -84,7 +84,16 @@ def test_stress_responses_identical_to_direct_handle(
     assert server["requests"]["by_endpoint"]["insights"] == total
     assert server["responses"]["by_status"]["200"] == total
     assert server["coalesce"]["coalesced_requests"] == total
-    assert metrics["admission"]["admitted_total"] == total
-    assert metrics["admission"]["in_flight"] == 0
+    admission = metrics["admission"]
+    assert admission["admitted_total"] == total
+    assert admission["in_flight"] == 0
+    # Coalescer-aware admission: riders park without holding a slot and
+    # each dispatched batch takes one, so 8 clients through 4 slots are
+    # never rejected and never exceed the cap.
+    assert admission["parked_total"] >= total
+    assert admission["batches_dispatched_total"] >= 1
+    assert admission["peak_in_flight"] <= config.max_in_flight
+    assert admission["rejected_quota_total"] == 0
+    assert admission["rejected_overload_total"] == 0
     # One engine, however many threads raced on it.
     assert metrics["workspace"]["engine_builds"] == 1

@@ -1,11 +1,10 @@
-"""Concurrency tests: parallel/serial determinism and thread-safe serving.
+"""Concurrency tests: one thread per request and thread-safe serving.
 
 Two guarantees are pinned down here:
 
-* **determinism** — for every bundled dataset, a multi-class request
-  produces byte-identical response payloads under ``max_workers=1`` and
-  ``max_workers=4`` (sharded scoring and parallel preprocessing must
-  never change a single byte of the rankings);
+* **one execution path** — a request, a batch, an engine build and an
+  append run on the thread that asked and start no other; a batch's
+  answers are the sequential answers;
 * **thread safety** — one :class:`Workspace` hammered by many threads
   (concurrent ``handle`` + ``reload`` + ``invalidate``) never corrupts
   its counters: engine builds are single-flight, every cache lookup is
@@ -14,12 +13,11 @@ Two guarantees are pinned down here:
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import threading
 
-import pytest
-
-from repro import ExecutorConfig, InsightRequest, Workspace
+from repro import Foresight, InsightRequest, Workspace
 from repro.core.registry import default_registry
 from repro.data.datasets import make_mixed_table
 from repro.errors import ServiceError
@@ -27,78 +25,33 @@ from repro.ingest import IngestConfig
 
 ALL_CLASSES = tuple(default_registry().names())
 
-#: ALL_CLASSES minus the 3-attribute / quadratic classes whose candidate
-#: spaces make the larger bundled datasets slow to rank twice; the full
-#: list still runs on the two fast datasets, so every class is covered.
-FAST_CLASSES = tuple(
-    name for name in ALL_CLASSES if name not in ("segmentation", "dependence")
-)
-
-#: Element-wise univariate classes — the scoring-bound workload that the
-#: sharded score stage fans out across workers.
-SHARDED_CLASSES = ("dispersion", "skew", "heavy_tails", "outliers",
-                   "normality", "multimodality")
+#: The univariate classes: one shared enumeration of the numeric
+#: singletons serves all six.
+UNIVARIATE_CLASSES = ("dispersion", "skew", "heavy_tails", "outliers",
+                      "normality", "multimodality")
 
 
 def _comparable_payload(response) -> str:
-    """Canonical response JSON minus fields that legitimately vary.
+    """Canonical response JSON minus wall-clock timing.
 
-    Wall-clock timing and the advertised worker count differ between a
-    serial and a parallel run by construction; everything else —
-    rankings, scores, summaries, pagination, cache/pipeline provenance —
-    must match byte for byte.
+    Everything else — rankings, scores, summaries, pagination,
+    cache/pipeline provenance — must match byte for byte.
     """
     payload = response.to_dict()
     payload.pop("timing")
-    payload["provenance"].pop("max_workers")
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 class TestParallelSerialDeterminism:
-    @pytest.mark.parametrize("table_fixture, mode, classes", [
-        ("oecd_table", None, ALL_CLASSES),
-        ("oecd_table", "exact", ALL_CLASSES),
-        ("small_mixed_table", None, ALL_CLASSES),
-        ("small_mixed_table", "exact", ALL_CLASSES),
-        ("parkinson_table", None, FAST_CLASSES),
-        ("imdb_table", None, FAST_CLASSES),
-    ])
-    def test_every_bundled_dataset_identical_under_parallelism(
-        self, request, table_fixture, mode, classes
-    ):
-        table = request.getfixturevalue(table_fixture)
-        dto = InsightRequest(
-            dataset="data", insight_classes=classes, top_k=3, mode=mode
-        )
-        payloads = []
-        for workers in (1, 4):
-            workspace = Workspace(
-                executor=ExecutorConfig(max_workers=workers, min_chunk_size=1)
-            )
-            workspace.register("data", table)
-            response = workspace.handle(dto)
-            assert response.provenance["cache"] == "miss"
-            assert response.provenance["max_workers"] == workers
-            payloads.append(_comparable_payload(response))
-            workspace.engine("data").executor.close()
-        assert payloads[0] == payloads[1]
-
     def test_sharding_engages_on_scoring_bound_request(self, oecd_table):
-        workspace = Workspace(
-            executor=ExecutorConfig(max_workers=4, min_chunk_size=1)
-        )
+        workspace = Workspace()
         workspace.register("data", oecd_table)
         response = workspace.handle(
-            InsightRequest(dataset="data", insight_classes=SHARDED_CLASSES, top_k=3)
+            InsightRequest(dataset="data", insight_classes=UNIVARIATE_CLASSES,
+                           top_k=3)
         )
-        try:
-            assert response.provenance["max_workers"] == 4
-            # The univariate classes share one enumeration of the numeric
-            # singletons; sharding happened inside the score stage.
-            assert response.provenance["enumerations"] == 1
-            assert response.provenance["shared_queries"] == len(SHARDED_CLASSES) - 1
-        finally:
-            workspace.engine("data").executor.close()
+        assert response.provenance["enumerations"] == 1
+        assert response.provenance["shared_queries"] == len(UNIVARIATE_CLASSES) - 1
 
     def test_handle_many_matches_sequential_handles(self, small_mixed_table):
         requests = [
@@ -112,7 +65,7 @@ class TestParallelSerialDeterminism:
 
         batch_ws = Workspace()
         batch_ws.register("data", small_mixed_table)
-        batched = batch_ws.handle_many(requests, max_workers=4)
+        batched = batch_ws.handle_many(requests)
         for index, (response, request_dto) in enumerate(zip(batched, requests)):
             batch = response.provenance["batch"]
             assert batch["index"] == index
@@ -121,6 +74,57 @@ class TestParallelSerialDeterminism:
                 k: v for k, v in response.provenance.items() if k != "batch"
             }
             assert _comparable_payload(response) == sequential[index]
+
+    def test_a_request_runs_on_its_callers_thread(
+        self, small_mixed_table, monkeypatch
+    ):
+        """No engine-level fan-out: nothing below ``handle`` starts a thread.
+
+        The one thing allowed to is a budget-triggered background
+        rebuild, on the maintenance pool — which none of these is.
+        """
+        workspace = Workspace()
+        workspace.register("data", small_mixed_table)
+
+        started: list[str] = []
+        real_start = threading.Thread.start
+
+        def spying_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        handled_on: list[int] = []
+        real_handle = Workspace.handle
+
+        def spying_handle(self, request):
+            handled_on.append(threading.get_ident())
+            return real_handle(self, request)
+
+        monkeypatch.setattr(threading.Thread, "start", spying_start)
+        monkeypatch.setattr(Workspace, "handle", spying_handle)
+
+        cold = workspace.handle(
+            InsightRequest(dataset="data", insight_classes=ALL_CLASSES, top_k=3)
+        )
+        assert cold.provenance["cache"] == "miss"
+        batch = workspace.handle_many([
+            InsightRequest(dataset="data", insight_classes=("skew", "outliers"),
+                           top_k=k)
+            for k in range(1, 9)
+        ])
+        Foresight(small_mixed_table)
+        appended = workspace.append(
+            "data", small_mixed_table.to_records()[:5]
+        )
+        assert appended.applied == "delta_merge"
+
+        assert started == []
+        assert handled_on == [threading.get_ident()] * 9
+        assert [r.provenance["batch"] for r in batch] == [
+            {"index": index, "size": 8} for index in range(8)
+        ]
+        assert importlib.util.find_spec("repro.core.executor") is None
+        workspace.close()
 
 
 class TestWorkspaceUnderConcurrency:

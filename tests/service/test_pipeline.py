@@ -4,12 +4,10 @@ from typing import Iterator
 
 import pytest
 
-from repro.core.executor import ExecutorConfig, ParallelExecutor
 from repro.core.insight import EvaluationContext, InsightClass, ScoredCandidate, singletons
 from repro.core.query import InsightQuery, MetricRange
-from repro.core.ranking import RankingEngine
 from repro.core.registry import InsightRegistry, default_registry
-from repro.service.pipeline import PipelineStats, QueryPipeline
+from repro.service import PipelineStats, QueryPipeline
 
 
 class _CountingInsight(InsightClass):
@@ -185,45 +183,6 @@ class TestSharedScoring:
         assert stats.shared_score_queries == 0
 
 
-class TestShardedScoring:
-    def test_parallel_pipeline_shards_elementwise_classes(self, oecd_table, exact_context):
-        registry = _counting_registry()
-        executor = ParallelExecutor(ExecutorConfig(max_workers=4, min_chunk_size=1))
-        try:
-            pipeline = QueryPipeline(registry, executor=executor)
-            stats = PipelineStats()
-            sharded = pipeline.execute(
-                [InsightQuery("count_a", top_k=3, mode="exact")],
-                exact_context,
-                stats=stats,
-            )
-            assert stats.score_shards > 1
-            serial = QueryPipeline(registry).execute(
-                [InsightQuery("count_a", top_k=3, mode="exact")], exact_context
-            )
-            assert sharded[0].attribute_sets() == serial[0].attribute_sets()
-            assert [i.score for i in sharded[0]] == [i.score for i in serial[0]]
-        finally:
-            executor.close()
-
-    def test_batched_score_all_classes_are_not_sharded(self, oecd_table):
-        executor = ParallelExecutor(ExecutorConfig(max_workers=4, min_chunk_size=1))
-        try:
-            pipeline = QueryPipeline(default_registry(), executor=executor)
-            stats = PipelineStats()
-            context = EvaluationContext(table=oecd_table, store=None, mode="exact")
-            # linear_relationship overrides score_all with one matrix
-            # computation; chunking it would forfeit the batching.
-            pipeline.execute(
-                [InsightQuery("linear_relationship", top_k=3, mode="exact")],
-                context,
-                stats=stats,
-            )
-            assert stats.score_shards == 0
-        finally:
-            executor.close()
-
-
 class TestStagedExecution:
     def test_stages_compose_to_execute(self, oecd_table, exact_context):
         pipeline = QueryPipeline(default_registry())
@@ -237,7 +196,7 @@ class TestStagedExecution:
         )[0].attribute_sets()
 
     def test_plan_applies_default_caps(self, oecd_engine):
-        pipeline = oecd_engine._ranking.pipeline
+        pipeline = oecd_engine._pipeline
         plan = pipeline.plan(
             [InsightQuery("segmentation")],
             default_caps=oecd_engine._apply_default_caps,
@@ -272,23 +231,3 @@ class TestStagedExecution:
         assert approx.details["mode"] == "approximate"
         assert exact.details["mode"] == "exact"
         assert exact.top().details["source"] == "exact"
-
-
-class TestRankingEngineFacade:
-    def test_rank_delegates_to_pipeline(self, oecd_table, exact_context):
-        engine = RankingEngine(default_registry())
-        result = engine.rank(InsightQuery("skew", top_k=2, mode="exact"), exact_context)
-        assert len(result) == 2
-        assert engine.pipeline.registry is engine.registry
-
-    def test_rank_all_returns_dict_keyed_by_class(self, oecd_table, exact_context):
-        engine = RankingEngine(default_registry())
-        stats = PipelineStats()
-        results = engine.rank_all(
-            [InsightQuery("skew", top_k=1, mode="exact"),
-             InsightQuery("dispersion", top_k=1, mode="exact")],
-            exact_context,
-            stats=stats,
-        )
-        assert set(results) == {"skew", "dispersion"}
-        assert stats.enumerations == 1

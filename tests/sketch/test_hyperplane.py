@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SketchError, SketchMergeError
-from repro.data.datasets import make_correlated_pair
+from repro.data.datasets import make_correlated_pair, make_numeric_table
 from repro.sketch.hyperplane import (
     HyperplaneSketcher,
     StreamingHyperplaneSketch,
@@ -75,6 +75,21 @@ class TestBatchSketcher:
         assert errors.max() < 0.2
         assert errors.mean() < 0.06
         np.testing.assert_allclose(np.diag(approx), 1.0)
+
+    def test_error_shrinks_as_width_grows(self):
+        table = make_numeric_table(
+            n_rows=5000, n_columns=12, block_correlation=0.8, seed=13
+        )
+        matrix, _ = table.numeric_matrix()
+        exact = correlation_matrix(matrix)
+        pairs = np.triu_indices(12, 1)
+
+        def mean_error(width: int) -> float:
+            sketcher = HyperplaneSketcher(n_rows=5000, width=width, seed=7)
+            approx = sketcher.correlation_matrix(sketcher.sketch_matrix(matrix))
+            return float(np.abs(approx - exact)[pairs].mean())
+
+        assert mean_error(1024) < mean_error(64)
 
     def test_missing_values_handled(self):
         rng = np.random.default_rng(6)

@@ -1,5 +1,5 @@
-"""Tests for the moment, quantile, frequent-items, Count-Min, entropy,
-projection and reservoir sketches."""
+"""Tests for the moment, quantile, frequent-items, Count-Min, entropy
+and reservoir sketches."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.sketch.countmin import CountMinSketch
 from repro.sketch.entropy import EntropySketch
 from repro.sketch.frequent import MisraGriesSketch, SpaceSavingSketch, exact_counts
 from repro.sketch.moments import MomentSketch
-from repro.sketch.projection import RandomProjectionSketcher
 from repro.sketch.quantile import QuantileSketch
 from repro.sketch.reservoir import ReservoirSample, reservoir_row_indices, sample_pairs
 from repro.stats.frequency import shannon_entropy
@@ -276,40 +275,6 @@ class TestEntropySketch:
         a.merge(b)
         assert a.count == len(zipf_labels)
         assert a.estimate_entropy() == pytest.approx(shannon_entropy(zipf_labels), rel=0.25)
-
-
-class TestRandomProjection:
-    def test_norm_and_dot_estimates(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal(5000)
-        y = 0.7 * x + 0.7 * rng.standard_normal(5000)
-        sketcher = RandomProjectionSketcher(n_rows=5000, width=512, seed=6)
-        sx, sy = sketcher.sketch_matrix(np.column_stack([x, y]), center=False)
-        assert sx.estimate_norm_squared() == pytest.approx(float(x @ x), rel=0.15)
-        assert sx.estimate_dot(sy) == pytest.approx(float(x @ y), rel=0.2)
-
-    def test_correlation_estimate(self):
-        rng = np.random.default_rng(7)
-        x = rng.standard_normal(10_000)
-        y = 0.85 * x + np.sqrt(1 - 0.85**2) * rng.standard_normal(10_000)
-        sketcher = RandomProjectionSketcher(n_rows=10_000, width=1024, seed=8)
-        sx, sy = sketcher.sketch_matrix(np.column_stack([x, y]))
-        assert sx.estimate_correlation(sy) == pytest.approx(0.85, abs=0.1)
-
-    def test_incompatible_sketches(self):
-        rng = np.random.default_rng(9)
-        matrix = rng.standard_normal((100, 1))
-        a = RandomProjectionSketcher(100, width=64, seed=1).sketch_matrix(matrix)[0]
-        b = RandomProjectionSketcher(100, width=64, seed=2).sketch_matrix(matrix)[0]
-        with pytest.raises(SketchMergeError):
-            a.estimate_dot(b)
-
-    def test_distance_estimate(self):
-        x = np.zeros(1000)
-        y = np.ones(1000)
-        sketcher = RandomProjectionSketcher(1000, width=512, seed=10)
-        sx, sy = sketcher.sketch_matrix(np.column_stack([x, y]), center=False)
-        assert sx.estimate_distance(sy) == pytest.approx(np.sqrt(1000), rel=0.2)
 
 
 class TestReservoir:
