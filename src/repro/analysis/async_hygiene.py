@@ -12,8 +12,12 @@ configured scopes:
 * blocking ``<lock>.acquire(...)`` — only ``acquire(blocking=False)``
   or an *awaited* async ``acquire`` (e.g. the admission controller's)
   is acceptable on the loop thread;
-* direct blocking workspace calls (``self._workspace.handle(...)``,
+* direct workspace calls (``self._workspace.handle(...)``,
   ``.register(...)``, ...) — these must go through ``run_in_executor``.
+  The exceptions are named, not inferred: ``peek_cached`` — the one
+  serving call built never to wait — and the counter snapshots behind
+  the ops endpoints (``ProjectConfig.workspace_loop_safe_methods``).
+  A new workspace method is a finding until it is added there.
 
 Nested synchronous ``def`` functions and lambdas inside a coroutine are
 excluded: they run wherever they are called, typically on the executor.
@@ -114,7 +118,7 @@ class AsyncHygieneRule(Rule):
                 continue
             if (
                 isinstance(func, ast.Attribute)
-                and func.attr in self.config.workspace_blocking_methods
+                and func.attr not in self.config.workspace_loop_safe_methods
             ):
                 receiver = _dotted(func.value)
                 if receiver and receiver[-1] in self.config.workspace_receivers:
@@ -124,7 +128,8 @@ class AsyncHygieneRule(Rule):
                         line=call.lineno,
                         message=(
                             f"direct workspace call .{func.attr}() inside async def "
-                            f"'{fn.name}' blocks the event loop; dispatch it via "
-                            "loop.run_in_executor"
+                            f"'{fn.name}' may block the event loop; dispatch it via "
+                            "loop.run_in_executor (only the methods listed in "
+                            "workspace_loop_safe_methods never wait)"
                         ),
                     )

@@ -105,9 +105,11 @@ class ProjectConfig:
     async_scopes: tuple[str, ...] = ()
     #: Fully dotted call names that block the event loop.
     async_blocking_calls: tuple[str, ...] = ()
-    #: ``workspace.<method>`` receivers/methods that block.
+    #: Receivers that denote a workspace, and the only methods a
+    #: coroutine may call on one directly: every other call can wait on
+    #: an entry lock or compute, and belongs behind ``run_in_executor``.
     workspace_receivers: tuple[str, ...] = ("_workspace", "workspace")
-    workspace_blocking_methods: tuple[str, ...] = ()
+    workspace_loop_safe_methods: tuple[str, ...] = ()
 
     # ---- trace-hygiene ---------------------------------------------------
     #: Receivers whose ``.span()``/``.start_span()`` calls create spans.
@@ -227,15 +229,17 @@ DEFAULT_CONFIG = ProjectConfig(
         "os.rename",
     ),
     workspace_receivers=("_workspace", "workspace"),
-    workspace_blocking_methods=(
-        "handle",
-        "register",
-        "reload",
-        "append",
-        "rebuild",
-        "flush",
-        "flush_all",
-        "close",
-        "wait_for_rebuilds",
+    workspace_loop_safe_methods=(
+        # The one serving call: a try-lock and a cache lookup that
+        # answer None rather than wait (``POST /v1/insights``).
+        "peek_cached",
+        # Counter snapshots behind /metrics, /healthz, /v1/debug and
+        # /v1/datasets; ``describe`` try-locks and reports ``busy``.
+        "datasets",
+        "describe",
+        "debug_info",
+        "cache_info",
+        "pipeline_stats",
+        "ingest_stats",
     ),
 )

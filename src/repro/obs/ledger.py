@@ -33,8 +33,6 @@ import numpy as np
 
 __all__ = ["MemoryLedger", "deep_sizeof", "table_bytes"]
 
-_MACHINERY_TYPES = (type(threading.Lock()), type(threading.RLock()))
-
 
 class MemoryLedger:
     """Thread-safe ``(component, dataset) -> bytes`` counters."""
@@ -156,7 +154,10 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
     seen.add(marker)
     if isinstance(obj, (type, type(sys))) or callable(obj):
         return 0
-    if isinstance(obj, _MACHINERY_TYPES):
+    if hasattr(obj, "acquire") and hasattr(obj, "release"):
+        # A lock by what it does, not by its type: under
+        # REPRO_DEBUG_LOCKS or the lock-wait watchdog ``threading.Lock()``
+        # hands out a proxy, and the tracker behind it is not data either.
         return 0
     total = sys.getsizeof(obj)
     if isinstance(obj, dict):

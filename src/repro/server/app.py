@@ -6,9 +6,11 @@ datasets went live — a write surface:
 
 ===================================  ==========================================
 ``POST /v1/insights``                one :class:`InsightRequest` → one
-                                     response; single arrivals inside the
-                                     coalescing window micro-batch into one
-                                     ``handle_many`` call
+                                     response; a result-cache hit is sent
+                                     from the event loop as cached, misses
+                                     inside the coalescing window
+                                     micro-batch into one ``handle_many``
+                                     call
 ``POST /v1/insights:batch``          ``{"requests": [...]}`` →
                                      ``{"responses": [...]}`` via
                                      ``Workspace.handle_many``
@@ -58,8 +60,11 @@ Request flow for the insight endpoints: **parse** (protocol violations →
 400 envelope, unknown datasets → 404 envelope — the same structured
 error envelope :meth:`Workspace.handle_json` returns) → **admission**
 (:class:`~repro.server.admission.AdmissionController`; 429/503 with
-``Retry-After``) → **dispatch** (coalesced or direct, always on a worker
-thread — the event loop never blocks on the engine) → **respond**.
+``Retry-After``) → **peek** (``POST /v1/insights`` only: the reply the
+result cache already holds is sent as it stands —
+:meth:`Workspace.peek_cached` never waits and never computes) →
+**dispatch** (coalesced or direct, always on a worker thread — the event
+loop never blocks on the engine) → **respond**.
 
 Shutdown is graceful: :meth:`ReproServer.stop` stops accepting, waits up
 to ``drain_timeout`` for in-flight requests (including a pending
@@ -735,9 +740,7 @@ class ReproServer:
         # zero-length span on every request is pure overhead (tracing is
         # budgeted against the cached hot path — see the throughput
         # benchmark's ``tracing_overhead`` regime).
-        clock = self.tracer.clock
-        admit_started = clock()
-        loop = asyncio.get_running_loop()
+        admit_started = self.tracer.clock()
         # Staleness-bounded reads are eligible for replica routing, and
         # a replica-served request must bypass the coalescer: batches
         # coalesce onto the primary's workspace, which would silently
@@ -745,58 +748,63 @@ class ReproServer:
         use_coalescer = self._coalescer is not None and (
             request.max_lag_seq is None or not self._replicas
         )
-        if use_coalescer:
-            # Coalescer-aware admission: the arrival is quota-checked
-            # and parked into the open batch without holding an
-            # in-flight slot through the coalesce window — the
-            # dispatched batch takes exactly one slot instead.
-            async with self.admission.admit_coalesced(
-                [request.dataset], request.insight_classes
-            ):
-                if clock() - admit_started >= _WAIT_SPAN_FLOOR:
-                    self.tracer.record_span("admission.wait", root,
-                                            admit_started)
-                # Covers the coalescing window plus the shared batch
-                # dispatch; the batch's own trace cross-references
-                # this one via request_trace_id on its rider spans.
-                parked = self.tracer.start_span("coalesce.wait", parent=root)
-                try:
-                    response = await self._coalescer.submit(
-                        request,
-                        trace_id=(root.trace_id if root is not None
-                                  else None),
-                    )
-                finally:
-                    parked.end()
-        else:
-            async with self.admission.admit(
-                [request.dataset], request.insight_classes
-            ):
-                if clock() - admit_started >= _WAIT_SPAN_FLOOR:
-                    self.tracer.record_span("admission.wait", root,
-                                            admit_started)
-                self.metrics.record_direct()
-                # bind() carries the root onto the worker thread so the
-                # workspace.handle span parents to this request.  The
-                # handoff gets a span only when it was slow:
-                # ``request.dispatch`` measures the executor queue wait
-                # (submit until a worker picks the job up) and is
-                # synthesized from the worker thread only when that
-                # wait reached the floor — a free pool records nothing.
-                dispatch_started = clock()
-                tracer = self.tracer
-                handle = self._select_workspace(request).handle
-
-                def dispatched(req):
-                    if clock() - dispatch_started >= _WAIT_SPAN_FLOOR:
-                        tracer.record_span("request.dispatch", root,
-                                           dispatch_started)
-                    return handle(req)
-
-                response = await loop.run_in_executor(
-                    self._pool, bind(root, dispatched), request,
-                )
+        # Coalescer-aware admission: the arrival is quota-checked and
+        # parked without holding an in-flight slot through the coalesce
+        # window — the dispatched batch takes exactly one slot instead.
+        admit = (self.admission.admit_coalesced if use_coalescer
+                 else self.admission.admit)
+        async with admit([request.dataset], request.insight_classes):
+            if self.tracer.clock() - admit_started >= _WAIT_SPAN_FLOOR:
+                self.tracer.record_span("admission.wait", root, admit_started)
+            # A reply the workspace already holds is sent from here, on
+            # the loop: it can share no work, so it joins no batch and
+            # hops to no thread.  Only a "no" goes on to be computed.
+            workspace = self._select_workspace(request)
+            cached = workspace.peek_cached(request, parent=root)
+            if cached is not None:
+                self.metrics.record_fast_hit()
+                return 200, cached.encode()
+            if use_coalescer:
+                response = await self._coalesced(request, root)
+            else:
+                response = await self._direct(workspace, request, root)
         return 200, response.to_json().encode()
+
+    async def _coalesced(self, request: InsightRequest, root: Any) -> Any:
+        """Ride the open coalesce batch to this request's response."""
+        # Covers the coalescing window plus the shared batch dispatch;
+        # the batch's own trace cross-references this one via
+        # request_trace_id on its rider spans.
+        parked = self.tracer.start_span("coalesce.wait", parent=root)
+        try:
+            return await self._coalescer.submit(
+                request,
+                trace_id=root.trace_id if root is not None else None,
+            )
+        finally:
+            parked.end()
+
+    async def _direct(self, workspace: Workspace, request: InsightRequest,
+                      root: Any) -> Any:
+        """One ``handle`` on a worker thread, outside any batch."""
+        self.metrics.record_direct()
+        # bind() carries the root onto the worker thread so the
+        # workspace.handle span parents to this request.  The handoff
+        # gets a span only when it was slow: ``request.dispatch``
+        # measures the executor queue wait (submit until a worker picks
+        # the job up) and is synthesized from the worker thread only
+        # when that wait reached the floor — a free pool records nothing.
+        tracer = self.tracer
+        dispatch_started = tracer.clock()
+
+        def dispatched(req):
+            if tracer.clock() - dispatch_started >= _WAIT_SPAN_FLOOR:
+                tracer.record_span("request.dispatch", root, dispatch_started)
+            return workspace.handle(req)
+
+        return await asyncio.get_running_loop().run_in_executor(
+            self._pool, bind(root, dispatched), request,
+        )
 
     async def _post_insights_batch(
         self, http_request: _HttpRequest

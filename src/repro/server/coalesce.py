@@ -8,6 +8,11 @@ arrivals within a small window are collected and dispatched as **one**
 ``handle_many`` call, so unrelated clients asking similar questions at
 the same moment pay for enumeration and scoring once.
 
+What rides a batch is what can share work: the server submits a request
+here only after ``Workspace.peek_cached`` said the result cache does not
+hold its reply.  A hit at arrival has nothing to share and nothing to
+wait for — it is answered on the event loop and never enters the window.
+
 Mechanics: the first arrival opens a batch and starts the window timer;
 later arrivals join the pending batch; the batch flushes when the window
 elapses or it reaches ``max_batch``, whichever comes first.  The
@@ -16,7 +21,8 @@ and each caller's future resolves with its own response.
 
 Responses get transport provenance: the per-request ``batch`` entry that
 ``handle_many`` stamps is replaced by ``coalesced`` (``{"index", "size"}``)
-recording how the transport batched it.  Like ``batch``, the entry is
+recording how the transport batched it — present exactly on the replies
+that rode a batch.  Like ``batch``, the entry is
 stamped after the response left the result cache, so cached payloads
 stay byte-identical however requests were coalesced.
 

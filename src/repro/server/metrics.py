@@ -98,6 +98,7 @@ class ServerMetrics:
         self._coalesced_requests = 0
         self._coalesce_max_batch = 0
         self._direct_requests = 0
+        self._fast_hits = 0
         self._rider_wait_total = 0.0
         self._latency = LatencyHistogram()
         self._coalesce_wait = LatencyHistogram()
@@ -151,6 +152,12 @@ class ServerMetrics:
         with self._lock:
             self._direct_requests += 1
 
+    def record_fast_hit(self) -> None:
+        """Count one request answered from the result cache on the event
+        loop — neither coalesced nor dispatched."""
+        with self._lock:
+            self._fast_hits += 1
+
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------
@@ -172,6 +179,7 @@ class ServerMetrics:
                     "coalesced_requests": self._coalesced_requests,
                     "max_batch_size": self._coalesce_max_batch,
                     "direct_requests": self._direct_requests,
+                    "fast_hits": self._fast_hits,
                     "rider_wait_seconds_total": self._rider_wait_total,
                     "wait": self._coalesce_wait.snapshot(),
                 },
@@ -285,6 +293,7 @@ def render_prometheus(document: dict[str, Any]) -> str:
     counter("repro_coalesce_requests_total",
             coalesce.get("coalesced_requests", 0))
     counter("repro_direct_requests_total", coalesce.get("direct_requests", 0))
+    counter("repro_fast_hits_total", coalesce.get("fast_hits", 0))
     counter("repro_coalesce_rider_wait_seconds_total",
             coalesce.get("rider_wait_seconds_total", 0.0))
     gauge("repro_coalesce_max_batch_size", coalesce.get("max_batch_size", 0))

@@ -7,6 +7,15 @@ dataset is reloaded — or appended to — and
 :meth:`ResultCache.invalidate` additionally evicts them eagerly so the
 memory is reclaimed rather than waiting for LRU pressure.
 
+What the workspace stores under a key is the reply *as a hit sends it* —
+canonical JSON whose ``provenance.cache`` already reads ``"hit"``,
+written once at :meth:`ResultCache.put` time — so serving a hit is
+handing out the stored text: no per-hit patch, and for a transport no
+decode/encode round trip.  :meth:`ResultCache.peek` is the lookup of a
+caller that falls back to a slower path on None: it counts the hit it
+finds and leaves the miss for that path's :meth:`ResultCache.get`, so
+``hits + misses`` stays the number of reads served.
+
 The cache is thread-safe: every operation — including the LRU recency
 update inside :meth:`ResultCache.get` — runs under one internal lock, so
 concurrent serving threads can hit it freely and the hit/miss/eviction
@@ -68,12 +77,25 @@ class ResultCache:
     # ------------------------------------------------------------------
     def get(self, key: CacheKey) -> Any | None:
         """Return the cached value (refreshing its recency), or None."""
+        return self._lookup(key, count_miss=True)
+
+    def peek(self, key: CacheKey) -> Any | None:
+        """:meth:`get` for a caller that will ask again when told None.
+
+        A found value is a hit like any other (counted, recency
+        refreshed); an absent one counts nothing — the slow path the
+        caller falls back to counts that miss, once, through :meth:`get`.
+        """
+        return self._lookup(key, count_miss=False)
+
+    def _lookup(self, key: CacheKey, count_miss: bool) -> Any | None:
         with self._lock:
             if key in self._entries:
                 self._entries.move_to_end(key)
                 self._hits += 1
                 return self._entries[key]
-            self._misses += 1
+            if count_miss:
+                self._misses += 1
             return None
 
     def put(self, key: CacheKey, value: Any) -> None:

@@ -1249,19 +1249,72 @@ class Workspace:
         the superseded version, where the version-qualified key makes it
         unreachable.
         """
-        request = self._coerce_request(request)
+        return self._serve(self._coerce_request(request), self._handle_traced)
+
+    def peek_cached(self, request: InsightRequest,
+                    parent: Any = None) -> str | None:
+        """The reply :meth:`handle` would send from the result cache —
+        as canonical JSON — or None; never waits, never computes.
+
+        For a caller that must not block (the server's event loop): None
+        means "ask :meth:`handle`", and is the answer whenever the
+        dataset's ``(version, seq)`` cannot be read without waiting — an
+        append, build, reload or replace holds its entry lock — or the
+        engine is cold, replay is pending, or nothing is cached under
+        the key.  A None records nothing (no span, no bill, no cache
+        miss: ``handle`` will count that once); a reply records exactly
+        what a ``handle`` hit does, its span parented to ``parent``.
+        """
+        state = self._peek_state(request.dataset)
+        if state is None:
+            return None
+        cached = self._cache.peek(
+            (request.dataset, *state, request.canonical_key()))
+        if cached is None:
+            return None
+        # The cached text is the reply; only the cost echo of a ``debug``
+        # request needs an object to be stamped on.
+        rehydrate = request.debug
+        reply = self._serve(
+            request,
+            lambda _request, span: self._hit_reply(cached, span, rehydrate),
+            parent,
+        )
+        return reply.to_json() if rehydrate else reply
+
+    def _peek_state(self, name: str) -> tuple[int, int] | None:
+        """The dataset's current ``(version, seq)``, if reading it needs
+        no wait and a warm engine stands behind it."""
+        entry = self._entries.get(name)
+        if entry is None or not entry.lock.acquire(blocking=False):
+            return None
+        try:
+            if (entry.superseded or entry.engine is None
+                    or entry.pending is not None):
+                return None
+            return entry.version, entry.ingest.seq
+        finally:
+            entry.lock.release()
+
+    def _serve(
+        self,
+        request: InsightRequest,
+        reply: Callable[[InsightRequest, Any], Any],
+        parent: Any = None,
+    ) -> Any:
+        """One ``workspace.handle`` span and one cost bill around ``reply``."""
         if not self._obs_config.resources_enabled:
-            with self._tracer.span("workspace.handle",
+            with self._tracer.span("workspace.handle", parent,
                                    dataset=request.dataset) as handle_span:
-                return self._handle_traced(request, handle_span)
+                return reply(request, handle_span)
         recorder = CostRecorder()
-        with self._tracer.span("workspace.handle",
+        with self._tracer.span("workspace.handle", parent,
                                dataset=request.dataset) as handle_span:
             handle_span.set_cost(recorder)
             # The CPU window closes before the snapshot below, so the
             # handler thread's CPU is in the recorded total.
             with attach_recorder(recorder), recorder.cpu_window():
-                response = self._handle_traced(request, handle_span)
+                response = reply(request, handle_span)
             snapshot = recorder.finish().snapshot()
             self._costs.record(
                 snapshot,
@@ -1277,6 +1330,21 @@ class Workspace:
                                        "cost": snapshot}
             return response
 
+    @staticmethod
+    def _hit_reply(cached: str, handle_span: Any,
+                   rehydrate: bool = True) -> InsightResponse | str:
+        """What a result-cache hit answers and records.
+
+        The cache stores the canonical JSON a hit sends, so a hit is
+        either that text as it stands or — rehydrated — a fresh object
+        no caller can reach a cached entry through.  (No span of its
+        own: a dict probe is microseconds, and the ``cache`` attribute
+        on the handle span already tells the hit/miss story.)
+        """
+        record_cache_probe(True)
+        handle_span.set_attribute("cache", "hit")
+        return InsightResponse.from_json(cached) if rehydrate else cached
+
     def _handle_traced(
         self, request: InsightRequest, handle_span: Any
     ) -> InsightResponse:
@@ -1284,18 +1352,10 @@ class Workspace:
         engine, version, seq = self._engine_snapshot(request.dataset)
         key = (request.dataset, version, seq, request.canonical_key())
 
-        # The cache stores canonical JSON, so hits rehydrate into
-        # fresh objects and callers can never mutate a cached entry
-        # in place.  (No span of its own: a dict probe is
-        # microseconds, and the ``cache`` attribute on the handle
-        # span already tells the hit/miss story.)
         cached = self._cache.get(key)
-        record_cache_probe(cached is not None)
         if cached is not None:
-            handle_span.set_attribute("cache", "hit")
-            response = InsightResponse.from_json(cached)
-            response.provenance = {**response.provenance, "cache": "hit"}
-            return response
+            return self._hit_reply(cached, handle_span)
+        record_cache_probe(False)
         handle_span.set_attribute("cache", "miss")
 
         start = time.perf_counter()
@@ -1333,7 +1393,7 @@ class Workspace:
             carousels=carousels,
             timing={"total_seconds": elapsed},
             provenance={
-                "cache": "miss",
+                "cache": "hit",
                 "mode": request.mode or engine.config.mode,
                 "enumerations": stats.enumerations,
                 "shared_queries": stats.shared_queries,
@@ -1343,7 +1403,10 @@ class Workspace:
             next_cursor=(encode_cursor(offset + page_size)
                          if has_more else None),
         )
+        # Cached as a hit will send it; this first answer differs from
+        # the text just stored in that one word.
         self._cache.put(key, response.to_json())
+        response.provenance["cache"] = "miss"
         return response
 
     def handle_many(

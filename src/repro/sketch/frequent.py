@@ -157,11 +157,22 @@ class SpaceSavingSketch(Sketch):
             self.capacity == other.capacity,
             "cannot merge Space-Saving sketches with different capacities",
         )
-        combined_counts = dict(self._counts)
-        combined_errors = dict(self._errors)
+        # An item only one side tracks may still have occurred on the
+        # other: a full summary has evicted items, each with a true count
+        # of at most its minimum counter.  Charging that minimum — to the
+        # count and to its error — keeps "tracked items never undercount"
+        # true across a merge (the mergeable-summaries rule).
+        self_floor, other_floor = self._floor(), other._floor()
+        combined_counts = {}
+        combined_errors = {}
+        for key, count in self._counts.items():
+            combined_counts[key] = count + other._counts.get(key, other_floor)
+            combined_errors[key] = (self._errors.get(key, 0)
+                                    + other._errors.get(key, other_floor))
         for key, count in other._counts.items():
-            combined_counts[key] = combined_counts.get(key, 0) + count
-            combined_errors[key] = combined_errors.get(key, 0) + other._errors.get(key, 0)
+            if key not in self._counts:
+                combined_counts[key] = self_floor + count
+                combined_errors[key] = self_floor + other._errors.get(key, 0)
         if len(combined_counts) > self.capacity:
             keep = sorted(combined_counts, key=lambda k: -combined_counts[k])[: self.capacity]
             combined_counts = {k: combined_counts[k] for k in keep}
@@ -169,6 +180,13 @@ class SpaceSavingSketch(Sketch):
         self._counts = combined_counts
         self._errors = combined_errors
         self._count += other._count
+
+    def _floor(self) -> int:
+        """The most an untracked item can have occurred: nothing until
+        the summary is full, its minimum counter once it evicts."""
+        if len(self._counts) < self.capacity:
+            return 0
+        return min(self._counts.values())
 
     def copy(self) -> "SpaceSavingSketch":
         return self._clone(_counts=dict(self._counts), _errors=dict(self._errors))

@@ -502,8 +502,8 @@ class TestDurability:
 ASYNC_CONFIG = ProjectConfig(
     async_scopes=("",),
     async_blocking_calls=("time.sleep", "os.fsync"),
-    workspace_receivers=("_workspace",),
-    workspace_blocking_methods=("handle", "register"),
+    workspace_receivers=("_workspace", "workspace"),
+    workspace_loop_safe_methods=("peek_cached", "describe"),
 )
 
 
@@ -548,6 +548,30 @@ class TestAsyncHygiene:
     """,
         )
         assert run_rule(AsyncHygieneRule(ASYNC_CONFIG), [path]) == []
+
+    def test_the_peek_is_the_one_serving_call_allowed_on_the_loop(
+        self, tmp_path
+    ):
+        path = write(
+            tmp_path,
+            "server.py",
+            """
+        class Handler:
+            async def post(self, request, root):
+                workspace = self._select(request)
+                cached = workspace.peek_cached(request, parent=root)
+                if cached is not None:
+                    return cached
+                self._workspace.describe()
+                workspace.state(request.dataset)
+                return self._workspace.handle_json(request)
+    """,
+        )
+        findings = run_rule(AsyncHygieneRule(ASYNC_CONFIG), [path])
+        # Not a list of known offenders: anything unlisted is one.
+        assert [f.line for f in findings] == [9, 10]
+        assert ".state()" in findings[0].message
+        assert ".handle_json()" in findings[1].message
 
     def test_nested_sync_def_excluded(self, tmp_path):
         path = write(

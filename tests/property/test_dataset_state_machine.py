@@ -82,6 +82,8 @@ class DatasetStateMachine(RuleBasedStateMachine):
         #: marker is a journal record that moves no ``seq``, so equal
         #: ``(version, seq)`` alone does not say "caught up".)
         self.replica_caught_up = False
+        #: The newest ``(version, seq)`` any primary read has answered from.
+        self.answered_from = (0, 0)
 
     def teardown(self):
         self.replica.close()
@@ -102,10 +104,37 @@ class DatasetStateMachine(RuleBasedStateMachine):
         self.primary.append(NAME, POOL[start:start + n])
         self.replica_caught_up = False
 
+    def _answered(self, body: dict) -> None:
+        """A primary read answers from the current state, never an older one."""
+        state = (body["dataset_version"], body["dataset_seq"])
+        assert state == self.primary.state(NAME)
+        assert state >= self.answered_from
+        self.answered_from = state
+
     @rule()
     def read(self):
         """A sketch-mode read: forces the lazy build and its marker."""
-        self.primary.handle(PROBE)
+        self._answered(self.primary.handle(PROBE).to_dict())
+        self.replica_caught_up = False
+
+    @rule()
+    def peek(self):
+        """The server's non-waiting look at the result cache: silent
+        unless it holds the reply of the *current* state (not after an
+        append, a reload or a restart until a read has built and cached
+        again), and then it is the reply a read gives, to the byte."""
+        text = self.primary.peek_cached(PROBE)
+        if text is None:
+            return
+        self._answered(json.loads(text))
+        before = _counters(self.primary)
+        assert self.primary.handle(PROBE).to_json() == text
+        assert _counters(self.primary) == before
+
+    @rule()
+    def reload(self):
+        """A new generation: the version moves on, ``seq`` starts over."""
+        self.primary.reload(NAME)
         self.replica_caught_up = False
 
     @rule()

@@ -58,6 +58,8 @@ class TestServerMetrics:
         metrics.record_rejection(503)
         metrics.record_batch(3, 0.004)
         metrics.record_direct()
+        metrics.record_fast_hit()
+        metrics.record_fast_hit()
         snapshot = metrics.snapshot()
         assert snapshot["requests"]["total"] == 3
         assert snapshot["requests"]["by_endpoint"] == {"insights": 2, "healthz": 1}
@@ -67,6 +69,7 @@ class TestServerMetrics:
         assert snapshot["coalesce"]["batches"] == 1
         assert snapshot["coalesce"]["coalesced_requests"] == 3
         assert snapshot["coalesce"]["direct_requests"] == 1
+        assert snapshot["coalesce"]["fast_hits"] == 2
         assert snapshot["latency"]["count"] == 2
 
     def test_thread_safety_of_counters(self):

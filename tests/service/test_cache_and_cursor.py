@@ -20,6 +20,18 @@ class TestResultCache:
                         "misses": 1, "evictions": 0,
                         "invalidations": 0}
 
+    def test_peek_counts_a_hit_and_never_a_miss(self):
+        cache = ResultCache(capacity=2)
+        key, other = ("a", 1, 0, "q1"), ("b", 1, 0, "q2")
+        assert cache.peek(key) is None          # left for get() to count
+        assert cache.get(key) is None
+        cache.put(key, "value")
+        cache.put(other, "other")
+        assert cache.peek(key) == "value"       # a hit like any other ...
+        info = cache.info()
+        assert (info["hits"], info["misses"]) == (1, 1)
+        assert cache.keys() == [other, key]     # ... recency included
+
     def test_byte_accounting_tracks_inserts_and_evictions(self):
         cache = ResultCache(capacity=2)
         cache.put(("a", 1, "q1"), {"x": "payload-one"})

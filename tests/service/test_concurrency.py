@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import sys
 import threading
 
 from repro import Foresight, InsightRequest, Workspace
@@ -230,6 +231,70 @@ class TestWorkspaceUnderConcurrency:
         response = workspace.handle(requests[0])
         assert response.dataset_version == 1 + n_reloads
         assert len(response.insights_for("skew")) == 1
+
+    def test_stress_peeks_beside_handles_appends_and_reloads(self):
+        """The event loop's view: one thread that only ever peeks, beside
+        workers that read, append and reload.  A peeked reply is never
+        older than the one before it, and every read served — peeked or
+        handled — is exactly one counted cache lookup."""
+        loads: list[int] = []
+        workspace = self._make_workspace(loads)
+        request = InsightRequest(dataset="data", insight_classes=("skew",),
+                                 top_k=2)
+        rows = make_mixed_table(n_rows=8, n_numeric=8, n_categorical=2,
+                                seed=10).to_records()
+        peeked: list[tuple[int, int]] = []  # written by the peeker alone
+        errors: list[Exception] = []
+        done = threading.Event()
+
+        def peek_only():
+            seen = (0, 0)
+            try:
+                while not done.is_set():
+                    text = workspace.peek_cached(request)
+                    if text is None:
+                        continue
+                    body = json.loads(text)
+                    state = (body["dataset_version"], body["dataset_seq"])
+                    peeked.append(state)
+                    assert state >= seen, (state, seen)
+                    assert body["provenance"]["cache"] == "hit"
+                    seen = state
+            except Exception as exc:  # pragma: no cover - failure diagnostics
+                errors.append(exc)
+
+        def work(seed: int):
+            try:
+                for i in range(12):
+                    workspace.handle(request)
+                    if (seed + i) % 4 == 0:
+                        workspace.append("data", rows[:2])
+                    if seed == 0 and i in (4, 8):
+                        workspace.reload("data")
+            except Exception as exc:  # pragma: no cover - failure diagnostics
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            peeker = threading.Thread(target=peek_only)
+            workers = [threading.Thread(target=work, args=(seed,))
+                       for seed in range(4)]
+            peeker.start()
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+            done.set()
+            peeker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert errors == []
+        assert not peeker.is_alive() and not any(t.is_alive() for t in workers)
+        info = workspace.cache_info()
+        assert info["hits"] + info["misses"] == len(peeked) + 4 * 12
+        assert workspace.version("data") == 3
 
     def test_concurrent_register_same_name_has_exactly_one_winner(self):
         """register() is an atomic check-and-insert.

@@ -1,6 +1,7 @@
 """Tests for the Workspace serving façade."""
 
 import json
+import threading
 
 import pytest
 
@@ -109,6 +110,14 @@ class TestRequestServing:
         assert again.provenance["cache"] == "hit"
         assert again.carousels[0]["insights"]
 
+    def test_cache_holds_the_reply_as_a_hit_sends_it(self, workspace):
+        miss = workspace.handle(_request())
+        [key] = workspace.cache.keys()
+        stored = workspace.cache.peek(key)
+        assert workspace.handle(_request()).to_json() == stored
+        miss.provenance["cache"] = "hit"
+        assert miss.to_json() == stored
+
     def test_results_match_direct_engine_queries(self, workspace, oecd_engine):
         response = workspace.handle(_request())
         for name in ("dispersion", "skew", "outliers"):
@@ -143,6 +152,83 @@ class TestRequestServing:
     def test_bad_request_type_rejected(self, workspace):
         with pytest.raises(ServiceError):
             workspace.handle(42)
+
+
+class TestPeekCached:
+    """``peek_cached``: the cached reply without waiting, or None."""
+
+    def test_none_until_handle_has_answered_then_the_hit_text(self, workspace):
+        assert workspace.peek_cached(_request()) is None      # cold engine
+        workspace.engine("oecd")
+        assert workspace.peek_cached(_request()) is None      # nothing cached
+        assert workspace.cache_info()["misses"] == 0
+        workspace.handle(_request())
+        text = workspace.peek_cached(_request())
+        assert text == workspace.handle(_request()).to_json()
+        info = workspace.cache_info()
+        # Three reads served (miss, peeked hit, handled hit), three
+        # lookups counted: the peeks that said None counted nothing.
+        assert (info["hits"], info["misses"]) == (2, 1)
+
+    def test_bills_and_traces_what_a_handle_hit_does(self, workspace):
+        workspace.handle(_request())
+        for serve in (workspace.handle, workspace.peek_cached):
+            before = workspace.costs.snapshot()
+            serve(_request())
+            after = workspace.costs.snapshot()
+            assert after["requests_total"] == before["requests_total"] + 1
+            assert after["totals"]["cache_hits"] == \
+                before["totals"]["cache_hits"] + 1
+            [listed] = workspace.tracer.traces(limit=1)
+            trace = workspace.tracer.trace(listed["trace_id"])
+            assert trace["name"] == "workspace.handle"
+            assert trace["root"]["attributes"]["cache"] == "hit"
+            assert trace["cost"]["cache_hits"] == 1
+
+    def test_debug_echo_is_stamped_on_a_copy(self, workspace):
+        workspace.handle(_request())
+        [key] = workspace.cache.keys()
+        stored = workspace.cache.peek(key)
+        debugged = json.loads(workspace.peek_cached(_request(debug=True)))
+        assert debugged["provenance"].pop("cost")["cache_hits"] == 1
+        assert debugged == json.loads(stored)
+        assert workspace.cache.peek(key) is stored
+
+    def test_says_no_rather_than_wait_for_the_entry_lock(self, workspace):
+        workspace.handle(_request())
+        entry = workspace._entry("oecd")
+        holding, let_go = threading.Event(), threading.Event()
+
+        def hold():
+            with entry.lock:
+                holding.set()
+                let_go.wait(timeout=30)
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        try:
+            assert holding.wait(timeout=10)
+            assert workspace.peek_cached(_request()) is None
+        finally:
+            let_go.set()
+            holder.join(timeout=30)
+        assert workspace.peek_cached(_request()) is not None
+
+    def test_never_answers_for_a_state_that_is_not_current(self, workspace):
+        workspace.handle(_request())
+        workspace.append("oecd", workspace.table("oecd").to_records()[:2])
+        assert workspace.peek_cached(_request()) is None      # seq moved on
+        workspace.handle(_request())
+        assert json.loads(workspace.peek_cached(_request()))["dataset_seq"] == 1
+        workspace.reload("oecd")
+        assert workspace.peek_cached(_request()) is None      # engine is cold
+        superseded = workspace._entry("oecd")
+        workspace.register("oecd", load_oecd(), replace=True)
+        assert superseded.superseded
+        assert workspace.peek_cached(_request()) is None
+        workspace.handle(_request())
+        reply = json.loads(workspace.peek_cached(_request()))
+        assert (reply["dataset_version"], reply["dataset_seq"]) == (3, 0)
 
 
 class TestPagination:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.entropy import EntropySketch
@@ -149,6 +149,10 @@ class TestSpaceSavingMerge:
     @given(labels=label_lists, split=splits,
            capacity=st.sampled_from([4, 8, 32]))
     @settings(max_examples=60, deadline=None)
+    # Pinned: the right side is full and evicted its 'v3' — the merge
+    # must charge the left's 'v3' that side's minimum counter (a random
+    # seed found it once in 25 runs; the ci profile never).
+    @example(labels=["v3", "v3", "v0", "v1", "v2", "v4"], split=1, capacity=4)
     def test_merged_overcount_bound(self, labels, split, capacity):
         a, b = _split(labels, split)
         left = SpaceSavingSketch(capacity=capacity)
