@@ -23,7 +23,6 @@ role                  level  lock
 ``workspace.stats``    30    ``Workspace._stats_lock`` counter leaf
 ``cache.lock``         30    ``ResultCache._lock`` leaf
 ``metrics.lock``       30    ``ServerMetrics._lock`` counter leaf
-``journal.commit``     30    ``_CommitPipeline.cond`` group-commit leaf
 ``obs.trace``          30    ``Tracer._drain_lock`` trace-ring leaf
 ``obs.cost``           30    ``CostRecorder._lock`` per-request leaf
 ``obs.cost_window``    30    ``CostAggregator._lock`` window leaf
@@ -126,7 +125,6 @@ DEFAULT_CONFIG = ProjectConfig(
         "service/replica.py",
         "service/cache.py",
         "server/metrics.py",
-        "ingest/durable.py",
         "obs/tracer.py",
         "obs/resources.py",
         "obs/ledger.py",
@@ -145,12 +143,6 @@ DEFAULT_CONFIG = ProjectConfig(
         LockSpec("workspace.entry", 10, "service/replica.py", "_DatasetEntry", "lock", reentrant=True),
         LockSpec("cache.lock", 30, "service/cache.py", "ResultCache", "_lock", reentrant=True),
         LockSpec("metrics.lock", 30, "server/metrics.py", "ServerMetrics", "_lock"),
-        # The group-commit condition: taken under workspace.entry on the
-        # journal write paths, bare during off-lock ticket waits; never
-        # wraps another lock.  Condition re-entry happens only through
-        # wait()'s release/reacquire, which the order rule models as a
-        # single hold, so it stays non-reentrant here.
-        LockSpec("journal.commit", 30, "ingest/durable.py", "_CommitPipeline", "cond"),
         # The tracer's drain lock: root-span completion takes it to
         # publish the trace's span bucket into the ring.  A leaf by
         # design — root spans only end after every workspace/journal

@@ -40,7 +40,6 @@ and ``POST /v1/datasets/{name}/reload``.
 from repro.errors import DeltaValidationError, IngestError
 from repro.ingest.delta import DeltaBatch, MAX_BATCH_ROWS
 from repro.ingest.durable import (
-    CommitTicket,
     DatasetJournal,
     DurableState,
     decode_records,
@@ -69,7 +68,6 @@ __all__ = [
     "APPLIED_DEFERRED",
     "APPLIED_DELTA_MERGE",
     "APPLIED_REBUILD",
-    "CommitTicket",
     "DatasetJournal",
     "DeltaBatch",
     "DeltaValidationError",

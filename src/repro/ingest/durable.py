@@ -52,7 +52,6 @@ import json
 import os
 import re
 import struct
-import threading
 import zlib
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
@@ -62,7 +61,6 @@ from urllib.parse import quote, unquote
 import numpy as np
 
 from repro.errors import IngestError
-from repro.obs import events as obs_events
 from repro.obs.resources import record_journal_bytes
 from repro.core.engine import EngineConfig, Foresight
 from repro.core.neighborhood import NeighborhoodConfig
@@ -334,90 +332,21 @@ class DurableState:
                                       seq=int(self.snapshot["seq"]))
 
 
-class _CommitPipeline:
-    """Group-commit state for one dataset's journal.
-
-    Tickets are dense integers: ``issued`` counts records written and
-    flushed to the tail segment (in file order — issuance happens under
-    the dataset's entry lock), ``synced`` is the highest ticket covered
-    by a completed fsync.  ``leader`` marks an fsync in flight;
-    ``failed`` poisons the pipeline after an unsuccessful fsync until
-    the generation rotates.  The condition is a leaf in the declared
-    lock hierarchy (``journal.commit``, level 30): it is taken under
-    the workspace entry lock on write paths and bare during ticket
-    waits, and never wraps another lock.
-    """
-
-    __slots__ = ("cond", "issued", "synced", "leader", "failed",
-                 "commits", "records", "max_group")
-
-    def __init__(self) -> None:
-        self.cond = threading.Condition()
-        self.issued = 0
-        self.synced = 0
-        self.leader = False
-        self.failed: BaseException | None = None
-        # Counters (reported by DatasetJournal.group_commit_stats).
-        self.commits = 0
-        self.records = 0
-        self.max_group = 0
-
-
-class CommitTicket:
-    """A claim on a future group fsync, returned by journal appends.
-
-    The append's bytes are already written and flushed when the ticket
-    exists; :meth:`wait` blocks until an fsync covers them (raising if
-    the group fsync failed — the append is then *not* acknowledged).
-    Callers wait after releasing the dataset's entry lock, so one
-    leader's fsync can acknowledge every appender queued behind it.
-    """
-
-    __slots__ = ("_journal", "_name", "_pipeline", "_number")
-
-    def __init__(self, journal: "DatasetJournal", name: str,
-                 pipeline: _CommitPipeline, number: int):
-        self._journal = journal
-        self._name = name
-        self._pipeline = pipeline
-        self._number = number
-
-    def wait(self) -> str:
-        """Block until this append's bytes are stable (or raise).
-
-        Returns the role this waiter played in the group fsync —
-        ``"leader"`` (it issued the fsync), ``"follower"`` (it slept
-        while another waiter's fsync covered it) or ``"covered"`` (a
-        completed fsync already covered it on arrival) — so tracing can
-        show who paid for durability.
-        """
-        return self._journal._wait_for_commit(
-            self._name, self._pipeline, self._number
-        )
-
-
 class DatasetJournal:
     """Per-workspace manager of the on-disk dataset journals.
 
     One instance owns a ``data_dir``; each dataset gets a subdirectory
     (URL-quoted name, so any registrable name maps to a filesystem-safe,
     injective path).  All mutating calls for one dataset happen under
-    that dataset's workspace entry lock, so this class only guards its
-    own handle table and the per-dataset group-commit pipelines (whose
-    ticket waits deliberately run *outside* the entry lock).
+    that dataset's workspace entry lock, so this class needs no lock of
+    its own.
     """
 
-    def __init__(self, root: str | Path, fsync: bool = True,
-                 group_commit: bool = False,
-                 max_group_delay: float = 0.0):
+    def __init__(self, root: str | Path, fsync: bool = True):
         self.root = Path(root)
         self.fsync = fsync
-        # Without per-record fsync there is nothing to amortize.
-        self.group_commit = bool(group_commit and fsync)
-        self.max_group_delay = max_group_delay
         self.root.mkdir(parents=True, exist_ok=True)
         self._handles: dict[str, Any] = {}
-        self._pipelines: dict[str, _CommitPipeline] = {}
         # Per-dataset on-disk bytes, maintained incrementally: appends
         # add record lengths; rotations (rare, already O(directory))
         # rescan.  Reads (the memory ledger) never touch the filesystem.
@@ -701,21 +630,15 @@ class DatasetJournal:
         self._fsync_dir(directory)
         self._handles[name] = handle
         self._rescan_disk(name)
-        pipeline = self._pipelines.get(name)
-        if pipeline is not None:
-            with pipeline.cond:
-                # Fresh generation, fresh tail: un-poison the commit
-                # pipeline and settle its ledger.  Failed-era tickets
-                # already raised to their appenders and the old segment
-                # is gone; successful-era tickets were drained by the
-                # _close_handle above.
-                pipeline.failed = None
-                pipeline.synced = pipeline.issued
-                pipeline.cond.notify_all()
 
-    def append(self, name: str,
-               payload: dict[str, Any]) -> CommitTicket | None:
+    def append(self, name: str, payload: dict[str, Any]) -> None:
         """Commit one record to the dataset's tail segment.
+
+        The record is durable when this returns: written, flushed and
+        (with ``fsync``) fsynced here, on the caller's thread.  The
+        workspace calls it between :meth:`ReplayMachine.stage` and
+        :meth:`ReplayMachine.commit`, so a record becomes visible only
+        once it is durable.
 
         Failure-atomic: if the write/flush/fsync fails partway (ENOSPC,
         I/O error), the segment is truncated back to its pre-append
@@ -723,36 +646,21 @@ class DatasetJournal:
         in the file — a later successful append would land *after* them,
         and replay (which stops at the first damage) would silently drop
         it despite its acknowledgement.
-
-        With ``group_commit`` the fsync is deferred: the record is
-        written and flushed here (under the caller's entry lock, so
-        tickets are issued in file order) and a :class:`CommitTicket`
-        is returned.  The caller must ``wait()`` on it — after
-        releasing the entry lock — before acknowledging the append;
-        one waiter's fsync then covers every ticket behind it.
-        Without group commit the fsync happens inline and the return
-        value is ``None``.
         """
-        pipeline = self._pipeline(name) if self.group_commit else None
-        if pipeline is not None:
-            with pipeline.cond:
-                if pipeline.failed is not None:
-                    raise IngestError(
-                        f"journal for dataset {name!r} is failed after "
-                        "an unsuccessful group fsync; reload to rotate "
-                        "the generation"
-                    ) from pipeline.failed
         handle = self._handle(name)
         record = encode_record(payload)
         start = handle.tell()
         try:
             handle.write(record)
             handle.flush()
-            if pipeline is None and self.fsync:
+            if self.fsync:
                 os.fsync(handle.fileno())
         except OSError:
             try:
                 handle.truncate(start)
+                # truncate() leaves the position past the new end, and
+                # the next append reads it back as its own ``start``.
+                handle.seek(start)
                 handle.flush()
                 os.fsync(handle.fileno())
             except OSError:
@@ -766,23 +674,9 @@ class DatasetJournal:
         else:
             usage["journal_bytes"] += len(record)
         record_journal_bytes(len(record))
-        if pipeline is None:
-            return None
-        with pipeline.cond:
-            pipeline.issued += 1
-            return CommitTicket(self, name, pipeline, pipeline.issued)
 
     def sync(self, name: str) -> None:
-        """Force the dataset's journal to stable storage (flush + fsync).
-
-        Under group commit this first drains the commit pipeline:
-        every outstanding ticket is covered by an fsync (this thread
-        acting as leader if none is in flight) before the handle-level
-        fsync below, so a flush racing concurrent appends returns only
-        once everything written so far is stable — and raises, rather
-        than lies, if the pipeline is poisoned by a failed fsync.
-        """
-        self._drain(name)
+        """Force the dataset's journal to stable storage (flush + fsync)."""
         handle = self._handles.get(name)
         if handle is None:
             tail = self._tail_segment(name)
@@ -905,156 +799,12 @@ class DatasetJournal:
         return segments[-1][2] if segments else None
 
     def _close_handle(self, name: str) -> None:
-        # Settle outstanding group-commit tickets while the handle is
-        # still open: every append acknowledged-to-be gets its fsync
-        # (or its failure) before the file goes away.  Failures are not
-        # re-raised here — close/rotation paths must make progress, and
-        # the affected appenders already saw the error via their
-        # tickets.
-        self._drain(name, raise_failed=False)
-        self._drop_handle(name)
-
-    def _drop_handle(self, name: str) -> None:
         handle = self._handles.pop(name, None)
         if handle is not None:
             try:
                 handle.close()
             except OSError:  # pragma: no cover - close failure is benign
                 pass
-
-    # ------------------------------------------------------------------
-    # Group commit
-    # ------------------------------------------------------------------
-    def _pipeline(self, name: str) -> _CommitPipeline:
-        pipeline = self._pipelines.get(name)
-        if pipeline is None:
-            # setdefault: dict ops are atomic, so racing first appends
-            # for one dataset still converge on a single pipeline.
-            pipeline = self._pipelines.setdefault(name, _CommitPipeline())
-        return pipeline
-
-    def _drain(self, name: str, raise_failed: bool = True) -> None:
-        """Fsync every outstanding group-commit ticket for ``name``.
-
-        Acts as leader if no fsync is in flight; returns once
-        everything issued so far is stable.  A poisoned pipeline
-        raises (``raise_failed``) or is left for the next generation
-        rotation to reset.
-        """
-        pipeline = self._pipelines.get(name)
-        if pipeline is None:
-            return
-        with pipeline.cond:
-            if pipeline.failed is not None:
-                if raise_failed:
-                    raise IngestError(
-                        f"journal for dataset {name!r} is failed after "
-                        "an unsuccessful group fsync"
-                    ) from pipeline.failed
-                return
-            if pipeline.synced >= pipeline.issued:
-                return
-            target = pipeline.issued
-        try:
-            self._wait_for_commit(name, pipeline, target)
-        except IngestError:
-            if raise_failed:
-                raise
-
-    def _wait_for_commit(self, name: str, pipeline: _CommitPipeline,
-                         number: int) -> str:
-        """Block until ticket ``number`` is covered by a completed fsync.
-
-        Leader/follower: the first waiter whose ticket is not yet
-        synced and who finds no fsync in flight becomes the leader —
-        it fsyncs once, covering every ticket issued so far, and wakes
-        the rest; followers sleep on the condition.  A failed fsync
-        poisons the pipeline (outstanding and future appends fail
-        until the generation rotates) and drops the handle: the
-        unproven tail must go through ``load(repair=True)``'s scan,
-        never be appended to again.
-
-        Returns the waiter's role: ``"leader"``, ``"follower"`` or
-        ``"covered"`` (already stable on arrival).
-        """
-        role = "covered"
-        while True:
-            with pipeline.cond:
-                if pipeline.synced >= number:
-                    return role
-                if pipeline.failed is not None:
-                    raise IngestError(
-                        f"group commit failed for dataset {name!r}"
-                    ) from pipeline.failed
-                if pipeline.leader:
-                    role = "follower"
-                    pipeline.cond.wait()
-                    continue
-                role = "leader"
-                pipeline.leader = True
-                if self.max_group_delay > 0 and pipeline.issued <= number:
-                    # Alone so far: linger briefly so racing appenders
-                    # can join this group.
-                    pipeline.cond.wait(self.max_group_delay)
-                target = pipeline.issued
-                handle = self._handles.get(name)
-            # The fsync itself runs outside the condition so appenders
-            # keep writing, flushing and queueing behind it.  A missing
-            # handle means a drain-and-close already made these bytes
-            # stable (rotation paths drain before dropping the handle).
-            error: BaseException | None = None
-            if handle is not None:
-                try:
-                    os.fsync(handle.fileno())
-                except (OSError, ValueError) as exc:
-                    error = exc
-            if error is not None:
-                # Pipeline poisoning is an operational incident worth a
-                # structured event; emitted before taking the condition
-                # back so event sinks never run under it.
-                obs_events.emit(
-                    "fsync_failure", dataset=name, error=repr(error),
-                )
-            with pipeline.cond:
-                pipeline.leader = False
-                if error is not None:
-                    pipeline.failed = error
-                    pipeline.cond.notify_all()
-                    self._drop_handle(name)
-                    raise IngestError(
-                        f"group commit failed for dataset {name!r}"
-                    ) from error
-                group = target - pipeline.synced
-                pipeline.synced = target
-                if group > 0:
-                    pipeline.commits += 1
-                    pipeline.records += group
-                    pipeline.max_group = max(pipeline.max_group, group)
-                pipeline.cond.notify_all()
-                if pipeline.synced >= number:
-                    return role
-
-    def group_commit_stats(self) -> dict[str, Any]:
-        """Aggregate group-commit counters across datasets.
-
-        ``commits`` is the number of group fsyncs issued, ``records``
-        the appends they covered; ``fsyncs_saved`` is their difference
-        — the fsyncs per-record commit would have paid on the same
-        history.  ``max_group_size`` is the largest single group.
-        """
-        commits = records = max_group = 0
-        for pipeline in list(self._pipelines.values()):
-            with pipeline.cond:
-                commits += pipeline.commits
-                records += pipeline.records
-                max_group = max(max_group, pipeline.max_group)
-        return {
-            "enabled": self.group_commit,
-            "commits": commits,
-            "records": records,
-            "fsyncs_saved": records - commits,
-            "max_group_size": max_group,
-        }
 
     @staticmethod
     def _remove(path: Path) -> None:
@@ -1544,7 +1294,6 @@ class JournalFeed:
 
 
 __all__ = [
-    "CommitTicket",
     "DatasetJournal",
     "DatasetState",
     "DurableState",

@@ -96,40 +96,16 @@ class IngestConfig:
         machine crash; ``False`` trades that for append throughput
         (records still survive a *process* crash — the OS page cache
         holds them).  Ignored without a ``data_dir``.
-    group_commit:
-        Amortize journal fsyncs across concurrent appenders.  With
-        ``True`` an append writes and flushes its record under the
-        dataset's entry lock as before, but the fsync happens in a
-        per-dataset commit pipeline: one appender becomes the *leader*,
-        issues a single fsync covering every record queued so far, and
-        acknowledges all of them at once.  Durability semantics are
-        unchanged — no append returns before its bytes are stable — but
-        N concurrent appenders pay ~1 fsync instead of N.  Ignored
-        unless ``fsync`` is also ``True`` (there is nothing to
-        amortize) or without a ``data_dir``.
-    max_group_delay:
-        How long (seconds) a group-commit leader with no companions may
-        linger before fsyncing, giving racing appenders a chance to
-        join its group.  ``0`` (the default) fsyncs immediately —
-        grouping then emerges naturally from fsync latency, adding no
-        latency to isolated appends.  Positive values trade single
-        -append latency for larger groups under bursty concurrency.
     """
 
     rebuild_fraction: float = 0.5
     background_rebuild: bool = True
     fsync: bool = True
-    group_commit: bool = False
-    max_group_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.rebuild_fraction < 0:
             raise ValueError(
                 f"rebuild_fraction must be >= 0, got {self.rebuild_fraction}"
-            )
-        if self.max_group_delay < 0:
-            raise ValueError(
-                f"max_group_delay must be >= 0, got {self.max_group_delay}"
             )
 
 

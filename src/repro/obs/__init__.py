@@ -6,6 +6,8 @@ server, admission/coalescing, the workspace, the staged pipeline and the
 durable WAL; a structured single-line-JSON event log
 (:mod:`repro.obs.events`, logger name ``repro.obs.events``); per-request
 cost attribution and rolling cost windows (:mod:`repro.obs.resources`);
+the fixed-bucket duration histogram they and the server's metrics share
+(:mod:`repro.obs.histogram`);
 the incremental memory ledger (:mod:`repro.obs.ledger`); watchdogs for
 quiet degradation (:mod:`repro.obs.watchdog`); and the
 :class:`~repro.obs.config.ObsConfig` knobs (``REPRO_OBS_*`` env / CLI)

@@ -2,7 +2,7 @@
 
 Every operationally interesting state change — a slow request, a
 background-rebuild swap, a generation rotation, an admission rejection,
-a pipeline-poisoning fsync failure — goes through :func:`emit`, which
+a refused journal write — goes through :func:`emit`, which
 renders one JSON object per line on the ``repro.obs.events`` logger.
 Consumers attach an ordinary ``logging`` handler; nothing is emitted
 (and no JSON is serialized) unless the logger is enabled for INFO, so

@@ -36,6 +36,8 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator
 
+from repro.obs.histogram import LatencyHistogram
+
 __all__ = [
     "CostRecorder",
     "CostAggregator",
@@ -225,10 +227,6 @@ class CostAggregator:
     def __init__(self, window: int = 256):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        # The tracer's histogram type is reused for the CPU distribution;
-        # imported lazily because the tracer imports this module.
-        from repro.obs.tracer import _DurationHistogram
-
         self._lock = threading.Lock()
         self._window = window
         self._datasets: dict[str, _Window] = {}
@@ -236,7 +234,7 @@ class CostAggregator:
         self._recent: deque[dict[str, Any]] = deque(maxlen=window)
         self._totals: dict[str, float] = {}
         self._requests_total = 0
-        self._cpu_histogram = _DurationHistogram()
+        self._cpu_histogram = LatencyHistogram()
 
     def record(
         self,

@@ -49,15 +49,12 @@ from typing import Any, Callable
 
 from repro.obs.config import ObsConfig
 from repro.obs.events import emit as _emit_event
+from repro.obs.histogram import LATENCY_BUCKETS, LatencyHistogram
 
-#: Upper bounds (seconds) of per-span duration histogram buckets.
-#: Kept value-identical to ``repro.server.metrics.LATENCY_BUCKETS`` (the
-#: server renders both through one Prometheus helper) but duplicated
-#: here: ``repro.obs`` must not import server modules.
-SPAN_BUCKETS: tuple[float, ...] = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
+#: Upper bounds (seconds) of per-span duration histogram buckets: the
+#: request-latency bounds, so the server renders both through one
+#: Prometheus helper.
+SPAN_BUCKETS: tuple[float, ...] = LATENCY_BUCKETS
 
 _ambient = threading.local()
 
@@ -195,65 +192,6 @@ class _NoopSpan:
 NOOP_SPAN = _NoopSpan()
 
 
-class _DurationHistogram:
-    """Unlocked fixed-bucket histogram (mutated only under the drain lock).
-
-    ``snapshot()`` is schema-compatible with the server's
-    ``LatencyHistogram.snapshot()`` so one Prometheus renderer serves
-    both, and additionally reports ``p99_seconds`` and the bucket
-    ``bounds`` so dashboards need not hard-code them.
-    """
-
-    __slots__ = ("_bounds", "_counts", "_count", "_sum", "_max")
-
-    def __init__(self, bounds: tuple[float, ...] = SPAN_BUCKETS):
-        self._bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)
-        self._count = 0
-        self._sum = 0.0
-        self._max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        index = len(self._bounds)
-        for i, bound in enumerate(self._bounds):
-            if seconds <= bound:
-                index = i
-                break
-        self._counts[index] += 1
-        self._count += 1
-        self._sum += seconds
-        if seconds > self._max:
-            self._max = seconds
-
-    def _quantile(self, q: float) -> float | None:
-        if self._count == 0:
-            return None
-        target = q * self._count
-        cumulative = 0
-        for i, bound in enumerate(self._bounds):
-            cumulative += self._counts[i]
-            if cumulative >= target:
-                return bound
-        return self._max
-
-    def snapshot(self) -> dict[str, Any]:
-        buckets = {
-            f"le_{bound:g}": self._counts[i]
-            for i, bound in enumerate(self._bounds)
-        }
-        buckets["le_inf"] = self._counts[-1]
-        return {
-            "count": self._count,
-            "sum_seconds": self._sum,
-            "max_seconds": self._max,
-            "p50_seconds": self._quantile(0.50),
-            "p95_seconds": self._quantile(0.95),
-            "p99_seconds": self._quantile(0.99),
-            "bounds": list(self._bounds),
-            "buckets": buckets,
-        }
-
-
 class Tracer:
     """Span factory, thread-local buffers, and the completed-trace ring."""
 
@@ -275,7 +213,7 @@ class Tracer:
         # counters; never wraps another lock.
         self._drain_lock = threading.Lock()
         self._ring: deque = deque(maxlen=config.ring_capacity)
-        self._histograms: dict[str, _DurationHistogram] = {}
+        self._histograms: dict[str, LatencyHistogram] = {}
         self._traces_recorded = 0
         self._spans_recorded = 0
         self._ring_evictions = 0
@@ -431,7 +369,8 @@ class Tracer:
             for span in spans:
                 histogram = self._histograms.get(span.name)
                 if histogram is None:
-                    histogram = self._histograms[span.name] = _DurationHistogram()
+                    histogram = LatencyHistogram(SPAN_BUCKETS)
+                    self._histograms[span.name] = histogram
                 histogram.observe(span.duration or 0.0)
             if duration_ms >= self.slow_ms:
                 slow = {

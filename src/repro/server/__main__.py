@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 
 from repro.data.datasets import load_imdb, load_oecd, load_parkinson
-from repro.ingest.maintenance import IngestConfig
 from repro.obs.config import ObsConfig
 from repro.service.replica import ReplicaWorkspace
 from repro.service.workspace import Workspace
@@ -45,8 +44,6 @@ def build_workspace(
     datasets: list[str] | None = None,
     preload: bool = False,
     data_dir: str | None = None,
-    group_commit: bool = False,
-    max_group_delay: float = 0.0,
     obs: ObsConfig | None = None,
 ) -> Workspace:
     """A workspace with the requested bundled datasets registered lazily.
@@ -55,17 +52,12 @@ def build_workspace(
     first: datasets persisted by a previous process (snapshots, appended
     rows) are replayed to their exact ``(version, seq)`` state, and
     registering a bundled loader over restored state adopts it instead
-    of resetting it.  ``group_commit``/``max_group_delay`` tune the
-    journal's commit pipeline (one fsync acknowledging many concurrent
-    appends); both are ignored without ``data_dir``.  ``obs`` configures
-    the workspace tracer up front, so even startup work (restore,
-    preload engine builds) is traced under the requested settings.
+    of resetting it.  ``obs`` configures the workspace tracer up front,
+    so even startup work (restore, preload engine builds) is traced
+    under the requested settings.
     """
     names = datasets or sorted(BUNDLED_DATASETS)
-    ingest = IngestConfig(
-        group_commit=group_commit, max_group_delay=max_group_delay
-    )
-    workspace = Workspace(data_dir=data_dir, ingest=ingest, obs=obs)
+    workspace = Workspace(data_dir=data_dir, obs=obs)
     restored = set(workspace.datasets())
     if restored:
         print(f"restored from journal: {', '.join(sorted(restored))}")
@@ -131,8 +123,6 @@ def main(argv: list[str] | None = None) -> int:
     workspace = build_workspace(
         datasets=args.datasets,
         preload=args.preload, data_dir=config.data_dir,
-        group_commit=config.group_commit,
-        max_group_delay=config.max_group_delay,
         obs=config.obs,
     )
     # The bundled loaders double as the PUT /v1/datasets/{name} loader

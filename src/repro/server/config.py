@@ -92,17 +92,6 @@ class ServerConfig:
         ``(version, seq)`` state; ``POST /v1/datasets/{name}/flush``
         forces a sync and shutdown drains flush the journal.  ``None``
         (the default) keeps ingestion in-memory only.
-    group_commit:
-        Enable journal group commit (``REPRO_SERVER_GROUP_COMMIT`` /
-        ``--group-commit``): concurrent appends to the same dataset
-        share one fsync instead of paying one each.  Durability
-        semantics are unchanged — no append is acknowledged before its
-        bytes are stable.  Ignored without ``data_dir``.
-    max_group_delay:
-        Seconds a group-commit leader may linger for more appends to
-        join its fsync (0 = sync immediately; batching is then purely
-        opportunistic, from appends that arrive while an fsync is
-        already in progress).
     obs:
         Tracing overrides (``REPRO_OBS_*`` / ``--obs-*``) applied to the
         served workspace's tracer at startup.  ``None`` — the default,
@@ -142,8 +131,6 @@ class ServerConfig:
     drain_timeout: float = 5.0
     handler_workers: int = 8
     data_dir: str | None = None
-    group_commit: bool = False
-    max_group_delay: float = 0.0
     obs: ObsConfig | None = None
     replica_of: str | None = None
     replica_poll_interval: float = 0.25
@@ -191,10 +178,6 @@ class ServerConfig:
         if self.handler_workers < 1:
             raise ServerError(
                 f"handler_workers must be >= 1, got {self.handler_workers}"
-            )
-        if self.max_group_delay < 0:
-            raise ServerError(
-                f"max_group_delay must be >= 0, got {self.max_group_delay}"
             )
         if self.replica_poll_interval <= 0:
             raise ServerError(
@@ -301,14 +284,6 @@ class ServerConfig:
                  "are journalled before acknowledgement and a restart "
                  "replays them (default: in-memory only)")
         parser.add_argument(
-            "--group-commit", action="store_true", default=base.group_commit,
-            help="share one journal fsync across concurrent appends to "
-                 "the same dataset (durability unchanged; needs --data-dir)")
-        parser.add_argument(
-            "--max-group-delay", type=float, default=base.max_group_delay,
-            help="seconds a group-commit leader lingers for more appends "
-                 f"to join its fsync, 0 = none (default {base.max_group_delay:g})")
-        parser.add_argument(
             "--replica-of", default=base.replica_of, metavar="URL",
             help="serve as a read replica tailing this primary "
                  "(http://host:port); writes answer 403 until promoted")
@@ -344,8 +319,6 @@ class ServerConfig:
             drain_timeout=args.drain_timeout,
             handler_workers=args.handler_workers,
             data_dir=args.data_dir,
-            group_commit=args.group_commit,
-            max_group_delay=args.max_group_delay,
             obs=obs if obs != ObsConfig() else None,
             replica_of=args.replica_of,
             replica_poll_interval=args.replica_poll_interval,
@@ -364,9 +337,7 @@ class ServerConfig:
 #: reaches only via an explicit "none"/"null" spelling).
 _OPTIONAL_INT_FIELDS = {"dataset_quota", "class_quota", "write_quota"}
 _FLOAT_FIELDS = {"coalesce_window", "retry_after", "drain_timeout",
-                 "read_timeout", "max_group_delay",
-                 "replica_poll_interval", "promote_after"}
-_BOOL_FIELDS = {"group_commit"}
+                 "read_timeout", "replica_poll_interval", "promote_after"}
 _INT_FIELDS = {
     "port",
     "coalesce_max_batch",
@@ -388,13 +359,6 @@ def _parse_field(name: str, raw: str) -> Any:
             return int(raw)
         if name in _FLOAT_FIELDS:
             return float(raw)
-        if name in _BOOL_FIELDS:
-            lowered = raw.lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
     except ValueError as exc:
         raise ServerError(
             f"environment variable {_env_name(name)}={raw!r} is not a valid "

@@ -7,15 +7,8 @@ the producer of the ``/metrics`` JSON document, which merges in the
 workspace-side state (result-cache counters, per-dataset engine builds,
 lifetime pipeline stats) and the admission controller's gauges.
 
-Histograms use fixed logarithmic bucket bounds (1 ms … 10 s) so
-percentile estimates are stable across runs and cheap to compute: p50,
-p95 and p99 are read off the cumulative bucket counts, reported as the
-upper bound of the bucket containing the percentile — an upper-bound
-estimate, exactly like Prometheus ``histogram_quantile``.  The exact
-observed maximum is tracked alongside (a bucketed estimate alone
-undercounts the tail: every outlier past the last bound would read as
-"10 s"), and snapshots carry the bucket ``bounds`` so dashboards need
-not hard-code them.
+Latencies go into :class:`~repro.obs.histogram.LatencyHistogram`, the
+fixed-bucket histogram the tracer and the cost aggregator use too.
 
 Everything is guarded by one internal lock: the event loop, the handler
 worker threads and scraping clients may all touch it concurrently.
@@ -26,64 +19,7 @@ from __future__ import annotations
 import threading
 from typing import Any
 
-#: Upper bounds (seconds) of the latency histogram buckets.
-LATENCY_BUCKETS: tuple[float, ...] = (
-    0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
-    0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-)
-
-
-class LatencyHistogram:
-    """Fixed-bucket latency histogram with percentile estimates."""
-
-    def __init__(self, bounds: tuple[float, ...] = LATENCY_BUCKETS):
-        self._bounds = bounds
-        self._counts = [0] * (len(bounds) + 1)  # +1 = overflow bucket
-        self._count = 0
-        self._sum = 0.0
-        self._max = 0.0
-
-    def observe(self, seconds: float) -> None:
-        index = len(self._bounds)
-        for i, bound in enumerate(self._bounds):
-            if seconds <= bound:
-                index = i
-                break
-        self._counts[index] += 1
-        self._count += 1
-        self._sum += seconds
-        if seconds > self._max:
-            self._max = seconds
-
-    def quantile(self, q: float) -> float | None:
-        """Upper-bound estimate of the q-quantile (None when empty)."""
-        if self._count == 0:
-            return None
-        target = q * self._count
-        cumulative = 0
-        for i, bound in enumerate(self._bounds):
-            cumulative += self._counts[i]
-            if cumulative >= target:
-                return bound
-        return self._max
-
-    def snapshot(self) -> dict[str, Any]:
-        buckets = {
-            f"le_{bound:g}": self._counts[i]
-            for i, bound in enumerate(self._bounds)
-        }
-        buckets["le_inf"] = self._counts[-1]
-        return {
-            "count": self._count,
-            "sum_seconds": self._sum,
-            "max_seconds": self._max,
-            "p50_seconds": self.quantile(0.50),
-            "p95_seconds": self.quantile(0.95),
-            "p99_seconds": self.quantile(0.99),
-            "bounds": list(self._bounds),
-            "buckets": buckets,
-        }
-
+from repro.obs.histogram import LATENCY_BUCKETS, LatencyHistogram
 
 class ServerMetrics:
     """Counter sink for the transport; renders the ``/metrics`` document."""
@@ -361,15 +297,6 @@ def render_prometheus(document: dict[str, Any]) -> str:
             counter(f"repro_ingest_{key}_total", totals[key])
     if "durable" in ingest:
         gauge("repro_ingest_durable", 1 if ingest["durable"] else 0)
-    group = ingest.get("group_commit", {})
-    if group:
-        gauge("repro_ingest_group_commit_enabled",
-              1 if group.get("enabled") else 0)
-        for key in ("commits", "records", "fsyncs_saved"):
-            if key in group:
-                counter(f"repro_ingest_group_{key}_total", group[key])
-        if "max_group_size" in group:
-            gauge("repro_ingest_group_max_size", group["max_group_size"])
     per_dataset = ingest.get("datasets", {})
     if per_dataset:
         for key in ("rows_appended", "delta_merges", "rebuilds",
@@ -415,7 +342,7 @@ def render_prometheus(document: dict[str, Any]) -> str:
     spans = obs.get("spans", {})
     if spans:
         # One histogram family, labelled by span name — the per-stage
-        # duration surface (pipeline.score, journal.commit_wait, ...).
+        # duration surface (pipeline.score, journal.append, ...).
         declare = True
         for name, snap in sorted(spans.items()):
             lines.extend(_histogram_lines("repro_span_duration_seconds",

@@ -72,7 +72,6 @@ from repro.ingest.durable import (
     RECORD_APPEND,
     RECORD_BUILD,
     RECORD_SWAP,
-    CommitTicket,
     DatasetJournal,
     DatasetState,
     DurableState,
@@ -163,6 +162,24 @@ class _DatasetEntry(DatasetState):
     #: so holders of a stale entry (a background rebuild's off-lock
     #: build) re-check this flag before journalling or swapping.
     superseded: bool = False
+
+
+@contextmanager
+def _journal_failure_reported():
+    """Emit ``fsync_failure`` for a journal write that failed in the block.
+
+    Wraps the entry-lock hold of each journal writer from the outside,
+    so the event goes out once the lock is released: event sinks never
+    run under the entry lock.
+    """
+    try:
+        yield
+    except OSError as error:
+        dataset = error.__dict__.pop("journal_dataset", None)
+        if dataset is not None:
+            obs_events.emit("fsync_failure", dataset=dataset,
+                            error=repr(error))
+        raise
 
 
 class Workspace:
@@ -258,10 +275,7 @@ class Workspace:
         self._pending_recovery: dict[str, DurableState] = {}
         if data_dir is not None:
             self._journal = DatasetJournal(
-                data_dir,
-                fsync=self._ingest_config.fsync,
-                group_commit=self._ingest_config.group_commit,
-                max_group_delay=self._ingest_config.max_group_delay,
+                data_dir, fsync=self._ingest_config.fsync
             )
             self._recover_persisted()
 
@@ -440,35 +454,34 @@ class Workspace:
         record: dict[str, Any],
         batch: DeltaBatch | None = None,
         fresh: Foresight | None = None,
-    ) -> CommitTicket | None:
+    ) -> None:
         """Stage → journal → commit one decided record (entry lock held).
 
-        Write-ahead: the record commits to the durable journal (if there
-        is one) between the side-effect-free stage and the in-memory commit.  A
-        stage or journal write that raises fails the operation whole —
-        the caller sees the error and the serving state is untouched.
-        Under group commit the write happens here (so records hit the
-        file in entry-lock order) but the fsync is deferred to the
-        returned ticket, waited on after the lock is released — one
-        leader's fsync then acknowledges every writer queued behind it.
+        Write-ahead: the record is made durable in the journal (if there
+        is one — written, flushed and fsynced by
+        :meth:`DatasetJournal.append <repro.ingest.durable.DatasetJournal.append>`)
+        between the side-effect-free stage and the in-memory commit, so
+        a record is visible only once it is durable.  A stage or journal
+        write that raises fails the operation whole — the caller sees
+        the error and the serving state is untouched.
         ``batch`` / ``fresh`` are work already done, handed to
         :meth:`ReplayMachine.stage <repro.ingest.durable.ReplayMachine.stage>`.
         """
         machine = self._machine(entry)
         staged = machine.stage(record, batch=batch, fresh=fresh)
-        ticket = None
         if self._journal is not None:
             # An ambient child (or no-op outside any trace), never a root.
             with obs_span("journal.append") as journal_span:
                 if "n_rows" in record:
                     journal_span.set_attribute("n_rows", record["n_rows"])
-                ticket = self._journal.append(entry.name, record)
-                if ticket is None:
-                    # No commit pipeline: the fsync (if configured)
-                    # already ran inline above.
-                    journal_span.set_attribute("fsync_role", "inline")
+                try:
+                    self._journal.append(entry.name, record)
+                except OSError as error:
+                    # Marked for _journal_failure_reported, which emits
+                    # the event once the entry lock is released.
+                    error.journal_dataset = entry.name
+                    raise
         machine.commit(record, staged)
-        return ticket
 
     def _write_snapshot_locked(self, entry: _DatasetEntry) -> None:
         """Persist a compaction snapshot (caller holds the entry lock).
@@ -922,7 +935,8 @@ class Workspace:
         unreachable, invalidation just reclaims the memory eagerly.
         """
         schedule_rebuild = False
-        with self._tracer.span("workspace.append", dataset=name) as append_span:
+        with (self._tracer.span("workspace.append", dataset=name) as append_span,
+              _journal_failure_reported()):
             with self._locked_entry(name) as entry:
                 self._check_open()
                 table = self._table_locked(entry)
@@ -957,24 +971,13 @@ class Workspace:
                 }
                 if self._journal is not None:
                     record["rows"] = batch.to_records()
-                ticket = self._transition_locked(entry, record, batch=batch)
+                self._transition_locked(entry, record, batch=batch)
                 version = entry.version
                 if applied == APPLIED_REBUILD:
                     # A full rebuild makes the sketch state a pure
-                    # function of the rows: the natural compaction
-                    # point.  The rotation it performs drains the commit
-                    # pipeline, so the ticket below is already settled.
+                    # function of the rows: the natural compaction point.
                     self._write_snapshot_locked(entry)
                 self._account_entry(entry)
-            if ticket is not None:
-                # Group commit: block until a leader's fsync covers this
-                # record.  Raising here means the append was NOT
-                # acknowledged — the journal poisons further appends
-                # until the generation rotates, so the already-updated
-                # in-memory seq can never outrun what a restart would
-                # replay.
-                with obs_span("journal.commit_wait") as wait_span:
-                    wait_span.set_attribute("fsync_role", ticket.wait())
             append_span.set_attribute("applied", applied)
             append_span.set_attribute("seq", seq)
             append_span.set_attribute("rows", batch.n_rows)
@@ -1021,7 +1024,8 @@ class Workspace:
         entry = self._entry(name)
         # Roots its own trace: background rebuilds run on a maintenance
         # thread with no ambient request span.
-        with self._tracer.span("workspace.rebuild", dataset=name) as rebuild_span:
+        with (self._tracer.span("workspace.rebuild", dataset=name) as rebuild_span,
+              _journal_failure_reported()):
             with entry.lock:
                 if entry.superseded:
                     return None
@@ -1076,9 +1080,6 @@ class Workspace:
                     "total_rows": n_now,
                     "ts": time.time(),
                 }
-                # The snapshot rotation below drains the commit
-                # pipeline, so the swap record's group-commit ticket
-                # (if any) is settled before the lock is released.
                 self._transition_locked(entry, record, fresh=fresh)
                 entry.rebuild_error = None
                 self._write_snapshot_locked(entry)
@@ -1225,14 +1226,11 @@ class Workspace:
             datasets[entry.name] = counters
         with self._stats_lock:
             totals = dict(self._ingest_totals)
-        stats = {
+        return {
             "totals": totals,
             "datasets": datasets,
             "durable": self._journal is not None,
         }
-        if self._journal is not None:
-            stats["group_commit"] = self._journal.group_commit_stats()
-        return stats
 
     # ------------------------------------------------------------------
     # Request serving
@@ -1629,7 +1627,7 @@ class Workspace:
         synthesized ``engine.snapshot`` is recorded only when the caller
         waited ≥ ``_SNAPSHOT_SPAN_FLOOR`` on the entry lock (or a race
         built after all).  The cold path opens a real span so the
-        ``engine.build`` / ``journal.commit_wait`` children nest under it.
+        ``engine.build`` / ``journal.append`` children nest under it.
         """
         # Lock-free peek: reading two attributes off the current entry
         # is GIL-atomic; a stale read only mis-picks the span shape,
@@ -1638,11 +1636,7 @@ class Workspace:
         if entry is not None and entry.engine is not None and entry.pending is None:
             tracer = self._tracer
             started = tracer.clock()
-            result, built, ticket = self._snapshot_locked(name)
-            if ticket is not None:
-                # Group commit: build marker durable before use.
-                with obs_span("journal.commit_wait") as wait_span:
-                    wait_span.set_attribute("fsync_role", ticket.wait())
+            result, built = self._snapshot_locked(name)
             if built or tracer.clock() - started >= _SNAPSHOT_SPAN_FLOOR:
                 tracer.record_span("engine.snapshot", current_span(),
                                    started, dataset=name, built=built)
@@ -1651,23 +1645,17 @@ class Workspace:
         # builder's lock hold shows the wait as this span's duration with
         # built=False.
         with obs_span("engine.snapshot", dataset=name) as snapshot_span:
-            result, built, ticket = self._snapshot_locked(name)
+            result, built = self._snapshot_locked(name)
             snapshot_span.set_attribute("built", built)
-            if ticket is not None:
-                # Group commit: build marker durable before use.
-                with obs_span("journal.commit_wait") as wait_span:
-                    wait_span.set_attribute("fsync_role", ticket.wait())
         return result
 
     def _snapshot_locked(self, name: str):
         """The locked body of :meth:`_engine_snapshot`.
 
-        Returns ``(result, built, ticket)`` — the engine/version/seq
-        triple, whether this call paid the cold build, and the build
-        marker's group-commit ticket (waited on by the caller, off-lock).
+        Returns ``(result, built)`` — the engine/version/seq triple and
+        whether this call paid the cold build.
         """
-        ticket = None
-        with self._locked_entry(name) as entry:
+        with _journal_failure_reported(), self._locked_entry(name) as entry:
             table = self._table_locked(entry)
             built = entry.engine is None
             if built:
@@ -1688,10 +1676,10 @@ class Workspace:
                 # appends, so replay builds at the same point in the row
                 # stream — at seq 0 too, where it is what tells a restart
                 # and a replica the budget's ``base_rows``.
-                ticket = self._transition_locked(entry, record, fresh=fresh)
+                self._transition_locked(entry, record, fresh=fresh)
                 self._account_entry(entry)
             result = entry.engine, entry.version, entry.ingest.seq
-        return result, built, ticket
+        return result, built
 
     @staticmethod
     def _coerce_request(

@@ -11,6 +11,7 @@ never an exception, never invented data.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -318,7 +319,7 @@ class TestFaultInjection:
 
     def test_failed_append_rolls_its_torn_bytes_back(self, tmp_path,
                                                      base_table, stream,
-                                                     monkeypatch):
+                                                     monkeypatch, caplog):
         """A failed commit must not leave garbage mid-segment.
 
         If it did, the *next* successful (acknowledged, fsynced) append
@@ -339,8 +340,14 @@ class TestFaultInjection:
             return real_fsync(fd)
 
         monkeypatch.setattr(durable.os, "fsync", failing_fsync)
-        with pytest.raises(OSError):
-            live.append("live", stream[3:6])
+        with caplog.at_level(logging.INFO, logger="repro.obs.events"):
+            with pytest.raises(OSError):
+                live.append("live", stream[3:6])
+        events = [json.loads(record.getMessage()) for record in caplog.records
+                  if record.name == "repro.obs.events"]
+        assert [event["event"] for event in events] == ["fsync_failure"]
+        assert events[0]["dataset"] == "live"
+        assert "No space left on device" in events[0]["error"]
         assert live.state("live") == (1, 1)  # the failed append never landed
         appended = live.append("live", stream[6:9])
         assert (appended.version, appended.seq) == (1, 2)
@@ -925,14 +932,12 @@ class TestRecoveryHardening:
         workspace.close()
 
 
-class TestGroupCommit:
-    """One fsync may acknowledge many appends — never the reverse.
+class TestConcurrentAppends:
+    """Many threads appending to one dataset serialise on its entry lock.
 
-    Group commit changes *when* the fsync happens (a leader syncs for
-    every waiter queued behind it), not *what* durability means: every
-    acknowledged append must still be on stable storage, sequence
+    Every acknowledged append must be on stable storage, sequence
     numbers must stay dense and per-thread monotone, and a flush racing
-    the pipeline must drain it rather than deadlock or drop records.
+    the appenders must neither deadlock nor drop records.
     """
 
     N_THREADS = 6
@@ -968,7 +973,7 @@ class TestGroupCommit:
     def test_concurrent_appends_stay_gap_free_and_monotone(
         self, tmp_path, base_table, stream
     ):
-        live = _open(tmp_path, base_table, group_commit=True)
+        live = _open(tmp_path, base_table)
         acked = self._hammer(live, stream)
         total = self.N_THREADS * self.PER_THREAD
         # Each thread saw its own seqs strictly increase, and together
@@ -979,37 +984,20 @@ class TestGroupCommit:
         assert sorted(seq for seqs in acked for seq in seqs) == list(
             range(1, total + 1))
         assert live.state("live") == (1, total)
-        stats = live.ingest_stats()["group_commit"]
-        assert stats["enabled"] is True
-        assert stats["records"] == total
-        assert stats["fsyncs_saved"] == stats["records"] - stats["commits"]
-        assert 1 <= stats["max_group_size"] <= self.N_THREADS
         live.close()
 
         # Every acknowledged append replays: identical identity and rows.
-        restarted = _open(tmp_path, base_table, group_commit=True)
+        restarted = _open(tmp_path, base_table)
         assert restarted.state("live") == (1, total)
         assert restarted.table("live").n_rows == BASE_ROWS + total
         restarted.close()
 
-    def test_group_commit_off_path_is_untouched(self, tmp_path, base_table,
-                                                stream):
-        """Without the knob the journal still fsyncs inline per append
-        (append returns no ticket) and reports the pipeline disabled."""
-        live = _open(tmp_path, base_table)
-        live.append("live", stream[:3])
-        stats = live.ingest_stats()["group_commit"]
-        assert stats == {"enabled": False, "commits": 0, "records": 0,
-                         "fsyncs_saved": 0, "max_group_size": 0}
-        live.close()
-
-    def test_flush_racing_group_commit_drains_without_deadlock(
+    def test_flush_racing_appends_keeps_its_contract_without_deadlock(
         self, tmp_path, base_table, stream
     ):
-        """flush() must drain outstanding commit tickets before its own
-        fsync-and-return — concurrently with appenders parked on those
-        tickets — and still report the exact response contract."""
-        live = _open(tmp_path, base_table, group_commit=True)
+        """flush() looping beside the appenders must not deadlock, and
+        every reply must keep the exact response contract."""
+        live = _open(tmp_path, base_table)
         stop = threading.Event()
         flushes: list[dict] = []
         flush_errors: list[Exception] = []
@@ -1040,7 +1028,7 @@ class TestGroupCommit:
         assert live.flush("live")["seq"] == total
         live.close()
 
-        restarted = _open(tmp_path, base_table, group_commit=True)
+        restarted = _open(tmp_path, base_table)
         assert restarted.state("live") == (1, total)
         restarted.close()
 
@@ -1057,7 +1045,7 @@ stream = make_mixed_table(n_rows=30, n_numeric=3, n_categorical=2,
                           seed={stream_seed}).to_records()
 workspace = Workspace(
     data_dir=sys.argv[1],
-    ingest=IngestConfig(rebuild_fraction=float("inf"), group_commit=True))
+    ingest=IngestConfig(rebuild_fraction=float("inf")))
 workspace.register("live", lambda: base)
 N, PER = 4, 6
 rows = (stream * 2)[: N * PER]
@@ -1078,9 +1066,9 @@ sys.stdout.flush()
 os._exit(17)  # die without any cleanup: no close(), no atexit
 """
 
-    def test_acknowledged_group_commits_survive_a_kill(self, tmp_path,
-                                                       base_table):
-        """SIGKILL-equivalent death right after concurrent group-committed
+    def test_acknowledged_concurrent_appends_survive_a_kill(self, tmp_path,
+                                                            base_table):
+        """SIGKILL-equivalent death right after a concurrent burst of
         appends: every append that returned must be found by replay."""
         src = str(Path(__file__).resolve().parents[2] / "src")
         child = self.CHILD.format(base_rows=BASE_ROWS, base_seed=BASE_SEED,
@@ -1098,7 +1086,7 @@ os._exit(17)  # die without any cleanup: no close(), no atexit
         ) == list(range(1, total + 1))
         assert reported["state"] == [1, total]
 
-        restarted = _open(tmp_path, base_table, group_commit=True)
+        restarted = _open(tmp_path, base_table)
         assert restarted.state("live") == (1, total)
         assert restarted.table("live").n_rows == BASE_ROWS + total
         restarted.close()

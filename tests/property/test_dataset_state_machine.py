@@ -5,8 +5,9 @@ data directory (cleanly or after a crash), and a replica that tailed its
 journal hold **the same state** at the same ``(version, seq)`` — the same
 ingest counters and byte-identical answers.  One transition function
 (:class:`repro.ingest.durable.ReplayMachine`) is what keeps that promise;
-this test generates interleavings of append / read / rebuild / restart /
-crash / replica sync / promote and checks it after every step.
+this test generates interleavings of append / refused append / read /
+rebuild / restart / crash / replica sync / promote and checks it after
+every step.
 
 Every cold build is journalled as a marker, at seq 0 too, so the
 accuracy budget's ``base_rows`` is the same everywhere from the moment
@@ -23,6 +24,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -70,6 +72,22 @@ def _payload(workspace) -> str:
     return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
 
+class _TornWrites:
+    """A journal segment handle whose next ``write`` lands only its first
+    ``torn`` bytes, then fails like a full disk; the rest is the file's."""
+
+    def __init__(self, handle, torn: int):
+        self._handle = handle
+        self._torn = torn
+
+    def write(self, data: bytes) -> int:
+        self._handle.write(data[:self._torn])
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
 class DatasetStateMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -103,6 +121,32 @@ class DatasetStateMachine(RuleBasedStateMachine):
     def append(self, start, n):
         self.primary.append(NAME, POOL[start:start + n])
         self.replica_caught_up = False
+
+    @rule(start=st.integers(0, len(POOL) - 64), n=st.integers(1, 64),
+          torn=st.integers(0, 4096))
+    def failed_append(self, start, n, torn):
+        """An append whose journal write fails is refused whole: it
+        raises, and the live workspace serves, peeks and counts exactly
+        what it did before (restart and replica: the invariant)."""
+        primary = self.primary
+        built = primary.describe()[0]["engine_built"]
+
+        def observed():
+            # The read first: it fills the cache the peek then looks in.
+            answer = _payload(primary) if built else None
+            return (primary.state(NAME), primary.table(NAME).n_rows,
+                    _counters(primary), answer, primary.peek_cached(PROBE))
+
+        before = observed()
+        journal = primary._journal
+        handle = journal._handle(NAME)
+        journal._handles[NAME] = _TornWrites(handle, torn)
+        try:
+            with pytest.raises(OSError, match="No space left"):
+                primary.append(NAME, POOL[start:start + n])
+        finally:
+            journal._handles[NAME] = handle
+        assert observed() == before
 
     def _answered(self, body: dict) -> None:
         """A primary read answers from the current state, never an older one."""
@@ -269,3 +313,26 @@ def test_a_delta_merge_implies_the_cold_build_no_marker_recorded():
          "n_rows": 11, "total_rows": 136},
     ])
     assert (log.base_rows, log.rows_since_rebuild) == (125, 11)
+
+
+def test_refused_appends_leave_their_seq_to_the_next_one():
+    """Journal writes that tear mid-record are rolled back — the second
+    from where the first's roll-back left the segment, not from the
+    stale position past it (found by this machine: the next accepted
+    append landed behind a hole and a restart dropped it) — so the next
+    append is seq 2 live, after a crash and on a replica."""
+    machine = DatasetStateMachine()
+    try:
+        for name, kwargs in (("append", {"start": 0, "n": 3}),
+                             ("read", {}),
+                             ("failed_append", {"start": 3, "n": 9, "torn": 4096}),
+                             ("failed_append", {"start": 3, "n": 3, "torn": 11}),
+                             ("append", {"start": 6, "n": 3}),
+                             ("crash_restart", {}),
+                             ("replica_sync", {})):
+            getattr(machine, name)(**kwargs)
+            machine.live_restarted_and_replica_agree()
+        assert machine.primary.state(NAME) == (1, 2)
+        assert machine.primary.table(NAME).n_rows == BASE.n_rows + 6
+    finally:
+        machine.teardown()

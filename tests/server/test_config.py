@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import argparse
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ServerError
+from repro.obs import ObsConfig
 from repro.server import ServerConfig
+
+API_MD = Path(__file__).resolve().parents[2] / "docs" / "API.md"
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="repro-serve")
+    ServerConfig.add_cli_arguments(parser)
+    return parser
 
 
 class TestDefaultsAndValidation:
@@ -39,6 +51,12 @@ class TestDefaultsAndValidation:
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ServerError):
             ServerConfig(**kwargs)
+
+    def test_removed_group_commit_knobs_are_rejected(self):
+        with pytest.raises(TypeError):
+            ServerConfig(group_commit=True)
+        with pytest.raises(TypeError):
+            ServerConfig(max_group_delay=0.01)
 
     def test_as_dict_round_trips_every_field(self):
         config = ServerConfig(port=0, dataset_quota=3)
@@ -78,9 +96,7 @@ class TestFromEnv:
 
 class TestFromArgs:
     def _parse(self, argv: list[str]) -> ServerConfig:
-        parser = argparse.ArgumentParser()
-        ServerConfig.add_cli_arguments(parser)
-        return ServerConfig.from_args(parser.parse_args(argv))
+        return ServerConfig.from_args(_parser().parse_args(argv))
 
     def test_no_flags_matches_defaults(self):
         assert self._parse([]) == ServerConfig()
@@ -103,3 +119,45 @@ class TestFromArgs:
 
     def test_window_zero_disables_coalescing(self):
         assert self._parse(["--coalesce-window-ms", "0"]).coalesce_window == 0.0
+
+    @pytest.mark.parametrize("argv", [["--group-commit"],
+                                      ["--max-group-delay", "0.01"]])
+    def test_removed_group_commit_flags_are_argparse_errors(self, argv,
+                                                            capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            self._parse(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestDocumentedConfiguration:
+    """docs/API.md's configuration table is the config classes, row for
+    row: a knob added or removed without its row fails here."""
+
+    def _rows(self) -> dict[str, str]:
+        """``field -> env variable`` from the "### Configuration" table."""
+        section = API_MD.read_text(encoding="utf-8").split(
+            "### Configuration", 1)[1].split("\n### ", 1)[0]
+        rows = re.findall(r"^\| `([a-z_.]+)` \| `([A-Z_]+)` \|", section,
+                          flags=re.MULTILINE)
+        assert len(rows) == len(dict(rows)), "a field is documented twice"
+        return dict(rows)
+
+    def test_table_rows_are_exactly_the_config_fields(self):
+        expected = {
+            spec.name: "REPRO_SERVER_" + spec.name.upper()
+            for spec in fields(ServerConfig) if spec.name != "obs"
+        }
+        expected.update({
+            "obs." + spec.name: "REPRO_OBS_" + spec.name.upper()
+            for spec in fields(ObsConfig)
+        })
+        assert self._rows() == expected
+
+    def test_every_documented_field_has_a_cli_flag(self):
+        flags = [option for action in _parser()._actions
+                 for option in action.option_strings]
+        for name in self._rows():
+            flag = "--" + name.replace(".", "-").replace("_", "-")
+            # --coalesce-window-ms carries its unit in the flag.
+            assert any(option in (flag, flag + "-ms") for option in flags), name
