@@ -4,10 +4,11 @@ This package puts an actual wire behind the serving layer.  A
 :class:`ReproServer` binds a stdlib-only asyncio HTTP/1.1 transport over
 a :class:`~repro.service.Workspace`:
 
-* ``POST /v1/insights`` — single requests; concurrent arrivals inside
-  the coalescing window dispatch as one ``handle_many`` batch
-  (:class:`RequestCoalescer`), realising cross-request enumeration and
-  score sharing at the transport layer;
+* ``POST /v1/insights`` — single requests; concurrent misses dispatch
+  as one ``handle_many`` batch (:class:`RequestCoalescer`), realising
+  cross-request enumeration and score sharing at the transport layer —
+  a lone miss on an idle server dispatches at once, the coalescing
+  window holds misses only while the server is busy;
 * ``POST /v1/insights:batch`` — explicit client-side batches;
 * admission control (:class:`AdmissionController`): a bounded queue, a
   max-in-flight cap and per-dataset / per-insight-class quotas, with

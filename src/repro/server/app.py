@@ -7,10 +7,11 @@ datasets went live — a write surface:
 ===================================  ==========================================
 ``POST /v1/insights``                one :class:`InsightRequest` → one
                                      response; a result-cache hit is sent
-                                     from the event loop as cached, misses
-                                     inside the coalescing window
-                                     micro-batch into one ``handle_many``
-                                     call
+                                     from the event loop as cached,
+                                     concurrent misses micro-batch into
+                                     one ``handle_many`` call (a lone
+                                     miss on an idle server dispatches
+                                     at once)
 ``POST /v1/insights:batch``          ``{"requests": [...]}`` →
                                      ``{"responses": [...]}`` via
                                      ``Workspace.handle_many``
@@ -1050,8 +1051,9 @@ class ReproServer:
         loop = asyncio.get_running_loop()
         async with self.admission.admit([name], [], writes=[name]):
             try:
-                version, seq = await loop.run_in_executor(self._pool,
-                                                          _register)
+                with self._writing():
+                    version, seq = await loop.run_in_executor(self._pool,
+                                                              _register)
             except ServiceError as exc:
                 if not isinstance(exc, (ProtocolError, UnknownDatasetError)):
                     # Two racing PUTs without "replace" both passed the
@@ -1122,9 +1124,10 @@ class ReproServer:
             raise ProtocolError('"rows" must be a list of records')
         loop = asyncio.get_running_loop()
         async with self.admission.admit([name], [], writes=[name]):
-            result = await loop.run_in_executor(
-                self._pool, self._workspace.append, name, rows
-            )
+            with self._writing():
+                result = await loop.run_in_executor(
+                    self._pool, self._workspace.append, name, rows
+                )
         return 200, {"protocol": 1, **result.as_dict()}
 
     async def _post_reload(
@@ -1138,12 +1141,19 @@ class ReproServer:
         self._require_dataset(name)
         loop = asyncio.get_running_loop()
         async with self.admission.admit([name], [], writes=[name]):
-            version = await loop.run_in_executor(
-                self._pool, self._workspace.reload, name
-            )
+            with self._writing():
+                version = await loop.run_in_executor(
+                    self._pool, self._workspace.reload, name
+                )
         return 200, {
             "protocol": 1, "dataset": name, "version": version, "seq": 0,
         }
+
+    def _writing(self) -> contextlib.AbstractContextManager[None]:
+        """Count a write request in flight for the coalescer's idle rule."""
+        if self._coalescer is None:
+            return contextlib.nullcontext()
+        return self._coalescer.writing()
 
     async def _post_flush(
         self, _request: _HttpRequest, name: str

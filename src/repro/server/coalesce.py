@@ -13,11 +13,18 @@ here only after ``Workspace.peek_cached`` said the result cache does not
 hold its reply.  A hit at arrival has nothing to share and nothing to
 wait for — it is answered on the event loop and never enters the window.
 
-Mechanics: the first arrival opens a batch and starts the window timer;
-later arrivals join the pending batch; the batch flushes when the window
-elapses or it reaches ``max_batch``, whichever comes first.  The
-blocking dispatch runs on a worker thread (the event loop never blocks),
-and each caller's future resolves with its own response.
+Mechanics: a batch opens on the first arrival, and how long it stays
+open depends on whether a rider can come.  On an **idle** coalescer —
+no batch dispatching and no write request in flight on the server (the
+app brackets its write handlers with :meth:`writing`) — nothing else is
+running to send one, so the batch flushes on the next loop tick:
+arrivals of the same tick (an ``asyncio.gather`` of submits) still
+share it, and a lone miss waits for nobody.  While the server is busy
+the first arrival starts the window timer instead, and later arrivals
+join until the window elapses or the batch reaches ``max_batch``,
+whichever comes first.  The blocking dispatch runs on a worker thread
+(the event loop never blocks), and each caller's future resolves with
+its own response.
 
 Responses get transport provenance: the per-request ``batch`` entry that
 ``handle_many`` stamps is replaced by ``coalesced`` (``{"index", "size"}``)
@@ -36,7 +43,8 @@ from __future__ import annotations
 
 import asyncio
 from concurrent.futures import Executor
-from typing import Any, Callable
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator
 
 from repro.obs.config import ObsConfig
 from repro.obs.tracer import Tracer, bind
@@ -86,8 +94,14 @@ class RequestCoalescer:
         self._pending: list[
             tuple[InsightRequest, asyncio.Future, float, str | None]
         ] = []
-        self._timer: asyncio.Task | None = None
+        #: The open batch's flush: next tick when it opened idle, after
+        #: ``window`` when it opened busy (``_windowed``).
+        self._timer: asyncio.Handle | None = None
+        self._windowed = False
         self._tasks: set[asyncio.Task] = set()
+        #: Batches flushed and not yet resolved, admission wait included.
+        self._dispatching = 0
+        self._writes = 0
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -105,12 +119,29 @@ class RequestCoalescer:
             raise RuntimeError("coalescer is closed")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
+        if not self._pending:
+            self._windowed = bool(self._dispatching or self._writes)
         self._pending.append((request, future, loop.time(), trace_id))
         if len(self._pending) >= self.max_batch:
             self._flush()
         elif self._timer is None:
-            self._timer = asyncio.create_task(self._flush_after_window())
+            self._timer = (loop.call_later(self.window, self._flush)
+                           if self._windowed else loop.call_soon(self._flush))
         return await future
+
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        """Mark a write request in flight: misses meanwhile keep the window.
+
+        Under the GIL a miss dispatched at once competes with the write
+        for the same core; one that waits out the window leaves the
+        writer that time.
+        """
+        self._writes += 1
+        try:
+            yield
+        finally:
+            self._writes -= 1
 
     # ------------------------------------------------------------------
     # Flushing
@@ -123,22 +154,48 @@ class RequestCoalescer:
         if not self._pending:
             return
         batch, self._pending = self._pending, []
-        task = asyncio.ensure_future(self._dispatch_batch(batch))
+        self._dispatching += 1
+        task = asyncio.ensure_future(
+            self._dispatch_batch(batch, self._windowed))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
-
-    async def _flush_after_window(self) -> None:
-        try:
-            await asyncio.sleep(self.window)
-        except asyncio.CancelledError:
-            return
-        self._timer = None
-        self._flush()
 
     async def _dispatch_batch(
         self,
         batch: list[tuple[InsightRequest, asyncio.Future, float, str | None]],
+        windowed: bool,
     ) -> None:
+        try:
+            responses = await self._run_batch(batch, windowed)
+        except Exception as exc:  # noqa: BLE001 - forwarded to each caller
+            responses = [exc] * len(batch)
+        finally:
+            # Idle again before any rider resumes: a caller that submits
+            # right after its answer finds no dispatch running.
+            self._dispatching -= 1
+        size = len(batch)
+        for index, ((_, future, _, _), response) in enumerate(
+            zip(batch, responses)
+        ):
+            if future.done():
+                continue
+            # Dispatchers may isolate per-request failures by returning
+            # the exception in that request's slot (see the server's
+            # batch dispatcher); forward it to just that caller.
+            if isinstance(response, BaseException):
+                future.set_exception(response)
+                continue
+            provenance = dict(response.provenance)
+            provenance.pop("batch", None)
+            provenance["coalesced"] = {"index": index, "size": size}
+            response.provenance = provenance
+            future.set_result(response)
+
+    async def _run_batch(
+        self,
+        batch: list[tuple[InsightRequest, asyncio.Future, float, str | None]],
+        windowed: bool,
+    ) -> list[InsightResponse]:
         loop = asyncio.get_running_loop()
         requests = [request for request, _, _, _ in batch]
         if self._admission is not None:
@@ -158,6 +215,7 @@ class RequestCoalescer:
         batch_span = self._tracer.start_span("coalesce.batch")
         try:
             batch_span.set_attribute("size", len(batch))
+            batch_span.set_attribute("windowed", windowed)
             batch_span.set_attribute("window_wait_seconds", wait_seconds)
             for index, ((request, _, _, trace_id), rider_wait) in enumerate(
                 zip(batch, rider_waits)
@@ -185,11 +243,6 @@ class RequestCoalescer:
                     self._executor, bind(dispatch_span, self._dispatch),
                     requests,
                 )
-            except Exception as exc:  # noqa: BLE001 - forwarded to each caller
-                for _, future, _, _ in batch:
-                    if not future.done():
-                        future.set_exception(exc)
-                return
             finally:
                 dispatch_span.end()
                 if self._admission is not None:
@@ -198,24 +251,9 @@ class RequestCoalescer:
             batch_span.end()
         if self._metrics is not None:
             self._metrics.record_batch(len(batch), wait_seconds,
-                                       rider_waits=rider_waits)
-        size = len(batch)
-        for index, ((_, future, _, _), response) in enumerate(
-            zip(batch, responses)
-        ):
-            if future.done():
-                continue
-            # Dispatchers may isolate per-request failures by returning
-            # the exception in that request's slot (see the server's
-            # batch dispatcher); forward it to just that caller.
-            if isinstance(response, BaseException):
-                future.set_exception(response)
-                continue
-            provenance = dict(response.provenance)
-            provenance.pop("batch", None)
-            provenance["coalesced"] = {"index": index, "size": size}
-            response.provenance = provenance
-            future.set_result(response)
+                                       rider_waits=rider_waits,
+                                       windowed=windowed)
+        return responses
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -230,7 +268,8 @@ class RequestCoalescer:
             "window_seconds": self.window,
             "max_batch": self.max_batch,
             "pending": len(self._pending),
-            "dispatching": len(self._tasks),
+            "dispatching": self._dispatching,
+            "writes_in_flight": self._writes,
         }
 
     async def aclose(self, timeout: float | None = None) -> None:

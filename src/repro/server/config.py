@@ -46,9 +46,11 @@ class ServerConfig:
         Bind address.  Port 0 asks the OS for a free ephemeral port
         (the bound address is reported by ``ReproServer.address``).
     coalesce_window:
-        Seconds that the first single-request arrival waits for
-        companions before the batch dispatches as one
-        ``Workspace.handle_many`` call.  0 disables coalescing (every
+        The longest a miss waits for riders while the server is busy (a
+        coalesced dispatch running or a write request in flight) before
+        its batch dispatches as one ``Workspace.handle_many`` call.  On
+        an idle server a miss dispatches on the next loop tick, with
+        whatever arrived in that tick.  0 disables coalescing (every
         request dispatches directly).
     coalesce_max_batch:
         Flush the pending batch immediately once it reaches this size,

@@ -33,6 +33,7 @@ class ServerMetrics:
         self._coalesced_batches = 0
         self._coalesced_requests = 0
         self._coalesce_max_batch = 0
+        self._immediate_dispatches = 0
         self._direct_requests = 0
         self._fast_hits = 0
         self._rider_wait_total = 0.0
@@ -66,16 +67,20 @@ class ServerMetrics:
                 self._rejected_overload += 1
 
     def record_batch(self, size: int, wait_seconds: float,
-                     rider_waits: list[float] | None = None) -> None:
+                     rider_waits: list[float] | None = None,
+                     windowed: bool = True) -> None:
         """Count one coalesced dispatch of ``size`` requests.
 
         ``rider_waits`` (one entry per batched request, when the
         coalescer computes them) accumulates the total time requests
         spent parked in coalescing windows — the aggregate the per-rider
-        trace spans must sum to.
+        trace spans must sum to.  A batch that opened on an idle
+        coalescer (``windowed`` false) counts as an immediate dispatch.
         """
         with self._lock:
             self._coalesced_batches += 1
+            if not windowed:
+                self._immediate_dispatches += 1
             self._coalesced_requests += size
             if size > self._coalesce_max_batch:
                 self._coalesce_max_batch = size
@@ -114,6 +119,7 @@ class ServerMetrics:
                     "batches": self._coalesced_batches,
                     "coalesced_requests": self._coalesced_requests,
                     "max_batch_size": self._coalesce_max_batch,
+                    "immediate_dispatches": self._immediate_dispatches,
                     "direct_requests": self._direct_requests,
                     "fast_hits": self._fast_hits,
                     "rider_wait_seconds_total": self._rider_wait_total,
@@ -228,6 +234,8 @@ def render_prometheus(document: dict[str, Any]) -> str:
     counter("repro_coalesce_batches_total", coalesce.get("batches", 0))
     counter("repro_coalesce_requests_total",
             coalesce.get("coalesced_requests", 0))
+    counter("repro_coalesce_immediate_total",
+            coalesce.get("immediate_dispatches", 0))
     counter("repro_direct_requests_total", coalesce.get("direct_requests", 0))
     counter("repro_fast_hits_total", coalesce.get("fast_hits", 0))
     counter("repro_coalesce_rider_wait_seconds_total",

@@ -164,22 +164,31 @@ class _DatasetEntry(DatasetState):
     superseded: bool = False
 
 
-@contextmanager
-def _journal_failure_reported():
+class _JournalFailureReport:
     """Emit ``fsync_failure`` for a journal write that failed in the block.
 
     Wraps the entry-lock hold of each journal writer from the outside,
     so the event goes out once the lock is released: event sinks never
-    run under the entry lock.
+    run under the entry lock.  Stateless, so one instance serves every
+    call site — the slow-path read enters it without building a
+    generator.
     """
-    try:
-        yield
-    except OSError as error:
-        dataset = error.__dict__.pop("journal_dataset", None)
-        if dataset is not None:
-            obs_events.emit("fsync_failure", dataset=dataset,
-                            error=repr(error))
-        raise
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, kind, error, traceback) -> bool:
+        if isinstance(error, OSError):
+            dataset = error.__dict__.pop("journal_dataset", None)
+            if dataset is not None:
+                obs_events.emit("fsync_failure", dataset=dataset,
+                                error=repr(error))
+        return False
+
+
+_journal_failure_reported = _JournalFailureReport()
 
 
 class Workspace:
@@ -936,7 +945,7 @@ class Workspace:
         """
         schedule_rebuild = False
         with (self._tracer.span("workspace.append", dataset=name) as append_span,
-              _journal_failure_reported()):
+              _journal_failure_reported):
             with self._locked_entry(name) as entry:
                 self._check_open()
                 table = self._table_locked(entry)
@@ -1025,7 +1034,7 @@ class Workspace:
         # Roots its own trace: background rebuilds run on a maintenance
         # thread with no ambient request span.
         with (self._tracer.span("workspace.rebuild", dataset=name) as rebuild_span,
-              _journal_failure_reported()):
+              _journal_failure_reported):
             with entry.lock:
                 if entry.superseded:
                     return None
@@ -1655,7 +1664,7 @@ class Workspace:
         Returns ``(result, built)`` — the engine/version/seq triple and
         whether this call paid the cold build.
         """
-        with _journal_failure_reported(), self._locked_entry(name) as entry:
+        with _journal_failure_reported, self._locked_entry(name) as entry:
             table = self._table_locked(entry)
             built = entry.engine is None
             if built:

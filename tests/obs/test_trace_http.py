@@ -25,6 +25,7 @@ from repro.server import (
     serving,
 )
 from repro.service import InsightRequest, Workspace
+from tests.server.conftest import HeldEntryLock, wait_for
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +190,17 @@ class TestCoalescedBatchTrace:
 
             threads = [threading.Thread(target=fire, args=(i,))
                        for i in range(n_clients)]
-            for thread in threads:
-                thread.start()
+            # The first arrival dispatches at once and blocks behind the
+            # held lock, so the others find the server busy and share
+            # the window.
+            held = HeldEntryLock(workspace)
+            try:
+                for thread in threads:
+                    thread.start()
+                wait_for(lambda: handle.server.admission.snapshot()
+                         ["parked"] == len(threads))
+            finally:
+                held.release()
             for thread in threads:
                 thread.join()
 
@@ -207,7 +217,7 @@ class TestCoalescedBatchTrace:
         # Every rider answers to the request trace its client was handed.
         assert ({r["attributes"]["request_trace_id"] for r in riders}
                 == set(request_trace_ids.values()))
-        # The batch really batched (the barrier packed one window) and
+        # The batch really batched (the held lock packed one window) and
         # each batch dispatched exactly once.
         assert max(b["root"]["attributes"]["size"] for b in batches) >= 2
         for batch in batches:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 import pytest
 
@@ -103,6 +104,69 @@ class TestBatching:
         asyncio.run(scenario())
 
 
+class TestIdleRule:
+    """A batch opened on an idle coalescer flushes on the next tick; one
+    opened while a dispatch runs waits for the window."""
+
+    def test_a_lone_submit_on_an_idle_coalescer_dispatches_at_once(self):
+        async def scenario():
+            metrics = ServerMetrics()
+            dispatch = _ScriptedDispatch()
+            # A window far longer than the test: only the idle rule flushes.
+            coalescer = RequestCoalescer(dispatch, window=30.0, max_batch=8,
+                                         metrics=metrics)
+            for top_k in (1, 2):
+                response = await asyncio.wait_for(
+                    coalescer.submit(make_request(top_k)), 5)
+                assert response.provenance["coalesced"] == {"index": 0,
+                                                            "size": 1}
+            # Answered and idle again: the second lone submit was too.
+            assert [len(batch) for batch in dispatch.batches] == [1, 1]
+            assert metrics.snapshot()["coalesce"]["immediate_dispatches"] == 2
+            assert coalescer.stats()["dispatching"] == 0
+
+        asyncio.run(scenario())
+
+    def test_a_submit_during_a_dispatch_waits_and_rides_with_later_ones(self):
+        async def scenario():
+            started, release = threading.Event(), threading.Event()
+            batches: list[list[int]] = []
+
+            def dispatch(requests):
+                batches.append([request.top_k for request in requests])
+                if len(batches) == 1:
+                    started.set()
+                    assert release.wait(10), "first dispatch never released"
+                return [make_response(request) for request in requests]
+
+            metrics = ServerMetrics()
+            # Clock-free: the window never elapses, max_batch flushes.
+            coalescer = RequestCoalescer(dispatch, window=30.0, max_batch=2,
+                                         metrics=metrics)
+            loop = asyncio.get_running_loop()
+            first = asyncio.ensure_future(coalescer.submit(make_request(1)))
+            assert await loop.run_in_executor(None, started.wait, 10)
+            assert coalescer.stats()["dispatching"] == 1
+            second = asyncio.ensure_future(coalescer.submit(make_request(2)))
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert coalescer.pending == 1 and not second.done()
+            release.set()
+            await asyncio.wait_for(first, 5)
+            # The first batch is answered; the second still waits for a
+            # rider, and the next arrival fills it.
+            assert coalescer.pending == 1 and not second.done()
+            third = await asyncio.wait_for(
+                coalescer.submit(make_request(3)), 5)
+            second = await asyncio.wait_for(second, 5)
+            assert batches == [[1], [2, 3]]
+            assert second.provenance["coalesced"] == {"index": 0, "size": 2}
+            assert third.provenance["coalesced"] == {"index": 1, "size": 2}
+            assert metrics.snapshot()["coalesce"]["immediate_dispatches"] == 1
+
+        asyncio.run(scenario())
+
+
 class TestFailureIsolation:
     def test_exception_item_fails_only_its_own_caller(self):
         async def scenario():
@@ -142,10 +206,13 @@ class TestLifecycle:
         async def scenario():
             dispatch = _ScriptedDispatch()
             # The window never fires inside the test; only aclose flushes.
+            # A write in flight makes the arrival wait for the window (an
+            # idle coalescer would dispatch it on the next tick).
             coalescer = RequestCoalescer(dispatch, window=30.0, max_batch=8)
-            task = asyncio.create_task(coalescer.submit(make_request(1)))
-            await asyncio.sleep(0.01)
-            assert coalescer.pending == 1
+            with coalescer.writing():
+                task = asyncio.create_task(coalescer.submit(make_request(1)))
+                await asyncio.sleep(0.01)
+                assert coalescer.pending == 1
             await coalescer.aclose()
             response = await task
             assert response.provenance["coalesced"] == {"index": 0, "size": 1}

@@ -15,7 +15,6 @@ import asyncio
 import http.client
 import json
 import threading
-import time
 
 import pytest
 
@@ -27,6 +26,7 @@ from repro.service import (
     ReplicaWorkspace,
     Workspace,
 )
+from tests.server.conftest import HeldEntryLock, wait_for
 
 WARM = InsightRequest(dataset="demo", insight_classes=("skew", "outliers"),
                       top_k=3)
@@ -54,37 +54,6 @@ def warm_workspace(server_workspace) -> Workspace:
     """Engine built and ``WARM`` cached at ``(1, 0)``."""
     assert server_workspace.handle(WARM).provenance["cache"] == "miss"
     return server_workspace
-
-
-class _HeldEntryLock:
-    """Another thread inside the dataset's entry lock — an append in
-    flight, when ``rows`` are given — until :meth:`release`."""
-
-    def __init__(self, workspace: Workspace, rows=None):
-        self._holding = threading.Event()
-        self._let_go = threading.Event()
-        self._thread = threading.Thread(
-            target=self._hold, args=(workspace, rows), daemon=True)
-        self._thread.start()
-        assert self._holding.wait(timeout=10)
-
-    def _hold(self, workspace: Workspace, rows) -> None:
-        with workspace._locked_entry("demo"):
-            if rows is not None:
-                workspace.append("demo", rows)  # reentrant: same thread
-            self._holding.set()
-            assert self._let_go.wait(timeout=30), "lock never released"
-
-    def release(self) -> None:
-        self._let_go.set()
-        self._thread.join(timeout=30)
-
-
-def _wait_for(condition, timeout: float = 10.0) -> None:
-    deadline = time.monotonic() + timeout
-    while not condition():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.005)
 
 
 @pytest.fixture()
@@ -133,8 +102,8 @@ class TestEventLoopSafety:
             replies.append(json.loads(body))
 
         with serving(warm_workspace, config) as handle:
-            held = _HeldEntryLock(warm_workspace,
-                                  rows=server_table.to_records()[:3])
+            held = HeldEntryLock(warm_workspace,
+                                 rows=server_table.to_records()[:3])
             try:
                 askers = [threading.Thread(target=ask, args=(handle.address,))
                           for _ in range(4)]
@@ -142,14 +111,14 @@ class TestEventLoopSafety:
                     asker.start()
                 # Every asker is parked behind the lock on a worker
                 # thread; the loop itself still answers.
-                _wait_for(lambda: handle.server.admission.snapshot()
-                          ["in_flight"] >= 1)
+                wait_for(lambda: handle.server.admission.snapshot()
+                         ["in_flight"] >= 1)
                 with ReproClient(*handle.address) as client:
                     assert client.healthz()["status"] == "ok"
                 # ... for at least one full lag sample with the lock held.
                 monitor = handle.server.loop_lag
                 sampled = monitor.samples
-                _wait_for(lambda: monitor.samples > sampled + 1)
+                wait_for(lambda: monitor.samples > sampled + 1)
                 assert replies == []
             finally:
                 held.release()
@@ -179,14 +148,14 @@ class TestEventLoopSafety:
         have to wait, and the worker thread answers the hit afterwards."""
         config = ServerConfig(port=0, coalesce_window=0.0)
         with serving(warm_workspace, config) as handle:
-            held = _HeldEntryLock(warm_workspace)
+            held = HeldEntryLock(warm_workspace)
             outcome: dict[str, bytes] = {}
             asker = threading.Thread(target=lambda: outcome.update(
                 body=_post(handle.address, WARM)[1]))
             asker.start()
             try:
-                _wait_for(lambda: handle.server.admission.snapshot()
-                          ["in_flight"] == 1)
+                wait_for(lambda: handle.server.admission.snapshot()
+                         ["in_flight"] == 1)
                 assert not outcome
             finally:
                 held.release()
@@ -199,6 +168,63 @@ class TestEventLoopSafety:
         assert (coalesce["fast_hits"], coalesce["direct_requests"]) == (0, 1)
 
 
+class TestCoalesceWindow:
+    def test_a_miss_beside_a_write_in_flight_is_windowed(
+        self, warm_workspace, server_table
+    ):
+        """A lone miss on an idle server dispatches at once; one that
+        arrives while an append is in flight waits for the window."""
+        config = ServerConfig(port=0, coalesce_window=0.005)
+        beside = InsightRequest(dataset="demo", insight_classes=("outliers",),
+                                top_k=4)
+        outcome: dict[str, object] = {}
+
+        def append() -> None:
+            with ReproClient(*handle.address) as client:
+                outcome["append"] = client.append_rows(
+                    "demo", server_table.to_records()[:2])
+
+        def read() -> None:
+            outcome["read"] = _post(handle.address, beside)
+
+        with serving(warm_workspace, config) as handle:
+            stats = handle.server._coalescer.stats
+            assert _post(handle.address, COLD)[0] == 200
+            with ReproClient(*handle.address) as client:
+                before = client.metrics()["server"]["coalesce"]
+            assert (before["batches"], before["immediate_dispatches"]) == (1, 1)
+            held = HeldEntryLock(warm_workspace)
+            threads = [threading.Thread(target=append)]
+            try:
+                threads[0].start()
+                wait_for(lambda: stats()["writes_in_flight"] == 1)
+                threads.append(threading.Thread(target=read))
+                threads[1].start()
+                # The read's batch waited out the window and is now
+                # dispatched, blocked behind the lock with the append.
+                wait_for(lambda: stats()["dispatching"] == 1)
+            finally:
+                held.release()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert stats()["writes_in_flight"] == 0
+            with ReproClient(*handle.address) as client:
+                after = client.metrics()["server"]["coalesce"]
+                windowed = sorted(
+                    client.trace(t["trace_id"])["root"]["attributes"]
+                    ["windowed"]
+                    for t in client.traces()["traces"]
+                    if t["name"] == "coalesce.batch")
+
+        status, body = outcome["read"]
+        assert status == 200
+        assert json.loads(body)["provenance"]["coalesced"] == {
+            "index": 0, "size": 1}
+        assert outcome["append"]["seq"] == 1
+        assert (after["batches"], after["immediate_dispatches"]) == (2, 1)
+        assert windowed == [False, True]
+
+
 class TestReplyContract:
     def test_a_fast_hit_is_the_worker_thread_hit_minus_coalesced(
         self, warm_workspace
@@ -206,13 +232,13 @@ class TestReplyContract:
         config = ServerConfig(port=0, coalesce_window=0.005)
         with serving(warm_workspace, config) as handle:
             _, fast = _post(handle.address, WARM)
-            held = _HeldEntryLock(warm_workspace)
+            held = HeldEntryLock(warm_workspace)
             outcome: dict[str, bytes] = {}
             asker = threading.Thread(target=lambda: outcome.update(
                 body=_post(handle.address, WARM)[1]))
             asker.start()
-            _wait_for(lambda: handle.server.admission.snapshot()
-                      ["in_flight"] == 1)
+            wait_for(lambda: handle.server.admission.snapshot()
+                     ["in_flight"] == 1)
             held.release()
             asker.join(timeout=30)
         slow = json.loads(outcome["body"])
@@ -329,12 +355,12 @@ class TestAdmissionDoesNotCareAboutWarmth:
         blocker = InsightRequest(dataset="demo",
                                  insight_classes=("normality",), top_k=1)
         with serving(workspace, config) as handle:
-            held = _HeldEntryLock(workspace)
+            held = HeldEntryLock(workspace)
             asker = threading.Thread(
                 target=_post, args=(handle.address, blocker))
             asker.start()
             try:
-                _wait_for(lambda: handle.server.admission.snapshot()
+                wait_for(lambda: handle.server.admission.snapshot()
                           ["in_flight_by_dataset"].get("demo") == 1)
                 with ReproClient(*handle.address) as client:
                     raw = client.request_raw("POST", "/v1/insights",

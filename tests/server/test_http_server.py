@@ -24,7 +24,7 @@ from repro.server import (
     serving,
 )
 
-from tests.server.conftest import stable_payload
+from tests.server.conftest import HeldEntryLock, stable_payload, wait_for
 
 
 def _request(top_k: int = 3, classes=("skew", "outliers")) -> InsightRequest:
@@ -195,8 +195,17 @@ class TestCoalescing:
                 threading.Thread(target=fire, args=(i,))
                 for i in range(len(requests))
             ]
-            for thread in threads:
-                thread.start()
+            # The first arrival dispatches at once and blocks behind the
+            # held lock, so the others find the server busy and share
+            # the window.
+            held = HeldEntryLock(server_workspace)
+            try:
+                for thread in threads:
+                    thread.start()
+                wait_for(lambda: handle.server.admission.snapshot()
+                         ["parked"] == len(threads))
+            finally:
+                held.release()
             for thread in threads:
                 thread.join()
             with ReproClient(*handle.address) as client:
@@ -209,8 +218,8 @@ class TestCoalescing:
         coalesce = metrics["server"]["coalesce"]
         assert coalesce["coalesced_requests"] == len(requests)
         assert coalesce["batches"] >= 1
-        # All arrivals were released at a barrier inside one 250ms window,
-        # so at least one true multi-request batch must have formed.
+        # All arrivals after the first were parked inside one 250ms
+        # window, so at least one true multi-request batch must have formed.
         assert coalesce["max_batch_size"] >= 2
 
     def test_coalesced_provenance_records_transport_batching(
@@ -227,8 +236,17 @@ class TestCoalescing:
                     responses.append(client.insights(_request(top_k, ("skew",))))
 
             threads = [threading.Thread(target=fire, args=(k,)) for k in (1, 2, 3)]
-            for thread in threads:
-                thread.start()
+            # The first arrival dispatches at once and blocks behind the
+            # held lock, so the others find the server busy and share
+            # the window.
+            held = HeldEntryLock(server_workspace)
+            try:
+                for thread in threads:
+                    thread.start()
+                wait_for(lambda: handle.server.admission.snapshot()
+                         ["parked"] == len(threads))
+            finally:
+                held.release()
             for thread in threads:
                 thread.join()
         sizes = {r.provenance["coalesced"]["size"] for r in responses}

@@ -5,6 +5,7 @@ from __future__ import annotations
 import threading
 
 from repro.server import LatencyHistogram, ServerMetrics
+from repro.server.metrics import render_prometheus
 
 
 class TestLatencyHistogram:
@@ -71,6 +72,18 @@ class TestServerMetrics:
         assert snapshot["coalesce"]["direct_requests"] == 1
         assert snapshot["coalesce"]["fast_hits"] == 2
         assert snapshot["latency"]["count"] == 2
+
+    def test_immediate_dispatches_in_both_renderings(self):
+        metrics = ServerMetrics()
+        metrics.record_batch(1, 0.0, rider_waits=[0.0], windowed=False)
+        metrics.record_batch(2, 0.005, rider_waits=[0.005, 0.001])
+        snapshot = metrics.snapshot()
+        assert snapshot["coalesce"]["batches"] == 2
+        assert snapshot["coalesce"]["immediate_dispatches"] == 1
+        lines = render_prometheus({"server": snapshot}).splitlines()
+        assert "# TYPE repro_coalesce_immediate_total counter" in lines
+        assert "repro_coalesce_immediate_total 1" in lines
+        assert "repro_coalesce_batches_total 2" in lines
 
     def test_thread_safety_of_counters(self):
         metrics = ServerMetrics()
