@@ -19,7 +19,10 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy", "scipy"],
+    install_requires=["numpy"],
+    # scipy is the reference the tests check the numpy kernels against;
+    # nothing under src/ imports it.
+    extras_require={"test": ["scipy", "pytest", "hypothesis"]},
     entry_points={
         "console_scripts": [
             "repro-serve=repro.server.__main__:main",

@@ -12,7 +12,7 @@ the twelve shipped with the demo:
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,9 +22,11 @@ from repro.core.insight import (
     EvaluationContext,
     Insight,
     InsightClass,
+    KernelScoredInsightClass,
     ScoredCandidate,
     singletons,
 )
+from repro.sketch.features import TableFeatures
 from repro.stats import moments as moment_stats
 from repro.stats import multimodality as multimodality_stats
 from repro.stats import normality as normality_stats
@@ -311,7 +313,7 @@ class MultimodalityInsight(_UnivariateNumericInsight):
         return f"{name} shows {n_modes} modes (strength {candidate.score:.2f})"
 
 
-class NormalityInsight(_UnivariateNumericInsight):
+class NormalityInsight(_UnivariateNumericInsight, KernelScoredInsightClass):
     """Distribution shape relative to the normal distribution.
 
     The section 4.1 scenario reports that "Time Devoted To Leisure has a
@@ -326,16 +328,19 @@ class NormalityInsight(_UnivariateNumericInsight):
     description = "How far a univariate distribution departs from normal"
     metric_name = "non_normality"
 
-    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
-        name = attributes[0]
-
-        def compute() -> ScoredCandidate | None:
-            values = self._sample_values(name, context)
-            if values.size < 8:
-                return None
-            result = normality_stats.normality_test(values)
+    def score_complete(
+        self, features: TableFeatures, candidate_tuples: Sequence[tuple[str, ...]]
+    ) -> list[ScoredCandidate | None]:
+        """One row-wise sort, one ``ndtr`` and two moment means over the
+        gathered standardised rows score every column of the request."""
+        if features.n_rows < normality_stats.MIN_VALUES:
+            return [None] * len(candidate_tuples)
+        rows = features.numeric_rows(attrs[0] for attrs in candidate_tuples)
+        results = []
+        for attributes, result in zip(candidate_tuples, normality_stats.normality_rows(
+                features.standardized[rows])):
             score = 1.0 - result.normality_score
-            return ScoredCandidate(
+            results.append(ScoredCandidate(
                 attributes=attributes,
                 score=score,
                 details={
@@ -345,9 +350,8 @@ class NormalityInsight(_UnivariateNumericInsight):
                     "ks_statistic": result.ks_statistic,
                     "normality_score": 1.0 - score,
                 },
-            )
-
-        return self._safe(attributes, compute)
+            ))
+        return results
 
     def summarize(self, candidate: ScoredCandidate) -> str:
         name = candidate.attributes[0]

@@ -25,6 +25,8 @@ reproducible for any seed.
 
 from __future__ import annotations
 
+from statistics import NormalDist
+
 import numpy as np
 
 from repro.data.column import CategoricalColumn, NumericColumn
@@ -146,9 +148,8 @@ def load_oecd(seed: int = 2017) -> DataTable:
     # Time Devoted To Leisure must look normally distributed (section 4.1),
     # so it is built from normal quantiles of a random country ordering:
     # exactly symmetric in-sample, hence near-zero skewness.
-    from scipy import stats as scipy_stats
-
-    quantile_grid = scipy_stats.norm.ppf((np.arange(1, n + 1) - 0.5) / n)
+    quantile_grid = np.array(
+        [NormalDist().inv_cdf((i - 0.5) / n) for i in range(1, n + 1)])
     leisure = _standardize(quantile_grid[rng.permutation(n)])
     standardized: dict[str, np.ndarray] = {"TimeDevotedToLeisure": leisure}
 

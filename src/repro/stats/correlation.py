@@ -12,6 +12,7 @@ parameters for the scatter-plot visualization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -212,10 +213,8 @@ def correlation_confidence_interval(
     """
     if n < 4:
         return (-1.0, 1.0)
-    from scipy import stats as scipy_stats
-
     z = fisher_z(r)
     se = 1.0 / np.sqrt(n - 3)
-    z_crit = float(scipy_stats.norm.ppf(0.5 + confidence / 2.0))
+    z_crit = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     low, high = z - z_crit * se, z + z_crit * se
     return float(np.tanh(low)), float(np.tanh(high))

@@ -12,7 +12,10 @@ rows — and in both modes:
 * **every value is the statistic it claims to be**: within 1e-9 of a
   plain per-tuple reference written here (the loops the kernels replaced)
   or of scipy's ``spearmanr`` / ``chi2_contingency`` / ``kstest``;
-* average ranks equal ``scipy.stats.rankdata(method="average")`` exactly.
+* average ranks equal ``scipy.stats.rankdata(method="average")`` exactly;
+* the numpy ``ndtr`` is within 4 ULP of ``scipy.special.ndtr``, and the
+  normality kernel's KS distance, skewness and kurtosis are within 1e-12
+  of ``scipy.stats.kstest`` / ``skew`` / ``kurtosis``.
 """
 
 from __future__ import annotations
@@ -24,15 +27,18 @@ from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from repro import default_registry
 from repro.core.insight import MODE_APPROXIMATE, MODE_EXACT, EvaluationContext
 from repro.data import CategoricalColumn, ColumnKind, DataTable, Field, NumericColumn
+from repro.sketch.features import TableFeatures
 from repro.sketch.store import SketchStore, SketchStoreConfig
-from repro.stats.correlation import average_ranks
+from repro.stats.correlation import average_ranks, standardize
 from repro.stats.histogram import histogram_counts
 from repro.stats.multimodality import _smooth
+from repro.stats.normality import ndtr, normality_rows
 
 NUMERIC = ("n0", "n1", "n2")
 CATEGORICAL = ("c0", "c1", "c2")
@@ -307,3 +313,64 @@ def test_average_ranks_are_scipys_exactly(values):
     x = np.array(values, dtype=np.float64)
     assert average_ranks(x).tolist() == scipy_stats.rankdata(
         x, method="average").tolist()
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance in units in the last place between non-negative doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.floats(-38.0, 38.0), min_size=1, max_size=64))
+def test_ndtr_is_within_4_ulp_of_scipys(values):
+    x = np.array(values, dtype=np.float64)
+    assert _ulps(ndtr(x), scipy_special.ndtr(x)).max() <= 4
+
+
+def test_ndtr_is_exact_at_the_special_values():
+    x = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan])
+    got = ndtr(x)
+    assert got[:4].tolist() == [1.0, 0.0, 0.5, 0.5]
+    assert np.isnan(got[4])
+    assert _ulps(got[:4], scipy_special.ndtr(x[:4])).max() == 0
+    assert ndtr(x.reshape(1, 5)).shape == (1, 5)
+
+
+@st.composite
+def numeric_tables(draw) -> DataTable:
+    """Numeric columns only, around the 8-value floor: 7 and 8 rows are
+    drawn as often as the rest, and holes move a column across it."""
+    n_rows = draw(st.one_of(st.sampled_from((7, 8)), st.integers(1, 60)))
+    return DataTable([
+        NumericColumn(Field(name, ColumnKind.NUMERIC), draw(numeric_values(n_rows)))
+        for name in NUMERIC
+    ], name="generated")
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=numeric_tables())
+def test_normality_rows_are_scipys_kstest_skew_and_kurtosis(table):
+    # The complete columns as one block, as the insight class gathers
+    # them; a holey column alone, over its own values.
+    features = TableFeatures(table)
+    complete = [name for name in NUMERIC if name in features.complete]
+    got = dict(zip(complete, normality_rows(
+        features.standardized[features.numeric_rows(complete)])))
+    for name in NUMERIC:
+        x = _valid(table, name)
+        if name not in got and x.size:
+            (got[name],) = normality_rows(standardize(x[np.newaxis, :]))
+        result = got.get(name)
+        if x.size < 8:
+            assert result is None, (name, x)
+            continue
+        if np.ptp(x) == 0:
+            expected = (1.0, 0.0, -3.0)
+        else:
+            expected = (
+                scipy_stats.kstest(x, "norm", args=(x.mean(), x.std())).statistic,
+                scipy_stats.skew(x), scipy_stats.kurtosis(x))
+        assert result.n_values == x.size
+        got_values = (result.ks_statistic, result.skewness, result.excess_kurtosis)
+        for value, reference in zip(got_values, expected):
+            assert abs(value - reference) <= 1e-12, (name, got_values, expected)
