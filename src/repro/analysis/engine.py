@@ -14,9 +14,8 @@ A finding can be silenced with an inline comment::
 or, for statements too long to annotate inline, on the line directly
 above the offending statement::
 
-    # repro: allow(lock-order) — post-mark protocol, see comment below
-    with marked.lock:
-        ...
+    # repro: allow(durability-protocol) — startup recovery, one thread
+    state = self._journal.load(name, repair=True)
 
 Multiple rule ids may be listed, comma separated.  Every suppression
 must carry a reason; a reasonless or unused suppression is itself

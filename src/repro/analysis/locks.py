@@ -26,6 +26,8 @@ successful try-acquire still order whatever is taken underneath them.
 from __future__ import annotations
 
 import ast
+import functools
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -39,6 +41,7 @@ __all__ = [
     "ModuleLockModel",
     "extract_module",
     "collect_lock_sites",
+    "LockSiteResolver",
 ]
 
 RULE_ID = "lock-order"
@@ -694,8 +697,9 @@ def collect_lock_sites(
 ) -> dict[tuple[str, int], LockSite]:
     """Acquisition sites keyed by (resolved path, line) for the runtime shim.
 
-    Sites whose line carries a ``# repro: allow(lock-order)`` suppression
-    are excluded: the static allowance extends to runtime checking.
+    Sites whose line carries a suppression of this rule (an ``allow``
+    comment naming ``lock-order``) are excluded: the static allowance
+    extends to runtime checking.
     """
     table: dict[tuple[str, int], LockSite] = {}
     for path in iter_python_files(roots):
@@ -714,3 +718,36 @@ def collect_lock_sites(
                 continue
             table[(resolved, site.line)] = site
     return table
+
+
+_realpath = functools.lru_cache(maxsize=None)(os.path.realpath)
+
+
+class LockSiteResolver:
+    """Names the declared lock a running acquisition takes.
+
+    Shared by the runtime lock-order tracker and the lock-wait watchdog.
+    From the given frame it walks up the stack; the first frame in a file
+    of the site table decides — its line is a known acquisition site (the
+    lock's role and ``path:line``) or nothing resolves.
+    """
+
+    #: How far up the stack the walk looks for a site file.
+    max_frames = 20
+
+    def __init__(self, sites: dict[tuple[str, int], LockSite]):
+        self.sites = sites
+        self._files = {path for path, _line in sites}
+
+    def resolve(self, frame) -> tuple[str | None, str]:
+        for _ in range(self.max_frames):
+            if frame is None:
+                break
+            resolved = _realpath(frame.f_code.co_filename)
+            if resolved in self._files:
+                site = self.sites.get((resolved, frame.f_lineno))
+                if site is not None and site.lock_id is not None:
+                    return site.lock_id, f"{site.path}:{site.line}"
+                return None, ""
+            frame = frame.f_back
+        return None, ""

@@ -35,12 +35,14 @@ role                  level  lock
 serialises whole apply passes and takes entry/registry locks inside
 them, never the reverse.
 
-``entry < registry`` matches the hot paths: ``_locked_entry`` holders
-call back into the registry (``_entry``/``_next_version``) while the
-entry lock is held.  ``register()`` intentionally inverts this twice
-while publishing a replacement entry; both sites carry reasoned
-``# repro: allow(lock-order)`` suppressions explaining why they cannot
-deadlock (post-mark bail-out protocol / unpublished entry).
+``entry < registry`` matches every path: ``_locked_entry`` holders
+call back into the registry (``_entry``, the version mint of
+``_begin_generation_locked``) while the entry lock is held, and a registration takes its new entry's lock
+*before* the registry lock it publishes the entry under
+(``_claimed_entry``).  A name keeps one entry object for as long as it
+is registered — a reload, a replace and a replica reset are all a new
+generation on that object under its lock — so no path needs the
+inverse nesting.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ against the per-thread stack of roles already held:
 * acquiring a lower-level role while holding a higher one → violation;
 * re-entering a non-reentrant role → violation.
 
-Sites whose line carries a ``# repro: allow(lock-order)`` suppression are
-absent from the site table, so a static allowance extends to runtime.
+Sites whose line carries a suppression of the lock-order rule are absent
+from the site table, so a static allowance extends to runtime.
 Acquisitions from unresolved sites (test helpers, third-party code) are
 ignored rather than guessed at: the tracker only ever reasons about
 locks it can name, which also keeps it safe around ``threading.
@@ -37,12 +37,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .locks import LockSite, collect_lock_sites
+from .locks import LockSite, LockSiteResolver, collect_lock_sites
 from .project import DEFAULT_CONFIG, ProjectConfig
 
 __all__ = ["LockTracker", "LockOrderViolation", "install_from_env"]
-
-_MAX_FRAMES = 20
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class LockTracker:
         self.config = config or DEFAULT_CONFIG
         self.violations: list[LockOrderViolation] = []
         self._sites: dict[tuple[str, int], LockSite] = {}
-        self._files: set[str] = set()
+        self._resolver = LockSiteResolver(self._sites)
         self._levels = {spec.lock_id: spec.level for spec in self.config.locks}
         self._reentrant = {spec.lock_id for spec in self.config.locks if spec.reentrant}
         self._declared: dict[int, str] = {}
@@ -117,7 +115,6 @@ class LockTracker:
         self._installed = False
         self._orig_lock = None
         self._orig_rlock = None
-        self._realpaths: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # Installation
@@ -129,7 +126,7 @@ class LockTracker:
 
             roots = [Path(repro.__file__).resolve().parent]
         self._sites = collect_lock_sites(roots, self.config)
-        self._files = {path for path, _line in self._sites}
+        self._resolver = LockSiteResolver(self._sites)
         if self._installed:
             return self
         self._orig_lock = threading.Lock
@@ -168,29 +165,12 @@ class LockTracker:
             self._held.stack = stack
         return stack
 
-    def _realpath(self, filename: str) -> str:
-        cached = self._realpaths.get(filename)
-        if cached is None:
-            cached = os.path.realpath(filename)
-            self._realpaths[filename] = cached
-        return cached
-
     def _resolve(self, lock) -> tuple[str | None, str]:
         declared = self._declared.get(id(lock))
         if declared is not None:
             return declared, "<declared>"
-        frame = sys._getframe(2)  # _resolve <- _on_acquire <- acquire
-        for _ in range(_MAX_FRAMES):
-            if frame is None:
-                break
-            filename = self._realpath(frame.f_code.co_filename)
-            if filename in self._files:
-                site = self._sites.get((filename, frame.f_lineno))
-                if site is not None and site.lock_id is not None:
-                    return site.lock_id, f"{site.path}:{site.line}"
-                return None, ""
-            frame = frame.f_back
-        return None, ""
+        # _resolve <- _on_acquire <- acquire
+        return self._resolver.resolve(sys._getframe(2))
 
     def _on_acquire(self, lock, blocking: bool) -> None:
         role, site = self._resolve(lock)

@@ -34,7 +34,6 @@ Three independent detectors, each emitting structured events through
 from __future__ import annotations
 
 import asyncio
-import os
 import sys
 import threading
 import time
@@ -50,8 +49,6 @@ __all__ = [
     "install_lock_wait",
     "uninstall_lock_wait",
 ]
-
-_MAX_FRAMES = 20
 
 
 class LoopLagMonitor:
@@ -239,9 +236,13 @@ class LockWaitWatchdog:
         self._trips = 0
         self._unattributed = 0
         self._recent: deque[dict[str, Any]] = deque(maxlen=8)
-        self._sites: dict[tuple[str, int], Any] = {}
-        self._files: set[str] = set()
-        self._realpaths: dict[str, str] = {}
+        # Imported here, not at module top: the analyzer stays off the
+        # serving import path unless a watchdog is wanted.
+        from repro.analysis.locks import LockSiteResolver
+
+        #: Names a waiting acquisition's declared lock role; empty (so
+        #: nothing resolves) until install() loads the site table.
+        self._resolver = LockSiteResolver({})
         self._installed = False
         self._orig_lock = None
         self._orig_rlock = None
@@ -252,15 +253,15 @@ class LockWaitWatchdog:
     def install(self, roots=None) -> "LockWaitWatchdog":
         from pathlib import Path
 
-        from repro.analysis.locks import collect_lock_sites
+        from repro.analysis.locks import LockSiteResolver, collect_lock_sites
         from repro.analysis.project import DEFAULT_CONFIG
 
         if roots is None:
             import repro
 
             roots = [Path(repro.__file__).resolve().parent]
-        self._sites = collect_lock_sites(roots, DEFAULT_CONFIG)
-        self._files = {path for path, _line in self._sites}
+        self._resolver = LockSiteResolver(
+            collect_lock_sites(roots, DEFAULT_CONFIG))
         if self._installed:
             return self
         self._orig_lock = threading.Lock
@@ -288,29 +289,9 @@ class LockWaitWatchdog:
     # ------------------------------------------------------------------
     # Wait reporting
     # ------------------------------------------------------------------
-    def _realpath(self, filename: str) -> str:
-        cached = self._realpaths.get(filename)
-        if cached is None:
-            cached = os.path.realpath(filename)
-            self._realpaths[filename] = cached
-        return cached
-
-    def _resolve(self) -> tuple[str | None, str]:
-        frame = sys._getframe(2)  # _resolve <- _on_wait <- acquire
-        for _ in range(_MAX_FRAMES):
-            if frame is None:
-                break
-            filename = self._realpath(frame.f_code.co_filename)
-            if filename in self._files:
-                site = self._sites.get((filename, frame.f_lineno))
-                if site is not None and site.lock_id is not None:
-                    return site.lock_id, f"{site.path}:{site.line}"
-                return None, ""
-            frame = frame.f_back
-        return None, ""
-
     def _on_wait(self, waited: float) -> None:
-        role, site = self._resolve()
+        # The walk starts at the proxy's acquire (_on_wait's caller).
+        role, site = self._resolver.resolve(sys._getframe(1))
         if role is None:
             # Only report locks the site table can name (third-party and
             # test-helper locks stay out, mirroring the runtime tracker).

@@ -52,7 +52,7 @@ from repro.ingest.durable import (
 from repro.obs import events as obs_events
 from repro.obs.config import ObsConfig
 from repro.obs.tracer import Tracer, obs_span
-from repro.service.workspace import Workspace, _DatasetEntry
+from repro.service.workspace import Workspace
 
 
 class FeedSource:
@@ -226,27 +226,17 @@ class ReplicaWorkspace(Workspace):
 
     def _apply_reset(self, name: str, rs: _ReplicaDataset,
                      batch: FeedBatch) -> None:
-        """Adopt a full bootstrap state (late join / generation change)."""
+        """Adopt a full bootstrap state (late join / generation change)
+        as a new generation of the dataset's entry."""
         state = batch.reset
         assert state is not None
-        existing: _DatasetEntry | None
-        with self._lock:
-            existing = self._entries.get(name)
-        if (existing is not None and rs.position is not None
+        if (name in self and rs.position is not None
                 and rs.position == batch.position):
             # The primary answered a reset for the position we already
             # hold (e.g. a fresh feed instance): nothing to redo.
             rs.primary_seq = batch.primary_seq
             return
-        if existing is not None:
-            # Same replace protocol as register(): mark the old entry
-            # superseded under its own lock so in-flight queries retry
-            # onto the replacement, then publish.
-            with existing.lock:
-                existing.superseded = True
-        self._pending_entry(name, state, loader=None,
-                            engine_config=self._restored_config(state))
-        self._cache.invalidate(name)
+        self._adopt(name, state)
         rs.position = batch.position
         rs.primary_seq = batch.primary_seq
         rs.resets += 1

@@ -133,17 +133,21 @@ class _DatasetEntry(DatasetState):
     The inherited :class:`~repro.ingest.durable.DatasetState` fields
     (``table``, ``engine``, ``ingest``, ``engine_builds``, ``loads``) are
     what the journal determines; they advance only through the dataset
-    transition (:meth:`Workspace._machine`).
+    transition (:meth:`Workspace._machine`).  One entry serves a name for
+    as long as it is registered: every new generation — registration,
+    reload, replace, a restart's or a replica's adoption — is
+    :meth:`Workspace._begin_generation_locked` on this same object.
     """
 
     name: str
-    loader: Callable[[], DataTable] | None
-    engine_config: EngineConfig | None
-    version: int = 1
+    loader: Callable[[], DataTable] | None = None
+    engine_config: EngineConfig | None = None
+    version: int = 0
     #: Guards lazy loading/building and version bumps for this dataset.
     #: Reentrant because building the engine loads the table under the
-    #: same lock.
-    lock: threading.RLock = field(default_factory=threading.RLock)
+    #: same lock.  The factory is looked up per entry, so a lock tracer
+    #: (``REPRO_DEBUG_LOCKS=1``) installed after import wraps it too.
+    lock: threading.RLock = field(default_factory=lambda: threading.RLock())
     #: True when this entry was reconstructed from the durable journal
     #: (restart replay) rather than registered fresh this process.
     restored: bool = False
@@ -156,12 +160,6 @@ class _DatasetEntry(DatasetState):
     rebuild_running: bool = False
     #: The last background-rebuild failure, if any (surfaced in stats).
     rebuild_error: str | None = None
-    #: Set (under this entry's lock) when a replace-registration installs
-    #: a new entry over this one.  Version checks can't detect that —
-    #: replacement swaps the whole object, never mutating the old one —
-    #: so holders of a stale entry (a background rebuild's off-lock
-    #: build) re-check this flag before journalling or swapping.
-    superseded: bool = False
 
 
 class _JournalFailureReport:
@@ -267,10 +265,9 @@ class Workspace:
         #: Guards the registry of entries (not per-dataset state).
         self._lock = threading.RLock()
         #: Monotonic per-name version counters.  Versions must never
-        #: repeat across re-registrations: a reload racing a
-        #: register(replace=True) that minted the same number twice would
-        #: make a stale cached response reachable under the new
-        #: generation's key.
+        #: repeat, not even across a registration that failed and left
+        #: the name free: a number minted twice would make a stale cached
+        #: response reachable under the new generation's key.
         self._version_counters: dict[str, int] = {}
         #: Lazily created 2-worker pool for background sketch rebuilds
         #: (the budget-triggered rebuild runs here, off the append path).
@@ -301,18 +298,6 @@ class Workspace:
         if self._closed:
             raise ServiceError("workspace is closed")
 
-    def _next_version(self, name: str) -> int:
-        with self._lock:
-            version = self._version_counters.get(name, 0) + 1
-            self._version_counters[name] = version
-            return version
-
-    def _adopt_version(self, name: str, version: int) -> None:
-        """Continue the persisted version counter across restarts."""
-        with self._lock:
-            if version > self._version_counters.get(name, 0):
-                self._version_counters[name] = version
-
     # ------------------------------------------------------------------
     # Durable recovery (restart replay)
     # ------------------------------------------------------------------
@@ -329,17 +314,17 @@ class Workspace:
         assert self._journal is not None
         for name in self._journal.dataset_names():
             # repro: allow(durability-protocol) — startup recovery runs in
-            # __init__ before any entry (or its lock) exists and before the
-            # workspace is visible to other threads; repair truncation of a
-            # torn tail cannot race anything.
+            # __init__ before this dataset's entry (or its lock) exists and
+            # before the workspace is visible to other threads; repair
+            # truncation of a torn tail cannot race anything.
             state = self._journal.load(name, repair=True)
             if state is None:
                 continue
-            self._adopt_version(name, state.version)
             if state.snapshot is not None:
-                self._pending_entry(name, state, loader=None,
-                                    engine_config=self._restored_config(state))
+                self._adopt(name, state)
             else:
+                # Versions continue past the stashed generation's.
+                self._version_counters[name] = state.version
                 self._pending_recovery[name] = state
 
     def _restored_config(
@@ -361,52 +346,69 @@ class Workspace:
             return engine_config_from_payload(state.engine_config)
         return supplied
 
-    @staticmethod
-    def _config_payload(entry: _DatasetEntry) -> dict[str, Any] | None:
-        """The entry's custom engine config as a journal payload.
+    def _adopt(self, name: str, state: DurableState) -> None:
+        """Serve durable ``state`` (a restart's snapshot, a replica's
+        bootstrap) as a new generation of ``name``'s entry: exact
+        ``(version, seq)`` now, the heavy replay at first use."""
+        with self._claimed_entry(name) as (entry, _created):
+            self._begin_generation_locked(
+                entry, loader=None, table=None,
+                engine_config=self._restored_config(state), pending=state)
 
-        None means the workspace default applied, which a restart
-        resolves identically — only explicit configs need persisting.
-        """
-        if entry.engine_config is None:
-            return None
-        return engine_config_to_payload(entry.engine_config)
-
-    def _pending_entry(
+    def _begin_generation_locked(
         self,
-        name: str,
-        state: DurableState,
+        entry: _DatasetEntry,
+        *,
         loader: Callable[[], DataTable] | None,
+        table: DataTable | None,
         engine_config: EngineConfig | None,
-    ) -> _DatasetEntry:
-        """An entry adopting durable state, its heavy replay deferred."""
-        entry = _DatasetEntry(
-            name=name,
-            loader=loader,
-            table=None,
-            engine_config=engine_config,
-            version=state.version,
-            ingest=fold_records(state.base_log(), state.records),
-            restored=True,
-            pending=state,
-        )
+        pending: DurableState | None = None,
+        reload: bool = False,
+    ) -> int:
+        """Start a new generation on ``entry`` (entry lock held).
+
+        The one way a dataset gets one — first registration, reload,
+        replace, and a restart's or a replica's adoption of ``pending``
+        durable state.  Returns its version.  In order:
+
+        1. **stage**: mint the version (or take ``pending``'s) and the
+           generation's log, fresh or folded from ``pending``'s records;
+        2. **disk**: a table-backed generation snapshots its rows, a
+           loader-backed one starts its journal segment (adopted state
+           is already on disk).  Both writes are failure-atomic, so one
+           that raises leaves disk *and* memory on the old generation;
+        3. **memory**: only then are the entry's fields assigned.  Every
+           generation but a reload's starts the lifetime counters over,
+           as a new entry would;
+        4. **invalidate** the dataset's cached replies.
+        """
+        name = entry.name
         with self._lock:
-            self._entries[name] = entry
-        self._adopt_version(name, state.version)
-        # Account the on-disk bytes immediately (they are known without
-        # materialising): otherwise the debug/metrics surfaces read 0
-        # journal/snapshot bytes for every recovered dataset until its
-        # first query.  Only the disk rows — table/sketch bytes really
-        # are 0 until replay runs, and the entry lock (which the full
-        # _account_entry expects) may not be takeable under the registry
-        # lock some callers hold here.
-        if self._journal is not None and self._obs_config.resources_enabled:
-            usage = self._journal.disk_usage(name)
-            self._ledger.set("journal_disk", usage["journal_bytes"],
-                             dataset=name)
-            self._ledger.set("snapshot_disk", usage["snapshot_bytes"],
-                             dataset=name)
-        return entry
+            latest = self._version_counters.get(name, 0)
+            version = latest + 1 if pending is None else pending.version
+            self._version_counters[name] = max(latest, version)
+        ingest = (IngestLog() if pending is None
+                  else fold_records(pending.base_log(), pending.records))
+        if self._journal is not None and pending is None:
+            if table is not None:
+                self._write_snapshot_locked(
+                    name, version, DatasetState(table=table, ingest=ingest),
+                    engine_config)
+            else:
+                self._journal.begin_generation(name, version, engine_config=(
+                    None if engine_config is None
+                    else engine_config_to_payload(engine_config)))
+        entry.version, entry.loader, entry.engine_config = (
+            version, loader, engine_config)
+        entry.table, entry.engine, entry.ingest, entry.pending = (
+            table, None, ingest, pending)
+        if not reload:
+            entry.engine_builds = entry.loads = 0
+            entry.restored = pending is not None
+            entry.rebuild_error = None
+        self._account_entry(entry)
+        self._cache.invalidate(name)
+        return version
 
     def _materialize(self, entry: _DatasetEntry) -> None:
         """Run the deferred journal replay (caller holds the entry lock).
@@ -492,42 +494,48 @@ class Workspace:
                     raise
         machine.commit(record, staged)
 
-    def _write_snapshot_locked(self, entry: _DatasetEntry) -> None:
-        """Persist a compaction snapshot (caller holds the entry lock).
+    def _write_snapshot_locked(
+        self,
+        name: str,
+        version: int,
+        state: DatasetState,
+        engine_config: EngineConfig | None,
+    ) -> None:
+        """Persist ``state`` as generation ``version``'s compaction
+        snapshot (caller holds the entry lock).
 
         Only legal when the engine state is reproducible from the table
         rows plus the ``(base_rows, catch-up)`` split — i.e. right after
         a full rebuild, or while no approximate engine exists.
         """
-        if self._journal is None or entry.table is None:
+        if self._journal is None or state.table is None:
             return
-        log = entry.ingest
+        log = state.ingest
         payload = {
             "type": "snapshot",
-            "version": entry.version,
+            "version": version,
             "seq": log.seq,
-            "n_rows": entry.table.n_rows,
+            "n_rows": state.table.n_rows,
             "base_rows": log.base_rows,
-            "engine_built": (entry.engine is not None
-                             and entry.engine.store is not None),
+            "engine_built": (state.engine is not None
+                             and state.engine.store is not None),
             "counters": log.to_payload(),
-            "table": table_to_payload(entry.table),
+            "table": table_to_payload(state.table),
         }
-        config_payload = self._config_payload(entry)
-        if config_payload is not None:
+        if engine_config is not None:
             # A custom config must survive restarts with the rows: a
             # restored dataset rebuilt under the workspace default would
             # silently serve different results than the uninterrupted
-            # process.
-            payload["engine_config"] = config_payload
+            # process.  (None, the workspace default, resolves the same.)
+            payload["engine_config"] = engine_config_to_payload(engine_config)
         # An ambient child (or no-op outside any trace), never a root:
         # this runs under the entry lock, where completing a root trace
         # — the buffer drain plus a possible slow-request event — must
         # never happen.
-        with obs_span("journal.snapshot", dataset=entry.name) as span:
+        with obs_span("journal.snapshot", dataset=name) as span:
             span.set_attribute("seq", log.seq)
-            span.set_attribute("n_rows", entry.table.n_rows)
-            self._journal.write_snapshot(entry.name, payload)
+            span.set_attribute("n_rows", state.table.n_rows)
+            self._journal.write_snapshot(name, payload)
 
     def _account_entry(self, entry: _DatasetEntry) -> None:
         """Re-size one dataset's memory-ledger rows (entry lock held).
@@ -572,17 +580,19 @@ class Workspace:
         ``source`` is either a concrete :class:`DataTable` or a
         zero-argument callable returning one; callables run lazily on
         first use and again on :meth:`reload`.  Re-registering an existing
-        name requires ``replace=True`` and behaves like a reload (version
-        bump + cache invalidation).
+        name requires ``replace=True``: like a reload it starts a new
+        generation of the same dataset (version bump + cache
+        invalidation), only from the new source, and a replace whose
+        generation cannot be made durable leaves the old one serving.
 
         With a durable ``data_dir``, registration is restart-aware:
 
         * a name whose journal was already restored at startup (from a
           snapshot) *adopts* the loader for future reloads instead of
           raising "already registered";
-        * a name with journalled state that needed its loader replays
-          the journal now, reconstructing the exact ``(version, seq)``
-          and sketch state the previous process held;
+        * a name with journalled state that needed its loader adopts
+          it, and first use replays the journal to the exact ``(version,
+          seq)`` and sketch state the previous process held;
         * a brand-new name starts a journal generation, and a concrete
           table is snapshotted so it survives restarts without a loader.
 
@@ -605,193 +615,45 @@ class Workspace:
                 "dataset source must be a DataTable or a zero-argument callable, "
                 f"got {type(source).__name__}"
             )
-        entry: _DatasetEntry | None = None
-        existing: _DatasetEntry | None = None
-        marked: _DatasetEntry | None = None
-        pending: DurableState | None = None
-        adopted = False
-        version = 0
-        while True:
-            with self._lock:
-                # Re-checked under the registry lock — the same lock
-                # close() sets _closed under — so a registration racing
-                # close() can never publish an entry (and then reopen
-                # journal handles) after the shutdown flush.  If the
-                # check fails after a prior iteration already marked the
-                # old entry, the mark MUST be rolled back: a superseded
-                # entry left current would spin every _locked_entry
-                # caller — close()'s flush_all included — forever.
-                # (Nesting marked.lock inside the held registry lock is
-                # safe here: post-mark, every acquirer of marked.lock
-                # checks the flag and bails before ever requesting the
-                # registry lock.)
-                try:
-                    self._check_open()
-                except BaseException:
-                    if (marked is not None
-                            and self._entries.get(name) is marked):
-                        # repro: allow(lock-order) — registry→entry inversion
-                        # is safe post-mark: every marked.lock acquirer checks
-                        # `superseded` and bails before requesting the
-                        # registry lock, so the inverse chain cannot complete.
-                        with marked.lock:
-                            marked.superseded = False
-                    raise
-                existing = self._entries.get(name)
-                if existing is not None and not replace:
-                    break  # adoption or duplicate error, handled below
-                if existing is None or existing is marked:
-                    # Atomic check-and-insert: the duplicate check, the
-                    # pending-recovery pop, the version mint and the
-                    # insertion happen under one registry-lock hold, so
-                    # two racing register() calls can never both pass
-                    # the not-registered check and silently clobber each
-                    # other's entry.
-                    pending = (
-                        self._pending_recovery.pop(name, None)
-                        if existing is None else None
-                    )
-                    if pending is not None and not replace:
-                        if pending.records or pending.snapshot is not None:
-                            if table is not None:
-                                # A concrete table can't silently replace
-                                # journalled rows; put the state back and
-                                # demand replace=True.
-                                self._pending_recovery[name] = pending
-                                raise ServiceError(
-                                    f"dataset {name!r} has journalled state "
-                                    "in the data dir; pass replace=True to "
-                                    "discard it"
-                                )
-                            self._pending_entry(
-                                name, pending, loader=loader,
-                                engine_config=self._restored_config(
-                                    pending, engine_config
-                                ),
-                            )
-                            return
-                        # Header-only journal (fresh generation, no
-                        # appends): adopt the persisted version and stay
-                        # lazy — an uninterrupted process would also
-                        # still be at that version, seq 0.
-                        self._adopt_version(name, pending.version)
-                    adopted = pending is not None and not replace
-                    version = (
-                        pending.version if adopted
-                        else self._next_version(name)
-                    )
-                    entry = _DatasetEntry(
-                        name=name,
-                        loader=loader,
-                        table=table,
-                        # A header-only adoption must still honour the
-                        # config persisted in the generation header —
-                        # appends journalled under it replay under it.
-                        engine_config=(
-                            self._restored_config(pending, engine_config)
-                            if adopted else engine_config
-                        ),
-                        version=version,
-                        restored=adopted,
-                    )
-                    # Publish with the entry lock already held (it is
-                    # unpublished, so acquiring it can never block or
-                    # deadlock): appends and queries racing this
-                    # registration block on the lock until the journal
-                    # generation below exists, instead of failing on a
-                    # segment-less dataset.
-                    # repro: allow(lock-order) — registry→entry inversion is
-                    # safe on a freshly built, not-yet-published entry: no
-                    # other thread can hold its lock, so the acquire can
-                    # never block, let alone deadlock.
-                    entry.lock.acquire()
-                    self._entries[name] = entry
-                    break
-            # Replace path: mark the current entry superseded — under
-            # its own lock, outside the registry lock (reload nests
-            # entry lock inside registry lock acquisitions, so the
-            # inverse nesting could deadlock) — then loop to re-check it
-            # is still the current entry.  Taking the old entry's lock
-            # here also serialises against an in-flight background
-            # rebuild's swap section, which re-checks the flag before
-            # journalling; so a stale rebuild either sees the flag and
-            # discards itself, or finishes its journal writes strictly
-            # before the rotation below wipes them with the old
-            # generation.
-            with existing.lock:
-                existing.superseded = True
-            marked = existing
-        if entry is None:
-            assert existing is not None
-            if existing.restored and loader is not None:
+        with self._claimed_entry(name) as (entry, created):
+            # Journalled state a restart stashed for the name, waiting
+            # for its loader; a replace discards it.
+            stashed = entry.pending if created and not replace else None
+            if stashed is not None and table is None:
+                # The journal's generation continues, under the config
+                # its appends were journalled with.
+                self._begin_generation_locked(
+                    entry, loader=loader, table=None,
+                    engine_config=self._restored_config(stashed,
+                                                        engine_config),
+                    pending=stashed)
+            elif stashed is not None and stashed.records:
+                # A concrete table can't silently replace journalled rows.
+                raise ServiceError(
+                    f"dataset {name!r} has journalled state in the data "
+                    "dir; pass replace=True to discard it"
+                )
+            elif created or replace:
+                self._check_open()
+                self._begin_generation_locked(
+                    entry, loader=loader, table=table,
+                    engine_config=engine_config)
+            elif entry.restored and loader is not None:
                 # Restart adoption: the journal already rebuilt this
                 # dataset from its snapshot; the loader only serves
                 # future reloads.  (The persisted engine config, when
                 # the snapshot carried one, stays authoritative for the
                 # restored generation.)
-                with existing.lock:
-                    if existing.loader is None:
-                        existing.loader = loader
-                    if (existing.engine_config is None
-                            and existing.engine is None
-                            and engine_config is not None):
-                        existing.engine_config = engine_config
-                return
-            raise ServiceError(
-                f"dataset {name!r} is already registered; pass replace=True "
-                "to override it"
-            )
-        try:
-            if self._journal is not None:
-                if table is not None:
-                    # Inline tables must survive restarts without a
-                    # loader: the snapshot is their durable source of
-                    # truth.  The snapshot write rotates the generation
-                    # itself, which also clears any state being replaced.
-                    self._write_snapshot_locked(entry)
-                elif not adopted:
-                    self._journal.begin_generation(
-                        name, version,
-                        engine_config=self._config_payload(entry),
-                    )
-            self._account_entry(entry)
-        except BaseException:
-            # A failed journal write (ENOSPC, I/O error) must not leave
-            # the entry published with no generation segment: every
-            # append would fail forever and re-registration would demand
-            # replace=True.  Unpublish it — and for a failed *replace*,
-            # reinstate the old entry, which is still fully healthy: its
-            # engine, table and on-disk generation are untouched
-            # (rotation is failure-atomic and deletes old files only
-            # after the new segment is durable).
-            reinstated = False
-            with self._lock:
-                if self._entries.get(name) is entry:
-                    if existing is not None:
-                        self._entries[name] = existing
-                        reinstated = True
-                    else:
-                        del self._entries[name]
-                if pending is not None and name not in self._entries:
-                    # The on-disk journalled state is still intact
-                    # (rotation is failure-atomic): put the popped
-                    # recovery state back so a retried registration
-                    # still replays it — or still demands replace=True.
-                    self._pending_recovery[name] = pending
-            if reinstated:
-                # Clear the supersession flag only after the dict points
-                # back at the old entry: callers spinning in
-                # _locked_entry retry harmlessly in between, while a
-                # prematurely cleared flag would let a stale holder
-                # journal through a dead object.
-                with existing.lock:
-                    existing.superseded = False
-            entry.superseded = True
-            raise
-        finally:
-            entry.lock.release()
-        if existing is not None:
-            self._cache.invalidate(name)
+                if entry.loader is None:
+                    entry.loader = loader
+                if (entry.engine_config is None and entry.engine is None
+                        and engine_config is not None):
+                    entry.engine_config = engine_config
+            else:
+                raise ServiceError(
+                    f"dataset {name!r} is already registered; pass "
+                    "replace=True to override it"
+                )
 
     def datasets(self) -> list[str]:
         """Registered dataset names, in registration order."""
@@ -804,20 +666,15 @@ class Workspace:
 
     def version(self, name: str) -> int:
         """The current version of a dataset (bumped on every reload)."""
-        entry = self._entry(name)
-        with entry.lock:
-            return entry.version
+        return self.state(name)[0]
 
     def seq(self, name: str) -> int:
         """The dataset's append-journal position (0 = no appends yet)."""
-        entry = self._entry(name)
-        with entry.lock:
-            return entry.ingest.seq
+        return self.state(name)[1]
 
     def state(self, name: str) -> tuple[int, int]:
         """The dataset's full ingestion identity ``(version, seq)``."""
-        entry = self._entry(name)
-        with entry.lock:
+        with self._locked_entry(name) as entry:
             return entry.version, entry.ingest.seq
 
     def table(self, name: str) -> DataTable:
@@ -841,8 +698,7 @@ class Workspace:
 
     def engine_builds(self, name: str) -> int:
         """How many times this dataset's engine has been built."""
-        entry = self._entry(name)
-        with entry.lock:
+        with self._locked_entry(name) as entry:
             return entry.engine_builds
 
     def reload(self, name: str) -> int:
@@ -855,46 +711,16 @@ class Workspace:
         """
         with self._locked_entry(name) as entry:
             self._check_open()
-            if entry.pending is not None:
-                if entry.loader is not None:
-                    # A reload discards the generation anyway: skip the
-                    # deferred replay entirely, the loader re-runs fresh.
-                    entry.pending = None
-                else:
-                    # Snapshot-backed, no loader: the kept rows ARE the
-                    # deferred state — replay before rotating under them.
-                    self._materialize(entry)
-            version = self._next_version(name)
-            table_backed = entry.loader is None and entry.table is not None
-            if self._journal is not None and not table_backed:
-                # Rotate the durable journal — fsynced new-generation
-                # segment first, stale files deleted after — BEFORE the
-                # in-memory swap.  A crash anywhere in this window
-                # therefore recovers to either the old generation intact
-                # or the new one empty; the previous generation's deltas
-                # can never replay onto the new version.
-                self._journal.begin_generation(
-                    name, version,
-                    engine_config=self._config_payload(entry),
-                )
-            if entry.loader is not None:
-                entry.table = None
-            entry.engine = None
-            entry.version = version
-            # A reload starts a new generation: the append journal (and
-            # its sequence numbers) reset with the version bump, so
-            # (version, seq) pairs never repeat.
-            entry.ingest = IngestLog()
-            if self._journal is not None and table_backed:
-                # Table-backed datasets have no loader to re-run on
-                # restart: the kept rows persist under the new version.
-                # The snapshot write performs the rotation itself —
-                # new-generation snapshot first (the old generation's
-                # own snapshot stays untouched until the new segment is
-                # durable), so no crash window loses the only copy.
-                self._write_snapshot_locked(entry)
-            self._account_entry(entry)
-        self._cache.invalidate(name)
+            if entry.loader is None:
+                # The kept rows are the new generation's base: run any
+                # deferred replay that still holds them.  (A loader
+                # re-runs fresh, so its pending replay is simply dropped
+                # once the new generation is durable.)
+                self._materialize(entry)
+            version = self._begin_generation_locked(
+                entry, loader=entry.loader,
+                table=entry.table if entry.loader is None else None,
+                engine_config=entry.engine_config, reload=True)
         obs_events.emit("generation_rotation", dataset=name, version=version,
                         durable=self._journal is not None)
         return version
@@ -985,7 +811,8 @@ class Workspace:
                 if applied == APPLIED_REBUILD:
                     # A full rebuild makes the sketch state a pure
                     # function of the rows: the natural compaction point.
-                    self._write_snapshot_locked(entry)
+                    self._write_snapshot_locked(
+                        name, version, entry, entry.engine_config)
                 self._account_entry(entry)
             append_span.set_attribute("applied", applied)
             append_span.set_attribute("seq", seq)
@@ -1030,14 +857,11 @@ class Workspace:
         """
         if self._closed:
             return None
-        entry = self._entry(name)
         # Roots its own trace: background rebuilds run on a maintenance
         # thread with no ambient request span.
         with (self._tracer.span("workspace.rebuild", dataset=name) as rebuild_span,
               _journal_failure_reported):
-            with entry.lock:
-                if entry.superseded:
-                    return None
+            with self._locked_entry(name) as entry:
                 self._materialize(entry)
                 engine = entry.engine
                 if engine is None:
@@ -1061,21 +885,16 @@ class Workspace:
                 fresh = Foresight(base_table, registry=engine.registry,
                                   config=engine.config)
             with entry.lock:
-                # A reload bumps the version on this same entry; a
-                # replace-registration installs a whole new entry and
-                # flags this one (version comparison alone can't see
-                # that — the stale object's version never changes).
-                # Either way the rebuild is superseded: it must not
-                # swap, and above all it must not journal into or
-                # snapshot over the generation that replaced it.  The
-                # flag is set under this lock, so the check is atomic
-                # with the journal writes below.  _closed is re-checked
-                # too: the off-lock build ran outside any lock, so
-                # close() — which only waits on the maintenance pool and
-                # the entry locks — may have flushed and closed the
-                # journal under a direct rebuild() call in the meantime.
-                if (entry.superseded or self._closed
-                        or entry.version != version or entry.engine is None):
+                # A moved version means a reload or replace started a
+                # new generation while the build ran: this rebuild must
+                # not swap, let alone journal into or snapshot over it.
+                # The version only moves under this lock, so the check
+                # is atomic with the writes below.  _closed is re-checked
+                # too: close() waits only on the maintenance pool and the
+                # entry locks, so it may have closed the journal under a
+                # direct rebuild() call's off-lock build.
+                if (self._closed or entry.version != version
+                        or entry.engine is None):
                     return None
                 if entry.engine.store is None:  # pragma: no cover - defensive
                     return None
@@ -1091,7 +910,8 @@ class Workspace:
                 }
                 self._transition_locked(entry, record, fresh=fresh)
                 entry.rebuild_error = None
-                self._write_snapshot_locked(entry)
+                self._write_snapshot_locked(
+                    name, entry.version, entry, entry.engine_config)
                 self._account_entry(entry)
             with self._stats_lock:
                 self._ingest_totals["rebuilds"] += 1
@@ -1253,7 +1073,7 @@ class Workspace:
         is snapshotted atomically, so a response's ``dataset_version``
         always matches the engine that produced it; a reload racing with
         an in-flight request at worst leaves one response cached under
-        the superseded version, where the version-qualified key makes it
+        the old version, where the version-qualified key makes it
         unreachable.
         """
         return self._serve(self._coerce_request(request), self._handle_traced)
@@ -1296,8 +1116,7 @@ class Workspace:
         if entry is None or not entry.lock.acquire(blocking=False):
             return None
         try:
-            if (entry.superseded or entry.engine is None
-                    or entry.pending is not None):
+            if entry.engine is None or entry.pending is not None:
                 return None
             return entry.version, entry.ingest.seq
         finally:
@@ -1601,24 +1420,57 @@ class Workspace:
 
     @contextmanager
     def _locked_entry(self, name: str):
-        """The dataset's *current* entry, locked.
+        """The dataset's entry, locked.
 
-        Between fetching an entry and acquiring its lock, a
-        replace-registration can install a whole new entry — the fetched
-        one is then a dead object whose journal handle now points into
-        the replacement's generation, so mutating (or journalling
-        through) it would corrupt the replacement's state.  The replace
-        path marks the old entry ``superseded`` under its own lock
-        before rotating, so re-checking the flag once the lock is held
-        detects the race; losers simply retry on the current entry.
+        Between fetching an entry and locking it, a registration whose
+        first generation failed can unpublish the entry it created —
+        the only way an entry ever leaves the registry, since every later
+        generation reuses the object.  So one identity re-check under the
+        lock suffices; a caller whose entry is gone retries on the name.
         """
         while True:
             entry = self._entry(name)
             with entry.lock:
-                if entry.superseded:
-                    continue  # replaced while we waited on its lock
-                yield entry
-                return
+                if self._entries.get(name) is entry:
+                    yield entry
+                    return
+
+    @contextmanager
+    def _claimed_entry(self, name: str):
+        """``(entry, created)``: the name's entry, locked — created and
+        published if the name is free.
+
+        A new entry is published with its lock already held, taken
+        before the registry lock (the declared order), so racing callers
+        wait on it until its first generation is durable.  It starts out
+        holding, as ``pending``, any journalled state a restart stashed
+        for the name.  If the block raises, a created entry is
+        unpublished — its stash put back — before its lock is released.
+        The publish re-checks ``_closed`` under the lock close() sets it
+        under, so nothing publishes after the shutdown flush.
+        """
+        while True:
+            entry = _DatasetEntry(name=name)
+            with entry.lock:
+                with self._lock:
+                    self._check_open()
+                    existing = self._entries.setdefault(name, entry)
+                    if existing is entry:
+                        entry.pending = self._pending_recovery.pop(name, None)
+                if existing is entry:
+                    try:
+                        yield entry, True
+                    except BaseException:
+                        with self._lock:
+                            del self._entries[name]
+                            if entry.pending is not None:
+                                self._pending_recovery[name] = entry.pending
+                        raise
+                    return
+            with existing.lock:
+                if self._entries.get(name) is existing:
+                    yield existing, False
+                    return
 
     def _engine_snapshot(self, name: str) -> tuple[Foresight, int, int]:
         """The dataset's engine, version and seq, consistent under concurrency.

@@ -24,10 +24,11 @@ def test_live_tree_has_zero_unsuppressed_findings():
 def test_every_suppression_in_tree_is_used_and_reasoned():
     # A clean report already implies this (unused or reasonless
     # suppressions are findings), so just pin the current allowance
-    # budget: growing it is a reviewable event, not an accident.
+    # budget: growing it is a reviewable event, not an accident.  The one
+    # allowance is startup recovery's repairing journal load.
     report = build_analyzer().run([PACKAGE_ROOT])
     assert report.ok
-    assert len(report.suppressed) <= 3, (
+    assert len(report.suppressed) <= 1, (
         "new suppressed findings appeared; each needs review:\n"
         + "\n".join(f.render() for f in report.suppressed)
     )

@@ -891,45 +891,90 @@ class TestRecoveryHardening:
         assert "late" not in workspace
         assert workspace._journal._handles == {}
 
-    def test_close_racing_replace_rolls_the_mark_back(
-        self, tmp_path, base_table, monkeypatch
-    ):
-        """close() landing between a replace's supersession mark and its
-        install must roll the mark back: a superseded entry left
-        current would spin every _locked_entry caller — close()'s own
-        flush_all included — forever."""
+    def test_replace_racing_close_is_refused(self, tmp_path, base_table,
+                                             monkeypatch):
+        """The replace variant: close() landing right after register()'s
+        first check refuses the replace, starts no generation, and the
+        old dataset stays current and lockable — a reader completes."""
         workspace = Workspace(data_dir=str(tmp_path))
         workspace.register("live", base_table)
-
         real_check = Workspace._check_open
-        calls = {"n": 0}
+        armed = {"v": True}
 
         def racing_check(self):
-            # Call 1 = register() entry, call 2 = loop pass that marks
-            # the old entry, call 3 = the re-check after the mark: the
-            # workspace "closes" exactly in that window.
-            calls["n"] += 1
-            if calls["n"] == 3:
-                self._closed = True
             real_check(self)
+            if armed["v"]:
+                armed["v"] = False
+                self.close()
 
         monkeypatch.setattr(Workspace, "_check_open", racing_check)
         with pytest.raises(ServiceError, match="closed"):
             workspace.register("live", _base_table(), replace=True)
-        monkeypatch.setattr(Workspace, "_check_open", real_check)
-
-        # The mark was rolled back: the old entry is current and
-        # lockable — a reader completes instead of spinning.
-        assert workspace._entry("live").superseded is False
-        result: list[int] = []
+        assert workspace._journal._handles == {}
+        result: list[tuple] = []
         reader = threading.Thread(
-            target=lambda: result.append(workspace.table("live").n_rows),
+            target=lambda: result.append((workspace.state("live"),
+                                          workspace.table("live").n_rows)),
             daemon=True)
         reader.start()
         reader.join(timeout=10)
-        assert result == [BASE_ROWS]
-        workspace._closed = False  # reopen the simulated close
-        workspace.close()
+        assert result == [((1, 0), BASE_ROWS)]
+
+    def test_failed_table_reload_keeps_memory_behind_disk(
+        self, tmp_path, base_table, stream, monkeypatch
+    ):
+        """A table-backed reload whose snapshot write fails changes
+        nothing: the old generation keeps taking appends, and a restart
+        holds every acknowledged one."""
+        live = Workspace(data_dir=str(tmp_path),
+                         ingest=IngestConfig(rebuild_fraction=float("inf")))
+        live.register("live", base_table)
+        live.append("live", stream[:5])
+        assert live.state("live") == (1, 1)
+
+        def full_disk(journal, name, payload):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DatasetJournal, "write_snapshot", full_disk)
+            with pytest.raises(OSError, match="No space left"):
+                live.reload("live")
+        assert live.state("live") == (1, 1)
+        appended = live.append("live", stream[5:8])
+        assert (appended.version, appended.seq) == (1, 2)
+        assert live.table("live").n_rows == BASE_ROWS + 8
+        live.close()
+
+        restarted = Workspace(data_dir=str(tmp_path))
+        assert restarted.state("live") == (1, 2)
+        assert restarted.table("live").n_rows == BASE_ROWS + 8
+        restarted.close()
+
+    def test_failed_reload_keeps_a_pending_replay(
+        self, tmp_path, base_table, stream, monkeypatch
+    ):
+        """A loader dataset restored but not yet replayed keeps its
+        deferred journal replay when a reload fails: live and restart
+        hold the same rows at the same identity."""
+        live = _open(tmp_path, base_table)
+        live.append("live", stream[:5])  # journalled, then "crash"
+        recovered = _open(tmp_path, base_table)
+        assert recovered.state("live") == (1, 1)
+
+        def full_disk(journal, name, version, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(DatasetJournal, "begin_generation", full_disk)
+            with pytest.raises(OSError, match="No space left"):
+                recovered.reload("live")
+        assert recovered.state("live") == (1, 1)
+        assert recovered.table("live").n_rows == BASE_ROWS + 5
+        recovered.close()
+        restarted = _open(tmp_path, base_table)
+        assert restarted.state("live") == (1, 1)
+        assert restarted.table("live").n_rows == BASE_ROWS + 5
+        restarted.close()
 
 
 class TestConcurrentAppends:

@@ -6,8 +6,8 @@ journal hold **the same state** at the same ``(version, seq)`` — the same
 ingest counters and byte-identical answers.  One transition function
 (:class:`repro.ingest.durable.ReplayMachine`) is what keeps that promise;
 this test generates interleavings of append / refused append / read /
-rebuild / restart / crash / replica sync / promote and checks it after
-every step.
+rebuild / reload / replace / refused new generation / restart / crash /
+replica sync / promote and checks it after every step.
 
 Every cold build is journalled as a marker, at seq 0 too, so the
 accuracy budget's ``base_rows`` is the same everywhere from the moment
@@ -34,6 +34,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+import repro.ingest.durable as durable
 from repro.data.datasets import make_mixed_table
 from repro.ingest import IngestConfig, IngestLog
 from repro.ingest.durable import fold_records
@@ -50,14 +51,25 @@ POOL = make_mixed_table(n_rows=256, n_numeric=3, n_categorical=2,
                         seed=22).to_records()
 PROBE = InsightRequest(dataset=NAME, insight_classes=("skew", "outliers"),
                        top_k=3)
+#: What a replace swaps in — inline, or through a loader returning it.
+#: BASE's schema, so the POOL rows still append.
+REPLACEMENTS = tuple(
+    make_mixed_table(n_rows=n_rows, n_numeric=3, n_categorical=2, seed=seed)
+    for n_rows, seed in ((90, 23), (150, 24)))
+LOADERS = tuple((lambda table=table: table) for table in REPLACEMENTS)
 #: No fsync (a *process* crash keeps flushed bytes, and the crash copies
 #: below see them); inline rebuilds, so the budget-triggered rebuild is a
 #: deterministic ``applied="rebuild"`` append rather than a timing race.
 INGEST = IngestConfig(fsync=False, background_rebuild=False)
 
 
-def _open(data_dir) -> Workspace:
-    return Workspace(data_dir=str(data_dir), ingest=INGEST)
+def _open(data_dir, loader=None) -> Workspace:
+    """A workspace on ``data_dir``; a loader-backed generation comes back
+    only once its loader is registered, as a restarted server does."""
+    workspace = Workspace(data_dir=str(data_dir), ingest=INGEST)
+    if loader is not None:
+        workspace.register(NAME, loader)
+    return workspace
 
 
 def _counters(workspace) -> dict:
@@ -87,6 +99,12 @@ class _TornWrites:
     def __getattr__(self, name):
         return getattr(self._handle, name)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
 
 class DatasetStateMachine(RuleBasedStateMachine):
     def __init__(self):
@@ -95,6 +113,8 @@ class DatasetStateMachine(RuleBasedStateMachine):
         self.data_dir = self.root / "primary"
         self.primary = _open(self.data_dir)
         self.primary.register(NAME, BASE)
+        #: The current generation's loader (None: table-backed).
+        self.loader = None
         self.replica = ReplicaWorkspace(LocalFeedSource(str(self.data_dir)))
         #: Has the replica synced since the primary last wrote?  (A build
         #: marker is a journal record that moves no ``seq``, so equal
@@ -107,6 +127,24 @@ class DatasetStateMachine(RuleBasedStateMachine):
         self.replica.close()
         self.primary.close()
         shutil.rmtree(self.root, ignore_errors=True)
+
+    def _replica_serves(self) -> bool:
+        """Can the replica answer for the dataset?  A generation a loader
+        started has no rows on disk until its first compaction snapshot,
+        and a replica has no loader to replay it from."""
+        if NAME not in self.replica:
+            return False
+        pending = self.replica._entry(NAME).pending
+        return pending is None or pending.snapshot is not None
+
+    def _observed(self, built: bool):
+        """What the live primary serves (read only if ``built`` — a read
+        would build, and journal), peeks and counts."""
+        primary = self.primary
+        # The read first: it fills the cache the peek then looks in.
+        answer = _payload(primary) if built else None
+        return (primary.state(NAME), primary.table(NAME).n_rows,
+                _counters(primary), answer, primary.peek_cached(PROBE))
 
     def _crash_copy(self) -> Path:
         """The data dir as a crash would leave it: copied without close()."""
@@ -130,14 +168,7 @@ class DatasetStateMachine(RuleBasedStateMachine):
         what it did before (restart and replica: the invariant)."""
         primary = self.primary
         built = primary.describe()[0]["engine_built"]
-
-        def observed():
-            # The read first: it fills the cache the peek then looks in.
-            answer = _payload(primary) if built else None
-            return (primary.state(NAME), primary.table(NAME).n_rows,
-                    _counters(primary), answer, primary.peek_cached(PROBE))
-
-        before = observed()
+        before = self._observed(built)
         journal = primary._journal
         handle = journal._handle(NAME)
         journal._handles[NAME] = _TornWrites(handle, torn)
@@ -146,7 +177,7 @@ class DatasetStateMachine(RuleBasedStateMachine):
                 primary.append(NAME, POOL[start:start + n])
         finally:
             journal._handles[NAME] = handle
-        assert observed() == before
+        assert self._observed(built) == before
 
     def _answered(self, body: dict) -> None:
         """A primary read answers from the current state, never an older one."""
@@ -181,6 +212,54 @@ class DatasetStateMachine(RuleBasedStateMachine):
         self.primary.reload(NAME)
         self.replica_caught_up = False
 
+    @rule(which=st.integers(0, len(REPLACEMENTS) - 1), loader=st.booleans())
+    def replace(self, which, loader):
+        """A new generation of the same dataset from a new source: an
+        inline table, or a loader a restart must be handed again."""
+        source = LOADERS[which] if loader else REPLACEMENTS[which]
+        self.primary.register(NAME, source, replace=True)
+        self.loader = source if loader else None
+        self.replica_caught_up = False
+
+    @rule(replace=st.booleans(), which=st.integers(0, len(REPLACEMENTS) - 1),
+          loader=st.booleans(), nth=st.integers(0, 1),
+          torn=st.integers(0, 4096))
+    def failed_generation(self, replace, which, loader, nth, torn):
+        """A reload or replace whose generation write runs out of disk
+        is refused whole: it raises, and the live workspace serves,
+        peeks and counts exactly what it did before (restart and
+        replica: the invariant).  A table-backed generation writes its
+        snapshot, then its segment; the ``nth`` of those writes lands
+        its first ``torn`` bytes and fails."""
+        if replace:
+            source = LOADERS[which] if loader else REPLACEMENTS[which]
+            table_backed = not loader
+        else:
+            table_backed = self.loader is None
+        fail_at = nth % (2 if table_backed else 1)
+        opened = []
+
+        def open_torn(path, mode="r", *args, **kwargs):
+            handle = open(path, mode, *args, **kwargs)
+            if "r" in mode:
+                return handle
+            opened.append(path)
+            return (_TornWrites(handle, torn) if len(opened) - 1 == fail_at
+                    else handle)
+
+        built = self.primary.describe()[0]["engine_built"]
+        before = self._observed(built)
+        durable.open = open_torn
+        try:
+            with pytest.raises(OSError, match="No space left"):
+                if replace:
+                    self.primary.register(NAME, source, replace=True)
+                else:
+                    self.primary.reload(NAME)
+        finally:
+            del durable.open
+        assert self._observed(built) == before
+
     @rule()
     def rebuild(self):
         self.primary.rebuild(NAME)
@@ -189,7 +268,7 @@ class DatasetStateMachine(RuleBasedStateMachine):
     @rule()
     def clean_restart(self):
         self.primary.close()
-        self.primary = _open(self.data_dir)
+        self.primary = _open(self.data_dir, self.loader)
 
     @rule()
     def crash_restart(self):
@@ -197,7 +276,7 @@ class DatasetStateMachine(RuleBasedStateMachine):
         self.primary.close()
         shutil.rmtree(self.data_dir)
         survivor.rename(self.data_dir)
-        self.primary = _open(self.data_dir)
+        self.primary = _open(self.data_dir, self.loader)
 
     @rule()
     def replica_sync(self):
@@ -207,7 +286,7 @@ class DatasetStateMachine(RuleBasedStateMachine):
     @rule()
     def replica_read(self):
         """A local read on a (possibly lagging, possibly empty) replica."""
-        if NAME in self.replica:
+        if self._replica_serves():
             self.replica.handle(PROBE)
 
     @precondition(lambda self: NAME in self.replica)
@@ -216,6 +295,8 @@ class DatasetStateMachine(RuleBasedStateMachine):
         """Failover: the promoted replica serves what it applied and takes
         writes; a fresh replica then takes its place behind the primary."""
         self.replica.sync()
+        if not self._replica_serves():
+            return  # nothing it could take over
         before = _counters(self.replica)
         if self.primary.describe()[0]["engine_built"]:
             assert before == _counters(self.primary)
@@ -235,9 +316,9 @@ class DatasetStateMachine(RuleBasedStateMachine):
         state = self.primary.state(NAME)
         [described] = self.primary.describe()
         built = described["engine_built"]
-        reopened = _open(self._crash_copy())
+        reopened = _open(self._crash_copy(), self.loader)
         others = [("restarted", reopened)]
-        if built and self.replica_caught_up:
+        if built and self.replica_caught_up and self._replica_serves():
             others.append(("replica", self.replica))
         try:
             live = _counters(self.primary)

@@ -337,6 +337,49 @@ class TestWorkspaceUnderConcurrency:
             assert workspace.datasets() == ["shared"]
             assert workspace.version("shared") == 1
 
+    def test_new_generations_take_the_entry_lock_before_the_registry(
+        self, tmp_path
+    ):
+        """Registration, replace and reload race on one name under the
+        runtime lock tracker — entry locks included — and never take the
+        entry lock (level 10) while holding the registry lock (20)."""
+        from repro.analysis.runtime import LockTracker, _TracedLock
+
+        table = make_mixed_table(n_rows=40, n_numeric=2, n_categorical=1,
+                                 seed=13)
+        tracker = LockTracker().install()
+        try:
+            workspace = Workspace(data_dir=str(tmp_path))
+            gate = threading.Barrier(6, timeout=10)
+            errors: list[Exception] = []
+
+            def race(index):
+                gate.wait()
+                try:
+                    if index < 2:
+                        workspace.register("shared", table)
+                    elif index < 4:
+                        workspace.register("shared", table, replace=True)
+                    else:
+                        workspace.reload("shared")
+                except ServiceError:
+                    pass  # a duplicate, or a reload before any register
+                except Exception as exc:  # noqa: BLE001 - surfaced below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=race, args=(index,))
+                       for index in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors
+            assert isinstance(workspace._entry("shared").lock, _TracedLock)
+            workspace.close()
+        finally:
+            tracker.uninstall()
+        assert tracker.violations == []
+
 
 class TestBackgroundRebuild:
     """Queries and appends racing an off-path rebuild stay consistent.
@@ -460,12 +503,12 @@ class TestBackgroundRebuild:
         """A rebuild that loses the race to register(replace=True) must
         vanish entirely.
 
-        The stale rebuild captured the old entry object, whose version
-        never changes when replacement installs a new entry — so without
-        an explicit supersession flag it would swap its engine in AND
-        journal its swap record + snapshot (old version!) into the
-        replacement's generation, destroying the replacement's only
-        durable copy and resurrecting the old dataset on restart.
+        The replace is a new generation on the same entry, so the
+        rebuild's swap section finds the version moved on under it.  A
+        rebuild that swapped anyway would journal its swap record and
+        snapshot (old version!) into the replacement's generation,
+        destroying the replacement's only durable copy and resurrecting
+        the old dataset on restart.
         """
         import repro.service.workspace as workspace_module
 
@@ -525,12 +568,10 @@ class TestBackgroundRebuild:
     ):
         """Fetching an entry and locking it is not atomic.
 
-        A replace-registration landing in that window leaves the caller
-        holding a dead entry whose journal handle now points into the
-        replacement's generation — appending through it would journal
-        the old dataset's rows (and seq) into the new generation.  The
-        locked-entry helper must detect the superseded entry and retry
-        on the current one.
+        A replace-registration landing in that window starts a new
+        generation on the very entry the caller fetched, so once the
+        caller holds the lock it appends onto the replacement — never
+        the old dataset's rows (and seq) into the new generation.
         """
         stream = self._stream()
         workspace = Workspace(

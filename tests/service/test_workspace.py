@@ -222,9 +222,7 @@ class TestPeekCached:
         assert json.loads(workspace.peek_cached(_request()))["dataset_seq"] == 1
         workspace.reload("oecd")
         assert workspace.peek_cached(_request()) is None      # engine is cold
-        superseded = workspace._entry("oecd")
         workspace.register("oecd", load_oecd(), replace=True)
-        assert superseded.superseded
         assert workspace.peek_cached(_request()) is None
         workspace.handle(_request())
         reply = json.loads(workspace.peek_cached(_request()))
