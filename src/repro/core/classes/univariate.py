@@ -51,13 +51,6 @@ class _UnivariateNumericInsight(InsightClass):
     def _values(self, name: str, context: EvaluationContext) -> np.ndarray:
         return context.table.numeric_column(name).valid_values()
 
-    def _sample_values(self, name: str, context: EvaluationContext) -> np.ndarray:
-        """What a sample-backed metric scores: the store's memoised sample
-        column in sketch mode, the full column in exact mode."""
-        if context.use_sketches:
-            return context.store.sample_features().valid_values(name)
-        return self._values(name, context)
-
     def _safe(self, attributes: tuple[str, ...], compute) -> ScoredCandidate | None:
         try:
             return compute()
@@ -279,7 +272,7 @@ class OutlierInsight(_UnivariateNumericInsight):
         )
 
 
-class MultimodalityInsight(_UnivariateNumericInsight):
+class MultimodalityInsight(_UnivariateNumericInsight, KernelScoredInsightClass):
     """Multiple modes in a univariate distribution (additional insight)."""
 
     name = "multimodality"
@@ -287,25 +280,30 @@ class MultimodalityInsight(_UnivariateNumericInsight):
     description = "Distribution with two or more distinct modes"
     metric_name = "multimodality_strength"
 
-    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
-        name = attributes[0]
-
-        def compute() -> ScoredCandidate | None:
-            values = self._sample_values(name, context)
-            if values.size < 5:
-                return None
-            modes = multimodality_stats.find_modes(values)
-            return ScoredCandidate(
+    def score_complete(
+        self, features: TableFeatures, candidate_tuples: Sequence[tuple[str, ...]]
+    ) -> list[ScoredCandidate | None]:
+        """Blocks of gathered raw rows, one kernel call each: a row-wise
+        sort, one flat ``bincount`` and the peak tests score every column
+        of the block."""
+        rows = features.numeric_rows(attrs[0] for attrs in candidate_tuples)
+        step = max(1, multimodality_stats.ROW_BLOCK // max(features.n_rows, 1))
+        found = []
+        for start in range(0, rows.size, step):
+            found += multimodality_stats.multimodality_rows(
+                features.filled[rows[start:start + step]])
+        return [
+            None if result is None else ScoredCandidate(
                 attributes=attributes,
-                score=multimodality_stats.mode_strength(modes),
+                score=result.strength,
                 details={
-                    "n_modes": len(modes),
-                    "mode_locations": [round(m.location, 6) for m in modes[:4]],
-                    "bimodality_coefficient": multimodality_stats.bimodality_coefficient(values),
+                    "n_modes": len(result.modes),
+                    "mode_locations": [round(m.location, 6) for m in result.modes[:4]],
+                    "bimodality_coefficient": result.bimodality_coefficient,
                 },
             )
-
-        return self._safe(attributes, compute)
+            for attributes, result in zip(candidate_tuples, found)
+        ]
 
     def summarize(self, candidate: ScoredCandidate) -> str:
         name = candidate.attributes[0]

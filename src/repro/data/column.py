@@ -237,10 +237,10 @@ class NumericColumn(Column):
         return NumericColumn(field, self._values.copy(), self._mask.copy())
 
     def to_list(self) -> list[object]:
-        return [
-            None if missing else float(value)
-            for value, missing in zip(self._values, self._mask)
-        ]
+        values = self._values.tolist()
+        for index in np.flatnonzero(self._mask).tolist():
+            values[index] = None
+        return values
 
     def concat(self, other: "Column") -> "NumericColumn":
         self._require_concat_compatible(other)

@@ -218,13 +218,9 @@ def table_from_payload(payload: dict[str, Any]) -> DataTable:
             tags=tuple(spec.get("tags", ())),
         )
         if kind is ColumnKind.NUMERIC:
-            raw = spec["values"]
-            values = np.array(
-                [np.nan if value is None else float(value) for value in raw],
-                dtype=np.float64,
-            )
-            mask = np.array([value is None for value in raw], dtype=bool)
-            columns.append(NumericColumn(column_field, values, mask))
+            # None converts to NaN, and every NaN is missing.
+            values = np.array(spec["values"], dtype=np.float64)
+            columns.append(NumericColumn(column_field, values))
         elif kind is ColumnKind.BOOLEAN:
             codes = np.asarray(spec["codes"], dtype=np.int64)
             columns.append(BooleanColumn(column_field, codes))

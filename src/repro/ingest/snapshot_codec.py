@@ -13,8 +13,8 @@ container (``snapshot-<version>.bin``):
   :func:`repro.ingest.durable.encode_record`), plus a block directory
   describing the stripped arrays;
 * **one section per column**: numeric columns as a missing-value bitmap
-  followed by struct-packed float64 values, categorical/boolean columns
-  as struct-packed int64 codes (their category lists, being small and
+  followed by big-endian float64 values, categorical/boolean columns
+  as big-endian int64 codes (their category lists, being small and
   already JSON values, stay in section 0).
 
 Every section is individually zlib-compressed and CRC-checked, and every
@@ -29,7 +29,8 @@ All file I/O (tmp-file + fsync + rename discipline) stays in
 lint rule's single-owner invariant intact.
 
 Fidelity is exact, not approximate: float64 values and int64 codes
-round-trip bit-for-bit through :mod:`struct`, and ``None`` (missing)
+round-trip bit-for-bit through big-endian numpy buffers (``>f8`` /
+``>i8``, the bitmap through ``np.packbits``), and ``None`` (missing)
 entries are carried in the bitmap, so ``decode_snapshot(
 encode_snapshot(payload))`` compares equal to ``payload`` — the restored
 table and sketch payloads are byte-identical to what the JSON path
@@ -42,6 +43,8 @@ import json
 import struct
 import zlib
 from typing import Any
+
+import numpy as np
 
 __all__ = [
     "FORMAT_VERSION",
@@ -94,18 +97,15 @@ def _pack_values(values: list[Any]) -> bytes:
     ``None`` entries set their bitmap bit and pack a NaN placeholder;
     real (non-missing) NaN/inf values pass through the float64 lanes
     untouched, so the bitmap — not the payload — is the single source of
-    truth for missingness.
+    truth for missingness.  Bit ``i % 8`` of byte ``i // 8`` is entry
+    ``i``.
     """
-    n = len(values)
-    bitmap = bytearray((n + 7) // 8)
-    floats = [0.0] * n
-    for index, value in enumerate(values):
-        if value is None:
-            bitmap[index >> 3] |= 1 << (index & 7)
-            floats[index] = float("nan")
-        else:
-            floats[index] = value
-    return bytes(bitmap) + struct.pack(f">{n}d", *floats)
+    floats = np.array(values, dtype=np.float64)  # None becomes the NaN
+    missing = np.zeros(floats.size, dtype=bool)
+    for index in np.flatnonzero(np.isnan(floats)).tolist():
+        missing[index] = values[index] is None
+    return (np.packbits(missing, bitorder="little").tobytes()
+            + floats.astype(">f8").tobytes())
 
 
 def _unpack_values(block: bytes, n: int) -> list[Any]:
@@ -115,17 +115,17 @@ def _unpack_values(block: bytes, n: int) -> list[Any]:
             f"numeric block holds {len(block)} bytes, expected "
             f"{bitmap_size + 8 * n} for {n} values"
         )
-    bitmap = block[:bitmap_size]
-    floats = struct.unpack(f">{n}d", block[bitmap_size:])
-    return [
-        None if bitmap[index >> 3] & (1 << (index & 7)) else floats[index]
-        for index in range(n)
-    ]
+    values = np.frombuffer(block, dtype=">f8", offset=bitmap_size).tolist()
+    missing = np.unpackbits(np.frombuffer(block, dtype=np.uint8, count=bitmap_size),
+                            count=n, bitorder="little")
+    for index in np.flatnonzero(missing).tolist():
+        values[index] = None
+    return values
 
 
 def _pack_codes(codes: list[int]) -> bytes:
-    """Categorical/boolean column block: struct-packed int64 codes."""
-    return struct.pack(f">{len(codes)}q", *codes)
+    """Categorical/boolean column block: big-endian int64 codes."""
+    return np.asarray(codes, dtype=">i8").tobytes()
 
 
 def _unpack_codes(block: bytes, n: int) -> list[int]:
@@ -134,7 +134,7 @@ def _unpack_codes(block: bytes, n: int) -> list[int]:
             f"code block holds {len(block)} bytes, expected {8 * n} "
             f"for {n} codes"
         )
-    return list(struct.unpack(f">{n}q", block))
+    return np.frombuffer(block, dtype=">i8").tolist()
 
 
 def encode_snapshot(payload: dict[str, Any]) -> bytes:

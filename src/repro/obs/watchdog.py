@@ -290,8 +290,13 @@ class LockWaitWatchdog:
     # Wait reporting
     # ------------------------------------------------------------------
     def _on_wait(self, waited: float) -> None:
-        # The walk starts at the proxy's acquire (_on_wait's caller).
-        role, site = self._resolver.resolve(sys._getframe(1))
+        # The walk starts at the proxy's caller — acquire's, or __enter__'s
+        # for a ``with`` — because this file holds lock sites of its own:
+        # a walk from the proxy would stop here and name nothing.
+        frame = sys._getframe(2)
+        if frame.f_code is _WaitTimedLock.__enter__.__code__:
+            frame = frame.f_back
+        role, site = self._resolver.resolve(frame)
         if role is None:
             # Only report locks the site table can name (third-party and
             # test-helper locks stay out, mirroring the runtime tracker).

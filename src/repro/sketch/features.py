@@ -1,11 +1,12 @@
 """Per-column arrays of one table, the input of the whole-class kernels.
 
-The pairwise insight classes score every candidate of a request with one
-:mod:`repro.stats` array kernel instead of one Python call per tuple.  The
-kernels read a :class:`TableFeatures`: the numeric block with one variable
-per row — ``(d, n)``, C-contiguous, so a pair is two row gathers and every
-reduction runs along the contiguous axis — standardised, rank-transformed
-and standardised again, plus one one-hot block per categorical column.
+The kernel-scored insight classes score every candidate of a request with
+one :mod:`repro.stats` array kernel instead of one Python call per tuple.
+The kernels read a :class:`TableFeatures`: the numeric block with one
+variable per row — ``(d, n)``, C-contiguous, so a pair is two row gathers
+and every reduction runs along the contiguous axis — raw, standardised,
+rank-transformed and standardised again, plus one one-hot block per
+categorical column.
 Every array is derived from its own column alone, on first use.
 
 In sketch mode the features are of the store's row sample and live as long
@@ -59,10 +60,11 @@ class TableFeatures:
         return column.values[~column.mask]
 
     @cached_property
-    def _filled(self) -> np.ndarray:
-        # The (d, n) numeric block, zero where missing so nothing downstream
-        # meets a NaN.  Rows of incomplete columns are never read: see
-        # ``on_complete_rows``.
+    def filled(self) -> np.ndarray:
+        """The (d, n) block of raw numeric values the other arrays are
+        derived from, zero where missing so nothing downstream meets a NaN.
+        Rows of incomplete columns are never read: see
+        ``on_complete_rows``."""
         filled = np.zeros((len(self._numeric_index), self.n_rows), dtype=np.float64)
         for j, column in enumerate(self.table.numeric_columns()):
             np.copyto(filled[j], column.values, where=~column.mask)
@@ -71,14 +73,14 @@ class TableFeatures:
     @cached_property
     def standardized(self) -> np.ndarray:
         """Every numeric column to zero mean, unit variance."""
-        return standardize(self._filled)
+        return standardize(self.filled)
 
     @cached_property
     def rank_standardized(self) -> np.ndarray:
         """Every numeric column's average ranks, standardised (Pearson on
         these is Spearman)."""
-        ranks = np.empty(self._filled.shape, dtype=np.float64)
-        for j, row in enumerate(self._filled):
+        ranks = np.empty(self.filled.shape, dtype=np.float64)
+        for j, row in enumerate(self.filled):
             ranks[j] = average_ranks(row)
         return standardize(ranks)
 

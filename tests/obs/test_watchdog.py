@@ -131,6 +131,40 @@ class TestLockWaitWatchdog:
         assert snap["unattributed"] == 1
         assert snap["trips"] == 0
 
+    def test_a_wait_on_a_held_entry_lock_names_its_role(self):
+        from repro.data.datasets import make_mixed_table
+        from repro.obs.config import ObsConfig
+        from repro.service import Workspace
+
+        workspace = Workspace(obs=ObsConfig(lock_wait_ms=20.0))
+        try:
+            workspace.register("demo", make_mixed_table(
+                n_rows=100, n_numeric=2, n_categorical=1, seed=5))
+            held, release = threading.Event(), threading.Event()
+
+            def holder():
+                with workspace._locked_entry("demo"):
+                    held.set()
+                    release.wait()
+
+            thread = threading.Thread(target=holder)
+            thread.start()
+            held.wait()
+            timer = threading.Timer(0.08, release.set)
+            timer.start()
+            with workspace._locked_entry("demo"):
+                pass
+            thread.join()
+            snap = workspace.debug_info()["watchdogs"]["lock_wait"]
+        finally:
+            workspace.close()
+            uninstall_lock_wait()
+        entry_trips = [trip for trip in snap["recent"]
+                       if trip["lock"] == "workspace.entry"]
+        assert entry_trips, snap
+        assert "service/workspace.py:" in entry_trips[0]["site"]
+        assert entry_trips[0]["wait_ms"] >= 20.0
+
     def test_uncontended_acquire_records_nothing(self):
         watchdog = LockWaitWatchdog(threshold_ms=1.0)
         from repro.obs.watchdog import _WaitTimedLock

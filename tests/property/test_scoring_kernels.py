@@ -15,7 +15,12 @@ rows — and in both modes:
 * average ranks equal ``scipy.stats.rankdata(method="average")`` exactly;
 * the numpy ``ndtr`` is within 4 ULP of ``scipy.special.ndtr``, and the
   normality kernel's KS distance, skewness and kurtosis are within 1e-12
-  of ``scipy.stats.kstest`` / ``skew`` / ``kurtosis``.
+  of ``scipy.stats.kstest`` / ``skew`` / ``kurtosis``;
+* the multimodality kernel's modes (locations, heights, hence score,
+  ``n_modes`` and ``mode_locations``) are bit for bit those of the
+  per-column ``np.histogram`` peak count it replaced, and its bimodality
+  coefficient is within 1e-12 of that column's; a request calls it once
+  per row block and never per column.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ import warnings
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special as scipy_special
 from scipy import stats as scipy_stats
@@ -35,9 +41,10 @@ from repro.core.insight import MODE_APPROXIMATE, MODE_EXACT, EvaluationContext
 from repro.data import CategoricalColumn, ColumnKind, DataTable, Field, NumericColumn
 from repro.sketch.features import TableFeatures
 from repro.sketch.store import SketchStore, SketchStoreConfig
+from repro.stats import multimodality
 from repro.stats.correlation import average_ranks, standardize
-from repro.stats.histogram import histogram_counts
-from repro.stats.multimodality import _smooth
+from repro.stats.histogram import auto_bin_count, histogram_counts
+from repro.stats.multimodality import multimodality_rows
 from repro.stats.normality import ndtr, normality_rows
 
 NUMERIC = ("n0", "n1", "n2")
@@ -227,6 +234,17 @@ def _reference_normality(table: DataTable, attributes) -> float | None:
     return 1.0 - max(0.0, min(1.0, normal))
 
 
+def _smooth(counts: np.ndarray, passes: int = 2) -> np.ndarray:
+    """1-2-1 smoothing of histogram counts, edge-padded, as float
+    convolutions."""
+    smoothed = counts.astype(np.float64)
+    kernel = np.array([1.0, 2.0, 1.0]) / 4.0
+    for _ in range(passes):
+        padded = np.pad(smoothed, 1, mode="edge")
+        smoothed = np.convolve(padded, kernel, mode="valid")
+    return smoothed
+
+
 def _reference_multimodality(table: DataTable, attributes) -> float | None:
     """Peak counting bin by bin, as ``find_modes`` did before it compared
     whole arrays."""
@@ -374,3 +392,208 @@ def test_normality_rows_are_scipys_kstest_skew_and_kurtosis(table):
         got_values = (result.ks_statistic, result.skewness, result.excess_kurtosis)
         for value, reference in zip(got_values, expected):
             assert abs(value - reference) <= 1e-12, (name, got_values, expected)
+
+
+# ---------------------------------------------------------------------------
+# The multimodality kernel against the per-column peak count it replaced
+# ---------------------------------------------------------------------------
+def _reference_modes(x: np.ndarray, bins: int | None = None):
+    """``find_modes`` and ``bimodality_coefficient`` as they ran per column
+    before the kernel: the modes as ``(location, height)``, tallest first,
+    and Sarle's coefficient."""
+    if np.unique(x).size == 1:
+        modes = [(float(x[0]), 1.0)]
+    else:
+        counts, edges = histogram_counts(x, bins=bins)
+        smoothed = _smooth(counts)
+        centers = 0.5 * (edges[:-1] + edges[1:])
+        left = np.concatenate(([-np.inf], smoothed[:-1]))
+        right = np.concatenate((smoothed[1:], [-np.inf]))
+        found = np.flatnonzero((smoothed > left) & (smoothed >= right) & (smoothed > 0))
+        if found.size == 0:
+            found = np.array([int(np.argmax(smoothed))])
+        peaks = [(float(centers[i]), float(smoothed[i])) for i in found]
+        tallest = max(height for _location, height in peaks)
+        modes = sorted((p for p in peaks if p[1] >= 0.1 * tallest),
+                       key=lambda p: -p[1])
+    n, sigma = x.size, np.std(x)
+    if sigma == 0.0:
+        return modes, 0.0
+    centered = x - np.mean(x)
+    skew = float(np.mean(centered**3) / sigma**3)
+    kurt = float(np.mean(centered**4) / sigma**4)
+    denominator = kurt + 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
+    return modes, 0.0 if denominator == 0.0 else (skew**2 + 1.0) / denominator
+
+
+def _assert_is_the_reference(result, x: np.ndarray, bins: int | None = None) -> None:
+    modes, coefficient = _reference_modes(x, bins)
+    assert [(_double(m.location), _double(m.height)) for m in result.modes] == [
+        (_double(location), _double(height)) for location, height in modes], x
+    strength = 0.0 if len(modes) < 2 else min(
+        1.0, 0.7 * (modes[1][1] / modes[0][1]) + 0.3 * min(len(modes) - 1, 3) / 3.0)
+    assert _double(result.strength) == _double(strength), x
+    assert abs(result.bimodality_coefficient - coefficient) <= 1e-12, (
+        result.bimodality_coefficient, coefficient)
+
+
+def _double(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@st.composite
+def modality_values(draw, n_rows: int) -> np.ndarray:
+    """One column for the mode count: continuous, heavily tied, two
+    distinct values, heavy-tailed or constant, perhaps with holes."""
+    shape = draw(st.sampled_from(("continuous", "ties", "two", "heavy", "constant")))
+    if shape == "continuous":
+        cells = st.integers(-10**6, 10**6).map(lambda k: k / 64.0)
+    elif shape == "ties":
+        cells = st.integers(0, 3).map(float)
+    elif shape == "two":
+        cells = st.sampled_from(sorted({draw(st.integers(-9, 9)) / 4.0
+                                        for _ in range(2)}) * 2)
+    elif shape == "heavy":
+        cells = st.one_of(st.integers(-64, 64).map(lambda k: k / 64.0),
+                          st.sampled_from((-1e9, 1e9, 3e7)))
+    else:
+        cells = st.just(float(draw(st.integers(-5, 5))))
+    values = np.array(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+    holes = draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        values[np.array(holes, dtype=bool)] = np.nan
+    return values
+
+
+@st.composite
+def modality_tables(draw) -> DataTable:
+    """Numeric columns around the 5-value floor: 4, 5 and 6 rows are drawn
+    as often as the rest."""
+    n_rows = draw(st.one_of(st.sampled_from((4, 5, 6)), st.integers(1, 80)))
+    return DataTable([
+        NumericColumn(Field(name, ColumnKind.NUMERIC), draw(modality_values(n_rows)))
+        for name in NUMERIC
+    ], name="generated")
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=modality_tables())
+def test_multimodality_rows_are_the_per_column_peak_count(table):
+    # The complete columns as one block, as the insight class gathers
+    # them; a holey column alone, over its own values.
+    features = TableFeatures(table)
+    complete = [name for name in NUMERIC if name in features.complete]
+    got = dict(zip(complete, multimodality_rows(
+        features.filled[features.numeric_rows(complete)])))
+    for name in NUMERIC:
+        x = _valid(table, name)
+        if name not in got:
+            (got[name],) = multimodality_rows(x.reshape(1, -1))
+        if x.size < 5:
+            assert got[name] is None, (name, x)
+        else:
+            _assert_is_the_reference(got[name], x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(table=modality_tables(), bins=st.sampled_from((1, 2, 3, 100)))
+def test_a_fixed_bin_count_is_np_histograms(table, bins):
+    for name in NUMERIC:
+        x = _valid(table, name)
+        if x.size >= 5:
+            (result,) = multimodality_rows(x.reshape(1, -1), bins=bins)
+            _assert_is_the_reference(result, x, bins)
+
+
+def _column(values) -> np.ndarray:
+    return np.array(values, dtype=np.float64)
+
+
+_HEAVY = np.random.default_rng(3).standard_cauchy(2000)
+#: Columns that reach each branch of the bin rule, named by it.
+_BIN_RULE_CASES = {
+    "one bin": (_column([0.0, 0.0, 0.5, 1.0, 1.0]), 1),
+    "the cap": (_HEAVY, 100),
+    "scott, IQR 0": (_column([1.0] * 40 + [0.0, 2.0, 9.0]), None),
+    "two values, five rows": (_column([2.0, 2.0, 2.0, 7.0, 7.0]), None),
+    "a mixture": (np.concatenate([np.random.default_rng(4).normal(-4, 1, 1000),
+                                  np.random.default_rng(5).normal(4, 1, 1000)]), None),
+}
+
+
+def test_the_bin_rule_branches_are_the_reference():
+    block = np.array([x for x, _bins in _BIN_RULE_CASES.values() if x.size == 2000])
+    rows = multimodality_rows(block)
+    assert len(rows) == 2
+    for label, (x, bins) in _BIN_RULE_CASES.items():
+        if bins is not None:
+            assert auto_bin_count(x) == bins, label
+        (alone,) = multimodality_rows(x.reshape(1, -1))
+        _assert_is_the_reference(alone, x)
+    for result, x in zip(rows, block):
+        _assert_is_the_reference(result, x)
+
+
+def _off_by_one(first: float, last: float, bins: int, value: float) -> int:
+    """The bin np.histogram's scaled index gives ``value``, before its
+    correction against the edges."""
+    return int(((value - first) / (last - first)) * bins)
+
+
+def test_both_edge_corrections_of_np_histogram_are_reproduced():
+    # An edge the scaled index puts one bin low (np.histogram moves it
+    # up), and a value just below an edge it puts one bin high (moved
+    # down): without either correction the counts differ.
+    edges = np.linspace(-4.6, -4.09, 11)
+    up = _column([-4.6, edges[3], edges[3], edges[3], -4.09])
+    assert _off_by_one(-4.6, -4.09, 10, edges[3]) == 2
+    first, last = -9.67, -9.67 + 8.15
+    below = np.nextafter(np.linspace(first, last, 9)[6], -np.inf)
+    down = _column([first, below, below, below, last])
+    assert _off_by_one(first, last, 8, below) == 6
+    for x, bins, bin_of_the_three in ((up, 10, 3), (down, 8, 5)):
+        assert histogram_counts(x, bins=bins)[0][bin_of_the_three] == 3
+        (result,) = multimodality_rows(x.reshape(1, -1), bins=bins)
+        _assert_is_the_reference(result, x, bins)
+
+
+def test_degenerate_ranges_fail_as_np_histogram_does():
+    for x in (_column([0.0, 0.0, 0.0, 0.0, 5e-324]),    # the edges collapse
+              _column([1.0, 2.0, 3.0, 4.0, np.inf])):   # an infinite range
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            histogram_counts(x)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            multimodality_rows(x.reshape(1, -1))
+    (constant,) = multimodality_rows(_column([-0.0, 0.0, 0.0, 0.0, 0.0]).reshape(1, -1))
+    assert [_double(m.location) for m in constant.modes] == [_double(-0.0)]
+
+
+def test_a_request_calls_the_kernel_once_per_block_and_never_per_column(monkeypatch):
+    rng = np.random.default_rng(7)
+    names = [f"x{j:02d}" for j in range(16)]
+    table = DataTable([NumericColumn(Field(name, ColumnKind.NUMERIC),
+                                     rng.standard_normal(10_000)) for name in names],
+                      name="wide")
+    store = SketchStore(table)
+    kernel = multimodality.multimodality_rows
+    calls = []
+
+    def spy(block, *args, **kwargs):
+        calls.append(block.shape)
+        return kernel(block, *args, **kwargs)
+
+    def per_column(*args, **kwargs):
+        raise AssertionError("a per-column call while scoring a request")
+
+    monkeypatch.setattr(multimodality, "multimodality_rows", spy)
+    monkeypatch.setattr(multimodality, "find_modes", per_column)
+    monkeypatch.setattr(multimodality, "bimodality_coefficient", per_column)
+    insight_class = REGISTRY.get("multimodality")
+    for mode, n_rows in ((MODE_APPROXIMATE, 2000), (MODE_EXACT, 10_000)):
+        calls.clear()
+        scored = insight_class.score_all([(name,) for name in names],
+                                         EvaluationContext(table, store, mode))
+        assert [c.attributes[0] for c in scored] == names
+        step = multimodality.ROW_BLOCK // n_rows
+        assert calls == [(min(step, 16 - start), n_rows)
+                         for start in range(0, 16, step)], mode
