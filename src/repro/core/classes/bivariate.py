@@ -17,13 +17,11 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.errors import EmptyColumnError
 from repro.data.missing import pairwise_values
 from repro.data.table import DataTable
 from repro.core.insight import (
     EvaluationContext,
     Insight,
-    InsightClass,
     KernelScoredInsightClass,
     ScoredCandidate,
     pairs,
@@ -36,7 +34,7 @@ from repro.viz.charts import grouped_scatter_spec, heatmap_spec, scatter_spec
 from repro.viz.spec import VisualizationSpec
 
 
-class LinearRelationshipInsight(InsightClass):
+class LinearRelationshipInsight(KernelScoredInsightClass):
     """Strong linear relationship between two numeric attributes."""
 
     name = "linear_relationship"
@@ -77,9 +75,10 @@ class LinearRelationshipInsight(InsightClass):
         )
 
     def _matrix(self, names: Sequence[str], context: EvaluationContext):
-        """All pairwise correlations of ``names``: one sketch matrix product
-        (O(d²·k)) in approximate mode, one dense correlation matrix
-        (O(d²·n)) in exact mode.  Returns (matrix, column order, source)."""
+        """All pairwise correlations of ``names`` for the overview: one
+        sketch matrix product (O(d²·k)) in approximate mode, one dense
+        correlation matrix (O(d²·n)) in exact mode.  Returns (matrix,
+        column order, source)."""
         if context.use_sketches and self.method == "pearson" and all(
             context.store.has_column(name) for name in names
         ):
@@ -87,50 +86,49 @@ class LinearRelationshipInsight(InsightClass):
         dense, ordered = context.table.numeric_matrix(names)
         return correlation_stats.correlation_matrix(dense, method=self.method), ordered, "exact"
 
-    def score(self, attributes: tuple[str, ...], context: EvaluationContext) -> ScoredCandidate | None:
-        x_name, y_name = attributes
-        try:
-            if (
-                context.use_sketches
-                and self.method == "pearson"
-                and context.store.has_column(x_name)
-                and context.store.has_column(y_name)
-            ):
-                rho = context.store.approx_correlation(x_name, y_name)
-                source = "sketch"
-            else:
-                x, y = pairwise_values(
-                    context.table.numeric_column(x_name),
-                    context.table.numeric_column(y_name),
-                )
-                rho = (
-                    correlation_stats.pearson(x, y)
-                    if self.method == "pearson"
-                    else correlation_stats.spearman(x, y)
-                )
-                source = "exact"
-        except EmptyColumnError:
-            return None
-        return self._scored(attributes, float(rho), source)
-
     def score_all(
         self, candidate_tuples: Sequence[tuple[str, ...]], context: EvaluationContext
     ) -> list[ScoredCandidate]:
-        """Batched scoring from one :meth:`_matrix` — the code path the
-        latency benchmarks measure."""
-        if self.method != "pearson":
-            return super().score_all(candidate_tuples, context)
-        names = sorted({name for attrs in candidate_tuples for name in attrs})
-        try:
-            matrix, ordered, source = self._matrix(names, context)
-        except (EmptyColumnError, ValueError):
-            return super().score_all(candidate_tuples, context)
+        """In sketch mode a Pearson pair of sketched columns reads the
+        hyperplane estimate (Hamming distances are integer products, so
+        the matrix entry is the pair's own); every other pair is scored
+        exactly by :meth:`score_complete` on the full table."""
+        if not (context.use_sketches and self.method == "pearson"):
+            return super().score_all(candidate_tuples, context.exact())
+        store = context.store
+        sketched = [store.has_column(x) and store.has_column(y)
+                    for x, y in candidate_tuples]
+        matrix, ordered = store.approx_correlation_matrix(sorted(
+            {name for attrs, ok in zip(candidate_tuples, sketched) if ok
+             for name in attrs}))
         index = {name: i for i, name in enumerate(ordered)}
-        return [
-            self._scored(attributes, float(matrix[index[attributes[0]], index[attributes[1]]]), source)
-            for attributes in candidate_tuples
-            if attributes[0] in index and attributes[1] in index
-        ]
+        unsketched = [attrs for attrs, ok in zip(candidate_tuples, sketched) if not ok]
+        exact = {scored.attributes: scored for scored in (
+            super().score_all(unsketched, context.exact()) if unsketched else ())}
+        results = []
+        for attributes, ok in zip(candidate_tuples, sketched):
+            if ok:
+                rho = float(matrix[index[attributes[0]], index[attributes[1]]])
+                results.append(self._scored(attributes, rho, "sketch"))
+            elif attributes in exact:
+                results.append(exact[attributes])
+        return results
+
+    def score_complete(
+        self, features: TableFeatures, candidate_tuples: Sequence[tuple[str, ...]]
+    ) -> list[ScoredCandidate | None]:
+        """Pearson (or Spearman, on the standardised ranks) of gathered
+        row pairs: each value comes from its own two columns."""
+        if features.n_rows < 2:
+            return [None] * len(candidate_tuples)
+        block = (features.standardized if self.method == "pearson"
+                 else features.rank_standardized)
+        rho = correlation_stats.pair_correlations(
+            block,
+            features.numeric_rows(attrs[0] for attrs in candidate_tuples),
+            features.numeric_rows(attrs[1] for attrs in candidate_tuples))
+        return [self._scored(attributes, value, "exact")
+                for attributes, value in zip(candidate_tuples, rho.tolist())]
 
     # -- presentation --------------------------------------------------------------
     def visualize(self, insight: Insight, context: EvaluationContext) -> VisualizationSpec:

@@ -32,7 +32,12 @@ from repro.core.insight import (
 )
 from repro.core.neighborhood import NeighborhoodConfig, NeighborhoodRecommender
 from repro.core.query import InsightQuery, query as build_query
-from repro.core.pipeline import PipelineStats, QueryPipeline, RankingResult
+from repro.core.pipeline import (
+    InsightIndex,
+    PipelineStats,
+    QueryPipeline,
+    RankingResult,
+)
 from repro.core.registry import InsightRegistry, default_registry
 from repro.sketch.store import SketchStore, SketchStoreConfig
 from repro.viz.spec import VisualizationSpec
@@ -117,6 +122,12 @@ class Foresight:
     def config(self) -> EngineConfig:
         return self._config
 
+    @property
+    def index(self) -> InsightIndex:
+        """This snapshot's memoised candidate domains and scores, filled by
+        the queries it serves and dropped with the engine."""
+        return self._pipeline.index
+
     def insight_classes(self) -> list[dict[str, object]]:
         """Catalogue of the registered insight classes."""
         return self._registry.describe()
@@ -167,11 +178,10 @@ class Foresight:
     ) -> list[RankingResult]:
         """Execute several queries on the staged pipeline, in query order.
 
-        Classes that enumerate the same candidate domain (see
-        :meth:`~repro.core.insight.InsightClass.candidate_domain`) share a
-        single enumeration pass, so a multi-class request does not pay the
-        candidate walk once per class.  ``stats`` (when given) accumulates
-        the pipeline's enumeration/sharing counters.
+        Each candidate domain is enumerated, and each candidate scored,
+        once per engine (:attr:`index`); every later query filters and
+        gathers.  ``stats`` (when given) accumulates the work this call
+        actually did.
         """
         return self._pipeline.execute(
             queries,

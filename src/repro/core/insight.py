@@ -174,10 +174,10 @@ class InsightClass(abc.ABC):
 
         Two classes that return the same non-None key (and have equal
         ``arity``) promise to yield *identical* candidate sequences for any
-        table.  The staged query pipeline
-        (:mod:`repro.core.pipeline`) uses this to enumerate a shared
-        domain once per multi-class request instead of once per class.
-        Returning None (the default) opts the class out of sharing.
+        table.  The insight index (:mod:`repro.core.pipeline`) uses this
+        to enumerate a shared domain once per snapshot instead of once
+        per class.  Returning None (the default) keys the class's domain
+        by the instance alone.
         """
         return None
 
@@ -191,13 +191,15 @@ class InsightClass(abc.ABC):
     ) -> list[ScoredCandidate]:
         """Score many candidates (subclasses may override with batched code).
 
-        Contract: results preserve candidate order, and each candidate's
-        value must not depend on which *other* candidates share the batch
-        (``score_all(a + b) == score_all(a) + score_all(b)``, bit for
-        bit).  The default implementation satisfies this trivially; a
-        batched override that computes shared intermediates (e.g. a
-        correlation matrix) must derive each pair's value from that
-        pair's columns only.
+        Contract: results preserve candidate order, each carries the tuple
+        it was asked for, and each candidate's value must not depend on
+        which *other* candidates share the batch (``score_all(a + b) ==
+        score_all(a) + score_all(b)``, bit for bit).  The insight index
+        relies on it: it submits only candidates it has not seen on the
+        snapshot and gathers the rest.  The default implementation
+        satisfies this trivially; a batched override that computes shared
+        intermediates (e.g. a correlation matrix) must derive each pair's
+        value from that pair's columns only.
         """
         results = []
         for attributes in candidate_tuples:

@@ -1,37 +1,38 @@
 """The staged query execution pipeline: plan → enumerate → score → rank.
 
-A multi-class request that ranked one class at a time would re-enumerate
-the candidate tuples once per class.  :class:`QueryPipeline` runs the
-work as four explicit stages instead:
+An insight query re-ranks the same scored insight space every time it is
+asked of one published snapshot.  :class:`QueryPipeline` runs each
+request as four explicit stages over that snapshot's
+:class:`InsightIndex`:
 
 1. **plan** — resolve each :class:`~repro.core.query.InsightQuery` against
-   the registry, apply default candidate caps, and compute a *share key*
-   from :meth:`~repro.core.insight.InsightClass.candidate_domain` so that
-   classes enumerating the same domain can pool their enumeration;
-2. **enumerate** — produce the admissible candidate tuples per query.  A
-   domain shared by two or more planned queries is materialised **once**
-   and re-filtered per query; unshared queries — and queries carrying a
-   ``max_candidates`` cap, which must keep the lazy early-stop that avoids
-   materialising a large domain to serve a few tuples — iterate privately;
-3. **score** — evaluate the insight metric over the admissible candidates
-   (batched / sketch-backed where the class supports it), one
-   ``score_all`` call per query on the calling thread.  Queries over the
-   same shared candidate domain whose constraints don't prune (their
-   admissible list *is* the full domain) share scored candidates, not
-   just enumerated tuples: the first query of each
-   ``(class, mode, domain)`` group pays for scoring and the rest reuse
-   its batch, so a batch of unpruned same-class queries scores each
-   candidate once;
-
+   the registry and apply default candidate caps;
+2. **enumerate** — filter the class's candidate domain by the query's
+   constraints, stopping at ``max_candidates``.  The index enumerates each
+   domain once per snapshot: classes that declare the same
+   :meth:`~repro.core.insight.InsightClass.candidate_domain` share it,
+   and every later query re-filters it.  A capped query keeps its lazy
+   early stop on a domain larger than its cap, which the index then does
+   not hold;
+3. **score** — one ``score_all`` call per query, on only the admissible
+   candidates the index does not hold yet; the rest are gathered from
+   it.  A gathered score is the score the query would have computed,
+   because a candidate's value does not depend on its batch (the
+   :meth:`~repro.core.insight.InsightClass.score_all` contract);
 4. **rank** — apply the metric-range filter, sort (score descending, ties
    broken by attribute names for determinism) and take the top-k.
 
-:class:`PipelineStats` counts raw enumerations, shared queries, actual
-metric evaluations and score-batch reuse; the serving layer
-(:mod:`repro.service.workspace`) surfaces those counters as response
-provenance, and the pipeline tests use them to prove that a multi-class
-request over same-arity classes enumerates only once and that unpruned
-same-class queries score each candidate once, not twice.
+The index lives and dies with the engine of one ``(version, seq)``: an
+append, rebuild, reload or replace publishes a new engine and starts cold.
+Filling it takes no lock — two threads racing on a cold snapshot compute
+identical values, and the first to store one keeps it.
+
+:class:`PipelineStats` counts what an execution actually did:
+enumerations run, queries answered from a memoised domain, candidates
+submitted to a metric and candidates answered from the index.  Those
+counters describe the index's warmth, so the serving layer
+(:mod:`repro.service.workspace`) keeps them out of a response and sums
+them for ``/metrics``.
 
 The implementation lives in :mod:`repro.core` (it is execution-engine
 machinery); :mod:`repro.service` re-exports it as part of the public
@@ -42,8 +43,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from itertools import chain, islice
+from typing import Callable, Iterable, Sequence
 
+from repro.data.table import DataTable
+from repro.obs.ledger import domain_bytes, scored_candidate_bytes
 from repro.obs.resources import record_candidates
 from repro.obs.tracer import obs_span
 from repro.core.insight import (
@@ -87,19 +91,17 @@ class PipelineStats:
 
     #: How many times a class's ``candidates()`` iterator was actually run.
     enumerations: int = 0
-    #: Queries answered from an enumeration another query already paid for.
+    #: Queries answered from a domain the index already held.
     shared_queries: int = 0
     #: Total queries executed.
     n_queries: int = 0
-    #: Total candidate tuples scored across all queries (reuse included).
+    #: Total candidate tuples scored across all queries (gathered included).
     n_scored: int = 0
-    #: Candidate tuples actually submitted to a metric evaluation.  When
-    #: cross-query score sharing engages this stays below the sum of
-    #: per-query admissible counts — the proof that a shared candidate
-    #: was scored once, not once per query.
+    #: Candidate tuples actually submitted to a metric evaluation.
     score_evaluations: int = 0
-    #: Queries whose scored batch was reused from an earlier query of the
-    #: same (class, mode, domain) group.
+    #: Candidate tuples answered from the index instead.
+    index_hits: int = 0
+    #: Queries with admissible candidates that submitted none of them.
     shared_score_queries: int = 0
     #: Wall-clock seconds for the whole execution.
     elapsed_seconds: float = 0.0
@@ -111,6 +113,7 @@ class PipelineStats:
             "n_queries": self.n_queries,
             "n_scored": self.n_scored,
             "score_evaluations": self.score_evaluations,
+            "index_hits": self.index_hits,
             "shared_score_queries": self.shared_score_queries,
             "elapsed_seconds": self.elapsed_seconds,
         }
@@ -128,19 +131,123 @@ class PipelineStats:
         self.n_queries += other.n_queries
         self.n_scored += other.n_scored
         self.score_evaluations += other.score_evaluations
+        self.index_hits += other.index_hits
         self.shared_score_queries += other.shared_score_queries
         self.elapsed_seconds += other.elapsed_seconds
 
 
+class InsightIndex:
+    """One snapshot's memoised insight space: domains and scores.
+
+    Two memos, filled on first use and never evicted:
+
+    * per class, its candidate tuples on a table — keyed by
+      ``(candidate_domain(), arity)`` where the class declares a domain,
+      else by the class instance.  A capped query stores a domain only if
+      it is no longer than the cap;
+    * every candidate score computed on a held domain, keyed by class
+      instance and mode, and by the evaluation context's table and store
+      identity.
+
+    So the index never holds more than the uncapped queries enumerate,
+    plus at most one cap's worth of tuples per capped domain.
+
+    A registered class's score must therefore be a pure function of
+    (snapshot, mode, tuple): changing a class's parameters means
+    registering a new instance.  A memoised :class:`ScoredCandidate` is
+    shared by every later query; packaging copies its ``details``.
+    """
+
+    def __init__(self) -> None:
+        self._domains: dict[tuple, tuple[tuple[str, ...], ...]] = {}
+        self._scores: dict[tuple, dict[tuple[str, ...], ScoredCandidate | None]] = {}
+        #: Bytes each fill stored (``list.append`` is atomic: no lock).
+        self._fills: list[int] = []
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the memoised domains and scored candidates (the
+        payload: dict slots and the shared column-name strings excluded)."""
+        return sum(self._fills)
+
+    @staticmethod
+    def _domain_key(insight_class: InsightClass, table: DataTable) -> tuple:
+        # Tables and classes hash by identity, and a key keeps its objects
+        # alive as long as the index does.
+        declared = insight_class.candidate_domain()
+        if declared:
+            return (table, declared, insight_class.arity)
+        return (table, insight_class)
+
+    def domain(
+        self,
+        insight_class: InsightClass,
+        table: DataTable,
+        cap: int | None = None,
+    ) -> tuple[Iterable[tuple[str, ...]], bool]:
+        """The class's candidate tuples on ``table``, and whether this
+        call ran ``candidates()`` to get them.
+
+        A domain the index does not hold is enumerated and stored, except
+        under a ``cap`` (a query's ``max_candidates``): then it is stored
+        only if it holds no more than ``cap`` tuples, and otherwise walked
+        lazily, so the query stops early and the index stays bounded.
+        """
+        key = self._domain_key(insight_class, table)
+        held = self._domains.get(key)
+        if held is not None:
+            return held, False
+        walk = iter(insight_class.candidates(table))
+        domain = tuple(walk if cap is None else islice(walk, cap + 1))
+        if cap is not None and len(domain) > cap:
+            return chain(domain, walk), True
+        kept = self._domains.setdefault(key, domain)
+        if kept is domain:
+            self._fills.append(domain_bytes(domain))
+        return kept, True
+
+    def scored(
+        self,
+        insight_class: InsightClass,
+        admissible: Sequence[tuple[str, ...]],
+        context: EvaluationContext,
+    ) -> tuple[list[ScoredCandidate], int]:
+        """``score_all(admissible, context)``, and how many candidates it
+        submitted to the metric: one ``score_all`` call on those the
+        index does not hold, the rest gathered.
+
+        Scores are memoised only from a domain the index holds, so the
+        memo never outgrows its domains; candidates a capped walk found
+        are scored afresh.
+        """
+        if not admissible:
+            return [], 0
+        if self._domain_key(insight_class, context.table) not in self._domains:
+            return insight_class.score_all(admissible, context), len(admissible)
+        key = (insight_class, context.mode, context.table, context.store)
+        memo = self._scores.setdefault(key, {})
+        missing = [attributes for attributes in admissible if attributes not in memo]
+        if missing:
+            fresh = {
+                scored.attributes: scored
+                for scored in insight_class.score_all(missing, context)
+            }
+            added = 0
+            for attributes in missing:
+                value = fresh.get(attributes)
+                if memo.setdefault(attributes, value) is value and value is not None:
+                    added += scored_candidate_bytes(value)
+            self._fills.append(added)
+        gathered = [memo[attributes] for attributes in admissible]
+        return [scored for scored in gathered if scored is not None], len(missing)
+
+
 @dataclass(frozen=True)
 class PlannedQuery:
-    """Stage-1 output: a query bound to its insight class and share key."""
+    """Stage-1 output: a query bound to its insight class."""
 
     query: InsightQuery
     insight_class: InsightClass
-    #: (candidate_domain, arity) when the class opts into shared
-    #: enumeration, else None.
-    share_key: tuple[str, int] | None
 
 
 @dataclass
@@ -148,14 +255,6 @@ class ExecutionPlan:
     """The full plan for one (possibly multi-class) request."""
 
     queries: list[PlannedQuery]
-
-    def share_groups(self) -> dict[tuple[str, int], int]:
-        """How many planned queries fall in each shareable domain."""
-        groups: dict[tuple[str, int], int] = {}
-        for planned in self.queries:
-            if planned.share_key is not None:
-                groups[planned.share_key] = groups.get(planned.share_key, 0) + 1
-        return groups
 
 
 @dataclass
@@ -166,13 +265,8 @@ class Enumeration:
     truncated: bool = False
     n_candidates: int = 0
     #: Wall-clock spent enumerating/filtering for this query.  The one-off
-    #: materialisation of a shared domain is charged to the first query of
-    #: its group (whose ``candidates()`` call actually paid for it).
+    #: enumeration of a domain is charged to the query that ran it.
     elapsed_seconds: float = 0.0
-    #: Set to the enumeration share key when the admissible list is the
-    #: *unpruned* shared domain — the precondition for the score stage to
-    #: share this query's scored batch with its domain-mates.
-    score_share_key: tuple[str, int] | None = None
 
 
 @dataclass
@@ -184,19 +278,26 @@ class ScoredBatch:
 
 
 class QueryPipeline:
-    """Executes insight queries in explicit stages with shared enumeration.
+    """Executes insight queries in explicit stages over an insight index.
 
     Every stage runs on the calling thread.  One pipeline instance is
     safe to use from many threads concurrently: every per-execution
-    structure is call-local.
+    structure is call-local, and its :class:`InsightIndex` fills without
+    a lock.
     """
 
     def __init__(self, registry: InsightRegistry):
         self._registry = registry
+        self._index = InsightIndex()
 
     @property
     def registry(self) -> InsightRegistry:
         return self._registry
+
+    @property
+    def index(self) -> InsightIndex:
+        """The memoised domains and scores of every query this pipeline ran."""
+        return self._index
 
     # ------------------------------------------------------------------
     # Stage 1: plan
@@ -206,27 +307,15 @@ class QueryPipeline:
         queries: Sequence[InsightQuery],
         default_caps: Callable[[InsightQuery], InsightQuery] | None = None,
     ) -> ExecutionPlan:
-        """Resolve classes, apply caps and compute enumeration share keys.
-
-        Queries with a ``max_candidates`` cap never share: the lazy private
-        iteration stops as soon as the cap is reached, whereas a shared
-        domain must be fully materialised — for a capped query on a wide
-        table that would trade a bounded walk for an unbounded one.
-        """
+        """Resolve classes and apply default candidate caps."""
         planned = []
         for query in queries:
             if default_caps is not None:
                 query = default_caps(query)
-            insight_class = self._registry.get(query.insight_class)
-            domain = insight_class.candidate_domain()
-            share_key = (
-                (domain, insight_class.arity)
-                if domain and query.max_candidates is None
-                else None
-            )
             planned.append(
                 PlannedQuery(
-                    query=query, insight_class=insight_class, share_key=share_key
+                    query=query,
+                    insight_class=self._registry.get(query.insight_class),
                 )
             )
         return ExecutionPlan(planned)
@@ -240,41 +329,23 @@ class QueryPipeline:
         context: EvaluationContext,
         stats: PipelineStats | None = None,
     ) -> list[Enumeration]:
-        """Admissible candidates per query, enumerating shared domains once."""
+        """Admissible candidates per query, filtered from the index's domains."""
         stats = stats if stats is not None else PipelineStats()
-        group_sizes = plan.share_groups()
-        shared: dict[tuple[str, int], list[tuple[str, ...]]] = {}
         enumerations = []
         for planned in plan.queries:
             start = time.perf_counter()
-            key = planned.share_key
-            domain_size = None
-            if key is not None and group_sizes.get(key, 0) >= 2:
-                if key not in shared:
-                    shared[key] = list(
-                        planned.insight_class.candidates(context.table)
-                    )
-                    stats.enumerations += 1
-                else:
-                    stats.shared_queries += 1
-                candidates = iter(shared[key])
-                domain_size = len(shared[key])
-            else:
-                candidates = planned.insight_class.candidates(context.table)
+            domain, enumerated = self._index.domain(
+                planned.insight_class, context.table, planned.query.max_candidates
+            )
+            if enumerated:
                 stats.enumerations += 1
-            enumeration = self._filter_candidates(candidates, planned.query, context)
+            else:
+                stats.shared_queries += 1
+            enumeration = self._filter_candidates(domain, planned.query, context)
             record_candidates(
                 enumeration.n_candidates,
                 enumeration.n_candidates - len(enumeration.admissible),
             )
-            if (
-                domain_size is not None
-                and not enumeration.truncated
-                and len(enumeration.admissible) == domain_size
-            ):
-                # Constraints pruned nothing: the admissible list is the
-                # whole shared domain, so scored batches are shareable too.
-                enumeration.score_share_key = key
             enumeration.elapsed_seconds = time.perf_counter() - start
             enumerations.append(enumeration)
         return enumerations
@@ -289,42 +360,23 @@ class QueryPipeline:
         context: EvaluationContext,
         stats: PipelineStats | None = None,
     ) -> list[ScoredBatch]:
-        """Metric values for every admissible candidate of every query.
-
-        Queries whose enumeration carries a ``score_share_key`` (same
-        shared domain, nothing pruned) additionally share scoring per
-        ``(class, mode, domain)`` group — the first query pays, the rest
-        reuse its scored batch.
-        """
+        """Metric values for every admissible candidate of every query:
+        one ``score_all`` call per query on what the index does not hold."""
+        stats = stats if stats is not None else PipelineStats()
         batches = []
-        shared_scores: dict[tuple[str, str, tuple[str, int]], list[ScoredCandidate]] = {}
         for planned, enumeration in zip(plan.queries, enumerations):
             start = time.perf_counter()
-            query_context = self._apply_mode(planned.query, context)
-            share_key = (
-                (
-                    planned.insight_class.name,
-                    query_context.mode,
-                    enumeration.score_share_key,
-                )
-                if enumeration.score_share_key is not None
-                else None
+            admissible = enumeration.admissible
+            scored, evaluated = self._index.scored(
+                planned.insight_class,
+                admissible,
+                self._apply_mode(planned.query, context),
             )
-            if share_key is not None and share_key in shared_scores:
-                scored = shared_scores[share_key]
-                if stats is not None:
-                    stats.shared_score_queries += 1
-            else:
-                scored = self._score_one(
-                    planned.insight_class,
-                    enumeration.admissible,
-                    query_context,
-                    stats,
-                )
-                if share_key is not None:
-                    shared_scores[share_key] = scored
-            if stats is not None:
-                stats.n_scored += len(scored)
+            stats.score_evaluations += evaluated
+            stats.index_hits += len(admissible) - evaluated
+            if admissible and not evaluated:
+                stats.shared_score_queries += 1
+            stats.n_scored += len(scored)
             batches.append(
                 ScoredBatch(
                     candidates=scored,
@@ -332,20 +384,6 @@ class QueryPipeline:
                 )
             )
         return batches
-
-    @staticmethod
-    def _score_one(
-        insight_class: InsightClass,
-        admissible: list[tuple[str, ...]],
-        query_context: EvaluationContext,
-        stats: PipelineStats | None,
-    ) -> list[ScoredCandidate]:
-        """Score one query's admissible candidates as a single batch."""
-        if not admissible:
-            return []
-        if stats is not None:
-            stats.score_evaluations += len(admissible)
-        return insight_class.score_all(admissible, query_context)
 
     # ------------------------------------------------------------------
     # Stage 4: rank
@@ -422,9 +460,7 @@ class QueryPipeline:
             execute_span.set_attribute("n_queries", stats.n_queries)
             execute_span.set_attribute("n_scored", stats.n_scored)
             execute_span.set_attribute("shared_queries", stats.shared_queries)
-            execute_span.set_attribute(
-                "shared_score_queries", stats.shared_score_queries
-            )
+            execute_span.set_attribute("index_hits", stats.index_hits)
         return results
 
     # ------------------------------------------------------------------

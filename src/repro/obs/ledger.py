@@ -15,7 +15,10 @@ Two kinds of accounting meet here:
   :class:`MemoryLedger` instance via :meth:`MemoryLedger.set`;
 * components that already own a lock and a counter (the result cache,
   the trace ring, the durable journal) keep their own incremental
-  totals and are merged into the ledger snapshot at read time.
+  totals and are merged into the ledger snapshot at read time;
+* each live snapshot's insight index sizes what it memoises as it
+  fills (:func:`domain_bytes`, :func:`scored_candidate_bytes`) and is
+  summed at read time as ``insight_index``.
 
 :func:`deep_sizeof` is the test oracle: a recursive ``getsizeof`` walk
 (numpy-aware, cycle-safe) that the incremental counters are checked
@@ -31,7 +34,13 @@ from typing import Any
 
 import numpy as np
 
-__all__ = ["MemoryLedger", "deep_sizeof", "table_bytes"]
+__all__ = [
+    "MemoryLedger",
+    "deep_sizeof",
+    "domain_bytes",
+    "scored_candidate_bytes",
+    "table_bytes",
+]
 
 
 class MemoryLedger:
@@ -123,6 +132,23 @@ def table_bytes(table) -> int:
             for label in column.categories:
                 total += sys.getsizeof(label)
     return total
+
+
+def domain_bytes(domain: tuple) -> int:
+    """Size a memoised candidate domain: the tuple and its attribute
+    tuples.  The column names inside are the table schema's strings."""
+    return sys.getsizeof(domain) + sum(map(sys.getsizeof, domain))
+
+
+def scored_candidate_bytes(candidate: Any) -> int:
+    """Size a memoised scored candidate without a recursive walk: the
+    object, its ``__dict__``, its ``details`` dict and the values in it.
+    Its attribute tuple is its domain's, and the detail keys are literals
+    every candidate of a class shares."""
+    details = candidate.details
+    return (sys.getsizeof(candidate) + sys.getsizeof(vars(candidate))
+            + sys.getsizeof(details)
+            + sum(map(sys.getsizeof, details.values())))
 
 
 def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:

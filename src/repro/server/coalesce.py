@@ -1,12 +1,13 @@
 """Request coalescing: micro-batch concurrent singles into one batch call.
 
-PR 2 made ``Workspace.handle_many`` share candidate enumeration and
-scored batches *across* the requests of one batch — but only callers who
-already hold a batch benefit.  :class:`RequestCoalescer` realises that
-sharing at the transport layer: concurrent ``POST /v1/insights``
-arrivals within a small window are collected and dispatched as **one**
-``handle_many`` call, so unrelated clients asking similar questions at
-the same moment pay for enumeration and scoring once.
+Concurrent ``POST /v1/insights`` arrivals within a small window are
+collected and dispatched as **one** ``Workspace.handle_many`` call.
+Enumeration and scoring are shared whether or not requests ride one
+batch — each published snapshot's insight index
+(:class:`repro.core.pipeline.InsightIndex`) does it for every request on
+that snapshot.  What the coalescer still changes is scheduling: a miss
+that arrives while a write is in flight waits out the window before it
+dispatches, which paces reads beside an append.
 
 What rides a batch is what can share work: the server submits a request
 here only after ``Workspace.peek_cached`` said the result cache does not

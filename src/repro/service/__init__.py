@@ -5,8 +5,9 @@ engine*: any transport (HTTP handler, RPC server, CLI, notebook) can park
 a :class:`Workspace` behind it and exchange versioned, JSON-serialisable
 :class:`InsightRequest` / :class:`InsightResponse` DTOs, while the staged
 :class:`QueryPipeline` (plan → enumerate → score → rank) executes the
-queries with shared candidate enumeration and the :class:`ResultCache`
-absorbs repeated traffic.
+queries over each snapshot's insight index (every candidate domain
+enumerated, and every candidate scored, once per snapshot) and the
+:class:`ResultCache` absorbs repeated traffic.
 
 The whole path is safe under concurrent callers: the cache is locked,
 engine builds are single-flight, and every dataset sits behind its own

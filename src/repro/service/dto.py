@@ -54,8 +54,7 @@ class InsightRequest:
         Name of a dataset registered in the workspace.
     insight_classes:
         One class name or a sequence of them; a multi-class request is the
-        carousel view, and classes enumerating the same candidate domain
-        share a single enumeration pass.
+        carousel view.
     top_k:
         Page size per class.
     fixed / excluded / tags / metric_min / metric_max / max_candidates:
@@ -231,9 +230,12 @@ class InsightResponse:
          "n_admitted": int, "truncated": bool}
 
     ``provenance`` records how the answer was produced: ``cache`` ("hit" /
-    "miss"), evaluation ``mode``, the pipeline's enumeration and scoring
-    counters (``enumerations``, ``shared_queries``, ``score_evaluations``,
-    ``shared_score_queries``).
+    "miss") and evaluation ``mode``.  The pipeline's work counters
+    (``enumerations``, ``shared_queries``, ``score_evaluations``,
+    ``shared_score_queries``) left the wire when each snapshot gained an
+    insight index: they describe what earlier requests did, so two
+    servings of one answer would differ in them.  ``/metrics`` sums them
+    under ``workspace.pipeline``.
     Responses served through :meth:`~repro.service.workspace.Workspace.handle_many`
     additionally carry a ``batch`` entry (``{"index", "size"}``)
     identifying the request's position in its batch;

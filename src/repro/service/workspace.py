@@ -17,9 +17,10 @@ A :class:`Workspace` owns named datasets and serves
   ``(dataset, version, seq, canonical_request)``, with hit/miss
   provenance — and the exact ``(version, seq)`` snapshot identity —
   recorded on every response;
-* multi-class requests execute on the staged query pipeline, so classes
-  that enumerate the same candidate domain share one enumeration pass —
-  and, when their constraints don't prune, scored batches too;
+* requests execute on the staged query pipeline over the engine's
+  insight index: each candidate domain is enumerated, and each candidate
+  scored, once per published snapshot, and every later query on that
+  snapshot filters and gathers;
 * exploration sessions become workspace-addressable: they are created by
   dataset name and their saved state (which embeds the dataset name)
   restores through the workspace without the caller touching engines.
@@ -1218,13 +1219,11 @@ class Workspace:
             dataset_seq=seq,
             carousels=carousels,
             timing={"total_seconds": elapsed},
+            # The pipeline's work counters describe how warm the index
+            # was, not the answer: they go to /metrics, never the reply.
             provenance={
                 "cache": "hit",
                 "mode": request.mode or engine.config.mode,
-                "enumerations": stats.enumerations,
-                "shared_queries": stats.shared_queries,
-                "score_evaluations": stats.score_evaluations,
-                "shared_score_queries": stats.shared_score_queries,
             },
             next_cursor=(encode_cursor(offset + page_size)
                          if has_more else None),
@@ -1242,8 +1241,8 @@ class Workspace:
         """Serve a batch of requests in order, on the calling thread.
 
         Each request runs through :meth:`handle`, so batches get the full
-        machinery — result cache, single-flight engine builds, shared
-        enumeration and scoring — plus per-request batch provenance
+        machinery — result cache, single-flight engine builds, the
+        snapshot's insight index — plus per-request batch provenance
         (``provenance["batch"]`` carries the request's index and the
         batch size).  The first request failure propagates, mirroring
         :meth:`handle`.
@@ -1317,8 +1316,8 @@ class Workspace:
         """Lifetime pipeline counters summed over every cache-miss request.
 
         A consistent snapshot (taken under the accumulator lock) of
-        enumerations, sharing, score evaluations and elapsed
-        seconds — the raw material for the server's ``/metrics``.
+        enumerations, shared domains, score evaluations, index hits and
+        elapsed seconds — the raw material for the server's ``/metrics``.
         """
         with self._stats_lock:
             return self._stats.as_dict()
@@ -1354,9 +1353,13 @@ class Workspace:
         if top_k is None:
             top_k = self._obs_config.debug_top_k
         tracer_stats = self._tracer.stats()
+        with self._lock:
+            engines = [entry.engine for entry in self._entries.values()]
         extra = {
             "result_cache": self._cache.info()["bytes"],
             "trace_ring": tracer_stats["ring_bytes"],
+            "insight_index": sum(engine.index.nbytes for engine in engines
+                                 if engine is not None),
         }
         watchdogs: dict[str, Any] = {"rebuild_stall": self._stall.snapshot()}
         if self._lock_wait is not None:

@@ -203,11 +203,16 @@ class TestSharedEnumeration:
         result = recommender.nearby([focus], "linear_relationship", context,
                                     top_k=5)
         stats = result.details["pipeline"]
-        # One pool = one enumeration paid, every other pool query shared it
-        # (2 focus attributes + 1 unconstrained top-up = 3 queries).
+        # One pool = one execution of 3 queries (2 focus attributes + 1
+        # unconstrained top-up).  The focus query already enumerated the
+        # numeric pairs on this pipeline, so every pool query filters that
+        # domain and gathers its scores: nothing is enumerated or scored
+        # twice on one snapshot.
         assert stats["n_queries"] == 3
-        assert stats["enumerations"] == 1
-        assert stats["shared_queries"] == stats["n_queries"] - 1
+        assert stats["enumerations"] == 0
+        assert stats["shared_queries"] == stats["n_queries"]
+        assert stats["score_evaluations"] == 0
+        assert stats["index_hits"] == stats["n_scored"] > 0
 
     def test_focusless_nearby_still_works(self, engine_parts):
         engine, context = engine_parts

@@ -47,12 +47,13 @@ class TestParallelSerialDeterminism:
     def test_sharding_engages_on_scoring_bound_request(self, oecd_table):
         workspace = Workspace()
         workspace.register("data", oecd_table)
-        response = workspace.handle(
+        workspace.handle(
             InsightRequest(dataset="data", insight_classes=UNIVARIATE_CLASSES,
                            top_k=3)
         )
-        assert response.provenance["enumerations"] == 1
-        assert response.provenance["shared_queries"] == len(UNIVARIATE_CLASSES) - 1
+        stats = workspace.pipeline_stats()
+        assert stats["enumerations"] == 1
+        assert stats["shared_queries"] == len(UNIVARIATE_CLASSES) - 1
 
     def test_handle_many_matches_sequential_handles(self, small_mixed_table):
         requests = [

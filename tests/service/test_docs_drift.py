@@ -1,0 +1,67 @@
+"""The documents and the readers of ``/metrics`` say what the code does.
+
+* The provenance docs/API.md's first example prints for a plain miss is
+  the provenance a :class:`Workspace` response carries — no more keys,
+  no fewer.
+* ``/metrics`` ``workspace.pipeline`` carries every counter the
+  benchmark harness (``benchmarks/perf/perf_loadgen.py``) and
+  ``examples/server_demo.py`` read from it.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+from repro.data.datasets import load_oecd
+from repro.server import ReproClient, ServerConfig, serving
+from repro.service import InsightRequest, Workspace
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _documented_miss_provenance() -> dict:
+    text = (ROOT / "docs" / "API.md").read_text(encoding="utf-8")
+    match = re.search(r"print\(response\.provenance\)\s*#\s*(\{.*?\})", text,
+                      flags=re.DOTALL)
+    assert match, "API.md no longer prints a response's provenance"
+    return ast.literal_eval(re.sub(r"\n\s*#", "", match.group(1)))
+
+
+def _pipeline_counters_read() -> set[str]:
+    """The ``workspace.pipeline`` keys the harness and the demo read."""
+    harness = (ROOT / "benchmarks" / "perf" / "perf_loadgen.py").read_text(
+        encoding="utf-8")
+    demo = (ROOT / "examples" / "server_demo.py").read_text(encoding="utf-8")
+    read = set(re.findall(r"workspace\.pipeline\.(\w+)", harness))
+    read |= set(re.findall(r"\['pipeline'\]\['(\w+)'\]", demo))
+    return read
+
+
+def test_api_md_documents_a_plain_miss_provenance():
+    workspace = Workspace()
+    workspace.register("oecd", load_oecd)
+    response = workspace.handle(InsightRequest(
+        dataset="oecd",
+        insight_classes=("linear_relationship", "skew", "outliers"),
+        top_k=3,
+    ))
+    documented = _documented_miss_provenance()
+    assert set(documented) == set(response.provenance)
+    assert documented == response.provenance
+
+
+def test_metrics_carry_the_pipeline_counters_their_readers_read():
+    read = _pipeline_counters_read()
+    assert read >= {"n_queries", "enumerations", "shared_queries",
+                    "score_evaluations"}
+    workspace = Workspace()
+    workspace.register("oecd", load_oecd)
+    with serving(workspace, ServerConfig(port=0)) as handle:
+        with ReproClient(*handle.address) as client:
+            client.insights(InsightRequest(dataset="oecd",
+                                           insight_classes=("skew",)))
+            pipeline = client.metrics()["workspace"]["pipeline"]
+    assert read <= set(pipeline)
+    assert "index_hits" in pipeline

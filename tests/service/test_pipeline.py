@@ -1,9 +1,19 @@
-"""Tests for the staged query pipeline (plan → enumerate → score → rank)."""
+"""Tests for the staged query pipeline (plan → enumerate → score → rank).
+
+The pipeline's sharing is per snapshot: a pipeline (one per engine)
+enumerates each candidate domain once and scores each candidate once,
+whichever request first needs it; every later query filters and gathers.
+Tests that count work use a fresh engine or pipeline for that reason.
+"""
 
 from typing import Iterator
 
+import numpy as np
 import pytest
 
+from repro import Foresight
+from repro.core.engine import EngineConfig
+from repro.data.table import DataTable
 from repro.core.insight import EvaluationContext, InsightClass, ScoredCandidate, singletons
 from repro.core.query import InsightQuery, MetricRange
 from repro.core.registry import InsightRegistry, default_registry
@@ -34,10 +44,17 @@ class _CountingInsight(InsightClass):
         raise NotImplementedError
 
 
-def _counting_registry() -> InsightRegistry:
+class _PrivateCountingInsight(_CountingInsight):
+    """A counting class that declares no shared domain."""
+
+    def candidate_domain(self) -> str | None:
+        return None
+
+
+def _counting_registry(cls: type = _CountingInsight) -> InsightRegistry:
     registry = InsightRegistry()
     for name in ("count_a", "count_b", "count_c"):
-        insight_class = _CountingInsight()
+        insight_class = cls()
         insight_class.name = name
         insight_class.metric_name = "name_length"
         registry.register(insight_class)
@@ -65,42 +82,129 @@ class TestSharedEnumeration:
         assert all(len(r) == 3 for r in results)
 
     def test_single_queries_enumerate_per_class(self, oecd_table, exact_context):
-        registry = _counting_registry()
+        """Without a declared domain each class enumerates its own — once
+        per snapshot, however many single queries ask."""
+        registry = _counting_registry(_PrivateCountingInsight)
         pipeline = QueryPipeline(registry)
         _CountingInsight.enumeration_calls = 0
-        for name in ("count_a", "count_b", "count_c"):
-            pipeline.execute([InsightQuery(name, mode="exact")], exact_context)
+        stats = PipelineStats()
+        for _ in range(2):
+            for name in ("count_a", "count_b", "count_c"):
+                pipeline.execute([InsightQuery(name, mode="exact")],
+                                 exact_context, stats=stats)
         assert _CountingInsight.enumeration_calls == 3
+        assert stats.enumerations == 3
+        assert stats.shared_queries == 3
 
-    def test_builtin_univariate_classes_share_a_domain(self, oecd_engine):
+    def test_builtin_univariate_classes_share_a_domain(self, oecd_table):
+        engine = Foresight(oecd_table)
         stats = PipelineStats()
         queries = [InsightQuery(name, top_k=2)
                    for name in ("dispersion", "skew", "outliers", "heavy_tails")]
-        results = oecd_engine.rank_many(queries, stats=stats)
+        results = engine.rank_many(queries, stats=stats)
         assert stats.enumerations == 1
         assert stats.shared_queries == 3
         assert [r.query.insight_class for r in results] == [
             "dispersion", "skew", "outliers", "heavy_tails",
         ]
+        # A later request on the same snapshot enumerates nothing.
+        later = PipelineStats()
+        engine.rank_many([InsightQuery("normality", top_k=2)], stats=later)
+        assert (later.enumerations, later.shared_queries) == (0, 1)
 
-    def test_capped_queries_do_not_share(self, oecd_engine):
-        """max_candidates keeps the lazy early-stop instead of materialising."""
+    def test_capped_queries_do_not_share(self, oecd_table, monkeypatch):
+        """max_candidates keeps the lazy early-stop instead of materialising:
+        a capped walk over a domain larger than its cap leaves the index
+        empty, so the next capped query walks again."""
+        engine = Foresight(oecd_table)
+        n_pairs = engine.registry.get("linear_relationship").candidate_count(
+            oecd_table)
+        walked = []
+        for name in ("linear_relationship", "monotonic_relationship"):
+            insight_class = engine.registry.get(name)
+
+            def counting(table, insight_class=insight_class):
+                for attributes in type(insight_class).candidates(
+                        insight_class, table):
+                    walked.append(attributes)
+                    yield attributes
+
+            monkeypatch.setattr(insight_class, "candidates", counting)
         stats = PipelineStats()
         queries = [InsightQuery(name, top_k=2, max_candidates=3)
                    for name in ("linear_relationship", "monotonic_relationship")]
-        results = oecd_engine.rank_many(queries, stats=stats)
+        results = engine.rank_many(queries, stats=stats)
+        assert len(walked) <= 2 * 4 < n_pairs
         assert stats.enumerations == 2
         assert stats.shared_queries == 0
         assert all(r.truncated for r in results)
+        assert [r.n_candidates for r in results] == [3, 3]
+        assert engine.index.nbytes == 0
+        assert stats.score_evaluations == 6
+        # An uncapped query stores the domain; a capped one then filters it
+        # and gathers the scores.
+        (uncapped,) = engine.rank_many(
+            [InsightQuery("linear_relationship", top_k=2)], stats=stats)
+        assert not uncapped.truncated
+        assert uncapped.n_candidates == n_pairs
+        assert stats.enumerations == 3
+        assert stats.score_evaluations == 6 + n_pairs
+        engine.rank_many([queries[0]], stats=stats)
+        assert stats.enumerations == 3
+        assert stats.score_evaluations == 6 + n_pairs
+        assert stats.index_hits == 3
 
-    def test_distinct_domains_do_not_share(self, oecd_engine):
+    def test_a_capped_triple_walk_on_a_cold_index_stops_early(self, monkeypatch):
+        """The default triple cap walks only about ``cap`` candidates of a
+        larger domain, and the index stores neither domain nor scores."""
+        rng = np.random.default_rng(4)
+        columns = {f"x{k}": rng.normal(size=60) for k in range(8)}
+        columns["group"] = [f"g{k % 3}" for k in range(60)]
+        table = DataTable.from_columns(columns, name="triples")
+        cap = 10
+        engine = Foresight(table, config=EngineConfig(max_candidates_triples=cap))
+        segmentation = engine.registry.get("segmentation")
+        n_domain = segmentation.candidate_count(table)
+        assert n_domain > 2 * cap
+        walked = []
+
+        def counting(table):
+            for attributes in type(segmentation).candidates(segmentation, table):
+                walked.append(attributes)
+                yield attributes
+
+        monkeypatch.setattr(segmentation, "candidates", counting)
+        (result,) = engine.rank_many([InsightQuery("segmentation", top_k=3)])
+        assert walked and len(result) == 3
+        assert result.truncated and result.n_candidates == cap
+        assert len(walked) <= cap + 1
+        assert engine.index.nbytes == 0
+
+    def test_a_capped_query_stores_a_domain_within_its_cap(self, oecd_table):
+        engine = Foresight(oecd_table)
+        n_pairs = engine.registry.get("linear_relationship").candidate_count(
+            oecd_table)
+        stats = PipelineStats()
+        query = InsightQuery("linear_relationship", top_k=2,
+                             max_candidates=n_pairs)
+        engine.rank_many([query], stats=stats)
+        engine.rank_many([query], stats=stats)
+        assert stats.enumerations == 1
+        assert stats.score_evaluations == n_pairs
+        assert stats.index_hits == n_pairs
+
+    def test_distinct_domains_do_not_share(self, oecd_table):
+        engine = Foresight(oecd_table)
         stats = PipelineStats()
         # numeric-pairs, numeric-singletons, custom dependence enumeration.
         queries = [InsightQuery(name, top_k=2)
                    for name in ("linear_relationship", "skew", "dependence")]
-        oecd_engine.rank_many(queries, stats=stats)
+        engine.rank_many(queries, stats=stats)
         assert stats.enumerations == 3
         assert stats.shared_queries == 0
+        engine.rank_many(queries, stats=stats)
+        assert stats.enumerations == 3
+        assert stats.shared_queries == 3
 
     def test_shared_results_match_individual_ranking(self, oecd_engine):
         """Sharing the enumeration must not change any ranking output."""
@@ -116,27 +220,35 @@ class TestSharedEnumeration:
 
 
 class TestSharedScoring:
-    """Batched cross-query scoring: unpruned same-domain queries share scores."""
+    """Each candidate is scored once per snapshot, per class and mode."""
 
-    def test_unpruned_same_class_queries_score_each_candidate_once(self, oecd_engine):
-        n_columns = oecd_engine.registry.get("skew").candidate_count(oecd_engine.table)
+    def test_unpruned_same_class_queries_score_each_candidate_once(self, oecd_table):
+        engine = Foresight(oecd_table)
+        n_columns = engine.registry.get("skew").candidate_count(engine.table)
         stats = PipelineStats()
         queries = [
             InsightQuery("skew", top_k=2, mode="exact"),
             InsightQuery("skew", top_k=5, mode="exact",
                          metric_range=MetricRange(minimum=0.1)),
         ]
-        first, second = oecd_engine.rank_many(queries, stats=stats)
+        first, second = engine.rank_many(queries, stats=stats)
         assert stats.enumerations == 1
         assert stats.shared_queries == 1
         assert stats.shared_score_queries == 1
-        # The proof: each of the shared domain's candidates was submitted
-        # to a metric evaluation once, not once per query.
+        # The proof: each of the domain's candidates was submitted to a
+        # metric evaluation once, not once per query...
         assert stats.score_evaluations == n_columns
+        assert stats.index_hits == n_columns
         assert stats.n_scored == 2 * n_columns
-        # Sharing must not change outputs: each query still ranks as solo.
+        # ...and a later request on the snapshot submits none of them.
+        later = PipelineStats()
+        engine.rank_many([InsightQuery("skew", top_k=3, mode="exact")], stats=later)
+        assert later.score_evaluations == 0
+        assert later.index_hits == n_columns
+        # Sharing must not change outputs: each query still ranks as solo
+        # on a fresh engine.
         for query, shared_result in zip(queries, (first, second)):
-            solo = oecd_engine.query(query)
+            solo = Foresight(oecd_table).query(query)
             assert shared_result.attribute_sets() == solo.attribute_sets()
             assert [i.score for i in shared_result] == [i.score for i in solo]
 
@@ -154,33 +266,46 @@ class TestSharedScoring:
         assert _CountingInsight.score_calls == len(oecd_table.numeric_names())
         assert stats.shared_score_queries == 1
 
-    def test_different_classes_do_not_share_scores(self, oecd_engine):
+    def test_different_classes_do_not_share_scores(self, oecd_table):
+        engine = Foresight(oecd_table)
+        n_columns = engine.registry.get("skew").candidate_count(engine.table)
         stats = PipelineStats()
-        oecd_engine.rank_many(
+        engine.rank_many(
             [InsightQuery("skew", top_k=2), InsightQuery("dispersion", top_k=2)],
             stats=stats,
         )
         assert stats.shared_queries == 1       # enumeration is shared...
         assert stats.shared_score_queries == 0  # ...their metrics are not
+        assert stats.score_evaluations == 2 * n_columns
 
-    def test_pruned_queries_do_not_share_scores(self, oecd_engine):
+    def test_pruned_queries_do_not_share_scores(self, oecd_table):
+        """A pruned query scores its admissible candidates only, so the
+        next query scores the rest: each candidate once over the two."""
+        engine = Foresight(oecd_table)
+        n_columns = engine.registry.get("skew").candidate_count(engine.table)
         stats = PipelineStats()
-        oecd_engine.rank_many(
-            [InsightQuery("skew", top_k=2, mode="exact"),
-             InsightQuery("skew", top_k=2, mode="exact",
-                          fixed_attributes=("LifeSatisfaction",))],
+        engine.rank_many(
+            [InsightQuery("skew", top_k=2, mode="exact",
+                          fixed_attributes=("LifeSatisfaction",)),
+             InsightQuery("skew", top_k=2, mode="exact")],
             stats=stats,
         )
         assert stats.shared_score_queries == 0
+        assert stats.score_evaluations == n_columns
+        assert stats.index_hits == 1
 
-    def test_mode_mismatch_does_not_share_scores(self, oecd_engine):
+    def test_mode_mismatch_does_not_share_scores(self, oecd_table):
+        engine = Foresight(oecd_table)
+        n_columns = engine.registry.get("skew").candidate_count(engine.table)
         stats = PipelineStats()
-        oecd_engine.rank_many(
+        engine.rank_many(
             [InsightQuery("skew", top_k=2, mode="approximate"),
              InsightQuery("skew", top_k=2, mode="exact")],
             stats=stats,
         )
         assert stats.shared_score_queries == 0
+        assert stats.score_evaluations == 2 * n_columns
+        assert stats.index_hits == 0
 
 
 class TestStagedExecution:
@@ -210,7 +335,8 @@ class TestStagedExecution:
         assert result.truncated
         assert result.n_scored <= 3
 
-    def test_constraints_filtered_per_query_on_shared_enumeration(self, oecd_engine):
+    def test_constraints_filtered_per_query_on_shared_enumeration(self, oecd_table):
+        oecd_engine = Foresight(oecd_table)
         stats = PipelineStats()
         queries = [
             InsightQuery("dispersion", top_k=5, mode="exact",
