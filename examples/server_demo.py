@@ -3,7 +3,8 @@
 Starts the asyncio server on an ephemeral port (request coalescing on,
 a per-dataset quota for demonstration), points a :class:`ReproClient`
 at it, and walks the whole surface: a carousel request, a client-side
-batch, cache-hit behavior, and the operations endpoints.
+batch, cache-hit behavior, and the operations endpoints, including the
+Prometheus text scrape of ``/metrics``.
 
 Run with::
 
@@ -23,6 +24,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.data.datasets import load_oecd  # noqa: E402
 from repro.service import InsightRequest, Workspace  # noqa: E402
 from repro.server import ReproClient, ServerConfig, serving  # noqa: E402
+from repro.server.metrics import PROMETHEUS_CONTENT_TYPE  # noqa: E402
 from repro.viz.ascii import render_table  # noqa: E402
 
 
@@ -91,6 +93,17 @@ def main() -> None:
         p95 = metrics["server"]["latency"]["p95_seconds"]
         print(f"latency:  p95 <= {p95:.3f}s over "
               f"{metrics['server']['latency']['count']} timed requests")
+
+        # -- the same document as a Prometheus scrape ---------------------
+        scrape = client.request_raw("GET", "/metrics",
+                                    headers={"Accept": "text/plain"})
+        assert scrape.headers["content-type"] == PROMETHEUS_CONTENT_TYPE
+        text = scrape.payload
+        assert "repro_requests_total" in text
+        assert "repro_span_duration_seconds_bucket" in text
+        families = sum(line.startswith("# TYPE ") for line in text.splitlines())
+        print(f"prometheus: {families} families, "
+              f"{len(text.splitlines())} lines")
         client.close()
 
     print("\nserver drained and stopped.")

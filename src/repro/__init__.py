@@ -30,9 +30,10 @@ Serving layer (multi-user, transport-agnostic):
   classes per request, shared query constraints, pagination cursors and
   cache/mode provenance on every response.
 * :class:`repro.service.QueryPipeline` — the staged execution pipeline
-  (plan → enumerate → score → rank); multi-class requests enumerate each
-  shared candidate domain once instead of once per class, and unpruned
-  same-class queries share scored batches.
+  (plan → enumerate → score → rank) over each published snapshot's
+  insight index: a class's candidate domain is enumerated, and each
+  candidate scored, once per snapshot, and every later query on that
+  snapshot filters and ranks what the index holds.
 
 Single-process embedding:
 

@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .engine import Finding, Rule, SourceModule, iter_python_files, load_module
-from .project import LockSpec, ProjectConfig
+from .project import DEFAULT_CONFIG, LockSpec, ProjectConfig
 
 __all__ = [
     "LockOrderRule",
@@ -738,6 +738,17 @@ class LockSiteResolver:
     def __init__(self, sites: dict[tuple[str, int], LockSite]):
         self.sites = sites
         self._files = {path for path, _line in sites}
+
+    @classmethod
+    def for_package(
+        cls, roots: Iterable[Path] | None = None, config: ProjectConfig | None = None
+    ) -> "LockSiteResolver":
+        """The resolver over ``roots`` (default: the installed package)."""
+        if roots is None:
+            import repro
+
+            roots = [Path(repro.__file__).resolve().parent]
+        return cls(collect_lock_sites(roots, config or DEFAULT_CONFIG))
 
     def resolve(self, frame) -> tuple[str | None, str]:
         for _ in range(self.max_frames):

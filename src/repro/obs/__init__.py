@@ -9,7 +9,9 @@ cost attribution and rolling cost windows (:mod:`repro.obs.resources`);
 the fixed-bucket duration histogram they and the server's metrics share
 (:mod:`repro.obs.histogram`);
 the incremental memory ledger (:mod:`repro.obs.ledger`); watchdogs for
-quiet degradation (:mod:`repro.obs.watchdog`); and the
+quiet degradation (:mod:`repro.obs.watchdog`); the one patch point for
+lock construction that the lock-wait watchdog and the runtime lock-order
+tracker listen on (:mod:`repro.obs.lockhook`); and the
 :class:`~repro.obs.config.ObsConfig` knobs (``REPRO_OBS_*`` env / CLI)
 that switch it all on and off.
 

@@ -19,14 +19,14 @@ Three independent detectors, each emitting structured events through
     rebuilds are rare, so the thread cost is noise.
 
 ``LockWaitWatchdog``
-    Wraps ``threading.Lock`` / ``threading.RLock`` construction (the
-    same factory-patch shape as :class:`repro.analysis.runtime.
-    LockTracker`) so blocking acquisitions that had to *wait* past the
-    threshold are resolved against the statically extracted site table
-    (:func:`repro.analysis.locks.collect_lock_sites`) and reported as
-    ``lock_wait`` events naming the declared lock role.  Uncontended
+    A listener on the shared lock hook (:mod:`repro.obs.lockhook`, which
+    the runtime lock-order tracker listens on too).  A blocking
+    acquisition that had to *wait* past the threshold is resolved from
+    its caller's frame against the statically extracted site table
+    (:func:`repro.analysis.locks.collect_lock_sites`) and reported as a
+    ``lock_wait`` event naming the declared lock role.  Uncontended
     acquisitions pay one try-acquire and no clock read.  Only locks
-    created after installation are timed — install it before building
+    created after installation are proxies — install it before building
     the state you want watched (the workspace does this when its
     ``ObsConfig.lock_wait_ms`` is positive).
 """
@@ -34,12 +34,12 @@ Three independent detectors, each emitting structured events through
 from __future__ import annotations
 
 import asyncio
-import sys
 import threading
 import time
 from collections import deque
 from typing import Any
 
+from repro.obs import lockhook
 from repro.obs.events import emit
 
 __all__ = [
@@ -181,121 +181,39 @@ class StallDetector:
             }
 
 
-class _WaitTimedLock:
-    """Proxy over a real lock that times *contended* blocking acquires."""
-
-    __slots__ = ("_inner", "_watchdog")
-
-    def __init__(self, inner, watchdog: "LockWaitWatchdog"):
-        object.__setattr__(self, "_inner", inner)
-        object.__setattr__(self, "_watchdog", watchdog)
-
-    def acquire(self, blocking: bool = True, timeout: float = -1):
-        if not blocking:
-            return self._inner.acquire(blocking, timeout)
-        # Uncontended fast path: no clock read at all.
-        if self._inner.acquire(False):
-            return True
-        started = time.perf_counter()
-        ok = self._inner.acquire(True, timeout)
-        waited = time.perf_counter() - started
-        if ok and waited * 1000.0 >= self._watchdog.threshold_ms:
-            self._watchdog._on_wait(waited)
-        return ok
-
-    def release(self):
-        self._inner.release()
-
-    def __enter__(self):
-        return self.acquire()
-
-    def __exit__(self, exc_type, exc, tb):
-        self.release()
-        return False
-
-    def locked(self):
-        return self._inner.locked()
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def __repr__(self):
-        return f"<wait-timed {self._inner!r}>"
-
-
 class LockWaitWatchdog:
-    """Reports lock acquisitions that waited past the threshold."""
+    """Lock-hook listener reporting acquisitions that waited too long."""
 
     def __init__(self, threshold_ms: float = 50.0):
         if threshold_ms <= 0:
             raise ValueError(f"threshold_ms must be > 0, got {threshold_ms}")
         self.threshold_ms = float(threshold_ms)
-        # Created before install() patches the factories, so the state
-        # lock itself is never one of our timed proxies (no recursion).
-        self._lock = threading.Lock()
+        self._lock = lockhook.own_lock()
         self._trips = 0
         self._unattributed = 0
         self._recent: deque[dict[str, Any]] = deque(maxlen=8)
+        #: Names a waiting acquisition's declared lock role; install()
+        #: loads it, before the first callback can come.
+        self._resolver = None
+
+    def install(self, roots=None) -> "LockWaitWatchdog":
         # Imported here, not at module top: the analyzer stays off the
         # serving import path unless a watchdog is wanted.
         from repro.analysis.locks import LockSiteResolver
 
-        #: Names a waiting acquisition's declared lock role; empty (so
-        #: nothing resolves) until install() loads the site table.
-        self._resolver = LockSiteResolver({})
-        self._installed = False
-        self._orig_lock = None
-        self._orig_rlock = None
-
-    # ------------------------------------------------------------------
-    # Installation (same factory-patch shape as analysis.runtime)
-    # ------------------------------------------------------------------
-    def install(self, roots=None) -> "LockWaitWatchdog":
-        from pathlib import Path
-
-        from repro.analysis.locks import LockSiteResolver, collect_lock_sites
-        from repro.analysis.project import DEFAULT_CONFIG
-
-        if roots is None:
-            import repro
-
-            roots = [Path(repro.__file__).resolve().parent]
-        self._resolver = LockSiteResolver(
-            collect_lock_sites(roots, DEFAULT_CONFIG))
-        if self._installed:
-            return self
-        self._orig_lock = threading.Lock
-        self._orig_rlock = threading.RLock
-        watchdog = self
-
-        def make_lock():
-            return _WaitTimedLock(watchdog._orig_lock(), watchdog)
-
-        def make_rlock():
-            return _WaitTimedLock(watchdog._orig_rlock(), watchdog)
-
-        threading.Lock = make_lock  # type: ignore[assignment]
-        threading.RLock = make_rlock  # type: ignore[assignment]
-        self._installed = True
+        self._resolver = LockSiteResolver.for_package(roots)
+        lockhook.add_listener(self)
         return self
 
     def uninstall(self) -> None:
-        if not self._installed:
-            return
-        threading.Lock = self._orig_lock  # type: ignore[assignment]
-        threading.RLock = self._orig_rlock  # type: ignore[assignment]
-        self._installed = False
+        lockhook.remove_listener(self)
 
     # ------------------------------------------------------------------
-    # Wait reporting
+    # Lock-hook callbacks
     # ------------------------------------------------------------------
-    def _on_wait(self, waited: float) -> None:
-        # The walk starts at the proxy's caller — acquire's, or __enter__'s
-        # for a ``with`` — because this file holds lock sites of its own:
-        # a walk from the proxy would stop here and name nothing.
-        frame = sys._getframe(2)
-        if frame.f_code is _WaitTimedLock.__enter__.__code__:
-            frame = frame.f_back
+    def on_acquire(self, lock, frame, blocking: bool, waited: float) -> None:
+        if waited * 1000.0 < self.threshold_ms:
+            return
         role, site = self._resolver.resolve(frame)
         if role is None:
             # Only report locks the site table can name (third-party and
@@ -313,11 +231,14 @@ class LockWaitWatchdog:
             self._recent.append(trip)
         emit("lock_wait", threshold_ms=self.threshold_ms, **trip)
 
+    def on_release(self, lock) -> None:
+        pass
+
     def snapshot(self) -> dict[str, Any]:
         with self._lock:
             return {
                 "threshold_ms": self.threshold_ms,
-                "installed": self._installed,
+                "installed": self in lockhook.listeners(),
                 "trips": self._trips,
                 "unattributed": self._unattributed,
                 "recent": list(self._recent),

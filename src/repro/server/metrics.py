@@ -12,12 +12,18 @@ fixed-bucket histogram the tracer and the cost aggregator use too.
 
 Everything is guarded by one internal lock: the event loop, the handler
 worker threads and scraping clients may all touch it concurrently.
+
+The JSON document is the canonical surface.  Its Prometheus text form
+(:func:`render_prometheus`) is one walk over one declaration,
+:data:`PROMETHEUS_FAMILIES`: a row per family naming its type and its
+path into the document, so a new series is one row, here and in
+docs/OBSERVABILITY.md's table.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.obs.histogram import LATENCY_BUCKETS, LatencyHistogram
 
@@ -136,14 +142,129 @@ class ServerMetrics:
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
+class Family(NamedTuple):
+    """One declared Prometheus family and where its samples live.
+
+    ``path`` is dotted into the ``/metrics`` document.  A ``{label}``
+    segment fans out over a dict's keys (sorted) or a list of records
+    (in order, by each record's ``name``); its value becomes that label,
+    or — when the family's ``name`` holds the same placeholder — part of
+    the name.  ``labels`` are fixed labels on every sample.
+    """
+
+    name: str
+    kind: str  # "counter" | "gauge" | "histogram"
+    path: str
+    labels: tuple[tuple[str, str], ...] = ()
+
+
+def _each(name: str, kind: str, path: str, keys: tuple[str, ...]) -> list[Family]:
+    """One family per key, in the given order.
+
+    ``{key}`` is filled in both templates; a label placeholder that must
+    survive into the row is written doubled (``{{dataset}}``).
+    """
+    return [Family(name.format(key=key), kind, path.format(key=key)) for key in keys]
+
+
+_INGEST_COUNTERS = ("rows_appended", "delta_merges", "rebuilds", "bg_rebuilds")
+
+#: The whole exposition, in rendering order: one row per family (two for
+#: ``repro_rejected_total``, one per fixed ``reason``).
+PROMETHEUS_FAMILIES: tuple[Family, ...] = (
+    Family("repro_requests_total", "counter", "server.requests.total"),
+    Family("repro_endpoint_requests_total", "counter",
+           "server.requests.by_endpoint.{endpoint}"),
+    Family("repro_responses_total", "counter", "server.responses.by_status.{status}"),
+    Family("repro_rejected_total", "counter", "server.responses.rejected_quota",
+           (("reason", "quota"),)),
+    Family("repro_rejected_total", "counter", "server.responses.rejected_overload",
+           (("reason", "overload"),)),
+    Family("repro_coalesce_batches_total", "counter", "server.coalesce.batches"),
+    Family("repro_coalesce_requests_total", "counter",
+           "server.coalesce.coalesced_requests"),
+    Family("repro_coalesce_immediate_total", "counter",
+           "server.coalesce.immediate_dispatches"),
+    Family("repro_direct_requests_total", "counter", "server.coalesce.direct_requests"),
+    Family("repro_fast_hits_total", "counter", "server.coalesce.fast_hits"),
+    Family("repro_coalesce_rider_wait_seconds_total", "counter",
+           "server.coalesce.rider_wait_seconds_total"),
+    Family("repro_coalesce_max_batch_size", "gauge", "server.coalesce.max_batch_size"),
+    Family("repro_coalesce_wait_seconds", "histogram", "server.coalesce.wait"),
+    Family("repro_request_latency_seconds", "histogram", "server.latency"),
+    *_each("repro_admission_{key}", "gauge", "admission.{key}",
+           ("in_flight", "queued", "parked", "peak_in_flight", "peak_queued",
+            "peak_parked")),
+    *_each("repro_admission_{key}", "counter", "admission.{key}",
+           ("admitted_total", "queued_total", "parked_total",
+            "batches_dispatched_total", "rejected_quota_total",
+            "rejected_overload_total")),
+    Family("repro_admission_in_flight_by_dataset", "gauge",
+           "admission.in_flight_by_dataset.{dataset}"),
+    Family("repro_admission_in_flight_by_class", "gauge",
+           "admission.in_flight_by_class.{class}"),
+    Family("repro_admission_in_flight_writes_by_dataset", "gauge",
+           "admission.in_flight_writes_by_dataset.{dataset}"),
+    *_each("repro_cache_{key}_total", "counter", "workspace.cache.{key}",
+           ("hits", "misses", "evictions", "invalidations")),
+    *_each("repro_cache_{key}", "gauge", "workspace.cache.{key}", ("size", "capacity")),
+    Family("repro_pipeline_{key}_total", "counter", "workspace.pipeline.{key}"),
+    Family("repro_engine_builds_total", "counter", "workspace.engine_builds"),
+    Family("repro_dataset_version", "gauge", "workspace.datasets.{dataset}.version"),
+    Family("repro_dataset_seq", "gauge", "workspace.datasets.{dataset}.seq"),
+    *_each("repro_ingest_{key}_total", "counter", "workspace.ingest.totals.{key}",
+           ("appends", *_INGEST_COUNTERS)),
+    Family("repro_ingest_durable", "gauge", "workspace.ingest.durable"),
+    *_each("repro_dataset_ingest_{key}_total", "counter",
+           "workspace.ingest.datasets.{{dataset}}.{key}", _INGEST_COUNTERS),
+    Family("repro_dataset_rebuild_running", "gauge",
+           "workspace.ingest.datasets.{dataset}.rebuild_running"),
+    Family("repro_replica_promoted", "gauge", "workspace.ingest.replica.promoted"),
+    Family("repro_replica_tailing", "gauge", "workspace.ingest.replica.tailing"),
+    Family("repro_replica_lag_seq", "gauge",
+           "workspace.ingest.replica.datasets.{dataset}.lag_seq"),
+    Family("repro_replica_applied_records_total", "counter",
+           "workspace.ingest.replica.datasets.{dataset}.applied_records"),
+    Family("repro_replica_resets_total", "counter",
+           "workspace.ingest.replica.datasets.{dataset}.resets"),
+    Family("repro_tracing_enabled", "gauge", "obs.tracing.enabled"),
+    Family("repro_tracing_traces_held", "gauge", "obs.tracing.traces_held"),
+    Family("repro_tracing_traces_recorded_total", "counter",
+           "obs.tracing.traces_recorded"),
+    Family("repro_tracing_spans_recorded_total", "counter", "obs.tracing.spans_recorded"),
+    Family("repro_span_duration_seconds", "histogram", "obs.spans.{span}"),
+    Family("repro_tracing_ring_evictions_total", "counter", "obs.tracing.ring_evictions"),
+    Family("repro_tracing_ring_bytes", "gauge", "obs.tracing.ring_bytes"),
+    Family("repro_memory_bytes", "gauge", "resources.memory.components.{component}"),
+    Family("repro_memory_total_bytes", "gauge", "resources.memory.total_bytes"),
+    Family("repro_dataset_memory_bytes", "gauge",
+           "resources.memory.datasets.{dataset}.{component}"),
+    Family("repro_cost_requests_total", "counter", "resources.costs.requests_total"),
+    Family("repro_request_cost_total", "counter", "resources.costs.totals.{counter}"),
+    Family("repro_request_cpu_seconds", "histogram",
+           "resources.costs.cpu_seconds_histogram"),
+    Family("repro_class_requests_total", "counter",
+           "resources.costs.classes.{class}.requests_total"),
+    Family("repro_class_window_cpu_seconds", "gauge",
+           "resources.costs.classes.{class}.cpu_seconds"),
+    Family("repro_dataset_requests_total", "counter",
+           "resources.costs.datasets.{dataset}.requests_total"),
+    Family("repro_dataset_window_cpu_seconds", "gauge",
+           "resources.costs.datasets.{dataset}.cpu_seconds"),
+    Family("repro_event_loop_lag_seconds", "gauge",
+           "resources.watchdogs.event_loop_lag.last_lag_seconds"),
+    Family("repro_event_loop_lag_max_seconds", "gauge",
+           "resources.watchdogs.event_loop_lag.max_lag_seconds"),
+    Family("repro_watchdog_trips_total", "counter", "resources.watchdogs.{watchdog}.trips"),
+)
+
+
 def _escape_label(value: object) -> str:
     return (str(value).replace("\\", "\\\\").replace('"', '\\"')
             .replace("\n", "\\n"))
 
 
-def _sample(name: str, value: object, labels: dict[str, object] | None = None) -> str:
-    if value is None:
-        value = "NaN"
+def _sample(name: str, value: object, labels: dict[str, object]) -> str:
     if labels:
         rendered = ",".join(
             f'{key}="{_escape_label(val)}"' for key, val in labels.items()
@@ -153,35 +274,46 @@ def _sample(name: str, value: object, labels: dict[str, object] | None = None) -
 
 
 def _histogram_lines(name: str, snapshot: dict[str, Any],
-                     labels: dict[str, object] | None = None,
-                     declare: bool = True) -> list[str]:
+                     labels: dict[str, object]) -> list[str]:
     """Render a :meth:`LatencyHistogram.snapshot` as a Prometheus histogram.
 
     The snapshot's buckets hold per-bucket counts; Prometheus buckets are
     cumulative, so they are summed on the way out (with the mandatory
-    ``+Inf`` bucket equal to the total count).  ``labels`` ride on every
-    sample (used for the per-span-name duration histograms, which share
-    one metric family); pass ``declare=False`` after the first family
-    member so the ``# TYPE`` line appears exactly once.
+    ``+Inf`` bucket equal to the total count).
     """
-    lines = [] if not declare else [f"# TYPE {name} histogram"]
+    lines = []
     cumulative = 0
     for key, count in snapshot.get("buckets", {}).items():
         if key == "le_inf":
             continue
         cumulative += count
-        bound = key[len("le_"):]
-        bucket_labels = dict(labels or {})
-        bucket_labels["le"] = bound
-        lines.append(_sample(f"{name}_bucket", cumulative, bucket_labels))
-    inf_labels = dict(labels or {})
-    inf_labels["le"] = "+Inf"
+        lines.append(_sample(f"{name}_bucket", cumulative,
+                             {**labels, "le": key[len("le_"):]}))
     lines.append(_sample(f"{name}_bucket", snapshot.get("count", 0),
-                         inf_labels))
-    lines.append(_sample(f"{name}_sum", snapshot.get("sum_seconds", 0.0),
-                         labels))
+                         {**labels, "le": "+Inf"}))
+    lines.append(_sample(f"{name}_sum", snapshot.get("sum_seconds", 0.0), labels))
     lines.append(_sample(f"{name}_count", snapshot.get("count", 0), labels))
     return lines
+
+
+def _walk(node: Any, segments: list[str], bound: dict[str, str]):
+    """Yield ``(bindings, value)`` for every node the path reaches."""
+    if not segments:
+        yield bound, node
+        return
+    head, rest = segments[0], segments[1:]
+    if not head.startswith("{"):
+        if isinstance(node, dict) and head in node:
+            yield from _walk(node[head], rest, bound)
+        return
+    if isinstance(node, dict):
+        children = [(key, node[key]) for key in sorted(node)]
+    elif isinstance(node, list):
+        children = [(entry.get("name", ""), entry) for entry in node]
+    else:
+        return
+    for key, child in children:
+        yield from _walk(child, rest, {**bound, head[1:-1]: key})
 
 
 def render_prometheus(document: dict[str, Any]) -> str:
@@ -190,248 +322,32 @@ def render_prometheus(document: dict[str, Any]) -> str:
     The JSON document stays the canonical surface (and the default
     content type); this renderer exists so a stock Prometheus scraper
     can consume the same counters via ``Accept: text/plain`` content
-    negotiation.  Metric names are stable: ``repro_*`` counters/gauges,
-    with per-dataset / per-endpoint breakdowns as labels.
+    negotiation.  It walks :data:`PROMETHEUS_FAMILIES` in order: each
+    family's ``# TYPE`` line comes once, before its first sample;
+    booleans render as 1/0, paths absent from the document and
+    non-numeric values are skipped.
     """
     lines: list[str] = []
-
-    def counter(name: str, value: object,
-                labels: dict[str, object] | None = None,
-                declare: bool = True) -> None:
-        if declare:
-            lines.append(f"# TYPE {name} counter")
-        lines.append(_sample(name, value, labels))
-
-    def gauge(name: str, value: object,
-              labels: dict[str, object] | None = None,
-              declare: bool = True) -> None:
-        if declare:
-            lines.append(f"# TYPE {name} gauge")
-        lines.append(_sample(name, value, labels))
-
-    server = document.get("server", {})
-    requests = server.get("requests", {})
-    counter("repro_requests_total", requests.get("total", 0))
-    by_endpoint = requests.get("by_endpoint", {})
-    if by_endpoint:
-        lines.append("# TYPE repro_endpoint_requests_total counter")
-        for endpoint, count in sorted(by_endpoint.items()):
-            counter("repro_endpoint_requests_total", count,
-                    {"endpoint": endpoint}, declare=False)
-    responses = server.get("responses", {})
-    by_status = responses.get("by_status", {})
-    if by_status:
-        lines.append("# TYPE repro_responses_total counter")
-        for status, count in sorted(by_status.items()):
-            counter("repro_responses_total", count, {"status": status},
-                    declare=False)
-    lines.append("# TYPE repro_rejected_total counter")
-    counter("repro_rejected_total", responses.get("rejected_quota", 0),
-            {"reason": "quota"}, declare=False)
-    counter("repro_rejected_total", responses.get("rejected_overload", 0),
-            {"reason": "overload"}, declare=False)
-    coalesce = server.get("coalesce", {})
-    counter("repro_coalesce_batches_total", coalesce.get("batches", 0))
-    counter("repro_coalesce_requests_total",
-            coalesce.get("coalesced_requests", 0))
-    counter("repro_coalesce_immediate_total",
-            coalesce.get("immediate_dispatches", 0))
-    counter("repro_direct_requests_total", coalesce.get("direct_requests", 0))
-    counter("repro_fast_hits_total", coalesce.get("fast_hits", 0))
-    counter("repro_coalesce_rider_wait_seconds_total",
-            coalesce.get("rider_wait_seconds_total", 0.0))
-    gauge("repro_coalesce_max_batch_size", coalesce.get("max_batch_size", 0))
-    if "wait" in coalesce:
-        lines.extend(_histogram_lines("repro_coalesce_wait_seconds",
-                                      coalesce["wait"]))
-    if "latency" in server:
-        lines.extend(_histogram_lines("repro_request_latency_seconds",
-                                      server["latency"]))
-
-    admission = document.get("admission", {})
-    for key in ("in_flight", "queued", "parked", "peak_in_flight",
-                "peak_queued", "peak_parked"):
-        if key in admission:
-            gauge(f"repro_admission_{key}", admission[key])
-    for key in ("admitted_total", "queued_total", "parked_total",
-                "batches_dispatched_total", "rejected_quota_total",
-                "rejected_overload_total"):
-        if key in admission:
-            counter(f"repro_admission_{key}", admission[key])
-    for section, metric in (
-        ("in_flight_by_dataset", "repro_admission_in_flight_by_dataset"),
-        ("in_flight_by_class", "repro_admission_in_flight_by_class"),
-        ("in_flight_writes_by_dataset",
-         "repro_admission_in_flight_writes_by_dataset"),
-    ):
-        breakdown = admission.get(section, {})
-        if breakdown:
-            lines.append(f"# TYPE {metric} gauge")
-            label = "class" if section == "in_flight_by_class" else "dataset"
-            for name, count in sorted(breakdown.items()):
-                gauge(metric, count, {label: name}, declare=False)
-
-    workspace = document.get("workspace", {})
-    cache = workspace.get("cache", {})
-    for key in ("hits", "misses", "evictions", "invalidations"):
-        if key in cache:
-            counter(f"repro_cache_{key}_total", cache[key])
-    for key in ("size", "capacity"):
-        if key in cache:
-            gauge(f"repro_cache_{key}", cache[key])
-    pipeline = workspace.get("pipeline", {})
-    for key in sorted(pipeline):
-        value = pipeline[key]
-        if isinstance(value, (int, float)):
-            counter(f"repro_pipeline_{key}_total", value)
-    if "engine_builds" in workspace:
-        counter("repro_engine_builds_total", workspace["engine_builds"])
-    datasets = workspace.get("datasets", [])
-    if datasets:
-        lines.append("# TYPE repro_dataset_version gauge")
-        for entry in datasets:
-            gauge("repro_dataset_version", entry.get("version", 0),
-                  {"dataset": entry.get("name", "")}, declare=False)
-        lines.append("# TYPE repro_dataset_seq gauge")
-        for entry in datasets:
-            gauge("repro_dataset_seq", entry.get("seq", 0),
-                  {"dataset": entry.get("name", "")}, declare=False)
-
-    ingest = workspace.get("ingest", {})
-    totals = ingest.get("totals", {})
-    for key in ("appends", "rows_appended", "delta_merges", "rebuilds",
-                "bg_rebuilds"):
-        if key in totals:
-            counter(f"repro_ingest_{key}_total", totals[key])
-    if "durable" in ingest:
-        gauge("repro_ingest_durable", 1 if ingest["durable"] else 0)
-    per_dataset = ingest.get("datasets", {})
-    if per_dataset:
-        for key in ("rows_appended", "delta_merges", "rebuilds",
-                    "bg_rebuilds"):
-            metric = f"repro_dataset_ingest_{key}_total"
-            lines.append(f"# TYPE {metric} counter")
-            for name, counters in sorted(per_dataset.items()):
-                counter(metric, counters.get(key, 0), {"dataset": name},
-                        declare=False)
-        lines.append("# TYPE repro_dataset_rebuild_running gauge")
-        for name, counters in sorted(per_dataset.items()):
-            gauge("repro_dataset_rebuild_running",
-                  1 if counters.get("rebuild_running") else 0,
-                  {"dataset": name}, declare=False)
-    replica = ingest.get("replica", {})
-    if replica:
-        gauge("repro_replica_promoted", 1 if replica.get("promoted") else 0)
-        gauge("repro_replica_tailing", 1 if replica.get("tailing") else 0)
-        replica_datasets = replica.get("datasets", {})
-        if replica_datasets:
-            lines.append("# TYPE repro_replica_lag_seq gauge")
-            for name, snap in sorted(replica_datasets.items()):
-                gauge("repro_replica_lag_seq", snap.get("lag_seq", 0),
-                      {"dataset": name}, declare=False)
-            lines.append("# TYPE repro_replica_applied_records_total counter")
-            for name, snap in sorted(replica_datasets.items()):
-                counter("repro_replica_applied_records_total",
-                        snap.get("applied_records", 0),
-                        {"dataset": name}, declare=False)
-            lines.append("# TYPE repro_replica_resets_total counter")
-            for name, snap in sorted(replica_datasets.items()):
-                counter("repro_replica_resets_total", snap.get("resets", 0),
-                        {"dataset": name}, declare=False)
-
-    obs = document.get("obs", {})
-    tracing = obs.get("tracing", {})
-    if tracing:
-        gauge("repro_tracing_enabled", 1 if tracing.get("enabled") else 0)
-        gauge("repro_tracing_traces_held", tracing.get("traces_held", 0))
-        for key in ("traces_recorded", "spans_recorded"):
-            if key in tracing:
-                counter(f"repro_tracing_{key}_total", tracing[key])
-    spans = obs.get("spans", {})
-    if spans:
-        # One histogram family, labelled by span name — the per-stage
-        # duration surface (pipeline.score, journal.append, ...).
-        declare = True
-        for name, snap in sorted(spans.items()):
-            lines.extend(_histogram_lines("repro_span_duration_seconds",
-                                          snap, {"span": name},
-                                          declare=declare))
-            declare = False
-    if "ring_evictions" in tracing:
-        counter("repro_tracing_ring_evictions_total",
-                tracing["ring_evictions"])
-    if "ring_bytes" in tracing:
-        gauge("repro_tracing_ring_bytes", tracing["ring_bytes"])
-
-    resources = document.get("resources", {})
-    memory = resources.get("memory", {})
-    components = memory.get("components", {})
-    if components:
-        lines.append("# TYPE repro_memory_bytes gauge")
-        for component, n_bytes in sorted(components.items()):
-            gauge("repro_memory_bytes", n_bytes, {"component": component},
-                  declare=False)
-        gauge("repro_memory_total_bytes", memory.get("total_bytes", 0))
-    per_dataset_mem = memory.get("datasets", {})
-    if per_dataset_mem:
-        lines.append("# TYPE repro_dataset_memory_bytes gauge")
-        for name, parts in sorted(per_dataset_mem.items()):
-            for component, n_bytes in sorted(parts.items()):
-                gauge("repro_dataset_memory_bytes", n_bytes,
-                      {"dataset": name, "component": component},
-                      declare=False)
-    costs = resources.get("costs", {})
-    if costs:
-        counter("repro_cost_requests_total", costs.get("requests_total", 0))
-        totals = costs.get("totals", {})
-        if totals:
-            lines.append("# TYPE repro_request_cost_total counter")
-            for key, value in sorted(totals.items()):
-                counter("repro_request_cost_total", value, {"counter": key},
-                        declare=False)
-        if "cpu_seconds_histogram" in costs:
-            lines.extend(_histogram_lines("repro_request_cpu_seconds",
-                                          costs["cpu_seconds_histogram"]))
-        classes = costs.get("classes", {})
-        if classes:
-            # Lifetime per-class request counter plus rolling-window
-            # CPU gauge (the window sum moves down as entries age out,
-            # so it cannot be a Prometheus counter).
-            lines.append("# TYPE repro_class_requests_total counter")
-            for name, window in sorted(classes.items()):
-                counter("repro_class_requests_total",
-                        window.get("requests_total", 0),
-                        {"class": name}, declare=False)
-            lines.append("# TYPE repro_class_window_cpu_seconds gauge")
-            for name, window in sorted(classes.items()):
-                gauge("repro_class_window_cpu_seconds",
-                      window.get("cpu_seconds", 0.0),
-                      {"class": name}, declare=False)
-        dataset_costs = costs.get("datasets", {})
-        if dataset_costs:
-            lines.append("# TYPE repro_dataset_requests_total counter")
-            for name, window in sorted(dataset_costs.items()):
-                counter("repro_dataset_requests_total",
-                        window.get("requests_total", 0),
-                        {"dataset": name}, declare=False)
-            lines.append("# TYPE repro_dataset_window_cpu_seconds gauge")
-            for name, window in sorted(dataset_costs.items()):
-                gauge("repro_dataset_window_cpu_seconds",
-                      window.get("cpu_seconds", 0.0),
-                      {"dataset": name}, declare=False)
-    watchdogs = resources.get("watchdogs", {})
-    loop_lag = watchdogs.get("event_loop_lag", {})
-    if loop_lag:
-        gauge("repro_event_loop_lag_seconds",
-              loop_lag.get("last_lag_seconds", 0.0))
-        gauge("repro_event_loop_lag_max_seconds",
-              loop_lag.get("max_lag_seconds", 0.0))
-    if watchdogs:
-        lines.append("# TYPE repro_watchdog_trips_total counter")
-        for name, snap in sorted(watchdogs.items()):
-            counter("repro_watchdog_trips_total", snap.get("trips", 0),
-                    {"watchdog": name}, declare=False)
-
+    declared = None
+    for family in PROMETHEUS_FAMILIES:
+        for bound, value in _walk(document, family.path.split("."), {}):
+            name = family.name.format_map(bound)
+            labels = dict(family.labels)
+            labels.update((key, val) for key, val in bound.items()
+                          if f"{{{key}}}" not in family.name)
+            if family.kind == "histogram":
+                if not isinstance(value, dict):
+                    continue
+                samples = _histogram_lines(name, value, labels)
+            elif isinstance(value, (int, float)):
+                samples = [_sample(name, int(value) if isinstance(value, bool)
+                                   else value, labels)]
+            else:
+                continue
+            if name != declared:
+                lines.append(f"# TYPE {name} {family.kind}")
+                declared = name
+            lines.extend(samples)
     return "\n".join(lines) + "\n"
 
 
@@ -439,6 +355,7 @@ __all__ = [
     "LATENCY_BUCKETS",
     "LatencyHistogram",
     "PROMETHEUS_CONTENT_TYPE",
+    "PROMETHEUS_FAMILIES",
     "ServerMetrics",
     "render_prometheus",
 ]

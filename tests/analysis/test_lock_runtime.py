@@ -1,8 +1,9 @@
 """Tests for the runtime lock-order shim (``repro.analysis.runtime``).
 
-The declare()-based tests drive the tracker directly with pinned roles;
-the install()-based tests prove the end-to-end path: static site table
-from the installed package, patched ``threading`` factories, and a real
+The declare()-based tests install the tracker with an empty site table
+and pin roles on the locks the hook builds; the install()-based tests
+prove the end-to-end path: static site table from the installed
+package, patched ``threading`` factories, and a real
 :class:`~repro.service.workspace.Workspace` staying violation-free.
 """
 
@@ -13,19 +14,25 @@ import threading
 import pytest
 
 from repro.analysis.project import DEFAULT_CONFIG
-from repro.analysis.runtime import LockTracker, _TracedLock
+from repro.analysis.runtime import LockTracker
+from repro.obs import lockhook
+from repro.obs.lockhook import HookedLock
 
 
-def traced(tracker: LockTracker, role: str, rlock: bool = False) -> _TracedLock:
-    inner = threading.RLock() if rlock else threading.Lock()
-    lock = _TracedLock(inner, tracker)
+def traced(tracker: LockTracker, role: str, rlock: bool = False) -> HookedLock:
+    lock = threading.RLock() if rlock else threading.Lock()
     tracker.declare(lock, role)
     return lock
 
 
 @pytest.fixture()
-def tracker() -> LockTracker:
-    return LockTracker(DEFAULT_CONFIG)
+def tracker():
+    # No site table: only the roles the tests declare resolve.
+    tracker = LockTracker(DEFAULT_CONFIG).install(roots=())
+    try:
+        yield tracker
+    finally:
+        tracker.uninstall()
 
 
 class TestDeclaredLocks:
@@ -115,7 +122,7 @@ class TestInstalledTracker:
     def test_site_table_resolves_from_installed_package(self):
         tracker = LockTracker(DEFAULT_CONFIG).install()
         try:
-            roles = {site.lock_id for site in tracker._sites.values()}
+            roles = {site.lock_id for site in tracker._resolver.sites.values()}
             # Acquisition sites for the core roles must be present, or
             # runtime checking would silently check nothing.
             assert {"workspace.entry", "workspace.registry", "cache.lock"} <= roles
@@ -129,9 +136,9 @@ class TestInstalledTracker:
         before_lock, before_rlock = threading.Lock, threading.RLock
         tracker = LockTracker(DEFAULT_CONFIG).install()
         try:
-            assert isinstance(threading.Lock(), _TracedLock)
-            assert isinstance(threading.RLock(), _TracedLock)
-            assert threading.Lock is not before_lock
+            assert isinstance(threading.Lock(), HookedLock)
+            assert isinstance(threading.RLock(), HookedLock)
+            assert tracker in lockhook.listeners()
         finally:
             tracker.uninstall()
         assert threading.Lock is before_lock

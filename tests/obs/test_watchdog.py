@@ -14,6 +14,7 @@ import time
 
 import pytest
 
+from repro.obs import lockhook
 from repro.obs.watchdog import (
     LockWaitWatchdog,
     LoopLagMonitor,
@@ -106,25 +107,27 @@ class TestStallDetector:
 
 class TestLockWaitWatchdog:
     def test_contended_wait_is_counted(self):
-        watchdog = LockWaitWatchdog(threshold_ms=20.0)
-        from repro.obs.watchdog import _WaitTimedLock
+        # No site table: the wait below resolves to no declared role.
+        watchdog = LockWaitWatchdog(threshold_ms=20.0).install(roots=())
+        try:
+            lock = threading.Lock()
+            release = threading.Event()
 
-        lock = _WaitTimedLock(threading.Lock(), watchdog)
-        release = threading.Event()
+            def holder():
+                with lock:
+                    release.wait()
 
-        def holder():
+            thread = threading.Thread(target=holder)
+            thread.start()
+            while not lock.locked():
+                time.sleep(0.001)
+            timer = threading.Timer(0.08, release.set)
+            timer.start()
             with lock:
-                release.wait()
-
-        thread = threading.Thread(target=holder)
-        thread.start()
-        while not lock.locked():
-            time.sleep(0.001)
-        timer = threading.Timer(0.08, release.set)
-        timer.start()
-        with lock:
-            pass
-        thread.join()
+                pass
+            thread.join()
+        finally:
+            watchdog.uninstall()
         snap = watchdog.snapshot()
         # The wait happened outside any declared lock site, so it is
         # counted as unattributed rather than reported as a trip.
@@ -166,12 +169,13 @@ class TestLockWaitWatchdog:
         assert entry_trips[0]["wait_ms"] >= 20.0
 
     def test_uncontended_acquire_records_nothing(self):
-        watchdog = LockWaitWatchdog(threshold_ms=1.0)
-        from repro.obs.watchdog import _WaitTimedLock
-
-        lock = _WaitTimedLock(threading.Lock(), watchdog)
-        with lock:
-            pass
+        watchdog = LockWaitWatchdog(threshold_ms=1.0).install(roots=())
+        try:
+            lock = threading.Lock()
+            with lock:
+                pass
+        finally:
+            watchdog.uninstall()
         snap = watchdog.snapshot()
         assert snap["trips"] == 0
         assert snap["unattributed"] == 0
@@ -182,8 +186,11 @@ class TestLockWaitWatchdog:
         watchdog = LockWaitWatchdog(threshold_ms=50.0)
         try:
             watchdog.install()
-            assert threading.Lock is not original_lock
+            # One shared patch point: under REPRO_DEBUG_LOCKS=1 the
+            # factory is already the hook's, and the watchdog joins it.
+            assert watchdog in lockhook.listeners()
             lock = threading.Lock()
+            assert isinstance(lock, lockhook.HookedLock)
             with lock:  # the proxy still behaves like a lock
                 assert lock.locked()
             assert not lock.locked()

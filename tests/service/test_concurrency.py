@@ -344,7 +344,8 @@ class TestWorkspaceUnderConcurrency:
         """Registration, replace and reload race on one name under the
         runtime lock tracker — entry locks included — and never take the
         entry lock (level 10) while holding the registry lock (20)."""
-        from repro.analysis.runtime import LockTracker, _TracedLock
+        from repro.analysis.runtime import LockTracker
+        from repro.obs.lockhook import HookedLock
 
         table = make_mixed_table(n_rows=40, n_numeric=2, n_categorical=1,
                                  seed=13)
@@ -375,7 +376,7 @@ class TestWorkspaceUnderConcurrency:
             for thread in threads:
                 thread.join()
             assert not errors
-            assert isinstance(workspace._entry("shared").lock, _TracedLock)
+            assert isinstance(workspace._entry("shared").lock, HookedLock)
             workspace.close()
         finally:
             tracker.uninstall()

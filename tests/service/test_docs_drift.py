@@ -6,6 +6,8 @@
 * ``/metrics`` ``workspace.pipeline`` carries every counter the
   benchmark harness (``benchmarks/perf/perf_loadgen.py``) and
   ``examples/server_demo.py`` read from it.
+* docs/OBSERVABILITY.md's table of Prometheus families is the renderer's
+  declaration, row for row.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 
 from repro.data.datasets import load_oecd
 from repro.server import ReproClient, ServerConfig, serving
+from repro.server.metrics import PROMETHEUS_FAMILIES
 from repro.service import InsightRequest, Workspace
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -65,3 +68,27 @@ def test_metrics_carry_the_pipeline_counters_their_readers_read():
             pipeline = client.metrics()["workspace"]["pipeline"]
     assert read <= set(pipeline)
     assert "index_hits" in pipeline
+
+
+def _declared_family_rows() -> list[tuple[str, str, str, str]]:
+    rows = []
+    for family in PROMETHEUS_FAMILIES:
+        labels = [f'{key}="{value}"' for key, value in family.labels]
+        labels += [key for key in re.findall(r"\{(\w+)\}", family.path)
+                   if f"{{{key}}}" not in family.name]
+        rows.append((f"`{family.name}`", family.kind,
+                     ", ".join(f"`{label}`" for label in labels) or "—",
+                     f"`{family.path}`"))
+    return rows
+
+
+def _documented_family_rows() -> list[tuple[str, ...]]:
+    text = (ROOT / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    section = text.split("### Prometheus families", 1)[1].split("\n#", 1)[0]
+    lines = [line for line in section.splitlines() if line.startswith("| `")]
+    return [tuple(cell.strip() for cell in line.strip("|").split(" | "))
+            for line in lines]
+
+
+def test_observability_md_lists_every_prometheus_family():
+    assert _documented_family_rows() == _declared_family_rows()
