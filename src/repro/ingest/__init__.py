@@ -16,18 +16,21 @@ The pieces, bottom-up:
   observe a mutation;
 * :class:`IngestConfig` / :func:`should_rebuild` — the accuracy budget:
   hyperplane signatures go stale under appends, and once accumulated
-  delta rows exceed ``rebuild_fraction`` of the base rows, the next
-  append pays for a full rebuild instead of a merge;
+  delta rows exceed ``rebuild_fraction`` of the base rows, the append
+  that crosses it schedules a full rebuild on a background worker,
+  which swaps the fresh engine in atomically;
 * :class:`IngestLog` — a generation's sequence number and ingestion
   counters (a fold over journal records), making a dataset's
   cache/provenance identity the pair ``(version, seq)``;
 * :class:`DatasetJournal` / :func:`replay_state`
   (:mod:`repro.ingest.durable`) — the on-disk write-ahead journal:
   length-prefixed, checksummed, fsync-on-commit records persisting every
-  append (rows included), compaction snapshots, and the deterministic
-  restart replay that reconstructs the exact ``(version, seq)`` identity
-  and sketch state an uninterrupted process would hold, tolerating a
-  torn or corrupted tail by recovering to the last complete record.
+  append (rows included), compaction snapshots (the table packed
+  column by column, :mod:`repro.ingest.snapshot_codec`), and the
+  deterministic restart replay that reconstructs the exact
+  ``(version, seq)`` identity and sketch state an uninterrupted process
+  would hold, tolerating a torn or corrupted tail by recovering to the
+  last complete record.
 
 What a journal record does to a dataset is written once, as
 :class:`~repro.ingest.durable.ReplayMachine`; ``Workspace.append``
@@ -54,7 +57,6 @@ from repro.ingest.snapshot_codec import (
 from repro.ingest.log import (
     APPLIED_DEFERRED,
     APPLIED_DELTA_MERGE,
-    APPLIED_REBUILD,
     IngestLog,
 )
 from repro.ingest.maintenance import (
@@ -67,7 +69,6 @@ from repro.ingest.maintenance import (
 __all__ = [
     "APPLIED_DEFERRED",
     "APPLIED_DELTA_MERGE",
-    "APPLIED_REBUILD",
     "DatasetJournal",
     "DeltaBatch",
     "DeltaValidationError",

@@ -48,6 +48,7 @@ dataset transition.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import re
@@ -65,18 +66,11 @@ from repro.obs.resources import record_journal_bytes
 from repro.core.engine import EngineConfig, Foresight
 from repro.core.neighborhood import NeighborhoodConfig
 from repro.sketch.store import SketchStoreConfig
-from repro.data.column import (
-    BooleanColumn,
-    CategoricalColumn,
-    Column,
-    NumericColumn,
-)
-from repro.data.schema import ColumnKind, Field
 from repro.data.table import DataTable
 from repro.ingest.delta import DeltaBatch
 from repro.ingest.log import (
+    APPLIED_DEFERRED,
     APPLIED_DELTA_MERGE,
-    APPLIED_REBUILD,
     IngestLog,
 )
 from repro.ingest.maintenance import build_delta_partials, merge_delta
@@ -170,69 +164,6 @@ def segment_filename(version: int, base_seq: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Table snapshots (columnar, exact)
-# ---------------------------------------------------------------------------
-def table_to_payload(table: DataTable) -> dict[str, Any]:
-    """A JSON-safe columnar image of ``table`` that restores byte-exactly.
-
-    Numeric columns store their float64 values (``None`` for missing —
-    JSON float text round-trips ``float64`` exactly); categorical
-    columns store codes *plus the category list in order*, so category
-    order — which downstream enumeration may iterate — survives even
-    when it is not first-appearance order.
-    """
-    columns: list[dict[str, Any]] = []
-    for column in table.columns():
-        spec: dict[str, Any] = {
-            "name": column.name,
-            "kind": column.kind.value,
-            "description": column.field.description,
-            "unit": column.field.unit,
-            "tags": list(column.field.tags),
-        }
-        if isinstance(column, NumericColumn):
-            spec["values"] = column.to_list()
-        elif isinstance(column, BooleanColumn):
-            spec["codes"] = column.codes.tolist()
-        elif isinstance(column, CategoricalColumn):
-            spec["codes"] = column.codes.tolist()
-            spec["categories"] = column.categories
-        else:  # pragma: no cover - no other column kinds exist
-            raise IngestError(
-                f"cannot snapshot column type {type(column).__name__}"
-            )
-        columns.append(spec)
-    return {"name": table.name, "n_rows": table.n_rows, "columns": columns}
-
-
-def table_from_payload(payload: dict[str, Any]) -> DataTable:
-    """Rebuild the exact :class:`DataTable` from :func:`table_to_payload`."""
-    columns: list[Column] = []
-    for spec in payload["columns"]:
-        kind = ColumnKind(spec["kind"])
-        column_field = Field(
-            name=spec["name"],
-            kind=kind,
-            description=spec.get("description", ""),
-            unit=spec.get("unit", ""),
-            tags=tuple(spec.get("tags", ())),
-        )
-        if kind is ColumnKind.NUMERIC:
-            # None converts to NaN, and every NaN is missing.
-            values = np.array(spec["values"], dtype=np.float64)
-            columns.append(NumericColumn(column_field, values))
-        elif kind is ColumnKind.BOOLEAN:
-            codes = np.asarray(spec["codes"], dtype=np.int64)
-            columns.append(BooleanColumn(column_field, codes))
-        else:
-            codes = np.asarray(spec["codes"], dtype=np.int64)
-            columns.append(
-                CategoricalColumn(column_field, codes, spec["categories"])
-            )
-    return DataTable(columns, name=payload.get("name", "dataset"))
-
-
-# ---------------------------------------------------------------------------
 # Engine configuration (persisted inside snapshots)
 # ---------------------------------------------------------------------------
 def engine_config_to_payload(config: EngineConfig) -> dict[str, Any]:
@@ -292,10 +223,12 @@ class DurableState:
     """Everything the journal knows about one dataset."""
 
     version: int
-    #: The compaction snapshot (payload of ``snapshot-<version>.bin``),
-    #: or None when recovery starts from the registered loader's base
-    #: table.
+    #: The compaction snapshot's metadata (``seq``, counters, build
+    #: state, engine config of ``snapshot-<version>.bin``), or None when
+    #: recovery starts from the registered loader's base table.
     snapshot: dict[str, Any] | None
+    #: The snapshot's rows; set exactly when ``snapshot`` is.
+    table: DataTable | None = None
     #: Replayable records of the current generation, contiguous, with
     #: seq above the snapshot's.
     records: list[dict[str, Any]] = field(default_factory=list)
@@ -419,7 +352,7 @@ class DatasetJournal:
             # segment left the snapshot orphaned: the dataset must stay
             # appendable, so repair recreates its generation segment.
             version, _path = snapshots[-1]
-            snapshot = self._read_snapshot(name, version)
+            snapshot, table = self._read_snapshot(name, version)
             if snapshot is None:
                 # The snapshot file exists but is corrupt: its rows are
                 # gone and nothing of this generation can replay.
@@ -436,6 +369,7 @@ class DatasetJournal:
                                       engine_config=snapshot.get(
                                           "engine_config"))
             return DurableState(version=version, snapshot=snapshot,
+                                table=table,
                                 engine_config=snapshot.get("engine_config"))
         # The newest generation *with a segment* wins.  A newer
         # snapshot-only version is a crashed rotation that never started
@@ -445,7 +379,7 @@ class DatasetJournal:
         current = [entry for entry in segments if entry[0] == version]
         stale_paths = [entry[2] for entry in segments if entry[0] != version]
         stale_paths += [path for v, path in snapshots if v != version]
-        snapshot = self._read_snapshot(name, version)
+        snapshot, table = self._read_snapshot(name, version)
         snapshot_seq = int(snapshot["seq"]) if snapshot is not None else 0
         snapshot_built = bool(snapshot and snapshot.get("engine_built"))
         #: The generation HAS a snapshot file but it is unreadable: the
@@ -546,25 +480,27 @@ class DatasetJournal:
                                    else generation_config),
                 )
         return DurableState(
-            version=version, snapshot=snapshot, records=records,
-            damaged=damaged,
+            version=version, snapshot=snapshot, table=table,
+            records=records, damaged=damaged,
             engine_config=(snapshot.get("engine_config")
                            if snapshot is not None else generation_config),
         )
 
-    def _read_snapshot(self, name: str,
-                       version: int) -> dict[str, Any] | None:
-        """The generation's snapshot payload, or None (absent or corrupt —
-        the caller tells the two apart by the file's presence)."""
+    def _read_snapshot(
+        self, name: str, version: int,
+    ) -> tuple[dict[str, Any], DataTable] | tuple[None, None]:
+        """The generation's snapshot ``(meta, table)``, or ``(None, None)``
+        (absent or corrupt — the caller tells the two apart by the
+        file's presence)."""
         try:
             data = (self._dir(name) / snapshot_filename(version)).read_bytes()
-            payload = decode_snapshot(data)
+            meta, table = decode_snapshot(data)
         except (OSError, SnapshotDecodeError):
-            return None
-        if (payload.get("type") != "snapshot"
-                or int(payload.get("version", -1)) != version):
-            return None
-        return payload
+            return None, None
+        if (meta.get("type") != "snapshot"
+                or int(meta.get("version", -1)) != version):
+            return None, None
+        return meta, table
 
     # ------------------------------------------------------------------
     # Writing
@@ -684,8 +620,13 @@ class DatasetJournal:
         handle.flush()
         os.fsync(handle.fileno())
 
-    def write_snapshot(self, name: str, payload: dict[str, Any]) -> None:
+    def write_snapshot(self, name: str, meta: dict[str, Any],
+                       table: DataTable) -> None:
         """Atomically persist a compaction snapshot and truncate the journal.
+
+        ``meta`` (``type`` / ``version`` / ``seq`` / counters / optional
+        ``engine_config``) and ``table`` are packed by
+        :func:`~repro.ingest.snapshot_codec.encode_snapshot`.
 
         The snapshot is written to its generation's own file (temp +
         fsync + rename); only then does a fresh segment (based at the
@@ -695,14 +636,14 @@ class DatasetJournal:
         generation fully intact (its snapshot untouched, the new one
         ignored as segment-less), or the new one started.
         """
-        version = int(payload["version"])
+        version = int(meta["version"])
         directory = self._dir(name)
         directory.mkdir(parents=True, exist_ok=True)
         target = directory / snapshot_filename(version)
         temporary = directory / (snapshot_filename(version) + ".tmp")
         try:
             with open(temporary, "wb") as handle:
-                handle.write(encode_snapshot(payload))
+                handle.write(encode_snapshot(meta, table))
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(temporary, target)
@@ -710,8 +651,8 @@ class DatasetJournal:
             self._remove(temporary)  # recovery ignores .tmp, but be tidy
             raise
         self._fsync_dir(directory)
-        self.begin_generation(name, version, base_seq=int(payload["seq"]),
-                              engine_config=payload.get("engine_config"))
+        self.begin_generation(name, version, base_seq=int(meta["seq"]),
+                              engine_config=meta.get("engine_config"))
 
     def close(self) -> None:
         for name in list(self._handles):
@@ -896,8 +837,26 @@ def rebuild_with_catchup(
     )
 
 
-def fold_record(log: IngestLog, record: dict[str, Any]) -> None:
-    """The log half of the transition: count one journal record.
+def _applied(dataset: str, record: dict[str, Any]) -> str:
+    """An ``append`` record's ``applied`` value: ``delta_merge`` or
+    ``deferred``.
+
+    Both halves of the transition read it through here, so a record
+    this build does not know how to apply — a journal from another
+    version — is refused, never counted or replayed as something else.
+    """
+    applied = record.get("applied")
+    if applied not in (APPLIED_DELTA_MERGE, APPLIED_DEFERRED):
+        raise IngestError(
+            f"journal for {dataset!r} holds an append at seq "
+            f"{record.get('seq')} with unknown applied={applied!r}"
+        )
+    return applied
+
+
+def fold_record(dataset: str, log: IngestLog, record: dict[str, Any]) -> None:
+    """The log half of the transition: count one of ``dataset``'s
+    journal records.
 
     Needs no table, so a dataset whose replay is still deferred (a
     pending entry) reports exactly the counters its replay will produce.
@@ -905,14 +864,14 @@ def fold_record(log: IngestLog, record: dict[str, Any]) -> None:
     kind = record["type"]
     if kind == RECORD_APPEND:
         n_rows, total_rows = int(record["n_rows"]), int(record["total_rows"])
-        applied = record["applied"]
+        applied = _applied(dataset, record)
         if applied == APPLIED_DELTA_MERGE and log.base_rows <= 0:
             # A delta merge needs a built store, yet this log has
             # accounted no build: the engine was cold-built over the
             # pre-append rows and its marker is not here (a journal
             # written before seq-0 builds were journalled).
             log.mark_rebuilt(total_rows - n_rows)
-        log.append(n_rows, applied, total_rows)
+        log.append(n_rows, applied)
     elif kind == RECORD_BUILD:
         log.mark_rebuilt(int(record["total_rows"]))
     elif kind == RECORD_SWAP:
@@ -920,10 +879,11 @@ def fold_record(log: IngestLog, record: dict[str, Any]) -> None:
                         int(record["total_rows"]))
 
 
-def fold_records(log: IngestLog, records: Iterable[dict[str, Any]]) -> IngestLog:
+def fold_records(dataset: str, log: IngestLog,
+                 records: Iterable[dict[str, Any]]) -> IngestLog:
     """:func:`fold_record` over ``records``; returns ``log``."""
     for record in records:
-        fold_record(log, record)
+        fold_record(dataset, log, record)
     return log
 
 
@@ -977,12 +937,12 @@ class ReplayMachine:
         kind = record["type"]
         builds = 0
         if kind == RECORD_APPEND:
+            applied = _applied(self.dataset, record)
             if batch is None:
                 batch = DeltaBatch.from_records(
                     self.dataset, record["rows"], table.schema
                 )
             new_table = table.concat(batch.table)
-            applied = record["applied"]
             if applied == APPLIED_DELTA_MERGE:
                 if engine is None:
                     # Cold-built live with no marker in this journal
@@ -996,9 +956,6 @@ class ReplayMachine:
                         "an exact-mode engine"
                     )
                 engine = _delta_merged(engine, new_table, batch.table)
-            elif applied == APPLIED_REBUILD:
-                engine = self.make_engine(new_table)
-                builds = 1
             elif engine is not None:
                 # Deferred: rows only extend the table.  An exact-mode
                 # engine has nothing sketched and simply moves onto the
@@ -1031,7 +988,7 @@ class ReplayMachine:
         state = self.state
         state.table, state.engine, builds = staged
         state.engine_builds += builds
-        fold_record(state.ingest, record)
+        fold_record(self.dataset, state.ingest, record)
 
     def apply(self, record: dict[str, Any]) -> None:
         """Fold one journal record into the state (stage, then commit)."""
@@ -1051,9 +1008,8 @@ def replay_state(
     for a table exactly the way the owning workspace would (same config
     resolution), so replayed builds match live builds byte for byte.
     """
-    snapshot = state.snapshot
+    snapshot, table = state.snapshot, state.table
     if snapshot is not None:
-        table = table_from_payload(snapshot["table"])
         replayed = DatasetState(table=table, ingest=state.base_log())
         if snapshot.get("engine_built"):
             replayed.engine = rebuild_with_catchup(
@@ -1136,10 +1092,19 @@ class FeedBatch:
 
 
 def durable_state_to_payload(state: DurableState) -> dict[str, Any]:
-    """A JSON-safe image of a :class:`DurableState` (for the HTTP feed)."""
+    """A JSON-safe image of a :class:`DurableState` (for the HTTP feed).
+
+    The snapshot travels as the bytes of its ``snapshot-<version>.bin``
+    — :func:`~repro.ingest.snapshot_codec.encode_snapshot` is
+    deterministic, so re-encoding reproduces the file — in base64.
+    """
+    snapshot = None
+    if state.snapshot is not None:
+        snapshot = base64.b64encode(
+            encode_snapshot(state.snapshot, state.table)).decode("ascii")
     return {
         "version": state.version,
-        "snapshot": state.snapshot,
+        "snapshot": snapshot,
         "records": list(state.records),
         "damaged": state.damaged,
         "engine_config": state.engine_config,
@@ -1148,10 +1113,23 @@ def durable_state_to_payload(state: DurableState) -> dict[str, Any]:
 
 def durable_state_from_payload(payload: dict[str, Any]) -> DurableState:
     """Rebuild the :class:`DurableState` from
-    :func:`durable_state_to_payload`."""
+    :func:`durable_state_to_payload`.
+
+    Raises :class:`~repro.ingest.snapshot_codec.SnapshotDecodeError`
+    when the snapshot is not base64 of an intact snapshot file.
+    """
+    snapshot = table = None
+    encoded = payload.get("snapshot")
+    if encoded is not None:
+        try:
+            data = base64.b64decode(encoded, validate=True)
+        except (TypeError, ValueError) as exc:  # binascii.Error included
+            raise SnapshotDecodeError(f"reset snapshot: {exc}") from exc
+        snapshot, table = decode_snapshot(data)
     return DurableState(
         version=int(payload["version"]),
-        snapshot=payload.get("snapshot"),
+        snapshot=snapshot,
+        table=table,
         records=list(payload.get("records") or []),
         damaged=bool(payload.get("damaged", False)),
         engine_config=payload.get("engine_config"),
@@ -1315,6 +1293,4 @@ __all__ = [
     "scan_records",
     "segment_filename",
     "snapshot_filename",
-    "table_from_payload",
-    "table_to_payload",
 ]

@@ -10,7 +10,8 @@ caching and provenance is the pair ``(version, seq)``:
 
 A response stamped ``(version, seq)`` therefore names the exact
 ingestion state it was computed from.  The log also accumulates the
-ingestion counters (rows appended, delta merges, full rebuilds) and the
+ingestion counters (rows appended, delta merges, background rebuild
+swaps) and the
 accuracy-budget accounting surfaced by ``Workspace.ingest_stats`` and
 the server's ``/metrics``.
 
@@ -29,7 +30,6 @@ from typing import Any, Mapping
 
 #: How an accepted append was absorbed into the serving state.
 APPLIED_DELTA_MERGE = "delta_merge"   # sketch partials merged into the store
-APPLIED_REBUILD = "rebuild"           # accuracy budget exhausted: full rebuild
 APPLIED_DEFERRED = "deferred"         # no engine/store yet: rows concat only
 
 #: The counters a compaction snapshot persists beside its ``seq``.
@@ -51,21 +51,17 @@ class IngestLog:
     rows_appended: int = 0
     delta_merges: int = 0
     rebuilds: int = 0
-    #: Rebuilds that ran off the append path (a subset of ``rebuilds``).
+    #: Rebuilds that ran off the append path — every rebuild does, so
+    #: this equals ``rebuilds``; both stay in the metrics schema.
     bg_rebuilds: int = 0
 
-    def append(self, n_rows: int, applied: str, total_rows: int) -> int:
+    def append(self, n_rows: int, applied: str) -> int:
         """Count one accepted append; returns its sequence number."""
         self.seq += 1
         self.rows_appended += n_rows
-        if applied == APPLIED_REBUILD:
-            self.rebuilds += 1
-            self.rows_since_rebuild = 0
-            self.base_rows = total_rows
-        else:
-            if applied == APPLIED_DELTA_MERGE:
-                self.delta_merges += 1
-            self.rows_since_rebuild += n_rows
+        if applied == APPLIED_DELTA_MERGE:
+            self.delta_merges += 1
+        self.rows_since_rebuild += n_rows
         return self.seq
 
     def record_swap(self, base_rows: int, total_rows: int) -> int:
@@ -114,6 +110,5 @@ class IngestLog:
 __all__ = [
     "APPLIED_DEFERRED",
     "APPLIED_DELTA_MERGE",
-    "APPLIED_REBUILD",
     "IngestLog",
 ]

@@ -78,17 +78,13 @@ class IngestConfig:
         The accuracy budget: when the rows absorbed by delta merges since
         the last full build would exceed this fraction of the base row
         count, a full sketch rebuild is due (refreshing the hyperplane
-        signatures and the quantile summaries' compression).  ``0``
-        rebuilds on every append; ``float("inf")`` never rebuilds.
-    background_rebuild:
-        How the budget-triggered rebuild is paid for.  ``True`` (the
-        default) schedules it off the append path: the triggering append
-        still returns ``applied="delta_merge"`` and a worker thread
-        rebuilds from a snapshot of the table, atomically swapping the
-        fresh engine in (minting a sequence number of its own) while
-        appends keep delta-merging.  ``False`` keeps the historical
-        synchronous behavior: the triggering append blocks on the
-        rebuild and returns ``applied="rebuild"``.
+        signatures and the quantile summaries' compression).  The
+        rebuild runs off the append path: the triggering append still
+        returns ``applied="delta_merge"`` and a worker thread rebuilds
+        from a snapshot of the table, atomically swapping the fresh
+        engine in (minting a sequence number of its own) while appends
+        keep delta-merging.  ``0`` schedules a rebuild after every
+        append; ``float("inf")`` never rebuilds.
     fsync:
         Whether the durable journal (``Workspace(data_dir=...)``)
         fsyncs every committed record before acknowledging the append.
@@ -99,7 +95,6 @@ class IngestConfig:
     """
 
     rebuild_fraction: float = 0.5
-    background_rebuild: bool = True
     fsync: bool = True
 
     def __post_init__(self) -> None:

@@ -1,40 +1,39 @@
 """Binary columnar snapshot codec for the durable ingestion journal.
 
-Snapshots used to be one canonical-JSON journal record per generation
-(``snapshot-<version>.json``).  That is robust but slow and large for
-wide numeric tables: every float costs ~18 text bytes to serialize and a
-full JSON parse to restore, and restart replay time is dominated by it.
-This module packs the same snapshot payload into a binary columnar
-container (``snapshot-<version>.bin``):
+A compaction snapshot (``snapshot-<version>.bin``) is a small metadata
+dict — position, counters, engine config — plus the dataset's
+:class:`~repro.data.table.DataTable`.  This module packs the two into
+one container and back:
 
 * a **versioned header** (magic, format version, section count);
-* **section 0**: the snapshot payload minus the bulk per-column arrays,
-  as canonical JSON (the same canonicalization as
-  :func:`repro.ingest.durable.encode_record`), plus a block directory
-  describing the stripped arrays;
+* **section 0**: the metadata, the table's schema (name, row count,
+  per-column name, kind, description, unit, tags and — for categorical
+  columns — the category list in order) and a block directory naming
+  the column each later section belongs to, as canonical JSON (the same
+  canonicalization as :func:`repro.ingest.durable.encode_record`);
 * **one section per column**: numeric columns as a missing-value bitmap
   followed by big-endian float64 values, categorical/boolean columns
-  as big-endian int64 codes (their category lists, being small and
-  already JSON values, stay in section 0).
+  as big-endian int64 codes.
 
 Every section is individually zlib-compressed and CRC-checked, and every
 length field is bounds-checked, so any truncation or corruption — at any
 byte offset — raises :class:`SnapshotDecodeError` instead of yielding a
-wrong table.  The journal treats that exactly like a torn JSON snapshot:
-the generation is declared damaged and rotated away.
+wrong table.  The journal treats that as a damaged generation and
+rotates it away; a replica refuses a reset that does not decode.
 
-The codec is **pure bytes → dict**: it never touches the filesystem.
+The codec is **pure bytes ↔ table**: it never touches the filesystem.
 All file I/O (tmp-file + fsync + rename discipline) stays in
 :mod:`repro.ingest.durable`, which also keeps the durability-protocol
-lint rule's single-owner invariant intact.
+lint rule's single-owner invariant intact.  The same bytes travel as
+the replication feed's bootstrap reset.
 
-Fidelity is exact, not approximate: float64 values and int64 codes
-round-trip bit-for-bit through big-endian numpy buffers (``>f8`` /
-``>i8``, the bitmap through ``np.packbits``), and ``None`` (missing)
-entries are carried in the bitmap, so ``decode_snapshot(
-encode_snapshot(payload))`` compares equal to ``payload`` — the restored
-table and sketch payloads are byte-identical to what the JSON path
-produces.
+Fidelity is exact: the column arrays are packed straight from the
+table (``>f8`` / ``>i8``, the missing mask through ``np.packbits``), a
+missing numeric cell packs as the canonical NaN with its bitmap bit
+set, and decoding builds the columns straight from the buffers — so a
+decoded table holds bit-identical values, masks, codes and category
+order, and ``encode_snapshot`` is deterministic (decode → encode
+reproduces the input bytes).
 """
 
 from __future__ import annotations
@@ -45,6 +44,16 @@ import zlib
 from typing import Any
 
 import numpy as np
+
+from repro.data.column import (
+    BooleanColumn,
+    CategoricalColumn,
+    Column,
+    NumericColumn,
+)
+from repro.data.schema import ColumnKind, Field
+from repro.data.table import DataTable
+from repro.errors import ForesightError
 
 __all__ = [
     "FORMAT_VERSION",
@@ -73,9 +82,12 @@ _SECTION_HEADER = struct.Struct(">III")
 MAX_SECTION_BYTES = 1 << 31
 
 #: Key under which the block directory travels inside section 0.  The
-#: leading underscore keeps it out of any plausible payload namespace;
+#: leading underscore keeps it out of any plausible metadata namespace;
 #: decode strips it again.
 _BLOCKS_KEY = "_blocks"
+
+#: Key under which the table's schema travels inside section 0.
+_TABLE_KEY = "table"
 
 #: zlib levels: metadata JSON compresses well and is small (go for
 #: ratio); packed float blocks are large and nearly incompressible (go
@@ -91,93 +103,61 @@ class SnapshotDecodeError(Exception):
 # ---------------------------------------------------------------------------
 # Encode
 # ---------------------------------------------------------------------------
-def _pack_values(values: list[Any]) -> bytes:
-    """Numeric column block: missing bitmap + float64 values.
+def _column_spec(column: Column) -> dict[str, Any]:
+    """A column's schema as section 0 carries it."""
+    spec: dict[str, Any] = {
+        "name": column.name,
+        "kind": column.kind.value,
+        "description": column.field.description,
+        "unit": column.field.unit,
+        "tags": list(column.field.tags),
+    }
+    if (isinstance(column, CategoricalColumn)
+            and not isinstance(column, BooleanColumn)):
+        spec["categories"] = column.categories
+    return spec
 
-    ``None`` entries set their bitmap bit and pack a NaN placeholder;
-    real (non-missing) NaN/inf values pass through the float64 lanes
-    untouched, so the bitmap — not the payload — is the single source of
-    truth for missingness.  Bit ``i % 8`` of byte ``i // 8`` is entry
-    ``i``.
+
+def _column_block(column: Column) -> tuple[str, bytes]:
+    """A column's section: ``("values", bitmap + >f8)`` or ``("codes", >i8)``.
+
+    A missing numeric cell packs as the canonical NaN whatever the
+    table holds there, so the bitmap — not the float lane — is the
+    single source of truth for missingness.  Bit ``i % 8`` of byte
+    ``i // 8`` is entry ``i``.
     """
-    floats = np.array(values, dtype=np.float64)  # None becomes the NaN
-    missing = np.zeros(floats.size, dtype=bool)
-    for index in np.flatnonzero(np.isnan(floats)).tolist():
-        missing[index] = values[index] is None
-    return (np.packbits(missing, bitorder="little").tobytes()
-            + floats.astype(">f8").tobytes())
+    if isinstance(column, NumericColumn):
+        missing = column.mask
+        floats = column.values.astype(">f8")
+        floats[missing] = np.nan
+        return "values", (np.packbits(missing, bitorder="little").tobytes()
+                          + floats.tobytes())
+    return "codes", column.codes.astype(">i8").tobytes()
 
 
-def _unpack_values(block: bytes, n: int) -> list[Any]:
-    bitmap_size = (n + 7) // 8
-    if len(block) != bitmap_size + 8 * n:
-        raise SnapshotDecodeError(
-            f"numeric block holds {len(block)} bytes, expected "
-            f"{bitmap_size + 8 * n} for {n} values"
-        )
-    values = np.frombuffer(block, dtype=">f8", offset=bitmap_size).tolist()
-    missing = np.unpackbits(np.frombuffer(block, dtype=np.uint8, count=bitmap_size),
-                            count=n, bitorder="little")
-    for index in np.flatnonzero(missing).tolist():
-        values[index] = None
-    return values
+def encode_snapshot(meta: dict[str, Any], table: DataTable) -> bytes:
+    """Pack snapshot metadata and ``table`` into the columnar container.
 
-
-def _pack_codes(codes: list[int]) -> bytes:
-    """Categorical/boolean column block: big-endian int64 codes."""
-    return np.asarray(codes, dtype=">i8").tobytes()
-
-
-def _unpack_codes(block: bytes, n: int) -> list[int]:
-    if len(block) != 8 * n:
-        raise SnapshotDecodeError(
-            f"code block holds {len(block)} bytes, expected {8 * n} "
-            f"for {n} codes"
-        )
-    return np.frombuffer(block, dtype=">i8").tolist()
-
-
-def encode_snapshot(payload: dict[str, Any]) -> bytes:
-    """Pack a snapshot payload dict into the binary columnar container.
-
-    ``payload`` is the exact dict the journal used to serialize as JSON
-    (``type``/``version``/``seq``/counters/``table``/optional
-    ``engine_config``).  Only the bulk per-column arrays move into
-    binary sections; everything else rides in the canonical-JSON
-    metadata section, so ``decode_snapshot`` returns an equal dict.
+    ``meta`` is any JSON-safe dict (the journal's ``type`` / ``version``
+    / ``seq`` / counters / optional ``engine_config``); it rides in the
+    canonical-JSON section 0 beside the table's schema, and
+    :func:`decode_snapshot` returns it unchanged.
     """
-    meta: dict[str, Any] = dict(payload)
-    blocks: list[dict[str, Any]] = []
+    columns = table.columns()
     sections: list[tuple[bytes, int]] = []  # (raw bytes, zlib level)
-
-    table = payload.get("table")
-    if isinstance(table, dict) and isinstance(table.get("columns"), list):
-        stripped_columns = []
-        for index, spec in enumerate(table["columns"]):
-            if not isinstance(spec, dict):
-                stripped_columns.append(spec)
-                continue
-            stripped = dict(spec)
-            if "values" in stripped:
-                values = stripped.pop("values")
-                blocks.append(
-                    {"column": index, "key": "values", "n": len(values)}
-                )
-                sections.append((_pack_values(values), _BLOCK_LEVEL))
-            elif "codes" in stripped:
-                codes = stripped.pop("codes")
-                blocks.append(
-                    {"column": index, "key": "codes", "n": len(codes)}
-                )
-                sections.append((_pack_codes(codes), _BLOCK_LEVEL))
-            stripped_columns.append(stripped)
-        stripped_table = dict(table)
-        stripped_table["columns"] = stripped_columns
-        meta["table"] = stripped_table
-
-    meta[_BLOCKS_KEY] = blocks
+    blocks: list[dict[str, Any]] = []
+    for index, column in enumerate(columns):
+        key, raw = _column_block(column)
+        blocks.append({"column": index, "key": key, "n": len(column)})
+        sections.append((raw, _BLOCK_LEVEL))
+    header = {
+        **meta,
+        _TABLE_KEY: {"name": table.name, "n_rows": table.n_rows,
+                     "columns": [_column_spec(column) for column in columns]},
+        _BLOCKS_KEY: blocks,
+    }
     meta_bytes = json.dumps(
-        meta, sort_keys=True, separators=(",", ":")
+        header, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     sections.insert(0, (meta_bytes, _META_LEVEL))
 
@@ -241,8 +221,53 @@ def _read_sections(data: bytes) -> list[bytes]:
     return sections
 
 
-def decode_snapshot(data: bytes) -> dict[str, Any]:
-    """Unpack :func:`encode_snapshot` output back into the payload dict.
+def _numeric_values(block: bytes, n: int) -> np.ndarray:
+    """A numeric block's float64 values, NaN wherever the bitmap says
+    missing."""
+    bitmap_size = (n + 7) // 8
+    if len(block) != bitmap_size + 8 * n:
+        raise SnapshotDecodeError(
+            f"numeric block holds {len(block)} bytes, expected "
+            f"{bitmap_size + 8 * n} for {n} values"
+        )
+    values = np.frombuffer(block, dtype=">f8", offset=bitmap_size).astype(
+        np.float64)
+    missing = np.unpackbits(np.frombuffer(block, dtype=np.uint8,
+                                          count=bitmap_size),
+                            count=n, bitorder="little").view(bool)
+    values[missing] = np.nan
+    return values
+
+
+def _codes(block: bytes, n: int) -> np.ndarray:
+    if len(block) != 8 * n:
+        raise SnapshotDecodeError(
+            f"code block holds {len(block)} bytes, expected {8 * n} "
+            f"for {n} codes"
+        )
+    return np.frombuffer(block, dtype=">i8").astype(np.int64)
+
+
+def _column(spec: dict[str, Any], block: dict[str, Any], raw: bytes,
+            index: int, n_rows: int) -> Column:
+    """Column ``index`` of the table, built from its schema and section."""
+    kind = ColumnKind(spec["kind"])
+    key = "values" if kind is ColumnKind.NUMERIC else "codes"
+    if block != {"column": index, "key": key, "n": n_rows}:
+        raise SnapshotDecodeError("block directory does not match table")
+    column_field = Field(name=spec["name"], kind=kind,
+                         description=spec["description"], unit=spec["unit"],
+                         tags=tuple(spec["tags"]))
+    if kind is ColumnKind.NUMERIC:
+        return NumericColumn(column_field, _numeric_values(raw, n_rows))
+    if kind is ColumnKind.BOOLEAN:
+        return BooleanColumn(column_field, _codes(raw, n_rows))
+    return CategoricalColumn(column_field, _codes(raw, n_rows),
+                             spec["categories"])
+
+
+def decode_snapshot(data: bytes) -> tuple[dict[str, Any], DataTable]:
+    """Unpack :func:`encode_snapshot` output: ``(meta, table)``.
 
     Raises :class:`SnapshotDecodeError` on any structural damage —
     truncation at any byte offset, a flipped bit anywhere (CRC), an
@@ -259,6 +284,7 @@ def decode_snapshot(data: bytes) -> dict[str, Any]:
     if not isinstance(meta, dict):
         raise SnapshotDecodeError("metadata section is not an object")
     blocks = meta.pop(_BLOCKS_KEY, None)
+    schema = meta.pop(_TABLE_KEY, None)
     if not isinstance(blocks, list):
         raise SnapshotDecodeError("metadata lacks the block directory")
     if len(blocks) != len(sections) - 1:
@@ -266,31 +292,18 @@ def decode_snapshot(data: bytes) -> dict[str, Any]:
             f"block directory lists {len(blocks)} blocks, container "
             f"holds {len(sections) - 1}"
         )
-
-    table = meta.get("table")
-    columns = (
-        table.get("columns")
-        if isinstance(table, dict) and isinstance(table.get("columns"), list)
-        else None
-    )
-    for block, raw in zip(blocks, sections[1:]):
-        if not isinstance(block, dict):
-            raise SnapshotDecodeError("malformed block directory entry")
-        index = block.get("column")
-        key = block.get("key")
-        n = block.get("n")
-        if (
-            columns is None
-            or not isinstance(index, int)
-            or not 0 <= index < len(columns)
-            or not isinstance(columns[index], dict)
-            or key not in ("values", "codes")
-            or not isinstance(n, int)
-            or n < 0
-        ):
+    try:
+        specs, n_rows = schema["columns"], schema["n_rows"]
+        if len(specs) != len(blocks):
             raise SnapshotDecodeError("block directory does not match table")
-        if key == "values":
-            columns[index]["values"] = _unpack_values(raw, n)
-        else:
-            columns[index]["codes"] = _unpack_codes(raw, n)
-    return meta
+        columns = [
+            _column(spec, block, raw, index, n_rows)
+            for index, (spec, block, raw)
+            in enumerate(zip(specs, blocks, sections[1:]))
+        ]
+        table = DataTable(columns, name=schema["name"])
+    except (ForesightError, KeyError, TypeError, ValueError) as exc:
+        raise SnapshotDecodeError(f"table schema: {exc}") from exc
+    if table.n_rows != n_rows:
+        raise SnapshotDecodeError("block directory does not match table")
+    return meta, table

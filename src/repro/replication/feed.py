@@ -6,12 +6,16 @@
 :class:`~repro.service.replica.ReplicaWorkspace` in another process (or
 on another host) tails the primary exactly like a local one tails a
 shared data directory.  The records on the wire are the journal's own
-payloads — the endpoint is a positioned read of the WAL, not a second
-replication protocol.
+payloads, and a bootstrap reset's snapshot is the bytes of the
+primary's ``snapshot-<version>.bin`` (base64) — the endpoint is a
+positioned read of the WAL, not a second replication protocol, so
+primary and replica must run the same snapshot format.
 
 Transport failures surface as :class:`~repro.errors.ServiceError` so
 the replica's tailer treats an unreachable primary uniformly (retry,
-and optionally auto-promote after ``promote_after`` seconds).
+and optionally auto-promote after ``promote_after`` seconds).  A reset
+whose snapshot does not decode is refused the same way: the replica
+keeps the state it has and records the error.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.ingest.durable import (
     FeedPosition,
     durable_state_from_payload,
 )
+from repro.ingest.snapshot_codec import SnapshotDecodeError
 from repro.server.client import ReproClient
 from repro.service.replica import FeedSource
 
@@ -82,13 +87,19 @@ class HttpFeedSource(FeedSource):
             return None
         return self._decode_batch(name, batch)
 
-    @staticmethod
-    def _decode_batch(name: str, batch: dict[str, Any]) -> FeedBatch:
+    def _decode_batch(self, name: str, batch: dict[str, Any]) -> FeedBatch:
         reset = batch.get("reset")
+        try:
+            state = (durable_state_from_payload(reset)
+                     if reset is not None else None)
+        except SnapshotDecodeError as exc:
+            raise ServiceError(
+                f"primary {self.host}:{self.port} sent an unreadable "
+                f"reset for {name!r}: {exc}"
+            ) from exc
         return FeedBatch(
             dataset=name,
-            reset=(durable_state_from_payload(reset)
-                   if reset is not None else None),
+            reset=state,
             records=list(batch.get("records") or []),
             position=FeedPosition.parse(batch["position"]),
             more=bool(batch.get("more", False)),

@@ -1184,10 +1184,12 @@ class ReproServer:
         dataset's durable journal.  Without ``from`` (or when the cursor
         no longer lines up with the journal — compaction, generation
         bump, primary restart) the batch carries a full ``reset``
-        snapshot-state; with a valid ``from=version:seq`` cursor it
+        state, its ``snapshot`` the base64 bytes of the generation's
+        snapshot file; with a valid ``from=version:seq`` cursor it
         carries only the records past that position.  ``batch`` is null
         when the dataset has no durable state yet.  The records are the
-        journal's own CRC'd payloads — there is no second wire format.
+        journal's own CRC'd payloads and the snapshot the file's own
+        bytes — there is no second wire format.
         """
         self._require_dataset(name)
         if self._workspace.data_dir is None:
@@ -1216,13 +1218,13 @@ class ReproServer:
         if self._feed is None:
             self._feed = JournalFeed(self._workspace.data_dir)
         feed = self._feed
-        loop = asyncio.get_running_loop()
-        batch = await loop.run_in_executor(
-            self._pool, feed.poll, name, position, max_records
-        )
-        encoded = None
-        if batch is not None:
-            encoded = {
+
+        def poll() -> dict[str, Any] | None:
+            # A reset re-encodes the snapshot: off the event loop too.
+            batch = feed.poll(name, position, max_records)
+            if batch is None:
+                return None
+            return {
                 "reset": (durable_state_to_payload(batch.reset)
                           if batch.reset is not None else None),
                 "records": batch.records,
@@ -1230,6 +1232,9 @@ class ReproServer:
                 "more": batch.more,
                 "primary_seq": batch.primary_seq,
             }
+
+        loop = asyncio.get_running_loop()
+        encoded = await loop.run_in_executor(self._pool, poll)
         return 200, {"protocol": 1, "dataset": name, "batch": encoded}
 
     async def _post_promote(self, _request: _HttpRequest) -> tuple[int, Any]:

@@ -252,7 +252,7 @@ class ReplicaWorkspace(Workspace):
                 # the counters exact — the heavy replay stays deferred
                 # to first use, exactly like restart recovery.
                 entry.pending.records.extend(batch.records)
-                fold_records(entry.ingest, batch.records)
+                fold_records(name, entry.ingest, batch.records)
             else:
                 machine = self._machine(entry)
                 for record in batch.records:

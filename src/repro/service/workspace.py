@@ -81,12 +81,10 @@ from repro.ingest.durable import (
     engine_config_to_payload,
     fold_records,
     replay_state,
-    table_to_payload,
 )
 from repro.ingest.log import (
     APPLIED_DEFERRED,
     APPLIED_DELTA_MERGE,
-    APPLIED_REBUILD,
     IngestLog,
 )
 # ``merge_delta`` is unused here — the delta merge lives in the transition,
@@ -206,7 +204,7 @@ class Workspace:
     state come back exactly as an uninterrupted process would hold them
     — a torn or corrupted journal tail recovers to the last complete
     record.  Budget-triggered sketch rebuilds run off the append path on
-    a background worker (``IngestConfig.background_rebuild``), swapping
+    a background worker (``IngestConfig.rebuild_fraction``), swapping
     the fresh engine in atomically under the single-flight lock.
 
     ``obs`` configures request tracing (:mod:`repro.obs`): pass an
@@ -389,7 +387,7 @@ class Workspace:
             version = latest + 1 if pending is None else pending.version
             self._version_counters[name] = max(latest, version)
         ingest = (IngestLog() if pending is None
-                  else fold_records(pending.base_log(), pending.records))
+                  else fold_records(name, pending.base_log(), pending.records))
         if self._journal is not None and pending is None:
             if table is not None:
                 self._write_snapshot_locked(
@@ -512,7 +510,7 @@ class Workspace:
         if self._journal is None or state.table is None:
             return
         log = state.ingest
-        payload = {
+        meta = {
             "type": "snapshot",
             "version": version,
             "seq": log.seq,
@@ -521,14 +519,13 @@ class Workspace:
             "engine_built": (state.engine is not None
                              and state.engine.store is not None),
             "counters": log.to_payload(),
-            "table": table_to_payload(state.table),
         }
         if engine_config is not None:
             # A custom config must survive restarts with the rows: a
             # restored dataset rebuilt under the workspace default would
             # silently serve different results than the uninterrupted
             # process.  (None, the workspace default, resolves the same.)
-            payload["engine_config"] = engine_config_to_payload(engine_config)
+            meta["engine_config"] = engine_config_to_payload(engine_config)
         # An ambient child (or no-op outside any trace), never a root:
         # this runs under the entry lock, where completing a root trace
         # — the buffer drain plus a possible slow-request event — must
@@ -536,7 +533,7 @@ class Workspace:
         with obs_span("journal.snapshot", dataset=name) as span:
             span.set_attribute("seq", log.seq)
             span.set_attribute("n_rows", state.table.n_rows)
-            self._journal.write_snapshot(name, payload)
+            self._journal.write_snapshot(name, meta, state.table)
 
     def _account_entry(self, entry: _DatasetEntry) -> None:
         """Re-size one dataset's memory-ledger rows (entry lock held).
@@ -752,12 +749,11 @@ class Workspace:
         2. **decide** — the policy, and the only part that is this
            method's own: ``deferred`` while no approximate engine
            exists, else ``delta_merge`` (sketch partials over just the
-           delta rows merged into copies of the live store's sketches),
-           unless the accuracy budget
-           (``IngestConfig.rebuild_fraction``) is exhausted — then
-           ``rebuild`` inline, or still ``delta_merge`` with the rebuild
-           scheduled off-path (``IngestConfig.background_rebuild``).
-           The journal record carries the decision;
+           delta rows merged into copies of the live store's sketches).
+           When the merge exhausts the accuracy budget
+           (``IngestConfig.rebuild_fraction``), a full rebuild is
+           scheduled off the append path (:meth:`rebuild`).  The
+           journal record carries the decision;
         3. **stage → journal → commit** — the next table and engine are
            computed without touching the entry, the record (rows
            included) is written ahead, and only then does the staged
@@ -783,18 +779,13 @@ class Workspace:
                     # exact-mode one): the rows simply extend the table.
                     applied = APPLIED_DEFERRED
                 else:
-                    rebuild_due = should_rebuild(
+                    # The delta-merge fast path — also taken when a
+                    # rebuild is due: it runs in the background, and the
+                    # append never pays for it.
+                    applied = APPLIED_DELTA_MERGE
+                    schedule_rebuild = should_rebuild(
                         entry.ingest, batch.n_rows, self._ingest_config
                     )
-                    if (rebuild_due
-                            and not self._ingest_config.background_rebuild):
-                        applied = APPLIED_REBUILD
-                    else:
-                        # The delta-merge fast path — also taken when a
-                        # rebuild is due but runs in the background: the
-                        # append never pays for it.
-                        applied = APPLIED_DELTA_MERGE
-                        schedule_rebuild = rebuild_due
                 seq = entry.ingest.seq + 1
                 total_rows = table.n_rows + batch.n_rows
                 record = {
@@ -809,11 +800,6 @@ class Workspace:
                     record["rows"] = batch.to_records()
                 self._transition_locked(entry, record, batch=batch)
                 version = entry.version
-                if applied == APPLIED_REBUILD:
-                    # A full rebuild makes the sketch state a pure
-                    # function of the rows: the natural compaction point.
-                    self._write_snapshot_locked(
-                        name, version, entry, entry.engine_config)
                 self._account_entry(entry)
             append_span.set_attribute("applied", applied)
             append_span.set_attribute("seq", seq)
@@ -823,8 +809,6 @@ class Workspace:
             self._ingest_totals["rows_appended"] += batch.n_rows
             if applied == APPLIED_DELTA_MERGE:
                 self._ingest_totals["delta_merges"] += 1
-            elif applied == APPLIED_REBUILD:
-                self._ingest_totals["rebuilds"] += 1
         self._cache.invalidate(name)
         if schedule_rebuild:
             self._schedule_rebuild(name)
@@ -1568,9 +1552,10 @@ class AppendResult:
     ``(version, seq)`` is the dataset identity *after* the append —
     the pair every response computed from the new snapshot will carry.
     ``applied`` records how the rows were absorbed: ``"delta_merge"``
-    (sketch partials merged into the live store), ``"rebuild"``
-    (accuracy budget exhausted — full re-preprocess) or ``"deferred"``
-    (no approximate engine built yet, rows extend the table only).
+    (sketch partials merged into the live store — an exhausted accuracy
+    budget additionally schedules a background rebuild) or
+    ``"deferred"`` (no approximate engine built yet, or an exact-mode
+    one: the rows extend the table only).
     """
 
     dataset: str

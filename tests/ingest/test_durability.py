@@ -20,15 +20,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.engine import EngineConfig
+from repro.core.engine import EngineConfig, Foresight
 from repro.core.neighborhood import NeighborhoodConfig
 from repro.data.datasets import make_mixed_table
-from repro.errors import ServiceError
+from repro.errors import IngestError, ServiceError
 from repro.ingest import IngestConfig
 from repro.ingest.durable import (
     DatasetJournal,
     engine_config_from_payload,
     engine_config_to_payload,
+    replay_state,
     scan_records,
 )
 from repro.service import InsightRequest, Workspace
@@ -128,31 +129,6 @@ class TestRestartReplay:
         assert restarted.state("live") == (1, 2)
         assert _payload(restarted.handle(_request())) == reference
 
-    def test_sync_rebuild_compacts_to_a_snapshot(self, tmp_path, base_table,
-                                                 stream):
-        live = _open(tmp_path, base_table, rebuild_fraction=0.05,
-                     background_rebuild=False)
-        live.engine("live")
-        result = live.append("live", stream[:12])  # 12 > 0.05 * 80
-        assert result.applied == "rebuild"
-        assert (tmp_path / "live" / "snapshot-00000001.bin").exists()
-        reference = _payload(live.handle(_request()))
-
-        loads = []
-
-        def counting_loader():
-            loads.append(1)
-            return _base_table()
-
-        restarted = Workspace(data_dir=str(tmp_path),
-                              ingest=IngestConfig(rebuild_fraction=0.05,
-                                                  background_rebuild=False))
-        restarted.register("live", counting_loader)
-        # The snapshot supplies the rows: the loader never runs.
-        assert loads == []
-        assert restarted.state("live") == (1, 1)
-        assert _payload(restarted.handle(_request())) == reference
-
     def test_background_swap_record_replays(self, tmp_path, base_table,
                                             stream):
         live = _open(tmp_path, base_table, rebuild_fraction=0.1)
@@ -216,6 +192,30 @@ class TestRestartReplay:
                            "durable": True}
         transient = _open(None, base_table)
         assert transient.flush("live")["durable"] is False
+
+    def test_an_unknown_applied_value_is_refused(self, tmp_path, base_table,
+                                                 stream):
+        """A CRC-valid append record whose ``applied`` this build does
+        not know — a journal from another version — fails the restart
+        and the replay loudly, naming the dataset, the seq and the
+        value; it never replays as a deferred append."""
+        live = Workspace(data_dir=str(tmp_path))
+        live.register("live", base_table)  # table-backed: self-contained
+        live.append("live", stream[:3])
+        live.close()
+        journal = DatasetJournal(str(tmp_path), fsync=False)
+        journal.append("live", {
+            "type": "append", "seq": 2, "applied": "bogus", "n_rows": 1,
+            "total_rows": BASE_ROWS + 4, "rows": stream[3:4], "ts": 0.0,
+        })
+        journal.close()
+        refusal = r"'live'.* seq 2 .*applied='bogus'"
+        with pytest.raises(IngestError, match=refusal):
+            Workspace(data_dir=str(tmp_path))
+        state = DatasetJournal(str(tmp_path), fsync=False).load("live")
+        assert [record["seq"] for record in state.records] == [1, 2]
+        with pytest.raises(IngestError, match=refusal):
+            replay_state("live", state, None, Foresight)
 
 
 class TestFaultInjection:
@@ -365,21 +365,19 @@ class TestFaultInjection:
         dataset accepts appends — not serve reads while rejecting every
         write forever.
         """
-        live = _open(tmp_path, base_table, rebuild_fraction=0.05,
-                     background_rebuild=False)
+        live = _open(tmp_path, base_table)
         live.engine("live")
-        live.append("live", stream[:12])  # sync rebuild -> snapshot
+        live.append("live", stream[:12])
+        assert live.rebuild("live")["seq"] == 2  # swap -> snapshot
         live.close()
         for segment in _segment_paths(tmp_path):
             segment.unlink()  # the crash ate the compaction segment
-        restarted = _open(tmp_path, base_table, rebuild_fraction=0.05,
-                          background_rebuild=False)
-        assert restarted.state("live") == (1, 1)
+        restarted = _open(tmp_path, base_table)
+        assert restarted.state("live") == (1, 2)
         appended = restarted.append("live", stream[12:15])
-        assert (appended.version, appended.seq) == (1, 2)
-        again = _open(tmp_path, base_table, rebuild_fraction=0.05,
-                      background_rebuild=False)
-        assert again.state("live") == (1, 2)
+        assert (appended.version, appended.seq) == (1, 3)
+        again = _open(tmp_path, base_table)
+        assert again.state("live") == (1, 3)
 
 
 class TestGenerationRotation:
@@ -932,7 +930,7 @@ class TestRecoveryHardening:
         live.append("live", stream[:5])
         assert live.state("live") == (1, 1)
 
-        def full_disk(journal, name, payload):
+        def full_disk(journal, name, meta, table):
             raise OSError(28, "No space left on device")
 
         with monkeypatch.context() as patch:
@@ -1160,15 +1158,16 @@ class TestBinarySnapshotTruncation:
         journal = DatasetJournal(str(tmp_path))
         for cut in range(len(data)):
             snapshot.write_bytes(data[:cut])
-            assert journal._read_snapshot("live", 1) is None, (
+            assert journal._read_snapshot("live", 1) == (None, None), (
                 f"truncation at byte {cut} decoded"
             )
         # The intact bytes still decode — the sweep tested the codec,
         # not a broken fixture.
         snapshot.write_bytes(data)
-        payload = journal._read_snapshot("live", 1)
+        meta, table = journal._read_snapshot("live", 1)
         journal.close()
-        assert payload is not None and payload["version"] == 1
+        assert meta is not None and meta["version"] == 1
+        assert table.n_rows == BASE_ROWS + 10
 
     @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.5, 0.95])
     def test_sampled_truncations_recover_via_rotation(self, tmp_path,

@@ -250,14 +250,15 @@ class TestAccuracyBudget:
         config = IngestConfig(rebuild_fraction=0.5)
         assert not should_rebuild(log, 500, config)
         assert should_rebuild(log, 501, config)
-        log.append(400, "delta_merge", 1400)
+        log.append(400, "delta_merge")
         assert should_rebuild(log, 101, config)
         assert not should_rebuild(log, 100, config)
 
     def test_rebuild_resets_the_budget(self):
         log = IngestLog()
         log.mark_rebuilt(1000)
-        log.append(600, "rebuild", 1600)
+        log.append(600, "delta_merge")
+        log.record_swap(1600, 1600)
         assert log.rows_since_rebuild == 0
         assert log.base_rows == 1600
         assert log.rebuilds == 1
@@ -274,8 +275,7 @@ class TestAccuracyBudget:
     def test_seq_is_monotone_and_gap_free(self):
         log = IngestLog()
         log.mark_rebuilt(100)
-        seqs = [log.append(1, "delta_merge", 100 + i + 1)
-                for i in range(5)]
+        seqs = [log.append(1, "delta_merge") for _ in range(5)]
         assert seqs == [1, 2, 3, 4, 5]
         assert log.seq == 5
         assert log.counters()["rows_appended"] == 5

@@ -54,24 +54,10 @@ class TestAppendSemantics:
         assert stats["totals"]["delta_merges"] == 1
         assert stats["totals"]["rebuilds"] == 0
 
-    def test_budget_exhaustion_triggers_sync_rebuild_when_opted_in(
-        self, table, delta_rows
-    ):
-        workspace = Workspace(ingest=IngestConfig(
-            rebuild_fraction=0.05, background_rebuild=False))
-        workspace.register("live", lambda: table)
-        workspace.engine("live")
-        result = workspace.append("live", delta_rows)  # 40 > 0.05 * 300
-        assert result.applied == "rebuild"
-        assert workspace.engine_builds("live") == 2
-        assert workspace.ingest_stats()["totals"]["rebuilds"] == 1
-        # The rebuilt store has no stale delta rows.
-        assert workspace.engine("live").store.stats.delta_rows == 0
-
     def test_budget_exhaustion_schedules_background_rebuild(
         self, table, delta_rows
     ):
-        """The default: the triggering append never pays for the rebuild.
+        """The triggering append never pays for the rebuild.
 
         It still delta-merges (applied="delta_merge"), and the worker's
         atomic swap mints a sequence number of its own so the rebuilt

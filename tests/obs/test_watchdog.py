@@ -228,9 +228,7 @@ class TestWorkspaceIntegration:
 
         table = make_mixed_table(n_rows=300, n_numeric=2, n_categorical=1,
                                  seed=5)
-        workspace = Workspace(
-            ingest=IngestConfig(rebuild_fraction=0.01, background_rebuild=True)
-        )
+        workspace = Workspace(ingest=IngestConfig(rebuild_fraction=0.01))
         try:
             workspace.register("demo", lambda: table)
             workspace.engine("demo")  # build: appends can delta-merge

@@ -58,9 +58,10 @@ REPLACEMENTS = tuple(
     for n_rows, seed in ((90, 23), (150, 24)))
 LOADERS = tuple((lambda table=table: table) for table in REPLACEMENTS)
 #: No fsync (a *process* crash keeps flushed bytes, and the crash copies
-#: below see them); inline rebuilds, so the budget-triggered rebuild is a
-#: deterministic ``applied="rebuild"`` append rather than a timing race.
-INGEST = IngestConfig(fsync=False, background_rebuild=False)
+#: below see them); no budget-triggered rebuilds, which would run on a
+#: background worker and race the steps — the ``rebuild`` rule drives the
+#: same swap-and-compact path at generated points instead.
+INGEST = IngestConfig(fsync=False, rebuild_fraction=float("inf"))
 
 
 def _open(data_dir, loader=None) -> Workspace:
@@ -387,7 +388,7 @@ def test_failover_of_a_replica_that_synced_before_the_seq_0_build():
 def test_a_delta_merge_implies_the_cold_build_no_marker_recorded():
     """The fold's one inference, not only at seq 0: should a marker be
     lost outright, the next delta merge still accounts the build."""
-    log = fold_records(IngestLog(), [
+    log = fold_records(NAME, IngestLog(), [
         {"type": "append", "seq": 1, "applied": "deferred",
          "n_rows": 5, "total_rows": 125},
         {"type": "append", "seq": 2, "applied": "delta_merge",

@@ -4,6 +4,7 @@ read routing on the primary."""
 
 from __future__ import annotations
 
+import base64
 import json
 
 import pytest
@@ -63,6 +64,9 @@ class TestJournalEndpoint:
                 assert answer["dataset"] == "live"
                 batch = answer["batch"]
                 assert batch["reset"] is not None
+                # The reset ships the snapshot file's own bytes.
+                assert base64.b64decode(batch["reset"]["snapshot"]) == (
+                    tmp_path / "live" / "snapshot-00000001.bin").read_bytes()
                 assert batch["position"] == "1:1"
                 assert batch["records"] == []
                 assert batch["primary_seq"] == 1
@@ -137,6 +141,40 @@ class TestHttpFedReplica:
             ingest=IngestConfig(rebuild_fraction=float("inf")))
         assert restarted.state("live") == (1, 2)
         assert replica_bytes == _payload(restarted.handle(_request()))
+
+    @pytest.mark.parametrize("snapshot", [
+        "not base64!",
+        base64.b64encode(b"RPSC torn").decode("ascii"),
+    ])
+    def test_an_unreadable_reset_is_refused(self, tmp_path, base_table,
+                                            snapshot):
+        """A reset whose snapshot is not base64 of an intact snapshot
+        file is refused like a torn one: nothing is adopted, the
+        dataset's ``last_error`` says why, and the next good poll
+        bootstraps."""
+        workspace = _primary(tmp_path, base_table)
+        server = ReproServer(workspace, ServerConfig(port=0))
+        with server.start_in_thread() as handle:
+            source = HttpFeedSource(*handle.address)
+            request = source._client._request
+
+            def mangled(method, path, *args, **kwargs):
+                payload = request(method, path, *args, **kwargs)
+                if "/journal" in path and payload["batch"]["reset"]:
+                    payload["batch"]["reset"]["snapshot"] = snapshot
+                return payload
+
+            source._client._request = mangled
+            replica = ReplicaWorkspace(source)
+            assert replica.sync() == {}
+            assert "live" not in replica
+            stats = replica.ingest_stats()["replica"]["datasets"]["live"]
+            assert "unreadable reset" in stats["last_error"]
+            assert stats["resets"] == 0
+            source._client._request = request
+            assert replica.sync() == {"live": 1}
+            assert replica.state("live") == (1, 0)
+            replica.close()
 
     def test_from_url_accepts_the_replica_of_forms(self):
         source = HttpFeedSource.from_url("http://example.test:7000")

@@ -157,7 +157,7 @@ class TestJournalFeed:
 
     def test_compaction_past_the_cursor_forces_a_reset(self, tmp_path,
                                                        base_table, stream):
-        primary = _open(tmp_path, base_table, background_rebuild=False)
+        primary = _open(tmp_path, base_table)
         primary.engine("live")
         primary.append("live", stream[:4])
         feed = JournalFeed(str(tmp_path))
