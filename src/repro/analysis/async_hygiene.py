@@ -14,9 +14,10 @@ configured scopes:
   is acceptable on the loop thread;
 * direct workspace calls (``self._workspace.handle(...)``,
   ``.register(...)``, ...) — these must go through ``run_in_executor``.
-  The exceptions are named, not inferred: ``peek_cached`` — the one
-  serving call built never to wait — and the counter snapshots behind
-  the ops endpoints (``ProjectConfig.workspace_loop_safe_methods``).
+  The exceptions are named, not inferred: ``peek_cached`` and
+  ``answer_warm`` — the serving calls built never to wait, enumerate or
+  score — and the counter snapshots behind the ops endpoints
+  (``ProjectConfig.workspace_loop_safe_methods``).
   A new workspace method is a finding until it is added there.
 
 Nested synchronous ``def`` functions and lambdas inside a coroutine are

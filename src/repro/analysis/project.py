@@ -29,6 +29,7 @@ role                  level  lock
 ``obs.ledger``         30    ``MemoryLedger._lock`` byte-counter leaf
 ``obs.stall``          30    ``StallDetector._lock`` watchdog leaf
 ``obs.lock_wait``      30    ``LockWaitWatchdog._lock`` watchdog leaf
+``core.index``         30    ``InsightIndex._publish`` score-memo swap leaf
 ====================  =====  ==========================================
 
 ``replica.sync`` sits *below* the entry lock: a replica's sync pass
@@ -123,6 +124,7 @@ class ProjectConfig:
 
 DEFAULT_CONFIG = ProjectConfig(
     lock_modules=(
+        "core/pipeline.py",
         "service/workspace.py",
         "service/replica.py",
         "service/cache.py",
@@ -157,6 +159,9 @@ DEFAULT_CONFIG = ProjectConfig(
         LockSpec("obs.ledger", 30, "obs/ledger.py", "MemoryLedger", "_lock"),
         LockSpec("obs.stall", 30, "obs/watchdog.py", "StallDetector", "_lock"),
         LockSpec("obs.lock_wait", 30, "obs/watchdog.py", "LockWaitWatchdog", "_lock"),
+        # The insight index's publish: a merge of two score memos and one
+        # slot assignment, no calls out.  Readers never take it.
+        LockSpec("core.index", 30, "core/pipeline.py", "InsightIndex", "_publish"),
     ),
     # _tracer covers span creation AND root-span completion: ending a
     # root publishes its bucket under the obs.trace leaf lock, so a
@@ -224,9 +229,13 @@ DEFAULT_CONFIG = ProjectConfig(
     ),
     workspace_receivers=("_workspace", "workspace"),
     workspace_loop_safe_methods=(
-        # The one serving call: a try-lock and a cache lookup that
-        # answer None rather than wait (``POST /v1/insights``).
+        # The two serving calls of ``POST /v1/insights``: a try-lock and
+        # a cache lookup, then a miss the snapshot read under that
+        # try-lock answers from its insight index with compute
+        # forbidden.  Both answer None rather than wait, enumerate or
+        # score.
         "peek_cached",
+        "answer_warm",
         # Counter snapshots behind /metrics, /healthz, /v1/debug and
         # /v1/datasets; ``describe`` try-locks and reports ``busy``.
         "datasets",

@@ -190,6 +190,12 @@ class Foresight:
             stats=stats,
         )
 
+    def answers_from_index(self, queries: Sequence[InsightQuery]) -> bool:
+        """Whether :meth:`rank_many` would answer ``queries`` from the
+        index alone — no enumeration, no score.  Records nothing."""
+        return self._pipeline.answers_from_index(
+            queries, self.context(), default_caps=self._apply_default_caps)
+
     def carousels(
         self,
         top_k: int | None = None,

@@ -3,48 +3,59 @@
 An insight query re-ranks the same scored insight space every time it is
 asked of one published snapshot.  :class:`QueryPipeline` runs each
 request as four explicit stages over that snapshot's
-:class:`InsightIndex`:
+:class:`InsightIndex`, whose domains and scores are columns:
 
 1. **plan** — resolve each :class:`~repro.core.query.InsightQuery` against
    the registry and apply default candidate caps;
-2. **enumerate** — filter the class's candidate domain by the query's
-   constraints, stopping at ``max_candidates``.  The index enumerates each
+2. **enumerate** — one mask over the class's candidate domain from the
+   query's fixed, excluded and tag constraints, cut at the first
+   ``max_candidates`` hits in domain order.  The index enumerates each
    domain once per snapshot: classes that declare the same
    :meth:`~repro.core.insight.InsightClass.candidate_domain` share it,
-   and every later query re-filters it.  A capped query keeps its lazy
-   early stop on a domain larger than its cap, which the index then does
-   not hold;
+   and every later query re-masks it.  A capped query keeps its early
+   stop on a domain larger than its cap, which the index then does not
+   hold: it masks the walk one bounded chunk at a time, so a wide
+   table's triple domain is never materialised;
 3. **score** — one ``score_all`` call per query, on only the admissible
-   candidates the index does not hold yet; the rest are gathered from
-   it.  A gathered score is the score the query would have computed,
-   because a candidate's value does not depend on its batch (the
-   :meth:`~repro.core.insight.InsightClass.score_all` contract);
-4. **rank** — apply the metric-range filter, sort (score descending, ties
-   broken by attribute names for determinism) and take the top-k.
+   positions the index has not scored yet; the rest are read from the
+   class's score memo.  A memoised score is the score the query would
+   have computed, because a candidate's value does not depend on its
+   batch (the :meth:`~repro.core.insight.InsightClass.score_all`
+   contract);
+4. **rank** — keep the metric range, then one ``np.lexsort`` (score
+   descending, ties in attribute-name order, i.e. by the position in the
+   sorted domain) of the candidates that can reach the top-k.
 
 The index lives and dies with the engine of one ``(version, seq)``: an
 append, rebuild, reload or replace publishes a new engine and starts cold.
-Filling it takes no lock — two threads racing on a cold snapshot compute
-identical values, and the first to store one keeps it.
+Scoring takes no lock — two threads racing on a cold snapshot compute
+identical values — and readers never lock: a fill is published as a new
+memo in one assignment.
 
 :class:`PipelineStats` counts what an execution actually did:
 enumerations run, queries answered from a memoised domain, candidates
 submitted to a metric and candidates answered from the index.  Those
 counters describe the index's warmth, so the serving layer
 (:mod:`repro.service.workspace`) keeps them out of a response and sums
-them for ``/metrics``.
+them for ``/metrics``.  :meth:`QueryPipeline.answers_from_index` tells,
+recording nothing, whether an execution would need neither an
+enumeration nor a score — the serving layer answers such a query on its
+event loop.
 
 The implementation lives in :mod:`repro.core` (it is execution-engine
 machinery); :mod:`repro.service` re-exports it as part of the public
 serving namespace, keeping the import graph strictly core ← service.
 """
-
 from __future__ import annotations
 
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from repro.data.table import DataTable
 from repro.obs.ledger import domain_bytes, scored_candidate_bytes
@@ -136,21 +147,179 @@ class PipelineStats:
         self.elapsed_seconds += other.elapsed_seconds
 
 
+#: The most tuples a capped walk of an unheld domain masks at a time
+#: (or ``cap + 1``, if more): its memory stays bounded however far it
+#: walks.
+_WALK_CHUNK = 4096
+
+#: Past this many admitted candidates the rank stage sorts only those
+#: that can reach the top-k: ``np.lexsort`` grows as n log n (≈ 30 ms
+#: at 125 000), a partition as n, and below a few hundred the
+#: partition's extra passes cost more than they save.
+_PARTITION_FLOOR = 256
+
+
+def _encode(tuples: Sequence[tuple[str, ...]]) -> tuple[dict[str, int], np.ndarray]:
+    """``(codes, matrix)``: each attribute's code, in sorted-name order,
+    and the tuples as an int32 matrix of codes, one row per tuple, a
+    shorter tuple padded with -1 (below every code, as a missing
+    element sorts before any name).  Column-major: a row-wise ``any``
+    over it is then one pass per column."""
+    flat = list(chain.from_iterable(tuples))
+    codes = {name: code for code, name in enumerate(sorted(set(flat)))}
+    lengths = np.fromiter(map(len, tuples), dtype=np.intp, count=len(tuples))
+    width = int(lengths.max()) if lengths.size else 0
+    matrix = np.full((len(tuples), width), -1, dtype=np.int32, order="F")
+    values = np.fromiter(map(codes.__getitem__, flat), dtype=np.int32,
+                         count=len(flat))
+    if lengths.size and (lengths == width).all():
+        matrix[:] = values.reshape(len(tuples), width)
+    else:
+        rows = np.repeat(np.arange(len(tuples)), lengths)
+        starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+        matrix[rows, np.arange(len(flat)) - starts] = values
+    return codes, matrix
+
+
+def _admission(codes: Mapping[str, int], matrix: np.ndarray,
+               query: InsightQuery,
+               attribute_tags: Mapping[str, Sequence[str]]) -> np.ndarray:
+    """The mask of rows that name every fixed attribute, no excluded one,
+    and — under ``required_tags`` — only attributes carrying one of those
+    tags in ``attribute_tags`` (a fixed attribute is exempt)."""
+    mask = np.ones(len(matrix), dtype=bool)
+    for attribute in query.fixed_attributes:
+        code = codes.get(attribute)
+        if code is None:
+            return np.zeros(len(matrix), dtype=bool)
+        mask &= (matrix == code).any(axis=1)
+    if not (query.excluded_attributes or query.required_tags):
+        return mask
+    # One slot per code, and a last one — never barred — that the -1
+    # padding indexes.
+    barred = np.zeros(len(codes) + 1, dtype=bool)
+    for attribute in query.excluded_attributes:
+        if attribute in codes:
+            barred[codes[attribute]] = True
+    if query.required_tags:
+        for attribute, code in codes.items():
+            if attribute not in query.fixed_attributes and not any(
+                    tag in query.required_tags
+                    for tag in attribute_tags.get(attribute, ())):
+                barred[code] = True
+    mask &= ~barred[matrix].any(axis=1)
+    return mask
+
+
+class CandidateDomain:
+    """One class's candidate tuples on one table, as columns.
+
+    ``matrix`` holds the tuples as attribute codes (``codes``), so a
+    query's fixed, excluded and tag constraints are one pass over it
+    whatever the number of attributes; ``tie_rank`` is each tuple's
+    position in ``sorted(tuples)``, the rank stage's tie-break.  Built
+    once and never changed.
+    """
+
+    __slots__ = ("tuples", "codes", "matrix", "tie_rank", "nbytes")
+
+    def __init__(self, tuples: tuple[tuple[str, ...], ...]) -> None:
+        self.tuples = tuples
+        self.codes, self.matrix = _encode(tuples)
+        # Codes follow name order and the padding sorts first, so the
+        # rows sort as the tuples do.
+        order = (np.lexsort(self.matrix.T[::-1]) if self.matrix.shape[1]
+                 else np.arange(len(tuples)))
+        self.tie_rank = np.empty(len(tuples), dtype=np.int32)
+        self.tie_rank[order] = np.arange(len(tuples))
+        self.nbytes = (domain_bytes(tuples) + sys.getsizeof(self.codes)
+                       + self.matrix.nbytes + self.tie_rank.nbytes)
+
+    def admits(self, query: InsightQuery,
+               attribute_tags: Mapping[str, Sequence[str]]) -> np.ndarray:
+        """The mask of tuples the query's attribute constraints admit."""
+        return _admission(self.codes, self.matrix, query, attribute_tags)
+
+
+class ScoreMemo:
+    """One class's scores on one domain in one mode, by domain position:
+    whether a position was scored, whether the metric was defined there,
+    its score, and its :class:`ScoredCandidate` (None where undefined).
+
+    Never changed once built: a fill copies the columns
+    (:meth:`filled`), so a reader holding a memo sees each flag with its
+    value.
+    """
+
+    __slots__ = ("scored", "valid", "score", "candidates", "payload", "complete")
+
+    def __init__(self, scored: np.ndarray, valid: np.ndarray, score: np.ndarray,
+                 candidates: list[ScoredCandidate | None], payload: int) -> None:
+        self.scored = scored
+        self.valid = valid
+        self.score = score
+        self.candidates = candidates
+        #: Bytes of the scored candidates themselves.
+        self.payload = payload
+        #: Whether every position of the domain is scored.
+        self.complete = bool(scored.all())
+
+    @classmethod
+    def empty(cls, size: int) -> "ScoreMemo":
+        return cls(np.zeros(size, dtype=bool), np.zeros(size, dtype=bool),
+                   np.zeros(size), [None] * size, 0)
+
+    @property
+    def nbytes(self) -> int:
+        return (self.scored.nbytes + self.valid.nbytes + self.score.nbytes
+                + sys.getsizeof(self.candidates) + self.payload)
+
+    def filled(self, positions: np.ndarray,
+               values: Sequence[ScoredCandidate | None]) -> "ScoreMemo":
+        """A copy that also holds ``values`` at ``positions``."""
+        valid = self.valid.copy()
+        score = self.score.copy()
+        candidates = list(self.candidates)
+        payload = self.payload
+        for position, value in zip(positions.tolist(), values):
+            candidates[position] = value
+            if value is not None:
+                valid[position] = True
+                score[position] = value.score
+                payload += scored_candidate_bytes(value)
+        scored = self.scored.copy()
+        scored[positions] = True
+        return ScoreMemo(scored, valid, score, candidates, payload)
+
+    def merged(self, other: "ScoreMemo") -> "ScoreMemo":
+        """A copy that also holds what ``other`` scored and this did not."""
+        positions = np.flatnonzero(other.scored & ~self.scored)
+        if not positions.size:
+            return self
+        return self.filled(positions, [other.candidates[p] for p in positions.tolist()])
+
+
 class InsightIndex:
-    """One snapshot's memoised insight space: domains and scores.
+    """One snapshot's memoised insight space: domains and scores, as columns.
 
     Two memos, filled on first use and never evicted:
 
-    * per class, its candidate tuples on a table — keyed by
+    * per class, its :class:`CandidateDomain` on a table — keyed by
       ``(candidate_domain(), arity)`` where the class declares a domain,
       else by the class instance.  A capped query stores a domain only if
       it is no longer than the cap;
-    * every candidate score computed on a held domain, keyed by class
-      instance and mode, and by the evaluation context's table and store
-      identity.
+    * per class instance and mode, and evaluation context table and store
+      identity, a :class:`ScoreMemo` over a held domain's positions.
 
     So the index never holds more than the uncapped queries enumerate,
     plus at most one cap's worth of tuples per capped domain.
+
+    Readers take no lock.  A domain is published once
+    (``dict.setdefault``); a score fill builds a new memo and swaps it
+    into its slot with one assignment.  Scoring runs outside any lock;
+    only the swap holds ``_publish``, a leaf lock under which a fill that
+    raced another merges what that one stored, so a slot only ever gains
+    scores and a query the index could answer stays answerable.
 
     A registered class's score must therefore be a pure function of
     (snapshot, mode, tuple): changing a class's parameters means
@@ -159,16 +328,16 @@ class InsightIndex:
     """
 
     def __init__(self) -> None:
-        self._domains: dict[tuple, tuple[tuple[str, ...], ...]] = {}
-        self._scores: dict[tuple, dict[tuple[str, ...], ScoredCandidate | None]] = {}
-        #: Bytes each fill stored (``list.append`` is atomic: no lock).
-        self._fills: list[int] = []
+        self._domains: dict[tuple, CandidateDomain] = {}
+        self._scores: dict[tuple, ScoreMemo] = {}
+        self._publish = threading.Lock()
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the memoised domains and scored candidates (the
-        payload: dict slots and the shared column-name strings excluded)."""
-        return sum(self._fills)
+        """Bytes of the held domains and score memos (the payload: dict
+        slots and the shared column-name strings excluded)."""
+        return (sum(domain.nbytes for domain in list(self._domains.values()))
+                + sum(memo.nbytes for memo in list(self._scores.values())))
 
     @staticmethod
     def _domain_key(insight_class: InsightClass, table: DataTable) -> tuple:
@@ -179,67 +348,51 @@ class InsightIndex:
             return (table, declared, insight_class.arity)
         return (table, insight_class)
 
+    def held(self, insight_class: InsightClass,
+             table: DataTable) -> CandidateDomain | None:
+        """The class's domain on ``table``, if the index holds it."""
+        return self._domains.get(self._domain_key(insight_class, table))
+
     def domain(
         self,
         insight_class: InsightClass,
         table: DataTable,
         cap: int | None = None,
-    ) -> tuple[Iterable[tuple[str, ...]], bool]:
-        """The class's candidate tuples on ``table``, and whether this
-        call ran ``candidates()`` to get them.
+    ) -> CandidateDomain | Iterator[tuple[str, ...]]:
+        """Enumerate the class's candidate tuples on ``table``.
 
-        A domain the index does not hold is enumerated and stored, except
-        under a ``cap`` (a query's ``max_candidates``): then it is stored
-        only if it holds no more than ``cap`` tuples, and otherwise walked
-        lazily, so the query stops early and the index stays bounded.
+        The domain is stored and returned, except under a ``cap`` (a
+        query's ``max_candidates``) when it holds more than ``cap``
+        tuples: then the index stays bounded and the caller gets the walk
+        itself, to stop early on.
         """
-        key = self._domain_key(insight_class, table)
-        held = self._domains.get(key)
-        if held is not None:
-            return held, False
         walk = iter(insight_class.candidates(table))
-        domain = tuple(walk if cap is None else islice(walk, cap + 1))
-        if cap is not None and len(domain) > cap:
-            return chain(domain, walk), True
-        kept = self._domains.setdefault(key, domain)
-        if kept is domain:
-            self._fills.append(domain_bytes(domain))
-        return kept, True
+        head = tuple(walk if cap is None else islice(walk, cap + 1))
+        if cap is not None and len(head) > cap:
+            return chain(head, walk)
+        return self._domains.setdefault(
+            self._domain_key(insight_class, table), CandidateDomain(head))
 
-    def scored(
-        self,
-        insight_class: InsightClass,
-        admissible: Sequence[tuple[str, ...]],
-        context: EvaluationContext,
-    ) -> tuple[list[ScoredCandidate], int]:
-        """``score_all(admissible, context)``, and how many candidates it
-        submitted to the metric: one ``score_all`` call on those the
-        index does not hold, the rest gathered.
+    def memo(self, insight_class: InsightClass,
+             context: EvaluationContext) -> ScoreMemo | None:
+        """The scores held for the class on the context's snapshot and mode."""
+        return self._scores.get(self._score_key(insight_class, context))
 
-        Scores are memoised only from a domain the index holds, so the
-        memo never outgrows its domains; candidates a capped walk found
-        are scored afresh.
-        """
-        if not admissible:
-            return [], 0
-        if self._domain_key(insight_class, context.table) not in self._domains:
-            return insight_class.score_all(admissible, context), len(admissible)
-        key = (insight_class, context.mode, context.table, context.store)
-        memo = self._scores.setdefault(key, {})
-        missing = [attributes for attributes in admissible if attributes not in memo]
-        if missing:
-            fresh = {
-                scored.attributes: scored
-                for scored in insight_class.score_all(missing, context)
-            }
-            added = 0
-            for attributes in missing:
-                value = fresh.get(attributes)
-                if memo.setdefault(attributes, value) is value and value is not None:
-                    added += scored_candidate_bytes(value)
-            self._fills.append(added)
-        gathered = [memo[attributes] for attributes in admissible]
-        return [scored for scored in gathered if scored is not None], len(missing)
+    @staticmethod
+    def _score_key(insight_class: InsightClass, context: EvaluationContext) -> tuple:
+        return (insight_class, context.mode, context.table, context.store)
+
+    def publish(self, insight_class: InsightClass, context: EvaluationContext,
+                base: ScoreMemo | None, filled: ScoreMemo) -> ScoreMemo:
+        """Swap ``filled`` (a fill of ``base``) into its slot, first merging
+        whatever a racing fill published since ``base`` was read."""
+        key = self._score_key(insight_class, context)
+        with self._publish:
+            current = self._scores.get(key)
+            if current is not None and current is not base:
+                filled = filled.merged(current)
+            self._scores[key] = filled
+        return filled
 
 
 @dataclass(frozen=True)
@@ -259,9 +412,15 @@ class ExecutionPlan:
 
 @dataclass
 class Enumeration:
-    """Stage-2 output for one query."""
+    """Stage-2 output for one query: its admissible candidates, as
+    positions into a domain."""
 
-    admissible: list[tuple[str, ...]]
+    domain: CandidateDomain
+    #: Admissible positions, in domain order.
+    positions: np.ndarray
+    #: Whether ``domain`` is the index's (its scores are memoised) rather
+    #: than the admissible tuples of a capped walk.
+    held: bool = True
     truncated: bool = False
     n_candidates: int = 0
     #: Wall-clock spent enumerating/filtering for this query.  The one-off
@@ -271,9 +430,11 @@ class Enumeration:
 
 @dataclass
 class ScoredBatch:
-    """Stage-3 output for one query."""
+    """Stage-3 output for one query: the memo its scores are read from and
+    the admissible positions the metric is defined at."""
 
-    candidates: list[ScoredCandidate]
+    memo: ScoreMemo
+    positions: np.ndarray
     elapsed_seconds: float = 0.0
 
 
@@ -282,8 +443,8 @@ class QueryPipeline:
 
     Every stage runs on the calling thread.  One pipeline instance is
     safe to use from many threads concurrently: every per-execution
-    structure is call-local, and its :class:`InsightIndex` fills without
-    a lock.
+    structure is call-local, and its :class:`InsightIndex` is read
+    without a lock.
     """
 
     def __init__(self, registry: InsightRegistry):
@@ -329,22 +490,27 @@ class QueryPipeline:
         context: EvaluationContext,
         stats: PipelineStats | None = None,
     ) -> list[Enumeration]:
-        """Admissible candidates per query, filtered from the index's domains."""
+        """Admissible candidates per query, masked from the index's
+        domains."""
         stats = stats if stats is not None else PipelineStats()
         enumerations = []
         for planned in plan.queries:
             start = time.perf_counter()
-            domain, enumerated = self._index.domain(
-                planned.insight_class, context.table, planned.query.max_candidates
-            )
-            if enumerated:
-                stats.enumerations += 1
-            else:
+            query = planned.query
+            domain = self._index.held(planned.insight_class, context.table)
+            if domain is not None:
                 stats.shared_queries += 1
-            enumeration = self._filter_candidates(domain, planned.query, context)
+            else:
+                stats.enumerations += 1
+                domain = self._index.domain(
+                    planned.insight_class, context.table, query.max_candidates)
+            if isinstance(domain, CandidateDomain):
+                enumeration = self._select(domain, query, context)
+            else:
+                enumeration = self._walk(domain, query, context)
             record_candidates(
                 enumeration.n_candidates,
-                enumeration.n_candidates - len(enumeration.admissible),
+                enumeration.n_candidates - len(enumeration.positions),
             )
             enumeration.elapsed_seconds = time.perf_counter() - start
             enumerations.append(enumeration)
@@ -361,28 +527,36 @@ class QueryPipeline:
         stats: PipelineStats | None = None,
     ) -> list[ScoredBatch]:
         """Metric values for every admissible candidate of every query:
-        one ``score_all`` call per query on what the index does not hold."""
+        one ``score_all`` call per query on the positions its memo has not
+        scored yet."""
         stats = stats if stats is not None else PipelineStats()
         batches = []
         for planned, enumeration in zip(plan.queries, enumerations):
             start = time.perf_counter()
-            admissible = enumeration.admissible
-            scored, evaluated = self._index.scored(
-                planned.insight_class,
-                admissible,
-                self._apply_mode(planned.query, context),
-            )
-            stats.score_evaluations += evaluated
-            stats.index_hits += len(admissible) - evaluated
-            if admissible and not evaluated:
+            insight_class = planned.insight_class
+            scoring = self._apply_mode(planned.query, context)
+            positions = enumeration.positions
+            base = (self._index.memo(insight_class, scoring)
+                    if enumeration.held else None)
+            memo = (ScoreMemo.empty(len(enumeration.domain.tuples))
+                    if base is None else base)
+            missing = positions[~memo.scored[positions]]
+            if missing.size:
+                tuples = [enumeration.domain.tuples[p] for p in missing.tolist()]
+                fresh = {scored.attributes: scored
+                         for scored in insight_class.score_all(tuples, scoring)}
+                memo = memo.filled(missing, [fresh.get(t) for t in tuples])
+                if enumeration.held:
+                    memo = self._index.publish(insight_class, scoring, base, memo)
+            valid = positions[memo.valid[positions]]
+            stats.score_evaluations += missing.size
+            stats.index_hits += positions.size - missing.size
+            if positions.size and not missing.size:
                 stats.shared_score_queries += 1
-            stats.n_scored += len(scored)
-            batches.append(
-                ScoredBatch(
-                    candidates=scored,
-                    elapsed_seconds=time.perf_counter() - start,
-                )
-            )
+            stats.n_scored += valid.size
+            batches.append(ScoredBatch(
+                memo=memo, positions=valid,
+                elapsed_seconds=time.perf_counter() - start))
         return batches
 
     # ------------------------------------------------------------------
@@ -395,7 +569,8 @@ class QueryPipeline:
         batches: Sequence[ScoredBatch],
         context: EvaluationContext,
     ) -> list[RankingResult]:
-        """Metric-range filter, deterministic sort, top-k, packaging.
+        """Metric-range filter, then one sort — score descending, ties in
+        attribute-name order — for the top-k, and packaging.
 
         Each result's ``details["elapsed_seconds"]`` is the measured time
         this query spent across the enumerate, score and rank stages.
@@ -404,18 +579,28 @@ class QueryPipeline:
         for planned, enumeration, batch in zip(plan.queries, enumerations, batches):
             start = time.perf_counter()
             query = planned.query
-            scored = batch.candidates
-            admitted = [c for c in scored if query.admits_score(c.score)]
-            ranked = self._sort(admitted)[: query.top_k]
-            insights = [planned.insight_class.to_insight(c) for c in ranked]
+            scores = batch.memo.score[batch.positions]
+            bounds = query.metric_range
+            admitted = batch.positions[(bounds.minimum <= scores)
+                                       & (scores <= bounds.maximum)]
+            ranked = admitted
+            if ranked.size > max(query.top_k, _PARTITION_FLOOR):
+                # Only the top-k and their ties can rank: sort those.
+                descending = -batch.memo.score[ranked]
+                kth = np.partition(descending, query.top_k - 1)[query.top_k - 1]
+                ranked = ranked[descending <= kth]
+            order = np.lexsort((enumeration.domain.tie_rank[ranked],
+                                -batch.memo.score[ranked]))[: query.top_k]
+            insights = [planned.insight_class.to_insight(batch.memo.candidates[p])
+                        for p in ranked[order].tolist()]
             rank_seconds = time.perf_counter() - start
             results.append(
                 RankingResult(
                     query=query,
                     insights=insights,
                     n_candidates=enumeration.n_candidates,
-                    n_scored=len(scored),
-                    n_admitted=len(admitted),
+                    n_scored=int(batch.positions.size),
+                    n_admitted=int(admitted.size),
                     truncated=enumeration.truncated,
                     details={
                         "mode": self._apply_mode(query, context).mode,
@@ -439,17 +624,18 @@ class QueryPipeline:
         default_caps: Callable[[InsightQuery], InsightQuery] | None = None,
         stats: PipelineStats | None = None,
     ) -> list[RankingResult]:
-        """Run plan → enumerate → score → rank and return one result per query."""
+        """Run plan → enumerate → score → rank and return one result per
+        query."""
         stats = stats if stats is not None else PipelineStats()
         start = time.perf_counter()
         with obs_span("pipeline.execute") as execute_span:
             with obs_span("pipeline.plan"):
                 plan = self.plan(queries, default_caps=default_caps)
             with obs_span("pipeline.enumerate") as enumerate_span:
-                enumerations = self.enumerate(plan, context, stats=stats)
+                enumerations = self.enumerate(plan, context, stats)
                 enumerate_span.set_attribute("enumerations", stats.enumerations)
             with obs_span("pipeline.score") as score_span:
-                batches = self.score(plan, enumerations, context, stats=stats)
+                batches = self.score(plan, enumerations, context, stats)
                 score_span.set_attribute(
                     "score_evaluations", stats.score_evaluations
                 )
@@ -463,6 +649,30 @@ class QueryPipeline:
             execute_span.set_attribute("index_hits", stats.index_hits)
         return results
 
+    def answers_from_index(
+        self,
+        queries: Sequence[InsightQuery],
+        context: EvaluationContext,
+        default_caps: Callable[[InsightQuery], InsightQuery] | None = None,
+    ) -> bool:
+        """Whether :meth:`execute` would answer ``queries`` without
+        enumerating or scoring: every domain held, every admissible
+        candidate scored.  Records nothing.  The index only ever gains
+        domains and scores, so a yes stays a yes on this pipeline."""
+        for planned in self.plan(queries, default_caps=default_caps).queries:
+            domain = self._index.held(planned.insight_class, context.table)
+            if domain is None:
+                return False
+            memo = self._index.memo(planned.insight_class,
+                                    self._apply_mode(planned.query, context))
+            if memo is not None and memo.complete:
+                continue
+            positions = self._select(domain, planned.query, context).positions
+            if positions.size and (memo is None
+                                   or not memo.scored[positions].all()):
+                return False
+        return True
+
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
@@ -473,35 +683,46 @@ class QueryPipeline:
         return EvaluationContext(table=context.table, store=context.store, mode=query.mode)
 
     @staticmethod
-    def _sort(candidates: list[ScoredCandidate]) -> list[ScoredCandidate]:
-        return sorted(candidates, key=lambda c: (-c.score, c.attributes))
+    def _tags(query: InsightQuery, context: EvaluationContext) -> dict[str, tuple]:
+        if not query.required_tags:
+            return {}
+        return {field.name: field.tags for field in context.table.schema}
 
-    @staticmethod
-    def _filter_candidates(
-        candidates, query: InsightQuery, context: EvaluationContext
-    ) -> Enumeration:
-        """Apply fixed/excluded/tag constraints, stopping at ``max_candidates``."""
+    @classmethod
+    def _select(cls, domain: CandidateDomain, query: InsightQuery,
+                context: EvaluationContext) -> Enumeration:
+        """A held domain's admissible positions: the query's mask, then
+        ``max_candidates`` as its first hits in domain order."""
+        hits = np.flatnonzero(domain.admits(query, cls._tags(query, context)))
+        cap = query.max_candidates
+        if cap is not None and hits.size >= cap:
+            hits = hits[:cap]
+            return Enumeration(domain, hits, truncated=True,
+                               n_candidates=int(hits[-1]) + 1)
+        return Enumeration(domain, hits, n_candidates=len(domain.tuples))
+
+    @classmethod
+    def _walk(cls, walk: Iterator[tuple[str, ...]], query: InsightQuery,
+              context: EvaluationContext) -> Enumeration:
+        """A capped walk of a domain the index does not hold: the same
+        mask, chunk by chunk, stopping at the ``max_candidates``-th hit.
+        The first chunk is the ``cap + 1`` tuples the index looked at;
+        chunks then double up to ``max(cap + 1, _WALK_CHUNK)``."""
+        cap = query.max_candidates
+        tags = cls._tags(query, context)
+        ceiling = max(cap + 1, _WALK_CHUNK)
         admissible: list[tuple[str, ...]] = []
-        truncated = False
-        n_candidates = 0
-        attribute_tags = (
-            {field.name: field.tags for field in context.table.schema}
-            if query.required_tags
-            else {}
-        )
-        for attributes in candidates:
-            n_candidates += 1
-            if not query.admits_attributes(attributes):
-                continue
-            if not query.admits_tags(attribute_tags, attributes):
-                continue
-            admissible.append(attributes)
-            if (
-                query.max_candidates is not None
-                and len(admissible) >= query.max_candidates
-            ):
-                truncated = True
+        walked = 0
+        chunk = tuple(islice(walk, cap + 1))
+        while chunk:
+            hits = np.flatnonzero(_admission(*_encode(chunk), query, tags))
+            hits = hits[: cap - len(admissible)].tolist()
+            admissible += [chunk[p] for p in hits]
+            if len(admissible) == cap:
+                walked += hits[-1] + 1
                 break
+            walked += len(chunk)
+            chunk = tuple(islice(walk, min(2 * len(chunk), ceiling)))
         return Enumeration(
-            admissible=admissible, truncated=truncated, n_candidates=n_candidates
-        )
+            CandidateDomain(tuple(admissible)), np.arange(len(admissible)),
+            held=False, truncated=len(admissible) == cap, n_candidates=walked)

@@ -18,7 +18,7 @@ query pipeline (:mod:`repro.core.pipeline`) executes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.errors import QueryError
 from repro.core.insight import MODE_APPROXIMATE, MODE_EXACT
@@ -148,40 +148,6 @@ class InsightQuery:
     def approximate(self) -> "InsightQuery":
         """A copy using sketch-backed evaluation."""
         return replace(self, mode=MODE_APPROXIMATE)
-
-    # -- filters used by the ranking engine -------------------------------------------
-    def admits_attributes(self, attributes: Sequence[str]) -> bool:
-        """Does a candidate tuple satisfy the fixed/excluded constraints?"""
-        attribute_set = set(attributes)
-        if any(fixed not in attribute_set for fixed in self.fixed_attributes):
-            return False
-        if attribute_set & set(self.excluded_attributes):
-            return False
-        return True
-
-    def admits_score(self, score: float) -> bool:
-        """Does a metric value satisfy the range constraint?"""
-        return self.metric_range.contains(score)
-
-    def admits_tags(self, attribute_tags: Mapping[str, Sequence[str]],
-                    attributes: Sequence[str]) -> bool:
-        """Does a candidate tuple satisfy the metadata-tag constraint?
-
-        ``attribute_tags`` maps attribute name -> tags from its schema field.
-        Attributes explicitly fixed by the query are exempt (fixing an
-        untagged attribute and asking for tagged partners is the natural way
-        to phrase "which currency attributes correlate with x").
-        """
-        if not self.required_tags:
-            return True
-        required = set(self.required_tags)
-        for attribute in attributes:
-            if attribute in self.fixed_attributes:
-                continue
-            tags = set(attribute_tags.get(attribute, ()))
-            if not tags & required:
-                return False
-        return True
 
     def as_dict(self) -> dict[str, Any]:
         return {

@@ -7,11 +7,14 @@ datasets went live — a write surface:
 ===================================  ==========================================
 ``POST /v1/insights``                one :class:`InsightRequest` → one
                                      response; a result-cache hit is sent
-                                     from the event loop as cached,
-                                     concurrent misses micro-batch into
-                                     one ``handle_many`` call (a lone
-                                     miss on an idle server dispatches
-                                     at once)
+                                     from the event loop as cached, and
+                                     so is a miss the snapshot's insight
+                                     index answers without enumerating
+                                     or scoring; other concurrent misses
+                                     micro-batch into one
+                                     ``handle_many`` call (a lone miss
+                                     on an idle server dispatches at
+                                     once)
 ``POST /v1/insights:batch``          ``{"requests": [...]}`` →
                                      ``{"responses": [...]}`` via
                                      ``Workspace.handle_many``
@@ -61,11 +64,15 @@ Request flow for the insight endpoints: **parse** (protocol violations →
 400 envelope, unknown datasets → 404 envelope — the same structured
 error envelope :meth:`Workspace.handle_json` returns) → **admission**
 (:class:`~repro.server.admission.AdmissionController`; 429/503 with
-``Retry-After``) → **peek** (``POST /v1/insights`` only: the reply the
-result cache already holds is sent as it stands —
-:meth:`Workspace.peek_cached` never waits and never computes) →
-**dispatch** (coalesced or direct, always on a worker thread — the event
-loop never blocks on the engine) → **respond**.
+``Retry-After``) → **peek** and **warm answer** (``POST /v1/insights``
+only: the reply the result cache already holds is sent as it stands —
+:meth:`Workspace.peek_cached` — or else a miss the snapshot's insight
+index can rank with nothing to enumerate or score is answered —
+:meth:`Workspace.answer_warm`; neither ever waits, enumerates or scores,
+and the request's root span records ``answered="loop"``) → **dispatch**
+(coalesced or direct, always on a worker thread — the event loop never
+blocks on the engine; ``answered`` is ``"coalescer"`` or ``"pool"``) →
+**respond**.
 
 Shutdown is graceful: :meth:`ReproServer.stop` stops accepting, waits up
 to ``drain_timeout`` for in-flight requests (including a pending
@@ -757,19 +764,33 @@ class ReproServer:
         async with admit([request.dataset], request.insight_classes):
             if self.tracer.clock() - admit_started >= _WAIT_SPAN_FLOOR:
                 self.tracer.record_span("admission.wait", root, admit_started)
-            # A reply the workspace already holds is sent from here, on
-            # the loop: it can share no work, so it joins no batch and
-            # hops to no thread.  Only a "no" goes on to be computed.
+            # A reply the workspace already holds, or can rank from its
+            # snapshot's insight index without enumerating or scoring,
+            # is sent from here, on the loop: it can share no work, so it
+            # joins no batch and hops to no thread.  Only a "no" goes on
+            # to be computed.
             workspace = self._select_workspace(request)
             cached = workspace.peek_cached(request, parent=root)
             if cached is not None:
                 self.metrics.record_fast_hit()
-                return 200, cached.encode()
+                return 200, self._answered(root, "loop", cached)
+            warm = workspace.answer_warm(request, parent=root)
+            if warm is not None:
+                return 200, self._answered(root, "loop", warm)
             if use_coalescer:
                 response = await self._coalesced(request, root)
+                where = "coalescer"
             else:
                 response = await self._direct(workspace, request, root)
-        return 200, response.to_json().encode()
+                where = "pool"
+        return 200, self._answered(root, where, response.to_json())
+
+    @staticmethod
+    def _answered(root: Any, where: str, reply: str) -> bytes:
+        """The reply's bytes; the root span records where it was answered."""
+        if root is not None:
+            root.set_attribute("answered", where)
+        return reply.encode()
 
     async def _coalesced(self, request: InsightRequest, root: Any) -> Any:
         """Ride the open coalesce batch to this request's response."""

@@ -11,8 +11,10 @@ dispatches, which paces reads beside an append.
 
 What rides a batch is what can share work: the server submits a request
 here only after ``Workspace.peek_cached`` said the result cache does not
-hold its reply.  A hit at arrival has nothing to share and nothing to
-wait for — it is answered on the event loop and never enters the window.
+hold its reply and ``Workspace.answer_warm`` said the snapshot's insight
+index cannot rank it without enumerating or scoring.  A hit or a warm
+miss at arrival has nothing to share and nothing to wait for — it is
+answered on the event loop and never enters the window.
 
 Mechanics: a batch opens on the first arrival, and how long it stays
 open depends on whether a rider can come.  On an **idle** coalescer —

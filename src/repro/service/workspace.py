@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import (
+    ForesightError,
     ProtocolError,
     ServiceError,
     UnknownDatasetError,
@@ -66,6 +67,7 @@ from repro.errors import (
 )
 from repro.core.engine import EngineConfig, Foresight
 from repro.core.pipeline import PipelineStats
+from repro.core.query import InsightQuery
 from repro.core.session import ExplorationSession
 from repro.data.table import DataTable
 from repro.ingest.delta import DeltaBatch
@@ -1077,11 +1079,11 @@ class Workspace:
         miss: ``handle`` will count that once); a reply records exactly
         what a ``handle`` hit does, its span parented to ``parent``.
         """
-        state = self._peek_state(request.dataset)
-        if state is None:
+        snapshot = self._peek_snapshot(request.dataset)
+        if snapshot is None:
             return None
         cached = self._cache.peek(
-            (request.dataset, *state, request.canonical_key()))
+            (request.dataset, *snapshot[1:], request.canonical_key()))
         if cached is None:
             return None
         # The cached text is the reply; only the cost echo of a ``debug``
@@ -1094,16 +1096,55 @@ class Workspace:
         )
         return reply.to_json() if rehydrate else reply
 
-    def _peek_state(self, name: str) -> tuple[int, int] | None:
-        """The dataset's current ``(version, seq)``, if reading it needs
-        no wait and a warm engine stands behind it."""
+    def answer_warm(self, request: InsightRequest,
+                    parent: Any = None) -> str | None:
+        """The reply :meth:`handle` would send now — as canonical JSON —
+        if computing it needs no wait, no enumeration and no score;
+        otherwise None.
+
+        For the server's event loop, after :meth:`peek_cached` said no: a
+        miss whose every domain and admissible score the snapshot's
+        insight index already holds is a filter and a sort.  The
+        snapshot is read as :meth:`peek_cached` reads it, under a
+        try-lock of the entry lock; None — recording nothing — when that
+        lock is held, the engine is cold, replay is pending, a domain is
+        not held or an admissible score is missing
+        (:meth:`~repro.core.engine.Foresight.answers_from_index`).
+        Otherwise the answer runs :meth:`handle`'s own body on that
+        snapshot, so its span, cost bill, cache-miss count, pipeline
+        stats and cache put are exactly a miss's.  That body enumerates
+        and scores nothing, because the index of the engine read only
+        ever gains domains and scores.  Like :meth:`handle`, it holds the
+        entry lock only to read the snapshot: an append waits for no
+        ranking.
+        """
+        snapshot = self._peek_snapshot(request.dataset)
+        if snapshot is None:
+            return None
+        engine = snapshot[0]
+        try:
+            warm = engine.answers_from_index(
+                self._page_queries(request, engine)[2])
+        except ForesightError:
+            warm = False  # handle() reports it
+        if not warm:
+            return None
+        return self._serve(
+            request,
+            lambda _request, span: self._handle_traced(_request, span, snapshot),
+            parent,
+        ).to_json()
+
+    def _peek_snapshot(self, name: str) -> tuple[Foresight, int, int] | None:
+        """The dataset's engine and current ``(version, seq)``, if reading
+        them needs no wait and the engine is warm."""
         entry = self._entries.get(name)
         if entry is None or not entry.lock.acquire(blocking=False):
             return None
         try:
             if entry.engine is None or entry.pending is not None:
                 return None
-            return entry.version, entry.ingest.seq
+            return entry.engine, entry.version, entry.ingest.seq
         finally:
             entry.lock.release()
 
@@ -1156,11 +1197,28 @@ class Workspace:
         handle_span.set_attribute("cache", "hit")
         return InsightResponse.from_json(cached) if rehydrate else cached
 
+    @staticmethod
+    def _page_queries(
+        request: InsightRequest, engine: Foresight
+    ) -> tuple[int, int, list[InsightQuery]]:
+        """``(offset, page_size, queries)``: the request's page and the
+        queries that rank through its end."""
+        offset = decode_cursor(request.cursor)
+        page_size = request.top_k
+        return offset, page_size, request.to_queries(
+            default_mode=engine.config.mode, top_k=offset + page_size)
+
     def _handle_traced(
-        self, request: InsightRequest, handle_span: Any
+        self, request: InsightRequest, handle_span: Any,
+        snapshot: tuple[Foresight, int, int] | None = None,
     ) -> InsightResponse:
-        """The traced body of :meth:`handle` (cost accounting around it)."""
-        engine, version, seq = self._engine_snapshot(request.dataset)
+        """The traced body of :meth:`handle` (cost accounting around it).
+
+        ``snapshot`` is :meth:`answer_warm`'s, read without a wait; its
+        index answers the request without enumerating or scoring.
+        """
+        engine, version, seq = (snapshot if snapshot is not None
+                                else self._engine_snapshot(request.dataset))
         key = (request.dataset, version, seq, request.canonical_key())
 
         cached = self._cache.get(key)
@@ -1170,11 +1228,7 @@ class Workspace:
         handle_span.set_attribute("cache", "miss")
 
         start = time.perf_counter()
-        offset = decode_cursor(request.cursor)
-        page_size = request.top_k
-        queries = request.to_queries(
-            default_mode=engine.config.mode, top_k=offset + page_size
-        )
+        offset, page_size, queries = self._page_queries(request, engine)
         stats = PipelineStats()
         results = engine.rank_many(queries, stats=stats)
         with self._stats_lock:

@@ -78,7 +78,12 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     """Average ranks (ties share the mean of the tied positions)."""
     values = np.asarray(values, dtype=np.float64)
     n = values.size
-    order = np.argsort(values, kind="mergesort")
+    # A tie group's ranks are its mean position whatever order the sort
+    # leaves inside it, so the default (unstable, faster) kind gives the
+    # same bits.  Not with NaN: each NaN is a group of its own, and only
+    # a stable sort fixes which rank each one gets.
+    kind = "mergesort" if np.isnan(values).any() else None
+    order = np.argsort(values, kind=kind)
     ordered = values[order]
     first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     last = np.concatenate((first[1:], [n]))  # one past each tie group

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.insight import EvaluationContext, Insight, pairs, singletons
+from repro.core.pipeline import CandidateDomain
 from repro.core.query import InsightQuery, MetricRange, query
 from repro.core.registry import InsightRegistry, default_registry
 from repro.core.classes import LinearRelationshipInsight, SkewInsight
@@ -132,14 +133,13 @@ class TestInsightQuery:
     def test_admits_attributes(self):
         q = InsightQuery("linear_relationship", fixed_attributes=("x",),
                          excluded_attributes=("z",))
-        assert q.admits_attributes(("x", "y"))
-        assert not q.admits_attributes(("y", "w"))
-        assert not q.admits_attributes(("x", "z"))
+        domain = CandidateDomain((("x", "y"), ("y", "w"), ("x", "z")))
+        assert domain.admits(q, {}).tolist() == [True, False, False]
 
     def test_admits_score(self):
         q = InsightQuery("linear_relationship", metric_range=MetricRange(0.5, 0.8))
-        assert q.admits_score(0.6)
-        assert not q.admits_score(0.95)
+        assert q.metric_range.contains(0.6)
+        assert not q.metric_range.contains(0.95)
 
     def test_builders_are_pure(self):
         q = InsightQuery("skew")

@@ -14,7 +14,7 @@ import pytest
 from repro import Foresight
 from repro.core.engine import EngineConfig
 from repro.core.insight import EvaluationContext, MODE_EXACT
-from repro.core.pipeline import QueryPipeline
+from repro.core.pipeline import CandidateDomain, QueryPipeline
 from repro.core.query import InsightQuery, query
 from repro.core.registry import default_registry
 from repro.data import DataTable, NumericColumn
@@ -75,9 +75,12 @@ class TestQueryTagApi:
         q = InsightQuery("linear_relationship", required_tags=("currency",),
                          fixed_attributes=("year",))
         tags = {"revenue": ("currency",), "year": ("date",), "headcount": ()}
-        assert q.admits_tags(tags, ("revenue", "year"))       # fixed attr exempt
-        assert not q.admits_tags(tags, ("headcount", "year"))  # untagged partner
-        assert InsightQuery("skew").admits_tags(tags, ("headcount",))  # no constraint
+        pairs = CandidateDomain((("revenue", "year"), ("headcount", "year")))
+        # The fixed attribute is exempt; its untagged partner is not.
+        assert pairs.admits(q, tags).tolist() == [True, False]
+        # No constraint.
+        assert CandidateDomain((("headcount",),)).admits(
+            InsightQuery("skew"), tags).tolist() == [True]
 
 
 class TestTagConstrainedRanking:

@@ -2,12 +2,15 @@
 
 Covers the kwarg conveniences the engine's ``query(name, **kwargs)`` shim
 forwards (``fixed``/``excluded``/``tags`` given as a bare string or any
-sequence, ``metric_min``/``metric_max``), and the fixed-attribute
-exemption in :meth:`InsightQuery.admits_tags`.
+sequence, ``metric_min``/``metric_max``), and the tag semantics the
+pipeline's candidate masks implement
+(:meth:`~repro.core.pipeline.CandidateDomain.admits`), the fixed-attribute
+exemption among them.
 """
 
 import pytest
 
+from repro.core.pipeline import CandidateDomain
 from repro.core.query import InsightQuery, MetricRange, query
 from repro.errors import QueryError
 
@@ -53,32 +56,36 @@ class TestShorthandNormalisation:
             query("skew", fixed="A", excluded=("A", "B"))
 
 
+def _admits_tags(q: InsightQuery, tags, attributes) -> bool:
+    return bool(CandidateDomain((attributes,)).admits(q, tags)[0])
+
+
 class TestAdmitsTags:
     TAGS = {"revenue": ("currency",), "cost": ("currency",),
             "year": ("date",), "headcount": ()}
 
     def test_no_required_tags_admits_everything(self):
         q = InsightQuery("linear_relationship")
-        assert q.admits_tags(self.TAGS, ("headcount", "year"))
+        assert _admits_tags(q, self.TAGS, ("headcount", "year"))
 
     def test_all_attributes_must_carry_a_required_tag(self):
         q = query("linear_relationship", tags="currency")
-        assert q.admits_tags(self.TAGS, ("revenue", "cost"))
-        assert not q.admits_tags(self.TAGS, ("revenue", "year"))
-        assert not q.admits_tags(self.TAGS, ("revenue", "headcount"))
+        assert _admits_tags(q, self.TAGS, ("revenue", "cost"))
+        assert not _admits_tags(q, self.TAGS, ("revenue", "year"))
+        assert not _admits_tags(q, self.TAGS, ("revenue", "headcount"))
 
     def test_any_of_several_required_tags_suffices(self):
         q = query("linear_relationship", tags=("currency", "date"))
-        assert q.admits_tags(self.TAGS, ("revenue", "year"))
+        assert _admits_tags(q, self.TAGS, ("revenue", "year"))
 
     def test_fixed_attributes_are_exempt(self):
         # "Which currency attributes correlate with headcount?" — the fixed
         # (untagged) anchor must not disqualify the tuple.
         q = query("linear_relationship", fixed="headcount", tags="currency")
-        assert q.admits_tags(self.TAGS, ("headcount", "revenue"))
+        assert _admits_tags(q, self.TAGS, ("headcount", "revenue"))
         # The non-fixed partner still needs the tag.
-        assert not q.admits_tags(self.TAGS, ("headcount", "year"))
+        assert not _admits_tags(q, self.TAGS, ("headcount", "year"))
 
     def test_unknown_attributes_count_as_untagged(self):
         q = query("linear_relationship", tags="currency")
-        assert not q.admits_tags(self.TAGS, ("revenue", "mystery"))
+        assert not _admits_tags(q, self.TAGS, ("revenue", "mystery"))

@@ -108,9 +108,13 @@ class TestRequestTraces:
             def worker(index: int) -> None:
                 with ReproClient(*handle.address, timeout=60) as client:
                     barrier.wait()
-                    # Distinct top_k per worker: no cache hits, so each
-                    # request holds the slot for a full pipeline run.
-                    client.insights(_request(top_k=3 + index))
+                    # A class of its own per worker: no cache hit and no
+                    # warm miss (nothing the index already scored), so
+                    # each request holds the slot for a pipeline run.
+                    client.insights(InsightRequest(
+                        dataset="demo", top_k=3,
+                        insight_classes=(("skew", "dispersion",
+                                          "heavy_tails")[index],)))
                     trace_ids[index] = client.last_trace_id
 
             threads = [threading.Thread(target=worker, args=(i,))

@@ -338,6 +338,37 @@ def test_average_ranks_are_scipys_exactly(values):
         x, method="average").tolist()
 
 
+def _stable_average_ranks(values: np.ndarray) -> np.ndarray:
+    """``average_ranks`` on a stable sort, whatever the input holds."""
+    n = values.size
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    last = np.concatenate((first[1:], [n]))
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last - 1) + 1.0, last - first)
+    return ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(
+    st.lists(st.sampled_from((-1.5, -0.0, 0.0, 0.25, 2.0, 7.0)),
+             min_size=0, max_size=400),
+    min_size=1, max_size=4),
+    nan_at=st.lists(st.integers(0, 399), max_size=3))
+def test_average_ranks_do_not_depend_on_the_sort_kind(rows, nan_at):
+    """Rows of a few distinct values (±0.0 among them) in long tie runs —
+    where an unstable sort reorders ties — rank bit for bit as under the
+    stable sort, and so do rows holding a NaN (kept on the stable sort)."""
+    for row in rows:
+        x = np.array(row, dtype=np.float64)
+        for position in nan_at:
+            if position < x.size:
+                x[position] = np.nan
+        got, want = average_ranks(x), _stable_average_ranks(x)
+        assert got.tobytes() == want.tobytes()
+
+
 def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distance in units in the last place between non-negative doubles."""
     return np.abs(a.view(np.int64) - b.view(np.int64))

@@ -1,12 +1,14 @@
-"""The result-cache fast path of ``POST /v1/insights``.
+"""The event-loop paths of ``POST /v1/insights``.
 
 A request whose reply the workspace already holds is answered on the
 event loop, inside its admission block and before anything is parked:
 no coalesce window, no worker thread, the cached bytes as they stand.
-Pinned here: the loop never waits for a dataset's entry lock, a hit
-issues no executor hand-off, the reply is the worker-thread hit's reply
-byte for byte, the counters say what happened, and quota / overload
-refusals do not care whether the key was warm.
+So is a miss the snapshot's insight index can rank without enumerating
+or scoring (``TestWarmMiss``).  Pinned here: the loop never waits for a
+dataset's entry lock, a hit or a warm miss issues no executor hand-off,
+the reply is the worker thread's reply byte for byte, the counters and
+the request span say what happened, and quota / overload refusals do
+not care whether the key was warm.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.service import (
     ReplicaWorkspace,
     Workspace,
 )
-from tests.server.conftest import HeldEntryLock, wait_for
+from tests.server.conftest import HeldEntryLock, stable_payload, wait_for
 
 WARM = InsightRequest(dataset="demo", insight_classes=("skew", "outliers"),
                       top_k=3)
@@ -166,6 +168,80 @@ class TestEventLoopSafety:
         assert reply["provenance"]["cache"] == "hit"
         assert (reply["dataset_version"], reply["dataset_seq"]) == (1, 0)
         assert (coalesce["fast_hits"], coalesce["direct_requests"]) == (0, 1)
+
+
+#: A distinct key over ``WARM``'s classes: a miss the index answers.
+WARM_MISS = InsightRequest(dataset="demo", insight_classes=("skew", "outliers"),
+                           top_k=2)
+
+
+class TestWarmMiss:
+    """A miss whose classes the snapshot's index already holds is ranked
+    on the loop (``Workspace.answer_warm``) and sent as ``handle``'s miss
+    reply; anything else still goes to the coalescer or the pool."""
+
+    @pytest.mark.parametrize("window", [0.0, 0.005],
+                             ids=["direct", "coalesced"])
+    def test_a_warm_miss_never_leaves_the_loop(self, warm_workspace,
+                                               server_table, executor_hops,
+                                               window):
+        config = ServerConfig(port=0, coalesce_window=window)
+        with serving(warm_workspace, config) as handle:
+            with ReproClient(*handle.address) as client:
+                reply = client.insights(WARM_MISS)
+                trace = client.trace(client.last_trace_id)
+                metrics = client.metrics()
+            assert executor_hops == []
+        assert reply.provenance == {"cache": "miss", "mode": "approximate"}
+        fresh = Workspace()
+        fresh.register("demo", lambda: server_table)
+        assert stable_payload(reply) == stable_payload(fresh.handle(WARM_MISS))
+        coalesce = metrics["server"]["coalesce"]
+        assert (coalesce["fast_hits"], coalesce["coalesced_requests"],
+                coalesce["direct_requests"]) == (0, 0, 0)
+        cache = metrics["workspace"]["cache"]
+        assert (cache["hits"], cache["misses"]) == (0, 2)
+        assert trace["root"]["attributes"]["answered"] == "loop"
+        [child] = trace["root"]["children"]  # no coalesce.wait
+        assert child["attributes"] == {"cache": "miss", "dataset": "demo"}
+        [execute] = child["children"]
+        assert execute["name"] == "pipeline.execute"
+        assert execute["attributes"]["index_hits"] > 0
+        assert trace["cost"]["cache_misses"] == 1
+
+    def test_a_cold_miss_and_a_held_lock_go_to_the_coalescer(
+        self, warm_workspace
+    ):
+        config = ServerConfig(port=0, coalesce_window=0.005)
+        with serving(warm_workspace, config) as handle:
+            with ReproClient(*handle.address) as client:
+                cold = client.insights(COLD)
+                cold_trace = client.trace(client.last_trace_id)
+            held = HeldEntryLock(warm_workspace)
+            outcome: dict[str, bytes] = {}
+            asker = threading.Thread(target=lambda: outcome.update(
+                body=_post(handle.address, WARM_MISS)[1]))
+            asker.start()
+            try:
+                wait_for(lambda: handle.server.admission.snapshot()
+                         ["in_flight"] == 1)
+                assert not outcome
+            finally:
+                held.release()
+            asker.join(timeout=30)
+        assert "coalesced" in cold.provenance
+        assert cold_trace["root"]["attributes"]["answered"] == "coalescer"
+        reply = json.loads(outcome["body"])
+        assert reply["provenance"]["cache"] == "miss"
+        assert reply["provenance"]["coalesced"] == {"index": 0, "size": 1}
+
+    def test_a_hit_is_answered_on_the_loop_too(self, warm_workspace):
+        config = ServerConfig(port=0, coalesce_window=0.005)
+        with serving(warm_workspace, config) as handle:
+            with ReproClient(*handle.address) as client:
+                client.insights(WARM)
+                trace = client.trace(client.last_trace_id)
+        assert trace["root"]["attributes"]["answered"] == "loop"
 
 
 class TestCoalesceWindow:

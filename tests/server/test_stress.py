@@ -11,7 +11,9 @@ workspace, byte for byte (volatile timing/provenance excluded — see
 from __future__ import annotations
 
 import threading
+from collections import Counter
 
+from repro.obs import ObsConfig
 from repro.service import InsightRequest, Workspace
 from repro.server import ReproClient, ServerConfig, serving
 
@@ -34,14 +36,16 @@ def _request_mix() -> list[InsightRequest]:
     ]
 
 
-def test_stress_responses_identical_to_direct_handle(
-    server_workspace, server_table
-):
+def test_stress_responses_identical_to_direct_handle(server_table):
     requests = _request_mix()
     reference = Workspace()
     reference.register("demo", lambda: server_table)
     expected = [stable_payload(reference.handle(r)) for r in requests]
 
+    # A trace ring that keeps every request, to tell where each was
+    # answered.
+    server_workspace = Workspace(obs=ObsConfig(ring_capacity=4096))
+    server_workspace.register("demo", lambda: server_table)
     server_workspace.engine("demo")
     config = ServerConfig(
         port=0, coalesce_window=0.01, coalesce_max_batch=8,
@@ -77,6 +81,20 @@ def test_stress_responses_identical_to_direct_handle(
             thread.join()
         with ReproClient(*handle.address) as client:
             metrics = client.metrics()
+        # Where each request was answered, and each cache lookup's
+        # outcome by where it ran: the loop (under the request's root) or
+        # a coalesced batch.
+        tracer = server_workspace.tracer
+        answered, lookups = Counter(), Counter()
+        for summary in tracer.traces():
+            root = tracer.trace(summary["trace_id"])["root"]
+            if root["attributes"].get("endpoint", "insights") != "insights":
+                continue
+            if root["name"] == "request":
+                answered[root["attributes"]["answered"]] += 1
+            for span in _spans(root):
+                if span["name"] == "workspace.handle":
+                    lookups[root["name"], span["attributes"]["cache"]] += 1
 
     assert not failures, failures[:5]
     total = N_THREADS * ROUNDS * len(requests)
@@ -84,14 +102,23 @@ def test_stress_responses_identical_to_direct_handle(
     assert server["requests"]["by_endpoint"]["insights"] == total
     assert server["responses"]["by_status"]["200"] == total
     # Every request is one cache lookup that counted: answered on the
-    # loop (a hit at arrival) or coalesced.  Only the coalesced ones can
-    # miss, and the first arrival of each key must; two arrivals of a
-    # still-cold key share a batch, where the second hits on the worker.
+    # loop (a hit at arrival, or a miss the snapshot's index already
+    # scored) or coalesced.  Fast hits cannot miss, and the first arrival
+    # of each key must; two arrivals of a still-cold key share a batch,
+    # where the second hits on the worker.
     coalesced = server["coalesce"]["coalesced_requests"]
+    fast_hits = server["coalesce"]["fast_hits"]
+    warm_misses = lookups["request", "miss"]
     cache = metrics["workspace"]["cache"]
-    assert coalesced + server["coalesce"]["fast_hits"] == total
+    assert answered["coalescer"] == coalesced
+    assert answered["loop"] + answered["coalescer"] == total
+    assert lookups["request", "hit"] == fast_hits
+    assert answered["loop"] - fast_hits == warm_misses
+    assert (lookups["coalesce.batch", "hit"]
+            + lookups["coalesce.batch", "miss"]) == coalesced
     assert cache["hits"] + cache["misses"] == total
-    assert len(requests) <= cache["misses"] <= coalesced
+    assert cache["misses"] == warm_misses + lookups["coalesce.batch", "miss"]
+    assert len(requests) <= cache["misses"] <= coalesced + warm_misses
     assert server["coalesce"]["direct_requests"] == 0
     admission = metrics["admission"]
     assert admission["admitted_total"] == total
@@ -107,3 +134,9 @@ def test_stress_responses_identical_to_direct_handle(
     assert admission["rejected_overload_total"] == 0
     # One engine, however many threads raced on it.
     assert metrics["workspace"]["engine_builds"] == 1
+
+
+def _spans(node):
+    yield node
+    for child in node.get("children", ()):
+        yield from _spans(child)

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import InsightRequest, Workspace
+from repro.core.pipeline import ScoreMemo
 from repro.core.registry import default_registry
 from repro.data import CategoricalColumn, ColumnKind, DataTable, Field
 from repro.data.datasets import make_mixed_table
@@ -249,7 +250,8 @@ def test_two_threads_on_a_cold_snapshot_answer_byte_identically():
 def test_racing_fills_store_each_value_once():
     """More threads than cores, switching every microsecond, filling one
     cold index: every answer is the fresh one, and the byte count is
-    exactly what the memos hold — a fill counts only what it stored."""
+    exactly what the memos hold — a fill counts only what it stored, and
+    a fill that raced another keeps both."""
     requests = [
         InsightRequest(dataset="d", insight_classes=CLASSES, top_k=2 + k,
                        mode=mode)
@@ -285,11 +287,55 @@ def test_racing_fills_store_each_value_once():
     for slot, got in answers.items():
         order = requests[slot:] + requests[:slot]
         assert got == [_fresh_answer(request) for request in order]
-    stored = sum(map(domain_bytes, index._domains.values())) + sum(
-        scored_candidate_bytes(value)
-        for memo in index._scores.values() for value in memo.values()
-        if value is not None)
-    assert index.nbytes == stored
+    assert index.nbytes == _stored_bytes(index)
+    for memo in index._scores.values():
+        # Every flag came with its value, and no racing fill was lost.
+        held = [value is not None for value in memo.candidates]
+        assert (memo.valid == np.array(held, dtype=bool)).all()
+        assert not (memo.valid & ~memo.scored).any()
+        assert memo.scored.all()
+
+
+def test_a_publish_that_raced_another_keeps_both_fills():
+    """Two fills read the same memo, score different candidates and
+    publish in turn: the later swap merges what the earlier one stored,
+    so a slot only ever gains scores (a query found answerable from the
+    index stays answerable)."""
+    workspace = _workspace()
+    engine = workspace.engine("d")
+    workspace.handle(InsightRequest(dataset="d", insight_classes=("dispersion",)))
+    skew = engine.registry.get("skew")
+    context = engine.context()
+    index = engine.index
+    [domain] = index._domains.values()
+    base = index.memo(skew, context)
+    assert base is None
+    first, second = (ScoreMemo.empty(len(domain.tuples)).filled(
+        np.array([position]),
+        skew.score_all([domain.tuples[position]], context))
+        for position in (0, 1))
+    index.publish(skew, context, base, first)
+    published = index.publish(skew, context, base, second)
+    assert index.memo(skew, context) is published
+    assert np.flatnonzero(published.scored).tolist() == [0, 1]
+    assert published.candidates[0] is first.candidates[0]
+    assert published.candidates[1] is second.candidates[1]
+    assert index.nbytes == _stored_bytes(index)
+
+
+def _stored_bytes(index) -> int:
+    """The index's bytes, recounted from what its slots hold now."""
+    domains = sum(
+        domain_bytes(domain.tuples) + sys.getsizeof(domain.codes)
+        + domain.matrix.nbytes + domain.tie_rank.nbytes
+        for domain in index._domains.values())
+    memos = sum(
+        memo.scored.nbytes + memo.valid.nbytes + memo.score.nbytes
+        + sys.getsizeof(memo.candidates)
+        + sum(scored_candidate_bytes(value) for value in memo.candidates
+              if value is not None)
+        for memo in index._scores.values())
+    return domains + memos
 
 
 class TestObservability:

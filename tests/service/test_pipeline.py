@@ -180,6 +180,43 @@ class TestSharedEnumeration:
         assert len(walked) <= cap + 1
         assert engine.index.nbytes == 0
 
+    def test_a_selective_capped_walk_holds_a_bounded_chunk(self, monkeypatch):
+        """Sparse hits send a capped walk far into a large domain, yet it
+        holds only a bounded chunk of it at a time, and the hits it keeps
+        are the first ``cap`` in domain order across its chunks."""
+        rng = np.random.default_rng(4)
+        columns = {f"x{k}": rng.normal(size=60) for k in range(8)}
+        columns["group"] = [f"g{k % 3}" for k in range(60)]
+        table = DataTable.from_columns(columns, name="triples")
+        cap = 5
+        engine = Foresight(table, config=EngineConfig(max_candidates_triples=cap))
+        segmentation = engine.registry.get("segmentation")
+        hits = {1_000 + 30_000 * j: ("x0", f"x{j + 1}", "group") for j in range(6)}
+        live = peak = 0
+
+        class Walked(tuple):
+            def __del__(self):
+                nonlocal live
+                live -= 1
+
+        def sparse(table):
+            nonlocal live, peak
+            for position in range(200_000):
+                live += 1
+                peak = max(peak, live)
+                yield Walked(hits.get(
+                    position, (f"u{position}", f"v{position}", "group")))
+
+        monkeypatch.setattr(segmentation, "candidates", sparse)
+        (result,) = engine.rank_many(
+            [InsightQuery("segmentation", top_k=cap, fixed_attributes=("x0",))])
+        fifth = sorted(hits)[cap - 1]
+        assert result.truncated and result.n_candidates == fifth + 1
+        assert sorted(result.attribute_sets()) == sorted(
+            hits[p] for p in sorted(hits)[:cap])
+        assert peak < 10_000 < fifth
+        assert engine.index.nbytes == 0
+
     def test_a_capped_query_stores_a_domain_within_its_cap(self, oecd_table):
         engine = Foresight(oecd_table)
         n_pairs = engine.registry.get("linear_relationship").candidate_count(
