@@ -168,31 +168,65 @@ class _HttpError(Exception):
         super().__init__(message)
 
 
-class _RequestProgress:
-    """Whether a connection's current read got past the request line.
+class _ReadTimer:
+    """The deadline of one request read: a loop timer, not a task.
 
-    Distinguishes a *stalled* request (answered 408) from a merely idle
-    keep-alive connection (closed silently) when the read timeout fires.
+    Armed on entry and disarmed on exit.  If it fires first it flags
+    itself (:attr:`expired`) and cancels the connection's task; on exit
+    that ``CancelledError`` is swallowed, and any other — an external
+    cancel — propagates.  :attr:`seen_data` says whether the read got
+    past the request line: a *stalled* request is answered 408, a
+    merely idle keep-alive connection is closed silently.
     """
 
-    __slots__ = ("seen_data",)
+    __slots__ = ("timeout", "seen_data", "expired", "_task", "_handle")
 
-    def __init__(self) -> None:
+    def __init__(self, timeout: float) -> None:
+        self.timeout = timeout
         self.seen_data = False
+        self.expired = False
+        self._task: asyncio.Task | None = None
+        self._handle: asyncio.TimerHandle | None = None
+
+    def __enter__(self) -> "_ReadTimer":
+        if self.timeout > 0:
+            self._task = asyncio.current_task()
+            self._handle = asyncio.get_running_loop().call_later(
+                self.timeout, self._expire)
+        return self
+
+    def _expire(self) -> None:
+        self.expired = True
+        self._task.cancel()
+
+    def __exit__(self, kind, error, traceback) -> bool:
+        if self._handle is not None:
+            self._handle.cancel()
+        if not (self.expired and kind is asyncio.CancelledError):
+            return False
+        # Withdraw the handled cancel request; one still counted after
+        # it (3.11+) came from elsewhere, so the error propagates.
+        uncancel = getattr(self._task, "uncancel", None)
+        return uncancel is None or uncancel() == 0
 
 
 class _HttpRequest:
     __slots__ = ("method", "path", "query", "headers", "body", "keep_alive",
                  "trace")
 
-    def __init__(self, method: str, path: str, headers: dict[str, str],
-                 body: bytes, query: str = ""):
+    def __init__(self, method: str, version: str, path: str,
+                 headers: dict[str, str], body: bytes, query: str = ""):
         self.method = method
         self.path = path
         self.query = query
         self.headers = headers
         self.body = body
-        self.keep_alive = headers.get("connection", "").lower() != "close"
+        # RFC 9112 §9.3: HTTP/1.1 persists unless the client sends
+        # ``close``; HTTP/1.0 only when it sends ``keep-alive``.
+        options = {option.strip() for option in
+                   headers.get("connection", "").lower().split(",")}
+        self.keep_alive = "close" not in options and (
+            version != "HTTP/1.0" or "keep-alive" in options)
         #: The request's root span, set by the dispatch loop so endpoint
         #: handlers can parent their phase spans to it.
         self.trace: Any = None
@@ -452,24 +486,24 @@ class ReproServer:
         read_timeout = self.config.read_timeout
         try:
             while not self._stopping:
-                started = _RequestProgress()
+                # A stalled (or merely idle) client must not pin a
+                # connection slot: give it read_timeout seconds to
+                # deliver a complete request, then reclaim it.
                 try:
-                    if read_timeout > 0:
-                        # A stalled (or merely idle) client must not pin a
-                        # connection slot: give it read_timeout seconds to
-                        # deliver a complete request, then reclaim it.
-                        request = await asyncio.wait_for(
-                            self._read_request(reader, started),
-                            timeout=read_timeout,
-                        )
-                    else:
-                        request = await self._read_request(reader, started)
-                except asyncio.TimeoutError:
+                    with _ReadTimer(read_timeout) as timer:
+                        request = await self._read_request(reader, timer)
+                except _HttpError as exc:
+                    await self._respond(
+                        writer, exc.status,
+                        error_envelope(exc.code, str(exc)), keep_alive=False,
+                    )
+                    break
+                if timer.expired:
                     # Only a request the client actually *started* gets a
                     # 408 — an idle keep-alive connection closes silently,
                     # so a slow persistent client can never mistake the
                     # buffered 408 for the answer to its next request.
-                    if started.seen_data:
+                    if timer.seen_data:
                         self.metrics.record_response(408)
                         await self._respond(
                             writer, 408,
@@ -480,12 +514,6 @@ class ReproServer:
                             ),
                             keep_alive=False,
                         )
-                    break
-                except _HttpError as exc:
-                    await self._respond(
-                        writer, exc.status,
-                        error_envelope(exc.code, str(exc)), keep_alive=False,
-                    )
                     break
                 if request is None:
                     break
@@ -501,8 +529,7 @@ class ReproServer:
                 writer.close()
 
     async def _read_request(
-        self, reader: asyncio.StreamReader,
-        progress: "_RequestProgress | None" = None,
+        self, reader: asyncio.StreamReader, timer: _ReadTimer,
     ) -> _HttpRequest | None:
         try:
             request_line = await reader.readline()
@@ -510,12 +537,11 @@ class ReproServer:
             raise _HttpError(400, "bad_request", "request line too long") from None
         if not request_line:
             return None
-        if progress is not None:
-            progress.seen_data = True
+        timer.seen_data = True
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
             raise _HttpError(400, "bad_request", "malformed HTTP request line")
-        method, target, _version = parts
+        method, target, version = parts
         headers: dict[str, str] = {}
         while True:
             try:
@@ -550,7 +576,8 @@ class ReproServer:
             except asyncio.IncompleteReadError:
                 return None
         path, _, query = target.partition("?")
-        return _HttpRequest(method.upper(), path, headers, body, query=query)
+        return _HttpRequest(method.upper(), version, path, headers, body,
+                            query=query)
 
     async def _handle_request(
         self, request: _HttpRequest, writer: asyncio.StreamWriter,
@@ -783,7 +810,7 @@ class ReproServer:
             else:
                 response = await self._direct(workspace, request, root)
                 where = "pool"
-        return 200, self._answered(root, where, response.to_json())
+        return 200, self._answered(root, where, response.reply_json())
 
     @staticmethod
     def _answered(root: Any, where: str, reply: str) -> bytes:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Any, ClassVar, Mapping
 
 from repro.errors import ProtocolError
 from repro.core.insight import Insight
@@ -33,6 +33,12 @@ _MODES = ("approximate", "exact")
 
 def _canonical_json(payload: Mapping[str, Any]) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+#: How the provenance of a cached answer, and of the miss that computed
+#: it, opens in canonical form.
+_HIT_PROVENANCE = '"provenance":{"cache":"hit"'
+_MISS_PROVENANCE = '"provenance":{"cache":"miss"'
 
 
 def _check_protocol(payload: Mapping[str, Any], what: str) -> None:
@@ -215,8 +221,17 @@ class InsightRequest:
         return cls.from_dict(payload)
 
     def canonical_key(self) -> str:
-        """Canonical form of the request, used in result-cache keys."""
-        return self.to_json()
+        """Canonical form of the request, used in result-cache keys.
+
+        Encoded on first use and kept: the request is frozen, and one
+        read asks for its key more than once (the cache peek, the warm
+        answer, the miss's put).
+        """
+        key = self.__dict__.get("_canonical_key")
+        if key is None:
+            key = self.to_json()
+            object.__setattr__(self, "_canonical_key", key)
+        return key
 
 
 @dataclass
@@ -255,6 +270,10 @@ class InsightResponse:
     #: appends in this generation" (and is the default for payloads from
     #: pre-ingest servers).
     dataset_seq: int = 0
+    #: ``(text, provenance)`` as :meth:`cache_json` left them, if it ran
+    #: (set per instance; a ClassVar, so no field of the wire dict or of
+    #: equality).
+    _cached: ClassVar[tuple[str, dict[str, Any]] | None] = None
 
     # -- convenience accessors -----------------------------------------------------
     def classes(self) -> list[str]:
@@ -315,6 +334,38 @@ class InsightResponse:
 
     def to_json(self) -> str:
         return _canonical_json(self.to_dict())
+
+    def cache_json(self) -> str:
+        """This computed answer's canonical JSON as the result cache
+        stores it — ``provenance["cache"]`` reading ``"hit"`` — encoded
+        once; afterwards the object reads ``"miss"``, and
+        :meth:`reply_json` derives its text from this one."""
+        self.provenance["cache"] = "hit"
+        text = self.to_json()
+        self.provenance["cache"] = "miss"
+        if min(self.provenance) == "cache":
+            self._cached = (text, dict(self.provenance))
+        return text
+
+    def reply_json(self) -> str:
+        """Equal to :meth:`to_json`, without a second encode of an answer
+        :meth:`cache_json` encoded.
+
+        In canonical form ``provenance`` is the second-to-last key and
+        ``timing`` after it holds only numbers, so while ``provenance``
+        is as :meth:`cache_json` left it — ``cache`` its first key — the
+        last ``"provenance":{"cache":"hit"`` of the cached text is that
+        field, and one word of it is the difference.  Any later change
+        to ``provenance`` (a ``debug`` cost echo, a batch position)
+        encodes anew.
+        """
+        cached = self._cached
+        if cached is None or cached[1] != self.provenance:
+            return self.to_json()
+        text = cached[0]
+        at = text.rindex(_HIT_PROVENANCE)
+        return (text[:at] + _MISS_PROVENANCE
+                + text[at + len(_HIT_PROVENANCE):])
 
     @classmethod
     def from_json(cls, text: str) -> "InsightResponse":

@@ -1123,17 +1123,18 @@ class Workspace:
             return None
         engine = snapshot[0]
         try:
-            warm = engine.answers_from_index(
-                self._page_queries(request, engine)[2])
+            page = self._page_queries(request, engine)
+            warm = engine.answers_from_index(page[2])
         except ForesightError:
             warm = False  # handle() reports it
         if not warm:
             return None
         return self._serve(
             request,
-            lambda _request, span: self._handle_traced(_request, span, snapshot),
+            lambda _request, span: self._handle_traced(
+                _request, span, snapshot, page),
             parent,
-        ).to_json()
+        ).reply_json()
 
     def _peek_snapshot(self, name: str) -> tuple[Foresight, int, int] | None:
         """The dataset's engine and current ``(version, seq)``, if reading
@@ -1211,11 +1212,13 @@ class Workspace:
     def _handle_traced(
         self, request: InsightRequest, handle_span: Any,
         snapshot: tuple[Foresight, int, int] | None = None,
+        page: tuple[int, int, list[InsightQuery]] | None = None,
     ) -> InsightResponse:
         """The traced body of :meth:`handle` (cost accounting around it).
 
-        ``snapshot`` is :meth:`answer_warm`'s, read without a wait; its
-        index answers the request without enumerating or scoring.
+        ``snapshot`` and ``page`` are :meth:`answer_warm`'s: the snapshot
+        read without a wait, whose index answers the request without
+        enumerating or scoring, and :meth:`_page_queries` on it.
         """
         engine, version, seq = (snapshot if snapshot is not None
                                 else self._engine_snapshot(request.dataset))
@@ -1228,7 +1231,8 @@ class Workspace:
         handle_span.set_attribute("cache", "miss")
 
         start = time.perf_counter()
-        offset, page_size, queries = self._page_queries(request, engine)
+        offset, page_size, queries = (page if page is not None
+                                      else self._page_queries(request, engine))
         stats = PipelineStats()
         results = engine.rank_many(queries, stats=stats)
         with self._stats_lock:
@@ -1260,16 +1264,16 @@ class Workspace:
             # The pipeline's work counters describe how warm the index
             # was, not the answer: they go to /metrics, never the reply.
             provenance={
-                "cache": "hit",
+                "cache": "miss",
                 "mode": request.mode or engine.config.mode,
             },
             next_cursor=(encode_cursor(offset + page_size)
                          if has_more else None),
         )
         # Cached as a hit will send it; this first answer differs from
-        # the text just stored in that one word.
-        self._cache.put(key, response.to_json())
-        response.provenance["cache"] = "miss"
+        # the text just stored in that one word, and its reply is
+        # derived from that text (``reply_json``).
+        self._cache.put(key, response.cache_json())
         return response
 
     def handle_many(
@@ -1314,7 +1318,7 @@ class Workspace:
         except ProtocolError as exc:
             return error_envelope_json("protocol_error", str(exc))
         try:
-            return self.handle(request).to_json()
+            return self.handle(request).reply_json()
         except UnknownDatasetError as exc:
             return error_envelope_json(
                 "unknown_dataset", str(exc), available=exc.available
