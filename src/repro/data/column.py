@@ -107,29 +107,32 @@ class Column:
         """Return the column as a Python list with None for missing values."""
         raise NotImplementedError
 
-    def concat(self, other: "Column") -> "Column":
-        """Return a new column with ``other``'s rows appended after this one's.
+    def concat(self, *others: "Column") -> "Column":
+        """Return a new column with ``others``' rows appended after this
+        one's, in order.
 
-        Both columns must have the same name and kind; the result keeps
+        All columns must have the same name and kind; the result keeps
         this column's field metadata.  Used by the live-ingestion path to
-        extend a dataset with a validated delta batch.
+        extend a dataset with validated delta batches.
         """
         raise NotImplementedError
 
-    def _require_concat_compatible(self, other: "Column") -> None:
-        if type(self) is not type(other):
-            raise ColumnTypeError(
-                f"cannot concat {type(other).__name__} onto {type(self).__name__} "
-                f"(column {self.name!r})"
-            )
-        if self.name != other.name:
-            raise SchemaError(
-                f"cannot concat column {other.name!r} onto column {self.name!r}"
-            )
-        if self.kind is not other.kind:
-            raise SchemaError(
-                f"cannot concat column {self.name!r}: kind {other.kind} != {self.kind}"
-            )
+    def _require_concat_compatible(self, others: "tuple[Column, ...]") -> None:
+        for other in others:
+            if type(self) is not type(other):
+                raise ColumnTypeError(
+                    f"cannot concat {type(other).__name__} onto "
+                    f"{type(self).__name__} (column {self.name!r})"
+                )
+            if self.name != other.name:
+                raise SchemaError(
+                    f"cannot concat column {other.name!r} onto column {self.name!r}"
+                )
+            if self.kind is not other.kind:
+                raise SchemaError(
+                    f"cannot concat column {self.name!r}: kind {other.kind} "
+                    f"!= {self.kind}"
+                )
 
 
 class NumericColumn(Column):
@@ -242,13 +245,13 @@ class NumericColumn(Column):
             values[index] = None
         return values
 
-    def concat(self, other: "Column") -> "NumericColumn":
-        self._require_concat_compatible(other)
-        assert isinstance(other, NumericColumn)
+    def concat(self, *others: "Column") -> "NumericColumn":
+        self._require_concat_compatible(others)
+        parts = (self, *others)
         return NumericColumn._validated(
             self._field,
-            np.concatenate([self._values, other._values]),
-            np.concatenate([self._mask, other._mask]),
+            np.concatenate([part._values for part in parts]),
+            np.concatenate([part._mask for part in parts]),
         )
 
 
@@ -380,22 +383,21 @@ class CategoricalColumn(Column):
     def to_list(self) -> list[object]:
         return self.labels()
 
-    def concat(self, other: "Column") -> "CategoricalColumn":
-        self._require_concat_compatible(other)
-        assert isinstance(other, CategoricalColumn)
+    def concat(self, *others: "Column") -> "CategoricalColumn":
+        self._require_concat_compatible(others)
         categories = list(self._categories)
         category_index = {label: code for code, label in enumerate(categories)}
-        remap = np.empty(len(other._categories) + 1, dtype=np.int64)
-        remap[-1] = self.MISSING_CODE
-        for code, label in enumerate(other._categories):
-            if label not in category_index:
-                category_index[label] = len(categories)
-                categories.append(label)
-            remap[code] = category_index[label]
-        remapped = remap[other._codes]
-        return CategoricalColumn(
-            self._field, np.concatenate([self._codes, remapped]), categories
-        )
+        parts = [self._codes]
+        for other in others:
+            remap = np.empty(len(other._categories) + 1, dtype=np.int64)
+            remap[-1] = self.MISSING_CODE
+            for code, label in enumerate(other._categories):
+                if label not in category_index:
+                    category_index[label] = len(categories)
+                    categories.append(label)
+                remap[code] = category_index[label]
+            parts.append(remap[other._codes])
+        return CategoricalColumn(self._field, np.concatenate(parts), categories)
 
 
 class BooleanColumn(CategoricalColumn):
@@ -444,12 +446,10 @@ class BooleanColumn(CategoricalColumn):
         """Return a boolean array over non-missing entries."""
         return self.valid_codes().astype(bool)
 
-    def concat(self, other: "Column") -> "BooleanColumn":
-        self._require_concat_compatible(other)
-        assert isinstance(other, BooleanColumn)
-        return BooleanColumn(
-            self._field, np.concatenate([self._codes, other._codes])
-        )
+    def concat(self, *others: "Column") -> "BooleanColumn":
+        self._require_concat_compatible(others)
+        return BooleanColumn(self._field, np.concatenate(
+            [self._codes, *(other._codes for other in others)]))
 
 
 def column_from_raw(name: str, raw_values: Sequence[object], kind: ColumnKind,

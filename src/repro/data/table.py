@@ -275,26 +275,29 @@ class DataTable:
         cut = int(round(fraction * self._n_rows))
         return self.take(permutation[:cut]), self.take(permutation[cut:])
 
-    def concat(self, other: "DataTable", name: str | None = None) -> "DataTable":
-        """Return a new table with ``other``'s rows appended after this one's.
+    def concat(self, *others: "DataTable", name: str | None = None) -> "DataTable":
+        """Return a new table with ``others``' rows appended after this
+        one's, in order — one array concatenation per column.
 
-        ``other`` must carry exactly this table's columns (same names and
-        kinds; order may differ — columns are matched by name).  New
-        categorical levels appearing only in ``other`` extend the
-        category lists.  This is the row-append primitive behind the
-        live-ingestion path.
+        Each of ``others`` must carry exactly this table's columns (same
+        names and kinds; order may differ — columns are matched by name).
+        New categorical levels extend the category lists in order of
+        appearance, part by part, as chained concats would.  This is the
+        row-append primitive behind the live-ingestion path.
         """
         if self.n_columns == 0:
             raise SchemaError("cannot concat onto a table with no columns")
-        missing = [n for n in self.column_names() if n not in other]
-        extra = [n for n in other.column_names() if n not in self._index]
-        if missing or extra:
-            raise SchemaError(
-                f"cannot concat tables with different columns "
-                f"(missing: {missing}, unexpected: {extra})"
-            )
+        for other in others:
+            missing = [n for n in self.column_names() if n not in other]
+            extra = [n for n in other.column_names() if n not in self._index]
+            if missing or extra:
+                raise SchemaError(
+                    f"cannot concat tables with different columns "
+                    f"(missing: {missing}, unexpected: {extra})"
+                )
         return DataTable(
-            [column.concat(other.column(column.name)) for column in self._columns],
+            [column.concat(*(other.column(column.name) for other in others))
+             for column in self._columns],
             name=name or self._name,
         )
 

@@ -56,17 +56,18 @@ import struct
 import zlib
 from dataclasses import dataclass, field, fields as dataclass_fields
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 from urllib.parse import quote, unquote
 
 import numpy as np
 
-from repro.errors import IngestError
+from repro.errors import DeltaValidationError, IngestError
 from repro.obs.resources import record_journal_bytes
 from repro.core.engine import EngineConfig, Foresight
 from repro.core.neighborhood import NeighborhoodConfig
 from repro.sketch.store import SketchStoreConfig
 from repro.data.table import DataTable
+from repro.ingest import delta as ingest_delta
 from repro.ingest.delta import DeltaBatch
 from repro.ingest.log import (
     APPLIED_DEFERRED,
@@ -801,12 +802,13 @@ def _engine_over(engine: Foresight, table: DataTable,
 
 
 def _delta_merged(engine: Foresight, new_table: DataTable,
-                  delta_table: DataTable) -> Foresight:
-    """An engine over ``new_table``: ``engine``'s sketches with the delta
-    rows' partials merged in (copy-on-merge; ``engine`` is untouched)."""
+                  counts: Sequence[int]) -> Foresight:
+    """An engine over ``new_table``: ``engine``'s sketches with the
+    partials of the rows past them — deltas of ``counts`` rows each, in
+    order — merged in (copy-on-merge; ``engine`` is untouched)."""
     store = engine.store
-    partials = build_delta_partials(delta_table, store)
-    merged = merge_delta(store, new_table, delta_table.n_rows, partials)
+    partials = build_delta_partials(new_table, store, counts)
+    merged = merge_delta(store, new_table, list(zip(counts, partials)))
     return _engine_over(engine, new_table, merged)
 
 
@@ -832,9 +834,7 @@ def rebuild_with_catchup(
     n_prefix = fresh.table.n_rows
     if fresh.store is None or table.n_rows <= n_prefix:
         return _engine_over(fresh, table, fresh.store)
-    return _delta_merged(
-        fresh, table, table.take(np.arange(n_prefix, table.n_rows))
-    )
+    return _delta_merged(fresh, table, [table.n_rows - n_prefix])
 
 
 def _applied(dataset: str, record: dict[str, Any]) -> str:
@@ -887,8 +887,25 @@ def fold_records(dataset: str, log: IngestLog,
     return log
 
 
+def _runs(dataset: str, records: Sequence[dict[str, Any]]
+          ) -> Iterator[tuple[bool, Sequence[dict[str, Any]]]]:
+    """``records`` cut into maximal runs of delta-merging appends
+    (``(True, run)``); any other record is a run of its own
+    (``(False, [record])``)."""
+    start = 0
+    for index, record in enumerate(records):
+        if (record["type"] != RECORD_APPEND
+                or _applied(dataset, record) != APPLIED_DELTA_MERGE):
+            if start < index:
+                yield True, records[start:index]
+            yield False, records[index:index + 1]
+            start = index + 1
+    if start < len(records):
+        yield True, records[start:]
+
+
 class ReplayMachine:
-    """What a journal record does to a dataset — the one transition.
+    """What journal records do to a dataset — the one transition.
 
     Bound to a :class:`DatasetState` (a live workspace entry, or the
     bare state a restart is rebuilding) and the owning workspace's
@@ -896,15 +913,23 @@ class ReplayMachine:
     transition is split so a primary can put its write-ahead journal
     write in the middle:
 
-    * :meth:`stage` — record → the next ``(table, engine)``.  Touches
+    * :meth:`stage` — records → the next ``(table, engine)``.  Touches
       nothing; may raise (invalid rows, a failed merge).
-    * :meth:`commit` — assign the staged state and fold the record into
+    * :meth:`commit` — assign the staged state and fold the records into
       the log.  Cannot fail.
 
-    :meth:`apply` is stage-then-commit: all a restart or a replica does.
-    Every caller running the same code over the same records is what
-    makes a live, a restarted and a replicated dataset byte-identical
-    at the same ``(version, seq)``.
+    :meth:`apply` is stage-then-commit: all a restart or a replica does,
+    with every record it holds, so a batch lands whole or not at all.
+    A live append is a list of one.  Every caller running the same code
+    over the same records is what makes a live, a restarted and a
+    replicated dataset byte-identical at the same ``(version, seq)``.
+
+    A run of consecutive delta-merging appends is one step, as the
+    sketches compose: its rows are parsed once and concatenated onto the
+    table once, each append's partials are built from slices of them
+    and merged in journal order (each with its own RNG streams and
+    sample advance, so the result equals one append at a time), and one
+    store and one engine are published at the end.
     """
 
     __slots__ = ("dataset", "state", "make_engine")
@@ -921,42 +946,97 @@ class ReplayMachine:
 
     def stage(
         self,
-        record: dict[str, Any],
+        records: Sequence[dict[str, Any]],
         batch: DeltaBatch | None = None,
         fresh: Foresight | None = None,
     ) -> tuple[DataTable, Foresight | None, int]:
-        """The ``(table, engine, engine_builds)`` that ``record`` leads to.
+        """The ``(table, engine, engine_builds)`` that ``records`` lead to.
 
         ``batch`` and ``fresh`` are work a live caller has already done
-        — the validated rows of an append; the engine a lazy cold build
-        sketched over the table, or a background rebuild sketched
-        off-lock over its first ``built_from_rows`` rows — handed over
-        so it is not redone; replay derives both from the record.
+        for its one record — the validated rows of an append; the engine
+        a lazy cold build sketched over the table, or a background
+        rebuild sketched off-lock over its first ``built_from_rows`` rows
+        — handed over so it is not redone; replay derives both from the
+        records.
         """
-        table, engine = self.state.table, self.state.engine
+        table, engine, builds = self.state.table, self.state.engine, 0
+        for merging, run in _runs(self.dataset, records):
+            if merging:
+                table, engine, built = self._merge_run(run, table, engine,
+                                                       batch)
+            else:
+                table, engine, built = self._step(run[0], table, engine,
+                                                  batch, fresh)
+            builds += built
+        return table, engine, builds
+
+    def _rows(self, records: Sequence[dict[str, Any]], table: DataTable,
+              batch: DeltaBatch | None) -> list[DataTable]:
+        """The appends' validated rows, in as few tables as
+        :data:`~repro.ingest.delta.MAX_BATCH_ROWS` allows (cut only
+        between records).  Rows refused together are validated again
+        record by record, so the error is exactly the one the first
+        invalid record raises alone."""
+        if batch is not None:
+            return [batch.table]
+        schema = table.schema
+        parts = [record["rows"] for record in records]
+        if len(parts) > 1 and all(isinstance(rows, list) and rows
+                                  for rows in parts):
+            chunks: list[list[Any]] = [[]]
+            for rows in parts:
+                if (chunks[-1] and len(chunks[-1]) + len(rows)
+                        > ingest_delta.MAX_BATCH_ROWS):
+                    chunks.append([])
+                chunks[-1] += rows
+            try:
+                return [DeltaBatch.from_records(self.dataset, rows, schema).table
+                        for rows in chunks]
+            except DeltaValidationError:
+                pass  # validated again below, record by record
+        return [DeltaBatch.from_records(self.dataset, rows, schema).table
+                for rows in parts]
+
+    def _merge_run(
+        self,
+        run: Sequence[dict[str, Any]],
+        table: DataTable,
+        engine: Foresight | None,
+        batch: DeltaBatch | None,
+    ) -> tuple[DataTable, Foresight, int]:
+        """A run of delta-merging appends, as one step."""
+        new_table = table.concat(*self._rows(run, table, batch))
+        builds = 0
+        if engine is None:
+            # Cold-built live with no marker in this journal (one
+            # written before seq-0 builds were journalled): rebuild it
+            # over the same pre-append rows.
+            engine = self.make_engine(table)
+            builds = 1
+        if engine.store is None:  # pragma: no cover - defensive
+            raise IngestError(
+                f"journal for {self.dataset!r} delta-merges into an "
+                "exact-mode engine"
+            )
+        counts = ([batch.n_rows] if batch is not None
+                  else [len(record["rows"]) for record in run])
+        return new_table, _delta_merged(engine, new_table, counts), builds
+
+    def _step(
+        self,
+        record: dict[str, Any],
+        table: DataTable,
+        engine: Foresight | None,
+        batch: DeltaBatch | None,
+        fresh: Foresight | None,
+    ) -> tuple[DataTable, Foresight | None, int]:
+        """One record that is not part of a run: a deferred append, a
+        build marker or a swap."""
         kind = record["type"]
         builds = 0
         if kind == RECORD_APPEND:
-            applied = _applied(self.dataset, record)
-            if batch is None:
-                batch = DeltaBatch.from_records(
-                    self.dataset, record["rows"], table.schema
-                )
-            new_table = table.concat(batch.table)
-            if applied == APPLIED_DELTA_MERGE:
-                if engine is None:
-                    # Cold-built live with no marker in this journal
-                    # (one written before seq-0 builds were journalled):
-                    # rebuild it over the same pre-append rows.
-                    engine = self.make_engine(table)
-                    builds = 1
-                if engine.store is None:  # pragma: no cover - defensive
-                    raise IngestError(
-                        f"journal for {self.dataset!r} delta-merges into "
-                        "an exact-mode engine"
-                    )
-                engine = _delta_merged(engine, new_table, batch.table)
-            elif engine is not None:
+            new_table = table.concat(*self._rows([record], table, batch))
+            if engine is not None:
                 # Deferred: rows only extend the table.  An exact-mode
                 # engine has nothing sketched and simply moves onto the
                 # grown table.  An approximate one can only be a
@@ -982,17 +1062,17 @@ class ReplayMachine:
             builds = 1
         return table, engine, builds
 
-    def commit(self, record: dict[str, Any],
+    def commit(self, records: Sequence[dict[str, Any]],
                staged: tuple[DataTable, Foresight | None, int]) -> None:
-        """Make ``staged`` (from :meth:`stage` of ``record``) the state."""
+        """Make ``staged`` (from :meth:`stage` of ``records``) the state."""
         state = self.state
         state.table, state.engine, builds = staged
         state.engine_builds += builds
-        fold_record(self.dataset, state.ingest, record)
+        fold_records(self.dataset, state.ingest, records)
 
-    def apply(self, record: dict[str, Any]) -> None:
-        """Fold one journal record into the state (stage, then commit)."""
-        self.commit(record, self.stage(record))
+    def apply(self, records: Sequence[dict[str, Any]]) -> None:
+        """Fold journal records into the state (stage, then commit)."""
+        self.commit(records, self.stage(records))
 
 
 def replay_state(
@@ -1024,9 +1104,7 @@ def replay_state(
                 "and no loader to supply its base rows"
             )
         replayed = DatasetState(table=base_table(), loads=1)
-    machine = ReplayMachine(dataset, replayed, make_engine)
-    for record in state.records:
-        machine.apply(record)
+    ReplayMachine(dataset, replayed, make_engine).apply(state.records)
     return replayed
 
 

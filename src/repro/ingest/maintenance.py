@@ -2,36 +2,37 @@
 
 The sketches in :mod:`repro.sketch` are *mergeable* — that is the whole
 point of single-pass summaries (paper section 3) — and this module turns
-that property into a live-update path.  For a validated
-:class:`~repro.ingest.delta.DeltaBatch` it
+that property into a live-update path.  For validated appends — one live
+:class:`~repro.ingest.delta.DeltaBatch`, or a run of journalled ones
+replayed at once — it
 
-1. builds **per-column sketch partials** over just the delta rows
-   (:func:`build_delta_partials`: the numeric columns as one block, the
-   value-count sketches column by column), then
-2. **merges** them into new sketches beside the live store's
-   (:meth:`~repro.sketch.store.ColumnSketches.merged`) and packages the
-   result as a brand-new :class:`~repro.sketch.store.SketchStore` over
-   the grown table (:func:`merge_delta`).
+1. builds **per-column sketch partials** over just each append's rows
+   (:func:`build_delta_partials`: slices of the grown table, the numeric
+   columns as one block, the value-count sketches column by column), then
+2. **merges** them, append after append, into new sketches beside the
+   live store's (:func:`~repro.sketch.store.merged_bundles`) and packages
+   the result as one brand-new :class:`~repro.sketch.store.SketchStore`
+   over the grown table (:func:`merge_delta`).
 
-What an append costs here: the batch's numeric columns are stacked once
-into a ``(d, rows)`` block, and every moment partial comes from one pass
-of axis-1 reductions, every GK partial from one row-wise sort.  What stays
-per column is the merge itself — a GK interleave whose compress walks only
-the tuples that could merge, a value-count update that hashes only labels
-this process has not hashed before — so the cycle no longer grows with the
-batch's cell count.  The known remainder is outside this module:
-``DataTable.concat`` copies the whole table per append.
+What an append costs here: its numeric columns are stacked once into a
+``(d, rows)`` block, and every moment partial comes from one pass of
+axis-1 reductions, every GK partial from one row-wise sort.  Its merge is
+one pass over every numeric column's GK summary
+(:meth:`~repro.sketch.quantile.QuantileSketch.merge_rows`, whose compress
+walks only the tuples that could merge) plus a per-column moment and
+Misra–Gries merge, so the cycle no longer grows with the batch's cell
+count.  The known remainder is outside this module: a live append's
+``DataTable.concat`` copies the whole table (a replayed run copies it
+once).
 
 Per-sketch-type merge semantics:
 
 =================  =========================================================
 moments            running sums add exactly (merge is lossless)
-quantile (GK)      stable sort of both summaries' tuples by value + greedy
-                   compress; rank error stays ≤ ε·n
-count-min          counter tables add; overestimate bound ε·n preserved
+quantile (GK)      stable interleave of both summaries' tuples by value +
+                   greedy compress; rank error stays ≤ ε·n
 Misra–Gries        counter union + (k+1)-th-largest reduction; undercount
                    bound n/capacity preserved
-entropy            Space-Saving head merge + distinct-bucket union
 reservoir sample   algorithm-R advance over the appended row indices — each
                    new row enters with probability capacity/(rows so far),
                    keeping the maintained row sample uniform (correct
@@ -55,6 +56,7 @@ snapshot keep reading a consistent view.
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace as dataclass_replace
 
 import numpy as np
@@ -64,7 +66,8 @@ from repro.errors import IngestError
 from repro.ingest.log import IngestLog
 from repro.sketch.reservoir import advance_row_indices
 from repro.sketch.store import (
-    ColumnSketches, SketchStore, numeric_sketches, value_count_sketches,
+    ColumnSketches, SketchStore, merged_bundles, numeric_sketches,
+    value_count_sketches,
 )
 
 
@@ -119,60 +122,75 @@ def should_rebuild(log: IngestLog, incoming_rows: int,
 # Delta partials
 # ---------------------------------------------------------------------------
 def build_delta_partials(
-    delta_table: DataTable,
+    table: DataTable,
     store: SketchStore,
-) -> dict[str, ColumnSketches]:
-    """Per-column sketch partials over just the delta rows.
+    counts: Sequence[int],
+) -> list[dict[str, ColumnSketches]]:
+    """Per-column sketch partials of each delta, over just its rows.
+
+    ``table`` holds ``store``'s rows followed by the deltas' rows, the
+    deltas ``counts[i]`` rows each, in order; delta ``i`` gets its own
+    partials, read from slices of ``table``'s columns, exactly as if it
+    had been appended alone: its RNG streams are keyed by its own stream
+    position (the rows before it), and its value counts come in the
+    order a parse of its rows alone gives them (Misra–Gries is
+    update-order sensitive; see
+    :func:`~repro.sketch.store.column_value_counts`).
 
     Each partial mirrors the *shape* of the base store's bundle for that
     column (a numeric column that is not discrete in the base gets no
-    frequent/entropy/count-min partial), and is built with the base
-    config's parameters so every merge passes the sketches'
-    compatibility checks.
+    frequent-items partial), and is built with the base config's
+    parameters so every merge passes the sketches' compatibility checks.
 
-    The batch is sketched as a block: the numeric columns with no missing
-    entry in the delta — all of them, for a well-formed append — stack
-    into one ``(d, rows)`` array whose moment and quantile partials come
-    from one call of the kernels a column build uses on one row
+    A delta is sketched as a block: its numeric columns with no missing
+    entry — all of them, for a well-formed append — stack into one
+    ``(d, rows)`` array whose moment and quantile partials come from one
+    call of the kernels a column build uses on one row
     (:func:`~repro.sketch.store.numeric_sketches`); a column with missing
     entries runs the same kernels on its valid values.  Only the
     value-count partials are per-column work.
     """
-    names = [
-        name for name in delta_table.column_names() if store.has_column(name)
+    names = [name for name in table.column_names() if store.has_column(name)]
+    numeric = [
+        (index, table.numeric_column(name)) for index, name in enumerate(names)
+        if store.column_sketches(name).moments is not None
     ]
+    counted = [table.column(name) for name in names
+               if store.column_sketches(name).frequent is not None]
     config, n_seen = store.config, store.table.n_rows
-    sketches: dict[str, dict[str, object]] = {name: {} for name in names}
-    complete, rng_keys = [], []
-    for index, name in enumerate(names):
-        if store.column_sketches(name).moments is None:
-            continue
-        column = delta_table.numeric_column(name)
-        # The base build's sampling policy; the stream position (rows
-        # already absorbed) keys the RNG so repeated large appends draw
-        # independent samples.
-        rng_key = [config.seed, index, n_seen]
-        if column.mask.any():
-            (sketches[name],) = numeric_sketches(
-                column.valid_values()[np.newaxis, :], config, [rng_key]
+    deltas = []
+    for count in counts:
+        rows = slice(n_seen, n_seen + count)
+        sketches: dict[str, dict[str, object]] = {name: {} for name in names}
+        complete, rng_keys = [], []
+        for index, column in numeric:
+            values, mask = column.values[rows], column.mask[rows]
+            # The base build's sampling policy; the stream position (rows
+            # already absorbed) keys the RNG so repeated large appends
+            # draw independent samples.
+            rng_key = [config.seed, index, n_seen]
+            if mask.any():
+                (sketches[column.name],) = numeric_sketches(
+                    values[~mask][np.newaxis, :], config, [rng_key]
+                )
+            else:
+                complete.append((column.name, values))
+                rng_keys.append(rng_key)
+        if complete:
+            block = np.array([row for _, row in complete])
+            for (name, _), built in zip(
+                complete, numeric_sketches(block, config, rng_keys)
+            ):
+                sketches[name] = built
+        for column in counted:
+            sketches[column.name].update(
+                value_count_sketches(column, config, rows)
             )
-        else:
-            complete.append(column)
-            rng_keys.append(rng_key)
-    if complete:
-        block = np.array([column.values for column in complete])
-        for column, built in zip(
-            complete, numeric_sketches(block, config, rng_keys)
-        ):
-            sketches[column.name] = built
-    for name in names:
-        if store.column_sketches(name).frequent is not None:
-            sketches[name].update(
-                value_count_sketches(delta_table.column(name), config)
-            )
-    return {
-        name: ColumnSketches(name=name, **sketches[name]) for name in names
-    }
+        deltas.append({
+            name: ColumnSketches(name=name, **sketches[name]) for name in names
+        })
+        n_seen += count
+    return deltas
 
 
 # ---------------------------------------------------------------------------
@@ -181,52 +199,64 @@ def build_delta_partials(
 def merge_delta(
     store: SketchStore,
     new_table: DataTable,
-    delta_rows: int,
-    partials: dict[str, ColumnSketches],
+    deltas: Sequence[tuple[int, Mapping[str, ColumnSketches]]],
 ) -> SketchStore:
-    """A new store over ``new_table`` with the partials merged in.
+    """A new store over ``new_table`` with each delta's partials merged in.
+
+    ``deltas`` are ``(rows, partials)`` in append order (the partials from
+    :func:`build_delta_partials`); they fold in one after another, each
+    together with its own advance of the row sample, so a run of appends
+    merged at once is the store those appends merged one by one would
+    leave — without a store in between.  Each delta's partials merge in
+    one pass (:func:`~repro.sketch.store.merged_bundles`: every numeric
+    column's GK summaries at once).
 
     Copy-on-merge: every sketch that absorbs a partial is merged into a
-    new one (:meth:`ColumnSketches.merged`), so the input store —
-    possibly still being read by in-flight queries — is never mutated.
-    Bundles without a partial (and the immutable hyperplane signatures)
-    are shared between the old and new store.  The uniform row sample
-    advances by algorithm R over the appended row indices, keeping it
-    uniform over the grown table; an append that replaces no sampled row
-    and adds no categorical level leaves the sample table exactly what
-    it was, so whatever ``store`` has derived from it (PR 17's sample
-    features) is handed to the new store instead of derived again.
+    new one, so the input store — possibly still being read by in-flight
+    queries — is never mutated.  Bundles without a partial (and the
+    immutable hyperplane signatures) are shared between the old and new
+    store.  The uniform row sample advances by algorithm R over the
+    appended row indices, keeping it uniform over the grown table; an
+    append that replaces no sampled row and adds no categorical level
+    leaves the sample table exactly what it was, so whatever ``store`` has
+    derived from it (the sample features) is handed to the new store
+    instead of derived again.
     """
-    if new_table.n_rows != store.table.n_rows + delta_rows:
+    n_seen = store.table.n_rows
+    if new_table.n_rows != n_seen + sum(rows for rows, _ in deltas):
         raise IngestError(
-            f"merge_delta row accounting is off: base {store.table.n_rows} + "
-            f"delta {delta_rows} != new table {new_table.n_rows}"
+            f"merge_delta row accounting is off: base {n_seen} + "
+            f"deltas {[rows for rows, _ in deltas]} != new table "
+            f"{new_table.n_rows}"
         )
     start = time.perf_counter()
     config = store.config
     columns = store.column_map()
-    sketch_bytes = store.stats.total_sketch_bytes
-    for name, partial in partials.items():
-        base = columns.get(name)
-        if base is None:
-            continue
-        columns[name] = merged = base.merged(partial)
-        merged.hyperplane = base.hyperplane
-        sketch_bytes += merged.memory_bytes() - base.memory_bytes()
-
-    n_seen = store.table.n_rows
-    rng = np.random.default_rng([config.seed, n_seen])
-    sample_indices = advance_row_indices(
-        store.sample_indices, n_seen=n_seen, n_new=delta_rows,
-        capacity=config.sample_capacity, rng=rng,
+    sample_indices = store.sample_indices
+    for rows, partials in deltas:
+        names = [name for name in partials if name in columns]
+        for name, merged in zip(names, merged_bundles(
+                [(columns[name], partials[name]) for name in names])):
+            merged.hyperplane = columns[name].hyperplane
+            columns[name] = merged
+        sample_indices = advance_row_indices(
+            sample_indices, n_seen=n_seen, n_new=rows,
+            capacity=config.sample_capacity,
+            rng=np.random.default_rng([config.seed, n_seen]),
+        )
+        n_seen += rows
+    base = store.column_map()
+    sketch_bytes = store.stats.total_sketch_bytes + sum(
+        bundle.memory_bytes() - base[name].memory_bytes()
+        for name, bundle in columns.items() if bundle is not base[name]
     )
 
     stats = dataclass_replace(
         store.stats,
         per_stage_seconds=dict(store.stats.per_stage_seconds),
         n_rows=new_table.n_rows,
-        delta_rows=store.stats.delta_rows + delta_rows,
-        delta_batches=store.stats.delta_batches + 1,
+        delta_rows=store.stats.delta_rows + new_table.n_rows - store.table.n_rows,
+        delta_batches=store.stats.delta_batches + len(deltas),
         total_sketch_bytes=sketch_bytes,
     )
     stats.per_stage_seconds["delta_merge"] = time.perf_counter() - start

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.errors import ReplicaReadOnlyError, ServiceError
@@ -236,32 +236,35 @@ class ReplicaWorkspace(Workspace):
             # hold (e.g. a fresh feed instance): nothing to redo.
             rs.primary_seq = batch.primary_seq
             return
+        rs.primary_seq = batch.primary_seq
         self._adopt(name, state)
         rs.position = batch.position
-        rs.primary_seq = batch.primary_seq
         rs.resets += 1
         obs_events.emit("replica_reset", dataset=name,
                         version=state.version, seq=state.seq)
 
     def _apply_records(self, name: str, rs: _ReplicaDataset,
                        batch: FeedBatch) -> None:
-        """Apply one incremental batch to the entry's own state."""
+        """Apply one incremental batch to the entry's own state — whole
+        or not at all, so the cursor always names the state held."""
+        # The primary's tip is news even if the batch fails to apply: a
+        # replica that cannot advance must report the lag it has.
+        rs.primary_seq = batch.primary_seq
         with self._locked_entry(name) as entry:
             if entry.pending is not None:
                 # Not yet materialised: grow the deferred state and keep
                 # the counters exact — the heavy replay stays deferred
                 # to first use, exactly like restart recovery.
+                ingest = fold_records(name, replace(entry.ingest),
+                                      batch.records)
                 entry.pending.records.extend(batch.records)
-                fold_records(name, entry.ingest, batch.records)
+                entry.ingest = ingest
             else:
-                machine = self._machine(entry)
-                for record in batch.records:
-                    machine.apply(record)
+                self._machine(entry).apply(batch.records)
                 self._account_entry(entry)
         if batch.records:
             self._cache.invalidate(name)
         rs.position = batch.position
-        rs.primary_seq = batch.primary_seq
         rs.applied_records += len(batch.records)
 
     # ------------------------------------------------------------------

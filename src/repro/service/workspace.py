@@ -480,7 +480,7 @@ class Workspace:
         :meth:`ReplayMachine.stage <repro.ingest.durable.ReplayMachine.stage>`.
         """
         machine = self._machine(entry)
-        staged = machine.stage(record, batch=batch, fresh=fresh)
+        staged = machine.stage([record], batch=batch, fresh=fresh)
         if self._journal is not None:
             # An ambient child (or no-op outside any trace), never a root.
             with obs_span("journal.append") as journal_span:
@@ -493,7 +493,7 @@ class Workspace:
                     # the event once the entry lock is released.
                     error.journal_dataset = entry.name
                     raise
-        machine.commit(record, staged)
+        machine.commit([record], staged)
 
     def _write_snapshot_locked(
         self,

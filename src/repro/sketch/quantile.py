@@ -116,75 +116,83 @@ class QuantileSketch(Sketch):
         )
 
     def _compress(self) -> None:
-        size = self._value.size
-        if size < 3:
-            return
-        threshold = 2.0 * self.epsilon * self._count
-        at = self._compress_candidates(threshold)
-        if at.size == 0:
-            return
-        # Greedy left-to-right banding of the interior tuples: a tuple
-        # absorbs the band before it while the band's rank span stays
-        # within the threshold.  Each band is kept as its last tuple with
-        # the band's summed g; the two extremes are never merged.  ``g``
-        # holds, at a band's current last tuple, the band's sum so far.
-        g, delta = self._g.tolist(), self._delta.tolist()
-        absorbed = []
-        for index in at.tolist():
-            total = g[index - 1] + g[index]
-            if total + delta[index] <= threshold:
-                g[index] = total
-                absorbed.append(index - 1)
-        if not absorbed:
-            return
-        keep = np.ones(size, dtype=bool)
-        keep[absorbed] = False
-        self._value = self._value[keep]
-        self._g = np.array(g, dtype=np.int64)[keep]
-        self._delta = self._delta[keep]
-
-    def _compress_candidates(self, threshold: float) -> np.ndarray:
-        """The interior tuples that could join the band before them.
-
-        A band's g is at least its last tuple's, so tuple ``i`` absorbs
-        nothing unless ``g[i-1] + g[i] + delta[i] <= threshold``: one
-        vectorised test, and the sequential walk of :meth:`_compress`
-        visits only the tuples that pass — on a summary compressed a
-        merge ago, a handful.
-        """
-        g, delta = self._g, self._delta
-        span = g[2:-1] + delta[2:-1]
-        span += g[1:-2]
-        return (span <= threshold).nonzero()[0] + 2
+        banded = _band(self._g, self._delta, np.array([0, self._value.size]),
+                       [2.0 * self.epsilon * self._count])
+        if banded is not None:
+            keep, g = banded
+            self._set_summary(self._value[keep], g, self._delta[keep])
 
     # -- merging ---------------------------------------------------------------------
     def merge(self, other: "Sketch") -> None:
-        self._require_same_type(other)
-        assert isinstance(other, QuantileSketch)
-        self._require(
-            math.isclose(self.epsilon, other.epsilon),
-            "cannot merge quantile sketches with different epsilon",
-        )
-        # Standard GK merge: interleave tuples by value (ties keep this
-        # sketch's tuples first).  A tuple's rank in the union is uncertain
-        # by its own delta plus the rows the other summary may hold below it
-        # but counts under its next tuple, g + delta - 1.  Widening delta
-        # by that keeps g + delta <= 2*epsilon*n over any chain of merges.
-        value = np.concatenate((self._value, other._value))
-        order = value.argsort(kind="stable")
-        delta = np.concatenate((
-            self._delta + other._span_above(self._value, "left"),
-            other._delta + self._span_above(other._value, "right"),
-        ))
-        self._g = np.concatenate((self._g, other._g))[order]
-        self._value, self._delta = value[order], delta[order]
-        self._count += other._count
-        self._compress()
+        (merged,) = self.merge_rows([self], [other])
+        self._set_summary(merged._value, merged._g, merged._delta)
+        self._count = merged._count
 
-    def _span_above(self, values: np.ndarray, side: str) -> np.ndarray:
-        """``g + delta - 1`` of the tuple each value sorts before (0 past the end)."""
-        span = np.concatenate((self._g + self._delta - 1, _NO_SPAN))
-        return span[self._value.searchsorted(values, side)]
+    def merged(self, other: "Sketch") -> "QuantileSketch":
+        (merged,) = self.merge_rows([self], [other])
+        return merged
+
+    @classmethod
+    def merge_rows(cls, lefts: "list[QuantileSketch]",
+                   rights: "list[QuantileSketch]") -> "list[QuantileSketch]":
+        """``lefts[i]`` merged with ``rights[i]``, for every ``i`` in one pass.
+
+        The standard GK merge, per pair: interleave the tuples by value
+        (ties keep the left tuples first).  A tuple's rank in the union is
+        uncertain by its own delta plus the rows the other summary may
+        hold below it but counts under its next tuple, ``g + delta - 1``;
+        widening delta by that keeps ``g + delta <= 2*epsilon*n`` over any
+        chain of merges.  Then the greedy compress against the pair's own
+        ``2*epsilon*n``.  Every pair's tuples live in one buffer keyed by
+        ``pair + 1j*value``, so one ``searchsorted`` per side finds each
+        tuple's place and its next tuple on the other side for all pairs
+        at once; only the banding walk is a Python loop.  The results are
+        new sketches (neither input is touched) holding views of one
+        merged buffer — safe, since summary arrays are never written.
+        """
+        for left, right in zip(lefts, rights, strict=True):
+            left._require_same_type(right)
+            assert isinstance(right, QuantileSketch)
+            cls._require(
+                math.isclose(left.epsilon, right.epsilon),
+                "cannot merge quantile sketches with different epsilon",
+            )
+        left_value, left_g, left_delta, left_key, left_rows = _stacked(lefts)
+        right_value, right_g, right_delta, right_key, right_rows = _stacked(rights)
+        left_size = np.bincount(left_rows, minlength=len(lefts))
+        right_size = np.bincount(right_rows, minlength=len(rights))
+        # Each tuple's next tuple on the other side, as an index into it;
+        # both sides being sorted, the index also counts the other side's
+        # tuples that come before this one in the interleave.
+        next_right = right_key.searchsorted(left_key, "left")
+        next_left = left_key.searchsorted(right_key, "right")
+        at_left = np.arange(left_value.size) + next_right
+        at_right = np.arange(right_value.size) + next_left
+        size = left_value.size + right_value.size
+        value = np.empty(size)
+        g = np.empty(size, dtype=np.int64)
+        delta = np.empty(size, dtype=np.int64)
+        value[at_left], value[at_right] = left_value, right_value
+        g[at_left], g[at_right] = left_g, right_g
+        delta[at_left] = left_delta + _span_above(
+            right_g, right_delta, next_right, np.cumsum(right_size)[left_rows])
+        delta[at_right] = right_delta + _span_above(
+            left_g, left_delta, next_left, np.cumsum(left_size)[right_rows])
+        counts = [left._count + right._count for left, right in zip(lefts, rights)]
+        bounds = np.concatenate(([0], np.cumsum(left_size + right_size)))
+        banded = _band(g, delta, bounds, [
+            2.0 * left.epsilon * count for left, count in zip(lefts, counts)
+        ])
+        if banded is not None:
+            keep, g = banded
+            value, delta = value[keep], delta[keep]
+            bounds = np.concatenate(([0], np.cumsum(keep)))[bounds]
+        return [
+            left._clone(_value=value[lo:hi], _g=g[lo:hi], _delta=delta[lo:hi],
+                        _count=count)
+            for left, count, lo, hi in zip(
+                lefts, counts, bounds[:-1].tolist(), bounds[1:].tolist())
+        ]
 
     def copy(self) -> "QuantileSketch":
         return self._clone(_value=self._value.copy(), _g=self._g.copy(),
@@ -244,3 +252,81 @@ class QuantileSketch(Sketch):
     def memory_bytes(self) -> int:
         # value (8 bytes) + two ints (8 bytes each, conservatively).
         return self.n_tuples * 24
+
+
+def _stacked(sketches: "list[QuantileSketch]"):
+    """The summaries' tuples end to end: ``(value, g, delta, key, row)``,
+    where ``key = row + 1j*value`` orders them by summary, then value."""
+    if not sketches:
+        empty = np.empty(0, dtype=np.int64)
+        return np.empty(0), empty, empty, np.empty(0, dtype=complex), empty
+    value = np.concatenate([sketch._value for sketch in sketches])
+    rows = np.repeat(np.arange(len(sketches)),
+                     [sketch._value.size for sketch in sketches])
+    key = np.empty(value.size, dtype=complex)
+    key.real, key.imag = rows, value
+    return (value, np.concatenate([sketch._g for sketch in sketches]),
+            np.concatenate([sketch._delta for sketch in sketches]), key, rows)
+
+
+def _span_above(g: np.ndarray, delta: np.ndarray, at: np.ndarray,
+                end: np.ndarray) -> np.ndarray:
+    """``g + delta - 1`` of the tuples at ``at``; 0 where ``at`` is its
+    summary's ``end`` (a value past a summary's last tuple sorts before
+    nothing)."""
+    span = np.concatenate((g + delta - 1, _NO_SPAN))
+    return span[np.where(at == end, g.size, at)]
+
+
+def _band(g: np.ndarray, delta: np.ndarray, bounds: np.ndarray,
+          thresholds: list[float]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The GK compress of the summaries whose tuples fill
+    ``bounds[i]:bounds[i + 1]``: the kept-tuple mask and the kept
+    tuples' new ``g``, or None when no tuple merges.
+
+    Greedy left-to-right banding of each summary's interior tuples: a
+    tuple absorbs the band before it while the band's rank span stays
+    within its summary's threshold.  Each band is kept as its last tuple
+    with the band's summed g; the two extremes are never merged.
+    """
+    candidates, limits = _candidates(g, delta, bounds, thresholds)
+    # The tuples that absorbed the one before them, with their band's g;
+    # ``last`` / ``running`` are the latest such tuple and its band's g.
+    grown, totals = [], []
+    last, running = -2, 0
+    for index, limit, own, before, uncertainty in zip(
+            candidates.tolist(), limits.tolist(), g[candidates].tolist(),
+            g[candidates - 1].tolist(), delta[candidates].tolist()):
+        total = (running if index - 1 == last else before) + own
+        if total + uncertainty <= limit:
+            last, running = index, total
+            grown.append(index)
+            totals.append(total)
+    if not grown:
+        return None
+    g = g.copy()
+    g[grown] = totals
+    keep = np.ones(g.size, dtype=bool)
+    keep[np.array(grown) - 1] = False
+    return keep, g[keep]
+
+
+def _candidates(g: np.ndarray, delta: np.ndarray, bounds: np.ndarray,
+                thresholds: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The interior tuples that could join the band before them, and
+    their summaries' thresholds.
+
+    A band's g is at least its last tuple's, so tuple ``i`` absorbs
+    nothing unless ``g[i-1] + g[i] + delta[i] <= threshold``: one
+    vectorised test, and the sequential walk of :func:`_band` visits only
+    the tuples that pass — on a summary compressed a merge ago, a
+    handful.
+    """
+    sizes = np.diff(bounds)
+    local = np.arange(g.size) - np.repeat(bounds[:-1], sizes)
+    threshold = np.repeat(np.asarray(thresholds, dtype=np.float64), sizes)
+    span = g + delta
+    span[1:] += g[:-1]
+    at = ((local >= 2) & (local <= np.repeat(sizes, sizes) - 2)
+          & (span <= threshold)).nonzero()[0]
+    return at, threshold[at]

@@ -9,9 +9,8 @@ will support fast approximate insight querying" (paper, section 1).  The
 * a :class:`~repro.sketch.quantile.QuantileSketch` (numeric columns),
 * a :class:`~repro.sketch.hyperplane.HyperplaneSketch` signature
   (numeric columns, shared hyperplane draw),
-* a :class:`~repro.sketch.frequent.MisraGriesSketch` and an
-  :class:`~repro.sketch.entropy.EntropySketch` (categorical and discrete
-  numeric columns),
+* a :class:`~repro.sketch.frequent.MisraGriesSketch` (categorical and
+  discrete numeric columns),
 * plus a uniform row sample shared by all visualizations.
 
 The store exposes approximate versions of the insight metrics; the engine
@@ -29,10 +28,8 @@ import numpy as np
 
 from repro.errors import SketchNotAvailableError
 from repro.obs.resources import record_sketch_probe
-from repro.data.column import CategoricalColumn, Column
+from repro.data.column import BooleanColumn, CategoricalColumn, Column
 from repro.data.table import DataTable
-from repro.sketch.countmin import CountMinSketch
-from repro.sketch.entropy import EntropySketch
 from repro.sketch.features import TableFeatures
 from repro.sketch.frequent import MisraGriesSketch
 from repro.sketch.hyperplane import HyperplaneSketch, HyperplaneSketcher, suggest_width
@@ -54,11 +51,6 @@ class SketchStoreConfig:
     #: insight needs).
     quantile_sample_cap: int = 20_000
     frequent_capacity: int = 128
-    entropy_capacity: int = 256
-    #: Count-Min point-frequency backend for categorical / discrete
-    #: columns; width 0 disables it (no per-value count queries).
-    countmin_width: int = 256
-    countmin_depth: int = 4
     sample_capacity: int = 2000
     seed: int = 0
 
@@ -77,22 +69,18 @@ class ColumnSketches:
     quantiles: QuantileSketch | None = None
     hyperplane: HyperplaneSketch | None = None
     frequent: MisraGriesSketch | None = None
-    entropy: EntropySketch | None = None
-    countmin: CountMinSketch | None = None
 
     #: The sketch attributes that compose under row-partition merges.
     #: Hyperplane signatures are deliberately absent: they are built from
     #: a shared hyperplane draw over a fixed row count and cannot absorb
     #: appended rows (the ingest layer keeps them until the accuracy
     #: budget forces a full rebuild).
-    MERGEABLE: ClassVar[tuple[str, ...]] = (
-        "moments", "quantiles", "frequent", "entropy", "countmin"
-    )
+    MERGEABLE: ClassVar[tuple[str, ...]] = ("moments", "quantiles", "frequent")
 
     def memory_bytes(self) -> int:
         total = 0
         for sketch in (self.moments, self.quantiles, self.hyperplane,
-                       self.frequent, self.entropy, self.countmin):
+                       self.frequent):
             if sketch is not None:
                 total += sketch.memory_bytes()
         return total
@@ -105,42 +93,73 @@ class ColumnSketches:
         snapshot) is mutated; one only one side holds is shared as is.  The
         hyperplane signature cannot absorb rows and is left unset.
         """
-        bundle = ColumnSketches(name=self.name)
-        for attribute in self.MERGEABLE:
-            mine, theirs = getattr(self, attribute), getattr(other, attribute)
-            if mine is not None and theirs is not None:
-                mine = mine.merged(theirs)
-            setattr(bundle, attribute, theirs if mine is None else mine)
+        (bundle,) = merged_bundles([(self, other)])
         return bundle
 
 
-def column_value_counts(column: Column) -> tuple[list[object], list[int]]:
-    """A column's distinct non-missing values (categorical levels in code
-    order, numeric values sorted) and the number of rows holding each."""
+def merged_bundles(
+    pairs: Sequence[tuple[ColumnSketches, ColumnSketches]],
+) -> list[ColumnSketches]:
+    """:meth:`ColumnSketches.merged` of each pair, with the GK summaries of
+    every pair merged in one pass (:meth:`QuantileSketch.merge_rows`)."""
+    both = [index for index, (mine, theirs) in enumerate(pairs)
+            if mine.quantiles is not None and theirs.quantiles is not None]
+    quantiles = dict(zip(both, QuantileSketch.merge_rows(
+        [pairs[index][0].quantiles for index in both],
+        [pairs[index][1].quantiles for index in both],
+    )))
+    bundles = []
+    for index, (mine, theirs) in enumerate(pairs):
+        bundle = ColumnSketches(name=mine.name)
+        for attribute in mine.MERGEABLE:
+            left, right = getattr(mine, attribute), getattr(theirs, attribute)
+            if attribute == "quantiles" and index in quantiles:
+                left = quantiles[index]
+            elif left is not None and right is not None:
+                left = left.merged(right)
+            setattr(bundle, attribute, right if left is None else left)
+        bundles.append(bundle)
+    return bundles
+
+
+def column_value_counts(
+    column: Column, rows: slice | None = None,
+) -> tuple[list[object], list[int]]:
+    """A column's distinct non-missing values and the number of rows
+    holding each: categorical levels in code order, numeric values sorted.
+
+    With ``rows``, of just those rows, in the order a parse of them alone
+    would give (:meth:`CategoricalColumn.from_raw` numbers levels by
+    first appearance; a boolean column's two levels are fixed).
+    """
     if isinstance(column, CategoricalColumn):
-        codes = column.codes
-        counts = np.bincount(codes[codes >= 0], minlength=column.n_categories())
-        present = np.flatnonzero(counts)
+        codes = column.codes if rows is None else column.codes[rows]
+        codes = codes[codes >= 0]
         categories = column.categories
-        return [categories[code] for code in present], counts[present].tolist()
-    values, counts = np.unique(column.values[~column.mask], return_counts=True)
+        if rows is None or isinstance(column, BooleanColumn):
+            counts = np.bincount(codes, minlength=column.n_categories())
+            present = np.flatnonzero(counts)
+            return [categories[code] for code in present], counts[present].tolist()
+        levels, first, counts = np.unique(codes, return_index=True,
+                                          return_counts=True)
+        order = first.argsort()
+        return ([categories[code] for code in levels[order].tolist()],
+                counts[order].tolist())
+    values, mask = column.values, column.mask
+    if rows is not None:
+        values, mask = values[rows], mask[rows]
+    values, counts = np.unique(values[~mask], return_counts=True)
     return values.tolist(), counts.tolist()
 
 
-def value_count_sketches(column: Column, config: SketchStoreConfig) -> dict[str, object]:
-    """A column's frequent / entropy / count-min sketches, at one weighted
-    update (and ``countmin_depth`` hashes) per distinct value, not per row."""
-    values, counts = column_value_counts(column)
+def value_count_sketches(column: Column, config: SketchStoreConfig,
+                         rows: slice | None = None) -> dict[str, object]:
+    """A column's frequent-items sketch (of ``rows``, when given; see
+    :func:`column_value_counts`), at one weighted update per distinct
+    value, not per row."""
     frequent = MisraGriesSketch(capacity=config.frequent_capacity)
-    frequent.update_counts(values, counts)
-    entropy = EntropySketch(capacity=config.entropy_capacity, seed=config.seed)
-    entropy.update_counts(values, counts)
-    countmin = None
-    if config.countmin_width >= 1:
-        countmin = CountMinSketch(width=config.countmin_width,
-                                  depth=config.countmin_depth, seed=config.seed)
-        countmin.update_counts(values, counts)
-    return {"frequent": frequent, "entropy": entropy, "countmin": countmin}
+    frequent.update_counts(*column_value_counts(column, rows))
+    return {"frequent": frequent}
 
 
 def numeric_sketches(block: np.ndarray, config: SketchStoreConfig,
@@ -447,20 +466,6 @@ class SketchStore:
     def approx_top_values(self, name: str, k: int) -> list[tuple[object, int]]:
         return self._require(name, "frequent").top_k(k)
 
-    def approx_count(self, name: str, value: object) -> int:
-        """Approximate count of one value via the Count-Min backend."""
-        return self._require(name, "countmin").estimate(value)
-
-    def approx_relative_frequency(self, name: str, value: object) -> float:
-        """Approximate relative frequency of one value (Count-Min)."""
-        return self._require(name, "countmin").relative_frequency(value)
-
-    def approx_entropy(self, name: str) -> float:
-        return self._require(name, "entropy").estimate_entropy()
-
-    def approx_normalized_entropy(self, name: str) -> float:
-        return self._require(name, "entropy").estimate_normalized_entropy()
-
     def approx_outlier_strength(self, name: str, whisker_k: float = 1.5) -> float:
         """Approximate the Outlier insight metric from sketches only.
 
@@ -496,7 +501,7 @@ def merge_column_sketches(left: Mapping[str, ColumnSketches],
     """Merge two per-column sketch bundles built over disjoint row partitions.
 
     Only the mergeable sketches (``ColumnSketches.MERGEABLE``: moments,
-    quantiles, frequent, entropy, count-min) are combined; hyperplane
+    quantiles, frequent) are combined; hyperplane
     signatures require a shared hyperplane draw over the union of rows and
     are left to the batch sketcher.
 
@@ -505,8 +510,9 @@ def merge_column_sketches(left: Mapping[str, ColumnSketches],
     result dictionary is populated in sorted column order so the merged
     bundle is byte-identical regardless of set hash order.
     """
-    merged: dict[str, ColumnSketches] = {}
-    for name in sorted(set(left) | set(right)):
-        a, b = left.get(name), right.get(name)
-        merged[name] = a.merged(b) if a is not None and b is not None else a or b
-    return merged
+    names = sorted(set(left) | set(right))
+    both = [name for name in names if name in left and name in right]
+    merged = dict(zip(both, merged_bundles(
+        [(left[name], right[name]) for name in both])))
+    return {name: merged.get(name) or left.get(name) or right[name]
+            for name in names}

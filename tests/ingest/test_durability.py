@@ -561,6 +561,47 @@ class TestEngineConfigPersistence:
         restored = engine_config_from_payload(payload)
         assert restored.sketch == EngineConfig().sketch
 
+    def test_a_snapshot_naming_the_dropped_sketch_knobs_still_restores(
+        self, tmp_path, base_table, stream
+    ):
+        """Snapshots written while the store still built entropy and
+        Count-Min sketches carry their three knobs; they restore, and
+        answer as a fresh registration of the same rows does."""
+        from repro.ingest.durable import snapshot_filename
+        from repro.ingest.snapshot_codec import decode_snapshot, encode_snapshot
+
+        config = EngineConfig(sketch=SketchStoreConfig(seed=7))
+        live = Workspace(data_dir=str(tmp_path),
+                         ingest=IngestConfig(rebuild_fraction=float("inf")))
+        live.register("live", base_table, engine_config=config)
+        live.engine("live")
+        live.append("live", stream[:10])
+        live.rebuild("live")  # compaction: the snapshot holds every row
+        live.close()
+        path = tmp_path / "live" / snapshot_filename(1)
+        meta, table = decode_snapshot(path.read_bytes())
+        meta["engine_config"]["sketch"].update(
+            entropy_capacity=256, countmin_width=256, countmin_depth=4)
+        path.write_bytes(encode_snapshot(meta, table))
+
+        def answers(workspace) -> str:
+            body = workspace.handle(_request()).to_dict()
+            return json.dumps(body["carousels"], sort_keys=True,
+                              separators=(",", ":"))
+
+        restored = Workspace(data_dir=str(tmp_path),
+                             ingest=IngestConfig(rebuild_fraction=float("inf")))
+        fresh = Workspace()
+        try:
+            assert restored.engine("live").config.sketch == config.sketch
+            assert restored.state("live")[1] == 2  # the append and the swap
+            fresh.register("live", restored.table("live"),
+                           engine_config=config)
+            assert answers(restored) == answers(fresh)
+        finally:
+            restored.close()
+            fresh.close()
+
     def test_custom_config_survives_restart_without_reregistration(
         self, tmp_path, base_table, stream
     ):

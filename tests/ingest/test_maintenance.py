@@ -35,18 +35,19 @@ def store(base_table):
 
 
 def _merged(store, base_table, delta_table):
-    partials = build_delta_partials(delta_table, store)
     new_table = base_table.concat(delta_table)
-    return merge_delta(store, new_table, delta_table.n_rows, partials)
+    (partials,) = build_delta_partials(new_table, store, [delta_table.n_rows])
+    return merge_delta(store, new_table, [(delta_table.n_rows, partials)])
 
 
 class TestDeltaPartials:
-    def test_partials_mirror_base_bundle_shape(self, store, delta_table):
-        partials = build_delta_partials(delta_table, store)
+    def test_partials_mirror_base_bundle_shape(self, store, base_table,
+                                               delta_table):
+        (partials,) = build_delta_partials(base_table.concat(delta_table),
+                                           store, [delta_table.n_rows])
         for name, partial in partials.items():
             base = store.column_sketches(name)
-            for attribute in ("moments", "quantiles", "frequent",
-                              "entropy", "countmin"):
+            for attribute in ("moments", "quantiles", "frequent"):
                 base_has = getattr(base, attribute) is not None
                 partial_has = getattr(partial, attribute) is not None
                 assert partial_has == base_has, (name, attribute)
@@ -81,17 +82,16 @@ class TestMergeDelta:
             rank = np.searchsorted(combined, estimate)
             assert abs(rank - q * n) <= 2 * epsilon * n + 2
 
-    def test_frequent_and_countmin_absorb_delta(self, store, base_table,
-                                                delta_table):
+    def test_frequent_absorbs_delta(self, store, base_table, delta_table):
         merged = _merged(store, base_table, delta_table)
         name = base_table.categorical_names()[0]
         label, _ = merged.approx_top_values(name, 1)[0]
         truth = (base_table.categorical_column(name).valid_labels()
                  + delta_table.categorical_column(name).valid_labels())
         true_count = truth.count(label)
-        # Misra-Gries never overcounts; Count-Min never undercounts.
+        # Misra-Gries never overcounts.
         assert merged.approx_top_values(name, 1)[0][1] <= true_count
-        assert merged.approx_count(name, label) >= true_count
+        assert merged.column_sketches(name).frequent.count == len(truth)
 
     def test_copy_on_merge_isolates_the_old_store(self, store, base_table,
                                                   delta_table):
@@ -130,14 +130,18 @@ class TestMergeDelta:
         assert merged.stats.delta_rows == delta_table.n_rows
         assert merged.stats.delta_batches == 1
         assert merged.stats.n_rows == base_table.n_rows + delta_table.n_rows
-        twice = merge_delta(
-            merged,
-            merged.table.concat(delta_table),
-            delta_table.n_rows,
-            build_delta_partials(delta_table, merged),
-        )
+        grown = merged.table.concat(delta_table)
+        (partials,) = build_delta_partials(grown, merged, [delta_table.n_rows])
+        twice = merge_delta(merged, grown, [(delta_table.n_rows, partials)])
         assert twice.stats.delta_rows == 2 * delta_table.n_rows
         assert twice.stats.delta_batches == 2
+        # A run of appends counts each of them.
+        run = store.table.concat(delta_table, delta_table, delta_table)
+        counts = [delta_table.n_rows] * 3
+        thrice = merge_delta(store, run, list(zip(
+            counts, build_delta_partials(run, store, counts))))
+        assert thrice.stats.delta_rows == 3 * delta_table.n_rows
+        assert thrice.stats.delta_batches == 3
 
     def test_merge_is_deterministic(self, store, base_table, delta_table):
         a = _merged(store, base_table, delta_table)
@@ -207,30 +211,32 @@ class TestWhatAnAppendCosts:
 
         store = SketchStore(wide_table)
         delta = DeltaBatch.from_records("d", plain_rows, wide_table.schema).table
+        grown = wide_table.concat(delta)
         sorts = self._counted(monkeypatch, np, "sort")
         hashed = self._counted(monkeypatch, hashlib, "blake2b")
-        partials = build_delta_partials(delta, store)
+        (partials,) = build_delta_partials(grown, store, [delta.n_rows])
         assert len(sorts) == 1  # one row-wise sort for all 20 GK partials
         assert sorts[0][0].shape == (self.N_NUMERIC, self.ROWS)
-        merged = merge_delta(store, wide_table.concat(delta), delta.n_rows,
-                             partials)
-        seen = len(hashed)
-        # The same labels again: every hash comes from the memo.
-        build_delta_partials(delta, merged)
-        assert len(hashed) == seen
+        merged = merge_delta(store, grown, [(delta.n_rows, partials)])
+        build_delta_partials(grown.concat(delta), merged, [delta.n_rows])
+        # No store sketch hashes a label any more (the entropy and
+        # Count-Min sketches, which did, had no reader and are gone).
+        assert hashed == []
 
     def test_compress_walks_only_where_a_merge_is_possible(self, monkeypatch):
         from repro.sketch.quantile import QuantileSketch
 
+        from repro.sketch import quantile
+
         walked = []
-        candidates = QuantileSketch._compress_candidates
+        candidates = quantile._candidates
 
-        def counted(self, threshold):
-            at = candidates(self, threshold)
+        def counted(*args):
+            at, limits = candidates(*args)
             walked.append(int(at.size))
-            return at
+            return at, limits
 
-        monkeypatch.setattr(QuantileSketch, "_compress_candidates", counted)
+        monkeypatch.setattr(quantile, "_candidates", counted)
         rng = np.random.default_rng(8)
         summary = QuantileSketch(0.01)
         summary.update_array(rng.normal(size=5000))  # freshly compressed

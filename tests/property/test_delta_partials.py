@@ -6,13 +6,15 @@ reductions, all GK partials from one row-wise sort — where it used to
 build each column's sketches from its own 1-D array.  Over generated delta
 tables (constant and heavily tied columns, NaN and ±inf, all-missing and
 partly-missing columns, one row, more rows than the quantile sample cap, a
-discrete numeric column, a new categorical level) every partial must
-equal, sketch state for sketch state and bit for bit, the one built from
-that column alone with ``numeric_sketches`` / ``value_count_sketches``.
+discrete numeric column, a new categorical level) every partial — read
+from slices of the grown table — must equal, sketch state for sketch
+state and bit for bit (Misra–Gries counters in insertion order too), the
+one built from that column alone with ``numeric_sketches`` /
+``value_count_sketches``.
 
-And the memo that lets an append hash only labels it has not seen is
-keyed by the text that is hashed, not by the value: ``1``, ``1.0`` and
-``True`` are one dict key and three reprs.
+And the memo behind the Count-Min sketch's label hashing is keyed by the
+text that is hashed, not by the value: ``1``, ``1.0`` and ``True`` are
+one dict key and three reprs.
 """
 
 from __future__ import annotations
@@ -112,12 +114,8 @@ def _state(bundle: ColumnSketches):
             [value.hex() for value in q._value.tolist()], q._g.tolist(),
             q._delta.tolist(), q.count, q._since_compress, q.epsilon)
     if bundle.frequent is not None:
-        state["frequent"] = (bundle.frequent._counters, bundle.frequent.count)
-        entropy = bundle.entropy
-        state["entropy"] = (entropy._head._counts, entropy._head._errors,
-                            entropy.count, entropy._distinct_tracker)
-    if bundle.countmin is not None:
-        state["countmin"] = (bundle.countmin._table.tolist(), bundle.countmin.count)
+        state["frequent"] = (list(bundle.frequent._counters.items()),
+                             bundle.frequent.count)
     assert bundle.hyperplane is None
     return state
 
@@ -145,7 +143,8 @@ def test_block_partials_equal_partials_built_one_column_at_a_time(delta):
         # inf - inf while centring a column that holds ±inf: NaN moments,
         # the same NaN either way.
         warnings.simplefilter("ignore", RuntimeWarning)
-        block = build_delta_partials(delta, STORE)
+        (block,) = build_delta_partials(STORE.table.concat(delta), STORE,
+                                        [delta.n_rows])
         alone = _column_by_column(delta, STORE)
     assert list(block) == list(alone) == delta.column_names()
     for name in alone:

@@ -98,10 +98,6 @@ class TestApproximateMetrics:
         counts = store_table.categorical_column("cat_00").value_counts()
         assert top[0][0] == next(iter(counts))
 
-    def test_entropy_positive(self, store):
-        assert store.approx_entropy("cat_00") > 0
-        assert 0 <= store.approx_normalized_entropy("cat_00") <= 1
-
     def test_outlier_strength_nonnegative(self, store):
         for name in ("attr_000", "attr_007"):
             assert store.approx_outlier_strength(name) >= 0.0
