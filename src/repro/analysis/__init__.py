@@ -6,10 +6,10 @@ as machine-checked rules:
 ==========================  ============================================
 rule id                     invariant
 ==========================  ============================================
-``lock-order``              declared lock hierarchy, acyclic acquisition
+``lock-order``              each lock made by lockhook with a known role
 ``snapshot-immutability``   published tables/stores never mutated
 ``determinism``             no ambient RNG/clock/hash-order in the core
-``durability-protocol``     WAL writes fsynced, guarded, owner-only
+``durability-protocol``     WAL writes fsynced and owner-only
 ``async-hygiene``           no blocking calls on the event loop
 ``trace-hygiene``           spans closed on every path, literal keys
 ==========================  ============================================
@@ -24,8 +24,8 @@ from .determinism import DeterminismRule
 from .durability import DurabilityRule
 from .engine import Analyzer, Finding, Report, Rule, SourceModule
 from .immutability import ImmutabilityRule
-from .locks import LockOrderRule, collect_lock_sites
-from .project import DEFAULT_CONFIG, LockSpec, ProjectConfig
+from .lock_roles import LockOrderRule
+from .project import DEFAULT_CONFIG, ProjectConfig
 from .tracing import TraceHygieneRule
 
 __all__ = [
@@ -37,21 +37,19 @@ __all__ = [
     "Finding",
     "ImmutabilityRule",
     "LockOrderRule",
-    "LockSpec",
     "ProjectConfig",
     "Report",
     "Rule",
     "SourceModule",
     "TraceHygieneRule",
     "build_analyzer",
-    "collect_lock_sites",
 ]
 
 
 def default_rules(config: ProjectConfig | None = None) -> list[Rule]:
     config = config or DEFAULT_CONFIG
     return [
-        LockOrderRule(config),
+        LockOrderRule(),
         ImmutabilityRule(config),
         DeterminismRule(config),
         DurabilityRule(config),

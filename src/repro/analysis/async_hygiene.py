@@ -29,20 +29,12 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from .engine import Finding, Rule, SourceModule
+from .engine import Finding, Rule, SourceModule, dotted
 from .project import ProjectConfig
 
 __all__ = ["AsyncHygieneRule"]
 
 RULE_ID = "async-hygiene"
-
-
-def _dotted(node: ast.expr) -> tuple[str, ...]:
-    if isinstance(node, ast.Name):
-        return (node.id,)
-    if isinstance(node, ast.Attribute):
-        return _dotted(node.value) + (node.attr,)
-    return ()
 
 
 class AsyncHygieneRule(Rule):
@@ -83,15 +75,15 @@ class AsyncHygieneRule(Rule):
         self, module: SourceModule, fn: ast.AsyncFunctionDef
     ) -> Iterator[Finding]:
         for call in self._sync_calls(fn):
-            dotted = _dotted(call.func)
-            tail2 = tuple(dotted[-2:]) if len(dotted) >= 2 else ()
-            if tail2 in self.blocking_calls or tuple(dotted) in self.blocking_calls:
+            parts = dotted(call.func)
+            tail2 = tuple(parts[-2:]) if len(parts) >= 2 else ()
+            if tail2 in self.blocking_calls or tuple(parts) in self.blocking_calls:
                 yield Finding(
                     rule=RULE_ID,
                     path=module.rel,
                     line=call.lineno,
                     message=(
-                        f"blocking call {'.'.join(dotted)}() inside async def "
+                        f"blocking call {'.'.join(parts)}() inside async def "
                         f"'{fn.name}' stalls the event loop; move it to "
                         "run_in_executor (or asyncio.sleep for sleeps)"
                     ),
@@ -121,7 +113,7 @@ class AsyncHygieneRule(Rule):
                 isinstance(func, ast.Attribute)
                 and func.attr not in self.config.workspace_loop_safe_methods
             ):
-                receiver = _dotted(func.value)
+                receiver = dotted(func.value)
                 if receiver and receiver[-1] in self.config.workspace_receivers:
                     yield Finding(
                         rule=RULE_ID,

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from .engine import Finding, Rule, SourceModule
+from .engine import Finding, Rule, SourceModule, dotted
 from .project import ProjectConfig
 
 __all__ = ["DeterminismRule"]
@@ -35,14 +35,6 @@ _CLOCK_CALLS = {
     ("datetime", "today"),
     ("date", "today"),
 }
-
-
-def _dotted(node: ast.expr) -> tuple[str, ...]:
-    if isinstance(node, ast.Name):
-        return (node.id,)
-    if isinstance(node, ast.Attribute):
-        return _dotted(node.value) + (node.attr,)
-    return ()
 
 
 def _is_set_like(node: ast.expr) -> bool:
@@ -106,24 +98,24 @@ class DeterminismRule(Rule):
                     yield node.args[0]
 
     def _check_call(self, module: SourceModule, node: ast.Call) -> Iterator[Finding]:
-        dotted = _dotted(node.func)
-        if not dotted:
+        parts = dotted(node.func)
+        if not parts:
             return
         # random.random(), random.shuffle(), ...
-        if dotted[0] == "random" and len(dotted) == 2:
+        if parts[0] == "random" and len(parts) == 2:
             yield Finding(
                 rule=RULE_ID,
                 path=module.rel,
                 line=node.lineno,
                 message=(
-                    f"module-level random.{dotted[1]}() uses unseeded global state; "
+                    f"module-level random.{parts[1]}() uses unseeded global state; "
                     "use numpy.random.default_rng(seed) instead"
                 ),
             )
             return
         # numpy.random legacy API and unseeded default_rng().
-        if len(dotted) >= 3 and dotted[0] in ("np", "numpy") and dotted[1] == "random":
-            fn = dotted[2]
+        if len(parts) >= 3 and parts[0] in ("np", "numpy") and parts[1] == "random":
+            fn = parts[2]
             if fn == "default_rng":
                 if not node.args and not node.keywords:
                     yield Finding(
@@ -144,14 +136,14 @@ class DeterminismRule(Rule):
                 )
             return
         # Wall-clock reads.
-        tail = dotted[-2:] if len(dotted) >= 2 else ()
+        tail = parts[-2:] if len(parts) >= 2 else ()
         if tuple(tail) in _CLOCK_CALLS:
             yield Finding(
                 rule=RULE_ID,
                 path=module.rel,
                 line=node.lineno,
                 message=(
-                    f"wall-clock read {'.'.join(dotted)}() in deterministic scope; "
+                    f"wall-clock read {'.'.join(parts)}() in deterministic scope; "
                     "inject a clock or take timestamps at the service layer"
                 ),
             )

@@ -1,8 +1,8 @@
 """Durability-protocol checker.
 
-The WAL discipline from PR 5 only works if three properties hold
-everywhere, not just in the code paths the crash tests happen to
-exercise:
+The WAL discipline only works if its properties hold everywhere, not
+just in the code paths the crash tests happen to exercise.  Two are
+checked here:
 
 * **d1 — single writer.** Files under ``data_dir`` are created, renamed
   and deleted only by ``ingest/durable.py``.  Any other module in the
@@ -12,11 +12,15 @@ exercise:
 * **d2 — fsync before rename.** Inside the owner module, every
   ``os.replace``/``os.rename`` that publishes a journal/snapshot must be
   lexically preceded (same function) by an ``os.fsync`` of the tmp file.
-* **d3 — journal writes under the entry lock.** No call that appends a
-  journal record or rewrites a snapshot may be reachable without the
-  owning dataset's entry lock held; this reuses the lock-order
-  extraction and walks the local call graph, so a public method calling
-  an unguarded helper is caught even when the write is two hops away.
+
+* **d3 — journal writes under the entry lock.** A journal write
+  (``self._journal.append`` / ``write_snapshot`` / ``begin_generation``
+  / ``sync``, or ``load(..., repair=True)``) appears only in a method
+  whose name ends in ``_locked``, or in ``_recover_persisted`` (startup
+  recovery, before any other thread can see the workspace).  The
+  ``*_locked`` journal writers of ``service/workspace.py`` in turn
+  refuse to run unless the calling thread holds ``entry.lock``, so the
+  lock is checked at run time and no write can bypass the check.
 """
 
 from __future__ import annotations
@@ -24,8 +28,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from .engine import Finding, Rule, SourceModule
-from .locks import extract_module
+from .engine import Finding, Rule, SourceModule, dotted
 from .project import ProjectConfig
 
 __all__ = ["DurabilityRule"]
@@ -44,14 +47,21 @@ _PATH_MUTATORS = {
     "touch",
 }
 _WRITE_MODES = set("wax+")
+_JOURNAL_WRITES = {"append", "write_snapshot", "begin_generation", "sync"}
+#: The one journal writer that runs before the workspace is shared.
+_STARTUP_RECOVERY = "_recover_persisted"
 
 
-def _dotted(node: ast.expr) -> tuple[str, ...]:
-    if isinstance(node, ast.Name):
-        return (node.id,)
-    if isinstance(node, ast.Attribute):
-        return _dotted(node.value) + (node.attr,)
-    return ()
+def _is_journal_write(call: ast.Call) -> bool:
+    parts = dotted(call.func)
+    if len(parts) != 3 or parts[:2] != ("self", "_journal"):
+        return False
+    if parts[2] == "load":
+        repair = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg == "repair"), None)
+        return repair is not None and not (
+            isinstance(repair, ast.Constant) and not repair.value)
+    return parts[2] in _JOURNAL_WRITES
 
 
 def _open_mode(call: ast.Call) -> str | None:
@@ -80,9 +90,8 @@ class DurabilityRule(Rule):
             return ()
         if module.matches(self.config.durability_owner):
             return self._check_owner(module)
-        findings = list(self._check_foreign_writes(module))
-        findings.extend(self._check_journal_guard(module))
-        return findings
+        return [*self._check_foreign_writes(module),
+                *self._check_journal_writes(module.tree, None, module)]
 
     # ------------------------------------------------------------------
     # d1: only the owner writes files
@@ -91,8 +100,8 @@ class DurabilityRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = _dotted(node.func)
-            if dotted == ("open",):
+            parts = dotted(node.func)
+            if parts == ("open",):
                 mode = _open_mode(node)
                 if mode is None or _WRITE_MODES & set(mode):
                     yield Finding(
@@ -105,24 +114,24 @@ class DurabilityRule(Rule):
                         ),
                     )
                 continue
-            if len(dotted) == 2 and dotted[0] == "os" and dotted[1] in _FS_MUTATORS:
+            if len(parts) == 2 and parts[0] == "os" and parts[1] in _FS_MUTATORS:
                 yield Finding(
                     rule=RULE_ID,
                     path=module.rel,
                     line=node.lineno,
                     message=(
-                        f"os.{dotted[1]}() outside ingest/durable.py; file-system "
+                        f"os.{parts[1]}() outside ingest/durable.py; file-system "
                         "mutation is reserved to the journal owner"
                     ),
                 )
                 continue
-            if dotted and dotted[0] == "shutil" and len(dotted) == 2:
+            if parts and parts[0] == "shutil" and len(parts) == 2:
                 yield Finding(
                     rule=RULE_ID,
                     path=module.rel,
                     line=node.lineno,
                     message=(
-                        f"shutil.{dotted[1]}() outside ingest/durable.py; file-system "
+                        f"shutil.{parts[1]}() outside ingest/durable.py; file-system "
                         "mutation is reserved to the journal owner"
                     ),
                 )
@@ -131,7 +140,7 @@ class DurabilityRule(Rule):
             if (
                 isinstance(func, ast.Attribute)
                 and func.attr in _PATH_MUTATORS
-                and len(dotted) != 2  # os./shutil. handled above
+                and len(parts) != 2  # os./shutil. handled above
             ):
                 yield Finding(
                     rule=RULE_ID,
@@ -142,6 +151,29 @@ class DurabilityRule(Rule):
                         "route writes through the journal owner"
                     ),
                 )
+
+    # ------------------------------------------------------------------
+    # d3: journal writes only from the entry-lock-checked helpers
+    # ------------------------------------------------------------------
+    def _check_journal_writes(self, node: ast.AST, function: str | None,
+                              module: SourceModule) -> Iterable[Finding]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._check_journal_writes(child, child.name, module)
+                continue
+            if (isinstance(child, ast.Call) and _is_journal_write(child)
+                    and not (function or "").endswith("_locked")
+                    and function != _STARTUP_RECOVERY):
+                yield Finding(
+                    rule=RULE_ID,
+                    path=module.rel,
+                    line=child.lineno,
+                    message=(
+                        f"journal {child.func.attr}() outside a *_locked "
+                        "helper; write through one that checks the entry lock"
+                    ),
+                )
+            yield from self._check_journal_writes(child, function, module)
 
     # ------------------------------------------------------------------
     # d2: fsync precedes publishing renames inside the owner
@@ -156,10 +188,10 @@ class DurabilityRule(Rule):
             for node in ast.walk(fn):
                 if not isinstance(node, ast.Call):
                     continue
-                dotted = _dotted(node.func)
-                if dotted == ("os", "fsync"):
+                parts = dotted(node.func)
+                if parts == ("os", "fsync"):
                     fsync_lines.append(node.lineno)
-                elif dotted in (("os", "replace"), ("os", "rename")):
+                elif parts in (("os", "replace"), ("os", "rename")):
                     renames.append(node)
             for rename in renames:
                 if not any(line < rename.lineno for line in fsync_lines):
@@ -175,57 +207,4 @@ class DurabilityRule(Rule):
                             ),
                         )
                     )
-        return findings
-
-    # ------------------------------------------------------------------
-    # d3: journal writes only reachable with the entry lock held
-    # ------------------------------------------------------------------
-    def _check_journal_guard(self, module: SourceModule) -> Iterable[Finding]:
-        guards = set(self.config.journal_guard_locks)
-        if not guards:
-            return ()
-        if not any(module.matches(m) for m in self.config.lock_modules):
-            return ()
-        model = extract_module(module, self.config)
-        functions = model.functions
-
-        # A function is "unguarded-reachable" when some call chain from an
-        # entry point reaches it without the guard lock held across every
-        # hop.  Entry points: public methods, dunders, and local functions
-        # never called locally (thread targets, callbacks).
-        unguarded = {name for name, fn in functions.items() if fn.is_entry}
-        changed = True
-        while changed:
-            changed = False
-            for name, fn in functions.items():
-                if name not in unguarded:
-                    continue
-                for site in fn.call_sites:
-                    if guards & site.held:
-                        continue
-                    if site.callee not in unguarded:
-                        unguarded.add(site.callee)
-                        changed = True
-
-        findings: list[Finding] = []
-        for name, fn in functions.items():
-            for site in fn.journal_sites:
-                if site.method == "load" and not site.repair:
-                    continue  # read-only load
-                if guards & site.held:
-                    continue
-                if name not in unguarded:
-                    continue  # every caller holds the guard at the call site
-                findings.append(
-                    Finding(
-                        rule=RULE_ID,
-                        path=module.rel,
-                        line=site.line,
-                        message=(
-                            f"journal write .{site.method}() reachable without the "
-                            f"owning entry lock ({', '.join(sorted(guards))}); a "
-                            "concurrent replace could journal into the wrong generation"
-                        ),
-                    )
-                )
         return findings

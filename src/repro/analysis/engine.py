@@ -41,6 +41,7 @@ __all__ = [
     "Rule",
     "Report",
     "Analyzer",
+    "dotted",
     "load_module",
     "iter_python_files",
 ]
@@ -127,9 +128,7 @@ class SourceModule:
 class Rule:
     """Base class for checkers.
 
-    ``check`` runs once per module; ``finish`` runs after every module has
-    been checked and may emit whole-project findings (e.g. lock cycles
-    whose edges span files).
+    ``check`` runs once per module and returns its findings.
     """
 
     id: str = "rule"
@@ -137,8 +136,14 @@ class Rule:
     def check(self, module: SourceModule) -> Iterable[Finding]:
         return ()
 
-    def finish(self) -> Iterable[Finding]:
-        return ()
+
+def dotted(node: ast.expr) -> tuple[str, ...]:
+    """``a.b.c`` as ``("a", "b", "c")``; ``()`` for anything else."""
+    if isinstance(node, ast.Name):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        return dotted(node.value) + (node.attr,)
+    return ()
 
 
 def _parse_suppressions(text: str, lines: list[str]) -> list[Suppression]:
@@ -305,7 +310,6 @@ class Analyzer:
         for rule in self.rules:
             for module in modules:
                 raw_findings.extend(rule.check(module))
-            raw_findings.extend(rule.finish())
 
         active: list[Finding] = []
         suppressed: list[Finding] = []

@@ -49,7 +49,6 @@ serving namespace, keeping the import graph strictly core ← service.
 from __future__ import annotations
 
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from itertools import chain, islice
@@ -58,6 +57,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.data.table import DataTable
+from repro.obs import lockhook
 from repro.obs.ledger import domain_bytes, scored_candidate_bytes
 from repro.obs.resources import record_candidates
 from repro.obs.tracer import obs_span
@@ -330,7 +330,7 @@ class InsightIndex:
     def __init__(self) -> None:
         self._domains: dict[tuple, CandidateDomain] = {}
         self._scores: dict[tuple, ScoreMemo] = {}
-        self._publish = threading.Lock()
+        self._publish = lockhook.lock("core.index")
 
     @property
     def nbytes(self) -> int:

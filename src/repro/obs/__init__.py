@@ -9,9 +9,9 @@ cost attribution and rolling cost windows (:mod:`repro.obs.resources`);
 the fixed-bucket duration histogram they and the server's metrics share
 (:mod:`repro.obs.histogram`);
 the incremental memory ledger (:mod:`repro.obs.ledger`); watchdogs for
-quiet degradation (:mod:`repro.obs.watchdog`); the one patch point for
-lock construction that the lock-wait watchdog and the runtime lock-order
-tracker listen on (:mod:`repro.obs.lockhook`); and the
+quiet degradation (:mod:`repro.obs.watchdog`); the lock factories that
+give every lock its role, and the hook the lock-wait watchdog and the
+runtime lock-order tracker listen on (:mod:`repro.obs.lockhook`); and the
 :class:`~repro.obs.config.ObsConfig` knobs (``REPRO_OBS_*`` env / CLI)
 that switch it all on and off.
 
@@ -25,8 +25,8 @@ Design constraints, in order of importance:
 * **No dependencies on the layers it observes.**  ``repro.obs`` imports
   only the standard library (the ledger additionally numpy), so
   ``repro.core``, ``repro.ingest`` and ``repro.service`` can all import
-  it without cycles.  The lock-wait watchdog's import of
-  ``repro.analysis`` is deferred to installation.
+  it without cycles.  Installing the lock-wait watchdog imports
+  nothing more.
 * **Determinism-safe.**  Spans are timed with ``perf_counter``; CPU is
   ``time.thread_time``; the wall clock appears only on root spans and
   is injectable.

@@ -51,7 +51,7 @@ class ObsConfig:
                         detector.
     ``lock_wait_ms``  — blocking lock acquisitions that waited at least
                         this long emit a ``lock_wait`` event; 0 (the
-                        default) never patches lock construction.
+                        default) leaves every lock a plain one.
     """
 
     enabled: bool = True

@@ -29,10 +29,11 @@ used on any serving path.
 from __future__ import annotations
 
 import sys
-import threading
 from typing import Any
 
 import numpy as np
+
+from repro.obs import lockhook
 
 __all__ = [
     "MemoryLedger",
@@ -47,7 +48,7 @@ class MemoryLedger:
     """Thread-safe ``(component, dataset) -> bytes`` counters."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = lockhook.lock("obs.ledger")
         self._entries: dict[tuple[str, str | None], int] = {}
 
     def set(self, component: str, n_bytes: int, dataset: str | None = None) -> None:
@@ -181,9 +182,10 @@ def deep_sizeof(obj: Any, _seen: set[int] | None = None) -> int:
     if isinstance(obj, (type, type(sys))) or callable(obj):
         return 0
     if hasattr(obj, "acquire") and hasattr(obj, "release"):
-        # A lock by what it does, not by its type: under
-        # REPRO_DEBUG_LOCKS or the lock-wait watchdog ``threading.Lock()``
-        # hands out a proxy, and the tracker behind it is not data either.
+        # A lock by what it does, not by its type: while a lock listener
+        # (REPRO_DEBUG_LOCKS, the lock-wait watchdog) is installed the
+        # lock factories hand out proxies, and the listeners behind them
+        # are not data either.
         return 0
     total = sys.getsizeof(obj)
     if isinstance(obj, dict):

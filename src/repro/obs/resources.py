@@ -36,6 +36,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator
 
+from repro.obs import lockhook
 from repro.obs.histogram import LatencyHistogram
 
 __all__ = [
@@ -127,7 +128,7 @@ class CostRecorder:
     )
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = lockhook.lock("obs.cost")
         self._open_threads: set[int] = set()
         self.cpu_seconds = 0.0
         self.wall_seconds = 0.0
@@ -227,7 +228,7 @@ class CostAggregator:
     def __init__(self, window: int = 256):
         if window < 1:
             raise ValueError(f"window must be >= 1, got {window}")
-        self._lock = threading.Lock()
+        self._lock = lockhook.lock("obs.cost_window")
         self._window = window
         self._datasets: dict[str, _Window] = {}
         self._classes: dict[str, _Window] = {}

@@ -47,6 +47,7 @@ import time
 from collections import deque
 from typing import Any, Callable
 
+from repro.obs import lockhook
 from repro.obs.config import ObsConfig
 from repro.obs.events import emit as _emit_event
 from repro.obs.histogram import LATENCY_BUCKETS, LatencyHistogram
@@ -208,10 +209,9 @@ class Tracer:
         #: with the same clock spans use, so tests can inject a fake).
         self.clock = clock
         self._ids = itertools.count(1)
-        # The package's only lock: a level-30 leaf ("obs.trace") in the
-        # declared hierarchy.  Guards the ring, the histograms and the
-        # counters; never wraps another lock.
-        self._drain_lock = threading.Lock()
+        # A level-30 leaf of the lock hierarchy.  Guards the ring, the
+        # histograms and the counters; never wraps another lock.
+        self._drain_lock = lockhook.lock("obs.trace")
         self._ring: deque = deque(maxlen=config.ring_capacity)
         self._histograms: dict[str, LatencyHistogram] = {}
         self._traces_recorded = 0

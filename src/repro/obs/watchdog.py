@@ -21,14 +21,13 @@ Three independent detectors, each emitting structured events through
 ``LockWaitWatchdog``
     A listener on the shared lock hook (:mod:`repro.obs.lockhook`, which
     the runtime lock-order tracker listens on too).  A blocking
-    acquisition that had to *wait* past the threshold is resolved from
-    its caller's frame against the statically extracted site table
-    (:func:`repro.analysis.locks.collect_lock_sites`) and reported as a
-    ``lock_wait`` event naming the declared lock role.  Uncontended
-    acquisitions pay one try-acquire and no clock read.  Only locks
-    created after installation are proxies — install it before building
-    the state you want watched (the workspace does this when its
-    ``ObsConfig.lock_wait_ms`` is positive).
+    acquisition that had to *wait* past the threshold is reported as a
+    ``lock_wait`` event naming the role the lock was made with and the
+    ``path:line`` that took it.  Uncontended acquisitions pay one
+    try-acquire and no clock read.  Only locks made after installation
+    are hooked — install it before building the state you want watched
+    (the workspace does this when its ``ObsConfig.lock_wait_ms`` is
+    positive).
 """
 
 from __future__ import annotations
@@ -129,7 +128,7 @@ class StallDetector:
     def __init__(self, deadline_seconds: float = 30.0, event: str = "rebuild_stall"):
         self.deadline_seconds = float(deadline_seconds)
         self.event = event
-        self._lock = threading.Lock()
+        self._lock = lockhook.lock("obs.stall")
         self._active: dict[str, float] = {}
         self._stalled: dict[str, float] = {}
         self._trips = 0
@@ -190,18 +189,9 @@ class LockWaitWatchdog:
         self.threshold_ms = float(threshold_ms)
         self._lock = lockhook.own_lock()
         self._trips = 0
-        self._unattributed = 0
         self._recent: deque[dict[str, Any]] = deque(maxlen=8)
-        #: Names a waiting acquisition's declared lock role; install()
-        #: loads it, before the first callback can come.
-        self._resolver = None
 
-    def install(self, roots=None) -> "LockWaitWatchdog":
-        # Imported here, not at module top: the analyzer stays off the
-        # serving import path unless a watchdog is wanted.
-        from repro.analysis.locks import LockSiteResolver
-
-        self._resolver = LockSiteResolver.for_package(roots)
+    def install(self) -> "LockWaitWatchdog":
         lockhook.add_listener(self)
         return self
 
@@ -214,16 +204,9 @@ class LockWaitWatchdog:
     def on_acquire(self, lock, frame, blocking: bool, waited: float) -> None:
         if waited * 1000.0 < self.threshold_ms:
             return
-        role, site = self._resolver.resolve(frame)
-        if role is None:
-            # Only report locks the site table can name (third-party and
-            # test-helper locks stay out, mirroring the runtime tracker).
-            with self._lock:
-                self._unattributed += 1
-            return
         trip = {
-            "lock": role,
-            "site": site,
+            "lock": lock.role,
+            "site": f"{frame.f_code.co_filename}:{frame.f_lineno}",
             "wait_ms": round(waited * 1000.0, 3),
         }
         with self._lock:
@@ -240,7 +223,6 @@ class LockWaitWatchdog:
                 "threshold_ms": self.threshold_ms,
                 "installed": self in lockhook.listeners(),
                 "trips": self._trips,
-                "unattributed": self._unattributed,
                 "recent": list(self._recent),
             }
 
@@ -252,8 +234,8 @@ def install_lock_wait(threshold_ms: float) -> LockWaitWatchdog | None:
     """Install (or reuse) the process-wide lock-wait watchdog.
 
     Returns ``None`` when ``threshold_ms`` is not positive — the
-    watchdog is strictly opt-in; the default configuration never
-    patches lock construction.
+    watchdog is strictly opt-in; by default the lock factories hand out
+    real, unhooked locks.
     """
     global _lock_wait_singleton
     if threshold_ms <= 0:

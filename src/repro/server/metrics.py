@@ -22,16 +22,16 @@ docs/OBSERVABILITY.md's table.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, NamedTuple
 
+from repro.obs import lockhook
 from repro.obs.histogram import LATENCY_BUCKETS, LatencyHistogram
 
 class ServerMetrics:
     """Counter sink for the transport; renders the ``/metrics`` document."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = lockhook.lock("metrics.lock")
         self._requests_by_endpoint: dict[str, int] = {}
         self._responses_by_status: dict[str, int] = {}
         self._rejected_quota = 0

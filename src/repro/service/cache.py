@@ -27,9 +27,10 @@ additionally breaks out the explicit ones.
 from __future__ import annotations
 
 import sys
-import threading
 from collections import OrderedDict
 from typing import Any, Hashable
+
+from repro.obs import lockhook
 
 
 def _value_bytes(obj: Any) -> int:
@@ -66,7 +67,7 @@ class ResultCache:
         self._entries: OrderedDict[CacheKey, Any] = OrderedDict()
         self._sizes: dict[CacheKey, int] = {}
         self._bytes = 0
-        self._lock = threading.RLock()
+        self._lock = lockhook.rlock("cache.lock")
         self._hits = 0
         self._misses = 0
         self._evictions = 0

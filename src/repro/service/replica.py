@@ -49,7 +49,7 @@ from repro.ingest.durable import (
     JournalFeed,
     fold_records,
 )
-from repro.obs import events as obs_events
+from repro.obs import events as obs_events, lockhook
 from repro.obs.config import ObsConfig
 from repro.obs.tracer import Tracer, obs_span
 from repro.service.workspace import Workspace
@@ -136,9 +136,9 @@ class ReplicaWorkspace(Workspace):
         #: Per-dataset replication cursors/counters (registry-locked dict).
         self._rstate: dict[str, _ReplicaDataset] = {}
         #: Serialises sync passes (manual sync vs the tailer thread).
-        #: Level 5 in the declared hierarchy: it wraps entry-lock and
-        #: registry-lock acquisitions inside the apply path.
-        self._sync_lock = threading.Lock()
+        #: The lowest level of the lock hierarchy: it wraps entry-lock
+        #: and registry-lock acquisitions inside the apply path.
+        self._sync_lock = lockhook.lock("replica.sync")
         self._promoted = False
         self._tailer: threading.Thread | None = None
         self._tailer_stop = threading.Event()

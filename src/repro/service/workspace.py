@@ -51,7 +51,6 @@ Typical use::
 
 from __future__ import annotations
 
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -100,7 +99,7 @@ from repro.ingest.maintenance import (  # noqa: F401
     merge_delta,
     should_rebuild,
 )
-from repro.obs import events as obs_events
+from repro.obs import events as obs_events, lockhook
 from repro.obs.config import ObsConfig
 from repro.obs.ledger import MemoryLedger, table_bytes
 from repro.obs.resources import (
@@ -144,11 +143,13 @@ class _DatasetEntry(DatasetState):
     loader: Callable[[], DataTable] | None = None
     engine_config: EngineConfig | None = None
     version: int = 0
-    #: Guards lazy loading/building and version bumps for this dataset.
-    #: Reentrant because building the engine loads the table under the
-    #: same lock.  The factory is looked up per entry, so a lock tracer
-    #: (``REPRO_DEBUG_LOCKS=1``) installed after import wraps it too.
-    lock: threading.RLock = field(default_factory=lambda: threading.RLock())
+    #: Guards lazy loading/building and version bumps for this dataset,
+    #: and orders its journal writes.  Reentrant because building the
+    #: engine loads the table under the same lock.  Made per entry, so a
+    #: lock listener installed after import (``REPRO_DEBUG_LOCKS=1``,
+    #: the lock-wait watchdog) sees it too.
+    lock: Any = field(
+        default_factory=lambda: lockhook.rlock("workspace.entry"))
     #: True when this entry was reconstructed from the durable journal
     #: (restart replay) rather than registered fresh this process.
     restored: bool = False
@@ -190,6 +191,19 @@ class _JournalFailureReport:
 _journal_failure_reported = _JournalFailureReport()
 
 
+def _require_entry_lock(entry: _DatasetEntry) -> None:
+    """Refuse a journal-writing step unless this thread holds ``entry``'s
+    lock.
+
+    The journal takes no lock of its own: the entry lock orders records
+    and assigns ``seq``, and a write without it could land in a
+    generation a concurrent reload or replace has already replaced.
+    """
+    if not entry.lock._is_owned():
+        raise RuntimeError(
+            f"journal write for dataset {entry.name!r} without its entry lock")
+
+
 class Workspace:
     """Registers named datasets and serves insight requests against them.
 
@@ -225,9 +239,9 @@ class Workspace:
         obs: ObsConfig | Tracer | None = None,
     ):
         # Resolve the observability config before creating any lock:
-        # the opt-in lock-wait watchdog patches lock *construction*, so
-        # installing it first is what puts the workspace's own locks
-        # under watch.
+        # only locks made while the opt-in lock-wait watchdog listens
+        # are hooked, so installing it first is what puts the
+        # workspace's own locks under watch.
         if isinstance(obs, Tracer):
             obs_config = ObsConfig(enabled=obs.enabled,
                                    resources_enabled=obs.account_memory)
@@ -256,7 +270,7 @@ class Workspace:
         #: Lifetime pipeline counters across every cache-miss request,
         #: for operational surfaces (the server's ``/metrics``).
         self._stats = PipelineStats()
-        self._stats_lock = threading.Lock()
+        self._stats_lock = lockhook.lock("workspace.stats")
         #: Lifetime ingestion totals.  Per-dataset journals reset on
         #: reload (a new generation); these survive it, so the ops
         #: counters stay monotone the way Prometheus counters must.
@@ -264,7 +278,7 @@ class Workspace:
                                "delta_merges": 0, "rebuilds": 0,
                                "bg_rebuilds": 0}
         #: Guards the registry of entries (not per-dataset state).
-        self._lock = threading.RLock()
+        self._lock = lockhook.rlock("workspace.registry")
         #: Monotonic per-name version counters.  Versions must never
         #: repeat, not even across a registration that failed and left
         #: the name free: a number minted twice would make a stale cached
@@ -314,10 +328,9 @@ class Workspace:
         """
         assert self._journal is not None
         for name in self._journal.dataset_names():
-            # repro: allow(durability-protocol) — startup recovery runs in
-            # __init__ before this dataset's entry (or its lock) exists and
-            # before the workspace is visible to other threads; repair
-            # truncation of a torn tail cannot race anything.
+            # Startup recovery runs in __init__, before the workspace is
+            # visible to any other thread: the repair truncation of a
+            # torn tail races nothing, so it needs no entry lock.
             state = self._journal.load(name, repair=True)
             if state is None:
                 continue
@@ -383,6 +396,7 @@ class Workspace:
            as a new entry would;
         4. **invalidate** the dataset's cached replies.
         """
+        _require_entry_lock(entry)
         name = entry.name
         with self._lock:
             latest = self._version_counters.get(name, 0)
@@ -393,7 +407,7 @@ class Workspace:
         if self._journal is not None and pending is None:
             if table is not None:
                 self._write_snapshot_locked(
-                    name, version, DatasetState(table=table, ingest=ingest),
+                    entry, version, DatasetState(table=table, ingest=ingest),
                     engine_config)
             else:
                 self._journal.begin_generation(name, version, engine_config=(
@@ -479,6 +493,7 @@ class Workspace:
         ``batch`` / ``fresh`` are work already done, handed to
         :meth:`ReplayMachine.stage <repro.ingest.durable.ReplayMachine.stage>`.
         """
+        _require_entry_lock(entry)
         machine = self._machine(entry)
         staged = machine.stage([record], batch=batch, fresh=fresh)
         if self._journal is not None:
@@ -497,7 +512,7 @@ class Workspace:
 
     def _write_snapshot_locked(
         self,
-        name: str,
+        entry: _DatasetEntry,
         version: int,
         state: DatasetState,
         engine_config: EngineConfig | None,
@@ -509,8 +524,10 @@ class Workspace:
         rows plus the ``(base_rows, catch-up)`` split — i.e. right after
         a full rebuild, or while no approximate engine exists.
         """
+        _require_entry_lock(entry)
         if self._journal is None or state.table is None:
             return
+        name = entry.name
         log = state.ingest
         meta = {
             "type": "snapshot",
@@ -898,7 +915,7 @@ class Workspace:
                 self._transition_locked(entry, record, fresh=fresh)
                 entry.rebuild_error = None
                 self._write_snapshot_locked(
-                    name, entry.version, entry, entry.engine_config)
+                    entry, entry.version, entry, entry.engine_config)
                 self._account_entry(entry)
             with self._stats_lock:
                 self._ingest_totals["rebuilds"] += 1
@@ -991,13 +1008,17 @@ class Workspace:
         """
         with self._locked_entry(name) as entry:
             if self._journal is not None:
-                self._journal.sync(name)
+                self._sync_locked(entry)
             return {
                 "dataset": name,
                 "version": entry.version,
                 "seq": entry.ingest.seq,
                 "durable": self._journal is not None,
             }
+
+    def _sync_locked(self, entry: _DatasetEntry) -> None:
+        _require_entry_lock(entry)
+        self._journal.sync(entry.name)
 
     def flush_all(self) -> list[dict[str, Any]]:
         """Flush every dataset's journal (shutdown / drain hook)."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import textwrap
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -20,12 +21,13 @@ from repro.analysis import (
     DurabilityRule,
     ImmutabilityRule,
     LockOrderRule,
-    LockSpec,
     ProjectConfig,
     TraceHygieneRule,
     build_analyzer,
 )
 from repro.analysis.__main__ import main as lint_main
+from repro.analysis.runtime import LockTracker
+from repro.obs import lockhook
 
 
 def write(tmp_path: Path, rel: str, source: str) -> Path:
@@ -42,192 +44,202 @@ def run_rule(rule, paths) -> list:
 # ---------------------------------------------------------------------------
 # lock-order
 # ---------------------------------------------------------------------------
-LOCK_CONFIG = ProjectConfig(
-    lock_modules=("locked.py",),
-    locks=(
-        LockSpec("fixture.entry", 10, "locked.py", "Service", "_entry_lock", reentrant=True),
-        LockSpec("fixture.registry", 20, "locked.py", "Service", "_registry_lock"),
-        LockSpec("fixture.left", 30, "locked.py", "Service", "_left_lock"),
-        LockSpec("fixture.right", 30, "locked.py", "Service", "_right_lock"),
-    ),
-)
+class LockedService:
+    """The nestings the static rule once read from source, now taken for
+    real under a :class:`LockTracker`: the rule above only makes sure
+    every lock carries a role, and the tracker checks how they nest."""
 
-LOCK_PREAMBLE = """
-    import threading
-    from contextlib import contextmanager
+    def __init__(self):
+        self._entry_lock = lockhook.rlock("workspace.entry")
+        self._registry_lock = lockhook.lock("workspace.registry")
 
-    class Service:
-        def __init__(self):
-            self._entry_lock = threading.RLock()
-            self._registry_lock = threading.Lock()
-            self._left_lock = threading.Lock()
-            self._right_lock = threading.Lock()
-"""
+    def reenter_ok(self):
+        with self._entry_lock:
+            with self._entry_lock:
+                pass
+
+    def reenter_bad(self, other: "LockedService"):
+        # Two locks of one non-reentrant role on one thread: the same
+        # code running with the services swapped deadlocks.
+        with self._registry_lock:
+            with other._registry_lock:
+                pass
+
+    def bad(self):
+        with self._registry_lock:
+            with self._entry_lock:
+                pass
+
+    def _take_entry(self):
+        with self._entry_lock:
+            return 1
+
+    def bad_caller(self):
+        with self._registry_lock:
+            return self._take_entry()
+
+    @contextmanager
+    def _held_registry(self):
+        with self._registry_lock:
+            yield self
+
+    def bad_body(self):
+        with self._held_registry():
+            with self._entry_lock:
+                pass
+
+    def manual_bad(self):
+        self._registry_lock.acquire()
+        try:
+            with self._entry_lock:
+                pass
+        finally:
+            self._registry_lock.release()
+
+    def try_lock(self):
+        with self._registry_lock:
+            got = self._entry_lock.acquire(blocking=False)
+            if got:
+                self._entry_lock.release()
+            return got
+
+
+@pytest.fixture()
+def lock_tracker(no_lock_listeners):
+    tracker = LockTracker().install()
+    try:
+        yield tracker
+    finally:
+        tracker.uninstall()
+
+
+def _inversions(tracker: LockTracker) -> list[tuple[str, str]]:
+    assert all(v.kind == "inversion" for v in tracker.violations)
+    return [(v.held_role, v.acquired_role) for v in tracker.violations]
 
 
 class TestLockOrder:
     def test_conformant_nesting_is_quiet(self, tmp_path):
         path = write(
             tmp_path,
-            "locked.py",
-            LOCK_PREAMBLE
-            + """
-        def ok(self):
-            with self._entry_lock:
-                with self._registry_lock:
-                    pass
-    """,
-        )
-        assert run_rule(LockOrderRule(LOCK_CONFIG), [path]) == []
+            "repro/service/locked.py",
+            """
+        import threading
+        from dataclasses import dataclass, field
 
-    def test_inversion_is_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "locked.py",
-            LOCK_PREAMBLE
-            + """
-        def bad(self):
-            with self._registry_lock:
-                with self._entry_lock:
-                    pass
+        from repro.obs import lockhook
+        from repro.obs.lockhook import rlock
+
+        @dataclass
+        class Entry:
+            lock: threading.RLock = field(
+                default_factory=lambda: rlock("workspace.entry"))
+
+        class Service:
+            def __init__(self):
+                self._lock = lockhook.rlock("workspace.registry")
+                self._done = threading.Event()
+
+            def ok(self, entry: Entry) -> threading.Lock:
+                with entry.lock:
+                    with self._lock:
+                        return self._lock
     """,
         )
-        findings = run_rule(LockOrderRule(LOCK_CONFIG), [path])
-        assert len(findings) == 1
-        assert "inverts the declared hierarchy" in findings[0].message
+        assert run_rule(LockOrderRule(), [path]) == []
+
+    def test_inversion_is_flagged(self, lock_tracker):
+        LockedService().bad()
+        assert _inversions(lock_tracker) == [("workspace.registry", "workspace.entry")]
+        with pytest.raises(AssertionError, match="inversion"):
+            lock_tracker.assert_clean()
+
+    def test_reentrancy_honored(self, lock_tracker):
+        service = LockedService()
+        service.reenter_ok()
+        lock_tracker.assert_clean()
+        service.reenter_bad(LockedService())
+        [violation] = lock_tracker.violations
+        assert violation.kind == "reacquire"
+        assert violation.acquired_role == "workspace.registry"
+        assert "reacquire" in violation.render()
+
+    def test_interprocedural_inversion_through_helper(self, lock_tracker):
+        assert LockedService().bad_caller() == 1
+        assert _inversions(lock_tracker) == [("workspace.registry", "workspace.entry")]
+
+    def test_contextmanager_yield_held_propagates(self, lock_tracker):
+        LockedService().bad_body()
+        assert _inversions(lock_tracker) == [("workspace.registry", "workspace.entry")]
+
+    def test_manual_acquire_holds_to_release(self, lock_tracker):
+        service = LockedService()
+        service.manual_bad()
+        assert _inversions(lock_tracker) == [("workspace.registry", "workspace.entry")]
+        # After release() the registry lock is no longer held.
+        with service._entry_lock:
+            pass
+        assert len(lock_tracker.violations) == 1
+
+    def test_nonblocking_acquire_not_flagged(self, lock_tracker):
+        assert LockedService().try_lock()
+        lock_tracker.assert_clean()
 
     def test_undeclared_lock_creation_and_acquisition(self, tmp_path):
         path = write(
             tmp_path,
-            "locked.py",
-            LOCK_PREAMBLE
-            + """
-        def sneaky(self):
-            self._extra_lock = threading.Lock()
-            with self._extra_lock:
-                pass
+            "repro/service/locked.py",
+            """
+        import threading
+        import _thread
+        from dataclasses import dataclass, field
+        from threading import Lock, RLock as R
+
+        from repro.obs import lockhook
+
+        ROLE = "cache.lock"
+
+        @dataclass
+        class Entry:
+            lock: object = field(default_factory=threading.RLock)
+
+        class Service:
+            def __init__(self):
+                self._a = threading.Lock()
+                self._b = Lock()
+                self._c = R()
+                self._d = _thread.allocate_lock()
+                self._e = lockhook.lock(ROLE)
+                self._f = lockhook.rlock("fixture.nowhere")
+                self._g = threading.Condition()
+                self._h = threading.Semaphore(2)
+                self._i = threading.BoundedSemaphore()
+                self._j = threading.Condition(lockhook.lock("cache.lock"))
+                self._k = threading.Condition(lock=self._e)
     """,
         )
-        messages = [f.message for f in run_rule(LockOrderRule(LOCK_CONFIG), [path])]
-        assert any("not in the declared hierarchy" in m for m in messages)
-        assert any("undeclared lock" in m for m in messages)
+        findings = run_rule(LockOrderRule(), [path])
+        built = [f.line for f in findings if "outside obs/lockhook.py" in f.message]
+        assert built == [13, 17, 18, 19, 20, 23, 24, 25]
+        messages = [f.message for f in findings if f.line in (21, 22)]
+        assert messages == [
+            "a lock's role must be a string literal",
+            "lock role 'fixture.nowhere' is not in lockhook.ROLES",
+        ]
 
-    def test_reentrancy_honored(self, tmp_path):
+    def test_the_hook_itself_builds_locks(self, tmp_path):
         path = write(
             tmp_path,
-            "locked.py",
-            LOCK_PREAMBLE
-            + """
-        def reenter_ok(self):
-            with self._entry_lock:
-                with self._entry_lock:
-                    pass
+            "repro/obs/lockhook.py",
+            """
+        import _thread
+        import threading
 
-        def reenter_bad(self):
-            with self._registry_lock:
-                with self._registry_lock:
-                    pass
+        def lock(role):
+            return _thread.allocate_lock() if role else threading.Lock()
     """,
         )
-        findings = run_rule(LockOrderRule(LOCK_CONFIG), [path])
-        assert len(findings) == 1
-        assert "non-reentrant" in findings[0].message
-        assert "fixture.registry" in findings[0].message
-
-    def test_interprocedural_inversion_through_helper(self, tmp_path):
-        path = write(
-            tmp_path,
-            "locked.py",
-            LOCK_PREAMBLE
-            + """
-        def _take_entry(self):
-            with self._entry_lock:
-                return 1
-
-        def bad_caller(self):
-            with self._registry_lock:
-                return self._take_entry()
-    """,
-        )
-        findings = run_rule(LockOrderRule(LOCK_CONFIG), [path])
-        assert len(findings) == 1
-        assert "inverts" in findings[0].message
-
-    def test_contextmanager_yield_held_propagates(self, tmp_path):
-        path = write(
-            tmp_path,
-            "locked.py",
-            LOCK_PREAMBLE
-            + """
-        @contextmanager
-        def _held_registry(self):
-            with self._registry_lock:
-                yield self
-
-        def bad_body(self):
-            with self._held_registry():
-                with self._entry_lock:
-                    pass
-    """,
-        )
-        findings = run_rule(LockOrderRule(LOCK_CONFIG), [path])
-        assert len(findings) == 1
-        assert "inverts" in findings[0].message
-
-    def test_manual_acquire_holds_to_release(self, tmp_path):
-        path = write(
-            tmp_path,
-            "locked.py",
-            LOCK_PREAMBLE
-            + """
-        def manual_bad(self):
-            self._registry_lock.acquire()
-            try:
-                with self._entry_lock:
-                    pass
-            finally:
-                self._registry_lock.release()
-    """,
-        )
-        findings = run_rule(LockOrderRule(LOCK_CONFIG), [path])
-        assert len(findings) == 1
-        assert "inverts" in findings[0].message
-
-    def test_nonblocking_acquire_not_flagged(self, tmp_path):
-        path = write(
-            tmp_path,
-            "locked.py",
-            LOCK_PREAMBLE
-            + """
-        def try_lock(self):
-            with self._registry_lock:
-                got = self._entry_lock.acquire(blocking=False)
-                if got:
-                    self._entry_lock.release()
-    """,
-        )
-        assert run_rule(LockOrderRule(LOCK_CONFIG), [path]) == []
-
-    def test_equal_level_cycle_detected(self, tmp_path):
-        path = write(
-            tmp_path,
-            "locked.py",
-            LOCK_PREAMBLE
-            + """
-        def forward(self):
-            with self._left_lock:
-                with self._right_lock:
-                    pass
-
-        def backward(self):
-            with self._right_lock:
-                with self._left_lock:
-                    pass
-    """,
-        )
-        findings = run_rule(LockOrderRule(LOCK_CONFIG), [path])
-        assert len(findings) == 1
-        assert "cycle" in findings[0].message
+        assert run_rule(LockOrderRule(), [path]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +389,6 @@ class TestDeterminism:
 DURABILITY_CONFIG = ProjectConfig(
     durability_scopes=("",),
     durability_owner="durable.py",
-    lock_modules=("service.py",),
-    locks=(LockSpec("fixture.entry", 10, "service.py", "Workspace", "_entry_lock", reentrant=True),),
-    journal_attrs=("_journal",),
-    journal_write_methods=("append", "write_snapshot", "load"),
-    journal_guard_locks=("fixture.entry",),
 )
 
 
@@ -441,59 +448,65 @@ class TestDurability:
         assert findings[0].line < 8  # only the unsafe publish
         assert "fsync" in findings[0].message
 
-    def test_journal_write_requires_entry_lock(self, tmp_path):
+    def test_journal_writes_only_from_locked_helpers(self, tmp_path):
         path = write(
             tmp_path,
-            "service.py",
+            "workspace.py",
             """
-        import threading
-
         class Workspace:
-            def __init__(self, journal):
-                self._entry_lock = threading.RLock()
-                self._journal = journal
+            def _recover_persisted(self):
+                for name in self._journal.dataset_names():
+                    self._journal.load(name, repair=True)
 
-            def guarded(self, record):
-                with self._entry_lock:
-                    self._journal.append(record)
-
-            def unguarded(self, record):
-                self._journal.append(record)
-
-            def guarded_through_helper(self, record):
-                with self._entry_lock:
-                    self._write(record)
-
-            def _write(self, record):
-                self._journal.append(record)
-    """,
-        )
-        findings = run_rule(DurabilityRule(DURABILITY_CONFIG), [path])
-        assert len(findings) == 1
-        assert "without the owning entry lock" in findings[0].message
-
-    def test_readonly_load_is_quiet_but_repair_needs_guard(self, tmp_path):
-        path = write(
-            tmp_path,
-            "service.py",
-            """
-        import threading
-
-        class Workspace:
-            def __init__(self, journal):
-                self._entry_lock = threading.RLock()
-                self._journal = journal
+            def _append_locked(self, entry, record):
+                self._journal.append(entry.name, record)
 
             def peek(self, name):
-                return self._journal.load(name)
+                return self._journal.load(name), self._journal.load(name, repair=False)
 
-            def recover(self, name):
-                return self._journal.load(name, repair=True)
+            def flush(self, name):
+                self._journal.sync(name)
+
+            def reload(self, name, version):
+                def restart():
+                    self._journal.begin_generation(name, version)
+                restart()
+                return self._journal.load(name, True)
     """,
         )
         findings = run_rule(DurabilityRule(DURABILITY_CONFIG), [path])
-        assert len(findings) == 1
-        assert findings[0].line == 13
+        assert [(f.line, f.message.split("(")[0]) for f in findings] == [
+            (14, "journal sync"),
+            (18, "journal begin_generation"),
+            (20, "journal load"),
+        ]
+
+    def test_journal_write_requires_entry_lock(self, tmp_path):
+        # A runtime precondition, not a static rule: the journal-writing
+        # ``*_locked`` helpers refuse to run without the entry lock.
+        from repro.data.datasets import make_numeric_table
+        from repro.service.workspace import Workspace
+
+        workspace = Workspace(data_dir=str(tmp_path))
+        try:
+            workspace.register("demo", make_numeric_table(
+                n_rows=50, n_columns=2, seed=1))
+            entry = workspace._entry("demo")
+            before = workspace.state("demo")
+            record = {"type": "build", "seq": entry.ingest.seq + 1}
+            with pytest.raises(RuntimeError, match="without its entry lock"):
+                workspace._transition_locked(entry, record)
+            with pytest.raises(RuntimeError, match="without its entry lock"):
+                workspace._write_snapshot_locked(
+                    entry, entry.version, entry, None)
+            with pytest.raises(RuntimeError, match="without its entry lock"):
+                workspace._begin_generation_locked(
+                    entry, loader=None, table=entry.table, engine_config=None)
+            with pytest.raises(RuntimeError, match="without its entry lock"):
+                workspace._sync_locked(entry)
+            assert workspace.state("demo") == before
+        finally:
+            workspace.close()
 
 
 # ---------------------------------------------------------------------------

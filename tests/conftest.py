@@ -32,11 +32,11 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 def _lock_order_tracking():
     """Runtime lock-order checking behind ``REPRO_DEBUG_LOCKS=1``.
 
-    Wraps every lock the suite creates in a tracing proxy, records the
-    actual acquisition order against the hierarchy declared in
-    ``repro.analysis.project``, and fails the session at teardown if any
-    thread ever inverted it — the dynamic counterpart of the static
-    ``lock-order`` rule, catching interleavings the AST walker cannot see.
+    Every lock the package makes while the tracker listens is a proxy
+    carrying its role (``repro.obs.lockhook``); the tracker checks each
+    real acquisition against the roles' levels and fails the session at
+    teardown if any thread ever inverted them or nested two equal-level
+    roles both ways.
     """
     if os.environ.get("REPRO_DEBUG_LOCKS") != "1":
         yield
@@ -49,6 +49,23 @@ def _lock_order_tracking():
     finally:
         tracker.uninstall()
         tracker.assert_clean()
+
+
+@pytest.fixture()
+def no_lock_listeners():
+    """The lock listeners already installed (the session's tracker, under
+    ``REPRO_DEBUG_LOCKS=1``) step aside for one test: a defect the test
+    seeds on purpose is then seen only by the listeners it installs."""
+    from repro.obs import lockhook
+
+    others = lockhook.listeners()
+    for listener in others:
+        lockhook.remove_listener(listener)
+    try:
+        yield
+    finally:
+        for listener in others:
+            lockhook.add_listener(listener)
 
 
 @pytest.fixture(scope="session")

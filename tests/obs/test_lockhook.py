@@ -1,9 +1,11 @@
 """The shared lock hook and its two listeners, installed together.
 
-The lock-order tracker and the lock-wait watchdog listen on one patch
-point (:mod:`repro.obs.lockhook`): each must see the same acquisition,
-named from the same caller frame, whichever was installed first, and
-any removal order must put back the factories found at the start.
+Every lock is made by :mod:`repro.obs.lockhook` with its role.  With no
+listener the factories hand out real locks; with one, hooked locks that
+carry the role.  The lock-order tracker and the lock-wait watchdog
+listen on the one hook: each must see the same acquisition and the same
+role, whichever was installed first, and ``threading``'s own factories
+are never touched.
 """
 
 from __future__ import annotations
@@ -53,9 +55,39 @@ def _line_of(marker: str) -> int:
     return start + next(i for i, line in enumerate(source) if marker in line)
 
 
+class TestFactories:
+    def test_no_listener_no_proxy(self, no_lock_listeners):
+        lock, rlock = lockhook.lock("metrics.lock"), lockhook.rlock("cache.lock")
+        assert not isinstance(lock, HookedLock)
+        assert not isinstance(rlock, HookedLock)
+        with rlock:
+            with rlock:  # a real RLock
+                assert rlock._is_owned()
+
+    def test_a_listener_gets_proxies_carrying_role_and_reentrancy(self, recorder):
+        lock, rlock = lockhook.lock("metrics.lock"), lockhook.rlock("cache.lock")
+        assert (lock.role, lock.reentrant) == ("metrics.lock", False)
+        assert (rlock.role, rlock.reentrant) == ("cache.lock", True)
+        with rlock:
+            with rlock:
+                assert rlock._is_owned()
+        assert "metrics.lock" in repr(lock)
+
+    def test_an_unknown_role_is_refused(self, recorder):
+        with pytest.raises(ValueError, match="unknown lock role"):
+            lockhook.lock("no.such.role")
+        with pytest.raises(ValueError, match="unknown lock role"):
+            lockhook.rlock("no.such.role")
+
+    def test_threading_factories_are_never_patched(self, recorder):
+        assert threading.Lock.__module__ == threading.RLock().__module__ == "_thread"
+        assert not isinstance(threading.Lock(), HookedLock)
+        assert not isinstance(threading.RLock(), HookedLock)
+
+
 class TestHookedLock:
     def test_listeners_get_the_callers_frame_once_per_acquisition(self, recorder):
-        lock = threading.Lock()
+        lock = lockhook.lock("metrics.lock")
         assert isinstance(lock, HookedLock)
         with lock:  # marker: with-site
             pass
@@ -74,7 +106,7 @@ class TestHookedLock:
         assert [e[2] for e in releases] == [True, True]
 
     def test_a_contended_acquisition_reports_its_wait(self, recorder):
-        lock = threading.Lock()
+        lock = lockhook.lock("metrics.lock")
         lock.acquire()
         threading.Timer(0.05, lock.release).start()
         with lock:
@@ -85,7 +117,7 @@ class TestHookedLock:
         assert waited[1] >= 0.04
 
     def test_failed_acquisitions_report_nothing(self, recorder):
-        lock = threading.Lock()
+        lock = lockhook.lock("metrics.lock")
         lock.acquire()
         assert lock.acquire(blocking=False) is False
         assert lock.acquire(timeout=0.01) is False
@@ -96,7 +128,7 @@ class TestHookedLock:
         lock.release()
 
     def test_non_blocking_acquisitions_are_reported_as_such(self, recorder):
-        lock = threading.RLock()
+        lock = lockhook.rlock("cache.lock")
         assert lock.acquire(blocking=False)
         lock.release()
         assert recorder.events[0][4] is False
@@ -109,7 +141,7 @@ class TestHookedLock:
         assert recorder.events == []
 
     def test_condition_bookkeeping_is_not_reported(self, recorder):
-        condition = threading.Condition()
+        condition = threading.Condition(lockhook.rlock("cache.lock"))
         done = threading.Event()
 
         def waiter():
@@ -175,19 +207,19 @@ class TestStackedListeners:
     @pytest.mark.parametrize("tracker_out_first", [True, False])
     def test_any_removal_order_restores_the_factories(self, tracker_out_first):
         # Under REPRO_DEBUG_LOCKS=1 the session tracker is already a
-        # listener; the factories to come back are the ones found here.
-        before = (threading.Lock, threading.RLock)
-        tracker = LockTracker().install(roots=())
-        watchdog = LockWaitWatchdog(threshold_ms=50.0).install(roots=())
-        assert isinstance(threading.Lock(), HookedLock)
-        assert isinstance(threading.RLock(), HookedLock)
+        # listener; the listeners to come back to are the ones found here.
+        before = lockhook.listeners()
+        tracker = LockTracker().install()
+        watchdog = LockWaitWatchdog(threshold_ms=50.0).install()
+        assert isinstance(lockhook.lock("metrics.lock"), HookedLock)
         assert watchdog.snapshot()["installed"]
         first, second = ((tracker, watchdog) if tracker_out_first
                          else (watchdog, tracker))
         first.uninstall()
-        assert isinstance(threading.Lock(), HookedLock)
+        assert isinstance(lockhook.rlock("cache.lock"), HookedLock)
         second.uninstall()
-        assert (threading.Lock, threading.RLock) == before
+        assert lockhook.listeners() == before
+        assert isinstance(lockhook.lock("metrics.lock"), HookedLock) == bool(before)
         assert not watchdog.snapshot()["installed"]
         assert tracker not in lockhook.listeners()
 
@@ -195,13 +227,13 @@ class TestStackedListeners:
 def test_listeners_come_and_go_under_contention():
     """Workers hammer hooked locks while a second listener is added and
     removed over and over: the steady listener sees every acquisition
-    and release, and the factories come back at the end."""
+    and release, and the listeners found at the start are the ones left."""
     import sys
 
-    before = (threading.Lock, threading.RLock)
+    before = lockhook.listeners()
     steady = Recorder()
     lockhook.add_listener(steady)
-    locks = [threading.Lock(), threading.RLock()]
+    locks = [lockhook.lock("metrics.lock"), lockhook.rlock("cache.lock")]
     n_workers, rounds = 8, 2000
     stop = threading.Event()
     errors: list[BaseException] = []
@@ -241,4 +273,4 @@ def test_listeners_come_and_go_under_contention():
     mine = [event[0] for event in steady.events if event[1] in locks]
     assert mine.count("acquire") == n_workers * rounds
     assert mine.count("release") == n_workers * rounds
-    assert (threading.Lock, threading.RLock) == before
+    assert lockhook.listeners() == before

@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,8 +29,18 @@ from repro.obs.watchdog import (
 )
 
 
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+
 def _events(caplog) -> list[dict]:
     return [json.loads(record.message) for record in caplog.records]
+
+
+def _line_of(marker: str) -> int:
+    import inspect
+
+    source, start = inspect.getsourcelines(TestLockWaitWatchdog)
+    return start + next(i for i, line in enumerate(source) if marker in line)
 
 
 class TestLoopLagMonitor:
@@ -106,11 +121,10 @@ class TestStallDetector:
 
 
 class TestLockWaitWatchdog:
-    def test_contended_wait_is_counted(self):
-        # No site table: the wait below resolves to no declared role.
-        watchdog = LockWaitWatchdog(threshold_ms=20.0).install(roots=())
+    def test_contended_wait_is_counted(self, caplog):
+        watchdog = LockWaitWatchdog(threshold_ms=20.0).install()
         try:
-            lock = threading.Lock()
+            lock = lockhook.lock("metrics.lock")
             release = threading.Event()
 
             def holder():
@@ -123,16 +137,21 @@ class TestLockWaitWatchdog:
                 time.sleep(0.001)
             timer = threading.Timer(0.08, release.set)
             timer.start()
-            with lock:
-                pass
+            with caplog.at_level(logging.INFO, logger="repro.obs.events"):
+                with lock:  # marker: contended-site
+                    pass
             thread.join()
         finally:
             watchdog.uninstall()
         snap = watchdog.snapshot()
-        # The wait happened outside any declared lock site, so it is
-        # counted as unattributed rather than reported as a trip.
-        assert snap["unattributed"] == 1
-        assert snap["trips"] == 0
+        assert snap["trips"] == 1
+        [trip] = snap["recent"]
+        assert trip["lock"] == "metrics.lock"
+        assert trip["site"].endswith(f"test_watchdog.py:{_line_of('marker: contended-site')}")
+        assert trip["wait_ms"] >= 20.0
+        [event] = _events(caplog)
+        assert event["event"] == "lock_wait"
+        assert (event["lock"], event["site"]) == (trip["lock"], trip["site"])
 
     def test_a_wait_on_a_held_entry_lock_names_its_role(self):
         from repro.data.datasets import make_mixed_table
@@ -169,35 +188,83 @@ class TestLockWaitWatchdog:
         assert entry_trips[0]["wait_ms"] >= 20.0
 
     def test_uncontended_acquire_records_nothing(self):
-        watchdog = LockWaitWatchdog(threshold_ms=1.0).install(roots=())
+        watchdog = LockWaitWatchdog(threshold_ms=1.0).install()
         try:
-            lock = threading.Lock()
+            lock = lockhook.lock("metrics.lock")
             with lock:
                 pass
         finally:
             watchdog.uninstall()
         snap = watchdog.snapshot()
         assert snap["trips"] == 0
-        assert snap["unattributed"] == 0
+        assert snap["recent"] == []
 
-    def test_install_patches_and_uninstall_restores(self):
-        original_lock = threading.Lock
-        original_rlock = threading.RLock
+    def test_install_hooks_new_locks_and_uninstall_unhooks(self):
+        before = lockhook.listeners()
         watchdog = LockWaitWatchdog(threshold_ms=50.0)
         try:
             watchdog.install()
-            # One shared patch point: under REPRO_DEBUG_LOCKS=1 the
-            # factory is already the hook's, and the watchdog joins it.
             assert watchdog in lockhook.listeners()
-            lock = threading.Lock()
+            lock = lockhook.lock("metrics.lock")
             assert isinstance(lock, lockhook.HookedLock)
             with lock:  # the proxy still behaves like a lock
                 assert lock.locked()
             assert not lock.locked()
         finally:
             watchdog.uninstall()
-        assert threading.Lock is original_lock
-        assert threading.RLock is original_rlock
+        assert lockhook.listeners() == before
+        assert not isinstance(threading.Lock(), lockhook.HookedLock)
+
+    def test_install_neither_imports_the_analyzer_nor_parses_source(self):
+        # ``ast`` itself is always loaded (dataclasses imports inspect,
+        # which imports ast), so the child refuses ast.parse and any
+        # import of repro.analysis instead, then watches a real wait.
+        script = textwrap.dedent("""
+            import ast, sys, threading, time
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("source parsed at install")
+
+            class NoAnalyzer:
+                def find_spec(self, name, path=None, target=None):
+                    if name.startswith("repro.analysis"):
+                        raise AssertionError("imported " + name)
+
+            ast.parse = refuse
+            sys.meta_path.insert(0, NoAnalyzer())
+            from repro.data.datasets import make_mixed_table
+            from repro.obs.config import ObsConfig
+            from repro.obs.watchdog import install_lock_wait
+            from repro.service import Workspace
+
+            assert install_lock_wait(50.0) is not None
+            workspace = Workspace(obs=ObsConfig(lock_wait_ms=20.0))
+            workspace.register("demo", make_mixed_table(
+                n_rows=60, n_numeric=2, n_categorical=1, seed=5))
+            held = threading.Event()
+
+            def holder():
+                with workspace._locked_entry("demo"):
+                    held.set()
+                    time.sleep(0.08)
+
+            thread = threading.Thread(target=holder)
+            thread.start()
+            held.wait()
+            with workspace._locked_entry("demo"):
+                pass
+            thread.join()
+            [trip] = workspace.debug_info()["watchdogs"]["lock_wait"]["recent"]
+            assert trip["lock"] == "workspace.entry", trip
+            assert not any(m.startswith("repro.analysis") for m in sys.modules)
+            print("ok")
+        """)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("REPRO_DEBUG_LOCKS", None)
+        result = subprocess.run([sys.executable, "-c", script], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "ok"
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):

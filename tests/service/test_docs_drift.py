@@ -8,6 +8,8 @@
   ``examples/server_demo.py`` read from it.
 * docs/OBSERVABILITY.md's table of Prometheus families is the renderer's
   declaration, row for row.
+* docs/ANALYSIS.md's table of lock roles is ``lockhook.ROLES``, row for
+  row.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import re
 from pathlib import Path
 
 from repro.data.datasets import load_oecd
+from repro.obs.lockhook import ROLES
 from repro.server import ReproClient, ServerConfig, serving
 from repro.server.metrics import PROMETHEUS_FAMILIES
 from repro.service import InsightRequest, Workspace
@@ -92,3 +95,15 @@ def _documented_family_rows() -> list[tuple[str, ...]]:
 
 def test_observability_md_lists_every_prometheus_family():
     assert _documented_family_rows() == _declared_family_rows()
+
+
+def _documented_lock_roles() -> list[tuple[str, int]]:
+    text = (ROOT / "docs" / "ANALYSIS.md").read_text(encoding="utf-8")
+    section = text.split("### `lock-order`", 1)[1].split("\n#", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines()
+            if line.startswith("| `")]
+    return [(role.strip().strip("`"), int(level)) for role, level, *_ in rows]
+
+
+def test_analysis_md_lists_every_lock_role():
+    assert _documented_lock_roles() == list(ROLES.items())
