@@ -23,7 +23,8 @@ Design constraints, in order of importance:
   thread-local read plus a ``None`` check when no request is being
   accounted.
 * **No dependencies on the layers it observes.**  ``repro.obs`` imports
-  only the standard library (the ledger additionally numpy), so
+  only the standard library (the ledger additionally numpy, the config
+  the stdlib-only :mod:`repro.knobs`), so
   ``repro.core``, ``repro.ingest`` and ``repro.service`` can all import
   it without cycles.  Installing the lock-wait watchdog imports
   nothing more.
@@ -58,8 +59,6 @@ from repro.obs.watchdog import (
     LockWaitWatchdog,
     LoopLagMonitor,
     StallDetector,
-    install_lock_wait,
-    uninstall_lock_wait,
 )
 
 __all__ = [
@@ -78,7 +77,6 @@ __all__ = [
     "current_recorder",
     "current_span",
     "deep_sizeof",
-    "install_lock_wait",
     "obs_span",
     "record_cache_probe",
     "record_candidates",
@@ -87,5 +85,4 @@ __all__ = [
     "record_sketch_probe",
     "table_bytes",
     "trace_entry_bytes",
-    "uninstall_lock_wait",
 ]

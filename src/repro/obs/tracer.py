@@ -290,25 +290,6 @@ class Tracer:
         span.duration = self.clock() - start_pc
         parent.bucket.append(span)
 
-    def configure(self, config: ObsConfig) -> None:
-        """Apply a new :class:`ObsConfig` (server startup override)."""
-        with self._drain_lock:
-            self.enabled = config.enabled
-            self.slow_ms = config.slow_ms
-            self.account_memory = config.resources_enabled
-            if config.ring_capacity != self.ring_capacity:
-                self.ring_capacity = config.ring_capacity
-                before = len(self._ring)
-                self._ring = deque(self._ring, maxlen=config.ring_capacity)
-                dropped = before - len(self._ring)
-                if dropped > 0:
-                    # A shrink evicts the oldest entries silently inside
-                    # deque(); re-account them here.
-                    self._ring_evictions += dropped
-                    self._ring_bytes = sum(
-                        entry.get("_bytes", 0) for entry in self._ring
-                    )
-
     def set_slow_ms(self, slow_ms: float) -> float:
         """Set the slow-request threshold; returns the applied value."""
         if slow_ms < 0:

@@ -25,9 +25,9 @@ Three independent detectors, each emitting structured events through
     ``lock_wait`` event naming the role the lock was made with and the
     ``path:line`` that took it.  Uncontended acquisitions pay one
     try-acquire and no clock read.  Only locks made after installation
-    are hooked — install it before building the state you want watched
-    (the workspace does this when its ``ObsConfig.lock_wait_ms`` is
-    positive).
+    are hooked — install it before building the state you want watched.
+    A workspace whose ``ObsConfig.lock_wait_ms`` is positive installs
+    its own watchdog first thing and uninstalls it on ``close()``.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ __all__ = [
     "LoopLagMonitor",
     "StallDetector",
     "LockWaitWatchdog",
-    "install_lock_wait",
-    "uninstall_lock_wait",
 ]
 
 
@@ -225,30 +223,3 @@ class LockWaitWatchdog:
                 "trips": self._trips,
                 "recent": list(self._recent),
             }
-
-
-_lock_wait_singleton: LockWaitWatchdog | None = None
-
-
-def install_lock_wait(threshold_ms: float) -> LockWaitWatchdog | None:
-    """Install (or reuse) the process-wide lock-wait watchdog.
-
-    Returns ``None`` when ``threshold_ms`` is not positive — the
-    watchdog is strictly opt-in; by default the lock factories hand out
-    real, unhooked locks.
-    """
-    global _lock_wait_singleton
-    if threshold_ms <= 0:
-        return None
-    if _lock_wait_singleton is None:
-        _lock_wait_singleton = LockWaitWatchdog(threshold_ms=threshold_ms).install()
-    else:
-        _lock_wait_singleton.threshold_ms = float(threshold_ms)
-    return _lock_wait_singleton
-
-
-def uninstall_lock_wait() -> None:
-    global _lock_wait_singleton
-    if _lock_wait_singleton is not None:
-        _lock_wait_singleton.uninstall()
-        _lock_wait_singleton = None

@@ -5,7 +5,9 @@ datasets (the paper's three scenarios), wraps it in
 :class:`~repro.server.ReproServer` and blocks until Ctrl-C, which drains
 in-flight requests before exiting.  Every :class:`ServerConfig` knob is
 available as a flag (``repro-serve --help``) or a ``REPRO_SERVER_*``
-environment variable.
+environment variable, and every :class:`~repro.obs.config.ObsConfig`
+knob as an ``--obs-*`` flag or a ``REPRO_OBS_*`` variable; the parsed
+``ObsConfig`` goes to the served workspace, primary or replica.
 
 ``--replica-of http://host:port`` serves a read replica instead: the
 workspace tails the primary's journal endpoint, refuses writes (403)
@@ -52,9 +54,9 @@ def build_workspace(
     first: datasets persisted by a previous process (snapshots, appended
     rows) are replayed to their exact ``(version, seq)`` state, and
     registering a bundled loader over restored state adopts it instead
-    of resetting it.  ``obs`` configures the workspace tracer up front,
-    so even startup work (restore, preload engine builds) is traced
-    under the requested settings.
+    of resetting it.  ``obs`` is the workspace's observability config,
+    in force from its construction, so even startup work (restore,
+    preload engine builds) is traced under the requested settings.
     """
     names = datasets or sorted(BUNDLED_DATASETS)
     workspace = Workspace(data_dir=data_dir, obs=obs)
@@ -76,8 +78,10 @@ def build_workspace(
     return workspace
 
 
-def build_replica_workspace(config: ServerConfig) -> ReplicaWorkspace:
-    """A read replica tailing the primary named by ``config.replica_of``.
+def build_replica_workspace(config: ServerConfig,
+                            obs: ObsConfig | None = None) -> ReplicaWorkspace:
+    """A read replica tailing the primary named by ``config.replica_of``,
+    observed under ``obs``.
 
     The feed source is constructed lazily-tolerant: an unreachable
     primary at startup is not fatal — the tailer keeps retrying every
@@ -90,7 +94,7 @@ def build_replica_workspace(config: ServerConfig) -> ReplicaWorkspace:
     from repro.replication.feed import HttpFeedSource
 
     source = HttpFeedSource.from_url(config.replica_of)
-    workspace = ReplicaWorkspace(source)
+    workspace = ReplicaWorkspace(source, obs=obs)
     workspace.start_tailing(
         interval=config.replica_poll_interval,
         promote_after=config.promote_after,
@@ -98,12 +102,14 @@ def build_replica_workspace(config: ServerConfig) -> ReplicaWorkspace:
     return workspace
 
 
-def main(argv: list[str] | None = None) -> int:
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro-serve`` parser: server, observability and dataset flags."""
     parser = argparse.ArgumentParser(
         prog="repro-serve",
         description="Serve the Foresight reproduction over HTTP.",
     )
     ServerConfig.add_cli_arguments(parser)
+    ObsConfig.add_cli_arguments(parser)
     parser.add_argument(
         "--datasets", nargs="*", metavar="NAME",
         help="bundled datasets to register "
@@ -113,17 +119,21 @@ def main(argv: list[str] | None = None) -> int:
         "--preload", action="store_true",
         help="build every engine at startup instead of on first request",
     )
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     config = ServerConfig.from_args(args)
+    obs = ObsConfig.from_args(args)
     if config.replica_of is not None:
-        workspace = build_replica_workspace(config)
+        workspace = build_replica_workspace(config, obs)
         print(f"replicating from {config.replica_of}")
         ReproServer(workspace, config).run()
         return 0
     workspace = build_workspace(
         datasets=args.datasets,
-        preload=args.preload, data_dir=config.data_dir,
-        obs=config.obs,
+        preload=args.preload, data_dir=config.data_dir, obs=obs,
     )
     # The bundled loaders double as the PUT /v1/datasets/{name} loader
     # registry, so clients can (re)register them by name over the wire.

@@ -97,15 +97,11 @@ from typing import Any, Awaitable, Callable, Iterator, Sequence
 
 from repro.errors import (
     AdmissionRejected,
-    DeltaValidationError,
     ForesightError,
     ProtocolError,
-    QueryError,
-    ReplicaReadOnlyError,
     ServerError,
     ServiceError,
     UnknownDatasetError,
-    UnknownInsightClassError,
 )
 from repro.data.schema import ColumnKind
 from repro.data.table import DataTable
@@ -115,10 +111,9 @@ from repro.ingest.durable import (
     durable_state_to_payload,
 )
 from repro.obs import events as obs_events
-from repro.obs.config import ObsConfig
 from repro.obs.tracer import bind
 from repro.obs.watchdog import LoopLagMonitor
-from repro.service.dto import InsightRequest, error_envelope
+from repro.service.dto import InsightRequest, error_envelope, error_reply
 from repro.service.workspace import Workspace
 from repro.server.admission import AdmissionController
 from repro.server.coalesce import RequestCoalescer
@@ -273,16 +268,13 @@ class ReproServer:
             retry_after=self.config.retry_after,
         )
         #: The workspace's tracer, shared so request spans and workspace
-        #: spans assemble into one trace; server config overrides apply
-        #: at construction (not start()) so even pre-start traffic — and
-        #: tests poking handlers directly — see the configured state.
+        #: spans assemble into one trace.
         self.tracer = workspace.tracer
-        if self.config.obs is not None:
-            self.tracer.configure(self.config.obs)
-        #: Event-loop responsiveness watchdog; ``start()`` schedules its
-        #: sampling task on the serving loop, ``stop()`` cancels it.
-        obs_config = self.config.obs or ObsConfig()
-        self.loop_lag = LoopLagMonitor(threshold_ms=obs_config.loop_lag_ms)
+        #: Event-loop responsiveness watchdog at the workspace's
+        #: ``loop_lag_ms``; ``start()`` schedules its sampling task on
+        #: the serving loop, ``stop()`` cancels it.
+        self.loop_lag = LoopLagMonitor(
+            threshold_ms=workspace.obs_config.loop_lag_ms)
         self._loop_lag_task: asyncio.Task | None = None
         self._coalescer: RequestCoalescer | None = None
         self._pool: ThreadPoolExecutor | None = None
@@ -907,7 +899,8 @@ class ReproServer:
             ),
             "datasets": self._workspace.datasets(),
             "in_flight": self.admission.snapshot()["in_flight"],
-            "config": self.config.as_dict(),
+            "config": {**self.config.as_dict(),
+                       "obs": self._workspace.obs_config.as_dict()},
         }
 
     async def _get_debug(self, request: _HttpRequest) -> tuple[int, Any]:
@@ -1373,33 +1366,10 @@ class ReproServer:
     @staticmethod
     def _error_payload(exc: Exception) -> tuple[int, dict[str, Any]]:
         """Map an exception to (status, structured error envelope)."""
-        if isinstance(exc, AdmissionRejected):
-            return exc.status, error_envelope(
-                exc.code, str(exc), retry_after=exc.retry_after
-            )
-        if isinstance(exc, UnknownDatasetError):
-            return 404, error_envelope(
-                "unknown_dataset", str(exc), available=exc.available
-            )
-        if isinstance(exc, UnknownInsightClassError):
-            return 400, error_envelope(
-                "unknown_insight_class", str(exc), available=exc.available
-            )
-        if isinstance(exc, DeltaValidationError):
-            return 400, error_envelope(
-                "delta_rejected", str(exc), problems=exc.problems
-            )
-        if isinstance(exc, ReplicaReadOnlyError):
-            return 403, error_envelope("replica_read_only", str(exc))
-        if isinstance(exc, ProtocolError):
-            return 400, error_envelope("protocol_error", str(exc))
-        if isinstance(exc, QueryError):
-            return 400, error_envelope("invalid_query", str(exc))
-        if isinstance(exc, ForesightError):
-            return 500, error_envelope("internal_error", str(exc))
-        return 500, error_envelope(
-            "internal_error", f"{type(exc).__name__}: {exc}"
-        )
+        status, code, details = error_reply(exc)
+        message = (str(exc) if isinstance(exc, ForesightError)
+                   else f"{type(exc).__name__}: {exc}")
+        return status, error_envelope(code, message, **details)
 
 
 class ServerHandle:

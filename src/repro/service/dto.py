@@ -18,10 +18,19 @@ with ``null`` rather than IEEE infinities, keeping payloads strict JSON.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Any, ClassVar, Mapping
 
-from repro.errors import ProtocolError
+from repro.errors import (
+    AdmissionRejected,
+    DeltaValidationError,
+    ProtocolError,
+    QueryError,
+    ReplicaReadOnlyError,
+    UnknownDatasetError,
+    UnknownInsightClassError,
+)
 from repro.core.insight import Insight
 from repro.core.query import InsightQuery, MetricRange
 
@@ -43,11 +52,40 @@ _MISS_PROVENANCE = '"provenance":{"cache":"miss"'
 
 def _check_protocol(payload: Mapping[str, Any], what: str) -> None:
     version = payload.get("protocol", PROTOCOL_VERSION)
-    if version != PROTOCOL_VERSION:
+    if version != PROTOCOL_VERSION or type(version) is not int:
         raise ProtocolError(
             f"unsupported {what} protocol version {version!r}; "
             f"this library speaks version {PROTOCOL_VERSION}"
         )
+
+
+_NULL = type(None)
+_NAMES = (str, list)
+_ONLY_STRINGS = frozenset({str})
+_NUMBER = (int, float, _NULL)
+#: No finite number lies beyond it (nor does nan): a float past it is
+#: inf, and an integer past it overflows ``float()``.
+_FLOAT_MAX = sys.float_info.max
+
+#: Every request field's JSON type as docs/API.md words it ("The DTO
+#: protocol"), and the Python types ``json.loads`` gives that type.
+#: Types are matched exactly, so ``true`` is no integer; an array must
+#: also hold only strings, and a number must be finite.
+_REQUEST_FIELDS: dict[str, tuple[str, tuple[type, ...]]] = {
+    "dataset": ("a string", (str,)),
+    "insight_classes": ("a string or an array of strings", _NAMES),
+    "top_k": ("an integer", (int,)),
+    "fixed": ("a string or an array of strings", _NAMES),
+    "excluded": ("a string or an array of strings", _NAMES),
+    "tags": ("a string or an array of strings", _NAMES),
+    "metric_min": ("a finite number or null", _NUMBER),
+    "metric_max": ("a finite number or null", _NUMBER),
+    "mode": ("a string or null", (str, _NULL)),
+    "max_candidates": ("an integer or null", (int, _NULL)),
+    "cursor": ("a string or null", (str, _NULL)),
+    "debug": ("a boolean", (bool,)),
+    "max_lag_seq": ("an integer or null", (int, _NULL)),
+}
 
 
 @dataclass(frozen=True)
@@ -183,29 +221,32 @@ class InsightRequest:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "InsightRequest":
+        """Decode a wire request, checking every field's JSON type.
+
+        A value of another type than docs/API.md documents — a string
+        ``top_k``, a ``"false"`` debug flag — raises
+        :class:`~repro.errors.ProtocolError`, never a coercion.
+        """
         _check_protocol(payload, "request")
-        try:
-            dataset = payload["dataset"]
-            insight_classes = payload["insight_classes"]
-        except KeyError as exc:
-            raise ProtocolError(f"request is missing required key {exc}") from exc
-        max_candidates = payload.get("max_candidates")
-        max_lag_seq = payload.get("max_lag_seq")
-        return cls(
-            dataset=str(dataset),
-            insight_classes=insight_classes,
-            top_k=int(payload.get("top_k", 5)),
-            fixed=tuple(payload.get("fixed", ())),
-            excluded=tuple(payload.get("excluded", ())),
-            tags=tuple(payload.get("tags", ())),
-            metric_min=payload.get("metric_min"),
-            metric_max=payload.get("metric_max"),
-            mode=payload.get("mode"),
-            max_candidates=None if max_candidates is None else int(max_candidates),
-            cursor=payload.get("cursor"),
-            debug=bool(payload.get("debug", False)),
-            max_lag_seq=None if max_lag_seq is None else int(max_lag_seq),
-        )
+        for key in ("dataset", "insight_classes"):
+            if key not in payload:
+                raise ProtocolError(f"request is missing required key {key!r}")
+        values = {}
+        for key, value in payload.items():
+            spec = _REQUEST_FIELDS.get(key)
+            if spec is None:
+                continue  # "protocol", or a key this version does not read
+            kind = type(value)
+            if kind not in spec[1] or (
+                kind is list and not _ONLY_STRINGS.issuperset(map(type, value))
+            ) or (
+                spec[1] is _NUMBER and value is not None
+                and not -_FLOAT_MAX <= value <= _FLOAT_MAX
+            ):
+                raise ProtocolError(
+                    f"request {key} must be {spec[0]}, got {value!r}")
+            values[key] = value
+        return cls(**values)
 
     def to_json(self) -> str:
         return _canonical_json(self.to_dict())
@@ -404,6 +445,31 @@ def error_envelope_json(code: str, message: str, **details: Any) -> str:
     return _canonical_json(error_envelope(code, message, **details))
 
 
+def error_reply(exc: Exception) -> tuple[int, str, dict[str, Any]]:
+    """``(HTTP status, error code, envelope details)`` for an exception.
+
+    The one table from failure to error envelope: the HTTP server and
+    :meth:`~repro.service.workspace.Workspace.handle_json` both answer
+    from it, so a failure carries the same ``code`` on every transport.
+    An exception from outside the library is an ``internal_error``.
+    """
+    if isinstance(exc, AdmissionRejected):
+        return exc.status, exc.code, {"retry_after": exc.retry_after}
+    if isinstance(exc, UnknownDatasetError):
+        return 404, "unknown_dataset", {"available": exc.available}
+    if isinstance(exc, UnknownInsightClassError):
+        return 400, "unknown_insight_class", {"available": exc.available}
+    if isinstance(exc, DeltaValidationError):
+        return 400, "delta_rejected", {"problems": exc.problems}
+    if isinstance(exc, ReplicaReadOnlyError):
+        return 403, "replica_read_only", {}
+    if isinstance(exc, ProtocolError):
+        return 400, "protocol_error", {}
+    if isinstance(exc, QueryError):
+        return 400, "invalid_query", {}
+    return 500, "internal_error", {}
+
+
 def is_error_envelope(payload: Any) -> bool:
     """True when a decoded payload is a structured error envelope."""
     return isinstance(payload, Mapping) and payload.get("status") == "error"
@@ -421,5 +487,6 @@ __all__ = [
     "SessionState",
     "error_envelope",
     "error_envelope_json",
+    "error_reply",
     "is_error_envelope",
 ]

@@ -51,7 +51,7 @@ from repro.ingest.durable import (
 )
 from repro.obs import events as obs_events, lockhook
 from repro.obs.config import ObsConfig
-from repro.obs.tracer import Tracer, obs_span
+from repro.obs.tracer import obs_span
 from repro.service.workspace import Workspace
 
 
@@ -125,7 +125,7 @@ class ReplicaWorkspace(Workspace):
         self,
         source: FeedSource,
         cache_size: int = 128,
-        obs: ObsConfig | Tracer | None = None,
+        obs: ObsConfig | None = None,
         poll_interval: float = 0.25,
         max_batch_records: int = 512,
     ):

@@ -109,7 +109,7 @@ from repro.obs.resources import (
     record_cache_probe,
 )
 from repro.obs.tracer import Tracer, current_span, obs_span
-from repro.obs.watchdog import StallDetector, install_lock_wait
+from repro.obs.watchdog import LockWaitWatchdog, StallDetector
 from repro.service.cache import ResultCache
 from repro.service.cursor import decode_cursor, encode_cursor
 from repro.service.dto import (
@@ -117,6 +117,7 @@ from repro.service.dto import (
     InsightResponse,
     SessionState,
     error_envelope_json,
+    error_reply,
 )
 
 #: An ``engine.snapshot`` on the warm path records a span only when the
@@ -223,12 +224,14 @@ class Workspace:
     a background worker (``IngestConfig.rebuild_fraction``), swapping
     the fresh engine in atomically under the single-flight lock.
 
-    ``obs`` configures request tracing (:mod:`repro.obs`): pass an
-    :class:`~repro.obs.config.ObsConfig` to tune it, a prebuilt
-    :class:`~repro.obs.tracer.Tracer` to share one across workspaces, or
-    nothing for the on-by-default tracer.  The workspace owns the tracer
-    — the HTTP server reuses it via :attr:`tracer` so request spans and
-    workspace spans land in one trace.
+    ``obs`` is the workspace's :class:`~repro.obs.config.ObsConfig`
+    (defaults when None): its tracer, cost windows, memory ledger and
+    watchdogs are built from it, and the HTTP server reads it back from
+    :attr:`obs_config` (its loop-lag threshold, the ``/healthz`` echo).
+    The workspace owns the tracer — the server reuses it via
+    :attr:`tracer` so request spans and workspace spans land in one
+    trace — and, when ``lock_wait_ms`` is positive, its own lock-wait
+    watchdog, which :meth:`close` uninstalls.
     """
 
     def __init__(
@@ -236,23 +239,21 @@ class Workspace:
         cache_size: int = 128,
         ingest: IngestConfig | None = None,
         data_dir: str | None = None,
-        obs: ObsConfig | Tracer | None = None,
+        obs: ObsConfig | None = None,
     ):
-        # Resolve the observability config before creating any lock:
-        # only locks made while the opt-in lock-wait watchdog listens
-        # are hooked, so installing it first is what puts the
-        # workspace's own locks under watch.
-        if isinstance(obs, Tracer):
-            obs_config = ObsConfig(enabled=obs.enabled,
-                                   resources_enabled=obs.account_memory)
-        else:
-            obs_config = obs or ObsConfig()
+        obs_config = obs or ObsConfig()
         self._obs_config = obs_config
-        self._lock_wait = install_lock_wait(obs_config.lock_wait_ms)
+        # Installed before any lock is made: only locks made while the
+        # opt-in lock-wait watchdog listens are hooked, so this is what
+        # puts the workspace's own locks under watch.
+        self._lock_wait = (
+            LockWaitWatchdog(obs_config.lock_wait_ms).install()
+            if obs_config.lock_wait_ms > 0 else None
+        )
         self._entries: dict[str, _DatasetEntry] = {}
         #: The tracing subsystem (always present; a disabled ObsConfig
         #: makes every span a shared no-op).
-        self._tracer = obs if isinstance(obs, Tracer) else Tracer(obs)
+        self._tracer = Tracer(obs_config)
         self._cache = ResultCache(capacity=cache_size)
         #: Per-request cost attribution (rolling windows, lifetime
         #: totals, top-K ring) and the incremental memory ledger.  Both
@@ -1029,7 +1030,7 @@ class Workspace:
 
         Idempotent.  A workspace used purely in memory (no ``data_dir``,
         no background rebuild ever scheduled) has nothing to release and
-        close() is free.
+        close() is free, but for uninstalling its lock-wait watchdog.
         """
         with self._lock:
             if self._closed:
@@ -1038,11 +1039,15 @@ class Workspace:
             maintenance, self._maintenance = self._maintenance, None
         if maintenance is not None:
             maintenance.shutdown(wait=True)  # waits for an in-flight rebuild
-        if self._journal is not None:
-            try:
-                self.flush_all()
-            finally:
-                self._journal.close()
+        try:
+            if self._journal is not None:
+                try:
+                    self.flush_all()
+                finally:
+                    self._journal.close()
+        finally:
+            if self._lock_wait is not None:
+                self._lock_wait.uninstall()
 
     def ingest_stats(self) -> dict[str, Any]:
         """Ingestion counters (lifetime totals + per-dataset) for ops.
@@ -1326,28 +1331,21 @@ class Workspace:
     def handle_json(self, text: str) -> str:
         """JSON-in / JSON-out convenience for transport adapters.
 
-        Client-input failures never raise: malformed JSON / protocol
-        violations, unknown dataset names and unknown insight classes
-        come back as the structured DTO error envelope
-        (``{"status": "error", "code": ..., "message": ...}``), so a
-        transport can ship the payload verbatim with the matching status
-        code.  Engine-side failures (a buggy loader, say) still
-        propagate — they are server faults, not request faults.
+        Library failures never raise: malformed JSON, a field of the
+        wrong type, an unknown dataset or insight class, an empty
+        metric range — each comes back as the structured DTO error
+        envelope (``{"status": "error", "code": ..., "message": ...}``)
+        with the ``code`` the HTTP server gives it
+        (:func:`~repro.service.dto.error_reply`), so a transport can ship
+        the payload verbatim with the matching status code.  Failures
+        from outside the library (a buggy loader, say) still propagate —
+        they are server faults, not request faults.
         """
         try:
-            request = InsightRequest.from_json(text)
-        except ProtocolError as exc:
-            return error_envelope_json("protocol_error", str(exc))
-        try:
-            return self.handle(request).reply_json()
-        except UnknownDatasetError as exc:
-            return error_envelope_json(
-                "unknown_dataset", str(exc), available=exc.available
-            )
-        except UnknownInsightClassError as exc:
-            return error_envelope_json(
-                "unknown_insight_class", str(exc), available=exc.available
-            )
+            return self.handle(InsightRequest.from_json(text)).reply_json()
+        except ForesightError as exc:
+            _status, code, details = error_reply(exc)
+            return error_envelope_json(code, str(exc), **details)
 
     # ------------------------------------------------------------------
     # Sessions (workspace-addressable by dataset name)
@@ -1388,6 +1386,11 @@ class Workspace:
     @property
     def cache(self) -> ResultCache:
         return self._cache
+
+    @property
+    def obs_config(self) -> ObsConfig:
+        """The observability configuration this workspace was built with."""
+        return self._obs_config
 
     @property
     def tracer(self) -> Tracer:

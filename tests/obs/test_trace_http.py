@@ -166,9 +166,10 @@ class TestRequestTraces:
                 raw = client.request_raw("GET", "/v1/traces?limit=zero")
                 assert raw.status == 400
 
-    def test_tracing_can_be_disabled_per_server(self, workspace):
-        config = ServerConfig(port=0, obs=ObsConfig(enabled=False))
-        with serving(workspace, config) as handle:
+    def test_tracing_can_be_disabled_per_server(self, table):
+        workspace = Workspace(obs=ObsConfig(enabled=False))
+        workspace.register("demo", lambda: table)
+        with serving(workspace, ServerConfig(port=0)) as handle:
             with ReproClient(*handle.address) as client:
                 client.insights(_request())
                 assert client.last_trace_id is None

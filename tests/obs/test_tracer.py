@@ -201,20 +201,6 @@ class TestRing:
         assert stats["spans_recorded"] == 1
         assert [t["name"] for t in tracer.traces()] == ["healthy"]
 
-    def test_configure_resizes_ring_and_keeps_newest(self, clock):
-        tracer = make_tracer(clock, ring_capacity=8)
-        for i in range(8):
-            with tracer.span("request", index=i):
-                pass
-        tracer.configure(ObsConfig(ring_capacity=2))
-        held = tracer.traces()
-        assert len(held) == 2
-        # The two newest survive the resize.
-        indices = [tracer.trace(t["trace_id"])["root"]["attributes"]["index"]
-                   for t in held]
-        assert indices == [7, 6]
-        assert tracer.stats()["ring_capacity"] == 2
-
     def test_set_slow_ms_validates(self, clock):
         tracer = make_tracer(clock)
         assert tracer.set_slow_ms(10.0) == 10.0

@@ -24,8 +24,6 @@ from repro.obs.watchdog import (
     LockWaitWatchdog,
     LoopLagMonitor,
     StallDetector,
-    install_lock_wait,
-    uninstall_lock_wait,
 )
 
 
@@ -180,7 +178,6 @@ class TestLockWaitWatchdog:
             snap = workspace.debug_info()["watchdogs"]["lock_wait"]
         finally:
             workspace.close()
-            uninstall_lock_wait()
         entry_trips = [trip for trip in snap["recent"]
                        if trip["lock"] == "workspace.entry"]
         assert entry_trips, snap
@@ -234,10 +231,8 @@ class TestLockWaitWatchdog:
             sys.meta_path.insert(0, NoAnalyzer())
             from repro.data.datasets import make_mixed_table
             from repro.obs.config import ObsConfig
-            from repro.obs.watchdog import install_lock_wait
             from repro.service import Workspace
 
-            assert install_lock_wait(50.0) is not None
             workspace = Workspace(obs=ObsConfig(lock_wait_ms=20.0))
             workspace.register("demo", make_mixed_table(
                 n_rows=60, n_numeric=2, n_categorical=1, seed=5))
@@ -270,9 +265,39 @@ class TestLockWaitWatchdog:
         with pytest.raises(ValueError):
             LockWaitWatchdog(threshold_ms=0.0)
 
-    def test_install_lock_wait_zero_is_disabled(self):
-        assert install_lock_wait(0.0) is None
-        uninstall_lock_wait()  # idempotent when nothing installed
+    def test_workspace_lock_wait_zero_installs_nothing(self):
+        from repro.service import Workspace
+
+        before = lockhook.listeners()
+        workspace = Workspace()
+        try:
+            assert lockhook.listeners() == before
+            assert "lock_wait" not in workspace.debug_info()["watchdogs"]
+        finally:
+            workspace.close()
+
+    def test_each_workspace_owns_its_watchdog(self):
+        from repro.obs.config import ObsConfig
+        from repro.service import Workspace
+
+        before = lockhook.listeners()
+        first = Workspace(obs=ObsConfig(lock_wait_ms=20.0))
+        second = Workspace(obs=ObsConfig(lock_wait_ms=80.0))
+        try:
+            first_dog = first.debug_info()["watchdogs"]["lock_wait"]
+            second_dog = second.debug_info()["watchdogs"]["lock_wait"]
+            assert first_dog["threshold_ms"] == 20.0
+            assert second_dog["threshold_ms"] == 80.0
+            assert first_dog["installed"] and second_dog["installed"]
+            first.close()
+            assert first.debug_info()["watchdogs"]["lock_wait"] == {
+                **first_dog, "installed": False}
+            assert second.debug_info()["watchdogs"]["lock_wait"] == second_dog
+            first.close()  # idempotent
+        finally:
+            first.close()
+            second.close()
+        assert lockhook.listeners() == before
 
 
 class TestWorkspaceIntegration:

@@ -1,4 +1,5 @@
-"""ServerConfig: defaults, validation, environment and CLI construction."""
+"""The knob surface: ServerConfig and ObsConfig, their environment and
+CLI construction, the docs that list them, and who owns ObsConfig."""
 
 from __future__ import annotations
 
@@ -9,17 +10,72 @@ from pathlib import Path
 
 import pytest
 
+from repro.data.datasets import load_oecd
 from repro.errors import ServerError
 from repro.obs import ObsConfig
-from repro.server import ServerConfig
+from repro.server import ReproClient, ReproServer, ServerConfig, serving
+from repro.server.__main__ import build_parser, build_replica_workspace
+from repro.service import InsightRequest, Workspace
 
-API_MD = Path(__file__).resolve().parents[2] / "docs" / "API.md"
+DOCS = Path(__file__).resolve().parents[2] / "docs"
+API_MD = DOCS / "API.md"
+OBSERVABILITY_MD = DOCS / "OBSERVABILITY.md"
+
+#: ``repro-serve``'s option strings, in order, as they were when every
+#: flag was still written by hand: the derived parser must keep each.
+PINNED_OPTIONS = [
+    "-h", "--help", "--host", "--port", "--coalesce-window-ms",
+    "--coalesce-max-batch", "--max-in-flight", "--queue-limit",
+    "--dataset-quota", "--class-quota", "--write-quota", "--read-timeout",
+    "--retry-after", "--max-body-bytes", "--drain-timeout",
+    "--handler-workers", "--data-dir", "--replica-of",
+    "--replica-poll-interval", "--promote-after", "--obs-enabled",
+    "--obs-ring-capacity", "--obs-slow-ms", "--obs-resources-enabled",
+    "--obs-cost-window", "--obs-debug-top-k", "--obs-loop-lag-ms",
+    "--obs-rebuild-deadline-s", "--obs-lock-wait-ms", "--datasets",
+    "--preload",
+]
+
+#: Every knob of both classes, as ``(class, field)``.
+KNOBS = [(cls, spec) for cls in (ServerConfig, ObsConfig)
+         for spec in fields(cls)]
+
+
+def _knob_id(knob) -> str:
+    cls, spec = knob
+    return f"{cls.__name__}.{spec.name}"
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="repro-serve")
-    ServerConfig.add_cli_arguments(parser)
-    return parser
+    return build_parser()
+
+
+def _sample(cls, spec):
+    """A valid value of the knob other than its default."""
+    default = spec.default
+    if isinstance(default, bool):
+        return not default
+    if spec.name == "replica_of":
+        return "http://127.0.0.1:9"
+    if spec.name in ("host", "data_dir"):
+        return "somewhere"
+    if default is None:
+        return 3
+    return default + (1 if isinstance(default, int) else 0.5)
+
+
+def _spelled(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def _flag(cls, spec) -> tuple[str, float]:
+    """The knob's option string and the factor its flag value carries."""
+    flag = cls.flag_prefix + spec.name.replace("_", "-")
+    return (flag + "-ms", 1000.0) if spec.metadata["cli_ms"] else (flag, 1.0)
+
+
+def _env(cls, spec) -> str:
+    return cls.env_prefix + spec.name.upper()
 
 
 class TestDefaultsAndValidation:
@@ -146,7 +202,7 @@ class TestDocumentedConfiguration:
     def test_table_rows_are_exactly_the_config_fields(self):
         expected = {
             spec.name: "REPRO_SERVER_" + spec.name.upper()
-            for spec in fields(ServerConfig) if spec.name != "obs"
+            for spec in fields(ServerConfig)
         }
         expected.update({
             "obs." + spec.name: "REPRO_OBS_" + spec.name.upper()
@@ -161,3 +217,150 @@ class TestDocumentedConfiguration:
             flag = "--" + name.replace(".", "-").replace("_", "-")
             # --coalesce-window-ms carries its unit in the flag.
             assert any(option in (flag, flag + "-ms") for option in flags), name
+
+    def test_table_defaults_are_the_declared_defaults(self):
+        section = API_MD.read_text(encoding="utf-8").split(
+            "### Configuration", 1)[1].split("\n### ", 1)[0]
+        rows = dict(re.findall(r"^\| `([a-z_.]+)` \| `[A-Z_]+` \| ([^|]+) \|",
+                               section, flags=re.MULTILINE))
+        for cls, spec in KNOBS:
+            name = ("obs." if cls is ObsConfig else "") + spec.name
+            cell = rows[name].strip()
+            if spec.default is None:
+                # An unset knob is described in words, never as a value.
+                assert not cell.startswith("`"), name
+            else:
+                assert cell == f"`{_spelled(spec.default)}`", name
+
+    def test_observability_md_table_is_the_obs_config(self):
+        section = OBSERVABILITY_MD.read_text(encoding="utf-8").split(
+            "## Configuration", 1)[1].split("\n## ", 1)[0]
+        documented = [tuple(cell.strip() for cell in line.strip("|").split("|"))
+                      for line in section.splitlines()
+                      if line.startswith("| `")]
+        actions = {action.option_strings[0]: action
+                   for action in _parser()._actions if action.option_strings}
+        expected = []
+        for spec in fields(ObsConfig):
+            flag, _scale = _flag(ObsConfig, spec)
+            expected.append((
+                f"`{spec.name}`", f"`{_env(ObsConfig, spec)}`",
+                f"`{flag} {actions[flag].metavar}`",
+                f"`{_spelled(spec.default)}`"))
+        assert [row[:3] + (row[3].split()[0],) for row in documented] == expected
+
+
+class TestDerivedSurface:
+    """Every knob of both classes gets the same env, CLI and checks."""
+
+    def test_parser_keeps_every_option_string(self):
+        assert [option for action in _parser()._actions
+                for option in action.option_strings] == PINNED_OPTIONS
+
+    @pytest.mark.parametrize("knob", KNOBS, ids=_knob_id)
+    def test_env_round_trip(self, knob):
+        cls, spec = knob
+        value = _sample(cls, spec)
+        config = cls.from_env({_env(cls, spec): _spelled(value)})
+        assert config == cls(**{spec.name: value})
+
+    @pytest.mark.parametrize("knob", KNOBS, ids=_knob_id)
+    def test_cli_round_trip(self, knob, monkeypatch):
+        cls, spec = knob
+        monkeypatch.delenv(_env(cls, spec), raising=False)
+        value = _sample(cls, spec)
+        flag, scale = _flag(cls, spec)
+        args = _parser().parse_args(
+            [flag, _spelled(value * scale if scale != 1.0 else value)])
+        assert cls.from_args(args) == cls(**{spec.name: value})
+
+    @pytest.mark.parametrize(
+        "knob", [knob for knob in KNOBS if knob[1].type not in ("str", "str | None")],
+        ids=_knob_id)
+    def test_malformed_env_value_names_its_variable(self, knob):
+        cls, spec = knob
+        with pytest.raises(cls.error, match=_env(cls, spec)):
+            cls.from_env({_env(cls, spec): "abc"})
+
+    @pytest.mark.parametrize(
+        "knob", [knob for knob in KNOBS
+                 if any(knob[1].metadata[key] is not None
+                        for key in ("ge", "gt"))],
+        ids=_knob_id)
+    def test_out_of_bound_value_names_its_field(self, knob):
+        cls, spec = knob
+        meta = spec.metadata
+        low = meta["ge"] - 1 if meta["ge"] is not None else meta["gt"]
+        with pytest.raises(cls.error, match=f"^{spec.name} must be"):
+            cls(**{spec.name: low})
+        if meta["le"] is not None:
+            with pytest.raises(cls.error, match=f"^{spec.name} must be"):
+                cls(**{spec.name: meta["le"] + 1})
+
+    def test_cli_none_lifts_an_env_quota(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVER_DATASET_QUOTA", "2")
+        assert ServerConfig.from_args(
+            _parser().parse_args([])).dataset_quota == 2
+        args = _parser().parse_args(["--dataset-quota", "none"])
+        assert ServerConfig.from_args(args).dataset_quota is None
+
+    def test_bad_flag_value_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            _parser().parse_args(["--obs-enabled", "maybe"])
+        assert excinfo.value.code == 2
+        assert "--obs-enabled" in capsys.readouterr().err
+
+
+class TestOneOwner:
+    """ObsConfig belongs to the workspace; the server reads it there."""
+
+    def test_server_loop_lag_threshold_is_the_workspace_s(self):
+        workspace = Workspace(obs=ObsConfig(loop_lag_ms=5))
+        server = ReproServer(workspace, ServerConfig())
+        assert server.loop_lag.threshold_ms == 5.0
+
+    def test_served_workspace_config_is_echoed_and_applied(self):
+        obs = ObsConfig(debug_top_k=1, ring_capacity=8)
+        workspace = Workspace(obs=obs)
+        workspace.register("oecd", load_oecd)
+        with serving(workspace, ServerConfig(port=0)) as handle:
+            with ReproClient(*handle.address) as client:
+                for name in ("skew", "outliers", "dispersion"):
+                    client.insights(InsightRequest(dataset="oecd",
+                                                   insight_classes=name))
+                assert client.healthz()["config"]["obs"] == obs.as_dict()
+                debug = client.debug()
+                assert len(debug["costs"]["top_requests"]) == 1
+                assert client.traces()["tracing"]["ring_capacity"] == 8
+
+    def test_resources_disabled_is_applied_in_full(self):
+        workspace = Workspace(obs=ObsConfig(resources_enabled=False))
+        workspace.register("oecd", load_oecd)
+        with serving(workspace, ServerConfig(port=0)) as handle:
+            with ReproClient(*handle.address) as client:
+                client.insights(InsightRequest(dataset="oecd",
+                                               insight_classes="skew"))
+                health = client.healthz()
+                debug = client.debug()
+        assert health["config"]["obs"]["resources_enabled"] is False
+        assert debug["resources_enabled"] is False
+        assert debug["costs"]["requests_total"] == 0
+
+    def test_repro_serve_hands_its_obs_config_to_a_replica(self):
+        args = _parser().parse_args([
+            "--replica-of", "http://127.0.0.1:9", "--obs-ring-capacity", "7",
+            "--obs-debug-top-k", "2", "--replica-poll-interval", "30",
+        ])
+        workspace = build_replica_workspace(ServerConfig.from_args(args),
+                                            ObsConfig.from_args(args))
+        try:
+            assert workspace.obs_config == ObsConfig(ring_capacity=7,
+                                                     debug_top_k=2)
+            assert workspace.tracer.ring_capacity == 7
+        finally:
+            workspace.close()
+
+    def test_server_config_has_no_obs_knobs(self):
+        assert "obs" not in {spec.name for spec in fields(ServerConfig)}
+        with pytest.raises(TypeError):
+            ServerConfig(obs=ObsConfig())
