@@ -46,7 +46,7 @@ Single-process embedding:
 * :mod:`repro.data` — the columnar data substrate and the demo datasets.
 * :mod:`repro.stats` — exact statistics behind every insight metric.
 * :mod:`repro.sketch` — single-pass, mergeable sketches for fast
-  approximate insight metrics (random hyperplane, moments, quantile,
+  approximate insight metrics (co-moment sums, moments, quantile,
   frequent items, entropy, reservoir sampling).
 * :mod:`repro.viz` — declarative visualization specs and ASCII renderers.
 

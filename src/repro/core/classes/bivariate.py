@@ -74,42 +74,51 @@ class LinearRelationshipInsight(KernelScoredInsightClass):
             },
         )
 
+    def _sketched(self, context: EvaluationContext) -> set[str]:
+        """The columns whose Pearson ρ this context reads from the
+        store's co-moment sums (none in exact mode or for Spearman)."""
+        if context.use_sketches and self.method == "pearson":
+            return set(context.store.comoments.names)
+        return set()
+
     def _matrix(self, names: Sequence[str], context: EvaluationContext):
-        """All pairwise correlations of ``names`` for the overview: one
-        sketch matrix product (O(d²·k)) in approximate mode, one dense
-        correlation matrix (O(d²·n)) in exact mode.  Returns (matrix,
-        column order, source)."""
-        if context.use_sketches and self.method == "pearson" and all(
-            context.store.has_column(name) for name in names
-        ):
-            return *context.store.approx_correlation_matrix(names), "sketch"
+        """All pairwise correlations of ``names`` for the overview: read
+        from the co-moment sums (O(d²)) in approximate mode, one dense
+        correlation matrix (O(d²·n)) in exact mode — the same values up
+        to rounding.  Returns (matrix, column order, source)."""
+        if set(names) <= self._sketched(context):
+            matrix, ordered = context.store.approx_correlation_matrix(names)
+            # Fewer than two shared rows: no evidence of a relationship,
+            # as correlation_matrix has it.
+            return np.nan_to_num(matrix, nan=0.0), ordered, "sketch"
         dense, ordered = context.table.numeric_matrix(names)
         return correlation_stats.correlation_matrix(dense, method=self.method), ordered, "exact"
 
     def score_all(
         self, candidate_tuples: Sequence[tuple[str, ...]], context: EvaluationContext
     ) -> list[ScoredCandidate]:
-        """In sketch mode a Pearson pair of sketched columns reads the
-        hyperplane estimate (Hamming distances are integer products, so
-        the matrix entry is the pair's own); every other pair is scored
-        exactly by :meth:`score_complete` on the full table."""
-        if not (context.use_sketches and self.method == "pearson"):
+        """In sketch mode a Pearson pair reads ρ from the store's
+        co-moment sums: its own entry, the exact-mode value up to
+        rounding, and no result where fewer than two rows hold both (as
+        :meth:`score_complete` has it).  A pair the sums do not cover is
+        scored exactly by :meth:`score_complete` on the full table."""
+        sketched = self._sketched(context)
+        if not sketched:
             return super().score_all(candidate_tuples, context.exact())
-        store = context.store
-        sketched = [store.has_column(x) and store.has_column(y)
-                    for x, y in candidate_tuples]
-        matrix, ordered = store.approx_correlation_matrix(sorted(
-            {name for attrs, ok in zip(candidate_tuples, sketched) if ok
+        covered = [set(attrs) <= sketched for attrs in candidate_tuples]
+        matrix, ordered = context.store.approx_correlation_matrix(sorted(
+            {name for attrs, ok in zip(candidate_tuples, covered) if ok
              for name in attrs}))
         index = {name: i for i, name in enumerate(ordered)}
-        unsketched = [attrs for attrs, ok in zip(candidate_tuples, sketched) if not ok]
+        uncovered = [attrs for attrs, ok in zip(candidate_tuples, covered) if not ok]
         exact = {scored.attributes: scored for scored in (
-            super().score_all(unsketched, context.exact()) if unsketched else ())}
+            super().score_all(uncovered, context.exact()) if uncovered else ())}
         results = []
-        for attributes, ok in zip(candidate_tuples, sketched):
+        for attributes, ok in zip(candidate_tuples, covered):
             if ok:
                 rho = float(matrix[index[attributes[0]], index[attributes[1]]])
-                results.append(self._scored(attributes, rho, "sketch"))
+                if not np.isnan(rho):
+                    results.append(self._scored(attributes, rho, "sketch"))
             elif attributes in exact:
                 results.append(exact[attributes])
         return results

@@ -10,15 +10,16 @@ The pieces, bottom-up:
 * :class:`DeltaBatch` — a batch of appended rows validated against the
   dataset schema (type / arity / missing-value rules from
   :mod:`repro.data`); rejection is all-or-nothing with per-row problems;
-* :func:`build_delta_partials` / :func:`merge_delta` — per-column sketch
-  partials over just the delta rows, copy-merged into a brand-new
+* :func:`build_delta_partials` / :func:`merge_delta` — sketch partials
+  over just the delta rows (per-column bundles and the co-moment sums
+  correlation is read from), copy-merged into a brand-new
   :class:`~repro.sketch.store.SketchStore` so in-flight readers never
   observe a mutation;
 * :class:`IngestConfig` / :func:`should_rebuild` — the accuracy budget:
-  hyperplane signatures go stale under appends, and once accumulated
-  delta rows exceed ``rebuild_fraction`` of the base rows, the append
-  that crosses it schedules a full rebuild on a background worker,
-  which swaps the fresh engine in atomically;
+  once accumulated delta rows exceed ``rebuild_fraction`` of the base
+  rows, the append that crosses it schedules a full rebuild (fresh GK
+  compression) on a background worker, which swaps the fresh engine in
+  atomically;
 * :class:`IngestLog` — a generation's sequence number and ingestion
   counters (a fold over journal records), making a dataset's
   cache/provenance identity the pair ``(version, seq)``;

@@ -6,13 +6,15 @@ that property into a live-update path.  For validated appends — one live
 :class:`~repro.ingest.delta.DeltaBatch`, or a run of journalled ones
 replayed at once — it
 
-1. builds **per-column sketch partials** over just each append's rows
+1. builds **sketch partials** over just each append's rows
    (:func:`build_delta_partials`: slices of the grown table, the numeric
-   columns as one block, the value-count sketches column by column), then
+   columns as one block, the value-count sketches column by column, and
+   the co-moment sums of the numeric columns), then
 2. **merges** them, append after append, into new sketches beside the
-   live store's (:func:`~repro.sketch.store.merged_bundles`) and packages
-   the result as one brand-new :class:`~repro.sketch.store.SketchStore`
-   over the grown table (:func:`merge_delta`).
+   live store's (:func:`~repro.sketch.store.merged_bundles`,
+   :meth:`~repro.sketch.comoments.CoMoments.merged`) and packages the
+   result as one brand-new :class:`~repro.sketch.store.SketchStore` over
+   the grown table (:func:`merge_delta`).
 
 What an append costs here: its numeric columns are stacked once into a
 ``(d, rows)`` block, and every moment partial comes from one pass of
@@ -37,17 +39,17 @@ reservoir sample   algorithm-R advance over the appended row indices — each
                    new row enters with probability capacity/(rows so far),
                    keeping the maintained row sample uniform (correct
                    weighting) over the grown table
-hyperplane         **not merged**: signatures come from one shared
-                   hyperplane draw over a fixed row count, so they go
-                   *stale* under appends — correlation estimates ignore
-                   delta rows until the accuracy budget (below) forces a
-                   full rebuild
+co-moment sums     pairwise counts, Σx, Σx² and Σxy about the base build's
+                   column means add (merge is lossless); one partial per
+                   append, added in journal order, so a live, a replayed
+                   and a replicated store hold the same bits
 =================  =========================================================
 
-The **accuracy budget** bounds that staleness: once the rows absorbed by
-delta merges since the last full build exceed
-``rebuild_fraction × base_rows``, :func:`should_rebuild` tells the
-workspace to pay for one full preprocess instead of another merge.  The
+The **accuracy budget**: once the rows absorbed by delta merges since the
+last full build exceed ``rebuild_fraction × base_rows``,
+:func:`should_rebuild` tells the workspace to pay for one full
+preprocess, which refreshes the GK summaries' compression (every other
+sketch is already what a fresh build gives, up to rounding).  The
 copy-on-merge discipline is what makes the swap safe: the old store's
 sketch objects are never mutated, so queries holding the previous engine
 snapshot keep reading a consistent view.
@@ -56,7 +58,7 @@ snapshot keep reading a consistent view.
 from __future__ import annotations
 
 import time
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace as dataclass_replace
 
 import numpy as np
@@ -64,6 +66,7 @@ import numpy as np
 from repro.data.table import DataTable
 from repro.errors import IngestError
 from repro.ingest.log import IngestLog
+from repro.sketch.comoments import CoMoments
 from repro.sketch.reservoir import advance_row_indices
 from repro.sketch.store import (
     ColumnSketches, SketchStore, merged_bundles, numeric_sketches,
@@ -80,13 +83,13 @@ class IngestConfig:
     rebuild_fraction:
         The accuracy budget: when the rows absorbed by delta merges since
         the last full build would exceed this fraction of the base row
-        count, a full sketch rebuild is due (refreshing the hyperplane
-        signatures and the quantile summaries' compression).  The
-        rebuild runs off the append path: the triggering append still
-        returns ``applied="delta_merge"`` and a worker thread rebuilds
-        from a snapshot of the table, atomically swapping the fresh
-        engine in (minting a sequence number of its own) while appends
-        keep delta-merging.  ``0`` schedules a rebuild after every
+        count, a full sketch rebuild is due (refreshing the quantile
+        summaries' compression).  The rebuild runs off the append
+        path: the triggering append still returns
+        ``applied="delta_merge"`` and a worker thread rebuilds from a
+        snapshot of the table, atomically swapping the fresh engine in
+        (minting a sequence number of its own) while appends keep
+        delta-merging.  ``0`` schedules a rebuild after every
         append; ``float("inf")`` never rebuilds.
     fsync:
         Whether the durable journal (``Workspace(data_dir=...)``)
@@ -121,12 +124,21 @@ def should_rebuild(log: IngestLog, incoming_rows: int,
 # ---------------------------------------------------------------------------
 # Delta partials
 # ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class DeltaPartials:
+    """The sketches of one append's rows alone: a bundle per column, and
+    the numeric columns' co-moment sums about the store's shift."""
+
+    columns: dict[str, ColumnSketches]
+    comoments: CoMoments
+
+
 def build_delta_partials(
     table: DataTable,
     store: SketchStore,
     counts: Sequence[int],
-) -> list[dict[str, ColumnSketches]]:
-    """Per-column sketch partials of each delta, over just its rows.
+) -> list[DeltaPartials]:
+    """The sketch partials of each delta, over just its rows.
 
     ``table`` holds ``store``'s rows followed by the deltas' rows, the
     deltas ``counts[i]`` rows each, in order; delta ``i`` gets its own
@@ -148,7 +160,10 @@ def build_delta_partials(
     call of the kernels a column build uses on one row
     (:func:`~repro.sketch.store.numeric_sketches`); a column with missing
     entries runs the same kernels on its valid values.  Only the
-    value-count partials are per-column work.
+    value-count partials are per-column work.  The co-moment sums are
+    one :meth:`~repro.sketch.comoments.CoMoments.of_columns` of the
+    delta's rows, about the shift the store has once the deltas before
+    it are merged, so that they add.
     """
     names = [name for name in table.column_names() if store.has_column(name)]
     numeric = [
@@ -158,6 +173,8 @@ def build_delta_partials(
     counted = [table.column(name) for name in names
                if store.column_sketches(name).frequent is not None]
     config, n_seen = store.config, store.table.n_rows
+    shift = store.comoments.shift
+    paired = [table.numeric_column(name) for name in store.comoments.names]
     deltas = []
     for count in counts:
         rows = slice(n_seen, n_seen + count)
@@ -186,9 +203,14 @@ def build_delta_partials(
             sketches[column.name].update(
                 value_count_sketches(column, config, rows)
             )
-        deltas.append({
-            name: ColumnSketches(name=name, **sketches[name]) for name in names
-        })
+        comoments = CoMoments.of_columns(paired, rows, shift)
+        deltas.append(DeltaPartials(
+            columns={name: ColumnSketches(name=name, **sketches[name])
+                     for name in names},
+            comoments=comoments,
+        ))
+        # A column's first finite values fix its shift for the deltas after.
+        shift = comoments.shift
         n_seen += count
     return deltas
 
@@ -199,7 +221,7 @@ def build_delta_partials(
 def merge_delta(
     store: SketchStore,
     new_table: DataTable,
-    deltas: Sequence[tuple[int, Mapping[str, ColumnSketches]]],
+    deltas: Sequence[tuple[int, DeltaPartials]],
 ) -> SketchStore:
     """A new store over ``new_table`` with each delta's partials merged in.
 
@@ -207,20 +229,20 @@ def merge_delta(
     :func:`build_delta_partials`); they fold in one after another, each
     together with its own advance of the row sample, so a run of appends
     merged at once is the store those appends merged one by one would
-    leave — without a store in between.  Each delta's partials merge in
+    leave — without a store in between.  Each delta's bundles merge in
     one pass (:func:`~repro.sketch.store.merged_bundles`: every numeric
-    column's GK summaries at once).
+    column's GK summaries at once), and its co-moment sums add onto the
+    running ones, in order.
 
     Copy-on-merge: every sketch that absorbs a partial is merged into a
     new one, so the input store — possibly still being read by in-flight
-    queries — is never mutated.  Bundles without a partial (and the
-    immutable hyperplane signatures) are shared between the old and new
-    store.  The uniform row sample advances by algorithm R over the
-    appended row indices, keeping it uniform over the grown table; an
-    append that replaces no sampled row and adds no categorical level
-    leaves the sample table exactly what it was, so whatever ``store`` has
-    derived from it (the sample features) is handed to the new store
-    instead of derived again.
+    queries — is never mutated.  Bundles without a partial are shared
+    between the old and new store.  The uniform row sample advances by
+    algorithm R over the appended row indices, keeping it uniform over
+    the grown table; an append that replaces no sampled row and adds no
+    categorical level leaves the sample table exactly what it was, so
+    whatever ``store`` has derived from it (the sample features) is
+    handed to the new store instead of derived again.
     """
     n_seen = store.table.n_rows
     if new_table.n_rows != n_seen + sum(rows for rows, _ in deltas):
@@ -232,13 +254,13 @@ def merge_delta(
     start = time.perf_counter()
     config = store.config
     columns = store.column_map()
+    comoments = store.comoments
     sample_indices = store.sample_indices
     for rows, partials in deltas:
-        names = [name for name in partials if name in columns]
-        for name, merged in zip(names, merged_bundles(
-                [(columns[name], partials[name]) for name in names])):
-            merged.hyperplane = columns[name].hyperplane
-            columns[name] = merged
+        names = [name for name in partials.columns if name in columns]
+        columns.update(zip(names, merged_bundles(
+            [(columns[name], partials.columns[name]) for name in names])))
+        comoments = comoments.merged(partials.comoments)
         sample_indices = advance_row_indices(
             sample_indices, n_seen=n_seen, n_new=rows,
             capacity=config.sample_capacity,
@@ -265,7 +287,7 @@ def merge_delta(
         table=new_table,
         config=config,
         columns=columns,
-        sketcher=store.sketcher,
+        comoments=comoments,
         sample_indices=sample_indices,
         stats=stats,
         sample_from=store if (
@@ -286,6 +308,7 @@ def _same_levels(old: DataTable, new: DataTable) -> bool:
 
 
 __all__ = [
+    "DeltaPartials",
     "IngestConfig",
     "build_delta_partials",
     "merge_delta",

@@ -899,8 +899,10 @@ class ReproServer:
             ),
             "datasets": self._workspace.datasets(),
             "in_flight": self.admission.snapshot()["in_flight"],
+            # slow_ms is the tracer's live threshold: traces:config moves it.
             "config": {**self.config.as_dict(),
-                       "obs": self._workspace.obs_config.as_dict()},
+                       "obs": {**self._workspace.obs_config.as_dict(),
+                               "slow_ms": self.tracer.slow_ms}},
         }
 
     async def _get_debug(self, request: _HttpRequest) -> tuple[int, Any]:

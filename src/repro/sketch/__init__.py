@@ -1,16 +1,10 @@
 """Sketching substrate: single-pass, mergeable summaries for fast insight metrics."""
 
 from repro.sketch.base import Sketch
+from repro.sketch.comoments import CoMoments
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.entropy import EntropySketch
 from repro.sketch.frequent import MisraGriesSketch, SpaceSavingSketch, exact_counts
-from repro.sketch.hyperplane import (
-    DEFAULT_WIDTH,
-    HyperplaneSketch,
-    HyperplaneSketcher,
-    StreamingHyperplaneSketch,
-    suggest_width,
-)
 from repro.sketch.moments import MomentSketch
 from repro.sketch.quantile import QuantileSketch
 from repro.sketch.reservoir import ReservoirSample, reservoir_row_indices, sample_pairs
@@ -24,12 +18,10 @@ from repro.sketch.store import (
 )
 
 __all__ = [
-    "DEFAULT_WIDTH",
+    "CoMoments",
     "ColumnSketches",
     "CountMinSketch",
     "EntropySketch",
-    "HyperplaneSketch",
-    "HyperplaneSketcher",
     "MisraGriesSketch",
     "MomentSketch",
     "PreprocessStats",
@@ -39,11 +31,9 @@ __all__ = [
     "SketchStore",
     "SketchStoreConfig",
     "SpaceSavingSketch",
-    "StreamingHyperplaneSketch",
     "exact_counts",
     "merge_column_sketches",
     "preprocess",
     "reservoir_row_indices",
     "sample_pairs",
-    "suggest_width",
 ]

@@ -7,11 +7,14 @@ will support fast approximate insight querying" (paper, section 1).  The
 
 * a :class:`~repro.sketch.moments.MomentSketch` (numeric columns),
 * a :class:`~repro.sketch.quantile.QuantileSketch` (numeric columns),
-* a :class:`~repro.sketch.hyperplane.HyperplaneSketch` signature
-  (numeric columns, shared hyperplane draw),
 * a :class:`~repro.sketch.frequent.MisraGriesSketch` (categorical and
   discrete numeric columns),
-* plus a uniform row sample shared by all visualizations.
+
+plus, over every numeric column at once, the
+:class:`~repro.sketch.comoments.CoMoments` sums that Pearson correlation
+is read from exactly, and a uniform row sample shared by all
+visualizations.  Every part merges with the same part of an append's rows
+(:mod:`repro.ingest.maintenance`).
 
 The store exposes approximate versions of the insight metrics; the engine
 decides per query whether to use them (``mode="approximate"``) or to fall
@@ -30,9 +33,9 @@ from repro.errors import SketchNotAvailableError
 from repro.obs.resources import record_sketch_probe
 from repro.data.column import BooleanColumn, CategoricalColumn, Column
 from repro.data.table import DataTable
+from repro.sketch.comoments import CoMoments
 from repro.sketch.features import TableFeatures
 from repro.sketch.frequent import MisraGriesSketch
-from repro.sketch.hyperplane import HyperplaneSketch, HyperplaneSketcher, suggest_width
 from repro.sketch.moments import MomentSketch
 from repro.sketch.quantile import QuantileSketch
 from repro.sketch.reservoir import reservoir_row_indices
@@ -43,7 +46,6 @@ from repro.stats.moments import block_moments
 class SketchStoreConfig:
     """Tuning knobs for preprocessing."""
 
-    hyperplane_width: int | None = None   # None -> suggest_width(n)
     quantile_epsilon: float = 0.01
     #: The Greenwald-Khanna update is per-item; above this many rows the
     #: quantile sketch is built over a uniform row sample instead (the
@@ -54,11 +56,6 @@ class SketchStoreConfig:
     sample_capacity: int = 2000
     seed: int = 0
 
-    def resolved_width(self, n_rows: int) -> int:
-        if self.hyperplane_width is not None:
-            return int(self.hyperplane_width)
-        return suggest_width(n_rows)
-
 
 @dataclass
 class ColumnSketches:
@@ -67,20 +64,14 @@ class ColumnSketches:
     name: str
     moments: MomentSketch | None = None
     quantiles: QuantileSketch | None = None
-    hyperplane: HyperplaneSketch | None = None
     frequent: MisraGriesSketch | None = None
 
-    #: The sketch attributes that compose under row-partition merges.
-    #: Hyperplane signatures are deliberately absent: they are built from
-    #: a shared hyperplane draw over a fixed row count and cannot absorb
-    #: appended rows (the ingest layer keeps them until the accuracy
-    #: budget forces a full rebuild).
+    #: The sketch attributes, each composing under row-partition merges.
     MERGEABLE: ClassVar[tuple[str, ...]] = ("moments", "quantiles", "frequent")
 
     def memory_bytes(self) -> int:
         total = 0
-        for sketch in (self.moments, self.quantiles, self.hyperplane,
-                       self.frequent):
+        for sketch in (self.moments, self.quantiles, self.frequent):
             if sketch is not None:
                 total += sketch.memory_bytes()
         return total
@@ -90,8 +81,7 @@ class ColumnSketches:
 
         Copy-on-merge: a sketch both sides hold is combined into a new one
         (:meth:`Sketch.merged`), so neither input (each possibly a published
-        snapshot) is mutated; one only one side holds is shared as is.  The
-        hyperplane signature cannot absorb rows and is left unset.
+        snapshot) is mutated; one only one side holds is shared as is.
         """
         (bundle,) = merged_bundles([(self, other)])
         return bundle
@@ -197,12 +187,10 @@ class PreprocessStats:
     n_rows: int = 0
     n_numeric: int = 0
     n_categorical: int = 0
-    hyperplane_width: int = 0
     total_sketch_bytes: int = 0
     per_stage_seconds: dict[str, float] = field(default_factory=dict)
     #: Rows absorbed via incremental delta merges since the last full
-    #: build (the ingest layer's accuracy-budget input): hyperplane
-    #: signatures ignore these rows until a rebuild refreshes them.
+    #: build (the ingest layer's accuracy-budget input).
     delta_rows: int = 0
     delta_batches: int = 0
 
@@ -231,7 +219,6 @@ class SketchStore:
         self._table = table
         self._config = config or SketchStoreConfig()
         self._columns: dict[str, ColumnSketches] = {}
-        self._sketcher: HyperplaneSketcher | None = None
         self._sample_indices: np.ndarray = np.empty(0, dtype=np.int64)
         self._stats = PreprocessStats()
         self._build()
@@ -247,22 +234,12 @@ class SketchStore:
         categorical_names = table.categorical_names()
 
         stage_start = time.perf_counter()
-        width = config.resolved_width(max(table.n_rows, 2))
-        if numeric_names and table.n_rows:
-            self._sketcher = HyperplaneSketcher(
-                n_rows=table.n_rows, width=width, seed=config.seed
-            )
-            matrix, _ = table.numeric_matrix(numeric_names)
-            signatures = self._sketcher.sketch_matrix(matrix)
-        else:
-            signatures = []
-        self._stats.per_stage_seconds["hyperplane"] = time.perf_counter() - stage_start
+        self._comoments = CoMoments.of_columns(table.numeric_columns())
+        self._stats.per_stage_seconds["comoments"] = time.perf_counter() - stage_start
 
         stage_start = time.perf_counter()
         for index, name in enumerate(numeric_names):
-            self._columns[name] = self._build_numeric_column(
-                name, signatures[index] if signatures else None, index
-            )
+            self._columns[name] = self._build_numeric_column(name, index)
         self._stats.per_stage_seconds["numeric"] = time.perf_counter() - stage_start
 
         stage_start = time.perf_counter()
@@ -278,14 +255,11 @@ class SketchStore:
         self._stats.n_rows = table.n_rows
         self._stats.n_numeric = len(numeric_names)
         self._stats.n_categorical = len(categorical_names)
-        self._stats.hyperplane_width = width
-        self._stats.total_sketch_bytes = sum(
+        self._stats.total_sketch_bytes = self._comoments.memory_bytes() + sum(
             bundle.memory_bytes() for bundle in self._columns.values()
         )
 
-    def _build_numeric_column(
-        self, name: str, signature: HyperplaneSketch | None, index: int
-    ) -> ColumnSketches:
+    def _build_numeric_column(self, name: str, index: int) -> ColumnSketches:
         """Build one numeric column's sketch bundle.
 
         The quantile sampling RNG is seeded from ``(seed, column index)``
@@ -300,7 +274,6 @@ class SketchStore:
         )
         return ColumnSketches(
             name=name,
-            hyperplane=signature,
             **sketches,
             **(value_count_sketches(column, config) if column.is_discrete() else {}),
         )
@@ -319,7 +292,7 @@ class SketchStore:
         table: DataTable,
         config: SketchStoreConfig,
         columns: Mapping[str, ColumnSketches],
-        sketcher: HyperplaneSketcher | None,
+        comoments: CoMoments,
         sample_indices: np.ndarray,
         stats: PreprocessStats,
         sample_from: "SketchStore | None" = None,
@@ -340,7 +313,7 @@ class SketchStore:
         store._table = table
         store._config = config
         store._columns = dict(columns)
-        store._sketcher = sketcher
+        store._comoments = comoments
         store._sample_indices = np.asarray(sample_indices, dtype=np.int64)
         store._stats = stats
         if sample_from is not None:
@@ -356,9 +329,9 @@ class SketchStore:
         return self._table
 
     @property
-    def sketcher(self) -> HyperplaneSketcher | None:
-        """The shared hyperplane draw (None when no numeric columns)."""
-        return self._sketcher
+    def comoments(self) -> CoMoments:
+        """The co-moment sums of the numeric columns."""
+        return self._comoments
 
     @property
     def sample_indices(self) -> np.ndarray:
@@ -444,21 +417,18 @@ class SketchStore:
     def approx_five_number_summary(self, name: str) -> dict[str, float]:
         return self._require(name, "quantiles").five_number_summary()
 
-    def approx_correlation(self, x: str, y: str) -> float:
-        sketch_x: HyperplaneSketch = self._require(x, "hyperplane")
-        sketch_y: HyperplaneSketch = self._require(y, "hyperplane")
-        return sketch_x.estimate_correlation(sketch_y)
-
     def approx_correlation_matrix(self, names: list[str] | None = None) -> tuple[np.ndarray, list[str]]:
-        """Estimated all-pairs correlation matrix over ``names``."""
-        if self._sketcher is None:
-            raise SketchNotAvailableError("no hyperplane sketches were built")
-        if names is None:
-            names = [
-                name for name in self._table.numeric_names() if self.has_column(name)
-            ]
-        signatures = [self._require(name, "hyperplane") for name in names]
-        return self._sketcher.correlation_matrix(signatures), list(names)
+        """All-pairs Pearson ρ over ``names`` (default: every numeric
+        column) from the co-moment sums — pairwise-complete and exact up
+        to rounding; NaN where fewer than two rows hold both columns
+        (:meth:`~repro.sketch.comoments.CoMoments.correlation`)."""
+        names = list(self._comoments.names if names is None else names)
+        unknown = sorted(set(names) - set(self._comoments.names))
+        if unknown:
+            raise SketchNotAvailableError(
+                f"no co-moment sums were built for {unknown!r}")
+        record_sketch_probe()
+        return self._comoments.correlation(names), names
 
     def approx_relative_frequency_topk(self, name: str, k: int) -> float:
         return self._require(name, "frequent").relative_frequency_topk(k)
@@ -500,10 +470,8 @@ def merge_column_sketches(left: Mapping[str, ColumnSketches],
                           right: Mapping[str, ColumnSketches]) -> dict[str, ColumnSketches]:
     """Merge two per-column sketch bundles built over disjoint row partitions.
 
-    Only the mergeable sketches (``ColumnSketches.MERGEABLE``: moments,
-    quantiles, frequent) are combined; hyperplane
-    signatures require a shared hyperplane draw over the union of rows and
-    are left to the batch sketcher.
+    The sketches of ``ColumnSketches.MERGEABLE`` (moments, quantiles,
+    frequent) are combined.
 
     Both inputs are treated as published snapshots
     (:meth:`ColumnSketches.merged` copies before it merges), and the

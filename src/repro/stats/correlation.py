@@ -35,11 +35,16 @@ def _pair(x: np.ndarray, y: np.ndarray, minimum: int = 2) -> tuple[np.ndarray, n
 
 def standardize(rows: np.ndarray) -> np.ndarray:
     """Each row of a (d, n) matrix to zero mean and unit population
-    variance; a constant row (no relationship with anything) becomes zeros."""
+    variance; a constant row (no relationship with anything) becomes zeros,
+    and so does one holding a value that is not finite.  A constant row
+    is told by its values, not its computed deviation: the mean of n
+    copies of a value need not be that value, which leaves a deviation
+    of rounding noise that would standardise to ±1."""
     rows = np.asarray(rows, dtype=np.float64)
     centered = rows - rows.mean(axis=1, keepdims=True)
     sigma = rows.std(axis=1, keepdims=True)
-    return np.where(sigma > 0.0, centered / np.where(sigma > 0.0, sigma, 1.0), 0.0)
+    varies = (sigma > 0.0) & (rows != rows[:, :1]).any(axis=1, keepdims=True)
+    return np.where(varies, centered / np.where(varies, sigma, 1.0), 0.0)
 
 
 #: Elements per gathered block in :func:`pair_correlations` (bounds the
@@ -148,8 +153,7 @@ def correlation_matrix(
     """Pairwise-complete correlation matrix of the columns of ``matrix``.
 
     ``matrix`` is the (n, d) numeric block; NaNs are handled pairwise.  This
-    is the exact computation behind the Figure 2 overview heat map, and the
-    exact baseline for the hyperplane-sketch benchmarks.
+    is the exact computation behind the Figure 2 overview heat map.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:

@@ -27,7 +27,7 @@ def mixed_table() -> DataTable:
 
 @pytest.fixture(scope="module")
 def contexts(mixed_table):
-    store = SketchStore(mixed_table, config=SketchStoreConfig(hyperplane_width=512, seed=2))
+    store = SketchStore(mixed_table, config=SketchStoreConfig(seed=2))
     approx = EvaluationContext(table=mixed_table, store=store, mode=MODE_APPROXIMATE)
     exact = EvaluationContext(table=mixed_table, store=store, mode=MODE_EXACT)
     return approx, exact

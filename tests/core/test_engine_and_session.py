@@ -248,9 +248,9 @@ class TestExplorationSession:
 
 class TestEngineConfig:
     def test_custom_sketch_config_respected(self, oecd_table):
-        config = EngineConfig(sketch=SketchStoreConfig(hyperplane_width=64, sample_capacity=10))
+        config = EngineConfig(sketch=SketchStoreConfig(sample_capacity=10, seed=3))
         engine = Foresight(oecd_table, config=config)
-        assert engine.store.stats.hyperplane_width == 64
+        assert engine.store.config.seed == 3
         assert engine.store.sample_table().n_rows <= 10
 
     def test_default_top_k_used(self, oecd_table):

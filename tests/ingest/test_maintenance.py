@@ -15,6 +15,7 @@ from repro.ingest import (
     should_rebuild,
 )
 from repro.sketch.store import SketchStore
+from repro.stats.correlation import correlation_matrix
 
 
 @pytest.fixture(scope="module")
@@ -45,13 +46,14 @@ class TestDeltaPartials:
                                                delta_table):
         (partials,) = build_delta_partials(base_table.concat(delta_table),
                                            store, [delta_table.n_rows])
-        for name, partial in partials.items():
+        for name, partial in partials.columns.items():
             base = store.column_sketches(name)
             for attribute in ("moments", "quantiles", "frequent"):
                 base_has = getattr(base, attribute) is not None
                 partial_has = getattr(partial, attribute) is not None
                 assert partial_has == base_has, (name, attribute)
-            assert partial.hyperplane is None
+        assert partials.comoments.names == store.comoments.names
+        assert partials.comoments.shift.tolist() == store.comoments.shift.tolist()
 
 
 class TestMergeDelta:
@@ -106,14 +108,15 @@ class TestMergeDelta:
         assert store.table.n_rows == base_table.n_rows
         assert merged.table.n_rows == base_table.n_rows + delta_table.n_rows
 
-    def test_hyperplane_signatures_shared_not_rebuilt(self, store, base_table,
-                                                      delta_table):
+    def test_correlation_covers_the_delta_rows(self, store, base_table,
+                                               delta_table):
         merged = _merged(store, base_table, delta_table)
-        name = base_table.numeric_names()[0]
-        assert merged.column_sketches(name).hyperplane is (
-            store.column_sketches(name).hyperplane
-        )
-        assert merged.sketcher is store.sketcher
+        grown = base_table.concat(delta_table)
+        matrix, names = merged.approx_correlation_matrix()
+        exact = correlation_matrix(grown.numeric_matrix(names)[0])
+        np.testing.assert_allclose(matrix, exact, rtol=0, atol=1e-12)
+        assert not np.allclose(store.approx_correlation_matrix()[0], exact,
+                               rtol=0, atol=1e-12)
 
     def test_sample_indices_cover_delta_rows(self, store, base_table,
                                              delta_table):
@@ -157,7 +160,7 @@ class TestMergeDelta:
         merged = _merged(store, base_table, delta_table)
         assert merged.stats.total_sketch_bytes == sum(
             bundle.memory_bytes() for bundle in merged.column_map().values()
-        )
+        ) + merged.comoments.memory_bytes()
         assert merged.stats.total_sketch_bytes != store.stats.total_sketch_bytes
 
 

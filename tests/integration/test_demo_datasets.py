@@ -8,7 +8,7 @@ from repro.sketch.store import SketchStoreConfig
 from repro.viz.ascii import render
 
 
-FAST_SKETCH = SketchStoreConfig(hyperplane_width=256, sample_capacity=500)
+FAST_SKETCH = SketchStoreConfig(sample_capacity=500)
 
 
 @pytest.fixture(scope="module")

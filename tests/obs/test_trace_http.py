@@ -95,19 +95,19 @@ class TestRequestTraces:
         assert handle_span["attributes"]["cache"] == "miss"
 
     def test_contended_admission_records_a_wait_span(self, workspace):
-        # With one in-flight slot, concurrent cold requests queue in
-        # admission — the queued ones' traces must show the wait as a
+        # With one in-flight slot held by a request that blocks behind
+        # the dataset's entry lock, the next two cold requests must queue
+        # in admission — and their traces must show the wait as a
         # synthesized admission.wait span (an unloaded grant records
         # nothing, see test_direct_insight_trace_tells_the_whole_story).
         config = ServerConfig(port=0, coalesce_window=0.0, max_in_flight=1)
         n = 3
         trace_ids: list = [None] * n
         with serving(workspace, config) as handle:
-            barrier = threading.Barrier(n)
+            admission = handle.server.admission
 
             def worker(index: int) -> None:
                 with ReproClient(*handle.address, timeout=60) as client:
-                    barrier.wait()
                     # A class of its own per worker: no cache hit and no
                     # warm miss (nothing the index already scored), so
                     # each request holds the slot for a pipeline run.
@@ -119,14 +119,21 @@ class TestRequestTraces:
 
             threads = [threading.Thread(target=worker, args=(i,))
                        for i in range(n)]
-            for thread in threads:
-                thread.start()
+            held = HeldEntryLock(workspace)
+            try:
+                threads[0].start()
+                wait_for(lambda: admission.snapshot()["in_flight"] == 1)
+                for thread in threads[1:]:
+                    thread.start()
+                wait_for(lambda: admission.snapshot()["queued"] == n - 1)
+            finally:
+                held.release()
             for thread in threads:
                 thread.join()
             with ReproClient(*handle.address) as client:
-                waited = [tid for tid in trace_ids
-                          if "admission.wait" in names(client.trace(tid))]
-        assert waited, "no queued request recorded an admission.wait span"
+                waited = ["admission.wait" in names(client.trace(tid))
+                          for tid in trace_ids]
+        assert waited[1:] == [True, True], "a queued request recorded no admission.wait span"
 
     def test_cache_hit_trace_skips_the_pipeline(self, workspace):
         config = ServerConfig(port=0, coalesce_window=0.0)
@@ -291,6 +298,17 @@ class TestRuntimeConfigAndEvents:
         assert events, "threshold 0 must flag every request as slow"
         assert events[0]["name"] == "request"
         assert events[0]["trace_id"]
+
+    def test_healthz_echoes_the_live_slow_threshold(self, workspace):
+        with serving(workspace, ServerConfig(port=0)) as handle:
+            with ReproClient(*handle.address) as client:
+                built = client.healthz()["config"]["obs"]["slow_ms"]
+                assert built == workspace.obs_config.slow_ms != 10.0
+                client.set_slow_threshold(10)
+                echoed = client.healthz()["config"]["obs"]
+        assert echoed["slow_ms"] == workspace.tracer.slow_ms == 10.0
+        # The rest of the echo is the workspace's ObsConfig as built.
+        assert {**echoed, "slow_ms": built} == workspace.obs_config.as_dict()
 
     def test_metrics_document_and_prometheus_expose_tracing(self, workspace):
         config = ServerConfig(port=0, coalesce_window=0.0)

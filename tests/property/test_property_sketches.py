@@ -10,8 +10,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.data import ColumnKind, Field, NumericColumn
+from repro.sketch.comoments import CoMoments
 from repro.sketch.frequent import MisraGriesSketch, SpaceSavingSketch, exact_counts
-from repro.sketch.hyperplane import HyperplaneSketcher
 from repro.sketch.moments import MomentSketch
 from repro.sketch.quantile import QuantileSketch
 from repro.sketch.reservoir import ReservoirSample
@@ -125,47 +126,37 @@ class TestReservoirProperties:
         assert set(sample.sample) <= set(range(n))
 
 
-class TestHyperplaneProperties:
+class TestCoMomentsProperties:
+    @staticmethod
+    def _rho(*columns: np.ndarray) -> np.ndarray:
+        sums = CoMoments.of_columns([
+            NumericColumn(Field(f"c{k}", ColumnKind.NUMERIC), values)
+            for k, values in enumerate(columns)])
+        return sums.correlation(sums.names)
+
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         scale=st.floats(min_value=0.1, max_value=100.0, allow_nan=False),
         shift=st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
     )
     @settings(max_examples=25, deadline=None)
-    def test_estimator_invariant_to_affine_transform(self, seed, scale, shift):
-        """Pearson correlation is invariant to positive affine maps; the
-        hyperplane sketch operates on centred columns so its estimate must be
-        exactly invariant too."""
+    def test_correlation_invariant_to_affine_transform(self, seed, scale, shift):
+        """Pearson correlation is invariant to positive affine maps, and
+        the sums are taken about each column's own mean."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(400)
         y = 0.6 * x + 0.8 * rng.standard_normal(400)
-        sketcher = HyperplaneSketcher(n_rows=400, width=128, seed=seed)
-        base = sketcher.sketch_matrix(np.column_stack([x, y]))
-        transformed = sketcher.sketch_matrix(np.column_stack([scale * x + shift, y]))
-        assert base[0].estimate_correlation(base[1]) == transformed[0].estimate_correlation(
-            transformed[1]
-        )
+        base = self._rho(x, y)[0, 1]
+        assert abs(self._rho(scale * x + shift, y)[0, 1] - base) <= 1e-12
+        assert abs(base - np.corrcoef(x, y)[0, 1]) <= 1e-12
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
-    def test_symmetry_and_self_similarity(self, seed):
+    def test_symmetric_with_a_unit_diagonal_and_bounded(self, seed):
         rng = np.random.default_rng(seed)
-        matrix = rng.standard_normal((300, 3))
-        sketcher = HyperplaneSketcher(n_rows=300, width=256, seed=seed)
-        sketches = sketcher.sketch_matrix(matrix)
-        for i in range(3):
-            assert sketches[i].estimate_correlation(sketches[i]) == 1.0
-            for j in range(3):
-                assert sketches[i].estimate_correlation(sketches[j]) == (
-                    sketches[j].estimate_correlation(sketches[i])
-                )
+        rho = self._rho(*rng.lognormal(size=(4, 200)))
+        assert rho.tolist() == rho.T.tolist()
+        assert np.diag(rho).tolist() == [1.0] * 4
+        assert np.all(np.abs(rho) <= 1.0)
 
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_estimates_bounded(self, seed):
-        rng = np.random.default_rng(seed)
-        matrix = rng.lognormal(size=(200, 4))
-        sketcher = HyperplaneSketcher(n_rows=200, width=64, seed=seed)
-        estimate = sketcher.correlation_matrix(sketcher.sketch_matrix(matrix))
-        assert np.all(estimate <= 1.0 + 1e-12)
-        assert np.all(estimate >= -1.0 - 1e-12)
+

@@ -11,8 +11,8 @@ an all-missing numeric delta, a Misra–Gries capacity small enough to
 overflow, and runs longer than a shrunken ``MAX_BATCH_ROWS`` — applying
 the whole list must leave exactly the state that applying the records
 one at a time leaves: the table's arrays and categories, every sketch's
-state, the row sample, the store's delta accounting, every ingest
-counter and the engine's answers.  A run refused mid-way raises what its
+state (the co-moment sums bit for bit), the row sample, the store's
+delta accounting, every ingest counter and the engine's answers.  A run refused mid-way raises what its
 first invalid record raises alone, and leaves the state untouched.
 """
 
@@ -122,7 +122,7 @@ def _state(value):
     as hex, dicts in insertion order)."""
     if isinstance(value, np.ndarray):
         if value.dtype.kind == "f":
-            return [item.hex() for item in value.tolist()]
+            return [value.shape, [item.hex() for item in value.ravel().tolist()]]
         return value.tolist()
     if isinstance(value, float):
         return value.hex()
@@ -157,6 +157,7 @@ def _image(state: DatasetState) -> dict:
         stats = store.stats
         image["store"] = {
             "columns": _state(store.column_map()),
+            "comoments": _state(store.comoments),
             "sample": store.sample_indices.tolist(),
             "rows": (stats.n_rows, stats.delta_rows, stats.delta_batches,
                      stats.total_sketch_bytes),

@@ -14,6 +14,9 @@ rows — and in both modes:
 * **every value is the statistic it claims to be**: within 1e-9 of a
   plain per-tuple reference written here (the loops the kernels replaced)
   or of scipy's ``spearmanr`` / ``chi2_contingency`` / ``kstest``;
+  sketch-mode Pearson (``linear_relationship``, read from the store's
+  co-moment sums) is held to the full table's reference, not the
+  sample's;
 * average ranks equal ``scipy.stats.rankdata(method="average")`` exactly;
 * the numpy ``ndtr`` is within 4 ULP of ``scipy.special.ndtr``, and the
   normality kernel's KS distance, skewness and kurtosis are within 1e-12
@@ -113,6 +116,7 @@ def _contexts(table: DataTable, sample_capacity: int):
 
 _PAIRS = [(a, b) for i, a in enumerate(NUMERIC) for b in NUMERIC[i + 1:]]
 CANDIDATES = {
+    "linear_relationship": _PAIRS + [(b, a) for a, b in _PAIRS],
     "monotonic_relationship": _PAIRS + [(b, a) for a, b in _PAIRS],
     "dependence": (
         [(a, b) for i, a in enumerate(CATEGORICAL) for b in CATEGORICAL[i + 1:]]
@@ -145,6 +149,18 @@ def _mean(values: list[float]) -> float:
 def _sum_sq(values: list[float]) -> float:
     mean = _mean(values)
     return math.fsum((v - mean) ** 2 for v in values)
+
+
+def _reference_linear(table: DataTable, attributes) -> float | None:
+    rows = _complete(_numeric(table, attributes[0]), _numeric(table, attributes[1]))
+    if len(rows) < 2:
+        return None
+    x, y = (list(side) for side in zip(*rows))
+    if len(set(x)) == 1 or len(set(y)) == 1:
+        return 0.0
+    mean_x, mean_y = _mean(x), _mean(y)
+    cross = math.fsum((a - mean_x) * (b - mean_y) for a, b in rows)
+    return min(abs(cross) / math.sqrt(_sum_sq(x) * _sum_sq(y)), 1.0)
 
 
 def _reference_monotonic(table: DataTable, attributes) -> float | None:
@@ -270,6 +286,7 @@ def _reference_multimodality(table: DataTable, attributes) -> float | None:
 
 
 REFERENCES = {
+    "linear_relationship": _reference_linear,
     "monotonic_relationship": _reference_monotonic,
     "dependence": _reference_dependence,
     "segmentation": _reference_segmentation,
@@ -316,8 +333,10 @@ def test_every_value_is_within_1e_9_of_its_plain_reference(table, sample_capacit
         for name, candidates in CANDIDATES.items():
             scored = {c.attributes: c.score
                       for c in REGISTRY.get(name).score_all(candidates, context)}
+            # Pearson reads the whole table's co-moment sums in sketch mode.
+            on = table if name == "linear_relationship" else scored_on
             for attributes in candidates:
-                expected = REFERENCES[name](scored_on, attributes)
+                expected = REFERENCES[name](on, attributes)
                 got = scored.get(attributes)
                 if expected is None:
                     assert got is None, (mode, name, attributes, got)

@@ -19,8 +19,8 @@ split points:
 * entropy — with the head tracked exactly (distinct values within
   capacity) the merged estimate equals the exact Shannon entropy of the
   union;
-* streaming hyperplane — merged disjoint row partitions finalize to the
-  byte-identical signature of a single-partition build;
+* co-moment sums — the sums of disjoint row partitions, taken about
+  one shift, add to the single-pass sums up to float rounding;
 * reservoir sample — the merged sample is drawn from the union with
   per-side inclusion proportional to stream sizes (correct weighting).
 """
@@ -32,10 +32,11 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from repro.data import ColumnKind, Field, NumericColumn
+from repro.sketch.comoments import CoMoments
 from repro.sketch.countmin import CountMinSketch
 from repro.sketch.entropy import EntropySketch
 from repro.sketch.frequent import MisraGriesSketch, SpaceSavingSketch, exact_counts
-from repro.sketch.hyperplane import StreamingHyperplaneSketch
 from repro.sketch.moments import MomentSketch
 from repro.sketch.quantile import QuantileSketch
 from repro.sketch.reservoir import ReservoirSample
@@ -192,24 +193,25 @@ class TestEntropyMerge:
         assert np.isclose(left.estimate_entropy(), exact, atol=1e-9)
 
 
-class TestStreamingHyperplaneMerge:
-    @given(values=st.lists(finite_floats, min_size=2, max_size=120),
+class TestCoMomentsMerge:
+    @given(values=st.lists(st.tuples(finite_floats, finite_floats),
+                           min_size=2, max_size=120),
            split=st.integers(min_value=0, max_value=120))
     @settings(max_examples=25, deadline=None)
-    def test_merged_signature_is_byte_identical(self, values, split):
+    def test_merged_sums_equal_the_single_pass_sums(self, values, split):
         split = min(split, len(values))
-        array = np.asarray(values)
-        mean = float(array.mean())
-        whole = StreamingHyperplaneSketch(width=64, seed=5, mean=mean)
-        whole.update_array(array)
-        left = StreamingHyperplaneSketch(width=64, seed=5, mean=mean,
-                                         row_offset=0)
-        right = StreamingHyperplaneSketch(width=64, seed=5, mean=mean,
-                                          row_offset=split)
-        left.update_array(array[:split])
-        right.update_array(array[split:])
-        left.merge(right)
-        assert np.array_equal(left.signature().bits, whole.signature().bits)
+        columns = [NumericColumn(Field(name, ColumnKind.NUMERIC), np.asarray(side))
+                   for name, side in zip(("x", "y"), zip(*values))]
+        whole = CoMoments.of_columns(columns)
+        left = CoMoments.of_columns(columns, slice(0, split), whole.shift)
+        right = CoMoments.of_columns(columns, slice(split, None), whole.shift)
+        merged = left.merged(right)
+        assert merged.count.tolist() == whole.count.tolist()
+        # Rounding is relative to the summands' size, which Σx² bounds
+        # (Σ|x| and Σ|xy| by Cauchy–Schwarz), not to the sum's.
+        bound = 1e-12 * len(values) * (whole.square.max() + 1.0)
+        for field in ("total", "square", "cross"):
+            assert np.abs(getattr(merged, field) - getattr(whole, field)).max() <= bound
 
 
 class TestReservoirMerge:
