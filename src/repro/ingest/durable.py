@@ -41,6 +41,15 @@ serving stack relies on.  This module makes the journal **persistent**:
   wall clock), so byte-identical responses after restart or on a
   replica are the tested contract, not a best effort.
 
+* **The read** — which records of a generation are replayable is
+  decided once too, by :meth:`DatasetJournal.scan`: the segment-header
+  check, seq contiguity, the stop at a torn tail or a seq gap, and
+  which build markers are news.  A restart (:meth:`DatasetJournal.load`)
+  scans from the snapshot's position, the replication feed
+  (:class:`JournalFeed`) from a replica's cursor.  A segment whose
+  header names another generation is unusable to both, so a replica
+  holding a cursor into it is reset to exactly what a restart loads.
+
 The :class:`~repro.service.workspace.Workspace` drives all of this via
 its ``data_dir`` argument; this module owns the file format and the
 dataset transition.
@@ -219,6 +228,53 @@ def engine_config_from_payload(payload: dict[str, Any]) -> EngineConfig:
 # ---------------------------------------------------------------------------
 # Durable state (what a load reconstructs from disk)
 # ---------------------------------------------------------------------------
+@dataclass(frozen=True)
+class FeedPosition:
+    """A replica's cursor into one dataset's journal: ``(version, seq)``,
+    plus whether the build marker at ``seq`` is behind it.
+
+    A build marker is the one journal record that moves no ``seq``, and
+    a primary may write it long after the append it follows — after a
+    replica already holds that ``seq``.  ``built`` keeps the cursor
+    exact there: the marker is delivered once, not never and not on
+    every poll.
+
+    The token form ``"<version>:<seq>"`` (``"<version>:<seq>b"`` when
+    ``built``) travels in the ``?from=`` query parameter of the HTTP
+    journal endpoint.
+    """
+
+    version: int
+    seq: int
+    built: bool = False
+
+    def token(self) -> str:
+        return f"{self.version}:{self.seq}{'b' if self.built else ''}"
+
+    @classmethod
+    def parse(cls, token: str) -> "FeedPosition":
+        version_text, sep, seq_text = token.partition(":")
+        if not sep:
+            raise ValueError(
+                f"feed position must be '<version>:<seq>[b]', got {token!r}"
+            )
+        return cls(version=int(version_text),
+                   seq=int(seq_text.removesuffix("b")),
+                   built=seq_text.endswith("b"))
+
+    def after(self, records: Iterable[dict[str, Any]]) -> "FeedPosition":
+        """The cursor once ``records`` (journal records past this one)
+        are applied: an append or a swap moves ``seq``, a build marker
+        sets ``built``."""
+        seq, built = self.seq, self.built
+        for record in records:
+            if record["type"] == RECORD_BUILD:
+                built = True
+            else:
+                seq, built = int(record["seq"]), False
+        return FeedPosition(self.version, seq, built)
+
+
 @dataclass
 class DurableState:
     """Everything the journal knows about one dataset."""
@@ -244,14 +300,19 @@ class DurableState:
     engine_config: dict[str, Any] | None = None
 
     @property
+    def position(self) -> FeedPosition:
+        """Where the state stands (a bootstrapped replica's cursor): the
+        snapshot's ``(seq, engine_built)``, or the generation's start,
+        past ``records``."""
+        snapshot = self.snapshot or {}
+        return FeedPosition(self.version, int(snapshot.get("seq", 0)),
+                            bool(snapshot.get("engine_built"))
+                            ).after(self.records)
+
+    @property
     def seq(self) -> int:
         """The last durable sequence number."""
-        for record in reversed(self.records):
-            if record["type"] in (RECORD_APPEND, RECORD_SWAP):
-                return int(record["seq"])
-        if self.snapshot is not None:
-            return int(self.snapshot["seq"])
-        return 0
+        return self.position.seq
 
     def base_log(self) -> IngestLog:
         """The log the generation's records fold onto: the snapshot's
@@ -260,6 +321,30 @@ class DurableState:
             return IngestLog()
         return IngestLog.from_payload(self.snapshot.get("counters", {}),
                                       seq=int(self.snapshot["seq"]))
+
+
+@dataclass
+class GenerationScan:
+    """One read of a generation's segments (:meth:`DatasetJournal.scan`)."""
+
+    #: The first segment's base seq: nothing at or below it is on disk.
+    base_seq: int = 0
+    #: The highest append/swap seq read (``base_seq`` when none).
+    tip: int = 0
+    #: Contiguous append/swap records after ``start.seq``, and the build
+    #: markers not behind ``start``, in journal order.
+    records: list[dict[str, Any]] = field(default_factory=list)
+    #: The first segment header's engine config.
+    engine_config: dict[str, Any] | None = None
+    #: Why the read ended early: ``"torn"`` (a torn tail, whose clean end
+    #: is ``truncate_at``), ``"header"`` (a segment header missing or
+    #: naming another generation) or ``"gap"`` (a seq gap); None when
+    #: every segment was read to its end.
+    stop: str | None = None
+    truncate_at: tuple[Path, int] | None = None
+    #: Segments nothing may be replayed from: one with a bad header, and
+    #: every one after the stop.
+    unusable: list[Path] = field(default_factory=list)
 
 
 class DatasetJournal:
@@ -299,15 +384,6 @@ class DatasetJournal:
                 names.append(unquote(child.name))
         return names
 
-    def has_state(self, name: str) -> bool:
-        directory = self._dir(name)
-        if not directory.is_dir():
-            return False
-        return any(
-            _SEGMENT_RE.match(p.name) or _SNAPSHOT_RE.match(p.name)
-            for p in directory.iterdir()
-        )
-
     def _segments(self, name: str) -> list[tuple[int, int, Path]]:
         """All ``(version, base_seq, path)`` segments, sorted."""
         directory = self._dir(name)
@@ -338,154 +414,137 @@ class DatasetJournal:
     def load(self, name: str, repair: bool = False) -> DurableState | None:
         """Reconstruct the dataset's durable state from disk.
 
-        Reads the newest generation's segments, tolerating a torn or
-        corrupted tail by stopping at the last complete record.  With
+        Reads the newest generation's segments with :meth:`scan` from
+        the snapshot's position, tolerating a torn or corrupted tail by
+        stopping at the last complete record.  With
         ``repair=True`` the torn tail is truncated away and stale files
         (older generations, unusable later segments, an out-of-date
         snapshot) are deleted, leaving the directory ready for appends.
         """
         segments = self._segments(name)
         snapshots = self._snapshots(name)
-        if not segments:
-            if not snapshots:
-                return None
-            # A crash between the snapshot rename and the compaction
-            # segment left the snapshot orphaned: the dataset must stay
-            # appendable, so repair recreates its generation segment.
-            version, _path = snapshots[-1]
-            snapshot, table = self._read_snapshot(name, version)
-            if snapshot is None:
-                # The snapshot file exists but is corrupt: its rows are
-                # gone and nothing of this generation can replay.
-                # Restarting the SAME version at seq 0 would re-mint
-                # (version, seq) identities already acknowledged for
-                # different data — rotate to a fresh generation instead.
-                if repair:
-                    self.begin_generation(name, version + 1)
-                return DurableState(version=version + 1, snapshot=None,
-                                    damaged=True)
-            if repair:
-                self.begin_generation(name, version,
-                                      base_seq=int(snapshot["seq"]),
-                                      engine_config=snapshot.get(
-                                          "engine_config"))
-            return DurableState(version=version, snapshot=snapshot,
-                                table=table,
-                                engine_config=snapshot.get("engine_config"))
+        if not segments and not snapshots:
+            return None
         # The newest generation *with a segment* wins.  A newer
         # snapshot-only version is a crashed rotation that never started
         # its segment: the operation was never acknowledged, so the old
-        # generation — still fully intact — is the correct state.
-        version = max(entry[0] for entry in segments)
-        current = [entry for entry in segments if entry[0] == version]
+        # generation — still fully intact — is the correct state.  With
+        # no segment at all, a crash between the snapshot rename and the
+        # compaction segment left the snapshot orphaned: the dataset
+        # must stay appendable, so repair recreates its segment.
+        version = (max(entry[0] for entry in segments) if segments
+                   else snapshots[-1][0])
         stale_paths = [entry[2] for entry in segments if entry[0] != version]
         stale_paths += [path for v, path in snapshots if v != version]
         snapshot, table = self._read_snapshot(name, version)
-        snapshot_seq = int(snapshot["seq"]) if snapshot is not None else 0
-        snapshot_built = bool(snapshot and snapshot.get("engine_built"))
-        #: The generation HAS a snapshot file but it is unreadable: the
-        #: compacted rows are lost, so every surviving record is
-        #: unanchored — and pretending the generation starts at seq 0
-        #: would re-mint identities already acknowledged for different
-        #: data.  Handled below by rotating to a fresh generation.
-        snapshot_corrupt = snapshot is None and any(
-            v == version for v, _path in snapshots
-        )
+        state = DurableState(version=version, snapshot=snapshot, table=table)
+        # With no records yet, the state's position is where replay
+        # starts: the snapshot's (seq, engine_built), or the
+        # generation's start.
+        scan = self.scan(name, state.position)
+        if scan is None:
+            if segments:  # a rotation replaced the generation meanwhile
+                return self.load(name, repair)
+            scan = GenerationScan()  # the orphaned snapshot's
+        state.records, state.damaged = scan.records, scan.stop is not None
+        state.engine_config = (snapshot.get("engine_config")
+                               if snapshot is not None else scan.engine_config)
 
-        records: list[dict[str, Any]] = []
-        expected_seq = snapshot_seq
-        damaged = False
-        truncate_at: tuple[Path, int] | None = None
-        unusable: list[Path] = []
-        stopped = False
-        generation_config: dict[str, Any] | None = None
-        for index, (_version, base_seq, path) in enumerate(current):
-            if stopped:
-                unusable.append(path)
-                damaged = True
-                continue
-            data = path.read_bytes()
-            segment_records, clean = decode_records(data)
-            if clean < len(data):
-                damaged = True
-                truncate_at = (path, clean)
-                stopped = True  # later segments can't follow a torn tail
-            if not segment_records:
-                if index == 0 and clean == 0:
-                    # The generation header itself is unreadable: nothing
-                    # of this generation is trustworthy.
-                    unusable.append(path)
-                    stopped = True
-                continue
-            header = segment_records[0]
-            if (header.get("type") != RECORD_GENERATION
-                    or int(header.get("version", -1)) != version):
-                damaged = True
-                unusable.append(path)
-                stopped = True
-                continue
-            if generation_config is None:
-                generation_config = header.get("engine_config")
-            for record in segment_records[1:]:
-                kind = record.get("type")
-                if kind in (RECORD_APPEND, RECORD_SWAP):
-                    seq = int(record.get("seq", -1))
-                    if seq <= expected_seq:
-                        continue  # pre-snapshot record in a stale segment
-                    if seq != expected_seq + 1:
-                        # A gap means records were lost mid-journal:
-                        # everything after the gap is unusable.
-                        damaged = True
-                        stopped = True
-                        break
-                    expected_seq = seq
-                    records.append(record)
-                elif kind == RECORD_BUILD:
-                    # A marker at the snapshot's own seq is news only if
-                    # the snapshot was taken before the engine was built.
-                    seq = int(record.get("seq", -1))
-                    if seq > snapshot_seq or (
-                            seq == snapshot_seq and not snapshot_built):
-                        records.append(record)
-                else:
-                    continue  # unknown record types are skipped, not fatal
-
-        if snapshot_corrupt:
-            # Rotation deletes every old segment and the corrupt
-            # snapshot; the bumped version guarantees no (version, seq)
-            # pair ever names two different states.
+        if snapshot is None and any(v == version for v, _path in snapshots):
+            # The generation HAS a snapshot file but it is unreadable:
+            # the compacted rows are lost, so every surviving record is
+            # unanchored — and pretending the generation starts at seq 0
+            # would re-mint identities already acknowledged for
+            # different data.  Rotation deletes every old segment and
+            # the corrupt snapshot; the bumped version guarantees no
+            # (version, seq) pair ever names two different states.
             if repair:
                 self.begin_generation(name, version + 1,
-                                      engine_config=generation_config)
+                                      engine_config=scan.engine_config)
             return DurableState(version=version + 1, snapshot=None,
                                 damaged=True,
-                                engine_config=generation_config)
+                                engine_config=scan.engine_config)
         if repair:
-            if truncate_at is not None:
-                path, clean = truncate_at
+            if scan.truncate_at is not None:
+                path, clean = scan.truncate_at
                 with open(path, "r+b") as handle:
                     handle.truncate(clean)
                     handle.flush()
                     os.fsync(handle.fileno())
-            for path in unusable + stale_paths:
+            for path in scan.unusable + stale_paths:
                 self._remove(path)
             self._fsync_dir(self._dir(name))
             if not any(v == version for v, _s, _p in self._segments(name)):
-                # Every segment of the surviving generation was unusable
-                # (e.g. a destroyed header): start a fresh one at the
+                # No segment of the surviving generation is left (all
+                # unusable, e.g. a destroyed header, or an orphaned
+                # snapshot's never written): start a fresh one at the
                 # recovered position so appends have somewhere to land.
-                self.begin_generation(
-                    name, version, base_seq=expected_seq,
-                    engine_config=(snapshot.get("engine_config")
-                                   if snapshot is not None
-                                   else generation_config),
-                )
-        return DurableState(
-            version=version, snapshot=snapshot, table=table,
-            records=records, damaged=damaged,
-            engine_config=(snapshot.get("engine_config")
-                           if snapshot is not None else generation_config),
-        )
+                self.begin_generation(name, version, base_seq=state.seq,
+                                      engine_config=state.engine_config)
+        return state
+
+    def scan(self, name: str, start: FeedPosition) -> GenerationScan | None:
+        """Read generation ``start.version``'s segments from ``start``.
+
+        The one reader of a generation's records: restart recovery
+        (:meth:`load`) starts it at the snapshot's position, the
+        replication feed at a replica's cursor.  ``None`` unless
+        ``start.version`` is the newest generation with a segment.
+        Append and swap records must continue ``start.seq`` one by one;
+        a build marker is kept unless ``start`` is past it.  The read
+        stops at a torn tail, at a segment header that is missing or
+        names another generation, or at a seq gap, and every segment
+        after the stop is unusable.  Never writes; never decodes the
+        snapshot.
+        """
+        segments = self._segments(name)
+        if not segments or max(v for v, _s, _p in segments) != start.version:
+            return None
+        current = [(base, path) for v, base, path in segments
+                   if v == start.version]
+        scan = GenerationScan(base_seq=current[0][0], tip=current[0][0])
+        expected = start.seq
+        for index, (_base, path) in enumerate(current):
+            if scan.stop is not None:
+                scan.unusable.append(path)
+                continue
+            data = path.read_bytes()
+            records, clean = decode_records(data)
+            if clean < len(data):
+                scan.stop, scan.truncate_at = "torn", (path, clean)
+            if not records and index > 0:
+                continue  # a later segment with no complete record
+            header = records[0] if records else {}
+            if (header.get("type") != RECORD_GENERATION
+                    or int(header.get("version", -1)) != start.version):
+                scan.stop = "header"
+                scan.unusable.append(path)
+                continue
+            if scan.engine_config is None:
+                scan.engine_config = header.get("engine_config")
+            for record in records[1:]:
+                kind = record.get("type")
+                if kind in (RECORD_APPEND, RECORD_SWAP):
+                    seq = int(record.get("seq", -1))
+                    scan.tip = max(scan.tip, seq)
+                    if seq <= expected:
+                        continue  # at or before the start
+                    if seq != expected + 1:
+                        # Records were lost mid-journal: nothing after
+                        # the gap is usable.
+                        scan.stop = "gap"
+                        break
+                    expected = seq
+                    scan.records.append(record)
+                elif kind == RECORD_BUILD:
+                    # A marker at the start's own seq is news only if
+                    # the start is not already past it.
+                    seq = int(record.get("seq", -1))
+                    if seq > start.seq or (seq == start.seq
+                                           and not start.built):
+                        scan.records.append(record)
+                # Unknown record types are skipped, not fatal.
+        return scan
 
     def _read_snapshot(
         self, name: str, version: int,
@@ -1111,41 +1170,6 @@ def replay_state(
 # ---------------------------------------------------------------------------
 # Replication feed
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class FeedPosition:
-    """A replica's cursor into one dataset's journal: ``(version, seq)``,
-    plus whether the build marker at ``seq`` is behind it.
-
-    A build marker is the one journal record that moves no ``seq``, and
-    a primary may write it long after the append it follows — after a
-    replica already holds that ``seq``.  ``built`` keeps the cursor
-    exact there: the marker is delivered once, not never and not on
-    every poll.
-
-    The token form ``"<version>:<seq>"`` (``"<version>:<seq>b"`` when
-    ``built``) travels in the ``?from=`` query parameter of the HTTP
-    journal endpoint.
-    """
-
-    version: int
-    seq: int
-    built: bool = False
-
-    def token(self) -> str:
-        return f"{self.version}:{self.seq}{'b' if self.built else ''}"
-
-    @classmethod
-    def parse(cls, token: str) -> "FeedPosition":
-        version_text, sep, seq_text = token.partition(":")
-        if not sep:
-            raise ValueError(
-                f"feed position must be '<version>:<seq>[b]', got {token!r}"
-            )
-        return cls(version=int(version_text),
-                   seq=int(seq_text.removesuffix("b")),
-                   built=seq_text.endswith("b"))
-
-
 @dataclass
 class FeedBatch:
     """One :meth:`JournalFeed.poll` answer.
@@ -1219,20 +1243,23 @@ class JournalFeed:
 
     The primary's WAL *is* the replication stream: the feed serves the
     same CRC'd records :class:`DatasetJournal` wrote, positioned by a
-    ``(version, seq)`` cursor, with a full :class:`DurableState`
-    bootstrap whenever incremental delivery is impossible — a late
+    ``(version, seq)`` cursor.  An incremental poll is
+    :meth:`DatasetJournal.scan` from the cursor, the read a restart
+    does from its snapshot.  A full :class:`DurableState` bootstrap
+    answers whenever incremental delivery is impossible — a late
     joiner (no cursor), a generation change (reload / re-registration
     bumped the version), compaction that truncated records the cursor
-    still needed, or a cursor *ahead* of the primary's durable tip
-    (the primary lost acknowledged-to-the-feed bytes, e.g. a
-    failure-atomic append truncation raced a poll; the replica must
-    re-anchor rather than diverge).
+    still needed, a scan that stopped at anything but a torn tail (a
+    bad segment header, a seq gap), or a cursor *ahead* of the
+    primary's durable tip (the primary lost acknowledged-to-the-feed
+    bytes, e.g. a failure-atomic append truncation raced a poll; the
+    replica must re-anchor rather than diverge).
 
     The feed is stateless (cursors are caller-owned) and never writes:
-    ``load`` runs with ``repair=False``, so a feed polling a live
-    primary's directory can never race its owner's mutations — the
-    worst case is reading a torn tail, which :func:`scan_records`
-    already treats as "not yet written".
+    a reset's ``load`` runs with ``repair=False``, so a feed polling a
+    live primary's directory can never race its owner's mutations — the
+    worst case is reading a torn tail, which the scan treats as "not
+    yet written".
     """
 
     def __init__(self, root: str | Path,
@@ -1267,81 +1294,30 @@ class JournalFeed:
                 batch = None
             if batch is not None:
                 return batch
-        return self._bootstrap(name)
-
-    def _bootstrap(self, name: str) -> FeedBatch | None:
         state = self._journal.load(name, repair=False)
         if state is None:
             return None
-        built = bool(state.records) and (
-            state.records[-1]["type"] == RECORD_BUILD)
         return FeedBatch(
-            dataset=name, reset=state, records=[],
-            position=FeedPosition(state.version, state.seq, built),
+            dataset=name, reset=state, records=[], position=state.position,
             more=False, primary_seq=state.seq,
         )
 
     def _incremental(self, name: str, position: FeedPosition,
                      max_records: int) -> FeedBatch | None:
-        """An incremental batch after ``position``, or ``None`` for reset."""
-        segments = self._journal._segments(name)
-        if not segments:
+        """An incremental batch after ``position``, or ``None`` for a
+        reset (the causes are listed on the class)."""
+        scan = self._journal.scan(name, position)
+        if (scan is None or scan.stop not in (None, "torn")
+                or not scan.base_seq <= position.seq <= scan.tip):
             return None
-        version = max(entry[0] for entry in segments)
-        if version != position.version:
-            return None
-        current = [entry for entry in segments if entry[0] == version]
-        anchor = current[0][1]
-        if position.seq < anchor:
-            # Compaction moved the generation's base past the cursor:
-            # the records between are gone from disk.
-            return None
-        kept: list[dict[str, Any]] = []
-        expected = position.seq
-        tip = anchor
-        for _version, _base_seq, path in current:
-            data = path.read_bytes()
-            segment_records, _clean = decode_records(data)
-            if (not segment_records
-                    or segment_records[0].get("type") != RECORD_GENERATION):
-                return None  # unreadable header: let load() adjudicate
-            for record in segment_records[1:]:
-                kind = record.get("type")
-                if kind in (RECORD_APPEND, RECORD_SWAP):
-                    seq = int(record.get("seq", -1))
-                    tip = max(tip, seq)
-                    if seq <= expected:
-                        continue  # already applied by this replica
-                    if seq != expected + 1:
-                        return None  # gap: replica must re-bootstrap
-                    expected = seq
-                    kept.append(record)
-                elif kind == RECORD_BUILD:
-                    seq = int(record.get("seq", -1))
-                    if seq > position.seq or (seq == position.seq
-                                              and not position.built):
-                        kept.append(record)
-        if position.seq > tip:
-            # The cursor is ahead of everything on disk: the primary
-            # regressed under us — re-anchor via bootstrap.
-            return None
-        cut = len(kept)
-        if cut > max_records:
-            cut = max_records
-            while cut < len(kept) and kept[cut].get("type") == RECORD_BUILD:
-                cut += 1
-        batch_records = kept[:cut]
-        more = cut < len(kept)
-        new_seq, built = position.seq, position.built
-        for record in batch_records:
-            if record["type"] == RECORD_BUILD:
-                built = True
-            else:
-                new_seq, built = int(record["seq"]), False
+        records = scan.records
+        cut = min(len(records), max_records)
+        while cut < len(records) and records[cut]["type"] == RECORD_BUILD:
+            cut += 1
         return FeedBatch(
-            dataset=name, reset=None, records=batch_records,
-            position=FeedPosition(version, new_seq, built), more=more,
-            primary_seq=tip,
+            dataset=name, reset=None, records=records[:cut],
+            position=position.after(records[:cut]),
+            more=cut < len(records), primary_seq=scan.tip,
         )
 
 
@@ -1351,6 +1327,7 @@ __all__ = [
     "DurableState",
     "FeedBatch",
     "FeedPosition",
+    "GenerationScan",
     "JournalFeed",
     "MAX_RECORD_BYTES",
     "RECORD_APPEND",

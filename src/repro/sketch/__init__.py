@@ -7,7 +7,7 @@ from repro.sketch.entropy import EntropySketch
 from repro.sketch.frequent import MisraGriesSketch, SpaceSavingSketch, exact_counts
 from repro.sketch.moments import MomentSketch
 from repro.sketch.quantile import QuantileSketch
-from repro.sketch.reservoir import ReservoirSample, reservoir_row_indices, sample_pairs
+from repro.sketch.reservoir import reservoir_row_indices
 from repro.sketch.store import (
     ColumnSketches,
     PreprocessStats,
@@ -26,7 +26,6 @@ __all__ = [
     "MomentSketch",
     "PreprocessStats",
     "QuantileSketch",
-    "ReservoirSample",
     "Sketch",
     "SketchStore",
     "SketchStoreConfig",
@@ -35,5 +34,4 @@ __all__ = [
     "merge_column_sketches",
     "preprocess",
     "reservoir_row_indices",
-    "sample_pairs",
 ]

@@ -408,15 +408,6 @@ class SketchStore:
     def approx_kurtosis(self, name: str) -> float:
         return self._require(name, "moments").kurtosis()
 
-    def approx_quantile(self, name: str, q: float) -> float:
-        return self._require(name, "quantiles").quantile(q)
-
-    def approx_iqr(self, name: str) -> float:
-        return self._require(name, "quantiles").iqr()
-
-    def approx_five_number_summary(self, name: str) -> dict[str, float]:
-        return self._require(name, "quantiles").five_number_summary()
-
     def approx_correlation_matrix(self, names: list[str] | None = None) -> tuple[np.ndarray, list[str]]:
         """All-pairs Pearson ρ over ``names`` (default: every numeric
         column) from the co-moment sums — pairwise-complete and exact up

@@ -40,8 +40,8 @@ def sketch_answers(store: SketchStore) -> dict[str, list]:
                        store.approx_std(name), store.approx_skewness(name),
                        store.approx_kurtosis(name)]
         if bundle.quantiles is not None:
-            column += [store.approx_quantile(name, q) for q in (0.0, 0.1, 0.5, 0.9, 1.0)]
-            column += [store.approx_iqr(name), store.approx_five_number_summary(name),
+            column += [bundle.quantiles.quantile(q) for q in (0.0, 0.1, 0.5, 0.9, 1.0)]
+            column += [bundle.quantiles.iqr(), bundle.quantiles.five_number_summary(),
                        store.approx_outlier_strength(name)]
         if bundle.frequent is not None:
             top = store.approx_top_values(name, 8)

@@ -80,7 +80,7 @@ class TestMergeDelta:
         ]))
         n = combined.size
         for q in (0.25, 0.5, 0.75):
-            estimate = merged.approx_quantile(name, q)
+            estimate = merged.column_sketches(name).quantiles.quantile(q)
             rank = np.searchsorted(combined, estimate)
             assert abs(rank - q * n) <= 2 * epsilon * n + 2
 
@@ -150,7 +150,8 @@ class TestMergeDelta:
         a = _merged(store, base_table, delta_table)
         b = _merged(SketchStore(base_table), base_table, delta_table)
         name = base_table.numeric_names()[0]
-        assert a.approx_quantile(name, 0.5) == b.approx_quantile(name, 0.5)
+        assert (a.column_sketches(name).quantiles.quantile(0.5)
+                == b.column_sketches(name).quantiles.quantile(0.5))
         assert np.array_equal(a.sample_indices, b.sample_indices)
 
 

@@ -117,7 +117,8 @@ class TestRecordContainer:
 def _summaries(workspace) -> str:
     """Byte-comparable sketch-store summaries of the "live" dataset."""
     store = workspace.engine("live").store
-    quantiles = [store.approx_quantile("x", q) for q in (0.25, 0.5, 0.75)]
+    sketch = store.column_sketches("x").quantiles
+    quantiles = [sketch.quantile(q) for q in (0.25, 0.5, 0.75)]
     return json.dumps({
         "mean": store.approx_mean("x"),
         "variance": store.approx_variance("x"),
@@ -230,8 +231,8 @@ class TestReplayDeterminism:
         values = sorted(v for v in store_a.table.numeric_column("x")
                         .valid_values())
         if values:
-            median_a = store_a.approx_quantile("x", 0.5)
-            median_b = store_b.approx_quantile("x", 0.5)
+            median_a = store_a.column_sketches("x").quantiles.quantile(0.5)
+            median_b = store_b.column_sketches("x").quantiles.quantile(0.5)
             rank_a = sum(1 for v in values if v <= median_a)
             rank_b = sum(1 for v in values if v <= median_b)
             assert abs(rank_a - rank_b) <= rank_slack

@@ -15,7 +15,7 @@ from repro.sketch.comoments import CoMoments
 from repro.sketch.frequent import MisraGriesSketch, SpaceSavingSketch, exact_counts
 from repro.sketch.moments import MomentSketch
 from repro.sketch.quantile import QuantileSketch
-from repro.sketch.reservoir import ReservoirSample
+from repro.sketch.reservoir import advance_row_indices, reservoir_row_indices
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=64
@@ -116,14 +116,16 @@ class TestFrequentItemsProperties:
 
 class TestReservoirProperties:
     @given(n=st.integers(min_value=0, max_value=2000),
+           new=st.integers(min_value=0, max_value=2000),
            capacity=st.integers(min_value=1, max_value=64))
     @settings(max_examples=50, deadline=None)
-    def test_sample_size_invariant(self, n, capacity):
-        sample = ReservoirSample(capacity=capacity, seed=0)
-        sample.update_many(range(n))
-        assert len(sample.sample) == min(n, capacity)
-        assert sample.count == n
-        assert set(sample.sample) <= set(range(n))
+    def test_sample_size_invariant(self, n, new, capacity):
+        sampled = reservoir_row_indices(n, capacity, seed=0)
+        advanced = advance_row_indices(sampled, n, new, capacity,
+                                       np.random.default_rng(0))
+        assert advanced.size == min(n + new, capacity)
+        assert set(advanced.tolist()) <= set(range(n + new))
+        assert len(set(advanced.tolist())) == advanced.size
 
 
 class TestCoMomentsProperties:

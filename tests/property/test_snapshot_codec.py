@@ -303,7 +303,6 @@ class TestLegacyJsonSnapshotIsNotRead:
 
         journal = DatasetJournal(tmp_path, fsync=False)
         assert journal.dataset_names() == []
-        assert not journal.has_state("live")
         assert journal.load("live") is None
         restarted = Workspace(data_dir=str(tmp_path))
         assert restarted.datasets() == []

@@ -11,6 +11,7 @@ complete record: never an exception, never invented data.
 from __future__ import annotations
 
 import json
+import shutil
 import time
 
 import pytest
@@ -18,7 +19,13 @@ import pytest
 from repro.data.datasets import make_mixed_table
 from repro.errors import IngestError, ReplicaReadOnlyError, ServiceError
 from repro.ingest import IngestConfig
-from repro.ingest.durable import FeedPosition, JournalFeed, scan_records
+from repro.ingest.durable import (
+    DatasetJournal,
+    FeedPosition,
+    JournalFeed,
+    encode_record,
+    scan_records,
+)
 from repro.service import (
     InsightRequest,
     LocalFeedSource,
@@ -175,6 +182,25 @@ class TestJournalFeed:
         batch = feed.poll("live", FeedPosition(1, 99))
         assert batch.reset is not None
         assert batch.position == FeedPosition(1, 1)
+
+    def test_a_rotation_during_a_reset_read_loads_the_new_generation(
+            self, tmp_path, base_table, stream, monkeypatch):
+        primary = _open(tmp_path, base_table)
+        primary.append("live", stream[:4])
+        journal = DatasetJournal(tmp_path, fsync=False)
+        scan = journal.scan
+
+        def rotating_scan(name, start):
+            # Lands between load()'s directory listing and its read.
+            if primary.state("live")[0] == 1:
+                primary.reload("live")
+            return scan(name, start)
+
+        monkeypatch.setattr(journal, "scan", rotating_scan)
+        batch = JournalFeed(str(tmp_path), journal=journal).poll("live")
+        assert batch.reset is not None
+        assert batch.reset.snapshot is not None
+        assert batch.position == FeedPosition(2, 0)
 
     def test_position_token_round_trip(self):
         assert FeedPosition.parse("3:17") == FeedPosition(3, 17)
@@ -458,3 +484,104 @@ class TestFeedFaultInjection:
             (1, self.N_APPENDS - 1)
         assert _payload(replica.handle(_request())) == \
             _payload(restarted.handle(_request()))
+
+
+class TestCursorFaultInjection:
+    """Damage the journal *past* a replica's cursor.
+
+    :class:`TestFeedFaultInjection` builds a fresh replica for every
+    damaged journal, so it only exercises the bootstrap read.  Here the
+    replica first syncs to ``1:1``, so its next ``sync()`` reads
+    incrementally from that cursor — and must still land on the state
+    and payload bytes of a primary restarted on the same directory.
+    """
+
+    N_APPENDS = 3
+
+    @pytest.fixture()
+    def journal(self, tmp_path, base_table, stream):
+        """A directory at seq 1 and the segment bytes of three 2-row
+        deferred appends."""
+        first = tmp_path / "first"
+        live = _open(first, base_table)
+        live.append("live", stream[:2])
+        live.close()
+        full = tmp_path / "full"
+        shutil.copytree(first, full)
+        live = _reopen(full)
+        for i in range(1, self.N_APPENDS):
+            live.append("live", stream[2 * i: 2 * i + 2])
+        live.close()
+        (segment,) = sorted((full / "live").glob("journal-*.seg"))
+        data = segment.read_bytes()
+        spans = [(start, end) for _p, start, end in scan_records(data)]
+        assert len(spans) == 1 + self.N_APPENDS
+        return first, segment.name, data, spans
+
+    @staticmethod
+    def _replica_then_restart(journal, tmp_path, damaged: bytes,
+                              label: str):
+        """Sync a replica to ``1:1``, write ``damaged`` as the segment,
+        sync again, and check it against a restart; returns the state."""
+        first, segment_name, _data, _spans = journal
+        directory = tmp_path / "case"
+        shutil.rmtree(directory, ignore_errors=True)
+        shutil.copytree(first, directory)
+        replica = _replica(directory)
+        restarted = None
+        try:
+            replica.sync()
+            assert replica.state("live") == (1, 1), label
+            (directory / "live" / segment_name).write_bytes(damaged)
+            replica.sync()
+            restarted = _reopen(directory)
+            state = replica.state("live")
+            assert state == restarted.state("live"), label
+            assert _payload(replica.handle(_request())) == \
+                _payload(restarted.handle(_request())), label
+        finally:
+            replica.close()
+            if restarted is not None:
+                restarted.close()
+        return state
+
+    def test_truncation_at_every_byte_offset_of_final_record(
+        self, journal, tmp_path
+    ):
+        _first, _name, data, spans = journal
+        final_start, final_end = spans[-1]
+        for cut in range(final_start, final_end):
+            state = self._replica_then_restart(journal, tmp_path, data[:cut],
+                                               f"cut at byte {cut}")
+            assert state == (1, self.N_APPENDS - 1)
+
+    def test_corruption_at_every_byte_offset_of_final_record(
+        self, journal, tmp_path
+    ):
+        _first, _name, data, spans = journal
+        final_start, final_end = spans[-1]
+        for position in range(final_start, final_end):
+            corrupted = bytearray(data)
+            corrupted[position] ^= 0x5A
+            state = self._replica_then_restart(
+                journal, tmp_path, bytes(corrupted),
+                f"flip at byte {position}")
+            assert state == (1, self.N_APPENDS - 1)
+
+    def test_header_naming_another_generation(self, journal, tmp_path):
+        """A CRC-valid header that names version 2 inside generation 1's
+        segment makes the whole segment unusable, cursor or not."""
+        _first, _name, data, spans = journal
+        ((header, _start, end),) = scan_records(data[:spans[0][1]])
+        foreign = encode_record({**header, "version": 2}) + data[end:]
+        state = self._replica_then_restart(journal, tmp_path, foreign,
+                                           "header names version 2")
+        assert state == (1, 0)
+
+    def test_lost_record_past_the_cursor(self, journal, tmp_path):
+        """Seq 2 is missing, so seq 3 does not follow the cursor."""
+        _first, _name, data, spans = journal
+        gapped = data[:spans[2][0]] + data[spans[3][0]:]
+        state = self._replica_then_restart(journal, tmp_path, gapped,
+                                           "seq 2 lost")
+        assert state == (1, 1)

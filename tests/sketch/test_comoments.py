@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.insight import MODE_APPROXIMATE, MODE_EXACT, EvaluationContext
 from repro.data import CategoricalColumn, ColumnKind, DataTable, Field, NumericColumn
@@ -78,11 +78,25 @@ def grown_tables(draw) -> tuple[DataTable, list[int]]:
         which = draw(st.integers(0, len(appends) - 1))
         start = base_rows + sum(appends[:which])
         numeric[draw(st.sampled_from(NUMERIC))][start:start + appends[which]] = np.nan
+    return _table(numeric), [base_rows] + appends
+
+
+def _table(numeric: dict[str, np.ndarray]) -> DataTable:
     columns = [NumericColumn(Field(name, ColumnKind.NUMERIC), values)
                for name, values in numeric.items()]
+    n_rows = len(columns[0].values)
     columns.append(CategoricalColumn.from_raw(
         "c0", [("a", "b")[i % 2] for i in range(n_rows)]))
-    return DataTable(columns, name="grown"), [base_rows] + appends
+    return DataTable(columns, name="grown")
+
+
+# Every column holds an inf, so every entry of ``square`` is infinite,
+# while n3's finite sums are large enough to differ in the last bit
+# between the merged and the single pass.
+_ALL_SQUARES_INFINITE = (_table({
+    name: np.array([np.inf] + [0.0] * 19) for name in NUMERIC[:3]} | {
+    "n3": np.array([np.inf] + [0.0] * 9 + [-2176.265625, 0.0, -0.03125] + [0.0] * 7)}),
+    [13, 1, 6])
 
 
 def _grown_store(table: DataTable, counts: list[int]) -> SketchStore:
@@ -94,15 +108,21 @@ def _grown_store(table: DataTable, counts: list[int]) -> SketchStore:
         deltas, build_delta_partials(table, store, deltas))))
 
 
-def _close(got: np.ndarray, expected: np.ndarray, square: np.ndarray) -> None:
-    """Equal up to rounding, which is relative to the summands' size (Σx²
-    bounds Σ|x| and Σ|xy|), not to the sum's; infinities in place."""
-    scale = square[np.isfinite(square)].max(initial=0.0) + 1.0
+def _close(got: np.ndarray, expected: np.ndarray, sums: CoMoments) -> None:
+    """Equal up to rounding, which is relative to the summands' size, not
+    to the sum's; infinities in place.  A column's Σx² over its finite
+    cells (the diagonal of ``cross``) bounds Σ|x| and Σ|xy| of every pair
+    it is in, and is ``square``'s diagonal wherever that is finite; where
+    an infinite cell makes ``square`` infinite it is the size of what was
+    still added up."""
+    diagonal = np.diag(sums.cross)
+    scale = diagonal[np.isfinite(diagonal)].max(initial=0.0) + 1.0
     np.testing.assert_allclose(got, expected, rtol=0, atol=TOLERANCE * scale)
 
 
 @settings(max_examples=80, deadline=None)
 @given(grown_tables())
+@example(_ALL_SQUARES_INFINITE)
 def test_merged_sums_equal_the_single_pass_sums(case):
     table, counts = case
     with warnings.catch_warnings():
@@ -113,7 +133,7 @@ def test_merged_sums_equal_the_single_pass_sums(case):
     assert merged.names == single.names == NUMERIC
     assert merged.count.tolist() == single.count.tolist()
     for field in ("total", "square", "cross"):
-        _close(getattr(merged, field), getattr(single, field), single.square)
+        _close(getattr(merged, field), getattr(single, field), single)
 
 
 @settings(max_examples=80, deadline=None)

@@ -21,8 +21,9 @@ split points:
   union;
 * co-moment sums — the sums of disjoint row partitions, taken about
   one shift, add to the single-pass sums up to float rounding;
-* reservoir sample — the merged sample is drawn from the union with
-  per-side inclusion proportional to stream sizes (correct weighting).
+* row sample — the store's sample advanced past appended rows is drawn
+  from the union with per-side inclusion proportional to the sides'
+  sizes (correct weighting).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from repro.sketch.entropy import EntropySketch
 from repro.sketch.frequent import MisraGriesSketch, SpaceSavingSketch, exact_counts
 from repro.sketch.moments import MomentSketch
 from repro.sketch.quantile import QuantileSketch
-from repro.sketch.reservoir import ReservoirSample
+from repro.sketch.reservoir import advance_row_indices, reservoir_row_indices
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False,
@@ -220,39 +221,35 @@ class TestReservoirMerge:
            seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=40, deadline=None)
     def test_merged_sample_structure(self, split, capacity, seed):
-        values = list(range(300))
-        a, b = values[:split], values[split:]
-        left = ReservoirSample(capacity=capacity, seed=seed)
-        right = ReservoirSample(capacity=capacity, seed=seed + 1)
-        left.update_many(a)
-        right.update_many(b)
-        pool = set(left.sample) | set(right.sample)
-        left.merge(right)
-        assert left.count == len(values)
-        assert len(left.sample) == min(capacity, len(pool))
-        assert set(left.sample) <= set(values)
-        assert set(left.sample) <= pool
+        sampled = reservoir_row_indices(split, capacity, seed=seed)
+        advanced = advance_row_indices(sampled, split, 300 - split, capacity,
+                                       np.random.default_rng(seed + 1))
+        assert advanced.size == min(capacity, 300)
+        assert set(advanced.tolist()) <= set(range(300))
+        # The rows of A still in the sample were in A's own sample.
+        assert set(advanced[advanced < split].tolist()) <= set(sampled.tolist())
 
     def test_merge_weighting_is_proportional(self):
         """Inclusion probability tracks stream size — correct weighting.
 
-        Side A contributes 3x the rows of side B; over many independent
-        merges the fraction of merged-sample items that came from A must
-        concentrate on 3/4 (binomial concentration, wide tolerance).
+        The store's sample of side A's rows is advanced past side B's,
+        which has a third as many rows; over many independent draws the
+        fraction of sampled rows that came from A must concentrate on
+        3/4 (binomial concentration, wide tolerance).
         """
         n_a, n_b, capacity, trials = 600, 200, 40, 300
         fractions = []
         for seed in range(trials):
-            left = ReservoirSample(capacity=capacity, seed=seed)
-            right = ReservoirSample(capacity=capacity, seed=10_000 + seed)
-            left.update_many(range(n_a))                    # A: 0..599
-            right.update_many(range(n_a, n_a + n_b))        # B: 600..799
-            left.merge(right)
-            from_a = sum(1 for item in left.sample if item < n_a)
-            fractions.append(from_a / len(left.sample))
+            sample = reservoir_row_indices(n_a, capacity, seed=seed)
+            advanced = advance_row_indices(
+                sample, n_a, n_b, capacity,
+                np.random.default_rng(10_000 + seed))        # B: 600..799
+            assert advanced.size == capacity
+            fractions.append(float(np.mean(advanced < n_a)))
         observed = float(np.mean(fractions))
         expected = n_a / (n_a + n_b)
         # std of the mean is ~ sqrt(p(1-p)/capacity/trials) ≈ 0.004;
         # 0.03 is a ~7-sigma band, flake-proof yet tight enough to catch
-        # an unweighted (50/50) merge by a mile.
+        # a sampler that weighs B's rows as a stream of their own (which
+        # leaves almost none of A) by a mile.
         assert abs(observed - expected) < 0.03

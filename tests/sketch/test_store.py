@@ -70,8 +70,9 @@ class TestApproximateMetrics:
     def test_quantiles_close_to_exact(self, store, store_table):
         name = "attr_001"
         values = store_table.numeric_column(name).valid_values()
-        assert store.approx_quantile(name, 0.5) == pytest.approx(median(values), abs=0.1)
-        summary = store.approx_five_number_summary(name)
+        quantiles = store.column_sketches(name).quantiles
+        assert quantiles.quantile(0.5) == pytest.approx(median(values), abs=0.1)
+        summary = quantiles.five_number_summary()
         assert summary["q1"] <= summary["median"] <= summary["q3"]
 
     def test_correlation_is_exact(self, store, store_table):

@@ -1,5 +1,5 @@
-"""Tests for the moment, quantile, frequent-items, Count-Min, entropy
-and reservoir sketches."""
+"""Tests for the moment, quantile, frequent-items, Count-Min and entropy
+sketches, and the reservoir row sampler."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from repro.sketch.entropy import EntropySketch
 from repro.sketch.frequent import MisraGriesSketch, SpaceSavingSketch, exact_counts
 from repro.sketch.moments import MomentSketch
 from repro.sketch.quantile import QuantileSketch
-from repro.sketch.reservoir import ReservoirSample, reservoir_row_indices, sample_pairs
+from repro.sketch.reservoir import advance_row_indices, reservoir_row_indices
 from repro.stats.frequency import shannon_entropy
 from repro.stats.moments import kurtosis, skewness
 
@@ -279,29 +279,34 @@ class TestEntropySketch:
 
 class TestReservoir:
     def test_sample_size_bounded(self):
-        sample = ReservoirSample(capacity=100, seed=0)
-        sample.update_many(range(10_000))
-        assert len(sample.sample) == 100
-        assert sample.count == 10_000
+        sampled = reservoir_row_indices(10_000, capacity=100, seed=0)
+        assert sampled.size == len(set(sampled.tolist())) == 100
+        advanced = advance_row_indices(sampled, 10_000, 5_000, 100,
+                                       np.random.default_rng(0))
+        assert advanced.size == len(set(advanced.tolist())) == 100
+        assert 0 <= advanced.min() and advanced.max() < 15_000
 
     def test_small_stream_kept_entirely(self):
-        sample = ReservoirSample(capacity=100, seed=1)
-        sample.update_many(range(30))
-        assert sorted(sample.sample) == list(range(30))
+        empty = np.arange(0)
+        kept = advance_row_indices(empty, 0, 30, 100, np.random.default_rng(1))
+        assert kept.tolist() == list(range(30))
+        assert reservoir_row_indices(30, capacity=100, seed=1).tolist() == list(range(30))
 
     def test_approximately_uniform(self):
-        sample = ReservoirSample(capacity=2000, seed=2)
-        sample.update_many(range(20_000))
-        mean = float(np.mean(sample.sample_array()))
-        assert mean == pytest.approx(10_000, rel=0.1)
+        streamed = advance_row_indices(np.arange(0), 0, 20_000, 2000,
+                                       np.random.default_rng(2))
+        assert float(np.mean(streamed)) == pytest.approx(10_000, rel=0.1)
+        drawn = reservoir_row_indices(20_000, capacity=2000, seed=2)
+        assert float(np.mean(drawn)) == pytest.approx(10_000, rel=0.1)
 
     def test_merge_preserves_capacity_and_count(self):
-        a, b = ReservoirSample(50, seed=3), ReservoirSample(50, seed=4)
-        a.update_many(range(1000))
-        b.update_many(range(1000, 3000))
-        a.merge(b)
-        assert a.count == 3000
-        assert len(a.sample) == 50
+        sampled = reservoir_row_indices(1000, capacity=50, seed=3)
+        before = sampled.copy()
+        advanced = advance_row_indices(sampled, 1000, 2000, 50,
+                                       np.random.default_rng(4))
+        assert advanced.size == len(set(advanced.tolist())) == 50
+        assert advanced.max() < 3000 and (advanced >= 1000).any()
+        np.testing.assert_array_equal(sampled, before)
 
     def test_row_indices_helper(self):
         indices = reservoir_row_indices(10, capacity=20)
@@ -309,10 +314,3 @@ class TestReservoir:
         sampled = reservoir_row_indices(1000, capacity=10, seed=5)
         assert len(sampled) == 10
         assert len(set(sampled.tolist())) == 10
-
-    def test_sample_pairs(self):
-        x = np.arange(100.0)
-        y = np.arange(100.0) * 2
-        xs, ys = sample_pairs(x, y, capacity=10, seed=6)
-        assert xs.size == ys.size == 10
-        np.testing.assert_allclose(ys, xs * 2)
